@@ -40,7 +40,7 @@ def sweep_db():
     for d in DISTINCTS:
         db.create_hierarchy_index("Row", "bucket_%d" % d)
     # The point of E7 since the cost model landed: the planner runs on
-    # measured statistics, not live-count heuristics.
+    # measured statistics, not live cardinalities.
     db.analyze()
     return db
 
@@ -54,14 +54,14 @@ def query_for(distinct):
 
 def test_selective_query_uses_index(sweep_db, benchmark):
     plan = sweep_db.plan(query_for(2500))
-    assert plan.cost is not None and plan.cost.mode == "statistics"
+    assert plan.cost is not None and plan.cost.source == "statistics"
     assert isinstance(plan.access, IndexEqProbe)
     benchmark(lambda: sweep_db.execute(query_for(2500)))
 
 
 def test_unselective_query_uses_scan(sweep_db, benchmark):
     plan = sweep_db.plan(query_for(1))
-    assert plan.cost is not None and plan.cost.mode == "statistics"
+    assert plan.cost is not None and plan.cost.source == "statistics"
     assert isinstance(plan.access, ExtentScan)
     benchmark(lambda: sweep_db.execute(query_for(1)))
 
@@ -78,7 +78,7 @@ def test_crossover_summary(sweep_db):
         query = query_for(distinct)
         plan = sweep_db.plan(query)
         decision = plan.cost
-        assert decision is not None and decision.mode == "statistics", (
+        assert decision is not None and decision.source == "statistics", (
             "E7 must exercise the statistics-driven path"
         )
         chosen_is_index = isinstance(plan.access, IndexEqProbe)

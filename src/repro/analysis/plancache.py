@@ -291,9 +291,7 @@ class PlanCache:
                     "target": entry.plan.query.target_class,
                     "source": entry.source or "",
                     "access": entry.plan.access.description,
-                    "cost_mode": (
-                        cost.mode if cost is not None else "heuristic"
-                    ),
+                    "cost_source": cost.source if cost is not None else "",
                     "hits": entry.hits,
                     "schema_epoch": entry.schema_version,
                     "index_epoch": entry.index_epoch,

@@ -188,7 +188,8 @@ class OO1KimDB:
                  workspace: Optional[ObjectWorkspace] = None) -> int:
         """Navigational closure; returns parts visited (with repeats,
         as OO1 specifies hierarchy traversal counts)."""
-        ws = workspace or ObjectWorkspace(self.db, policy="lazy")
+        # "is None", not truthiness: an empty workspace is falsy (__len__).
+        ws = workspace if workspace is not None else ObjectWorkspace(self.db, policy="lazy")
         visited = 0
 
         def walk(part, level: int) -> None:

@@ -36,7 +36,7 @@ from .obs.waits import WaitProfiler
 from .query.ast import AdtPredicate, Query
 from .query.executor import Executor, ResultSet
 from .query.parser import parse_query
-from .query.planner import EmptyScan, Plan, Planner
+from .query.planner import EmptyScan, Plan, Planner, SystemScan
 from .storage.clustering import ClusteringPolicy, NoClustering
 from .storage.manager import StorageManager
 from .txn.locks import (
@@ -178,10 +178,7 @@ class QueryStream:
             return
         self._closed = True
         self._pipeline.close()
-        if self._txn is not None and self._txn.is_active:
-            # Read-only by construction; commit just releases its locks.
-            self._txn.commit()
-        self._db._close_query_snapshot(self._snapshot)
+        self._db._read_close(self._snapshot, self._txn)
         if self._plan is not None:
             # Elapsed covers open-to-close: for a stream, the client's
             # pull pace *is* the query's latency as the server sees it.
@@ -306,7 +303,7 @@ class Database:
         #: queryable like any class through the standard pipeline.
         self.syscat = SystemCatalog(self)
         self.planner = Planner(
-            self.schema, self.indexes, self._extent_count,
+            self.schema, self.indexes, self._extent_count, self._extent_pages,
             system_catalog=self.syscat,
             page_size=self.storage.pager.page_size,
         )
@@ -351,15 +348,15 @@ class Database:
         self._m_rewrite_contradictions = self.metrics.counter(
             "rewrite.contradictions"
         )
-        # Cost-model decision family (benchgate-gated): how often the
-        # statistics model vs. the live-count heuristics picked the plan,
+        # Cost-model decision family (benchgate-gated): how often a plan
+        # was costed from the ANALYZE catalog vs. live cardinalities,
         # how many candidates were weighed, and the estimated-vs-actual
         # row totals that expose systematic mis-estimation.
         self._m_cost_stats_decisions = self.metrics.counter(
             "query.cost.decisions_statistics"
         )
-        self._m_cost_heuristic_decisions = self.metrics.counter(
-            "query.cost.decisions_heuristic"
+        self._m_cost_live_decisions = self.metrics.counter(
+            "query.cost.decisions_live"
         )
         self._m_cost_stale_fallbacks = self.metrics.counter(
             "query.cost.stale_fallbacks"
@@ -408,7 +405,7 @@ class Database:
             )
             self.planner = Planner(
                 self.schema, self.indexes, self._extent_count,
-                system_catalog=self.syscat,
+                self._extent_pages, system_catalog=self.syscat,
                 page_size=self.storage.pager.page_size,
             )
             self.plan_cache = PlanCache(
@@ -481,22 +478,9 @@ class Database:
             exclude_classes=pruned,
             facts=facts,
             stats=self.statistics,
-            downgrade_hint=self._snapshot_downgrade_hint,
         )
         plan.rewrite = rewrite
         return plan
-
-    def _snapshot_downgrade_hint(self, scope) -> bool:
-        """Would the executor downgrade index probes over this scope?
-
-        Mirrors the executor's snapshot rule: under snapshot reads, a
-        live version entry for any scope class forces extent scans, so
-        the cost model should price index candidates as the scans they
-        would become.
-        """
-        if not self.snapshot_reads:
-            return False
-        return self.version_store.has_entries(scope)
 
     @property
     def closed(self) -> bool:
@@ -599,6 +583,11 @@ class Database:
 
     def _extent_count(self, class_name: str) -> int:
         return self.storage.count_class(class_name)
+
+    def _extent_pages(self, class_name: str) -> int:
+        if not self.storage.has_heap(class_name):
+            return 0
+        return self.storage.heap_for(class_name).page_count
 
     def _current_txn_id(self) -> Optional[int]:
         """Wait-profiler provider: the calling thread's transaction id."""
@@ -893,13 +882,6 @@ class Database:
         )
         return sum(self.storage.count_class(cls) for cls in classes)
 
-    def _parse(self, query: Union[str, Query]) -> Query:
-        if isinstance(query, str):
-            with self.tracer.span("query.parse"):
-                query = parse_query(query)
-            self._m_parses.inc()
-        return query
-
     def check(self, query: Union[str, Query]) -> DiagnosticReport:
         """Semantic analysis only: type-check without planning or running.
 
@@ -909,56 +891,116 @@ class Database:
         query raises :class:`~repro.errors.SemanticError` before the
         planner sees it.
         """
+        return self._prepare(query, plan=False)[1]
+
+    def plan(self, query: Union[str, Query]) -> Plan:
+        return self._prepare(query)[0]
+
+    def execute(self, query: Union[str, Query]) -> ResultSet:
+        """Plan and run a query, returning the full result set object."""
+        result, _report = self._execute(query, analyze=False)
+        return result
+
+    def _prepare(self, query: Union[str, Query], plan: bool = True):
+        """The one query front door: ``(plan, report, was_view)``.
+
+        Source fast path → parse → system/user split → authorization on
+        the *named* target (granting read on a view and not its base
+        class is the paper's content-based authorization) → view rewrite
+        → semantic gate → static rewrite → plan cache → planner.
+        ``check()`` passes ``plan=False``: it gets the report back even
+        when the query is ill-typed (no raise) and stops before the
+        cache and the planner, so the plan is None.
+        """
         source = query if isinstance(query, str) else None
-        parsed = self._parse(query)
-        if self.syscat.is_system(parsed.target_class):
-            return self.syscat.check(parsed, source)
-        if self.views is not None:
-            parsed = self.views.rewrite(parsed)
-        report = self._analyze(parsed, source)
-        if report.ok:
-            # Static rewrite analysis rides along: REW diagnostics
-            # (proven contradictions, eliminated tautologies, derived
-            # sargable ranges) are informational, never errors.
-            self._rewrite(parsed, report)
-        return report
-
-    def _analyze(self, query: Query, source: Optional[str]) -> DiagnosticReport:
-        with self.tracer.span("query.check", target=query.target_class):
-            report = SemanticAnalyzer(self.schema, self.adt).check(
-                query, source=source
-            )
-        self._m_checks.inc()
-        return report
-
-    def _semantic_gate(self, query: Query, source: Optional[str]) -> DiagnosticReport:
-        """Fail fast: raise before planning when analysis found errors."""
-        report = self._analyze(query, source)
-        if not report.ok:
+        if source is not None:
+            if plan:
+                # Repeated identical query text: skip even parsing.  Authz,
+                # snapshots and scan locks are NOT cached — they are
+                # per-caller and per-transaction, so all re-run on every hit.
+                entry = self.plan_cache.get_source(source)
+                if entry is not None:
+                    entry.plan.cached = True
+                    self._check_authz("read", entry.plan.query.target_class)
+                    return entry.plan, entry.report, False
+            with self.tracer.span("query.parse"):
+                query = parse_query(source)
+            self._m_parses.inc()
+        # System views are observability metadata, not stored objects: no
+        # authorization named target, no view rewrite, no static rewrite,
+        # no cache (and, at execution, no snapshot and no scan locks —
+        # reading statistics must never block on user data).
+        system = self.syscat.is_system(query.target_class)
+        was_view = False
+        if not system:
+            self._check_authz("read", query.target_class)
+            if self.views is not None:
+                was_view = self.views.is_view(query.target_class)
+                query = self.views.rewrite(query)
+        report = self._gate(query, source, system)
+        if plan and not report.ok:
             raise SemanticError(
                 report.render(), report.diagnostics, source=report.source
             )
-        return report
-
-    def _system_gate(self, query: Query, source: Optional[str]) -> DiagnosticReport:
-        """The system-view counterpart of :meth:`_semantic_gate`."""
-        with self.tracer.span("query.check", target=query.target_class):
-            report = self.syscat.check(query, source)
-        self._m_checks.inc()
-        if not report.ok:
-            raise SemanticError(
-                report.render(), report.diagnostics, source=report.source
+        rewritten = facts = None
+        if report.ok and not system:
+            rewritten = self._rewrite(query, report)
+            query, facts = rewritten.query, rewritten.facts
+        if not plan:
+            return None, report, was_view
+        # View-targeted queries are planned fresh each time: a view
+        # redefinition would not bump the schema epoch the cache keys on.
+        cacheable = not (system or was_view)
+        if cacheable:
+            entry = self.plan_cache.get(rewritten.fingerprint, source=source)
+            if entry is not None:
+                entry.plan.cached = True
+                return entry.plan, report, False
+        with self.tracer.span("query.plan", target=query.target_class):
+            planned = self.planner.plan(
+                query,
+                exclude_classes=report.pruned_classes,
+                facts=facts,
+                stats=self.statistics,
             )
+        planned.rewrite = rewritten
+        self._m_plans.inc()
+        self._record_cost_decision(planned)
+        if cacheable:
+            digest = (
+                "contradiction"
+                if facts.contradiction
+                else ";".join(".".join(steps) for steps in sorted(facts.ranges))
+            )
+            self.plan_cache.put(
+                rewritten.fingerprint, planned, report, digest, source=source
+            )
+        return planned, report, was_view
+
+    def _gate(
+        self, query: Query, source: Optional[str], system: bool
+    ) -> DiagnosticReport:
+        """The one semantic gate: type-check against the schema, or for
+        a system view against the system catalog's column definitions."""
+        with self.tracer.span("query.check", target=query.target_class):
+            if system:
+                report = self.syscat.check(query, source)
+            else:
+                report = SemanticAnalyzer(self.schema, self.adt).check(
+                    query, source=source
+                )
+        self._m_checks.inc()
         return report
 
     def _rewrite(self, query: Query, report: DiagnosticReport) -> RewriteResult:
-        """The static analysis pass between check() and plan().
+        """The static analysis pass between the gate and the planner.
 
         Normalizes the WHERE clause and runs interval/type-domain
         analysis; the resulting facts (proven contradiction, sargable
-        ranges) feed the planner.  REW diagnostics are appended to the
-        semantic report so every downstream consumer (EXPLAIN, the
-        server's error payloads, ``check()``) sees them.
+        ranges) feed the planner.  REW diagnostics (informational, never
+        errors) are appended to the semantic report so every downstream
+        consumer (EXPLAIN, the server's error payloads, ``check()``)
+        sees them.
         """
         with self.tracer.span("query.rewrite", target=query.target_class):
             rewritten = rewrite_query(
@@ -972,172 +1014,83 @@ class Database:
         report.diagnostics.extend(rewritten.diagnostics)
         return rewritten
 
-    def _plan_user_query(
-        self,
-        query: Query,
-        report: DiagnosticReport,
-        source: Optional[str],
-        cacheable: bool = True,
-    ) -> Plan:
-        """Rewrite, consult the plan cache, and plan on a miss."""
-        rewritten = self._rewrite(query, report)
-        if cacheable:
-            entry = self.plan_cache.get(rewritten.fingerprint, source=source)
-            if entry is not None:
-                entry.plan.cached = True
-                return entry.plan
-        with self.tracer.span("query.plan", target=query.target_class):
-            plan = self.planner.plan(
-                rewritten.query,
-                exclude_classes=report.pruned_classes,
-                facts=rewritten.facts,
-                stats=self.statistics,
-                downgrade_hint=self._snapshot_downgrade_hint,
-            )
-        plan.rewrite = rewritten
-        self._m_plans.inc()
-        self._record_cost_decision(plan)
-        if cacheable:
-            digest = (
-                "contradiction"
-                if rewritten.facts.contradiction
-                else ";".join(
-                    ".".join(steps) for steps in sorted(rewritten.facts.ranges)
-                )
-            )
-            self.plan_cache.put(
-                rewritten.fingerprint, plan, report, digest, source=source
-            )
-        return plan
-
     def _record_cost_decision(self, plan: Plan) -> None:
         """Count one fresh planning decision under ``query.cost.*``."""
-        decision = getattr(plan, "cost", None)
+        decision = plan.cost
         if decision is None:
-            self._m_cost_heuristic_decisions.inc()
-            return
-        if decision.mode == "statistics":
+            return  # system and proven-empty scans: nothing was weighed
+        self._m_cost_candidates.inc(len(decision.candidates))
+        if decision.source == "statistics":
             self._m_cost_stats_decisions.inc()
-            self._m_cost_candidates.inc(len(decision.candidates))
         else:
-            self._m_cost_heuristic_decisions.inc()
+            self._m_cost_live_decisions.inc()
             if decision.stale_reason is not None:
                 self._m_cost_stale_fallbacks.inc()
 
-    def plan(self, query: Union[str, Query]) -> Plan:
-        source = query if isinstance(query, str) else None
-        query = self._parse(query)
-        if self.syscat.is_system(query.target_class):
-            self._system_gate(query, source)
-            self._m_plans.inc()
-            return self.planner.plan(query)
-        report = self._semantic_gate(query, source)
-        return self._plan_user_query(query, report, source)
+    def _read_open(self, plan: Plan, own_txn: bool = False):
+        """Open a query's read side: ``(snapshot, txn)`` for :meth:`_read_close`.
 
-    def execute(self, query: Union[str, Query]) -> ResultSet:
-        """Plan and run a query, returning the full result set object."""
-        result, _report = self._execute(query, analyze=False)
-        return result
-
-    def _prepare_query(self, query: Union[str, Query]):
-        """Shared front half of every query path: parse, authorize the
-        *named* target (granting read on a view and not its base class
-        is the paper's content-based authorization), rewrite views, run
-        the semantic gate, plan, and open the read snapshot (or, when
-        snapshot reads are off, take the class scan locks).  Returns
-        ``(query, plan, report, was_view, snapshot)``."""
-        source = query if isinstance(query, str) else None
-        if source is not None:
-            # Repeated identical query text: skip even parsing.  Authz,
-            # snapshots and scan locks are NOT cached — they are
-            # per-caller and per-transaction, so all re-run on every hit.
-            entry = self.plan_cache.get_source(source)
-            if entry is not None:
-                plan = entry.plan
-                plan.cached = True
-                self._check_authz("read", plan.query.target_class)
-                snapshot = self._open_query_snapshot(plan)
-                if snapshot is None:
-                    self._take_scan_locks(plan)
-                return plan.query, plan, entry.report, False, snapshot
-        query = self._parse(query)
-        if self.syscat.is_system(query.target_class):
-            # System views are observability metadata, not stored objects:
-            # no authorization named target, no view rewrite, no scan
-            # locks (reading statistics must never block on user data).
-            report = self._system_gate(query, source)
-            with self.tracer.span("query.plan", target=query.target_class):
-                plan = self.planner.plan(query)
-            self._m_plans.inc()
-            return query, plan, report, False, None
-        self._check_authz("read", query.target_class)
-        was_view = self.views is not None and self.views.is_view(query.target_class)
-        if self.views is not None:
-            query = self.views.rewrite(query)
-        report = self._semantic_gate(query, source)
-        # View-targeted queries are planned fresh each time: a view
-        # redefinition would not bump the schema epoch the cache keys on.
-        plan = self._plan_user_query(query, report, source, cacheable=not was_view)
-        snapshot = self._open_query_snapshot(plan)
-        if snapshot is None:
-            self._take_scan_locks(plan)
-        return plan.query, plan, report, was_view, snapshot
-
-    def _take_scan_locks(self, plan: Plan) -> None:
-        """Shared scan locks over the plan's scope, under the current txn.
-
-        A plan the rewrite pass proved contradictory executes through
-        :class:`~repro.query.operators.leaves.EmptyScanOp` without ever
-        touching storage — so it takes no locks at all.  Snapshot reads
-        never reach here: a query with a begin snapshot resolves
-        visibility through the version store instead of locking (see
-        :meth:`_open_query_snapshot`).
+        With snapshot reads (MVCC, the default) that is a
+        :class:`~repro.versions.store.SnapshotView` and no locks: inside
+        a transaction its begin snapshot, opened once at the first read
+        and reused (repeatable reads across the whole transaction);
+        outside one an ephemeral snapshot.  Without, it is shared scan
+        locks over the plan's scope under the current transaction — or,
+        for a stream (``own_txn``) with no transaction on the calling
+        thread, under a fresh read transaction that is detached from the
+        thread at once (later operations there still autocommit
+        independently) and handed back so closing the stream releases
+        the locks.  A plan that touches no storage (proven-empty scan,
+        system view) opens nothing.
         """
-        if isinstance(plan.access, EmptyScan):
-            return
+        if isinstance(plan.access, (EmptyScan, SystemScan)):
+            return None, None
         current = self.txns.current
+        if self.snapshot_reads:
+            if current is None:
+                snap = self.version_store.open_snapshot(None)
+            else:
+                if current.snapshot is None:
+                    current.snapshot = self.version_store.open_snapshot(
+                        current.txn_id
+                    )
+                snap = current.snapshot
+            view = SnapshotView(
+                self.version_store,
+                snap,
+                self._deref,
+                self._scan_coerced,
+                self._coerce,
+                ephemeral=current is None,
+            )
+            return view, None
+        implicit: Optional[Transaction] = None
+        if current is None and own_txn:
+            implicit = current = self.txns.begin()
+            self.txns.detach()
         if current is not None:
-            for cls in plan.scope:
-                self._lock_class_scan(current, cls)
+            try:
+                for cls in plan.scope:
+                    self._lock_class_scan(current, cls)
+            except BaseException:
+                if implicit is not None:
+                    implicit.abort()
+                raise
+        return None, implicit
 
-    def _open_query_snapshot(self, plan: Plan) -> Optional[SnapshotView]:
-        """The MVCC read path: a snapshot view for this query, or None.
+    def _read_close(
+        self, snapshot: Optional[SnapshotView], txn: Optional[Transaction] = None
+    ) -> None:
+        """Undo :meth:`_read_open`.
 
-        None (fall back to scan locks) when snapshot reads are disabled
-        or the plan is a proven-empty scan that touches nothing anyway.
-        Inside a transaction the snapshot is opened once at the first
-        read and reused — repeatable reads across the whole transaction;
-        outside one the snapshot is ephemeral and the query path closes
-        it when the query (or stream) finishes.
+        Finishes the read's own transaction (read-only by construction;
+        commit just releases its scan locks) and releases an ephemeral
+        snapshot, which moves the version-GC horizon.  Locks under a
+        caller's transaction and its bound snapshot are left alone —
+        strict two-phase locking: they end with that transaction.
         """
-        if not self.snapshot_reads or isinstance(plan.access, EmptyScan):
-            return None
-        current = self.txns.current
-        if current is not None:
-            if current.snapshot is None:
-                current.snapshot = self.version_store.open_snapshot(
-                    current.txn_id
-                )
-            snap = current.snapshot
-            ephemeral = False
-        else:
-            snap = self.version_store.open_snapshot(None)
-            ephemeral = True
-        return SnapshotView(
-            self.version_store,
-            snap,
-            self._deref,
-            self._scan_coerced,
-            self._coerce,
-            ephemeral=ephemeral,
-        )
-
-    def _close_query_snapshot(self, snapshot: Optional[SnapshotView]) -> None:
-        """Release an ephemeral query snapshot (moves the GC horizon).
-
-        Transaction-bound snapshots are left alone — the transaction
-        manager closes them when the transaction finishes.
-        """
+        if txn is not None and txn.is_active:
+            txn.commit()
         if snapshot is not None and snapshot.ephemeral:
             self.version_store.close_snapshot(snapshot.snapshot)
 
@@ -1177,56 +1130,58 @@ class Database:
         # the cost model's aggregate estimation error (EXPLAIN shows the
         # per-query version via SysQueryStat).
         cost = getattr(prepared_plan, "cost", None)
-        if cost is not None and cost.mode == "statistics":
+        if cost is not None and cost.source == "statistics":
             self._m_cost_estimated_rows.inc(int(round(cost.estimated_rows)))
             self._m_cost_actual_rows.inc(pipeline.matched)
 
     def _execute(self, query: Union[str, Query], analyze: bool):
         source = query if isinstance(query, str) else None
         with self.tracer.span("query.execute"), self._m_query_seconds.time():
-            query, plan, report, was_view, snapshot = self._prepare_query(query)
-            is_system = self.syscat.is_system(query.target_class)
-            elapsed = 0.0
-            waited: Optional[Dict[str, float]] = None
+            plan, report, was_view = self._prepare(query)
+            system = isinstance(plan.access, SystemScan)
+            snapshot, _txn = self._read_open(plan)
             try:
-                with self.tracer.span("query.run", access=plan.access.description):
-                    if is_system:
+                with self.tracer.span(
+                    "query.run", access=plan.access.description
+                ), self.waits.capture() as waited:
+                    started = time.perf_counter()
+                    if system:
+                        view = plan.query.target_class
                         result = self._executor.execute_rows(
                             plan,
-                            self.syscat.kernel(query.target_class),
+                            self.syscat.kernel(view),
                             self.syscat.scan,
                             timed=analyze,
                         )
                     else:
-                        with self.waits.capture() as waited:
-                            started = time.perf_counter()
-                            result = self._executor.execute(
-                                plan, timed=analyze, snapshot=snapshot
-                            )
-                            elapsed = time.perf_counter() - started
+                        result = self._executor.execute(
+                            plan, timed=analyze, snapshot=snapshot
+                        )
+                    elapsed = time.perf_counter() - started
             finally:
-                self._close_query_snapshot(snapshot)
+                self._read_close(snapshot)
             if analyze:
                 # result.plan, not the prepared plan: snapshot execution
                 # may have downgraded an index probe to an extent scan.
                 result.analysis = operator_tree(result.plan, result.pipeline)
-            if is_system:
+            if not system:
                 # Statistics rows carry no OIDs: nothing to filter, and
                 # querying the observer must not overwrite the observed
-                # last-user-query operator stats below.
-                self._m_executes.inc()
-                self._m_query_rows.inc(len(result))
-                return result, report
-            self.last_operator_stats = result.operator_stats()
-            self._record_query_stats(plan, result.pipeline, source, elapsed, waited)
-            if self.authz is not None and not was_view:
-                # Per-object content filtering; view queries skip it because
-                # the right to the view *is* the content-based authorization.
-                result = self.authz.filter_result(result)
-            if self.mac is not None:
-                # Mandatory filtering applies to every result, views included
-                # (discretionary rights never override classification).
-                result = self.mac.filter_result(result)
+                # last-user-query operator stats.
+                self.last_operator_stats = result.operator_stats()
+                self._record_query_stats(
+                    plan, result.pipeline, source, elapsed, waited
+                )
+                if self.authz is not None and not was_view:
+                    # Per-object content filtering; view queries skip it
+                    # because the right to the view *is* the
+                    # content-based authorization.
+                    result = self.authz.filter_result(result)
+                if self.mac is not None:
+                    # Mandatory filtering applies to every result, views
+                    # included (discretionary rights never override
+                    # classification).
+                    result = self.mac.filter_result(result)
             self._m_executes.inc()
             self._m_query_rows.inc(len(result))
             return result, report
@@ -1296,33 +1251,25 @@ class Database:
         exhausted or closed.
         """
         source = query if isinstance(query, str) else None
-        implicit: Optional[Transaction] = None
-        if self.txns.current is None and not self.snapshot_reads:
-            implicit = self.txns.begin()
-        snapshot = None
+        plan, _report, was_view = self._prepare(query)
+        if isinstance(plan.access, SystemScan):
+            raise QueryError(
+                "select_iter yields object handles; system views have "
+                "none — use execute() or select()"
+            )
+        if plan.query.aggregates:
+            raise QueryError("select_iter does not support aggregate queries")
+        if plan.query.projections is not None:
+            raise QueryError("select_iter does not support projection queries")
+        snapshot, txn = self._read_open(plan, own_txn=True)
         try:
-            prepared, plan, _report, was_view, snapshot = self._prepare_query(query)
-            if self.syscat.is_system(prepared.target_class):
-                raise QueryError(
-                    "select_iter yields object handles; system views have "
-                    "none — use execute() or select()"
-                )
-            if prepared.aggregates:
-                raise QueryError("select_iter does not support aggregate queries")
-            if prepared.projections is not None:
-                raise QueryError("select_iter does not support projection queries")
             pipeline = self._executor.pipeline(plan, snapshot=snapshot)
             pipeline.open()
         except BaseException:
-            if implicit is not None and implicit.is_active:
-                implicit.abort()
-            self._close_query_snapshot(snapshot)
+            self._read_close(snapshot, txn)
             raise
-        finally:
-            if implicit is not None:
-                self.txns.detach()
         return QueryStream(
-            self, pipeline, implicit, was_view, snapshot=snapshot,
+            self, pipeline, txn, was_view, snapshot=snapshot,
             plan=plan, source=source,
         )
 

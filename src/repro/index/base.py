@@ -14,7 +14,7 @@ from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
 from ..core.obj import ObjectState
 from ..core.oid import OID
 from ..core.schema import Schema
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import CounterValue, MetricsRegistry
 from .btree import BTree
 
 
@@ -27,6 +27,10 @@ class IndexStats:
     """
 
     __slots__ = ("_probes", "_inserts", "_removes", "_recomputes")
+    probes = CounterValue()
+    inserts = CounterValue()
+    removes = CounterValue()
+    recomputes = CounterValue()
 
     def __init__(
         self, registry: Optional[MetricsRegistry] = None, prefix: str = "index"
@@ -36,38 +40,6 @@ class IndexStats:
         self._inserts = registry.counter("%s.inserts" % prefix)
         self._removes = registry.counter("%s.removes" % prefix)
         self._recomputes = registry.counter("%s.recomputes" % prefix)
-
-    @property
-    def probes(self) -> int:
-        return self._probes.value
-
-    @probes.setter
-    def probes(self, value: int) -> None:
-        self._probes.value = value
-
-    @property
-    def inserts(self) -> int:
-        return self._inserts.value
-
-    @inserts.setter
-    def inserts(self, value: int) -> None:
-        self._inserts.value = value
-
-    @property
-    def removes(self) -> int:
-        return self._removes.value
-
-    @removes.setter
-    def removes(self, value: int) -> None:
-        self._removes.value = value
-
-    @property
-    def recomputes(self) -> int:
-        return self._recomputes.value
-
-    @recomputes.setter
-    def recomputes(self, value: int) -> None:
-        self._recomputes.value = value
 
     def reset(self) -> None:
         self._probes.reset()

@@ -227,27 +227,25 @@ class ExplainResult:
         decision = getattr(self.plan, "cost", None)
         lines = ["-- cost --"]
         if decision is None:
-            lines.append(
-                "model: heuristic (no ANALYZE statistics — run "
-                "Database.analyze() to enable cost-based choices)"
-            )
-        elif decision.mode == "statistics":
-            lines.append(
-                "model: statistics (ANALYZE schema v%d, index epoch %d)"
-                % (decision.schema_version, decision.index_epoch)
-            )
+            lines.append("nothing to cost (system view or proven-empty scan)")
+        else:
+            if decision.source == "statistics":
+                lines.append(
+                    "model: statistics (ANALYZE schema v%d, index epoch %d)"
+                    % (decision.schema_version, decision.index_epoch)
+                )
+            else:
+                lines.append("model: live cardinalities (%s)" % decision.reason)
+                lines.append(
+                    "WARNING: %s — costed on live extent and B+-tree "
+                    "counts; re-run Database.analyze()" % decision.reason
+                    if decision.stale_reason is not None
+                    else "run Database.analyze() to cost from histograms"
+                )
             for candidate in decision.candidates:
                 marker = "  <- chosen" if candidate.chosen else ""
                 lines.append("candidate %s%s" % (candidate.describe(), marker))
             lines.append("estimated rows: %.1f" % decision.estimated_rows)
-        else:
-            lines.append("model: heuristic (%s)" % decision.reason)
-            if decision.stale_reason is not None:
-                lines.append(
-                    "WARNING: statistics are stale (%s) — costing fell "
-                    "back to live-count heuristics; re-run "
-                    "Database.analyze()" % decision.stale_reason
-                )
         entry = self.querystats
         if entry is not None and entry.calls:
             avg_examined = entry.rows_examined / float(entry.calls)
@@ -256,11 +254,7 @@ class ExplainResult:
                 "observed (SysQueryStat, %d call(s)): avg examined %.1f, "
                 "avg matched %.1f" % (entry.calls, avg_examined, avg_matched)
             )
-            if (
-                decision is not None
-                and decision.mode == "statistics"
-                and avg_matched > 0
-            ):
+            if decision is not None and avg_matched > 0:
                 lines.append(
                     "estimated/observed rows: %.2fx"
                     % (decision.estimated_rows / avg_matched)

@@ -61,6 +61,28 @@ class Counter:
         return "<Counter %s=%d>" % (self.name, self.value)
 
 
+class CounterValue:
+    """A registry counter's ``value`` as a plain read/write attribute.
+
+    The legacy ``*Stats`` views declare ``hits = CounterValue()`` and
+    bind the :class:`Counter` itself to ``_hits`` in ``__init__``; hot
+    paths keep incrementing the instrument (``stats._hits.inc()``).
+    """
+
+    __slots__ = ("_slot",)
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._slot = "_" + name
+
+    def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
+        if obj is None:
+            return self
+        return getattr(obj, self._slot).value
+
+    def __set__(self, obj: Any, value: int) -> None:
+        getattr(obj, self._slot).value = value
+
+
 class Gauge:
     """A value that goes up and down (pool occupancy, active txns)."""
 
@@ -306,14 +328,17 @@ class MetricsRegistry:
     def snapshot(self, prefix: str = "") -> Dict[str, Any]:
         """Flat ``{name: value}`` view; histograms expand to dicts."""
         out: Dict[str, Any] = {}
-        for name, metric in self._metrics.items():
+        # Iterate copies: another thread may lazily register an
+        # instrument (a dict insert) meanwhile.  dict.copy() is one C
+        # call; list(d.items()) allocates per item and can be interrupted.
+        for name, metric in self._metrics.copy().items():
             if prefix and not name.startswith(prefix):
                 continue
             if isinstance(metric, Histogram):
                 out[name] = metric.snapshot()
             else:
                 out[name] = metric.value
-        for name, fn in self._derived.items():
+        for name, fn in self._derived.copy().items():
             if prefix and not name.startswith(prefix):
                 continue
             out[name] = fn()
@@ -330,7 +355,7 @@ class MetricsRegistry:
         return metric.value
 
     def reset(self, prefix: str = "") -> None:
-        for name, metric in self._metrics.items():
+        for name, metric in self._metrics.copy().items():
             if not prefix or name.startswith(prefix):
                 metric.reset()
 

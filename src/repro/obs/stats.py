@@ -8,12 +8,11 @@ boundaries chosen so each bucket holds roughly the same number of index
 entries — the classical selectivity-estimation structure, robust to
 skew where equi-width is not).
 
-The catalog is deliberately inert for now: it is persisted in the
-storage catalog (``save_metadata``), reloaded on reopen, exposed as the
-``SysClassStat`` / ``SysIndexStat`` system views, and handed to
-``Planner.plan(..., stats=)`` as facts — the cost model that will
-consume those facts for scan-vs-probe-vs-ordered-walk decisions is the
-next ROADMAP item, not this module's job.
+The catalog is inert data: it is persisted in the storage catalog
+(``save_metadata``), reloaded on reopen, exposed as the ``SysClassStat``
+/ ``SysIndexStat`` system views, and handed to ``Planner.plan(...,
+stats=)`` as the cost model's preferred statistics source
+(:mod:`repro.query.cost`; live cardinalities are the other).
 
 Like the query-fingerprint accumulator, a catalog describes one world:
 it is stamped with the schema version and index epoch it was collected

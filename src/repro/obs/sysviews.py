@@ -153,7 +153,7 @@ SYSTEM_VIEWS: Dict[str, Tuple[Tuple[str, ...], str]] = {
             "target",
             "source",
             "access",
-            "cost_mode",
+            "cost_source",
             "hits",
             "schema_epoch",
             "index_epoch",

@@ -1,55 +1,69 @@
-"""Statistics-driven cost model for access-path selection.
+"""The cost model: the one access-path chooser.
 
 The paper names query optimization as a core open research direction
 for OODBs; this module is kimdb's System-R answer [SELI79] built on the
-engine's own measurements.  ``Database.analyze()`` distills extents and
-indexes into a :class:`~repro.obs.stats.StatisticsCatalog` (per-class
-row counts and byte sizes, per-index distinct-key counts and equi-depth
-histograms); :class:`CostModel` turns those facts into a
-:class:`CostDecision` — every candidate access path costed in
+engine's own measurements.  :class:`CostModel` turns cardinality facts
+into a :class:`CostDecision` — every candidate access path costed in
 *estimated pages read* plus *rows examined*, cheapest wins.
 
+The facts come from one of two **statistics sources**, picked per
+decision:
+
+- ``"statistics"`` — the ANALYZE catalog
+  (:class:`~repro.obs.stats.StatisticsCatalog`: per-class row counts and
+  byte sizes, per-index distinct-key counts and equi-depth histograms),
+  whenever it is present, fresh (``stale_reason`` is None) and covers
+  every class in scope;
+- ``"live"`` — the engine itself, otherwise: rows from the extent
+  count, pages from the class heap, entries from the live B+-tree,
+  exact ``tree.search`` match counts and ``tree.estimate_range``
+  interpolation.  ``CostDecision.reason`` says why the catalog was not
+  used; EXPLAIN prints it with the remedy.
+
+Both sources feed the same candidates and the same formula.
 Selectivity estimation:
 
 - equality / ``contains``: ``1 / distinct_keys`` (average duplication),
   clamped to zero when the probe value falls outside the indexed
-  ``[low, high]`` domain;
+  ``[low, high]`` domain — or the exact match count when live;
 - ``in``: the sum of the member equality estimates, capped at 1;
 - ranges: equi-depth histogram bucket classification.  Buckets provably
   inside the interval contribute their full depth to both the floor and
   the ceiling of the estimate; buckets that merely overlap contribute
   only to the ceiling; the estimate is the midpoint, so the true row
   count always lies in ``[floor, ceiling]`` (the property the hypothesis
-  suite checks);
+  suite checks).  Live: linear interpolation over the tree's key span;
 - conjunctions: the product of conjunct selectivities (the classical
   independence assumption);
 - disjunctions: inclusion-exclusion under the same assumption;
 - class-hierarchy fan-in: scope cardinality is the *sum* of per-class
-  ANALYZE row counts, so a hierarchy query is costed over every extent
-  it will actually touch.
+  row counts, so a hierarchy query is costed over every extent it will
+  actually touch.
 
 Cost units: one sequential page read costs :data:`PAGE_COST` row
-examinations; an index match is a random object fetch (one page touch
-per row) after :data:`BTREE_DESCEND_PAGES` to walk the tree.  A
-snapshot-downgrade hint (live version entries in scope) re-costs every
-index candidate at extent-scan cost, because that is what the executor
-would actually run.
+examinations; an index match is a random object fetch — one page touch
+per row, of which at most as many as the scope has heap pages are reads
+and the rest cost :data:`PAGE_RETOUCH_FRACTION` of one — after
+:data:`BTREE_DESCEND_PAGES` to walk the tree.
 
-The model never runs on facts it cannot trust: the planner falls back
-to its live-count heuristics when the catalog is missing, when
-``stale_reason`` fires (schema version or index epoch moved since
-ANALYZE), or when a scope class is absent from the catalog.  The
-resulting :class:`CostDecision` — statistics-driven or heuristic, with
-every candidate's numbers — rides on the plan for EXPLAIN's ``-- cost
---`` section and the plan cache's re-cost protocol.
+Plans are always costed as their best access path.  Whether an index
+probe is *safe* for a given snapshot is the executor's per-execution
+call (``Executor._snapshot_plan``), never baked into a cached plan.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
 
 from .ast import AdtPredicate, And, Comparison, Expr, Not, Or, Query, conjuncts
+from .planner import (
+    AdtIndexProbe,
+    ExtentScan,
+    IndexEqProbe,
+    IndexInProbe,
+    IndexRangeProbe,
+)
 
 #: One sequential page read costs this many row examinations.
 PAGE_COST = 4.0
@@ -57,11 +71,28 @@ PAGE_COST = 4.0
 #: Pages touched descending the B+-tree root-to-leaf per probe.
 BTREE_DESCEND_PAGES = 2.0
 
+#: Touching a page that was already read costs this fraction of reading
+#: it (directory lookup + buffer hit, no I/O).  With :data:`PAGE_COST`
+#: it prices a random fetch at 1.25 sequential row examinations, which
+#: puts the probe-vs-scan crossover near 80 % selectivity — inside the
+#: band E7 measures (probe ahead at 50 %, scan ahead at 100 %).
+PAGE_RETOUCH_FRACTION = 1.0 / 16.0
+
 #: Fallback selectivities for predicates with no covering index stat.
 DEFAULT_EQ_SELECTIVITY = 0.1
-DEFAULT_RANGE_SELECTIVITY = 1.0 / 3.0
+DEFAULT_INEQUALITY_SELECTIVITY = 1.0 / 3.0
 DEFAULT_LIKE_SELECTIVITY = 0.25
 DEFAULT_OPAQUE_SELECTIVITY = 0.5
+_RANGE_OPS = ("<", "<=", ">", ">=")
+_DEFAULT_SELECTIVITY = dict.fromkeys(_RANGE_OPS, DEFAULT_INEQUALITY_SELECTIVITY)
+_DEFAULT_SELECTIVITY.update(
+    {
+        "=": DEFAULT_EQ_SELECTIVITY,
+        "contains": DEFAULT_EQ_SELECTIVITY,
+        "!=": 1.0 - DEFAULT_EQ_SELECTIVITY,
+        "like": DEFAULT_LIKE_SELECTIVITY,
+    }
+)
 
 
 def _clamp(fraction: float) -> float:
@@ -166,7 +197,7 @@ def range_estimate(
         return RangeEstimate(0.0, 0.0, 0.0)
     boundaries = list(stat.boundaries)
     if not boundaries:
-        return RangeEstimate(entries * DEFAULT_RANGE_SELECTIVITY, 0.0, entries)
+        return RangeEstimate(entries * DEFAULT_INEQUALITY_SELECTIVITY, 0.0, entries)
     depths: List[float] = [float(d) for d in stat.depths]
     if len(depths) != len(boundaries):
         # Catalog predates per-bucket depths: assume uniform depth.
@@ -189,7 +220,7 @@ def range_estimate(
                 ceiling += depth
     except TypeError:
         # Query bound incomparable with histogram keys: magic constant.
-        return RangeEstimate(entries * DEFAULT_RANGE_SELECTIVITY, 0.0, entries)
+        return RangeEstimate(entries * DEFAULT_INEQUALITY_SELECTIVITY, 0.0, entries)
     return RangeEstimate((floor + ceiling) / 2.0, floor, ceiling)
 
 
@@ -250,10 +281,11 @@ class CandidateCost:
 
 
 class CostDecision:
-    """The outcome of one costing attempt, statistics-driven or not."""
+    """The outcome of costing one query: every candidate, the winner,
+    and the statistics source the numbers came from."""
 
     __slots__ = (
-        "mode",
+        "source",
         "reason",
         "stale_reason",
         "candidates",
@@ -265,18 +297,18 @@ class CostDecision:
 
     def __init__(
         self,
-        mode: str,
+        source: str,
         reason: str,
         candidates: List[CandidateCost],
-        chosen: Optional[CandidateCost],
+        chosen: CandidateCost,
         estimated_rows: float,
         schema_version: int,
         index_epoch: int,
         stale_reason: Optional[str] = None,
     ) -> None:
-        #: ``"statistics"`` when the model chose the plan, ``"heuristic"``
-        #: when the planner's live-count rules did (with ``reason`` why).
-        self.mode = mode
+        #: ``"statistics"`` (the ANALYZE catalog) or ``"live"`` (engine
+        #: cardinalities, with ``reason`` why the catalog was not used).
+        self.source = source
         self.reason = reason
         self.stale_reason = stale_reason
         self.candidates = candidates
@@ -285,50 +317,42 @@ class CostDecision:
         self.schema_version = schema_version
         self.index_epoch = index_epoch
 
-    @classmethod
-    def heuristic(
-        cls,
-        reason: str,
-        schema_version: int = 0,
-        index_epoch: int = 0,
-        stale_reason: Optional[str] = None,
-    ) -> "CostDecision":
-        return cls(
-            "heuristic",
-            reason,
-            [],
-            None,
-            0.0,
-            schema_version,
-            index_epoch,
-            stale_reason=stale_reason,
-        )
-
     def __repr__(self) -> str:
-        if self.mode == "statistics" and self.chosen is not None:
-            return "<CostDecision statistics %s total=%.1f>" % (
-                self.chosen.access.description,
-                self.chosen.total,
-            )
-        return "<CostDecision heuristic: %s>" % self.reason
+        return "<CostDecision %s %s total=%.1f>" % (
+            self.source,
+            self.chosen.access.description,
+            self.chosen.total,
+        )
 
 
 class CostModel:
-    """Costs every candidate access path for one query against ANALYZE facts."""
+    """Costs every candidate access path for one query."""
 
     def __init__(
         self,
         schema: Any,
         indexes: Any,
         stats: Any,
+        extent_count: Optional[Callable[[str], int]] = None,
+        extent_pages: Optional[Callable[[str], int]] = None,
         page_size: int = 4096,
         adt_registry: Any = None,
     ) -> None:
         self.schema = schema
         self.indexes = indexes
+        #: The ANALYZE catalog, or None when there is none.
         self.stats = stats
+        #: Live direct-extent row and heap-page counts per class — the
+        #: facts a decision runs on when the catalog cannot be used.
+        self.extent_count = extent_count
+        self.extent_pages = extent_pages
         self.page_size = max(1, int(page_size))
         self.adt_registry = adt_registry
+        #: Per decision: the catalog when it is this decision's source
+        #: (None = live), and the scope's total rows and heap pages.
+        self._catalog: Any = None
+        self._total_rows = 0.0
+        self._scan_pages = 0.0
 
     # -- public API --------------------------------------------------------
 
@@ -338,46 +362,32 @@ class CostModel:
         scope: Set[str],
         facts: Any = None,
         ordered: Any = None,
-        downgrade: bool = False,
     ) -> CostDecision:
         """Cost every candidate and pick the cheapest.
 
         ``ordered`` is the planner's (already soundness-checked)
-        :class:`~repro.query.planner.IndexOrderScan` candidate or None;
-        ``downgrade`` reports that the executor would downgrade index
-        probes to extent scans (live snapshot version entries in scope).
+        :class:`~repro.query.planner.IndexOrderScan` candidate or None.
         """
-        schema_version = self.stats.schema_version
-        index_epoch = self.stats.index_epoch
+        reason, stale = self._why_live(scope)
+        self._catalog = self.stats if reason is None else None
         total_rows = 0.0
         scan_pages = 0.0
         for cls in sorted(scope):
-            stat = self.stats.class_stats.get(cls)
-            if stat is None:
-                return CostDecision.heuristic(
-                    "class %s missing from the ANALYZE catalog" % cls,
-                    schema_version,
-                    index_epoch,
-                )
-            total_rows += stat.rows
-            if stat.rows:
-                scan_pages += max(
-                    1.0, math.ceil(stat.total_bytes / float(self.page_size))
-                )
+            rows, pages = self._extent(cls)
+            total_rows += rows
+            scan_pages += pages
+        self._total_rows = total_rows
+        self._scan_pages = scan_pages
 
         predicates = conjuncts(query.where)
-        selectivities = [
-            self._selectivity(query, predicate, scope) for predicate in predicates
-        ]
         output_sel = 1.0
-        for sel in selectivities:
-            output_sel *= _clamp(sel)
-        estimated_out = total_rows * output_sel
+        for predicate in predicates:
+            output_sel *= _clamp(self._selectivity(query, predicate, scope))
 
         candidates: List[CandidateCost] = [
             CandidateCost(
                 "extent-scan",
-                _extent_scan(sorted(scope)),
+                ExtentScan(sorted(scope)),
                 scan_pages,
                 total_rows,
                 output_sel,
@@ -392,7 +402,15 @@ class CostModel:
             if candidate is not None:
                 candidates.append(candidate)
         for steps, bounds in (facts.ranges if facts is not None else {}).items():
-            candidate = self._facts_candidate(query, steps, bounds, predicates, scope)
+            # Per-conjunct matching only ever sees one side of a range;
+            # the rewrite pass proved the conjuncts jointly confine the
+            # path to an interval.  The probe enforces both bounds but
+            # the filter above rechecks the full predicate, so the
+            # residual keeps every conjunct.
+            candidate = self._range_candidate(
+                query, steps, bounds, list(predicates), scope,
+                "rewrite-derived interval; ",
+            )
             if candidate is not None:
                 candidates.append(candidate)
         if ordered is not None and query.limit is not None:
@@ -405,28 +423,15 @@ class CostModel:
                 CandidateCost(
                     "index-order",
                     ordered,
-                    BTREE_DESCEND_PAGES + expected,
+                    self._fetch_pages(expected),
                     expected,
                     output_sel,
                     None,
                     rank=2,
-                    note="walk stops after ~%.0f row(s) for LIMIT %d"
-                    % (expected, query.limit),
+                    note="ordered index scan: walk stops after ~%.0f row(s) "
+                    "for LIMIT %d" % (expected, query.limit),
                 )
             )
-
-        if downgrade:
-            # The executor would run every index candidate as an extent
-            # scan (live version entries in scope) — cost them as what
-            # they would actually execute as, so the scan wins outright.
-            for candidate in candidates:
-                if candidate.kind != "extent-scan":
-                    candidate.pages = scan_pages
-                    candidate.rows = total_rows
-                    candidate.note = (
-                        "snapshot version entries in scope: would execute "
-                        "as an extent scan"
-                    )
 
         chosen = min(
             candidates,
@@ -434,13 +439,96 @@ class CostModel:
         )
         chosen.chosen = True
         return CostDecision(
-            "statistics",
-            "",
+            "statistics" if reason is None else "live",
+            reason or "",
             candidates,
             chosen,
-            estimated_out,
-            schema_version,
-            index_epoch,
+            total_rows * output_sel,
+            getattr(self.stats, "schema_version", 0),
+            getattr(self.stats, "index_epoch", 0),
+            stale_reason=stale,
+        )
+
+    # -- statistics source -------------------------------------------------
+
+    def _why_live(self, scope: Set[str]) -> Tuple[Optional[str], Optional[str]]:
+        """``(reason, stale_reason)`` for costing on live cardinalities;
+        ``(None, None)`` when the ANALYZE catalog can be trusted."""
+        if self.stats is None:
+            return "no ANALYZE statistics", None
+        stale = self.stats.stale_reason(
+            getattr(self.schema, "version", 0), getattr(self.indexes, "epoch", 0)
+        )
+        if stale is not None:
+            return "statistics are stale (%s)" % stale, stale
+        for cls in sorted(scope):
+            if cls not in self.stats.class_stats:
+                return "class %s missing from the ANALYZE catalog" % cls, None
+        return None, None
+
+    def _extent(self, cls: str) -> Tuple[float, float]:
+        """``(rows, heap pages)`` of one class's direct extent."""
+        if self._catalog is None:
+            return float(self.extent_count(cls)), float(self.extent_pages(cls))
+        stat = self._catalog.class_stats[cls]
+        if not stat.rows:
+            return 0.0, 0.0
+        pages = math.ceil(stat.total_bytes / float(self.page_size))
+        return float(stat.rows), max(1.0, pages)
+
+    def _index_for(
+        self, query: Query, steps: Sequence[str], scope: Set[str]
+    ) -> Optional[Tuple[Any, Any]]:
+        """``(index, catalog stat)`` covering a path, or None.
+
+        The stat is None when the source is live — the estimators below
+        then read the index's own B+-tree.  An index the catalog has
+        never seen would mean the epoch moved, which the staleness check
+        catches first; it yields no candidate.
+        """
+        index = self.indexes.find_index(query.target_class, steps, scope)
+        if index is None:
+            return None
+        if self._catalog is None:
+            return index, None
+        stat = self._catalog.index_stats.get(index.name)
+        return (index, stat) if stat is not None else None
+
+    def _fetch_pages(self, rows: float, probes: int = 1) -> float:
+        """Pages charged to an index-driven candidate: the B+-tree
+        descents plus one heap page touch per fetched row.  Only as many
+        touches as the scope has heap pages can be reads (that is all any
+        access path reads); the rest re-touch a page already in hand."""
+        reads = min(rows, self._scan_pages)
+        return (
+            probes * BTREE_DESCEND_PAGES
+            + reads
+            + (rows - reads) * PAGE_RETOUCH_FRACTION
+        )
+
+    @staticmethod
+    def _entries(index: Any, stat: Any) -> float:
+        return float(len(index.tree) if stat is None else stat.entries)
+
+    @staticmethod
+    def _equality_rows(index: Any, stat: Any, value: Any) -> float:
+        if stat is None:
+            return float(len(index.tree.search(value)))
+        return equality_rows(stat, value)
+
+    @staticmethod
+    def _range_rows(
+        index: Any, stat: Any, bounds: Tuple[Any, bool, Any, bool]
+    ) -> Tuple[float, str]:
+        """Estimated entries inside ``bounds``, and how they were found."""
+        low, include_low, high, include_high = bounds
+        if stat is None:
+            rows = float(index.tree.estimate_range(low=low, high=high))
+            return rows, "live B+-tree interpolation"
+        estimate = range_estimate(stat, low, include_low, high, include_high)
+        return estimate.rows, "histogram bounds [%.0f, %.0f]" % (
+            estimate.floor,
+            estimate.ceiling,
         )
 
     # -- selectivity -------------------------------------------------------
@@ -464,56 +552,39 @@ class CostModel:
             probe = self.adt_registry.access_method(
                 expr.name, query.target_class, expr.path.steps, expr.args
             )
-            if probe is not None:
-                total = sum(
-                    (self.stats.class_rows(cls) or 0) for cls in scope
-                )
-                if total > 0:
-                    return _clamp(probe.estimated_matches() / float(total))
+            if probe is not None and self._total_rows > 0:
+                return _clamp(probe.estimated_matches() / self._total_rows)
         return DEFAULT_OPAQUE_SELECTIVITY
 
     def _comparison_selectivity(
         self, query: Query, predicate: Comparison, scope: Set[str]
     ) -> float:
-        stat = self._index_stat_for(query, predicate.path.steps, scope)
         op = predicate.op
         value = predicate.const.value
-        if op in ("=", "contains"):
-            if stat is not None and stat.entries > 0:
-                return _clamp(equality_rows(stat, value) / float(stat.entries))
-            return DEFAULT_EQ_SELECTIVITY
-        if op == "in":
-            try:
-                members = list(value)
-            except TypeError:
-                members = [value]
-            if stat is not None and stat.entries > 0:
-                matched = sum(equality_rows(stat, v) for v in members)
-                return _clamp(matched / float(stat.entries))
-            return _clamp(len(members) * DEFAULT_EQ_SELECTIVITY)
-        if op == "!=":
-            if stat is not None and stat.entries > 0:
+        found = self._index_for(query, predicate.path.steps, scope)
+        entries = self._entries(*found) if found is not None else 0.0
+        if entries > 0:
+            index, stat = found
+            if op in ("=", "contains"):
+                return _clamp(self._equality_rows(index, stat, value) / entries)
+            if op == "!=":
                 return _clamp(
-                    1.0 - equality_rows(stat, value) / float(stat.entries)
+                    1.0 - self._equality_rows(index, stat, value) / entries
                 )
-            return 1.0 - DEFAULT_EQ_SELECTIVITY
-        if op in ("<", "<=", ">", ">="):
-            if stat is not None and stat.entries > 0:
-                low, include_low, high, include_high = _one_sided_bounds(op, value)
-                estimate = range_estimate(stat, low, include_low, high, include_high)
-                return _clamp(estimate.rows / float(stat.entries))
-            return DEFAULT_RANGE_SELECTIVITY
-        if op == "like":
-            return DEFAULT_LIKE_SELECTIVITY
-        return DEFAULT_OPAQUE_SELECTIVITY
-
-    def _index_stat_for(
-        self, query: Query, steps: Sequence[str], scope: Set[str]
-    ) -> Optional[Any]:
-        index = self.indexes.find_index(query.target_class, steps, scope)
-        if index is None:
-            return None
-        return self.stats.index_stats.get(index.name)
+            if op == "in":
+                matched = sum(
+                    self._equality_rows(index, stat, v) for v in _members(value)
+                )
+                return _clamp(matched / entries)
+            if op in _RANGE_OPS:
+                rows, _how = self._range_rows(
+                    index, stat, _one_sided_bounds(op, value)
+                )
+                return _clamp(rows / entries)
+        # No covering index statistic: the magic constants.
+        if op == "in":
+            return _clamp(len(_members(value)) * DEFAULT_EQ_SELECTIVITY)
+        return _DEFAULT_SELECTIVITY.get(op, DEFAULT_OPAQUE_SELECTIVITY)
 
     # -- candidates --------------------------------------------------------
 
@@ -525,13 +596,6 @@ class CostModel:
         predicates: List[Expr],
         scope: Set[str],
     ) -> Optional[CandidateCost]:
-        from .planner import (
-            AdtIndexProbe,
-            IndexEqProbe,
-            IndexInProbe,
-            IndexRangeProbe,
-        )
-
         residual = predicates[:position] + predicates[position + 1 :]
         if isinstance(predicate, AdtPredicate) and self.adt_registry is not None:
             probe = self.adt_registry.access_method(
@@ -544,7 +608,7 @@ class CostModel:
             return CandidateCost(
                 "adt-index",
                 AdtIndexProbe(predicate, probe.run),
-                BTREE_DESCEND_PAGES + matched,
+                self._fetch_pages(matched),
                 matched,
                 _clamp(self._selectivity(query, predicate, scope)),
                 residual,
@@ -552,97 +616,80 @@ class CostModel:
             )
         if not isinstance(predicate, Comparison):
             return None
-        index = self.indexes.find_index(
-            query.target_class, predicate.path.steps, scope
-        )
-        if index is None:
-            return None
-        stat = self.stats.index_stats.get(index.name)
-        if stat is None:
-            # An index the catalog has never seen would mean the epoch
-            # moved, which the staleness gate catches first; be safe.
-            return None
         value = predicate.const.value
-        entries = float(max(stat.entries, 1))
+        if predicate.op in _RANGE_OPS:
+            return self._range_candidate(
+                query, predicate.path.steps,
+                _one_sided_bounds(predicate.op, value), residual, scope,
+            )
+        found = self._index_for(query, predicate.path.steps, scope)
+        if found is None:
+            return None
+        index, stat = found
+        entries = max(self._entries(index, stat), 1.0)
         if predicate.op in ("=", "contains"):
-            matched = equality_rows(stat, value)
+            matched = self._equality_rows(index, stat, value)
             return CandidateCost(
                 "index-eq",
                 IndexEqProbe(index, value),
-                BTREE_DESCEND_PAGES + matched,
+                self._fetch_pages(matched),
                 matched,
                 _clamp(matched / entries),
                 residual,
                 rank=1,
             )
         if predicate.op == "in":
-            try:
-                members = list(value)
-            except TypeError:
-                members = [value]
+            members = _members(value)
             matched = min(
-                float(stat.entries),
-                sum(equality_rows(stat, v) for v in members),
+                entries,
+                sum(self._equality_rows(index, stat, v) for v in members),
             )
             return CandidateCost(
                 "index-in",
                 IndexInProbe(index, members),
-                len(members) * BTREE_DESCEND_PAGES + matched,
+                self._fetch_pages(matched, probes=len(members)),
                 matched,
                 _clamp(matched / entries),
                 residual,
                 rank=1,
             )
-        if predicate.op in ("<", "<=", ">", ">="):
-            low, include_low, high, include_high = _one_sided_bounds(
-                predicate.op, value
-            )
-            estimate = range_estimate(stat, low, include_low, high, include_high)
-            return CandidateCost(
-                "index-range",
-                IndexRangeProbe(index, low, high, include_low, include_high),
-                BTREE_DESCEND_PAGES + estimate.rows,
-                estimate.rows,
-                _clamp(estimate.rows / entries),
-                residual,
-                rank=2,
-                note="histogram bounds [%.0f, %.0f]"
-                % (estimate.floor, estimate.ceiling),
-            )
+        # != and LIKE are not sargable.
         return None
 
-    def _facts_candidate(
+    def _range_candidate(
         self,
         query: Query,
         steps: Tuple[str, ...],
         bounds: Tuple[Any, bool, Any, bool],
-        predicates: List[Expr],
+        residual: List[Expr],
         scope: Set[str],
+        origin: str = "",
     ) -> Optional[CandidateCost]:
-        from .planner import IndexRangeProbe
-
-        index = self.indexes.find_index(query.target_class, steps, scope)
-        if index is None:
+        """An index range probe over ``bounds`` on one path, if covered."""
+        found = self._index_for(query, steps, scope)
+        if found is None:
             return None
-        stat = self.stats.index_stats.get(index.name)
-        if stat is None:
-            return None
+        index, stat = found
+        rows, how = self._range_rows(index, stat, bounds)
         low, include_low, high, include_high = bounds
-        estimate = range_estimate(stat, low, include_low, high, include_high)
-        entries = float(max(stat.entries, 1))
-        # The probe enforces both bounds but the filter above rechecks
-        # the full predicate, so the residual keeps every conjunct.
         return CandidateCost(
             "index-range",
             IndexRangeProbe(index, low, high, include_low, include_high),
-            BTREE_DESCEND_PAGES + estimate.rows,
-            estimate.rows,
-            _clamp(estimate.rows / entries),
-            list(predicates),
+            self._fetch_pages(rows),
+            rows,
+            _clamp(rows / max(self._entries(index, stat), 1.0)),
+            residual,
             rank=2,
-            note="rewrite-derived interval; histogram bounds [%.0f, %.0f]"
-            % (estimate.floor, estimate.ceiling),
+            note=origin + how,
         )
+
+
+def _members(value: Any) -> List[Any]:
+    """The member list of an ``in`` constant (a scalar is one member)."""
+    try:
+        return list(value)
+    except TypeError:
+        return [value]
 
 
 def _one_sided_bounds(op: str, value: Any) -> Tuple[Any, bool, Any, bool]:
@@ -653,9 +700,3 @@ def _one_sided_bounds(op: str, value: Any) -> Tuple[Any, bool, Any, bool]:
     if op == ">":
         return value, False, None, True
     return value, True, None, True
-
-
-def _extent_scan(classes: Sequence[str]) -> Any:
-    from .planner import ExtentScan
-
-    return ExtentScan(classes)

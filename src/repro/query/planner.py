@@ -4,14 +4,16 @@ Section 2.2 of the paper recalls that declarative queries made "a major
 new component, namely the query optimizer" necessary.  The kimdb planner
 performs the OODB version of System-R-style access-path selection
 [SELI79]: it determines the evaluation scope (class vs. class hierarchy),
-extracts sargable conjuncts, matches them against available single-class,
-class-hierarchy and nested-attribute indexes, estimates costs, and falls
-back to an extent scan when no index wins (experiment E7's crossover).
+validates paths, and hands scope and predicate to the one
+:class:`~repro.query.cost.CostModel`, which matches sargable conjuncts
+against single-class, class-hierarchy and nested-attribute indexes and
+picks the cheapest access path — the extent scan when no index wins
+(experiment E7's crossover).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Set
 
 from ..core.schema import Schema
 from ..errors import PlanningError
@@ -20,7 +22,7 @@ from ..index.manager import IndexManager
 from .ast import AdtPredicate, Comparison, Expr, Query, conjuncts
 from .paths import validate_path
 
-#: Returns the number of direct instances of a class.
+#: Returns the number of direct instances (or heap pages) of a class.
 ExtentCount = Callable[[str], int]
 
 
@@ -156,9 +158,9 @@ class Plan:
         self.rewrite = None
         #: True once this plan has been served from the plan cache.
         self.cached = False
-        #: The :class:`~repro.query.cost.CostDecision` that produced (or
-        #: declined to produce) this plan; None when no ANALYZE catalog
-        #: was offered.  EXPLAIN renders it as the ``-- cost --`` section.
+        #: The :class:`~repro.query.cost.CostDecision` that chose the
+        #: access path; None for system and proven-empty scans, where
+        #: there is nothing to choose.  EXPLAIN renders it as ``-- cost --``.
         self.cost = None
 
     def explain(self) -> str:
@@ -180,29 +182,22 @@ class Plan:
 class Planner:
     """Chooses an access path for a query."""
 
-    #: Assumed fraction of index entries matched by a one-sided range —
-    #: a deliberately crude System-R style magic constant, used only when
-    #: the B+-tree cannot interpolate (non-numeric keys).
-    RANGE_SELECTIVITY = 1.0 / 3.0
-
-    #: Cost multiplier for index-driven access: each candidate is a
-    #: random fetch (directory lookup + page access) whereas a scan reads
-    #: extents sequentially.  Makes near-whole-extent ranges lose to the
-    #: scan, as they should.
-    INDEX_PROBE_PENALTY = 1.2
-
     def __init__(
         self,
         schema: Schema,
         indexes: IndexManager,
         extent_count: ExtentCount,
+        extent_pages: ExtentCount,
         adt_registry=None,
         system_catalog=None,
         page_size: int = 4096,
     ) -> None:
         self.schema = schema
         self.indexes = indexes
+        #: Live rows / heap pages of a class's direct extent: what the
+        #: cost model runs on when no usable ANALYZE catalog is offered.
         self.extent_count = extent_count
+        self.extent_pages = extent_pages
         self.adt_registry = adt_registry
         #: Storage page size, used by the cost model to convert ANALYZE
         #: byte counts into estimated pages read.
@@ -221,24 +216,18 @@ class Planner:
         exclude_classes: Sequence[str] = (),
         facts=None,
         stats=None,
-        downgrade_hint=None,
     ) -> Plan:
         """Choose an access path.
 
         ``stats`` is an optional ANALYZE
         :class:`~repro.obs.stats.StatisticsCatalog` (duck-typed, like
-        the system catalog).  When present and fresh, access-path
-        selection runs through :class:`~repro.query.cost.CostModel` —
-        every candidate costed in estimated pages + rows from the
-        catalog's cardinalities and histograms, cheapest wins.  When the
-        catalog is missing, stale (``stale_reason``) or incomplete, the
-        planner falls back to its live-count heuristics; either way the
-        resulting :class:`~repro.query.cost.CostDecision` rides on
+        the system catalog).  Access-path selection always runs through
+        :class:`~repro.query.cost.CostModel` — every candidate costed in
+        estimated pages + rows, cheapest wins — on the catalog's
+        cardinalities and histograms when it is present, fresh and
+        covers the scope, on live extent and B+-tree counts otherwise.
+        The :class:`~repro.query.cost.CostDecision` rides on
         ``plan.cost`` for EXPLAIN and the plan cache.
-
-        ``downgrade_hint`` (bool or ``callable(scope) -> bool``) tells
-        the cost model that the executor would downgrade index probes to
-        extent scans (live snapshot version entries in scope).
         """
         # System statistics views bypass schema validation entirely: they
         # are not classes, have no hierarchy, no extents and no indexes.
@@ -274,143 +263,40 @@ class Planner:
                 0.0,
                 ["rewrite proved the predicate unsatisfiable: %s" % facts.reason],
             )
-        scan_cost = float(sum(self.extent_count(cls) for cls in scope))
-
-        base_notes: List[str] = []
+        notes: List[str] = []
         if pruned:
-            base_notes.append(
+            notes.append(
                 "analysis pruned %s from scope (predicate statically "
                 "unsatisfiable there)" % ", ".join(pruned)
             )
-        if stats is not None:
-            analyzed = [
-                rows
-                for rows in (stats.class_rows(cls) for cls in scope)
-                if rows is not None
-            ]
-            if analyzed:
-                base_notes.append(
-                    "stats: ANALYZE measured %d row(s) in scope "
-                    "(schema v%d) vs live extent count %d"
-                    % (sum(analyzed), stats.schema_version, int(scan_cost))
-                )
+        # Imported here: the cost module imports this one's access paths.
+        from .cost import CostModel
 
-        decision = None
-        if stats is not None:
-            decision = self._cost_decision(query, scope, facts, stats, downgrade_hint)
-        if decision is not None and decision.mode == "statistics":
-            return self._plan_from_decision(query, scope, decision, base_notes)
-        if decision is not None:
-            base_notes.append(
-                "cost model declined: %s — using live-count heuristics"
-                % decision.reason
-            )
-
-        plan = self._heuristic_plan(query, scope, facts, scan_cost, base_notes)
-        plan.cost = decision
-        return plan
-
-    def _heuristic_plan(
-        self,
-        query: Query,
-        scope: Set[str],
-        facts,
-        scan_cost: float,
-        notes: List[str],
-    ) -> Plan:
-        """Live-count access-path selection (the pre-ANALYZE rules)."""
-        best: Optional[Tuple[float, AccessPath, List[Expr]]] = None
-        predicates = conjuncts(query.where)
-        for position, predicate in enumerate(predicates):
-            candidate = self._index_candidate(query, predicate, scope)
-            if candidate is None:
-                continue
-            cost, access = candidate
-            cost *= self.INDEX_PROBE_PENALTY
-            if best is None or cost < best[0]:
-                residual = predicates[:position] + predicates[position + 1 :]
-                best = (cost, access, residual)
-        for steps, bounds in (facts.ranges if facts is not None else {}).items():
-            candidate = self._facts_range_candidate(query, steps, bounds, scope)
-            if candidate is None:
-                continue
-            cost, access = candidate
-            cost *= self.INDEX_PROBE_PENALTY
-            if best is None or cost < best[0]:
-                # The probe already enforces both bounds, but the filter
-                # above the scan rechecks the full predicate anyway, so
-                # the residual keeps every conjunct.
-                best = (cost, access, list(predicates))
-
-        if best is not None and best[0] < scan_cost:
-            cost, access, residual_list = best
-            residual = _and_together(residual_list)
-            notes.append(
-                "index access chosen: est %.1f vs scan %.1f" % (cost, scan_cost)
-            )
-            return Plan(query, scope, access, residual, cost, notes)
-        if best is not None:
-            notes.append(
-                "index available but scan cheaper: est %.1f vs scan %.1f"
-                % (best[0], scan_cost)
-            )
-        ordered = self._ordered_scan_candidate(query, scope)
-        if ordered is not None:
-            notes.append(
-                "ordered index scan: ORDER BY %s served by index %s, "
-                "LIMIT %d stops the walk early"
-                % (query.order_by.dotted(), ordered.index.name, query.limit)
-            )
-            return Plan(query, scope, ordered, query.where, scan_cost, notes)
-        return Plan(query, scope, ExtentScan(sorted(scope)), query.where, scan_cost, notes)
-
-    # -- cost-model path ---------------------------------------------------
-
-    def _cost_decision(
-        self, query: Query, scope: Set[str], facts, stats, downgrade_hint
-    ):
-        """Run the cost model, or explain why it must stand down."""
-        from .cost import CostDecision, CostModel
-
-        schema_version = getattr(self.schema, "version", 0)
-        index_epoch = getattr(self.indexes, "epoch", 0)
-        stale = stats.stale_reason(schema_version, index_epoch)
-        if stale is not None:
-            return CostDecision.heuristic(
-                "statistics are stale (%s)" % stale,
-                stats.schema_version,
-                stats.index_epoch,
-                stale_reason=stale,
-            )
-        model = CostModel(
+        decision = CostModel(
             self.schema,
             self.indexes,
             stats,
+            self.extent_count,
+            self.extent_pages,
             page_size=self.page_size,
             adt_registry=self.adt_registry,
-        )
-        if callable(downgrade_hint):
-            downgrade = bool(downgrade_hint(scope))
-        else:
-            downgrade = bool(downgrade_hint)
-        return model.decide(
+        ).decide(
             query,
             scope,
             facts=facts,
             ordered=self._ordered_scan_candidate(query, scope),
-            downgrade=downgrade,
         )
-
-    def _plan_from_decision(
-        self, query: Query, scope: Set[str], decision, notes: List[str]
-    ) -> Plan:
-        """Materialize the cost model's winning candidate as a Plan."""
         chosen = decision.chosen
-        notes = list(notes)
         notes.append(
-            "cost: statistics model chose %s (total %.1f) among %d "
-            "candidate(s)"
-            % (chosen.access.description, chosen.total, len(decision.candidates))
+            "cost: %s chose %s (total %.1f) among %d candidate(s)"
+            % (
+                "ANALYZE statistics"
+                if decision.source == "statistics"
+                else "live cardinalities (%s)" % decision.reason,
+                chosen.access.description,
+                chosen.total,
+                len(decision.candidates),
+            )
         )
         if chosen.note:
             notes.append("cost: %s" % chosen.note)
@@ -473,67 +359,6 @@ class Planner:
             if attribute not in declared or declared[attribute].multi:
                 return None
         return IndexOrderScan(index, query.descending)
-
-    def _facts_range_candidate(
-        self,
-        query: Query,
-        steps: Tuple[str, ...],
-        bounds: Tuple[Any, bool, Any, bool],
-        scope: Set[str],
-    ) -> Optional[Tuple[float, AccessPath]]:
-        """A two-sided index range probe from rewrite-derived bounds.
-
-        Per-conjunct matching only ever sees one side of a range
-        (``x > 5`` or ``x <= 9``); the rewrite pass proves the conjuncts
-        jointly confine the path to an interval, which probes a much
-        narrower key range.  Sound because the facts are only emitted
-        for paths yielding at most one value per object in every scope
-        class — any matching object's key lies inside the interval.
-        """
-        index = self.indexes.find_index(query.target_class, steps, scope)
-        if index is None:
-            return None
-        low, include_low, high, include_high = bounds
-        cost = float(index.tree.estimate_range(low=low, high=high))
-        return cost, IndexRangeProbe(index, low, high, include_low, include_high)
-
-    def _index_candidate(
-        self, query: Query, predicate: Expr, scope: Set[str]
-    ) -> Optional[Tuple[float, AccessPath]]:
-        if isinstance(predicate, AdtPredicate) and self.adt_registry is not None:
-            probe = self.adt_registry.access_method(
-                predicate.name, query.target_class, predicate.path.steps, predicate.args
-            )
-            if probe is not None:
-                estimated = probe.estimated_matches()
-                return float(estimated), AdtIndexProbe(predicate, probe.run)
-            return None
-        if not isinstance(predicate, Comparison):
-            return None
-        index = self.indexes.find_index(query.target_class, predicate.path.steps, scope)
-        if index is None:
-            return None
-        value = predicate.const.value
-        if predicate.op in ("=", "contains"):
-            cost = float(len(index.tree.search(value)))
-            return cost, IndexEqProbe(index, value)
-        if predicate.op == "in":
-            cost = float(sum(len(index.tree.search(v)) for v in value))
-            return cost, IndexInProbe(index, value)
-        if predicate.op in ("<", "<=", ">", ">="):
-            if predicate.op in ("<", "<="):
-                cost = float(index.tree.estimate_range(high=value))
-            else:
-                cost = float(index.tree.estimate_range(low=value))
-            if predicate.op == "<":
-                return cost, IndexRangeProbe(index, None, value, True, False)
-            if predicate.op == "<=":
-                return cost, IndexRangeProbe(index, None, value, True, True)
-            if predicate.op == ">":
-                return cost, IndexRangeProbe(index, value, None, False, True)
-            return cost, IndexRangeProbe(index, value, None, True, True)
-        # != and LIKE are not sargable.
-        return None
 
 
 def _and_together(predicates: List[Expr]) -> Optional[Expr]:

@@ -14,7 +14,7 @@ from collections import OrderedDict
 from typing import Dict, Iterator, Optional, Set
 
 from ..errors import PageCorruptError, StorageError
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import CounterValue, MetricsRegistry
 from ..obs.waits import WaitProfiler
 from .page import SlottedPage
 
@@ -28,6 +28,10 @@ class BufferStats:
     """
 
     __slots__ = ("_hits", "_faults", "_evictions", "_flushes", "_corruptions")
+    hits = CounterValue()
+    faults = CounterValue()
+    evictions = CounterValue()
+    flushes = CounterValue()
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         registry = registry if registry is not None else MetricsRegistry()
@@ -39,38 +43,6 @@ class BufferStats:
         #: detection counter of the ``fault.*`` family.
         self._corruptions = registry.counter("fault.page_corruptions")
         registry.derived("buffer.hit_rate", lambda: self.hit_rate)
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.value = value
-
-    @property
-    def faults(self) -> int:
-        return self._faults.value
-
-    @faults.setter
-    def faults(self, value: int) -> None:
-        self._faults.value = value
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        self._evictions.value = value
-
-    @property
-    def flushes(self) -> int:
-        return self._flushes.value
-
-    @flushes.setter
-    def flushes(self, value: int) -> None:
-        self._flushes.value = value
 
     def reset(self) -> None:
         self._hits.reset()

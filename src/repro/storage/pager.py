@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 from ..errors import StorageError
 from ..faults import fsync_file, wrap_file
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import CounterValue, MetricsRegistry
 from ..obs.waits import WaitProfiler
 
 #: Default page size.  4 KiB matches the historical systems the paper
@@ -32,36 +32,15 @@ class PagerStats:
     """
 
     __slots__ = ("_reads", "_writes", "_allocations")
+    reads = CounterValue()
+    writes = CounterValue()
+    allocations = CounterValue()
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         registry = registry if registry is not None else MetricsRegistry()
         self._reads = registry.counter("pager.reads")
         self._writes = registry.counter("pager.writes")
         self._allocations = registry.counter("pager.allocations")
-
-    @property
-    def reads(self) -> int:
-        return self._reads.value
-
-    @reads.setter
-    def reads(self, value: int) -> None:
-        self._reads.value = value
-
-    @property
-    def writes(self) -> int:
-        return self._writes.value
-
-    @writes.setter
-    def writes(self, value: int) -> None:
-        self._writes.value = value
-
-    @property
-    def allocations(self) -> int:
-        return self._allocations.value
-
-    @allocations.setter
-    def allocations(self, value: int) -> None:
-        self._allocations.value = value
 
     def reset(self) -> None:
         self._reads.reset()

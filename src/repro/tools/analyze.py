@@ -12,8 +12,8 @@ SysClassStat`` — sees it without re-scanning.
 that is persisted) for CI artifacts and offline diffing.
 
 ``--explain FILE`` (demo only) is the CI plan-quality smoke: after
-ANALYZE it EXPLAINs a fixed query set, asserts every decision came from
-the statistics cost model with the expected access path, and writes the
+ANALYZE it EXPLAINs a fixed query set, asserts every decision was costed
+from the ANALYZE statistics with the expected access path, and writes the
 rendered ``-- cost --`` output to FILE for artifact upload.  Exits
 non-zero when the optimizer stopped making stats-driven choices.
 """
@@ -108,13 +108,13 @@ def run_explain_smoke(db) -> "Tuple[str, List[str]]":
         explain = db.explain(source)
         sections.append("$ EXPLAIN %s\n%s" % (source, explain.render()))
         decision = getattr(explain.plan, "cost", None)
-        if decision is None or decision.mode != "statistics":
+        if decision is None or decision.source != "statistics":
             failures.append(
-                "%s: expected a statistics-driven decision, got %s"
+                "%s: expected a decision costed from ANALYZE statistics, got %s"
                 % (
                     source,
                     "no cost decision" if decision is None
-                    else "heuristic (%s)" % decision.reason,
+                    else "live cardinalities (%s)" % decision.reason,
                 )
             )
         if expected not in explain.plan.access.description:

@@ -21,7 +21,7 @@ import time
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from ..errors import DeadlockError, LockTimeoutError, TransactionError
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import CounterValue, MetricsRegistry
 from ..obs.waits import WaitProfiler
 
 #: Lock modes, weakest to strongest (SIX = shared + intention exclusive).
@@ -99,6 +99,10 @@ class LockStats:
     """
 
     __slots__ = ("_acquisitions", "_upgrades", "_blocks", "_deadlocks", "wait_seconds")
+    acquisitions = CounterValue()
+    upgrades = CounterValue()
+    blocks = CounterValue()
+    deadlocks = CounterValue()
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         registry = registry if registry is not None else MetricsRegistry()
@@ -107,38 +111,6 @@ class LockStats:
         self._blocks = registry.counter("locks.waits")
         self._deadlocks = registry.counter("locks.deadlocks")
         self.wait_seconds = registry.histogram("locks.wait_seconds")
-
-    @property
-    def acquisitions(self) -> int:
-        return self._acquisitions.value
-
-    @acquisitions.setter
-    def acquisitions(self, value: int) -> None:
-        self._acquisitions.value = value
-
-    @property
-    def upgrades(self) -> int:
-        return self._upgrades.value
-
-    @upgrades.setter
-    def upgrades(self, value: int) -> None:
-        self._upgrades.value = value
-
-    @property
-    def blocks(self) -> int:
-        return self._blocks.value
-
-    @blocks.setter
-    def blocks(self, value: int) -> None:
-        self._blocks.value = value
-
-    @property
-    def deadlocks(self) -> int:
-        return self._deadlocks.value
-
-    @deadlocks.setter
-    def deadlocks(self, value: int) -> None:
-        self._deadlocks.value = value
 
     def reset(self) -> None:
         self._acquisitions.reset()

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 from ..core.oid import OID
 from ..errors import KimDBError
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import CounterValue, MetricsRegistry
 from .swizzle import Fault, MemoryObject
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,6 +42,10 @@ class WorkspaceStats:
     """
 
     __slots__ = ("_loads", "_hits", "_faults", "_writebacks")
+    loads = CounterValue()
+    hits = CounterValue()
+    faults = CounterValue()
+    writebacks = CounterValue()
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         registry = registry if registry is not None else MetricsRegistry()
@@ -50,38 +54,6 @@ class WorkspaceStats:
         self._faults = registry.counter("workspace.faults")
         self._writebacks = registry.counter("workspace.writebacks")
         registry.derived("workspace.hit_rate", lambda: self.hit_rate)
-
-    @property
-    def loads(self) -> int:
-        return self._loads.value
-
-    @loads.setter
-    def loads(self, value: int) -> None:
-        self._loads.value = value
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.value = value
-
-    @property
-    def faults(self) -> int:
-        return self._faults.value
-
-    @faults.setter
-    def faults(self, value: int) -> None:
-        self._faults.value = value
-
-    @property
-    def writebacks(self) -> int:
-        return self._writebacks.value
-
-    @writebacks.setter
-    def writebacks(self, value: int) -> None:
-        self._writebacks.value = value
 
     @property
     def hit_rate(self) -> float:

@@ -125,6 +125,9 @@ class TestEvaluation:
         assert rows[0]["count(*)"] == 6
 
     def test_aggregate_uses_index_access_path(self, sales_db):
+        # Enough other rows that probing for the 3 widgets beats a scan.
+        for amount in range(60):
+            sales_db.new("Sale", {"amount": amount, "product": "gizmo"})
         sales_db.create_hierarchy_index("Sale", "product")
         result = sales_db.execute(
             "SELECT COUNT(s) FROM Sale s WHERE s.product = 'widget'"

@@ -17,6 +17,7 @@ from repro.bench import (
     selectivity_values,
 )
 from repro.relational import RelationalEngine
+from repro.workspace import ObjectWorkspace
 
 
 class TestVehicleFixture:
@@ -86,6 +87,12 @@ class TestOO1Fixture:
         rel = OO1Relational(RelationalEngine(), data)
         for depth in (1, 2, 3, 4):
             assert kim.traverse(5, depth=depth) == rel.traverse(5, depth=depth)
+
+    def test_traverse_uses_an_empty_caller_workspace(self):
+        kim = OO1KimDB(Database(), OO1Data(60, seed=6))
+        ws = ObjectWorkspace(kim.db)  # empty, hence falsy
+        kim.traverse(5, depth=2, workspace=ws)
+        assert len(ws) > 0
 
     def test_lookup_paths_agree(self):
         data = OO1Data(120, seed=6)

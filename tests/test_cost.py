@@ -10,9 +10,13 @@ Covers the PR-10 optimizer tentpole:
   walks the index only when the limit is small enough to pay off;
 * oracle parity — the cost model may change *plans* but never query
   *results* (hypothesis compares against a forced extent scan);
-* the staleness contract — a moved schema version or index epoch drops
-  the model back to heuristics, with the EXPLAIN warning and the
-  ``stale`` column on SysClassStat / SysIndexStat;
+* the two statistics sources — the same model runs on the ANALYZE
+  catalog when it can be trusted and on live cardinalities when there
+  is none, it is stale (moved schema version or index epoch, with the
+  EXPLAIN warning and the ``stale`` column on SysClassStat /
+  SysIndexStat) or it does not cover a scoped class;
+* cached plans are always the best access path — the snapshot downgrade
+  is the executor's per-execution call and never poisons the cache;
 * the plan-cache re-cost protocol — a fresh ANALYZE re-costs cached
   entries, keeping stable winners and invalidating flipped ones;
 * the ``query.cost.*`` metric family and the EXPLAIN ``-- cost --``
@@ -20,6 +24,7 @@ Covers the PR-10 optimizer tentpole:
 * the ``python -m repro.tools.analyze --demo --explain`` CI smoke.
 """
 
+import threading
 from collections import Counter
 
 import pytest
@@ -129,13 +134,17 @@ class TestOracleParity:
         op=st.sampled_from(["=", "!=", "<", "<=", ">", ">=", "in"]),
         constant=st.integers(-2, 32),
         second=st.one_of(st.none(), st.integers(0, 32)),
+        catalog=st.sampled_from(["analyzed", "never-analyzed", "stale"]),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_cost_model_plans_match_forced_scan(
-        self, values, op, constant, second
+        self, values, op, constant, second, catalog
     ):
         db = _db(values)
-        db.analyze()
+        if catalog != "never-analyzed":
+            db.analyze()
+        if catalog == "stale":
+            db.create_class_index("Item", "b")  # moves the index epoch
         const = [constant, constant + 3] if op == "in" else constant
         where = Comparison(op, Path(("a",)), Const(const))
         if second is not None:
@@ -143,8 +152,10 @@ class TestOracleParity:
         query = Query("Item", where=where)
         plan = db.plan(query)
         # Contradictions may be rewritten away before costing; every
-        # query that *does* reach the planner must be stats-costed.
-        assert plan.cost is None or plan.cost.mode == "statistics"
+        # query that *does* reach the planner is costed by the one model,
+        # from the catalog only when it can be trusted.
+        source = "statistics" if catalog == "analyzed" else "live"
+        assert plan.cost is None or plan.cost.source == source
         chosen = db.execute(query)
         forced_plan = db.planner.plan(Query("Item", where=where))
         forced_plan.access = ExtentScan(sorted(forced_plan.scope))
@@ -163,7 +174,7 @@ class TestCostDecisions:
         db.analyze()
         plan = db.plan("SELECT i FROM Item i WHERE i.a = 7")
         assert isinstance(plan.access, IndexEqProbe)
-        assert plan.cost.mode == "statistics"
+        assert plan.cost.source == "statistics"
         assert plan.cost.chosen.kind == "index-eq"
         assert len(plan.cost.candidates) == 2
 
@@ -172,7 +183,7 @@ class TestCostDecisions:
         db.analyze()
         plan = db.plan("SELECT i FROM Item i WHERE i.a = 5")
         assert isinstance(plan.access, ExtentScan)
-        assert plan.cost.mode == "statistics"
+        assert plan.cost.source == "statistics"
         by_kind = {c.kind: c for c in plan.cost.candidates}
         assert by_kind["extent-scan"].total < by_kind["index-eq"].total
 
@@ -192,18 +203,24 @@ class TestCostDecisions:
         assert isinstance(small.access, IndexOrderScan)
         assert isinstance(large.access, ExtentScan)
 
-    def test_no_statistics_means_no_decision(self):
+    def test_no_statistics_costs_on_live_cardinalities(self):
         db = _db(list(range(50)))
         plan = db.plan("SELECT i FROM Item i WHERE i.a = 7")
-        assert plan.cost is None
+        assert plan.cost.source == "live"
+        assert "no ANALYZE statistics" in plan.cost.reason
+        # Same candidates, same formula: the exact one-row match wins.
+        assert isinstance(plan.access, IndexEqProbe)
+        assert {c.kind for c in plan.cost.candidates} == {"extent-scan", "index-eq"}
+        assert plan.cost.chosen.rows == 1
 
-    def test_missing_class_stat_falls_back(self):
+    def test_missing_class_stat_costs_on_live_cardinalities(self):
         db = _db(list(range(50)))
         db.analyze()
         del db.statistics.class_stats["Item"]
         plan = db.plan("SELECT i FROM Item i WHERE i.a = 7")
-        assert plan.cost is not None and plan.cost.mode == "heuristic"
+        assert plan.cost.source == "live"
         assert "missing from the ANALYZE catalog" in plan.cost.reason
+        assert isinstance(plan.access, IndexEqProbe)
 
     def test_conjunction_uses_independence_product(self):
         db = _db([{"a": i, "b": i % 2} for i in range(100)])
@@ -219,36 +236,60 @@ class TestCostDecisions:
         # sel(a=5) = 1/100; sel(b=1) has no index -> default 0.1.
         assert decision.estimated_rows == pytest.approx(100 * 0.01 * 0.1)
 
-    def test_snapshot_downgrade_hint_prices_probe_as_scan(self):
-        db = _db(list(range(100)))
+    def test_live_version_entries_never_poison_the_cached_plan(self):
+        # Regression: a query first planned while version entries were
+        # live used to be *cached* as scan(Item) and kept scanning the
+        # whole extent after the entries were reclaimed.
+        db = _db(list(range(300)))
         db.analyze()
-        with db.transaction():
-            items = db.select("Item where a = 0")
-            db.update(items[0].oid, {"a": 1000})
-            # Version entries are live inside the transaction: a fresh
-            # plan must price the index probe at scan cost and scan.
-            db.plan_cache.clear()
-            plan = db.plan("SELECT i FROM Item i WHERE i.a = 7")
-            assert isinstance(plan.access, ExtentScan)
-            probe = [c for c in plan.cost.candidates if c.kind == "index-eq"][0]
-            assert "would execute as an extent scan" in probe.note
-        # After commit the entries are reclaimed; the probe wins again.
-        db.plan_cache.clear()
-        plan = db.plan("SELECT i FROM Item i WHERE i.a = 7")
-        assert isinstance(plan.access, IndexEqProbe)
+        source = "SELECT i FROM Item i WHERE i.a = 7"
+        held, release = threading.Event(), threading.Event()
+
+        def hold_a_snapshot():
+            with db.transaction():
+                db.select("Item where a = 0")  # opens the begin snapshot
+                held.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold_a_snapshot)
+        holder.start()
+        try:
+            assert held.wait(10)
+            # One committed update while the snapshot is open: its before
+            # image stays live (the holder may still need it).
+            db.update(db.select("Item where a = 299")[0].oid, {"a": 1000})
+            downgrades = db.metrics.counter("txn.snapshot.plan_downgrades")
+            before = downgrades.value
+            assert isinstance(db.plan(source).access, IndexEqProbe)
+            result = db.execute(source)
+            # Costed and cached as the probe, executed as the safe scan.
+            assert isinstance(result.plan.access, ExtentScan)
+            assert downgrades.value == before + 1
+            assert result.stats.matched == 1
+            cached = db.plan(source)
+            assert cached.cached and isinstance(cached.access, IndexEqProbe)
+        finally:
+            release.set()
+            holder.join()
+        # The holder is gone, the entries are reclaimed: same text, probe.
+        result = db.execute(source)
+        assert isinstance(result.plan.access, IndexEqProbe)
+        assert result.stats.index_probes == 1
+        assert result.stats.examined == result.stats.matched == 1
 
 
 # -- staleness ---------------------------------------------------------------
 
 
 class TestStaleness:
-    def test_index_epoch_move_falls_back_with_explain_warning(self):
+    def test_index_epoch_move_costs_live_with_explain_warning(self):
         db = _db(list(range(100)))
         db.analyze()
         db.create_class_index("Item", "b")  # bumps the index epoch
         explain = db.explain("SELECT i FROM Item i WHERE i.a = 7")
-        assert explain.plan.cost.mode == "heuristic"
+        assert explain.plan.cost.source == "live"
         assert explain.plan.cost.stale_reason is not None
+        assert isinstance(explain.plan.access, IndexEqProbe)
         text = explain.render()
         assert "-- cost --" in text
         assert "WARNING: statistics are stale" in text
@@ -271,7 +312,7 @@ class TestStaleness:
         db.create_class_index("Item", "b")
         db.analyze()
         plan = db.plan("SELECT i FROM Item i WHERE i.a = 7")
-        assert plan.cost.mode == "statistics"
+        assert plan.cost.source == "statistics"
         assert db.select("SysClassStat")[0]["stale"] == ""
 
 
@@ -308,12 +349,14 @@ class TestPlanCacheRecost:
         assert isinstance(fresh.access, IndexEqProbe)
         assert db.execute(self.SOURCE).stats.matched == 1
 
-    def test_sysplancache_reports_cost_mode(self):
+    def test_sysplancache_reports_cost_source(self):
         db = _db(list(range(50)))
+        db.plan("SELECT i FROM Item i WHERE i.a = 6")
         db.analyze()
         db.plan(self.SOURCE)
         rows = db.select("SysPlanCache")
-        assert rows and rows[0]["cost_mode"] == "statistics"
+        # ANALYZE re-costed the entry planned on live cardinalities.
+        assert rows and {row["cost_source"] for row in rows} == {"statistics"}
 
 
 # -- metrics and EXPLAIN feedback --------------------------------------------
@@ -322,22 +365,18 @@ class TestPlanCacheRecost:
 class TestCostObservability:
     def test_query_cost_metric_family(self):
         db = _db(list(range(100)))
-        heuristic_before = db.metrics.counter(
-            "query.cost.decisions_heuristic"
-        ).value
         db.execute("SELECT i FROM Item i WHERE i.a = 7")
-        assert (
-            db.metrics.counter("query.cost.decisions_heuristic").value
-            == heuristic_before + 1
-        )
+        assert db.metrics.counter("query.cost.decisions_live").value == 1
+        assert db.metrics.counter("query.cost.candidates").value == 2
         db.analyze()
         db.execute("SELECT i FROM Item i WHERE i.a = 8")
         assert db.metrics.counter("query.cost.decisions_statistics").value == 1
-        assert db.metrics.counter("query.cost.candidates").value == 2
+        assert db.metrics.counter("query.cost.candidates").value == 4
         assert db.metrics.counter("query.cost.estimated_rows").value == 1
         assert db.metrics.counter("query.cost.actual_rows").value == 1
         db.create_class_index("Item", "b")
         db.execute("SELECT i FROM Item i WHERE i.a = 9")
+        assert db.metrics.counter("query.cost.decisions_live").value == 2
         assert db.metrics.counter("query.cost.stale_fallbacks").value == 1
 
     def test_explain_shows_estimated_vs_observed(self):

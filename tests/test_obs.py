@@ -2,6 +2,8 @@
 EXPLAIN ANALYZE, and the engine wiring that feeds them."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -93,6 +95,36 @@ class TestCounterGaugeHistogram:
         reg.reset(prefix="buffer.")
         assert reg.value("buffer.hits") == 0
         assert reg.value("wal.appends") == 1
+
+    def test_snapshot_while_another_thread_registers(self):
+        # A server thread lazily registering an instrument must not break
+        # a concurrent snapshot ("dictionary changed size during iteration").
+        reg = MetricsRegistry()
+        for i in range(500):
+            reg.counter("seed.%d" % i)
+        errors = []
+        done = threading.Event()
+
+        def snapshots():
+            try:
+                while not done.is_set():
+                    reg.snapshot()
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        reader = threading.Thread(target=snapshots)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over mid-iteration, often
+        try:
+            reader.start()
+            for i in range(3000):
+                reg.counter("lazy.%d" % i)
+                reg.derived("lazy.rate.%d" % i, lambda: 0.0)
+        finally:
+            done.set()
+            reader.join()
+            sys.setswitchinterval(interval)
+        assert errors == []
 
     def test_disabled_registry_hands_out_null_instruments(self):
         reg = MetricsRegistry(enabled=False)

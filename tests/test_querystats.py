@@ -347,13 +347,13 @@ class TestAnalyze:
         db = _vehicle_db()
         before = sorted(h.oid for h in db.select(REPEATED))
         plain = db.explain(REPEATED).render()
-        assert "ANALYZE measured" not in plain
+        assert "cost: live cardinalities (no ANALYZE statistics) chose" in plain
         db.analyze()
-        # A cached plan predates the catalog and keeps its old notes (the
-        # stats are inert facts, so the cached plan is still correct); a
-        # freshly planned query records the measured cardinality.
+        # ANALYZE re-costs cached plans; cached or fresh, the plan now
+        # says where its numbers came from and what was measured.
         noted = db.explain("SELECT v FROM Vehicle v WHERE v.weight >= 921").render()
-        assert "ANALYZE measured 40 row(s)" in noted
+        assert "cost: ANALYZE statistics chose" in noted
+        assert "scan(Vehicle): pages=1.0 rows=40.0" in noted
         after = sorted(h.oid for h in db.select(REPEATED))
         assert after == before
         db.close()

@@ -137,6 +137,38 @@ class TestRenameMaps:
         assert all("manufacturer.location" in row for row in result.rows)
 
 
+class TestOneFrontDoor:
+    """plan/check/explain/execute share one prepare path (regression:
+    ``plan()`` was a hand-rolled copy that forgot the view rewrite and
+    the authorization check on the named target)."""
+
+    SOURCE = "SELECT h FROM Heavy h WHERE h.color = 'red'"
+
+    def test_all_entry_points_agree_on_a_view(self, vdb):
+        vdb.views.define_view("Heavy", "SELECT v FROM Vehicle v WHERE v.weight > 7500")
+        direct = vdb.execute(
+            "SELECT v FROM Vehicle v WHERE v.weight > 7500 AND v.color = 'red'"
+        )
+        assert vdb.check(self.SOURCE).ok
+        plan = vdb.plan(self.SOURCE)
+        executed = vdb.execute(self.SOURCE)
+        explained = vdb.explain(self.SOURCE)
+        assert plan.query.target_class == "Vehicle"  # rewritten to the base
+        assert plan.scope == executed.plan.scope == explained.plan.scope == direct.plan.scope
+        assert executed.oids == explained.result.oids == direct.oids != []
+
+    def test_plan_enforces_read_on_the_named_target(self, vdb):
+        authz = attach_authz(vdb)
+        authz.add_role("analyst")
+        vdb.views.define_view("Heavy", "SELECT v FROM Vehicle v WHERE v.weight > 7500")
+        authz.grant("analyst", "read", "Heavy")
+        authz.set_subject("analyst")
+        for entry_point in (vdb.plan, vdb.execute, vdb.explain):
+            with pytest.raises(AuthorizationError):
+                entry_point("SELECT v FROM Vehicle v")
+            entry_point(self.SOURCE)  # the view grant is enough
+
+
 class TestContentBasedAuthorization:
     def test_view_grant_without_class_grant(self, vdb):
         authz = attach_authz(vdb)
