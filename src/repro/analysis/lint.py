@@ -159,7 +159,7 @@ ENGINE_LOCK_LATTICE: Dict[str, int] = {
     "_pool_mutex": 6,
     # The plan cache's mutex is a planner-side leaf: nothing else is
     # ever acquired while holding it, and it nests inside no engine
-    # latch (lookups happen before scan locks are taken).
+    # latch (lookups happen before the read snapshot is opened).
     "_plan_cache_mutex": 8,
     # The query-statistics accumulator is likewise a leaf: taken only
     # after a query's pipeline has closed, never around engine calls.

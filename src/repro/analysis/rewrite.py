@@ -8,7 +8,7 @@ of :mod:`repro.analysis.domains` to:
 
 * **prove contradictions**: a WHERE clause no object can satisfy gets a
   ``REW001`` diagnostic and the planner short-circuits it to an empty
-  scan that touches no storage and takes no scan locks;
+  scan that touches no storage and opens no snapshot;
 * **eliminate tautological conjuncts** (``REW002``): a conjunct implied
   by another on the same path (``x > 5`` next to ``x > 10``) is dropped
   from the predicate, and a CNF clause containing ``X OR NOT X`` is

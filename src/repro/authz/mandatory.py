@@ -29,7 +29,6 @@ from ..errors import AuthorizationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..database import Database
-    from ..query.executor import ResultSet
 
 DEFAULT_LEVELS = ("unclassified", "confidential", "secret", "top_secret")
 
@@ -148,26 +147,17 @@ class MandatorySecurityManager:
                 )
             )
 
-    def read_allowed(self, oid: OID) -> bool:
-        """Per-object no-read-up decision for streaming paths."""
-        if self._subject is None:
-            return True  # MAC not activated for this session
-        return self.allowed("read", self.db.class_of(oid), oid)
+    @property
+    def reads_everything(self) -> bool:
+        """True while MAC is not activated for this session (no subject),
+        so a query needs no per-object visibility predicate at all."""
+        return self._subject is None
 
-    def filter_result(self, result: "ResultSet") -> "ResultSet":
-        """Silently drop objects classified above the subject's clearance."""
-        if self._subject is None:
-            return result
-        keep = [
-            position
-            for position, oid in enumerate(result.oids)
-            if self.allowed("read", self.db.class_of(oid), oid)
-        ]
-        if len(keep) != len(result.oids):
-            result.oids = [result.oids[i] for i in keep]
-            if result.rows is not None:
-                result.rows = [result.rows[i] for i in keep]
-        return result
+    def read_allowed(self, oid: OID, class_name: str) -> bool:
+        """The per-object no-read-up decision queries evaluate inside
+        their pipeline, on the row's own class: objects classified above
+        the subject's clearance silently vanish."""
+        return self.allowed("read", class_name, oid)
 
 
 def attach_mandatory(

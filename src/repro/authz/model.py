@@ -31,7 +31,6 @@ from ..errors import AuthorizationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..database import Database
-    from ..query.executor import ResultSet
 
 ACTIONS = ("read", "write", "create", "delete")
 
@@ -226,37 +225,20 @@ class AuthorizationManager:
                 )
             )
 
-    def read_allowed(self, oid: OID) -> bool:
-        """Per-object read decision for streaming paths (``select_iter``).
+    @property
+    def reads_everything(self) -> bool:
+        """True when the current subject holds the superuser role, so a
+        query needs no per-object visibility predicate at all."""
+        return (
+            self._subject is not None
+            and self.SUPERUSER in self._role_closure(self._subject)
+        )
 
-        Mirrors :meth:`filter_result`: no subject means nothing is
-        readable, the superuser role reads everything, otherwise the
-        grant/denial evaluation runs per object.
-        """
-        if self._subject is None:
-            return False
-        if self.SUPERUSER in self._role_closure(self._subject):
-            return True
-        return self.allowed("read", self.db.class_of(oid), oid)
-
-    def filter_result(self, result: "ResultSet") -> "ResultSet":
-        """Content filter: drop objects the subject may not read."""
-        if self._subject is None:
-            result.oids = []
-            result.rows = [] if result.rows is not None else None
-            return result
-        roles = self._role_closure(self._subject)
-        if self.SUPERUSER in roles:
-            return result
-        keep_indices = [
-            position
-            for position, oid in enumerate(result.oids)
-            if self.allowed("read", self.db.class_of(oid), oid)
-        ]
-        result.oids = [result.oids[i] for i in keep_indices]
-        if result.rows is not None:
-            result.rows = [result.rows[i] for i in keep_indices]
-        return result
+    def read_allowed(self, oid: OID, class_name: str) -> bool:
+        """The per-object read decision queries evaluate inside their
+        pipeline, on the row's own class: no subject means nothing is
+        readable, otherwise the grant/denial evaluation runs per object."""
+        return self.allowed("read", class_name, oid)
 
 
 def attach(db: "Database") -> AuthorizationManager:

@@ -91,41 +91,35 @@ class DatabaseStats:
 class QueryStream:
     """A closable handle over a streaming query (:meth:`Database.select_iter`).
 
-    Pulls the Volcano pipeline lazily and applies per-object
-    authorization/MAC filtering as rows stream past.  ``close()`` is the
-    whole point of the class: it deterministically closes every pipeline
-    operator (stopping the underlying scans) and, when the stream opened
-    its own read transaction to hold scan locks, commits it so those
-    locks are released — an abandoned stream (a disconnected client) can
-    never strand locks until garbage collection happens to run.
+    Pulls the Volcano pipeline lazily; the pipeline already contains the
+    caller's visibility check.  ``close()`` is the whole point of the
+    class: it deterministically closes every pipeline operator (stopping
+    the underlying scans), releases an ephemeral snapshot and runs the
+    same finish as :meth:`Database.execute` — an abandoned stream (a
+    disconnected client) can never pin the version-GC horizon until
+    garbage collection happens to run.
     """
 
     def __init__(
         self,
         db: "Database",
         pipeline,
-        txn,
-        was_view: bool,
-        snapshot=None,
-        plan=None,
-        source=None,
+        snapshot,
+        plan: Plan,
+        source: Optional[str],
+        started: float,
     ) -> None:
         self._db = db
         self._pipeline = pipeline
-        #: The prepared plan and query text, kept so close() can fold
-        #: the stream's counters into the fingerprint statistics.
-        self._plan = plan
-        self._source = source
-        self._started = time.perf_counter()
-        #: The stream's own read transaction (None when the caller's
-        #: explicit transaction holds the scan locks instead, or when
-        #: the stream reads from an MVCC snapshot and needs no locks).
-        self._txn = txn
-        self._was_view = was_view
         #: The stream's :class:`~repro.versions.store.SnapshotView`
-        #: (None when snapshot reads are off).  Ephemeral snapshots are
+        #: (None for a proven-empty scan).  Ephemeral snapshots are
         #: closed by :meth:`close`, which moves the version GC horizon.
         self._snapshot = snapshot
+        #: The prepared plan, query text and start clock, kept for the
+        #: finish (counters, fingerprint statistics) that close() runs.
+        self._plan = plan
+        self._source = source
+        self._started = started
         self._rows = pipeline.rows()
         self._closed = False
 
@@ -136,58 +130,36 @@ class QueryStream:
     def __iter__(self) -> "QueryStream":
         return self
 
-    def _advance(self) -> ObjectState:
-        if self._closed:
-            raise StopIteration
-        for state in self._rows:
-            oid = state.oid
-            if (
-                self._db.authz is not None
-                and not self._was_view
-                and not self._db.authz.read_allowed(oid)
-            ):
-                continue
-            if self._db.mac is not None and not self._db.mac.read_allowed(oid):
-                continue
-            return state
-        self.close()
-        raise StopIteration
-
     def __next__(self) -> ObjectHandle:
-        return ObjectHandle(self._db, self._advance().oid)
+        return ObjectHandle(self._db, self.next_state().oid)
 
     def next_state(self) -> ObjectState:
         """Next visible row as its :class:`ObjectState` (server fetch path).
 
-        Same filtering as iteration, but returns the snapshot-resolved
-        state itself instead of a live handle — a handle read would see
-        the *current* stored value, not the stream's snapshot.
+        Returns the snapshot-resolved state itself instead of a live
+        handle — a handle read would see the *current* stored value, not
+        the stream's snapshot.
         """
-        return self._advance()
+        if not self._closed:
+            for state in self._rows:
+                return state
+            self.close()
+        raise StopIteration
 
     def close(self) -> None:
         """Close pipeline operators and release stream-held resources.
 
-        Idempotent.  Locks taken under a caller-provided transaction are
-        left alone (strict two-phase locking: they belong to that
-        transaction until it ends); only the stream's own implicit read
-        transaction is finished here, and only an ephemeral snapshot —
-        not one bound to the caller's transaction — is closed.
+        Idempotent.  Only an ephemeral snapshot — not one bound to the
+        caller's transaction — is closed.  Elapsed covers open-to-close:
+        for a stream, the client's pull pace *is* the query's latency as
+        the server sees it.
         """
         if self._closed:
             return
         self._closed = True
         self._pipeline.close()
-        self._db._read_close(self._snapshot, self._txn)
-        if self._plan is not None:
-            # Elapsed covers open-to-close: for a stream, the client's
-            # pull pace *is* the query's latency as the server sees it.
-            self._db._record_query_stats(
-                self._plan,
-                self._pipeline,
-                self._source,
-                time.perf_counter() - self._started,
-            )
+        self._db._read_close(self._snapshot)
+        self._db._finish(self._plan, self._pipeline, self._source, self._started)
 
     def __enter__(self) -> "QueryStream":
         return self
@@ -223,9 +195,6 @@ class Database:
         Batch concurrent commit fsyncs: one WAL sync covers every
         transaction whose commit record it flushed (default on; the
         ``--no-group-commit`` server flag disables it).
-    snapshot_reads:
-        Run read-only queries against an MVCC begin snapshot instead of
-        taking scan locks (default on).  Writers still use strict 2PL.
     """
 
     def __init__(
@@ -240,7 +209,6 @@ class Database:
         metrics_enabled: bool = True,
         slow_op_threshold: Optional[float] = None,
         group_commit: bool = True,
-        snapshot_reads: bool = True,
     ) -> None:
         self.path = path
         #: The database-wide observability registry: every subsystem's
@@ -280,9 +248,6 @@ class Database:
         #: reconstruct the database as of their begin timestamp without
         #: blocking or being blocked by writers.
         self.version_store = VersionStore(self.metrics)
-        #: Snapshot-read knob: when False, read queries fall back to
-        #: scan locks (strict 2PL for readers and writers alike).
-        self.snapshot_reads = snapshot_reads
         self.txns = TransactionManager(
             self.wal, self.locks, registry=self.metrics,
             version_store=self.version_store,
@@ -303,7 +268,7 @@ class Database:
         #: queryable like any class through the standard pipeline.
         self.syscat = SystemCatalog(self)
         self.planner = Planner(
-            self.schema, self.indexes, self._extent_count, self._extent_pages,
+            self.schema, self.indexes, self.storage.count_class, self._extent_pages,
             system_catalog=self.syscat,
             page_size=self.storage.pager.page_size,
         )
@@ -312,7 +277,7 @@ class Database:
         #: index create/drop and extent-size doubling invalidate lazily
         #: through the entry's epoch token.
         self.plan_cache = PlanCache(
-            self.schema, self.indexes, self._extent_count, self.metrics
+            self.schema, self.indexes, self.storage.count_class, self.metrics
         )
         self.schema.on_change(self.plan_cache.on_schema_change)
         #: Per-query-fingerprint statistics accumulator (SysQueryStat);
@@ -342,6 +307,9 @@ class Database:
         self._m_plans = self.metrics.counter("query.plans")
         self._m_executes = self.metrics.counter("query.executes")
         self._m_query_rows = self.metrics.counter("query.rows")
+        self._m_examined = self.metrics.counter("query.rows_examined")
+        self._m_matched = self.metrics.counter("query.rows_matched")
+        self._m_probes = self.metrics.counter("query.index_probes")
         self._m_query_seconds = self.metrics.histogram("query.seconds")
         self._m_rewrites = self.metrics.counter("rewrite.queries")
         self._m_rewrite_rules = self.metrics.counter("rewrite.rules_applied")
@@ -404,12 +372,12 @@ class Database:
                 self.schema, self.storage.scan_class, self._deref, self.metrics
             )
             self.planner = Planner(
-                self.schema, self.indexes, self._extent_count,
+                self.schema, self.indexes, self.storage.count_class,
                 self._extent_pages, system_catalog=self.syscat,
                 page_size=self.storage.pager.page_size,
             )
             self.plan_cache = PlanCache(
-                self.schema, self.indexes, self._extent_count, self.metrics
+                self.schema, self.indexes, self.storage.count_class, self.metrics
             )
             self.schema.on_change(self.plan_cache.on_schema_change)
             self.schema.on_change(self.query_stats.on_schema_change)
@@ -581,9 +549,6 @@ class Database:
         entry = self.storage.directory.try_lookup(oid)
         return entry.class_name if entry else None
 
-    def _extent_count(self, class_name: str) -> int:
-        return self.storage.count_class(class_name)
-
     def _extent_pages(self, class_name: str) -> int:
         if not self.storage.has_heap(class_name):
             return 0
@@ -644,12 +609,6 @@ class Database:
             return
         self.locks.acquire(txn.txn_id, object_resource(oid), leaf)
 
-    def _lock_class_scan(self, txn: Transaction, class_name: str) -> None:
-        if not self.use_locks:
-            return
-        self.locks.acquire(txn.txn_id, DATABASE, IS)
-        self.locks.acquire(txn.txn_id, class_resource(class_name), S)
-
     def _run_hooks(self, hooks, kind: str, old: Optional[ObjectState], new: Optional[ObjectState]) -> None:
         for hook in hooks:
             hook(kind, old, new)
@@ -697,11 +656,10 @@ class Database:
             hint = near
             if hint is None:
                 hint = self.clustering.neighbour_for(self.schema, state)
-            if self.snapshot_reads:
-                # Before-image first (None = "did not exist"), then the
-                # storage mutation: a snapshot reader that sees the new
-                # stored state must also see the entry that hides it.
-                self.version_store.record_before(txn.txn_id, oid, class_name, None)
+            # Before-image first (None = "did not exist"), then the
+            # storage mutation: a snapshot reader that sees the new
+            # stored state must also see the entry that hides it.
+            self.version_store.record_before(txn.txn_id, oid, class_name, None)
             self.storage.store_new(state, near=hint)
             self.indexes.notify_insert(state)
             self.wal.log_insert(txn.txn_id, state)
@@ -743,16 +701,15 @@ class Database:
     def read_state(self, oid: OID) -> ObjectState:
         """Transaction-consistent state: the handle-read path.
 
-        Inside a transaction with snapshot reads on, resolves the object
-        through the transaction's begin snapshot (opened lazily, like
-        the query path) — so ``h["attr"]`` agrees with what the same
-        transaction's queries see, including its own uncommitted writes
-        (the version store short-circuits the reader's own chain).
-        Outside a transaction, or with ``snapshot_reads=False``, this is
-        exactly :meth:`get_state` with its locking semantics.
+        Inside a transaction, resolves the object through the
+        transaction's begin snapshot (opened lazily, like the query
+        path) — so ``h["attr"]`` agrees with what the same transaction's
+        queries see, including its own uncommitted writes (the version
+        store short-circuits the reader's own chain).  Outside a
+        transaction this is exactly :meth:`get_state`.
         """
         current = self.txns.current
-        if current is None or not self.snapshot_reads:
+        if current is None:
             return self.get_state(oid)
         if current.snapshot is None:
             current.snapshot = self.version_store.open_snapshot(current.txn_id)
@@ -796,10 +753,9 @@ class Database:
         with self._auto_txn() as txn:
             self._lock(txn, old.oid, old.class_name, write=True)
             self._run_hooks(self._pre_hooks, "update", old, new)
-            if self.snapshot_reads:
-                self.version_store.record_before(
-                    txn.txn_id, old.oid, old.class_name, old.copy()
-                )
+            self.version_store.record_before(
+                txn.txn_id, old.oid, old.class_name, old.copy()
+            )
             self.storage.overwrite(new)
             self.indexes.notify_update(old, new)
             self.wal.log_update(txn.txn_id, old, new)
@@ -826,10 +782,9 @@ class Database:
         with self._auto_txn() as txn:
             self._lock(txn, oid, state.class_name, write=True)
             self._run_hooks(self._pre_hooks, "delete", state, None)
-            if self.snapshot_reads:
-                self.version_store.record_before(
-                    txn.txn_id, oid, state.class_name, state.copy()
-                )
+            self.version_store.record_before(
+                txn.txn_id, oid, state.class_name, state.copy()
+            )
             self.storage.remove(oid)
             self.indexes.notify_delete(state)
             self.wal.log_delete(txn.txn_id, state)
@@ -871,8 +826,9 @@ class Database:
         )
         current = self.txns.current
         for cls in classes:
-            if current is not None:
-                self._lock_class_scan(current, cls)
+            if current is not None and self.use_locks:
+                self.locks.acquire(current.txn_id, DATABASE, IS)
+                self.locks.acquire(current.txn_id, class_resource(cls), S)
             for state in self.storage.scan_class(cls):
                 yield ObjectHandle(self, state.oid)
 
@@ -916,8 +872,9 @@ class Database:
         if source is not None:
             if plan:
                 # Repeated identical query text: skip even parsing.  Authz,
-                # snapshots and scan locks are NOT cached — they are
-                # per-caller and per-transaction, so all re-run on every hit.
+                # the visibility predicate and the snapshot are NOT cached —
+                # they are per-caller and per-transaction, so all re-run on
+                # every hit.
                 entry = self.plan_cache.get_source(source)
                 if entry is not None:
                     entry.plan.cached = True
@@ -928,8 +885,8 @@ class Database:
             self._m_parses.inc()
         # System views are observability metadata, not stored objects: no
         # authorization named target, no view rewrite, no static rewrite,
-        # no cache (and, at execution, no snapshot and no scan locks —
-        # reading statistics must never block on user data).
+        # no cache (and, at execution, no snapshot — reading statistics
+        # must never block on user data).
         system = self.syscat.is_system(query.target_class)
         was_view = False
         if not system:
@@ -1027,91 +984,98 @@ class Database:
             if decision.stale_reason is not None:
                 self._m_cost_stale_fallbacks.inc()
 
-    def _read_open(self, plan: Plan, own_txn: bool = False):
-        """Open a query's read side: ``(snapshot, txn)`` for :meth:`_read_close`.
+    def _visibility(self, was_view: bool) -> Optional[Callable[[ObjectState], bool]]:
+        """This execution's row-visibility predicate (None: all visible).
 
-        With snapshot reads (MVCC, the default) that is a
-        :class:`~repro.versions.store.SnapshotView` and no locks: inside
-        a transaction its begin snapshot, opened once at the first read
+        One predicate per execution, evaluated *inside* the pipeline on
+        the snapshot-resolved row's own OID and class, before ORDER BY,
+        LIMIT and aggregation.  Discretionary per-object filtering is
+        skipped for view-targeted queries (the right to the view *is*
+        the content-based authorization); mandatory filtering never is
+        (discretionary rights never override classification).  Built per
+        caller, so it is handed to the compiler and never cached with
+        the plan.
+        """
+        deciders = [
+            manager.read_allowed
+            for manager in (None if was_view else self.authz, self.mac)
+            if manager is not None and not manager.reads_everything
+        ]
+        if not deciders:
+            return None
+        return lambda row: all(
+            allowed(row.oid, row.class_name) for allowed in deciders
+        )
+
+    def _read_open(self, plan: Plan) -> Optional[SnapshotView]:
+        """Open a query's read side: the snapshot :meth:`_read_close` takes.
+
+        Every read runs lock-free against an MVCC snapshot: inside a
+        transaction its begin snapshot, opened once at the first read
         and reused (repeatable reads across the whole transaction);
-        outside one an ephemeral snapshot.  Without, it is shared scan
-        locks over the plan's scope under the current transaction — or,
-        for a stream (``own_txn``) with no transaction on the calling
-        thread, under a fresh read transaction that is detached from the
-        thread at once (later operations there still autocommit
-        independently) and handed back so closing the stream releases
-        the locks.  A plan that touches no storage (proven-empty scan,
-        system view) opens nothing.
+        outside one an ephemeral snapshot.  A plan that touches no
+        storage (proven-empty scan, system view) opens nothing.
         """
         if isinstance(plan.access, (EmptyScan, SystemScan)):
-            return None, None
+            return None
         current = self.txns.current
-        if self.snapshot_reads:
-            if current is None:
-                snap = self.version_store.open_snapshot(None)
-            else:
-                if current.snapshot is None:
-                    current.snapshot = self.version_store.open_snapshot(
-                        current.txn_id
-                    )
-                snap = current.snapshot
-            view = SnapshotView(
-                self.version_store,
-                snap,
-                self._deref,
-                self._scan_coerced,
-                self._coerce,
-                ephemeral=current is None,
-            )
-            return view, None
-        implicit: Optional[Transaction] = None
-        if current is None and own_txn:
-            implicit = current = self.txns.begin()
-            self.txns.detach()
-        if current is not None:
-            try:
-                for cls in plan.scope:
-                    self._lock_class_scan(current, cls)
-            except BaseException:
-                if implicit is not None:
-                    implicit.abort()
-                raise
-        return None, implicit
+        if current is None:
+            snap = self.version_store.open_snapshot(None)
+        else:
+            if current.snapshot is None:
+                current.snapshot = self.version_store.open_snapshot(
+                    current.txn_id
+                )
+            snap = current.snapshot
+        return SnapshotView(
+            self.version_store,
+            snap,
+            self._deref,
+            self._scan_coerced,
+            self._coerce,
+            ephemeral=current is None,
+        )
 
-    def _read_close(
-        self, snapshot: Optional[SnapshotView], txn: Optional[Transaction] = None
-    ) -> None:
-        """Undo :meth:`_read_open`.
-
-        Finishes the read's own transaction (read-only by construction;
-        commit just releases its scan locks) and releases an ephemeral
-        snapshot, which moves the version-GC horizon.  Locks under a
-        caller's transaction and its bound snapshot are left alone —
-        strict two-phase locking: they end with that transaction.
-        """
-        if txn is not None and txn.is_active:
-            txn.commit()
+    def _read_close(self, snapshot: Optional[SnapshotView]) -> None:
+        """Undo :meth:`_read_open`: release an ephemeral snapshot, which
+        moves the version-GC horizon.  A transaction's bound snapshot is
+        left alone — it ends with that transaction."""
         if snapshot is not None and snapshot.ephemeral:
             self.version_store.close_snapshot(snapshot.snapshot)
 
-    def _record_query_stats(
+    def _finish(
         self,
         prepared_plan: Plan,
         pipeline,
         source: Optional[str],
-        seconds: float,
+        started: float,
         waits: Optional[Dict[str, float]] = None,
     ) -> None:
-        """Fold one finished execution into the fingerprint accumulator.
+        """The one query tail, for drained results and closed streams.
 
-        Keyed on the rewrite fingerprint the plan cache uses, so
-        structurally equal queries share a SysQueryStat row.  System
-        views and hand-built plans carry no rewrite and are skipped —
-        observing the statistics must not perturb them.
+        Bumps the ``query.*`` counters off the pipeline's live counters
+        and, for user queries, publishes the operator stats and folds
+        the execution into the fingerprint accumulator — keyed on the
+        rewrite fingerprint the plan cache uses, so structurally equal
+        queries share a SysQueryStat row.  System views and hand-built
+        plans carry no rewrite and stop after the counters: observing
+        the statistics must not perturb them.
         """
-        executed = getattr(pipeline, "plan", prepared_plan)
+        seconds = time.perf_counter() - started
+        self._m_executes.inc()
+        self._m_query_rows.inc(pipeline.root.rows_out)
+        self._m_examined.inc(pipeline.examined)
+        self._m_matched.inc(pipeline.matched)
+        self._m_probes.inc(pipeline.index_probes)
+        self._m_query_seconds.observe(seconds)
+        # pipeline.plan, not the prepared plan: snapshot execution may
+        # have downgraded an index probe to an extent scan.
+        executed = pipeline.plan
+        if isinstance(executed.access, SystemScan):
+            return
+        self.last_operator_stats = pipeline.operator_stats()
         rewrite = getattr(executed, "rewrite", None)
-        if rewrite is None or pipeline is None:
+        if rewrite is None:
             return
         self.query_stats.record(
             rewrite.fingerprint,
@@ -1136,16 +1100,15 @@ class Database:
 
     def _execute(self, query: Union[str, Query], analyze: bool):
         source = query if isinstance(query, str) else None
-        with self.tracer.span("query.execute"), self._m_query_seconds.time():
+        started = time.perf_counter()
+        with self.tracer.span("query.execute"):
             plan, report, was_view = self._prepare(query)
-            system = isinstance(plan.access, SystemScan)
-            snapshot, _txn = self._read_open(plan)
+            snapshot = self._read_open(plan)
             try:
                 with self.tracer.span(
                     "query.run", access=plan.access.description
                 ), self.waits.capture() as waited:
-                    started = time.perf_counter()
-                    if system:
+                    if isinstance(plan.access, SystemScan):
                         view = plan.query.target_class
                         result = self._executor.execute_rows(
                             plan,
@@ -1155,35 +1118,16 @@ class Database:
                         )
                     else:
                         result = self._executor.execute(
-                            plan, timed=analyze, snapshot=snapshot
+                            plan,
+                            timed=analyze,
+                            snapshot=snapshot,
+                            visible=self._visibility(was_view),
                         )
-                    elapsed = time.perf_counter() - started
             finally:
                 self._read_close(snapshot)
             if analyze:
-                # result.plan, not the prepared plan: snapshot execution
-                # may have downgraded an index probe to an extent scan.
                 result.analysis = operator_tree(result.plan, result.pipeline)
-            if not system:
-                # Statistics rows carry no OIDs: nothing to filter, and
-                # querying the observer must not overwrite the observed
-                # last-user-query operator stats.
-                self.last_operator_stats = result.operator_stats()
-                self._record_query_stats(
-                    plan, result.pipeline, source, elapsed, waited
-                )
-                if self.authz is not None and not was_view:
-                    # Per-object content filtering; view queries skip it
-                    # because the right to the view *is* the
-                    # content-based authorization.
-                    result = self.authz.filter_result(result)
-                if self.mac is not None:
-                    # Mandatory filtering applies to every result, views
-                    # included (discretionary rights never override
-                    # classification).
-                    result = self.mac.filter_result(result)
-            self._m_executes.inc()
-            self._m_query_rows.inc(len(result))
+            self._finish(plan, result.pipeline, source, started, waited)
             return result, report
 
     def explain(self, query: Union[str, Query]) -> ExplainResult:
@@ -1235,22 +1179,16 @@ class Database:
         and abandoning the stream (or a LIMIT upstream) stops the
         underlying scan early.  Aggregates and projections need the
         materializing :meth:`execute` path and are rejected here.
-        Per-object authorization and mandatory filtering apply as the
-        rows stream past, exactly as :meth:`execute` filters its result.
+        Per-object authorization and mandatory filtering run inside the
+        pipeline, the same check in the same position as :meth:`execute`.
 
-        Returns a :class:`QueryStream` (iterable, context manager).
-        Under snapshot reads (the default) the stream runs lock-free
-        against its begin snapshot, which is closed — moving the version
-        GC horizon — when the stream is exhausted or closed.  With
-        ``snapshot_reads=False`` and no transaction active on the
-        calling thread, the stream begins its own read transaction so
-        the scan locks taken during planning actually protect the scan;
-        the transaction is detached from the thread immediately (later
-        operations on this thread still autocommit independently) and is
-        committed — releasing the scan locks — when the stream is
+        Returns a :class:`QueryStream` (iterable, context manager).  The
+        stream runs lock-free against its begin snapshot, which is
+        closed — moving the version GC horizon — when the stream is
         exhausted or closed.
         """
         source = query if isinstance(query, str) else None
+        started = time.perf_counter()
         plan, _report, was_view = self._prepare(query)
         if isinstance(plan.access, SystemScan):
             raise QueryError(
@@ -1261,17 +1199,16 @@ class Database:
             raise QueryError("select_iter does not support aggregate queries")
         if plan.query.projections is not None:
             raise QueryError("select_iter does not support projection queries")
-        snapshot, txn = self._read_open(plan, own_txn=True)
+        snapshot = self._read_open(plan)
         try:
-            pipeline = self._executor.pipeline(plan, snapshot=snapshot)
+            pipeline = self._executor.pipeline(
+                plan, snapshot=snapshot, visible=self._visibility(was_view)
+            )
             pipeline.open()
         except BaseException:
-            self._read_close(snapshot, txn)
+            self._read_close(snapshot)
             raise
-        return QueryStream(
-            self, pipeline, txn, was_view, snapshot=snapshot,
-            plan=plan, source=source,
-        )
+        return QueryStream(self, pipeline, snapshot, plan, source, started)
 
     # ------------------------------------------------------------------
     # observability

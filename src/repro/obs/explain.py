@@ -160,8 +160,11 @@ def operator_tree(plan, pipeline) -> PlanNode:
             seconds=max(0.0, operator.elapsed - upstream),
         )
 
-    if query.where is not None and pipeline.filter is not None:
-        stage("filter", repr(query.where), pipeline.filter)
+    filter_op = pipeline.filter
+    if filter_op is not None and (
+        query.where is not None or filter_op.visible is not None
+    ):
+        stage("filter", filter_op.detail, filter_op)
     if pipeline.aggregate is not None:
         stage("aggregate", pipeline.aggregate.detail, pipeline.aggregate)
     if pipeline.sort is not None:

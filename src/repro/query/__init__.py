@@ -13,7 +13,7 @@ from .ast import (
     Query,
     conjuncts,
 )
-from .executor import ExecutionStats, Executor, ResultSet
+from .executor import Executor, ResultSet
 from .operators import (
     ObjectKernel,
     PhysicalOperator,
@@ -46,7 +46,6 @@ __all__ = [
     "Path",
     "Query",
     "conjuncts",
-    "ExecutionStats",
     "Executor",
     "ResultSet",
     "ObjectKernel",

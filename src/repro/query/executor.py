@@ -4,10 +4,11 @@ A :class:`~repro.query.planner.Plan` is compiled (see
 :mod:`repro.query.operators`) into a pull pipeline — leaf access path,
 full-predicate re-check, sort/aggregate, limit, projection — and this
 module merely drains it, collecting OIDs and projected rows in one
-streaming pass.  Execution statistics are no longer counted here: they
-*are* the operators' live ``rows_out`` counters, surfaced through the
-legacy :class:`ExecutionStats` property view and rolled up into the
-database :class:`~repro.obs.metrics.MetricsRegistry` after each run.
+streaming pass.  Execution statistics are not counted here: they *are*
+the operators' live ``rows_out`` counters — ``ResultSet.stats`` is the
+executed :class:`~repro.query.operators.Pipeline` itself — and the
+database's query tail rolls them up into the
+:class:`~repro.obs.metrics.MetricsRegistry` however a query was drained.
 """
 
 from __future__ import annotations
@@ -26,42 +27,14 @@ ScanClass = Callable[[str], Iterable[ObjectState]]
 Sender = Callable[..., Any]
 
 
-class ExecutionStats:
-    """Legacy examined/matched/index_probes counters as a property view.
-
-    The numbers live on the pipeline's operators (``examined`` is the
-    candidate source's ``rows_out``, ``matched`` the filter's,
-    ``index_probes`` the probe leaf's run count) — the same
-    single-source-of-truth pattern the buffer and lock stats use over
-    the metrics registry.
-    """
-
-    __slots__ = ("_pipeline",)
-
-    def __init__(self, pipeline: Optional[Pipeline] = None) -> None:
-        self._pipeline = pipeline
-
-    @property
-    def examined(self) -> int:
-        return self._pipeline.examined if self._pipeline is not None else 0
-
-    @property
-    def matched(self) -> int:
-        return self._pipeline.matched if self._pipeline is not None else 0
-
-    @property
-    def index_probes(self) -> int:
-        return self._pipeline.index_probes if self._pipeline is not None else 0
-
-
 class ResultSet:
     """Query results.
 
     ``oids`` is always populated (in result order).  For projection
     queries ``rows`` holds dicts keyed by dotted path; otherwise callers
     materialize handles through the database.  ``pipeline`` keeps the
-    executed operator chain so stats (and EXPLAIN ANALYZE) read live
-    counters.
+    executed operator chain so EXPLAIN ANALYZE reads live counters; it
+    doubles as ``stats`` (``examined`` / ``matched`` / ``index_probes``).
     """
 
     def __init__(
@@ -70,15 +43,15 @@ class ResultSet:
         plan: Plan,
         oids: List[OID],
         rows: Optional[List[Dict[str, Any]]],
-        stats: ExecutionStats,
-        pipeline: Optional[Pipeline] = None,
+        pipeline: Pipeline,
     ) -> None:
         self.query = query
         self.plan = plan
         self.oids = oids
         self.rows = rows
-        self.stats = stats
         self.pipeline = pipeline
+        #: Execution counters: the pipeline's own live properties.
+        self.stats = pipeline
         #: Annotated PlanNode root when executed under EXPLAIN ANALYZE.
         self.analysis = None
         #: True for system statistics views (rows are generated dicts;
@@ -87,7 +60,7 @@ class ResultSet:
 
     def operator_stats(self) -> List[Dict[str, Any]]:
         """Per-operator counters, leaf first (bench artifacts)."""
-        return self.pipeline.operator_stats() if self.pipeline is not None else []
+        return self.pipeline.operator_stats()
 
     def __len__(self) -> int:
         return len(self.rows) if self.rows is not None else len(self.oids)
@@ -112,25 +85,23 @@ class Executor:
         self._adt_eval = adt_eval
         self.kernel = ObjectKernel(deref, send, adt_eval)
         registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
-        self._m_examined = registry.counter("query.rows_examined")
-        self._m_matched = registry.counter("query.rows_matched")
-        self._m_probes = registry.counter("query.index_probes")
         self._m_downgrades = registry.counter("txn.snapshot.plan_downgrades")
 
-    def pipeline(self, plan: Plan, snapshot=None) -> Pipeline:
+    def pipeline(self, plan: Plan, snapshot=None, visible=None) -> Pipeline:
         """Compile (but do not open) the physical pipeline for a plan.
 
         With a :class:`~repro.versions.store.SnapshotView`, the leaf
         scan and every dereference resolve through the snapshot instead
         of current storage, and the plan may first be downgraded (see
         :meth:`_snapshot_plan`).  Callers that need the actually-compiled
-        plan read it back off ``Pipeline.plan``.
+        plan read it back off ``Pipeline.plan``.  ``visible`` is the
+        caller's row-visibility predicate (see ``compile_plan``).
         """
         if snapshot is None:
-            return compile_plan(plan, self.kernel, self._scan_class)
+            return compile_plan(plan, self.kernel, self._scan_class, visible)
         plan = self._snapshot_plan(plan, snapshot)
         kernel = ObjectKernel(snapshot.deref, self._send, self._adt_eval)
-        return compile_plan(plan, kernel, snapshot.scan)
+        return compile_plan(plan, kernel, snapshot.scan, visible)
 
     def _snapshot_plan(self, plan: Plan, snapshot) -> Plan:
         """Make a plan safe to run against a snapshot.
@@ -163,36 +134,13 @@ class Executor:
         return downgraded
 
     def execute(
-        self, plan: Plan, timed: bool = False, snapshot=None
+        self, plan: Plan, timed: bool = False, snapshot=None, visible=None
     ) -> ResultSet:
         """Run a plan.  With ``timed``, operators also accumulate
         per-stage wall-clock (EXPLAIN ANALYZE reads it off the chain).
         """
-        pipeline = self.pipeline(plan, snapshot=snapshot)
-        plan = pipeline.plan
-        query = plan.query
-        if timed:
-            pipeline.set_timed()
-        oids: List[OID] = []
-        rows: Optional[List[Dict[str, Any]]] = None
-        pipeline.open()
-        try:
-            if query.aggregates:
-                rows = [row for row in pipeline.rows()]
-            elif query.projections is not None:
-                rows = []
-                for state, projected in pipeline.rows():
-                    oids.append(state.oid)
-                    rows.append(projected)
-            else:
-                for state in pipeline.rows():
-                    oids.append(state.oid)
-        finally:
-            pipeline.close()
-        self._m_examined.inc(pipeline.examined)
-        self._m_matched.inc(pipeline.matched)
-        self._m_probes.inc(pipeline.index_probes)
-        return ResultSet(query, plan, oids, rows, ExecutionStats(pipeline), pipeline)
+        pipeline = self.pipeline(plan, snapshot=snapshot, visible=visible)
+        return self._drain(pipeline, timed, system=False)
 
     def execute_rows(
         self, plan: Plan, kernel, scan: ScanClass, timed: bool = False
@@ -205,21 +153,30 @@ class Executor:
         standard Volcano pipeline.  ``oids`` is always empty; ``rows``
         holds the (possibly projected) dicts in result order.
         """
-        pipeline = compile_plan(plan, kernel, scan)
+        return self._drain(compile_plan(plan, kernel, scan), timed, system=True)
+
+    @staticmethod
+    def _drain(pipeline: Pipeline, timed: bool, system: bool) -> ResultSet:
+        """Open, pull dry and close a pipeline into a :class:`ResultSet`."""
+        query = pipeline.plan.query
         if timed:
             pipeline.set_timed()
-        query = plan.query
-        rows: List[Dict[str, Any]] = []
+        oids: List[OID] = []
+        rows: Optional[List[Dict[str, Any]]] = None
         pipeline.open()
         try:
-            if query.projections is not None:
-                rows = [projected for _row, projected in pipeline.rows()]
+            if query.aggregates or (system and query.projections is None):
+                rows = list(pipeline.rows())
+            elif query.projections is not None:
+                rows = []
+                for row, projected in pipeline.rows():
+                    if not system:
+                        oids.append(row.oid)
+                    rows.append(projected)
             else:
-                rows = [row for row in pipeline.rows()]
+                oids = [state.oid for state in pipeline.rows()]
         finally:
             pipeline.close()
-        self._m_examined.inc(pipeline.examined)
-        self._m_matched.inc(pipeline.matched)
-        result = ResultSet(query, plan, [], rows, ExecutionStats(pipeline), pipeline)
-        result.system = True
+        result = ResultSet(query, pipeline.plan, oids, rows, pipeline)
+        result.system = system
         return result

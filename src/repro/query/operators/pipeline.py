@@ -117,8 +117,15 @@ class Pipeline:
         return "<Pipeline %s>" % " -> ".join(op.name for op in self.operators())
 
 
-def compile_plan(plan: Plan, kernel, scan_class) -> Pipeline:
-    """Compile a plan into a pipeline over ``kernel``-typed rows."""
+def compile_plan(plan: Plan, kernel, scan_class, visible=None) -> Pipeline:
+    """Compile a plan into a pipeline over ``kernel``-typed rows.
+
+    ``visible`` is the caller's row-visibility predicate (authorization,
+    mandatory security) or None.  It is per caller, so it arrives here
+    at compile time — never stored on the (cached, shared) plan — and
+    runs in the filter, i.e. before sort, aggregation, limit and
+    projection ever see a row.
+    """
     query = plan.query
     access = plan.access
     probe: Optional[PhysicalOperator] = None
@@ -175,7 +182,7 @@ def compile_plan(plan: Plan, kernel, scan_class) -> Pipeline:
 
     # The FULL predicate is re-checked — index probes give candidates,
     # not answers; current state decides.
-    filter_op = FilterOp(source, kernel, plan.scope, query.where)
+    filter_op = FilterOp(source, kernel, plan.scope, query.where, visible)
     root: PhysicalOperator = filter_op
 
     if query.aggregates:

@@ -10,7 +10,7 @@ quota is reached.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..ast import Expr, Query
 from ..paths import Deref
@@ -18,10 +18,13 @@ from .base import PhysicalOperator
 
 
 class FilterOp(PhysicalOperator):
-    """Scope check + full predicate re-check against current state.
+    """Scope check + full predicate re-check + caller visibility.
 
     ``rows_out`` is the executor's classic ``matched`` counter; the
-    child's ``rows_out`` is ``examined``.
+    child's ``rows_out`` is ``examined``.  ``visible`` (None: every row)
+    is the executing caller's authorization predicate over the row; it
+    runs last, so only rows that answer the query are ever asked about,
+    and everything above the filter sees visible rows only.
     """
 
     name = "filter"
@@ -32,12 +35,16 @@ class FilterOp(PhysicalOperator):
         kernel,
         scope: Optional[Set[str]],
         where: Optional[Expr],
+        visible: Optional[Callable[[Any], bool]] = None,
     ) -> None:
         super().__init__(child)
         self._kernel = kernel
         self.scope = scope
         self.where = where
+        self.visible = visible
         self.detail = repr(where) if where is not None else "true"
+        if visible is not None:
+            self.detail += " [visible to caller]"
 
     def _next(self) -> Optional[Any]:
         while True:
@@ -47,6 +54,8 @@ class FilterOp(PhysicalOperator):
             if self.scope is not None and self._kernel.row_class(row) not in self.scope:
                 continue
             if self.where is not None and not self._kernel.matches(self.where, row):
+                continue
+            if self.visible is not None and not self.visible(row):
                 continue
             return row
 
@@ -147,9 +156,8 @@ class GroupByOp(AggregateOp):
 class ProjectOp(PhysicalOperator):
     """pi while streaming: emit ``(source_row, projected_dict)`` pairs.
 
-    The pair shape lets the driver keep OIDs and rows in parallel (the
-    authorization filters index into both) without a second pass over
-    the result — the old executor materialized the full OID list first.
+    The pair shape lets the driver keep OIDs and rows in parallel
+    without a second pass over the result.
     """
 
     name = "project"

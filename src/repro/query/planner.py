@@ -45,7 +45,7 @@ class EmptyScan(AccessPath):
 
     Emitted when the rewrite pass (:mod:`repro.analysis.rewrite`) proves
     the WHERE clause contradictory.  The executor compiles it to an
-    operator that touches no storage, and ``Database`` skips scan locks
+    operator that touches no storage, and ``Database`` opens no snapshot
     for it — a provably-empty query costs nothing beyond its analysis.
     """
 

@@ -170,7 +170,7 @@ class Client:
         """Stream query rows through a server-side cursor.
 
         The cursor is chunk-fetched lazily; abandoning the generator
-        closes it server-side so scan locks never outlive the consumer.
+        closes it server-side so its snapshot never outlives the consumer.
         """
         cursor = self.call("query_stream", q=q)["cursor"]
         done = False

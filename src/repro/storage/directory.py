@@ -80,6 +80,10 @@ class ObjectDirectory:
         """OIDs of direct instances of ``class_name`` only, sorted."""
         return sorted(self._by_class.get(class_name, ()))
 
+    def count_of_class(self, class_name: str) -> int:
+        """Number of direct instances of ``class_name``, in O(1)."""
+        return len(self._by_class.get(class_name, ()))
+
     def class_extent_sizes(self) -> Dict[str, int]:
         return {name: len(oids) for name, oids in self._by_class.items() if oids}
 

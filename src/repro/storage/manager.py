@@ -352,7 +352,7 @@ class StorageManager:
         return self.directory.oids_of_class(class_name)
 
     def count_class(self, class_name: str) -> int:
-        return len(self.directory.oids_of_class(class_name))
+        return self.directory.count_of_class(class_name)
 
     # -- lifecycle -----------------------------------------------------------------
 

@@ -14,7 +14,7 @@ import struct
 import threading
 import time
 import zlib
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from ..core.obj import ObjectState
 from ..errors import RecoveryError
@@ -218,11 +218,9 @@ class WriteAheadLog:
                 if record.record_type == COMMIT:
                     self._flushes.inc()
                 return record.lsn
-            payload = record.payload()
-            crc = zlib.crc32(payload + bytes([record.record_type]))
-            frame = _FRAME.pack(crc, len(payload), record.record_type, record.txn_id)
-            self._file.write(frame + payload)
-            self._append_bytes.inc(_FRAME.size + len(payload))
+            frame = self._frame(record)
+            self._file.write(frame)
+            self._append_bytes.inc(len(frame))
             if record.record_type != COMMIT:
                 return record.lsn
             self._appended_seq += 1
@@ -236,6 +234,16 @@ class WriteAheadLog:
         # whichever batch sync covers our sequence number.
         self._await_durable(seq, record.txn_id)
         return record.lsn
+
+    @staticmethod
+    def _frame(record: LogRecord) -> bytes:
+        """The on-disk form of a record: CRC-framed header + payload."""
+        payload = record.payload()
+        crc = zlib.crc32(payload + bytes([record.record_type]))
+        return (
+            _FRAME.pack(crc, len(payload), record.record_type, record.txn_id)
+            + payload
+        )
 
     def _commit_barrier(self, txn_id: int) -> None:
         """Per-commit durability point (flush, then fsync if configured)."""
@@ -364,12 +372,10 @@ class WriteAheadLog:
         if self._pages_file is None:
             self._page_images.append(record)
             return
-        payload = record.payload()
-        crc = zlib.crc32(payload + bytes([PAGE_IMAGE]))
-        frame = _FRAME.pack(crc, len(payload), PAGE_IMAGE, 0)
+        frame = self._frame(record)
         with self._wal_mutex:
-            self._pages_file.write(frame + payload)
-        self._image_bytes.inc(_FRAME.size + len(payload))
+            self._pages_file.write(frame)
+        self._image_bytes.inc(len(frame))
 
     def sync(self) -> None:
         """Force both logs (physical first, then logical) to stable storage.
@@ -391,82 +397,67 @@ class WriteAheadLog:
 
     # -- reading ------------------------------------------------------------
 
-    def replay(self) -> Iterator[LogRecord]:
-        """All intact records, oldest first.
+    def _frames(
+        self, path: str, label: str, allowed
+    ) -> Iterator[Tuple[int, int, bytes]]:
+        """Intact ``(record_type, txn_id, payload)`` frames of one log file.
 
-        A torn final record (partial frame or CRC mismatch at the tail)
-        ends iteration silently — that is the crash case WAL is designed
-        for.  Corruption *before* the tail raises RecoveryError.
+        A torn final frame (partial header or payload, or a CRC mismatch
+        at the tail) ends iteration — counted, never raised: that is the
+        crash case WAL is designed for.  Corruption *before* the tail,
+        or a record type outside ``allowed``, raises RecoveryError.
         """
+        with open(path, "rb") as handle:
+            data = handle.read()
+        pos = 0
+        while pos < len(data):
+            if pos + _FRAME.size > len(data):
+                self._note_torn_tail(path, pos, len(data), "torn frame header")
+                break
+            crc, length, record_type, txn_id = _FRAME.unpack_from(data, pos)
+            frame_end = pos + _FRAME.size + length
+            if frame_end > len(data):
+                self._note_torn_tail(path, pos, len(data), "torn payload")
+                break
+            payload = data[pos + _FRAME.size : frame_end]
+            if zlib.crc32(payload + bytes([record_type])) != crc:
+                if frame_end == len(data):
+                    self._note_torn_tail(path, pos, len(data), "checksum mismatch")
+                    break
+                raise RecoveryError("corrupt %s record at offset %d" % (label, pos))
+            if record_type not in allowed:
+                raise RecoveryError(
+                    "unexpected %s record type %d" % (label, record_type)
+                )
+            yield record_type, txn_id, payload
+            pos = frame_end
+
+    def replay(self) -> Iterator[LogRecord]:
+        """All intact records, oldest first (torn tails end iteration
+        silently, earlier corruption raises — see :meth:`_frames`)."""
         if self._file is None:
             yield from list(self._records)
             return
         with self._wal_mutex:
             self._file.flush()
         lsn = 0
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        pos = 0
-        while pos < len(data):
-            if pos + _FRAME.size > len(data):
-                self._note_torn_tail(self.path, pos, len(data), "torn frame header")
-                break
-            crc, length, record_type, txn_id = _FRAME.unpack_from(data, pos)
-            frame_end = pos + _FRAME.size + length
-            if frame_end > len(data):
-                self._note_torn_tail(self.path, pos, len(data), "torn payload")
-                break
-            payload = data[pos + _FRAME.size : frame_end]
-            if zlib.crc32(payload + bytes([record_type])) != crc:
-                if frame_end == len(data):
-                    self._note_torn_tail(self.path, pos, len(data), "checksum mismatch")
-                    break
-                raise RecoveryError("corrupt log record at offset %d" % pos)
-            if record_type not in _TYPE_NAMES:
-                raise RecoveryError("unknown log record type %d" % record_type)
+        for record_type, txn_id, payload in self._frames(self.path, "log", _TYPE_NAMES):
             yield LogRecord.from_payload(record_type, txn_id, payload, lsn)
             lsn += 1
-            pos = frame_end
         self._next_lsn = max(self._next_lsn, lsn)
 
     def page_images(self) -> Iterator[LogRecord]:
-        """PAGE_IMAGE records from the companion log, oldest first.
-
-        The same torn-tail tolerance as :meth:`replay`: a partial or
-        checksum-failing final frame ends iteration (counted, not
-        raised); corruption before the tail raises RecoveryError.
-        """
+        """PAGE_IMAGE records from the companion log, oldest first, with
+        the same torn-tail tolerance as :meth:`replay`."""
         if self._pages_file is None:
             yield from list(self._page_images)
             return
         with self._wal_mutex:
             self._pages_file.flush()
-        with open(self.pages_path, "rb") as handle:
-            data = handle.read()
-        pos = 0
-        while pos < len(data):
-            if pos + _FRAME.size > len(data):
-                self._note_torn_tail(self.pages_path, pos, len(data), "torn frame header")
-                break
-            crc, length, record_type, txn_id = _FRAME.unpack_from(data, pos)
-            frame_end = pos + _FRAME.size + length
-            if frame_end > len(data):
-                self._note_torn_tail(self.pages_path, pos, len(data), "torn payload")
-                break
-            payload = data[pos + _FRAME.size : frame_end]
-            if zlib.crc32(payload + bytes([record_type])) != crc:
-                if frame_end == len(data):
-                    self._note_torn_tail(self.pages_path, pos, len(data), "checksum mismatch")
-                    break
-                raise RecoveryError(
-                    "corrupt page-image record at offset %d" % pos
-                )
-            if record_type != PAGE_IMAGE:
-                raise RecoveryError(
-                    "unexpected record type %d in page-image log" % record_type
-                )
+        for record_type, txn_id, payload in self._frames(
+            self.pages_path, "page-image", (PAGE_IMAGE,)
+        ):
             yield LogRecord.from_payload(record_type, txn_id, payload, -1)
-            pos = frame_end
 
     def _note_torn_tail(self, path: Optional[str], offset: int, size: int, reason: str) -> None:
         """Count (and trace) a torn tail truncated during replay.

@@ -138,6 +138,83 @@ class TestEnforcement:
         assert visible.oid in oids
         assert hidden.oid not in oids
 
+    @staticmethod
+    def _five_documents(adb, hidden_levels=()):
+        """Levels 1..5 as superuser; ``employee`` may read Document but
+        is denied the documents whose level is in ``hidden_levels``."""
+        adb.authz.set_subject("system")
+        docs = [adb.new("Document", {"title": "d%d" % n, "level": n})
+                for n in range(1, 6)]
+        adb.new("SecretDocument", {"title": "s", "level": 9})
+        adb.authz.grant("employee", "read", "Document")
+        for doc in docs:
+            if doc["level"] in hidden_levels:
+                adb.authz.deny("employee", "read", doc.oid)
+        return docs
+
+    AGGREGATES = (
+        "SELECT COUNT(*) FROM Document d",
+        "SELECT COUNT(*), SUM(d.level) FROM Document d GROUP BY d.title",
+    )
+
+    def test_aggregates_under_full_read_rights_equal_superuser(self, adb):
+        """D1: aggregate rows carry no OIDs — nothing may filter them away."""
+        self._five_documents(adb)
+        expected = [adb.execute(q).rows for q in self.AGGREGATES]
+        assert expected[0] == [{"count(*)": 6}]
+        adb.authz.set_subject("employee")
+        assert [adb.execute(q).rows for q in self.AGGREGATES] == expected
+
+    def test_aggregates_under_partial_grant_cover_visible_rows_only(self, adb):
+        """D1: visibility runs before aggregation."""
+        self._five_documents(adb, hidden_levels=(2, 4))
+        adb.authz.deny("employee", "read", "SecretDocument")
+        adb.authz.set_subject("employee")
+        count, grouped = (adb.execute(q).rows for q in self.AGGREGATES)
+        assert count == [{"count(*)": 3}]
+        assert [row["sum(level)"] for row in grouped] == [1, 3, 5]
+
+    def test_order_by_limit_returns_best_visible_rows(self, adb):
+        """D2: visibility runs before ORDER BY ... LIMIT."""
+        docs = self._five_documents(adb, hidden_levels=(5, 4))
+        adb.authz.deny("employee", "read", "SecretDocument")
+        adb.authz.set_subject("employee")
+        text = "SELECT d FROM Document d ORDER BY d.level DESC LIMIT 2"
+        best_visible = [docs[2].oid, docs[1].oid]
+        assert adb.execute(text).oids == best_visible
+        assert [h.oid for h in adb.select_iter(text)] == best_visible
+
+    def test_snapshot_rows_stay_visible_after_concurrent_delete(self, adb):
+        """D3: visibility is decided on the snapshot-resolved row, not by
+        looking the OID up again in current storage."""
+        docs = self._five_documents(adb)
+        adb.authz.grant("employee", "delete", "Document")
+        adb.authz.set_subject("employee")
+        text = "SELECT d FROM Document d WHERE d.level <= 5"
+        reader = adb.transaction()
+        before = adb.execute(text).oids
+        adb.txns.detach()
+        adb.delete(docs[0].oid)  # autocommits beside the open reader
+        adb.txns.attach(reader)
+        try:
+            assert adb.execute(text).oids == before
+            assert [h.oid for h in adb.select_iter(text)] == before
+        finally:
+            reader.commit()
+        assert adb.execute(text).oids == before[1:]
+
+    def test_cached_plan_serves_each_subject_its_own_rows(self, adb):
+        docs = self._five_documents(adb, hidden_levels=(1, 2, 3))
+        adb.authz.deny("employee", "read", "SecretDocument")
+        text = "SELECT d FROM Document d"
+        assert len(adb.execute(text)) == 6
+        cache_hits = adb.metrics.counter("query.plan_cache.hits")
+        hits = cache_hits.value
+        with adb.authz.as_subject("employee"):
+            assert adb.execute(text).oids == [docs[3].oid, docs[4].oid]
+        assert len(adb.execute(text)) == 6
+        assert cache_hits.value == hits + 2
+
     def test_as_subject_context_manager(self, adb):
         adb.authz.grant("employee", "read", "Document")
         with adb.authz.as_subject("employee"):

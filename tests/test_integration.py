@@ -1,5 +1,7 @@
 """Cross-subsystem integration scenarios."""
 
+import inspect
+
 import pytest
 
 from repro import AttributeDef, Database
@@ -162,3 +164,14 @@ class TestAuthzIntegration:
         with authz.as_subject("analyst"):
             rows = full_db.execute("SELECT COUNT(h) FROM Heavy h").rows
             assert rows[0]["count(*)"] > 0
+
+
+def test_database_constructor_options_are_pinned():
+    """Every option doubles the configurations tests and benchmarks must
+    cover, so adding one is a reviewed decision: change this list in the
+    same commit and say which two callers need different values."""
+    assert list(inspect.signature(Database.__init__).parameters)[1:] == [
+        "path", "page_size", "buffer_capacity", "clustering", "use_locks",
+        "sync_on_commit", "recover_on_open", "metrics_enabled",
+        "slow_op_threshold", "group_commit",
+    ]

@@ -119,6 +119,39 @@ class TestQueryFiltering:
         mdb.mac.set_subject("private")
         assert mdb.select("SELECT r FROM Report r") == []
 
+    def test_aggregates_and_top_k_cover_visible_rows_only(self, mdb):
+        """D1/D2: no-read-up runs before aggregation and ORDER BY/LIMIT."""
+        mdb.new("IntelReport", {"title": "a-secret"})
+        mdb.new("Report", {"title": "b-conf"})
+        mdb.new("Report", {"title": "c-conf"})
+        count = "SELECT COUNT(*) FROM Report r"
+        first = "SELECT r FROM Report r ORDER BY r.title LIMIT 1"
+        with mdb.mac.as_subject("chief"):
+            assert mdb.execute(count).rows == [{"count(*)": 3}]
+        with mdb.mac.as_subject("analyst"):
+            assert mdb.execute(count).rows == [{"count(*)": 2}]
+            assert [h["title"] for h in mdb.select(first)] == ["b-conf"]
+            assert [h["title"] for h in mdb.select_iter(first)] == ["b-conf"]
+        with mdb.mac.as_subject("private"):
+            assert mdb.execute(count).rows == [{"count(*)": 0}]
+
+    def test_snapshot_rows_stay_visible_after_concurrent_delete(self, mdb):
+        """D3: the decision uses the snapshot-resolved row's own class."""
+        doomed = mdb.new("Report", {"title": "conf"})
+        mdb.mac.set_subject("analyst")
+        reader = mdb.transaction()
+        before = mdb.execute("SELECT r FROM Report r").oids
+        assert before == [doomed.oid]
+        mdb.txns.detach()
+        mdb.delete(doomed.oid)  # autocommits beside the open reader
+        mdb.txns.attach(reader)
+        try:
+            assert mdb.execute("SELECT r FROM Report r").oids == before
+            assert [h.oid for h in mdb.select_iter("SELECT r FROM Report r")] == before
+        finally:
+            reader.commit()
+        assert mdb.select("SELECT r FROM Report r") == []
+
     def test_as_subject_context(self, mdb):
         mdb.new("Report", {"title": "conf"})
         with mdb.mac.as_subject("private"):

@@ -107,33 +107,39 @@ class TestSnapshotReads:
             db.close()
 
     def test_snapshot_vs_lock_parity_oracle(self):
-        """Single-threaded, the two read strategies are indistinguishable."""
-        mvcc = _vehicle_db(snapshot_reads=True)
-        locking = _vehicle_db(snapshot_reads=False)
-        queries = [
-            "Vehicle where weight > 1004",
-            "Vehicle where color = 'blue' and weight < 1010",
-            "select v.weight from Vehicle v where v.weight >= 1000",
-            "SELECT v FROM Vehicle v ORDER BY v.weight LIMIT 5",
-        ]
+        """Single-threaded, snapshot reads equal a plain-Python oracle
+        computed from the stored instances."""
+        db = _vehicle_db()
         try:
-            for db in (mvcc, locking):
-                victim = db.select("Vehicle where weight = 1002")[0]
-                db.update(victim.oid, {"color": "green"})
-                gone = db.select("Vehicle where weight = 1007")[0]
-                db.delete(gone.oid)
-                db.new("Vehicle", {"weight": 1042, "color": "red"})
-            for q in queries:
-                left, right = mvcc.execute(q), locking.execute(q)
-                if left.rows is not None:
-                    assert left.rows == right.rows, q
-                else:
-                    assert [str(o) for o in left.oids] == [
-                        str(o) for o in right.oids
-                    ], q
+            victim = db.select("Vehicle where weight = 1002")[0]
+            db.update(victim.oid, {"color": "green"})
+            gone = db.select("Vehicle where weight = 1007")[0]
+            db.delete(gone.oid)
+            db.new("Vehicle", {"weight": 1042, "color": "red"})
+            stored = sorted(
+                (db.get_state(h.oid) for h in db.instances("Vehicle")),
+                key=lambda s: s.oid.value,
+            )
+
+            def oids(keep):
+                return [s.oid for s in stored if keep(s.values)]
+
+            assert len(stored) == 12
+            assert db.execute("Vehicle where weight > 1004").oids == oids(
+                lambda v: v["weight"] > 1004
+            )
+            assert db.execute(
+                "Vehicle where color = 'blue' and weight < 1010"
+            ).oids == oids(lambda v: v["color"] == "blue" and v["weight"] < 1010)
+            assert db.execute(
+                "select v.weight from Vehicle v where v.weight >= 1000"
+            ).rows == [{"weight": s.values["weight"]} for s in stored]
+            by_weight = sorted(stored, key=lambda s: s.values["weight"])
+            assert db.execute(
+                "SELECT v FROM Vehicle v ORDER BY v.weight LIMIT 5"
+            ).oids == [s.oid for s in by_weight[:5]]
         finally:
-            mvcc.close()
-            locking.close()
+            db.close()
 
     def test_open_stream_shields_reader_from_delete(self):
         db = _vehicle_db()
@@ -199,17 +205,6 @@ class TestSnapshotReads:
                 assert rows[0]["txn"] is not None
                 assert rows[0]["ts"] >= 0
             assert db.select("SysSnapshot") == []
-        finally:
-            db.close()
-
-    def test_snapshot_reads_off_restores_scan_locks(self):
-        db = _vehicle_db(snapshot_reads=False)
-        try:
-            baseline = db.locks.stats.acquisitions
-            with db.transaction():
-                db.execute("Vehicle where weight > 1003")
-                assert db.locks.stats.acquisitions > baseline
-            assert db.version_store.entry_count == 0
         finally:
             db.close()
 
@@ -413,16 +408,5 @@ class TestHandleSnapshotReads:
             db.update(handle.oid, {"weight": 3333})
             assert handle["weight"] == 3333
             assert db.read_state(handle.oid).values["weight"] == 3333
-        finally:
-            db.close()
-
-    def test_handle_read_with_snapshots_off_matches_get_state(self):
-        db = _vehicle_db(snapshot_reads=False)
-        try:
-            handle = db.select("Vehicle where weight = 1008")[0]
-            with db.transaction():
-                assert handle["weight"] == 1008
-                db.update(handle.oid, {"weight": 2222})
-                assert handle["weight"] == 2222
         finally:
             db.close()

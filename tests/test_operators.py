@@ -215,23 +215,6 @@ class TestSelectIter:
             next(stream)
         stream.close()  # idempotent
 
-    def test_mid_stream_close_with_locking_reads_holds_scan_locks(self):
-        db = Database(snapshot_reads=False)
-        build_vehicle_schema(db)
-        populate_vehicles(db, n_vehicles=20, n_companies=2)
-        try:
-            stream = db.select_iter("SELECT v FROM Vehicle v")
-            next(stream)
-            # Legacy mode: the stream's implicit read transaction holds
-            # the scan locks until close commits it.
-            assert db.txns.active_transactions()
-            assert db.locks.held_snapshot()
-            stream.close()
-            assert db.txns.active_transactions() == []
-            assert db.locks.held_snapshot() == []
-        finally:
-            db.close()
-
     def test_mid_stream_close_under_explicit_txn_keeps_txn(self, populated_db):
         with populated_db.txns.begin() as txn:
             stream = populated_db.select_iter("SELECT v FROM Vehicle v")
@@ -252,6 +235,34 @@ class TestSelectIter:
         assert populated_db.txns.active_transactions() == []
         assert populated_db.locks.held_snapshot() == []
         assert populated_db.version_store.live_snapshots() == []
+
+    def test_stream_and_execute_cost_the_same_in_telemetry(self, populated_db):
+        """D4: one finish — a drained stream moves every query.* counter
+        (and the latency histogram's count) exactly as execute() does."""
+        db = populated_db
+        db.create_class_index("Vehicle", "weight")
+        names = (
+            "query.executes", "query.rows", "query.rows_examined",
+            "query.rows_matched", "query.index_probes",
+        )
+
+        def moved(run, text):
+            before = [db.metrics.counter(name).value for name in names]
+            timed = db.metrics.histogram("query.seconds").count
+            run(text)
+            after = [db.metrics.counter(name).value for name in names]
+            delta = [b - a for a, b in zip(before, after)]
+            return delta + [db.metrics.histogram("query.seconds").count - timed]
+
+        for text in (
+            "SELECT v FROM Vehicle v",
+            "Vehicle where weight = 7500",
+            "SELECT v FROM Vehicle v ORDER BY v.weight LIMIT 3",
+        ):
+            drained = moved(lambda q: list(db.select_iter(q)), text)
+            assert drained == moved(db.execute, text), text
+            assert drained[0] == 1 and drained[2] > 0 and drained[5] == 1, text
+        assert db.last_operator_stats[-1]["op"] == "limit"
 
     def test_rejects_aggregates_and_projections(self, populated_db):
         with pytest.raises(QueryError):

@@ -259,6 +259,16 @@ class TestStorageManager:
         assert storage.oids_of_class("A") == []
         assert storage.oids_of_class("B") == [OID(1)]
 
+    def test_count_class_agrees_with_extent_after_insert_delete_reclass(self):
+        storage = StorageManager()
+        for value in range(1, 6):
+            storage.store_new(ObjectState(OID(value), "A", {}))
+        storage.remove(OID(2))
+        storage.overwrite(ObjectState(OID(3), "B", {}))  # reclass A -> B
+        assert [storage.count_class(c) for c in ("A", "B", "C")] == [
+            len(storage.oids_of_class(c)) for c in ("A", "B", "C")
+        ] == [3, 1, 0]
+
     def test_durable_roundtrip(self, tmp_path):
         path = str(tmp_path / "store.db")
         storage = StorageManager(path)
