@@ -25,7 +25,7 @@ QUERY = "SELECT c FROM Cell c WHERE overlaps(c.shape, [100, 100, 160, 160])"
 
 
 def build_layout(n, with_grid):
-    db = Database(use_locks=False)
+    db = Database()
     registry = attach(db)
     register_rectangle_type(registry)
     db.define_class(

@@ -27,7 +27,7 @@ DISTINCTS = (2500, 500, 50, 10, 2, 1)
 
 @pytest.fixture(scope="module")
 def sweep_db():
-    db = Database(use_locks=False)
+    db = Database()
     db.define_class("Row", attributes=[
         AttributeDef("bucket_%d" % d, "Integer") for d in DISTINCTS
     ])

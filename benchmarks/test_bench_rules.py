@@ -61,7 +61,7 @@ def test_scaling_summary():
 
 
 def test_rules_over_database_objects(benchmark):
-    db = Database(use_locks=False)
+    db = Database()
     db.define_class(
         "PartNode",
         attributes=[AttributeDef("label", "String"), AttributeDef("broken", "Boolean", default=False)],

@@ -14,7 +14,7 @@ from repro.evolution import SchemaEvolution
 
 
 def build(n):
-    db = Database(use_locks=False)
+    db = Database()
     db.define_class(
         "Doc",
         attributes=[AttributeDef("title", "String"), AttributeDef("serial", "Integer")],

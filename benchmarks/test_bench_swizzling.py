@@ -25,7 +25,7 @@ PASSES = 30
 
 @pytest.fixture(scope="module")
 def chain_db():
-    db = Database(use_locks=False)
+    db = Database()
     db.define_class(
         "Node",
         attributes=[AttributeDef("payload", "Integer"), AttributeDef("next", "Node")],

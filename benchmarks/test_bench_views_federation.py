@@ -27,7 +27,7 @@ VIA_VIEW = "SELECT h FROM Heavy h WHERE h.color = 'red'"
 
 @pytest.fixture(scope="module")
 def view_db():
-    db = Database(use_locks=False)
+    db = Database()
     attach_views(db)
     build_vehicle_schema(db)
     populate_vehicles(db, n_vehicles=3000, n_companies=30, seed=10)

@@ -50,6 +50,13 @@ hard gate over ``src/repro``:
     client with it.  Blocking work must be dispatched through the
     session thread pool (``loop.run_in_executor``); the counter-only
     fast path ``*.db.metrics.*`` is exempt.
+``single-write-path``
+    ``storage.store_new`` / ``storage.overwrite`` / ``storage.remove``
+    may be called only from ``database.py`` (``Database._write``, the
+    one mutation primitive: locks, version store, indexes, WAL, undo)
+    and ``txn/recovery.py`` (redo/undo below the engine).  A write that
+    reaches the storage manager any other way is unlogged, cannot be
+    rolled back and is visible to snapshots opened before it.
 
 A violation can be baselined in place with an inline pragma::
 
@@ -76,7 +83,11 @@ ALL_RULES = (
     "operator-materialization",
     "wall-clock-duration",
     "async-blocking-call",
+    "single-write-path",
 )
+
+#: The files allowed to call the storage manager's three write methods.
+_WRITE_PATH_FILES = ("repro/database.py", "repro/txn/recovery.py")
 
 #: Nested packages that are privacy domains of their own: files under
 #: them do not share privates with the parent subpackage.
@@ -242,6 +253,10 @@ class Linter:
             self._check_wall_clock(tree, path, violations)
         if "async-blocking-call" in run and subpackage == "server":
             self._check_async_blocking(tree, path, violations)
+        if "single-write-path" in run and not path.replace(os.sep, "/").endswith(
+            _WRITE_PATH_FILES
+        ):
+            self._check_single_write_path(tree, path, violations)
         return [v for v in violations if not _silenced(v, pragmas)]
 
     # -- simple rules ----------------------------------------------------
@@ -499,6 +514,32 @@ class Linter:
                         "time.perf_counter via the obs instruments "
                         "(histogram.time(), tracer.span(), WaitProfiler), or "
                         "mark a genuine timestamp with the pragma",
+                    )
+                )
+
+    # -- write-path discipline -------------------------------------------
+
+    def _check_single_write_path(self, tree, path, out) -> None:
+        """Flag ``<...>storage.store_new/overwrite/remove(...)`` calls."""
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+                continue
+            owner = node.func.value
+            owner_name = getattr(owner, "attr", getattr(owner, "id", None))
+            if owner_name == "storage" and node.func.attr in (
+                "store_new",
+                "overwrite",
+                "remove",
+            ):
+                out.append(
+                    Violation(
+                        "single-write-path",
+                        path,
+                        node.lineno,
+                        node.col_offset,
+                        "storage.%s() outside the write path: go through "
+                        "Database._write so the change is locked, versioned, "
+                        "indexed, logged and undoable" % node.func.attr,
                     )
                 )
 

@@ -102,7 +102,7 @@ class CompositeManager:
 
     def _cascade(self, state: ObjectState) -> None:
         """Delete dependent parts that no longer have any parent."""
-        if getattr(self.db, "_in_rollback", False):
+        if self.db.txns.rolling_back:
             # Rollback compensations replay each mutation individually;
             # cascading here would delete objects the rollback is about
             # to restore.

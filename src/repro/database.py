@@ -186,15 +186,9 @@ class Database:
     clustering:
         A :class:`~repro.storage.clustering.ClusteringPolicy`; defaults
         to no clustering.
-    use_locks:
-        Disable to skip lock acquisition entirely (single-threaded
-        benchmarks isolating other costs).
     sync_on_commit:
-        fsync the WAL on commit (durable databases only).
-    group_commit:
-        Batch concurrent commit fsyncs: one WAL sync covers every
-        transaction whose commit record it flushed (default on; the
-        ``--no-group-commit`` server flag disables it).
+        fsync the WAL on commit (durable databases only); one sync
+        covers every transaction whose commit record it flushed.
     """
 
     def __init__(
@@ -203,12 +197,9 @@ class Database:
         page_size: int = 4096,
         buffer_capacity: int = 256,
         clustering: Optional[ClusteringPolicy] = None,
-        use_locks: bool = True,
         sync_on_commit: bool = True,
-        recover_on_open: bool = True,
         metrics_enabled: bool = True,
         slow_op_threshold: Optional[float] = None,
-        group_commit: bool = True,
     ) -> None:
         self.path = path
         #: The database-wide observability registry: every subsystem's
@@ -226,7 +217,11 @@ class Database:
         self.storage = StorageManager(
             path, page_size, buffer_capacity, self.metrics, waits=self.waits
         )
-        self.schema = Schema()
+        # The persisted catalog is read before anything captures the
+        # schema, so a reopened database is wired exactly like a new one.
+        extra = self.storage.load_extra_metadata()
+        catalog = extra.get("schema")
+        self.schema = Schema.from_dict(catalog) if catalog else Schema()
         self.locks = LockManager(self.metrics, waits=self.waits)
         self.wal = WriteAheadLog(
             path + ".wal" if path else None,
@@ -234,7 +229,6 @@ class Database:
             registry=self.metrics,
             waits=self.waits,
             tracer=self.tracer,
-            group_commit=group_commit,
         )
         # Torn-page protection: the buffer pool logs a durable full-page
         # image into the WAL before every dirty page write-back, so
@@ -254,7 +248,6 @@ class Database:
         )
         self.waits.current_txn = self._current_txn_id
         self.clustering = clustering or NoClustering()
-        self.use_locks = use_locks
         self._oids = OIDGenerator()
         self.indexes = IndexManager(
             self.schema, self._scan_coerced, self._deref, self.metrics
@@ -290,6 +283,10 @@ class Database:
         #: :meth:`analyze` (or reloaded from the catalog on reopen) and
         #: handed to the planner as inert facts for the cost model.
         self.statistics = None
+        if extra.get("statistics"):
+            from .obs.stats import StatisticsCatalog
+
+            self.statistics = StatisticsCatalog.from_dict(extra["statistics"])
         # Waits recorded on a request thread inherit its trace context,
         # so SysWaitEvent rows link back to the client's trace id.
         self.waits.current_trace = lambda: self.tracer.current_trace
@@ -334,10 +331,6 @@ class Database:
             "query.cost.estimated_rows"
         )
         self._m_cost_actual_rows = self.metrics.counter("query.cost.actual_rows")
-        #: True while a transaction rollback is replaying compensations;
-        #: cascading side-effects (composite delete propagation) are
-        #: suppressed — each mutation has its own compensation.
-        self._in_rollback = False
         #: Mutation hooks: fn(kind, old_state, new_state); kind in
         #: {"insert", "update", "delete"}.  Pre-hooks may raise to veto.
         self._pre_hooks: List[Callable[[str, Optional[ObjectState], Optional[ObjectState]], None]] = []
@@ -356,39 +349,12 @@ class Database:
         self._closed = False
 
         if path is not None:
-            self._bootstrap_durable(recover_on_open)
-
-    # ------------------------------------------------------------------
-    # bootstrap / lifecycle
-    # ------------------------------------------------------------------
-
-    def _bootstrap_durable(self, recover_on_open: bool) -> None:
-        extra = self.storage.load_extra_metadata()
-        catalog = extra.get("schema")
-        if catalog:
-            self.schema = Schema.from_dict(catalog)
-            # Rewire everything that captured the old schema.
-            self.indexes = IndexManager(
-                self.schema, self.storage.scan_class, self._deref, self.metrics
-            )
-            self.planner = Planner(
-                self.schema, self.indexes, self.storage.count_class,
-                self._extent_pages, system_catalog=self.syscat,
-                page_size=self.storage.pager.page_size,
-            )
-            self.plan_cache = PlanCache(
-                self.schema, self.indexes, self.storage.count_class, self.metrics
-            )
-            self.schema.on_change(self.plan_cache.on_schema_change)
-            self.schema.on_change(self.query_stats.on_schema_change)
-        stats_payload = extra.get("statistics")
-        if stats_payload:
-            from .obs.stats import StatisticsCatalog
-
-            self.statistics = StatisticsCatalog.from_dict(stats_payload)
-        if recover_on_open:
             _recover(self.wal, self.storage, registry=self.metrics)
-        self._oids.advance_past(self.storage.directory.max_oid_value())
+            self._oids.advance_past(self.storage.directory.max_oid_value())
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
 
     def checkpoint(self) -> None:
         """Flush data pages, persist the catalog, truncate the WAL."""
@@ -572,34 +538,22 @@ class Database:
         current = self.txns.current
         if current is not None:
             yield current
-            return
-        txn = self.txns.begin()
-        try:
-            yield txn
-        except Exception:
-            if txn.is_active:
-                txn.abort()
-            raise
         else:
-            if txn.is_active:
-                txn.commit()
+            with self.txns.begin() as txn:  # commits, or aborts on error
+                yield txn
 
     #: Object locks per (txn, class) before escalating to a class lock.
     #: The classic granularity trade: thousands of object locks cost more
     #: than one class lock once fine-grain concurrency no longer pays.
     lock_escalation_threshold: int = 256
 
-    def _lock(self, txn: Transaction, oid: Optional[OID], class_name: str, write: bool) -> None:
-        if not self.use_locks:
-            return
+    def _lock(self, txn: Transaction, oid: OID, class_name: str, write: bool) -> None:
         top, mid, leaf = (IX, IX, X) if write else (IS, IS, S)
         self.locks.acquire(txn.txn_id, DATABASE, top)
         escalated = txn.escalated_classes.get(class_name)
         if escalated is not None and (not write or escalated == X):
             return  # the class lock already covers this access
         self.locks.acquire(txn.txn_id, class_resource(class_name), mid)
-        if oid is None:
-            return
         count = txn.object_lock_counts.get(class_name, 0) + 1
         txn.object_lock_counts[class_name] = count
         if count >= self.lock_escalation_threshold:
@@ -608,10 +562,6 @@ class Database:
             txn.escalated_classes[class_name] = mode
             return
         self.locks.acquire(txn.txn_id, object_resource(oid), leaf)
-
-    def _run_hooks(self, hooks, kind: str, old: Optional[ObjectState], new: Optional[ObjectState]) -> None:
-        for hook in hooks:
-            hook(kind, old, new)
 
     def add_pre_hook(self, hook) -> None:
         self._pre_hooks.append(hook)
@@ -631,6 +581,60 @@ class Database:
     # object lifecycle
     # ------------------------------------------------------------------
 
+    def _write(
+        self,
+        txn: Transaction,
+        before: Optional[ObjectState],
+        after: Optional[ObjectState],
+        near: Optional[OID] = None,
+        compensating: bool = False,
+    ) -> None:
+        """The one mutation primitive (DESIGN "One write path").
+
+        ``before is None`` inserts ``after``, ``after is None`` deletes
+        ``before``, both present overwrite — a differing ``class_name``
+        moves the object between extents.  The log, the undo closure and
+        snapshot readers keep the stored images as given; indexes and
+        hooks hold what readers see, so they get both images coerced to
+        the current class definition.  Compensation is this call with
+        the pair swapped: locks are still held, a rollback cannot be
+        vetoed (no pre-hooks), abort drops the version chain (no entry).
+        """
+        state = before if after is None else after
+        kind = "insert" if before is None else "delete" if after is None else "update"
+        old = None if before is None else self._coerce(before)
+        new = None if after is None else self._coerce(after)
+        if not compensating:
+            self._lock(txn, state.oid, state.class_name, write=True)
+            if before is not None and before.class_name != state.class_name:
+                self._lock(txn, state.oid, before.class_name, write=True)
+            for hook in self._pre_hooks:
+                hook(kind, old, new)
+            # Entry first (None = "did not exist"), then the storage
+            # mutation: a snapshot reader that sees the new stored state
+            # must also see the entry that hides it.
+            self.version_store.record_before(
+                txn.txn_id, state.oid, state.class_name, before and before.copy()
+            )
+        if before is None:
+            self.storage.store_new(after, near=near)
+            self.indexes.notify_insert(new)
+            self.wal.log_insert(txn.txn_id, after)
+        elif after is None:
+            self.storage.remove(before.oid)
+            self.indexes.notify_delete(old)
+            self.wal.log_delete(txn.txn_id, before)
+        else:
+            self.storage.overwrite(after)
+            self.indexes.notify_update(old, new)
+            self.wal.log_update(txn.txn_id, before, after)
+        if not compensating:
+            txn.record_undo(
+                lambda: self._write(txn, after, before, compensating=True)
+            )
+        for hook in self._post_hooks:
+            hook(kind, old, new)
+
     def new(
         self,
         class_name: str,
@@ -644,45 +648,15 @@ class Database:
         ``near`` overrides the clustering policy's placement hint.
         """
         self._check_authz("create", class_name)
-        values = dict(values or {})
         state_values = self.schema.default_state(class_name)
-        state_values.update(values)
+        state_values.update(values or {})
         self.schema.validate_state(class_name, state_values, self._deref_class)
-        oid = self._oids.next(class_name)
-        state = ObjectState(oid, class_name, state_values)
+        state = ObjectState(self._oids.next(class_name), class_name, state_values)
+        if near is None:
+            near = self.clustering.neighbour_for(self.schema, state)
         with self._auto_txn() as txn:
-            self._lock(txn, oid, class_name, write=True)
-            self._run_hooks(self._pre_hooks, "insert", None, state)
-            hint = near
-            if hint is None:
-                hint = self.clustering.neighbour_for(self.schema, state)
-            # Before-image first (None = "did not exist"), then the
-            # storage mutation: a snapshot reader that sees the new
-            # stored state must also see the entry that hides it.
-            self.version_store.record_before(txn.txn_id, oid, class_name, None)
-            self.storage.store_new(state, near=hint)
-            self.indexes.notify_insert(state)
-            self.wal.log_insert(txn.txn_id, state)
-            txn.record_undo(lambda: self._undo_insert(txn, state))
-            self._run_hooks(self._post_hooks, "insert", None, state)
-        return ObjectHandle(self, oid)
-
-    def _undo_insert(self, txn: Transaction, state: ObjectState) -> None:
-        self._in_rollback = True
-        try:
-            self._undo_insert_body(txn, state)
-        finally:
-            self._in_rollback = False
-
-    def _undo_insert_body(self, txn: Transaction, state: ObjectState) -> None:
-        if self.storage.contains(state.oid):
-            self.storage.remove(state.oid)
-            self.indexes.notify_delete(state)
-            self.wal.log_delete(txn.txn_id, state)
-            # Compensations notify post-hooks (composite links, spatial
-            # grids, temporal history, ...) but never pre-hooks — a
-            # rollback cannot be vetoed.
-            self._run_hooks(self._post_hooks, "delete", state, None)
+            self._write(txn, None, state, near=near)
+        return ObjectHandle(self, state.oid)
 
     def get(self, oid: OID) -> ObjectHandle:
         """Handle for an existing object (raises if absent)."""
@@ -739,7 +713,8 @@ class Database:
         )
         new = old.copy()
         new.values.update(changes)
-        self._apply_update(old, new)
+        with self._auto_txn() as txn:
+            self._write(txn, old, new)
         return ObjectHandle(self, oid)
 
     def put_state(self, state: ObjectState) -> None:
@@ -747,63 +722,15 @@ class Database:
         old = self.storage.load(state.oid)
         self._check_authz("write", state.class_name, state.oid)
         self.schema.validate_state(state.class_name, state.values, self._deref_class)
-        self._apply_update(old, state.copy())
-
-    def _apply_update(self, old: ObjectState, new: ObjectState) -> None:
         with self._auto_txn() as txn:
-            self._lock(txn, old.oid, old.class_name, write=True)
-            self._run_hooks(self._pre_hooks, "update", old, new)
-            self.version_store.record_before(
-                txn.txn_id, old.oid, old.class_name, old.copy()
-            )
-            self.storage.overwrite(new)
-            self.indexes.notify_update(old, new)
-            self.wal.log_update(txn.txn_id, old, new)
-            txn.record_undo(lambda: self._undo_update(txn, old, new))
-            self._run_hooks(self._post_hooks, "update", old, new)
-
-    def _undo_update(self, txn: Transaction, old: ObjectState, new: ObjectState) -> None:
-        self._in_rollback = True
-        try:
-            self._undo_update_body(txn, old, new)
-        finally:
-            self._in_rollback = False
-
-    def _undo_update_body(self, txn: Transaction, old: ObjectState, new: ObjectState) -> None:
-        self.storage.overwrite(old)
-        self.indexes.notify_update(new, old)
-        self.wal.log_update(txn.txn_id, new, old)
-        self._run_hooks(self._post_hooks, "update", new, old)
+            self._write(txn, old, state.copy())
 
     def delete(self, oid: OID) -> None:
         """Delete an object (composite dependents cascade via hooks)."""
         state = self.storage.load(oid)
         self._check_authz("delete", state.class_name, oid)
         with self._auto_txn() as txn:
-            self._lock(txn, oid, state.class_name, write=True)
-            self._run_hooks(self._pre_hooks, "delete", state, None)
-            self.version_store.record_before(
-                txn.txn_id, oid, state.class_name, state.copy()
-            )
-            self.storage.remove(oid)
-            self.indexes.notify_delete(state)
-            self.wal.log_delete(txn.txn_id, state)
-            txn.record_undo(lambda: self._undo_delete(txn, state))
-            self._run_hooks(self._post_hooks, "delete", state, None)
-
-    def _undo_delete(self, txn: Transaction, state: ObjectState) -> None:
-        self._in_rollback = True
-        try:
-            self._undo_delete_body(txn, state)
-        finally:
-            self._in_rollback = False
-
-    def _undo_delete_body(self, txn: Transaction, state: ObjectState) -> None:
-        if not self.storage.contains(state.oid):
-            self.storage.store_new(state)
-            self.indexes.notify_insert(state)
-            self.wal.log_insert(txn.txn_id, state)
-            self._run_hooks(self._post_hooks, "insert", None, state)
+            self._write(txn, state, None)
 
     # ------------------------------------------------------------------
     # behavior
@@ -826,7 +753,7 @@ class Database:
         )
         current = self.txns.current
         for cls in classes:
-            if current is not None and self.use_locks:
+            if current is not None:
                 self.locks.acquire(current.txn_id, DATABASE, IS)
                 self.locks.acquire(current.txn_id, class_resource(cls), S)
             for state in self.storage.scan_class(cls):
@@ -1155,10 +1082,6 @@ class Database:
             diagnostics=report,
             querystats=entry,
         )
-
-    def explain_analyze(self, query: Union[str, Query]) -> str:
-        """Compatibility wrapper: the rendered form of :meth:`explain`."""
-        return self.explain(query).render()
 
     def select(self, query: Union[str, Query]) -> List[Any]:
         """Convenience: run a query and return handles (no projections).

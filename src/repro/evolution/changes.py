@@ -12,7 +12,10 @@ Instance handling follows ORION's *lazy coercion* strategy: adding or
 dropping an attribute is a metadata-only operation — stored records are
 coerced to the current class definition when loaded (experiment E12).
 Renames and class drops rewrite eagerly because the stored names would
-otherwise be unrecoverable.
+otherwise be unrecoverable.  ``migrate_instance`` (and with it
+``drop_class``) does it through ``Database._write`` like any other
+writer, so the move is logged, undoable and snapshot-correct; the two
+renames are the documented exception (see ``rename_attribute``).
 
 Every change lands through ``Schema._bump``, which bumps the schema
 version and notifies listeners — in particular the plan cache
@@ -60,18 +63,6 @@ class SchemaEvolution:
         for index in self.db.indexes.indexes_on(class_name):
             self.db.indexes.rebuild(index.name)
 
-    def _rewrite_instances(
-        self, class_name: str, transform: Callable[[ObjectState], ObjectState]
-    ) -> int:
-        """Eagerly rewrite every stored instance of a class hierarchy."""
-        rewritten = 0
-        for cls in self.schema.hierarchy_of(class_name):
-            for state in list(self.db.storage.scan_class(cls)):
-                new_state = transform(state.copy())
-                self.db.storage.overwrite(new_state)
-                rewritten += 1
-        return rewritten
-
     # -- group 1: class contents ------------------------------------------------
 
     def add_attribute(self, class_name: str, attr: AttributeDef) -> None:
@@ -118,6 +109,15 @@ class SchemaEvolution:
     def rename_attribute(self, class_name: str, old_name: str, new_name: str) -> int:
         """Eager: renames the definition and rewrites stored instances.
 
+        Like ``rename_class``, not a ``Database._write`` caller.  The
+        catalog is persisted at checkpoint and is neither logged nor
+        versioned, so a logged rewrite would be replayed after a crash
+        against the pre-rename catalog, where coercion drops the new
+        name and defaults the old one: committed values would read as
+        absent.  Unlogged, the rename is lost or kept as a whole with
+        the catalog — not undoable, durable at the next checkpoint; run
+        it outside transactions, like any DDL.
+
         Returns the number of instances rewritten.
         """
         cls = self.schema.get_class(class_name)
@@ -145,13 +145,14 @@ class SchemaEvolution:
             apply,
             rollback,
         )
-
-        def transform(state: ObjectState) -> ObjectState:
-            if old_name in state.values:
-                state.values[new_name] = state.values.pop(old_name)
-            return state
-
-        count = self._rewrite_instances(class_name, transform)
+        count = 0
+        for sub in self.schema.hierarchy_of(class_name):
+            for state in list(self.db.storage.scan_class(sub)):
+                if old_name in state.values:
+                    state = state.copy()
+                    state.values[new_name] = state.values.pop(old_name)
+                    self.db.storage.overwrite(state)  # lint: ignore[single-write-path]
+                count += 1
         self._rebuild_indexes_on(class_name)
         return count
 
@@ -324,7 +325,16 @@ class SchemaEvolution:
         return count
 
     def rename_class(self, old_name: str, new_name: str) -> int:
-        """Rename a class, rewriting stored instances' class tags."""
+        """Rename a class, rewriting stored instances' class tags.
+
+        Not a ``Database._write`` caller, for ``rename_attribute``'s
+        reason — a logged record tagged ``new_name`` could not be
+        replayed against the pre-rename catalog a crash before the next
+        checkpoint reopens with — and one more: the primitive resolves
+        both images' classes in the catalog (coercion, index scopes,
+        hooks) and no catalog state knows both names.  Unlogged, not
+        undoable, durable as a whole at the next checkpoint.
+        """
         self.schema.get_class(old_name)
         oids = list(self.db.storage.oids_of_class(old_name))
         self.schema._rename_class_entry(old_name, new_name)
@@ -332,7 +342,7 @@ class SchemaEvolution:
         for oid in oids:
             state = self.db.storage.load(oid)
             migrated = ObjectState(state.oid, new_name, state.values)
-            self.db.storage.overwrite(migrated)
+            self.db.storage.overwrite(migrated)  # lint: ignore[single-write-path]
             count += 1
         for index in self.db.indexes.all_indexes():
             if index.target_class == old_name:
@@ -352,9 +362,6 @@ class SchemaEvolution:
         for name, attr in declared.items():
             values.setdefault(name, attr.default_value())
         self.schema.validate_state(new_class, values, self.db._deref_class)
-        old_state = state
-        new_state = ObjectState(state.oid, new_class, values)
-        self.db.storage.overwrite(new_state)
-        self.db.indexes.notify_delete(old_state)
-        self.db.indexes.notify_insert(new_state)
+        with self.db._auto_txn() as txn:
+            self.db._write(txn, state, ObjectState(state.oid, new_class, values))
         self.log.append("migrate_instance %r -> %s" % (oid, new_class))

@@ -170,6 +170,8 @@ class NestedAttributeIndex(Index):
             ):
                 self._remove_target(old.oid, old.class_name)
                 self._index_target(new)
+        elif self._is_target(old.class_name):
+            self._remove_target(old.oid, old.class_name)  # migrated out of scope
         # Intermediate change: any dependent target may have a new key.
         dependents = self._deps.get(new.oid)
         if dependents:

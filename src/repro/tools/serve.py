@@ -122,12 +122,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="override the engine's default lock wait timeout",
     )
     parser.add_argument(
-        "--no-group-commit",
-        action="store_true",
-        help="fsync each commit individually instead of batching "
-        "concurrent commits into one WAL sync",
-    )
-    parser.add_argument(
         "--smoke",
         action="store_true",
         help="run the multi-client smoke on an ephemeral port and exit",
@@ -137,11 +131,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.smoke:
         return run_smoke()
 
-    db = (
-        Database(args.path, group_commit=not args.no_group_commit)
-        if args.path
-        else build_demo_database()
-    )
+    db = Database(args.path) if args.path else build_demo_database()
     server = Server(
         db,
         host=args.host,

@@ -145,6 +145,13 @@ class TransactionManager:
             return None
         return txn
 
+    @property
+    def rolling_back(self) -> bool:
+        """True while this thread's abort is replaying compensations:
+        cascading side-effects (composite delete propagation) are
+        suppressed — each mutation has its own compensation."""
+        return getattr(self._current, "rolling_back", False)
+
     def begin(self) -> Transaction:
         if self.current is not None:
             raise TransactionError(
@@ -220,8 +227,12 @@ class TransactionManager:
     def abort(self, txn: Transaction) -> None:
         txn._require_active()
         # Compensate newest-first while still holding all locks.
-        for action in reversed(txn._undo_actions):
-            action()
+        self._current.rolling_back = True
+        try:
+            for action in reversed(txn._undo_actions):
+                action()
+        finally:
+            self._current.rolling_back = False
         self.wal.log_abort(txn.txn_id)
         if self.version_store is not None:
             self.version_store.abort(txn.txn_id)

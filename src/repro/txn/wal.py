@@ -129,16 +129,15 @@ class WriteAheadLog:
     """Append-only log; in-memory when ``path`` is None (tests, ephemeral).
 
     ``sync_on_commit`` controls whether COMMIT records fsync — the knob
-    experiment E13 sweeps.  ``group_commit`` (default on) splits the
-    commit into an append phase and a sync phase: concurrent committers
-    append their COMMIT record under the log mutex and then enqueue on a
-    condition-variable coordinator where one of them — the batch leader
-    — performs a single flush+fsync that durably covers *every* commit
-    appended before it ran.  A transaction's ``append`` only returns
-    once a covering sync has completed, so the durability contract is
-    byte-identical to per-commit fsync; with one committer the physical
-    I/O sequence (write, flush, fsync) is also identical, which keeps
-    the seeded fault-injection matrices deterministic.
+    experiment E13 sweeps.  A commit is an append phase and a sync
+    phase: committers append their COMMIT record under the log mutex and
+    then enqueue on a condition-variable coordinator where one of them —
+    the batch leader — performs a single flush+fsync that durably covers
+    *every* commit appended before it ran.  A transaction's ``append``
+    only returns once a covering sync has completed, so the durability
+    contract is that of per-commit fsync; a lone committer is a batch of
+    one whose physical I/O sequence (write, flush, fsync) is exactly
+    that, which keeps the seeded fault-injection matrices deterministic.
     """
 
     def __init__(
@@ -148,11 +147,9 @@ class WriteAheadLog:
         registry: Optional[MetricsRegistry] = None,
         waits: Optional[WaitProfiler] = None,
         tracer=None,
-        group_commit: bool = True,
     ) -> None:
         self.path = path
         self.sync_on_commit = sync_on_commit
-        self.group_commit = group_commit
         self._waits = waits
         self._tracer = tracer
         #: Serializes every append (frame write + LSN allocation) and
@@ -225,13 +222,8 @@ class WriteAheadLog:
                 return record.lsn
             self._appended_seq += 1
             seq = self._appended_seq
-            if not self.group_commit:
-                # Escape hatch (--no-group-commit): the classic inline
-                # flush+fsync before append returns, fully serialized.
-                self._commit_barrier(record.txn_id)
-                return record.lsn
-        # Group commit: the frame is appended; durability comes from
-        # whichever batch sync covers our sequence number.
+        # The frame is appended; durability comes from whichever batch
+        # sync covers our sequence number.
         self._await_durable(seq, record.txn_id)
         return record.lsn
 
@@ -244,30 +236,6 @@ class WriteAheadLog:
             _FRAME.pack(crc, len(payload), record.record_type, record.txn_id)
             + payload
         )
-
-    def _commit_barrier(self, txn_id: int) -> None:
-        """Per-commit durability point (flush, then fsync if configured)."""
-        started = time.perf_counter() if self._waits is not None else 0.0
-        self._file.flush()
-        self._flushes.inc()
-        if self._waits is not None:
-            self._waits.record(
-                "WALFlush",
-                time.perf_counter() - started,
-                target=self.path,
-                txn_id=txn_id,
-            )
-        if self.sync_on_commit:
-            started = time.perf_counter() if self._waits is not None else 0.0
-            fsync_file(self._file)
-            self._syncs.inc()
-            if self._waits is not None:
-                self._waits.record(
-                    "WALSync",
-                    time.perf_counter() - started,
-                    target=self.path,
-                    txn_id=txn_id,
-                )
 
     def _await_durable(self, seq: int, txn_id: int) -> None:
         """Block until a batch sync covers append sequence ``seq``.

@@ -50,7 +50,7 @@ class _Entry:
     """One before-image: ``txn_id`` overwrote ``oid``; the state before
     its first write was ``before`` (None = the object did not exist)."""
 
-    __slots__ = ("txn_id", "oid", "class_name", "before", "commit_ts")
+    __slots__ = ("txn_id", "oid", "classes", "before", "commit_ts")
 
     def __init__(
         self,
@@ -61,7 +61,11 @@ class _Entry:
     ) -> None:
         self.txn_id = txn_id
         self.oid = oid
-        self.class_name = class_name
+        #: Every extent the writer had the object in: the class it wrote
+        #: and, when it moved the object, the before-image's class.
+        self.classes = {class_name}
+        if before is not None:
+            self.classes.add(before.class_name)
         self.before = before
         #: Stamped at commit (monotonic); None while the writer runs.
         self.commit_ts: Optional[int] = None
@@ -111,8 +115,8 @@ class VersionStore:
         #: Class name -> OIDs with live chain entries (scan resurrection
         #: and the index-downgrade test both key on class).
         self._by_class: Dict[str, Set[OID]] = {}
-        #: Uncommitted entries per writer, install order.
-        self._txn_entries: Dict[int, List[_Entry]] = {}
+        #: Uncommitted entries per writer, by OID, install order.
+        self._txn_entries: Dict[int, Dict[OID, _Entry]] = {}
         self._snapshots: Dict[int, Snapshot] = {}
         self._next_snapshot_id = 1
         #: The commit horizon: timestamp of the newest committed write.
@@ -142,19 +146,23 @@ class VersionStore:
         new stored state is guaranteed to also see the chain entry that
         steps it back.  Only the first write per (txn, oid) installs an
         entry: the transaction's effects become visible atomically at
-        its commit timestamp, so intermediate states are never needed.
+        its commit timestamp, so intermediate states are never needed —
+        a later write only adds the class it moved the object to.
         """
         with self._store_mutex:
-            mine = self._txn_entries.setdefault(txn_id, [])
-            for entry in mine:
-                if entry.oid == oid:
-                    return
-            entry = _Entry(txn_id, oid, class_name, before)
-            self._chains.setdefault(oid, []).insert(0, entry)
-            self._by_class.setdefault(class_name, set()).add(oid)
-            mine.append(entry)
-            self._entry_count += 1
-            self._m_entries.set(self._entry_count)
+            mine = self._txn_entries.setdefault(txn_id, {})
+            entry = mine.get(oid)
+            if entry is None:
+                entry = mine[oid] = _Entry(txn_id, oid, class_name, before)
+                self._chains.setdefault(oid, []).insert(0, entry)
+                self._entry_count += 1
+                self._m_entries.set(self._entry_count)
+            elif class_name in entry.classes:
+                return
+            else:
+                entry.classes.add(class_name)
+            for cls in entry.classes:
+                self._by_class.setdefault(cls, set()).add(oid)
 
     def commit(self, txn_id: int) -> Optional[int]:
         """Stamp the writer's entries with a fresh commit timestamp.
@@ -170,7 +178,7 @@ class VersionStore:
                 return None
             self._last_commit_ts += 1
             ts = self._last_commit_ts
-            for entry in entries:
+            for entry in entries.values():
                 entry.commit_ts = ts
             if not self._snapshots:
                 self._reclaim_locked(self._last_commit_ts)
@@ -182,7 +190,7 @@ class VersionStore:
             entries = self._txn_entries.pop(txn_id, None)
             if not entries:
                 return
-            for entry in entries:
+            for entry in entries.values():
                 self._unlink_locked(entry)
             self._m_entries.set(self._entry_count)
 
@@ -247,7 +255,8 @@ class VersionStore:
         seen: Set[OID],
     ) -> List[ObjectState]:
         """Objects of ``class_name`` visible to ``snapshot`` but missing
-        from the storage scan (deleted after the snapshot began)."""
+        from the storage scan (deleted, or moved to another class, after
+        the snapshot began)."""
         with self._store_mutex:
             candidates = [
                 oid
@@ -257,7 +266,7 @@ class VersionStore:
         out: List[ObjectState] = []
         for oid in candidates:
             state = self.resolve(oid, snapshot, None)
-            if state is not None:
+            if state is not None and state.class_name == class_name:
                 out.append(state)
         return out
 
@@ -307,11 +316,12 @@ class VersionStore:
         self._entry_count -= 1
         if not chain:
             del self._chains[entry.oid]
-            by_class = self._by_class.get(entry.class_name)
-            if by_class is not None:
+        for cls in entry.classes:
+            if not any(cls in other.classes for other in chain):
+                by_class = self._by_class[cls]
                 by_class.discard(entry.oid)
                 if not by_class:
-                    del self._by_class[entry.class_name]
+                    del self._by_class[cls]
 
     # -- introspection ---------------------------------------------------------
 
@@ -387,7 +397,9 @@ class SnapshotView:
         for state in self._base_scan(class_name):
             seen.add(state.oid)
             visible = self.store.resolve(state.oid, self.snapshot, state)
-            if visible is not None:
+            # A reclassed object shows up once, in its snapshot-time
+            # class: here only if that is this extent, else resurrected.
+            if visible is not None and visible.class_name == class_name:
                 yield self._coerce(visible)
         for state in self.store.resurrected(class_name, self.snapshot, seen):
             yield self._coerce(state)

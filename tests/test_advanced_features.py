@@ -89,7 +89,7 @@ class TestRangeEstimation:
         assert BTree().estimate_range() == 0
 
     def test_planner_prefers_tight_ranges(self):
-        db = Database(use_locks=False)
+        db = Database()
         db.define_class("Row", attributes=[AttributeDef("v", "Integer")])
         for value in range(2000):
             db.new("Row", {"v": value})
@@ -151,7 +151,7 @@ class TestExplainAnalyze:
         for value in range(50):
             db.new("T", {"n": value})
         db.create_hierarchy_index("T", "n")
-        report = db.explain_analyze("SELECT t FROM T t WHERE t.n = 7")
+        report = db.explain("SELECT t FROM T t WHERE t.n = 7").render()
         assert "index-eq" in report
         assert "objects examined: 1" in report
         assert "objects matched: 1" in report

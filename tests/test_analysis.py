@@ -634,6 +634,31 @@ def f(stopwatch):
         assert "wall-clock-duration" not in [v.rule for v in lint(source)]
 
 
+class TestSingleWritePathRule:
+    SOURCE = """
+def f(db, state):
+    db.storage.overwrite(state)
+    db.storage.remove(state.oid)
+    db.storage.load(state.oid)
+    db.tree.remove(state.oid)
+"""
+
+    def test_storage_writes_flagged_outside_the_write_path(self):
+        violations = lint(self.SOURCE)
+        assert [(v.rule, v.line) for v in violations] == [
+            ("single-write-path", 3),
+            ("single-write-path", 4),
+        ]
+        assert "Database._write" in violations[0].message
+
+    @pytest.mark.parametrize(
+        "path", ["src/repro/database.py", "src/repro/txn/recovery.py"]
+    )
+    def test_write_path_files_are_exempt(self, path):
+        linter = Linter(LintConfig(lock_lattice=LATTICE))
+        assert linter.lint_source(self.SOURCE, path, "txn") == []
+
+
 class TestLintGate:
     def test_engine_source_is_clean(self):
         assert lint_paths([SRC_REPRO], engine_config()) == []

@@ -65,7 +65,7 @@ def _stat_for(values, buckets=8):
 
 
 def _db(rows, index=True, **kwargs):
-    db = Database(use_locks=False, **kwargs)
+    db = Database(**kwargs)
     db.define_class(
         "Item",
         attributes=[

@@ -27,7 +27,7 @@ from repro.query.parser import parse_query
 
 @pytest.fixture(scope="module")
 def pdb():
-    db = Database(use_locks=False)
+    db = Database()
     build_vehicle_schema(db)
     populate_vehicles(db, n_vehicles=300, n_companies=15, seed=2026)
     return db
@@ -169,7 +169,7 @@ class TestSetOperationIdentities:
 class TestIndexTransparency:
     @pytest.mark.parametrize("seed", range(8))
     def test_all_access_paths_agree(self, seed):
-        db = Database(use_locks=False)
+        db = Database()
         build_vehicle_schema(db)
         populate_vehicles(db, n_vehicles=150, n_companies=10, seed=seed)
         rng = random.Random(seed)

@@ -171,7 +171,6 @@ def test_database_constructor_options_are_pinned():
     cover, so adding one is a reviewed decision: change this list in the
     same commit and say which two callers need different values."""
     assert list(inspect.signature(Database.__init__).parameters)[1:] == [
-        "path", "page_size", "buffer_capacity", "clustering", "use_locks",
-        "sync_on_commit", "recover_on_open", "metrics_enabled",
-        "slow_op_threshold", "group_commit",
+        "path", "page_size", "buffer_capacity", "clustering",
+        "sync_on_commit", "metrics_enabled", "slow_op_threshold",
     ]

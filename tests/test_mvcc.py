@@ -253,15 +253,36 @@ class TestGroupCommit:
         assert db.count("Item") == n_writers
         db.close()
 
-    def test_group_commit_off_syncs_each_commit(self, tmp_path):
-        db = Database(str(tmp_path / "nogc.pages"), group_commit=False)
+    def test_serial_commits_are_batches_of_one(self, tmp_path):
+        """A lone committer takes the same barrier as a batch: one
+        flush+fsync per commit, recorded as a batch of size one."""
+        db = Database(str(tmp_path / "serial.pages"))
         db.define_class("Item", attributes=[AttributeDef("n", "Integer")])
+        syncs = db.metrics.counter("wal.syncs")
         batches = db.metrics.counter("wal.group_commit.batches")
-        syncs_before = db.metrics.counter("wal.syncs").value
+        commits = db.metrics.counter("wal.group_commit.commits")
+        sizes = db.metrics.histogram("wal.group_commit.batch_size")
+        before = (syncs.value, batches.value, commits.value, sizes.count)
         for i in range(4):
             db.new("Item", {"n": i})
-        assert batches.value == 0
-        assert db.metrics.counter("wal.syncs").value == syncs_before + 4
+        assert syncs.value == before[0] + 4
+        assert batches.value == before[1] + 4
+        assert commits.value == before[2] + 4
+        assert sizes.count == before[3] + 4
+        assert sizes.max == 1
+        db.close()
+
+    def test_sync_on_commit_off_flushes_without_fsync(self, tmp_path):
+        db = Database(str(tmp_path / "nosync.pages"), sync_on_commit=False)
+        db.define_class("Item", attributes=[AttributeDef("n", "Integer")])
+        syncs = db.metrics.counter("wal.syncs")
+        flushes = db.metrics.counter("wal.flushes")
+        syncs_before, flushes_before = syncs.value, flushes.value
+        for i in range(4):
+            db.new("Item", {"n": i})
+        assert flushes.value == flushes_before + 4
+        assert syncs.value == syncs_before
+        assert db.wal._pending == []
         db.close()
 
     def test_commit_not_durable_until_covering_fsync(self, tmp_path):
