@@ -39,7 +39,7 @@ def build(policy):
 
 def traverse(db, root):
     db.storage.drop_cache()
-    db.storage.buffer.stats.reset()
+    db.metrics.reset("buffer.")
     count = 0
     oid = root
     while oid is not None:
@@ -47,7 +47,7 @@ def traverse(db, root):
         count += 1
         children = state.values.get("subassemblies") or []
         oid = children[0] if children else None
-    return count, db.storage.buffer.stats.faults
+    return count, db.metrics.value("buffer.faults")
 
 
 @pytest.fixture(scope="module")

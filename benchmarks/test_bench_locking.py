@@ -63,12 +63,12 @@ def test_lock_count_summary(part_db):
         "E8a: locks acquired for a %d-object class scan" % N_OBJECTS,
         ("granularity", "acquisitions", "ms"),
         [
-            ("class-level (S on class)", coarse.stats.acquisitions, round(t_coarse * 1e3, 3)),
-            ("object-level (S per object)", fine.stats.acquisitions, round(t_fine * 1e3, 3)),
+            ("class-level (S on class)", coarse.metrics.value("locks.acquisitions"), round(t_coarse * 1e3, 3)),
+            ("object-level (S per object)", fine.metrics.value("locks.acquisitions"), round(t_fine * 1e3, 3)),
         ],
     )
-    assert coarse.stats.acquisitions == 2
-    assert fine.stats.acquisitions == N_OBJECTS + 2
+    assert coarse.metrics.value("locks.acquisitions") == 2
+    assert fine.metrics.value("locks.acquisitions") == N_OBJECTS + 2
     assert t_coarse < t_fine
 
 
@@ -200,12 +200,12 @@ def test_snapshot_readers_scan_lock_free(part_db):
     writer = db.txns.begin()
     db.update(oids[0], {"n": -777})
     try:
-        acquisitions_before = db.locks.stats.acquisitions
-        waits_before = db.locks.stats.blocks
+        acquisitions_before = db.metrics.value("locks.acquisitions")
+        waits_before = db.metrics.value("locks.waits")
         t_read, result = timed(db.execute, "Part where n > -100")
         assert len(result) >= N_OBJECTS - 1
-        assert db.locks.stats.acquisitions == acquisitions_before
-        assert db.locks.stats.blocks == waits_before
+        assert db.metrics.value("locks.acquisitions") == acquisitions_before
+        assert db.metrics.value("locks.waits") == waits_before
         # Every lock in the table belongs to the writer; the reader
         # left no footprint.
         lock_rows = db.select("SysLock")

@@ -54,9 +54,9 @@ def test_speedup_and_maintenance_summary(setup):
     # Maintenance: updating an intermediate (a company's location) must
     # recompute the keys of all dependent vehicles.
     company = oids["Company"][0]
-    index.stats.reset()
+    db.metrics.reset("index.%s." % index.name)
     t_maint, _ = timed(db.update, company, {"location": "Flint"})
-    recomputed = index.stats.recomputes
+    recomputed = db.metrics.value("index.%s.recomputes" % index.name)
     db.update(company, {"location": "Detroit"})  # restore
 
     print_table(

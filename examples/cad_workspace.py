@@ -71,11 +71,12 @@ def main() -> None:
         )
 
     root = workspace.load(gearbox.oid)
-    print("total mass: %d g (faults: %d)" % (total_mass(root), workspace.stats.faults))
+    faults = workspace.metrics.counter("workspace.faults")
+    print("total mass: %d g (faults: %d)" % (total_mass(root), faults.value))
     # Second pass is pure pointer chasing.
-    workspace.stats.faults = 0
+    faults.reset()
     total_mass(root)
-    print("second pass faults:", workspace.stats.faults)
+    print("second pass faults:", faults.value)
 
     # -- versions: derive a lightweight variant -----------------------------
     versioned = db.versions.create_versioned(

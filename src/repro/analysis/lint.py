@@ -57,6 +57,12 @@ hard gate over ``src/repro``:
     and ``txn/recovery.py`` (redo/undo below the engine).  A write that
     reaches the storage manager any other way is unlogged, cannot be
     rolled back and is visible to snapshots opened before it.
+``literal-metric-name``
+    The name passed to ``.counter()`` / ``.gauge()`` / ``.histogram()``
+    / ``.derived()`` must be a string literal, or a literal format
+    (``"index.%s.probes" % name``) for a per-instance family: every
+    metric name is then greppable at its one registration site, which
+    is what a declarative metric catalog will be generated against.
 
 A violation can be baselined in place with an inline pragma::
 
@@ -84,6 +90,7 @@ ALL_RULES = (
     "wall-clock-duration",
     "async-blocking-call",
     "single-write-path",
+    "literal-metric-name",
 )
 
 #: The files allowed to call the storage manager's three write methods.
@@ -257,6 +264,8 @@ class Linter:
             _WRITE_PATH_FILES
         ):
             self._check_single_write_path(tree, path, violations)
+        if "literal-metric-name" in run:
+            self._check_metric_names(tree, path, violations)
         return [v for v in violations if not _silenced(v, pragmas)]
 
     # -- simple rules ----------------------------------------------------
@@ -540,6 +549,35 @@ class Linter:
                         "storage.%s() outside the write path: go through "
                         "Database._write so the change is locked, versioned, "
                         "indexed, logged and undoable" % node.func.attr,
+                    )
+                )
+
+    # -- metric naming ---------------------------------------------------
+
+    def _check_metric_names(self, tree, path, out) -> None:
+        """Flag instrument registrations whose name is computed."""
+        for node in ast.walk(tree):
+            if (
+                not isinstance(node, ast.Call)
+                or not isinstance(node.func, ast.Attribute)
+                or node.func.attr not in ("counter", "gauge", "histogram", "derived")
+                or not node.args
+            ):
+                continue
+            name = node.args[0]
+            if isinstance(name, ast.BinOp) and isinstance(name.op, ast.Mod):
+                name = name.left
+            if not (isinstance(name, ast.Constant) and isinstance(name.value, str)):
+                out.append(
+                    Violation(
+                        "literal-metric-name",
+                        path,
+                        node.lineno,
+                        node.col_offset,
+                        ".%s() name is computed; pass a string literal (or a "
+                        'literal format, "family.%%s.what" %% key) so the '
+                        "metric is greppable where it is registered"
+                        % node.func.attr,
                     )
                 )
 

@@ -57,37 +57,6 @@ from .txn.wal import WriteAheadLog
 from .versions.store import SnapshotView, VersionStore
 
 
-class DatabaseStats:
-    """Aggregated counters used by tests and experiments."""
-
-    def __init__(self, db: "Database") -> None:
-        self._db = db
-
-    def snapshot(self) -> Dict[str, Any]:
-        storage = self._db.storage
-        return {
-            "objects": len(storage.directory),
-            "buffer": storage.buffer.stats.snapshot(),
-            "pager": storage.pager.stats.snapshot(),
-            "locks": {
-                "acquisitions": self._db.locks.stats.acquisitions,
-                "blocks": self._db.locks.stats.blocks,
-                "deadlocks": self._db.locks.stats.deadlocks,
-            },
-            "transactions": {
-                "committed": self._db.txns.committed_count,
-                "aborted": self._db.txns.aborted_count,
-            },
-            "metrics": self._db.metrics.snapshot(),
-            "querystats": self._db.query_stats.rows(),
-        }
-
-    def reset_io(self) -> None:
-        self._db.storage.buffer.stats.reset()
-        self._db.storage.pager.stats.reset()
-        self._db.locks.stats.reset()
-
-
 class QueryStream:
     """A closable handle over a streaming query (:meth:`Database.select_iter`).
 
@@ -198,18 +167,14 @@ class Database:
         buffer_capacity: int = 256,
         clustering: Optional[ClusteringPolicy] = None,
         sync_on_commit: bool = True,
-        metrics_enabled: bool = True,
-        slow_op_threshold: Optional[float] = None,
     ) -> None:
         self.path = path
         #: The database-wide observability registry: every subsystem's
         #: counters (buffer.*, pager.*, wal.*, locks.*, index.*,
         #: query.*) report here; ``db.metrics.snapshot()`` is the one
         #: place to read them all.
-        self.metrics = MetricsRegistry(enabled=metrics_enabled)
-        self.tracer = Tracer(
-            capacity=512, slow_threshold=slow_op_threshold, registry=self.metrics
-        )
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer(capacity=512, registry=self.metrics)
         #: Wait-event profiler: every stall (lock waits, buffer misses,
         #: page I/O, WAL flushes) lands here, tagged with the waiting
         #: transaction; queryable through the SysWaitEvent system view.
@@ -298,7 +263,6 @@ class Database:
             self._deref, self._scan_coerced, self.send, self._adt_eval,
             metrics=self.metrics,
         )
-        self.stats = DatabaseStats(self)
         self._m_parses = self.metrics.counter("query.parses")
         self._m_checks = self.metrics.counter("query.checks")
         self._m_plans = self.metrics.counter("query.plans")
@@ -605,9 +569,12 @@ class Database:
         old = None if before is None else self._coerce(before)
         new = None if after is None else self._coerce(after)
         if not compensating:
-            self._lock(txn, state.oid, state.class_name, write=True)
-            if before is not None and before.class_name != state.class_name:
-                self._lock(txn, state.oid, before.class_name, write=True)
+            # ``before`` was read under its X lock (_load_for_write);
+            # only a new identity — an insert, a reclass's target
+            # class — is locked here, so each write counts once
+            # toward escalation.
+            if before is None or before.class_name != state.class_name:
+                self._lock(txn, state.oid, state.class_name, write=True)
             for hook in self._pre_hooks:
                 hook(kind, old, new)
             # Entry first (None = "did not exist"), then the storage
@@ -682,21 +649,18 @@ class Database:
         store short-circuits the reader's own chain).  Outside a
         transaction this is exactly :meth:`get_state`.
         """
-        current = self.txns.current
-        if current is None:
+        if self.txns.current is None:
             return self.get_state(oid)
-        if current.snapshot is None:
-            current.snapshot = self.version_store.open_snapshot(current.txn_id)
         # The current stored state may already be gone (a concurrent
         # committed delete) while the snapshot still sees the object, so
         # resolve through the version store before deciding existence.
-        state = self.version_store.resolve(oid, current.snapshot, self._deref(oid))
+        state = self._snapshot_view().deref(oid)
         if state is None:
             raise ObjectNotFoundError(
                 "object %r is not visible to this transaction's snapshot" % (oid,)
             )
         self._check_authz("read", state.class_name, oid)
-        return self._coerce(state)
+        return state
 
     def exists(self, oid: OID) -> bool:
         return self.storage.contains(oid)
@@ -704,33 +668,47 @@ class Database:
     def class_of(self, oid: OID) -> str:
         return self.storage.class_of(oid)
 
+    def _load_for_write(self, txn: Transaction, oid: OID) -> ObjectState:
+        """X-lock ``oid`` under ``txn``, *then* read its stored image.
+
+        Strict 2PL: a writer parked on the lock must wake up to the
+        image the previous holder committed (or rolled back to), not to
+        one it read before waiting — that image may never have been
+        committed, and writing it back resurrects or loses an update.
+        """
+        class_name = self.storage.class_of(oid)
+        self._lock(txn, oid, class_name, write=True)
+        state = self.storage.load(oid)
+        if state.class_name != class_name:  # reclassed while we waited
+            self._lock(txn, oid, state.class_name, write=True)
+        return state
+
     def update(self, oid: OID, changes: Dict[str, Any]) -> ObjectHandle:
         """Apply a partial update to one object."""
-        old = self._coerce(self.storage.load(oid))
-        self._check_authz("write", old.class_name, oid)
+        class_name = self.storage.class_of(oid)
+        self._check_authz("write", class_name, oid)
         self.schema.validate_state(
-            old.class_name, changes, self._deref_class, partial=True
+            class_name, changes, self._deref_class, partial=True
         )
-        new = old.copy()
-        new.values.update(changes)
         with self._auto_txn() as txn:
+            old = self._coerce(self._load_for_write(txn, oid))
+            new = old.copy()
+            new.values.update(changes)
             self._write(txn, old, new)
         return ObjectHandle(self, oid)
 
     def put_state(self, state: ObjectState) -> None:
         """Replace an object's full state (checkin, migration paths)."""
-        old = self.storage.load(state.oid)
         self._check_authz("write", state.class_name, state.oid)
         self.schema.validate_state(state.class_name, state.values, self._deref_class)
         with self._auto_txn() as txn:
-            self._write(txn, old, state.copy())
+            self._write(txn, self._load_for_write(txn, state.oid), state.copy())
 
     def delete(self, oid: OID) -> None:
         """Delete an object (composite dependents cascade via hooks)."""
-        state = self.storage.load(oid)
-        self._check_authz("delete", state.class_name, oid)
+        self._check_authz("delete", self.storage.class_of(oid), oid)
         with self._auto_txn() as txn:
-            self._write(txn, state, None)
+            self._write(txn, self._load_for_write(txn, oid), None)
 
     # ------------------------------------------------------------------
     # behavior
@@ -747,16 +725,21 @@ class Database:
     # ------------------------------------------------------------------
 
     def instances(self, class_name: str, hierarchy: bool = True) -> Iterator[ObjectHandle]:
-        """All instances, physically ordered per class."""
+        """All instances, physically ordered per class.
+
+        Inside a transaction this is the same snapshot scan its queries
+        run, so every handle yielded is readable (:meth:`read_state`)
+        and the extent agrees with ``execute`` — lock-free, like them.
+        """
         classes = (
             self.schema.hierarchy_of(class_name) if hierarchy else [class_name]
         )
-        current = self.txns.current
+        if self.txns.current is None:
+            scan = self.storage.scan_class
+        else:
+            scan = self._snapshot_view().scan
         for cls in classes:
-            if current is not None:
-                self.locks.acquire(current.txn_id, DATABASE, IS)
-                self.locks.acquire(current.txn_id, class_resource(cls), S)
-            for state in self.storage.scan_class(cls):
+            for state in scan(cls):
                 yield ObjectHandle(self, state.oid)
 
     def count(self, class_name: str, hierarchy: bool = True) -> int:
@@ -945,6 +928,10 @@ class Database:
         """
         if isinstance(plan.access, (EmptyScan, SystemScan)):
             return None
+        return self._snapshot_view()
+
+    def _snapshot_view(self) -> SnapshotView:
+        """The calling thread's read view (see :meth:`_read_open`)."""
         current = self.txns.current
         if current is None:
             snap = self.version_store.open_snapshot(None)

@@ -354,14 +354,14 @@ class SchemaEvolution:
 
     def migrate_instance(self, oid, new_class: str) -> None:
         """Move one object to another class, coercing its state."""
-        state = self.db.storage.load(oid)
         declared = self.schema.attributes(new_class)
-        values = {
-            name: value for name, value in state.values.items() if name in declared
-        }
-        for name, attr in declared.items():
-            values.setdefault(name, attr.default_value())
-        self.schema.validate_state(new_class, values, self.db._deref_class)
         with self.db._auto_txn() as txn:
+            state = self.db._load_for_write(txn, oid)
+            values = {
+                name: value for name, value in state.values.items() if name in declared
+            }
+            for name, attr in declared.items():
+                values.setdefault(name, attr.default_value())
+            self.schema.validate_state(new_class, values, self.db._deref_class)
             self.db._write(txn, state, ObjectState(state.oid, new_class, values))
         self.log.append("migrate_instance %r -> %s" % (oid, new_class))

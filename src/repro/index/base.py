@@ -14,38 +14,8 @@ from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
 from ..core.obj import ObjectState
 from ..core.oid import OID
 from ..core.schema import Schema
-from ..obs.metrics import CounterValue, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from .btree import BTree
-
-
-class IndexStats:
-    """Probe/maintenance counters for one index.
-
-    A view over ``index.<name>.*`` registry metrics; an index registered
-    with an :class:`~repro.index.manager.IndexManager` shares the
-    database registry, a standalone index gets a private one.
-    """
-
-    __slots__ = ("_probes", "_inserts", "_removes", "_recomputes")
-    probes = CounterValue()
-    inserts = CounterValue()
-    removes = CounterValue()
-    recomputes = CounterValue()
-
-    def __init__(
-        self, registry: Optional[MetricsRegistry] = None, prefix: str = "index"
-    ) -> None:
-        registry = registry if registry is not None else MetricsRegistry()
-        self._probes = registry.counter("%s.probes" % prefix)
-        self._inserts = registry.counter("%s.inserts" % prefix)
-        self._removes = registry.counter("%s.removes" % prefix)
-        self._recomputes = registry.counter("%s.recomputes" % prefix)
-
-    def reset(self) -> None:
-        self._probes.reset()
-        self._inserts.reset()
-        self._removes.reset()
-        self._recomputes.reset()
 
 
 class Index:
@@ -71,16 +41,20 @@ class Index:
         self.target_class = target_class
         self.path: Tuple[str, ...] = tuple(path)
         self.tree = BTree(order=order)
-        self.stats = IndexStats(prefix="index.%s" % name)
+        self.bind_metrics(None)
 
     def bind_metrics(self, registry: Optional[MetricsRegistry]) -> None:
-        """Re-home this index's counters into a shared registry.
+        """Home this index's ``index.<name>.*`` counters in ``registry``.
 
         Called by the index manager at registration time, before the
         initial build, so all of a database's indexes report into the
-        database-wide registry under ``index.<name>.*``.
+        database-wide registry; a standalone index keeps a private one.
         """
-        self.stats = IndexStats(registry, prefix="index.%s" % self.name)
+        self.metrics = registry if registry is not None else MetricsRegistry()
+        self._m_probes = self.metrics.counter("index.%s.probes" % self.name)
+        self._m_inserts = self.metrics.counter("index.%s.inserts" % self.name)
+        self._m_removes = self.metrics.counter("index.%s.removes" % self.name)
+        self._m_recomputes = self.metrics.counter("index.%s.recomputes" % self.name)
 
     # -- coverage ------------------------------------------------------------
 
@@ -100,7 +74,7 @@ class Index:
         return [oid for cls, oid in entries if cls in scope]
 
     def lookup_eq(self, value: Any, scope: Optional[Set[str]] = None) -> List[OID]:
-        self.stats._probes.inc()
+        self._m_probes.inc()
         return sorted(self._filter(self.tree.search(value), scope))
 
     def lookup_range(
@@ -111,14 +85,14 @@ class Index:
         include_high: bool = True,
         scope: Optional[Set[str]] = None,
     ) -> List[OID]:
-        self.stats._probes.inc()
+        self._m_probes.inc()
         out: List[OID] = []
         for _key, entries in self.tree.range(low, high, include_low, include_high):
             out.extend(self._filter(entries, scope))
         return sorted(set(out))
 
     def lookup_in(self, values: Iterable[Any], scope: Optional[Set[str]] = None) -> List[OID]:
-        self.stats._probes.inc()
+        self._m_probes.inc()
         out: List[OID] = []
         for value in values:
             out.extend(self._filter(self.tree.search(value), scope))

@@ -55,14 +55,14 @@ class ClassHierarchyIndex(Index):
             return
         for key in attribute_keys(state, self.attribute):
             self.tree.insert(key, state.class_name, state.oid)
-            self.stats.inserts += 1
+            self._m_inserts.inc()
 
     def on_delete(self, state: ObjectState) -> None:
         if not self._maintains(state.class_name):
             return
         for key in attribute_keys(state, self.attribute):
             self.tree.remove(key, state.class_name, state.oid)
-            self.stats.removes += 1
+            self._m_removes.inc()
 
     def on_update(self, old: ObjectState, new: ObjectState) -> None:
         if (

@@ -70,8 +70,7 @@ class IndexManager:
     def _register(self, index: Index) -> Index:
         if index.name in self._indexes:
             raise SchemaError("index %r already exists" % (index.name,))
-        if self._registry is not None:
-            index.bind_metrics(self._registry)
+        index.bind_metrics(self._registry)
         self._indexes[index.name] = index
         self.epoch += 1
         self._build(index)

@@ -119,7 +119,7 @@ class NestedAttributeIndex(Index):
     def _remove_target(self, oid: OID, class_name: str) -> None:
         for key in self._keys_by_target.pop(oid, []):
             self.tree.remove(key, class_name, oid)
-            self.stats.removes += 1
+            self._m_removes.inc()
         for intermediate in self._deps_by_target.pop(oid, set()):
             dependents = self._deps.get(intermediate)
             if dependents is not None:
@@ -131,7 +131,7 @@ class NestedAttributeIndex(Index):
         keys, intermediates = self._walk(state)
         for key in keys:
             self.tree.insert(key, state.class_name, state.oid)
-            self.stats.inserts += 1
+            self._m_inserts.inc()
         self._keys_by_target[state.oid] = keys
         self._deps_by_target[state.oid] = intermediates
         for intermediate in intermediates:
@@ -139,7 +139,7 @@ class NestedAttributeIndex(Index):
 
     def recompute_target(self, oid: OID) -> None:
         """Re-derive keys for one target object from current stored state."""
-        self.stats.recomputes += 1
+        self._m_recomputes.inc()
         state = self._deref(oid)
         if state is None:
             return

@@ -47,14 +47,14 @@ class SingleClassIndex(Index):
             return
         for key in attribute_keys(state, self.attribute):
             self.tree.insert(key, state.class_name, state.oid)
-            self.stats.inserts += 1
+            self._m_inserts.inc()
 
     def on_delete(self, state: ObjectState) -> None:
         if state.class_name != self.target_class:
             return
         for key in attribute_keys(state, self.attribute):
             self.tree.remove(key, state.class_name, state.oid)
-            self.stats.removes += 1
+            self._m_removes.inc()
 
     def on_update(self, old: ObjectState, new: ObjectState) -> None:
         if old.values.get(self.attribute) == new.values.get(self.attribute) and (

@@ -6,9 +6,9 @@ a wait-event profiler (lock waits, buffer misses, page I/O, WAL
 flushes, each tagged with the waiting transaction), EXPLAIN ANALYZE
 plan trees read off live operator counters, and JSON/Prometheus
 exporters.  Every engine-internal count — buffer hits, lock waits, WAL
-flushes, index probes, swizzle faults, query phases — flows through
-here; the legacy per-component ``*Stats`` classes remain as thin views
-over registry instruments.
+flushes, index probes, swizzle faults, query phases — is an instrument
+its component registers here, and every reader asks the registry by
+name (``value``, ``snapshot(prefix)``, ``reset(prefix)``).
 
 The system statistics views (:mod:`repro.obs.sysviews`) are **not**
 re-exported here: that module imports the multidb and query layers,
@@ -28,7 +28,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_INSTRUMENT,
 )
 from .tracing import SlowOp, Span, Tracer
 from .waits import WAIT_KINDS, WaitEvent, WaitProfiler
@@ -40,7 +39,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_INSTRUMENT",
     "PlanNode",
     "SlowOp",
     "Span",

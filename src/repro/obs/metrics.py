@@ -61,28 +61,6 @@ class Counter:
         return "<Counter %s=%d>" % (self.name, self.value)
 
 
-class CounterValue:
-    """A registry counter's ``value`` as a plain read/write attribute.
-
-    The legacy ``*Stats`` views declare ``hits = CounterValue()`` and
-    bind the :class:`Counter` itself to ``_hits`` in ``__init__``; hot
-    paths keep incrementing the instrument (``stats._hits.inc()``).
-    """
-
-    __slots__ = ("_slot",)
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self._slot = "_" + name
-
-    def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
-        if obj is None:
-            return self
-        return getattr(obj, self._slot).value
-
-    def __set__(self, obj: Any, value: int) -> None:
-        getattr(obj, self._slot).value = value
-
-
 class Gauge:
     """A value that goes up and down (pool occupancy, active txns)."""
 
@@ -203,64 +181,6 @@ class _HistogramTimer:
         self._histogram.observe(time.perf_counter() - self._start)
 
 
-class _NullInstrument:
-    """Shared no-op stand-in handed out by a disabled registry.
-
-    Implements the whole Counter/Gauge/Histogram surface so callers
-    never branch on "metrics enabled?" themselves — the off path is a
-    single no-op method call.
-    """
-
-    __slots__ = ()
-    name = "<null>"
-    count = 0
-    total = 0.0
-    mean = 0.0
-    min = None
-    max = None
-
-    @property
-    def value(self) -> int:
-        return 0
-
-    @value.setter
-    def value(self, _value: Any) -> None:
-        pass
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def dec(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: Any) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def time(self) -> "_NullInstrument":
-        return self
-
-    def reset(self) -> None:
-        pass
-
-    def quantile(self, q: float) -> None:
-        return None
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {}
-
-    def __enter__(self) -> "_NullInstrument":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        pass
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
-
 class MetricsRegistry:
     """One namespace of metrics, usually owned by one :class:`Database`.
 
@@ -272,16 +192,13 @@ class MetricsRegistry:
     experiment phases.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._metrics: Dict[str, Any] = {}
         self._derived: Dict[str, Callable[[], Any]] = {}
 
     # -- instrument creation -------------------------------------------------
 
     def _get_or_create(self, name: str, kind: type, *args: Any) -> Any:
-        if not self.enabled:
-            return NULL_INSTRUMENT
         existing = self._metrics.get(name)
         if existing is not None:
             if not isinstance(existing, kind):
@@ -311,8 +228,7 @@ class MetricsRegistry:
         Used for ratios (buffer hit rate) that would waste hot-path
         cycles if maintained eagerly.
         """
-        if self.enabled:
-            self._derived[name] = fn
+        self._derived[name] = fn
 
     # -- reading -------------------------------------------------------------
 
@@ -345,7 +261,7 @@ class MetricsRegistry:
         return dict(sorted(out.items()))
 
     def value(self, name: str, default: Any = 0) -> Any:
-        """The current value of one metric (0 for absent/disabled)."""
+        """The current value of one metric (``default`` when absent)."""
         metric = self._metrics.get(name)
         if metric is None:
             fn = self._derived.get(name)
@@ -366,7 +282,4 @@ class MetricsRegistry:
         return len(self._metrics) + len(self._derived)
 
     def __repr__(self) -> str:
-        return "<MetricsRegistry %d metrics%s>" % (
-            len(self),
-            "" if self.enabled else " (disabled)",
-        )
+        return "<MetricsRegistry %d metrics>" % len(self)

@@ -131,11 +131,11 @@ class QueryStats:
         self._entries: Dict[str, QueryStatEntry] = {}
         #: The (schema epoch, index epoch) the current entries describe.
         self._epoch_token: Optional[Tuple[int, int]] = None
-        registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
-        self._m_recorded = registry.counter("query.stats.recorded")
-        self._m_invalidations = registry.counter("query.stats.invalidations")
-        self._m_evictions = registry.counter("query.stats.evictions")
-        self._m_fingerprints = registry.gauge("query.stats.fingerprints")
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._m_recorded = self.metrics.counter("query.stats.recorded")
+        self._m_invalidations = self.metrics.counter("query.stats.invalidations")
+        self._m_evictions = self.metrics.counter("query.stats.evictions")
+        self._m_fingerprints = self.metrics.gauge("query.stats.fingerprints")
 
     # -- recording ---------------------------------------------------------
 

@@ -322,7 +322,7 @@ def collect_statistics(
     serializer's encoding, not Python object overhead).  Metrics land
     under ``analyze.*``.
     """
-    registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
+    registry = metrics if metrics is not None else MetricsRegistry()
     m_runs = registry.counter("analyze.runs")
     m_classes = registry.counter("analyze.classes")
     m_rows = registry.counter("analyze.rows_scanned")

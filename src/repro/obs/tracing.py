@@ -24,6 +24,8 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from collections import deque
 
+from .metrics import MetricsRegistry
+
 
 class Span:
     """One timed operation; ``elapsed`` is None while still running."""
@@ -149,9 +151,9 @@ class Tracer:
         Seconds; a finished span at or above this is copied to the
         slow-op log.  None disables the slow log.
     registry:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; when given,
-        the tracer maintains ``trace.spans`` and ``trace.slow_ops``
-        counters there.
+        The :class:`~repro.obs.metrics.MetricsRegistry` holding the
+        ``trace.spans`` and ``trace.slow_ops`` counters (a private one
+        when omitted), exposed as ``tracer.metrics``.
     """
 
     def __init__(
@@ -169,14 +171,9 @@ class Tracer:
         self._buffer: "deque[Span]" = deque(maxlen=capacity)
         self._slow: "deque[SlowOp]" = deque(maxlen=slow_capacity)
         self._local = threading.local()
-        if registry is not None:
-            self._span_counter = registry.counter("trace.spans")
-            self._slow_counter = registry.counter("trace.slow_ops")
-        else:
-            from .metrics import NULL_INSTRUMENT
-
-            self._span_counter = NULL_INSTRUMENT
-            self._slow_counter = NULL_INSTRUMENT
+        self.metrics = registry if registry is not None else MetricsRegistry()
+        self._span_counter = self.metrics.counter("trace.spans")
+        self._slow_counter = self.metrics.counter("trace.slow_ops")
 
     # -- recording -----------------------------------------------------------
 

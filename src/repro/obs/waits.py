@@ -30,7 +30,7 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from .metrics import MetricsRegistry, NULL_INSTRUMENT
+from .metrics import MetricsRegistry
 
 #: The wait-event taxonomy: every kind the engine emits, mapped to its
 #: emitting layer in DESIGN.md.  ``record()`` rejects kinds not listed
@@ -106,9 +106,10 @@ class WaitProfiler:
     Parameters
     ----------
     registry:
-        Optional shared :class:`MetricsRegistry`; when given, every kind
-        gets a ``waits.<kind>.count`` counter and ``waits.<kind>.seconds``
-        histogram there.
+        The :class:`MetricsRegistry` (a private one when omitted,
+        exposed as ``.metrics``) where every kind gets a
+        ``waits.<kind>.count`` counter and ``waits.<kind>.seconds``
+        histogram on first use.
     recent_capacity:
         Ring-buffer size for raw recent events (monitor feed).
     txn_capacity:
@@ -124,7 +125,7 @@ class WaitProfiler:
         txn_capacity: int = 512,
     ) -> None:
         self.enabled = True
-        self.registry = registry
+        self.metrics = registry if registry is not None else MetricsRegistry()
         self.txn_capacity = txn_capacity
         #: Provider for "whose wait is this?" when the reporting layer
         #: has no transaction in hand (buffer/pager/WAL); the database
@@ -152,14 +153,11 @@ class WaitProfiler:
     def _kind_instruments(self, kind: str) -> Tuple[Any, Any]:
         pair = self._instruments.get(kind)
         if pair is None:
-            if self.registry is not None:
-                base = "waits.%s" % _metric_name(kind)
-                pair = (
-                    self.registry.counter(base + ".count"),
-                    self.registry.histogram(base + ".seconds"),
-                )
-            else:
-                pair = (NULL_INSTRUMENT, NULL_INSTRUMENT)
+            name = _metric_name(kind)
+            pair = (
+                self.metrics.counter("waits.%s.count" % name),
+                self.metrics.histogram("waits.%s.seconds" % name),
+            )
             self._instruments[kind] = pair
         return pair
 

@@ -31,8 +31,10 @@ class ResultSet:
     """Query results.
 
     ``oids`` is always populated (in result order).  For projection
-    queries ``rows`` holds dicts keyed by dotted path; otherwise callers
-    materialize handles through the database.  ``pipeline`` keeps the
+    queries ``rows`` holds dicts keyed by dotted path; otherwise
+    ``states`` holds the snapshot-resolved objects the pipeline yielded
+    (what the query *saw*; a handle re-reads current storage).
+    ``pipeline`` keeps the
     executed operator chain so EXPLAIN ANALYZE reads live counters; it
     doubles as ``stats`` (``examined`` / ``matched`` / ``index_probes``).
     """
@@ -44,11 +46,13 @@ class ResultSet:
         oids: List[OID],
         rows: Optional[List[Dict[str, Any]]],
         pipeline: Pipeline,
+        states: Optional[List[ObjectState]],
     ) -> None:
         self.query = query
         self.plan = plan
         self.oids = oids
         self.rows = rows
+        self.states = states
         self.pipeline = pipeline
         #: Execution counters: the pipeline's own live properties.
         self.stats = pipeline
@@ -84,8 +88,8 @@ class Executor:
         self._send = send
         self._adt_eval = adt_eval
         self.kernel = ObjectKernel(deref, send, adt_eval)
-        registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
-        self._m_downgrades = registry.counter("txn.snapshot.plan_downgrades")
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._m_downgrades = self.metrics.counter("txn.snapshot.plan_downgrades")
 
     def pipeline(self, plan: Plan, snapshot=None, visible=None) -> Pipeline:
         """Compile (but do not open) the physical pipeline for a plan.
@@ -163,6 +167,7 @@ class Executor:
             pipeline.set_timed()
         oids: List[OID] = []
         rows: Optional[List[Dict[str, Any]]] = None
+        states: Optional[List[ObjectState]] = None
         pipeline.open()
         try:
             if query.aggregates or (system and query.projections is None):
@@ -174,9 +179,10 @@ class Executor:
                         oids.append(row.oid)
                     rows.append(projected)
             else:
-                oids = [state.oid for state in pipeline.rows()]
+                states = list(pipeline.rows())
+                oids = [state.oid for state in states]
         finally:
             pipeline.close()
-        result = ResultSet(query, pipeline.plan, oids, rows, pipeline)
+        result = ResultSet(query, pipeline.plan, oids, rows, pipeline, states)
         result.system = system
         return result

@@ -256,7 +256,9 @@ class Session:
             if result.system or result.rows is not None:
                 rows: List[Any] = [to_wire(row) for row in result.rows or []]
             elif want_values:
-                rows = [self._materialize(oid) for oid in result.oids]
+                # The states the snapshot query saw — not a re-read of
+                # current storage, which could contradict the predicate.
+                rows = [self._row(state) for state in result.states]
             else:
                 rows = [to_wire(oid) for oid in result.oids]
         return {"rows": rows, "count": len(rows)}
@@ -292,13 +294,7 @@ class Session:
                 except StopIteration:
                     done = True
                     break
-                rows.append(
-                    {
-                        "oid": to_wire(state.oid),
-                        "class": state.class_name,
-                        "values": to_wire(dict(state.values)),
-                    }
-                )
+                rows.append(self._row(state))
         if done:
             stream.close()
             self._cursors.pop(cursor_id, None)
@@ -330,7 +326,7 @@ class Session:
     def _op_get(self, params: Dict[str, Any]) -> Dict[str, Any]:
         oid = self._oid_param(params)
         with self._bound():
-            return self._materialize(oid)
+            return self._row(self.db.get_state(oid))
 
     def _op_update(self, params: Dict[str, Any]) -> Dict[str, Any]:
         oid = self._oid_param(params)
@@ -348,7 +344,13 @@ class Session:
         return {"oid": to_wire(oid)}
 
     def _op_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        return to_wire(self.db.stats.snapshot())
+        return to_wire(
+            {
+                "objects": len(self.db.storage.directory),
+                "metrics": self.db.metrics.snapshot(),
+                "querystats": self.db.query_stats.rows(),
+            }
+        )
 
     # -- param / row helpers -------------------------------------------------
 
@@ -364,10 +366,10 @@ class Session:
             raise SessionError("op requires an 'oid' reference")
         return oid
 
-    def _materialize(self, oid) -> Dict[str, Any]:
-        state = self.db.get_state(oid)
+    @staticmethod
+    def _row(state) -> Dict[str, Any]:
         return {
-            "oid": to_wire(oid),
+            "oid": to_wire(state.oid),
             "class": state.class_name,
             "values": to_wire(dict(state.values)),
         }

@@ -11,61 +11,12 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Dict, Iterator, Optional, Set
+from typing import Iterator, Optional, Set
 
 from ..errors import PageCorruptError, StorageError
-from ..obs.metrics import CounterValue, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..obs.waits import WaitProfiler
 from .page import SlottedPage
-
-
-class BufferStats:
-    """Hit/fault counters — a view over ``buffer.*`` registry metrics.
-
-    Also registers the derived ``buffer.hit_rate`` metric so a single
-    ``MetricsRegistry.snapshot()`` answers "how warm is the pool?"
-    without the hot path paying for a division per access.
-    """
-
-    __slots__ = ("_hits", "_faults", "_evictions", "_flushes", "_corruptions")
-    hits = CounterValue()
-    faults = CounterValue()
-    evictions = CounterValue()
-    flushes = CounterValue()
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        registry = registry if registry is not None else MetricsRegistry()
-        self._hits = registry.counter("buffer.hits")
-        self._faults = registry.counter("buffer.faults")
-        self._evictions = registry.counter("buffer.evictions")
-        self._flushes = registry.counter("buffer.flushes")
-        #: Checksum failures detected on page reads — the engine-side
-        #: detection counter of the ``fault.*`` family.
-        self._corruptions = registry.counter("fault.page_corruptions")
-        registry.derived("buffer.hit_rate", lambda: self.hit_rate)
-
-    def reset(self) -> None:
-        self._hits.reset()
-        self._faults.reset()
-        self._evictions.reset()
-        self._flushes.reset()
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.faults
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.accesses
-        return self.hits / total if total else 0.0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "faults": self.faults,
-            "evictions": self.evictions,
-            "flushes": self.flushes,
-        }
 
 
 class BufferPool:
@@ -84,7 +35,22 @@ class BufferPool:
         self.capacity = capacity
         self._frames: "OrderedDict[int, SlottedPage]" = OrderedDict()
         self._dirty: Set[int] = set()
-        self.stats = BufferStats(registry)
+        #: The registry the ``buffer.*`` counters live in (a private one
+        #: when the pool is built standalone); readers ask it by name.
+        self.metrics = registry if registry is not None else MetricsRegistry()
+        self._m_hits = hits = self.metrics.counter("buffer.hits")
+        self._m_faults = faults = self.metrics.counter("buffer.faults")
+        self._m_evictions = self.metrics.counter("buffer.evictions")
+        self._m_flushes = self.metrics.counter("buffer.flushes")
+        #: Checksum failures detected on page reads — the engine-side
+        #: detection counter of the ``fault.*`` family.
+        self._m_corruptions = self.metrics.counter("fault.page_corruptions")
+        # Derived, so one registry snapshot answers "how warm is the
+        # pool?" without the hot path paying a division per access.
+        self.metrics.derived(
+            "buffer.hit_rate",
+            lambda: hits.value / ((hits.value + faults.value) or 1),
+        )
         self._waits = waits
         # Torn-page protection hooks (attached by the Database once the
         # WAL exists): log a full page image before the page write, and
@@ -115,9 +81,9 @@ class BufferPool:
         frame = self._frames.get(page_id)
         if frame is not None:
             self._frames.move_to_end(page_id)
-            self.stats._hits.inc()
+            self._m_hits.inc()
             return frame
-        self.stats._faults.inc()
+        self._m_faults.inc()
         try:
             if self._waits is None:
                 frame = SlottedPage.from_bytes(
@@ -134,7 +100,7 @@ class BufferPool:
                     target="page:%d" % page_id,
                 )
         except PageCorruptError:
-            self.stats._corruptions.inc()
+            self._m_corruptions.inc()
             raise
         self._admit(page_id, frame)
         return frame
@@ -181,15 +147,15 @@ class BufferPool:
         if victim_id in self._dirty:
             self._write_back(victim_id, victim)
             self._dirty.discard(victim_id)
-            self.stats._flushes.inc()
-        self.stats._evictions.inc()
+            self._m_flushes.inc()
+        self._m_evictions.inc()
 
     def flush_page(self, page_id: int, image_logged: bool = False) -> None:
         frame = self._frames.get(page_id)
         if frame is not None and page_id in self._dirty:
             self._write_back(page_id, frame, image_logged=image_logged)
             self._dirty.discard(page_id)
-            self.stats._flushes.inc()
+            self._m_flushes.inc()
 
     def flush_all(self) -> None:
         dirty = sorted(self._dirty)

@@ -15,44 +15,12 @@ from typing import Dict, Optional
 
 from ..errors import StorageError
 from ..faults import fsync_file, wrap_file
-from ..obs.metrics import CounterValue, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..obs.waits import WaitProfiler
 
 #: Default page size.  4 KiB matches the historical systems the paper
 #: discusses and keeps fault counts meaningful at laptop scale.
 DEFAULT_PAGE_SIZE = 4096
-
-
-class PagerStats:
-    """Physical I/O counters — a view over ``pager.*`` registry metrics.
-
-    A pager created without a registry gets a private one, so
-    directly-constructed pagers (tests) stay isolated while a pager
-    inside a database shares the database-wide registry.
-    """
-
-    __slots__ = ("_reads", "_writes", "_allocations")
-    reads = CounterValue()
-    writes = CounterValue()
-    allocations = CounterValue()
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        registry = registry if registry is not None else MetricsRegistry()
-        self._reads = registry.counter("pager.reads")
-        self._writes = registry.counter("pager.writes")
-        self._allocations = registry.counter("pager.allocations")
-
-    def reset(self) -> None:
-        self._reads.reset()
-        self._writes.reset()
-        self._allocations.reset()
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "allocations": self.allocations,
-        }
 
 
 class MemoryPager:
@@ -68,7 +36,12 @@ class MemoryPager:
         self.page_size = page_size
         self._pages: Dict[int, bytes] = {}
         self._next_id = 0
-        self.stats = PagerStats(registry)
+        # A pager built standalone counts into a private registry; inside
+        # a database it shares the database-wide one.
+        self.metrics = registry if registry is not None else MetricsRegistry()
+        self._m_reads = self.metrics.counter("pager.reads")
+        self._m_writes = self.metrics.counter("pager.writes")
+        self._m_allocations = self.metrics.counter("pager.allocations")
 
     @property
     def page_count(self) -> int:
@@ -78,7 +51,7 @@ class MemoryPager:
         page_id = self._next_id
         self._next_id += 1
         self._pages[page_id] = bytes(self.page_size)
-        self.stats._allocations.inc()
+        self._m_allocations.inc()
         return page_id
 
     def read_page(self, page_id: int) -> bytes:
@@ -86,7 +59,7 @@ class MemoryPager:
             data = self._pages[page_id]
         except KeyError:
             raise StorageError("page %d does not exist" % page_id) from None
-        self.stats._reads.inc()
+        self._m_reads.inc()
         return data
 
     def write_page(self, page_id: int, data: bytes) -> None:
@@ -98,7 +71,7 @@ class MemoryPager:
                 % (len(data), self.page_size)
             )
         self._pages[page_id] = bytes(data)
-        self.stats._writes.inc()
+        self._m_writes.inc()
 
     def sync(self) -> None:
         """No durability for memory pagers; present for interface parity."""
@@ -131,13 +104,16 @@ class FilePager:
             raise StorageError("page size %d is too small" % page_size)
         self.path = path
         self.page_size = page_size
-        self.stats = PagerStats(registry)
+        self.metrics = registry if registry is not None else MetricsRegistry()
+        self._m_reads = self.metrics.counter("pager.reads")
+        self._m_writes = self.metrics.counter("pager.writes")
+        self._m_allocations = self.metrics.counter("pager.allocations")
         self._waits = waits
         exists = os.path.exists(path) and os.path.getsize(path) >= self.HEADER_SIZE
         mode = "r+b" if exists else "w+b"
         # Routed through the fault-injection layer: a no-op passthrough
         # unless a FaultPlan is installed (torture tests).
-        self._file = wrap_file(open(path, mode), "pager:%s" % path, registry)
+        self._file = wrap_file(open(path, mode), "pager:%s" % path, self.metrics)
         if exists:
             self._validate_header()
             size = os.path.getsize(path)
@@ -176,7 +152,7 @@ class FilePager:
         self._next_id += 1
         self._file.seek(self._offset(page_id))
         self._file.write(bytes(self.page_size))
-        self.stats._allocations.inc()
+        self._m_allocations.inc()
         return page_id
 
     def read_page(self, page_id: int) -> bytes:
@@ -187,7 +163,7 @@ class FilePager:
         data = self._file.read(self.page_size)
         if len(data) != self.page_size:
             raise StorageError("short read on page %d of %s" % (page_id, self.path))
-        self.stats._reads.inc()
+        self._m_reads.inc()
         if self._waits is not None:
             self._waits.record(
                 "PageRead",
@@ -207,7 +183,7 @@ class FilePager:
         started = time.perf_counter() if self._waits is not None else 0.0
         self._file.seek(self._offset(page_id))
         self._file.write(data)
-        self.stats._writes.inc()
+        self._m_writes.inc()
         if self._waits is not None:
             self._waits.record(
                 "PageWrite",

@@ -151,5 +151,5 @@ def catalog_report(db: "Database") -> str:
     if db.views is not None and db.views.names():
         lines.append("views (%d): %s" % (len(db.views.names()), ", ".join(db.views.names())))
     lines.append("objects: %d" % len(db.storage.directory))
-    lines.append("buffer: %s" % db.storage.buffer.stats.snapshot())
+    lines.append("buffer: %s" % db.metrics.snapshot("buffer."))
     return "\n".join(lines)

@@ -34,7 +34,8 @@ from ..obs.export import render_prometheus
 
 def build_demo_database() -> Database:
     """An in-memory database with enough activity to populate the views."""
-    db = Database(slow_op_threshold=0.0)
+    db = Database()
+    db.configure_observability(slow_threshold=0.0)
     db.define_class(
         "Vehicle",
         attributes=[

@@ -15,7 +15,7 @@ import time
 from typing import Callable, Dict, Iterator, List, Optional
 
 from ..errors import TransactionError
-from ..obs.metrics import MetricsRegistry, NULL_INSTRUMENT
+from ..obs.metrics import MetricsRegistry
 from .locks import LockManager
 from .wal import WriteAheadLog
 
@@ -124,16 +124,10 @@ class TransactionManager:
         self._id_mutex = threading.Lock()
         self._active: Dict[int, Transaction] = {}
         self._current = threading.local()
-        self.committed_count = 0
-        self.aborted_count = 0
-        if registry is not None:
-            self._m_active = registry.gauge("txn.active")
-            self._m_commits = registry.counter("txn.commits")
-            self._m_aborts = registry.counter("txn.aborts")
-        else:
-            self._m_active = NULL_INSTRUMENT
-            self._m_commits = NULL_INSTRUMENT
-            self._m_aborts = NULL_INSTRUMENT
+        self.metrics = registry if registry is not None else MetricsRegistry()
+        self._m_active = self.metrics.gauge("txn.active")
+        self._m_commits = self.metrics.counter("txn.commits")
+        self._m_aborts = self.metrics.counter("txn.aborts")
 
     # -- current-transaction tracking ---------------------------------------
 
@@ -221,7 +215,6 @@ class TransactionManager:
             self.version_store.commit(txn.txn_id)
         txn.status = COMMITTED
         self._finish(txn)
-        self.committed_count += 1
         self._m_commits.inc()
 
     def abort(self, txn: Transaction) -> None:
@@ -238,7 +231,6 @@ class TransactionManager:
             self.version_store.abort(txn.txn_id)
         txn.status = ABORTED
         self._finish(txn)
-        self.aborted_count += 1
         self._m_aborts.inc()
 
     def _finish(self, txn: Transaction) -> None:

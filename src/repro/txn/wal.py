@@ -166,8 +166,8 @@ class WriteAheadLog:
         self._records: List[LogRecord] = []  # memory mode only
         self._next_lsn = 0
         self._file = None
-        self._registry = registry if registry is not None else MetricsRegistry()
-        registry = self._registry
+        self.metrics = registry if registry is not None else MetricsRegistry()
+        registry = self.metrics
         self._appends = registry.counter("wal.appends")
         #: A "flush" is the commit-time durability point: file flush for
         #: durable logs, the COMMIT append itself for in-memory logs.
@@ -456,7 +456,7 @@ class WriteAheadLog:
             self._file = open(self.path, "wb")
             self._file.close()
             self._file = wrap_file(
-                open(self.path, "ab"), "wal:%s" % self.path, self._registry
+                open(self.path, "ab"), "wal:%s" % self.path, self.metrics
             )
             self._pages_file.close()
             self._pages_file = open(self.pages_path, "wb")
@@ -464,7 +464,7 @@ class WriteAheadLog:
             self._pages_file = wrap_file(
                 open(self.pages_path, "ab"),
                 "wal-pages:%s" % self.pages_path,
-                self._registry,
+                self.metrics,
             )
 
     @property

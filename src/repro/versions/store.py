@@ -122,13 +122,13 @@ class VersionStore:
         #: The commit horizon: timestamp of the newest committed write.
         self._last_commit_ts = 0
         self._entry_count = 0
-        registry = registry if registry is not None else MetricsRegistry(enabled=False)
-        self._m_opened = registry.counter("txn.snapshot.opened")
-        self._m_closed = registry.counter("txn.snapshot.closed")
-        self._m_reads = registry.counter("txn.snapshot.reads")
-        self._m_reclaimed = registry.counter("txn.snapshot.gc_reclaimed")
-        self._m_live = registry.gauge("txn.snapshot.live")
-        self._m_entries = registry.gauge("txn.snapshot.version_entries")
+        self.metrics = registry if registry is not None else MetricsRegistry()
+        self._m_opened = self.metrics.counter("txn.snapshot.opened")
+        self._m_closed = self.metrics.counter("txn.snapshot.closed")
+        self._m_reads = self.metrics.counter("txn.snapshot.reads")
+        self._m_reclaimed = self.metrics.counter("txn.snapshot.gc_reclaimed")
+        self._m_live = self.metrics.gauge("txn.snapshot.live")
+        self._m_entries = self.metrics.gauge("txn.snapshot.version_entries")
 
     # -- writer side --------------------------------------------------------
 

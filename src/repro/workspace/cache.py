@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 from ..core.oid import OID
 from ..errors import KimDBError
-from ..obs.metrics import CounterValue, MetricsRegistry
+from ..obs.metrics import Counter, MetricsRegistry
 from .swizzle import Fault, MemoryObject
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,38 +33,32 @@ _POLICIES = ("lazy", "eager", "none")
 
 
 class WorkspaceStats:
-    """Swizzle-cache counters — a view over ``workspace.*`` metrics.
+    """``hits`` / ``faults`` / ``hit_rate`` of one workspace's counters.
 
-    Each workspace owns a private registry (``workspace.metrics``):
-    workspaces are per-application caches, and the E5 ablation compares
-    several of them over one database, so their counts must not mix in
-    the database-wide registry.
+    The one ``*Stats`` view left: ``benchmarks/ledger/workloads/
+    oo1_traverse.py`` reads ``workspace.stats.hits`` / ``.faults`` and
+    the ledger's files are frozen by BENCHMARK.json.  Everything else
+    reads ``workspace.metrics`` by name; this goes when the ledger does.
     """
 
-    __slots__ = ("_loads", "_hits", "_faults", "_writebacks")
-    loads = CounterValue()
-    hits = CounterValue()
-    faults = CounterValue()
-    writebacks = CounterValue()
+    __slots__ = ("_hits", "_faults")
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        registry = registry if registry is not None else MetricsRegistry()
-        self._loads = registry.counter("workspace.loads")
-        self._hits = registry.counter("workspace.hits")
-        self._faults = registry.counter("workspace.faults")
-        self._writebacks = registry.counter("workspace.writebacks")
-        registry.derived("workspace.hit_rate", lambda: self.hit_rate)
+    def __init__(self, hits: Counter, faults: Counter) -> None:
+        self._hits = hits
+        self._faults = faults
+
+    @property
+    def hits(self) -> int:
+        return self._hits.value
+
+    @property
+    def faults(self) -> int:
+        return self._faults.value
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.faults
         return self.hits / total if total else 0.0
-
-    def reset(self) -> None:
-        self._loads.reset()
-        self._hits.reset()
-        self._faults.reset()
-        self._writebacks.reset()
 
 
 class ObjectWorkspace:
@@ -79,8 +73,16 @@ class ObjectWorkspace:
         self.db = db
         self.policy = policy
         self._resident: Dict[OID, MemoryObject] = {}
+        #: Private registry: workspaces are per-application caches, and
+        #: the E5 ablation compares several of them over one database, so
+        #: their counts must not mix in the database-wide registry.
         self.metrics = MetricsRegistry()
-        self.stats = WorkspaceStats(self.metrics)
+        self._m_loads = self.metrics.counter("workspace.loads")
+        self._m_hits = self.metrics.counter("workspace.hits")
+        self._m_faults = self.metrics.counter("workspace.faults")
+        self._m_writebacks = self.metrics.counter("workspace.writebacks")
+        self.stats = WorkspaceStats(self._m_hits, self._m_faults)
+        self.metrics.derived("workspace.hit_rate", lambda: self.stats.hit_rate)
 
     # -- loading ------------------------------------------------------------
 
@@ -99,7 +101,7 @@ class ObjectWorkspace:
         """
         resident = self._resident.get(oid)
         if resident is not None:
-            self.stats._hits.inc()
+            self._m_hits.inc()
             return resident
         memory_object = self._admit(oid)
         if self.policy == "eager":
@@ -111,9 +113,9 @@ class ObjectWorkspace:
         return memory_object
 
     def _admit(self, oid: OID) -> MemoryObject:
-        self.stats._faults.inc()
+        self._m_faults.inc()
         state = self.db.get_state(oid)
-        self.stats._loads.inc()
+        self._m_loads.inc()
         memory_object = MemoryObject(state.oid, state.class_name, dict(state.values), self)
         self._resident[oid] = memory_object
         if self.policy != "none":
@@ -190,7 +192,7 @@ class ObjectWorkspace:
             for memory_object in dirty:
                 self.db.update(memory_object.oid, memory_object.to_state_values())
                 memory_object.dirty = False
-                self.stats._writebacks.inc()
+                self._m_writebacks.inc()
         return len(dirty)
 
     def evict(self, oid: OID) -> None:

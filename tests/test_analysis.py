@@ -659,6 +659,33 @@ def f(db, state):
         assert linter.lint_source(self.SOURCE, path, "txn") == []
 
 
+class TestLiteralMetricNameRule:
+    def test_computed_names_flagged(self):
+        source = """
+def f(registry, base, kind):
+    registry.counter(base + ".count")
+    registry.histogram(kind)
+    registry.gauge("%s.live" % kind if kind else base)
+    registry.derived(NAME, lambda: 0.0)
+"""
+        violations = lint(source)
+        assert [(v.rule, v.line) for v in violations] == [
+            ("literal-metric-name", line) for line in (3, 4, 5, 6)
+        ]
+        assert "greppable" in violations[0].message
+
+    def test_literals_and_literal_formats_clean(self):
+        source = """
+def f(registry, name, bounds):
+    registry.counter("buffer.hits")
+    registry.histogram("query.seconds", bounds)
+    registry.counter("index.%s.probes" % name)
+    registry.derived("buffer.hit_rate", lambda: 0.0)
+    registry.value(name)
+"""
+        assert lint(source) == []
+
+
 class TestLintGate:
     def test_engine_source_is_clean(self):
         assert lint_paths([SRC_REPRO], engine_config()) == []

@@ -62,9 +62,9 @@ class TestSingleClassIndex:
     def test_noop_update_skips_maintenance(self, vdb):
         index = vdb.create_class_index("Vehicle", "weight")
         handle = vdb.new("Vehicle", {"weight": 444, "color": "red"})
-        inserts_before = index.stats.inserts
+        inserts_before = vdb.metrics.value("index.%s.inserts" % index.name)
         vdb.update(handle.oid, {"color": "blue"})
-        assert index.stats.inserts == inserts_before
+        assert vdb.metrics.value("index.%s.inserts" % index.name) == inserts_before
 
 
 class TestClassHierarchyIndex:

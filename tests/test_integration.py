@@ -172,5 +172,5 @@ def test_database_constructor_options_are_pinned():
     same commit and say which two callers need different values."""
     assert list(inspect.signature(Database.__init__).parameters)[1:] == [
         "path", "page_size", "buffer_capacity", "clustering",
-        "sync_on_commit", "metrics_enabled", "slow_op_threshold",
+        "sync_on_commit",
     ]

@@ -96,13 +96,13 @@ class TestSnapshotReads:
     def test_snapshot_reads_take_zero_scan_locks(self):
         db = _vehicle_db()
         try:
-            baseline = db.locks.stats.acquisitions
+            baseline = db.metrics.value("locks.acquisitions")
             result = db.execute("Vehicle where weight > 1003")
             assert len(result) == 8
-            assert db.locks.stats.acquisitions == baseline
+            assert db.metrics.value("locks.acquisitions") == baseline
             with db.select_iter("Vehicle where color = 'red'") as stream:
                 assert sum(1 for _ in stream) == 6
-            assert db.locks.stats.acquisitions == baseline
+            assert db.metrics.value("locks.acquisitions") == baseline
         finally:
             db.close()
 
@@ -398,6 +398,26 @@ class TestHandleSnapshotReads:
                 _in_thread(writer)
                 # Deleted under our feet, but our snapshot still has it.
                 assert handle["weight"] == 1002
+        finally:
+            db.close()
+
+    def test_instances_scans_the_transactions_snapshot(self):
+        """``instances()`` inside a transaction is the snapshot scan the
+        queries run: every handle it yields is readable, its extent
+        agrees with ``execute``, and it takes no lock."""
+        db = _vehicle_db()
+        try:
+            with db.transaction():
+                before = _weights(db)  # binds the snapshot
+                _in_thread(lambda: db.new("Vehicle", {"weight": 9999}))
+                _in_thread(
+                    lambda: db.delete(db.select("Vehicle where weight = 1001")[0].oid)
+                )
+                locks_before = db.metrics.value("locks.acquisitions")
+                seen = sorted(h["weight"] for h in db.instances("Vehicle"))
+                assert seen == before == _weights(db)
+                assert db.metrics.value("locks.acquisitions") == locks_before
+            assert 9999 in sorted(h["weight"] for h in db.instances("Vehicle"))
         finally:
             db.close()
 

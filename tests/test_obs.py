@@ -14,7 +14,6 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_INSTRUMENT,
     Span,
     Tracer,
     observability_payload,
@@ -125,20 +124,6 @@ class TestCounterGaugeHistogram:
             reader.join()
             sys.setswitchinterval(interval)
         assert errors == []
-
-    def test_disabled_registry_hands_out_null_instruments(self):
-        reg = MetricsRegistry(enabled=False)
-        c = reg.counter("x")
-        assert c is NULL_INSTRUMENT
-        # The whole instrument surface is a no-op, including assignment
-        # through the compat shims' ``value`` setter.
-        c.inc()
-        c.value = 99
-        c.observe(1.0)
-        with c.time():
-            pass
-        assert c.value == 0
-        assert reg.snapshot() == {}
 
 
 class TestTracer:
@@ -317,7 +302,6 @@ class TestEngineWiring:
         assert snap["index.sc_Vehicle_weight.probes"] == 1
         assert snap["query.executes"] == 1
         assert snap["query.seconds"]["count"] == 1
-        assert db.stats.snapshot()["metrics"] == snap
 
     def test_query_spans_nest_under_execute(self):
         db = _vehicle_db()
@@ -326,23 +310,80 @@ class TestEngineWiring:
         assert root is not None
         assert {child.name for child in root.children} >= {"query.parse", "query.plan", "query.run"}
 
-    def test_metrics_off_database(self):
-        db = Database(metrics_enabled=False)
-        db.define_class("Thing", attributes=[AttributeDef("n", "Integer")])
-        db.new("Thing", {"n": 1})
-        result = db.execute("SELECT t FROM Thing t WHERE t.n = 1")
-        assert len(result) == 1
-        assert db.metrics.snapshot() == {}
-        # Legacy stats accessors still answer (as zeros) on the off path.
-        assert db.storage.buffer.stats.hits == 0
-
     def test_slow_op_threshold_plumbed_through(self):
-        db = Database(slow_op_threshold=0.0)  # everything is "slow"
+        db = Database()
+        db.configure_observability(slow_threshold=0.0)  # everything is "slow"
         db.define_class("Thing", attributes=[AttributeDef("n", "Integer")])
         db.new("Thing", {"n": 1})
         db.execute("SELECT t FROM Thing t WHERE t.n = 1")
         names = {op.name for op in db.tracer.slow_ops()}
         assert "query.execute" in names
+
+
+class TestMetricNameContract:
+    """The registry's names are an interface: benchgate baselines, the
+    ledger's counter deltas, SysStat and the Prometheus export all key
+    on them.  A rename or a dropped instrument fails here, in tier-1."""
+
+    #: sorted(db.metrics.names()) over the workload below, captured at
+    #: the commit before the ``*Stats`` façades were deleted.
+    NAMES = [
+        "buffer.evictions", "buffer.faults", "buffer.flushes",
+        "buffer.hit_rate", "buffer.hits", "fault.page_corruptions",
+        "fault.wal_torn_tail", "index.sc_P_a.inserts", "index.sc_P_a.probes",
+        "index.sc_P_a.recomputes", "index.sc_P_a.removes", "locks.acquisitions",
+        "locks.deadlocks", "locks.upgrades", "locks.wait_seconds",
+        "locks.waits", "pager.allocations", "pager.reads", "pager.writes",
+        "query.checks", "query.cost.actual_rows", "query.cost.candidates",
+        "query.cost.decisions_live", "query.cost.decisions_statistics",
+        "query.cost.estimated_rows", "query.cost.plan_cache_flips",
+        "query.cost.plan_cache_recosts", "query.cost.stale_fallbacks",
+        "query.executes", "query.index_probes", "query.parses",
+        "query.plan_cache.evictions", "query.plan_cache.hits",
+        "query.plan_cache.invalidations", "query.plan_cache.misses",
+        "query.plans", "query.rows", "query.rows_examined",
+        "query.rows_matched", "query.seconds", "query.stats.evictions",
+        "query.stats.fingerprints", "query.stats.invalidations",
+        "query.stats.recorded", "recovery.pages_reallocated",
+        "recovery.pages_reimaged", "recovery.redone", "recovery.runs",
+        "recovery.undone", "rewrite.contradictions", "rewrite.queries",
+        "rewrite.rules_applied", "trace.slow_ops", "trace.spans", "txn.aborts",
+        "txn.active", "txn.commits", "txn.snapshot.closed",
+        "txn.snapshot.gc_reclaimed", "txn.snapshot.live", "txn.snapshot.opened",
+        "txn.snapshot.plan_downgrades", "txn.snapshot.reads",
+        "txn.snapshot.version_entries", "waits.buffer_read.count",
+        "waits.buffer_read.seconds", "waits.page_read.count",
+        "waits.page_read.seconds", "waits.w_a_l_flush.count",
+        "waits.w_a_l_flush.seconds", "waits.w_a_l_sync.count",
+        "waits.w_a_l_sync.seconds", "wal.append_bytes", "wal.appends",
+        "wal.flushes", "wal.group_commit.batch_size",
+        "wal.group_commit.batches", "wal.group_commit.commits",
+        "wal.page_image_bytes", "wal.page_images", "wal.syncs", "wal.truncates",
+    ]
+
+    def test_fixed_workload_registers_exactly_these_names(self, tmp_path):
+        path = str(tmp_path / "contract.db")
+        db = Database(path)
+        db.define_class(
+            "P", attributes=[AttributeDef("a", "Integer"), AttributeDef("b", "Integer")]
+        )
+        db.create_class_index("P", "a")
+        for i in range(50):
+            db.new("P", {"a": i, "b": i % 5})
+        db.select("select p from P p where p.a = 7")  # indexed
+        db.select("select p from P p where p.b = 3")  # scanned
+        txn = db.transaction()
+        db.new("P", {"a": 100, "b": 0})
+        txn.abort()
+        with db.transaction():
+            db.new("P", {"a": 101, "b": 1})
+        names = set(db.metrics.names())
+        db.close()
+        db = Database(path)  # a fresh registry: recovery + cold reads
+        db.select("select p from P p where p.a = 7")
+        names |= set(db.metrics.names())
+        db.close()
+        assert sorted(names) == self.NAMES
 
 
 class TestExport:

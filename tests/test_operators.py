@@ -197,13 +197,13 @@ class TestSelectIter:
         iterator.close()  # generator close propagates to pipeline close
 
     def test_mid_stream_close_releases_snapshot_and_operators(self, populated_db):
-        locks_before = populated_db.locks.stats.acquisitions
+        locks_before = populated_db.metrics.value("locks.acquisitions")
         stream = populated_db.select_iter("SELECT v FROM Vehicle v")
         next(stream)
         next(stream)
         # Snapshot reads: the stream runs lock-free against its begin
         # snapshot — no transaction, no scan locks, one live snapshot.
-        assert populated_db.locks.stats.acquisitions == locks_before
+        assert populated_db.metrics.value("locks.acquisitions") == locks_before
         assert populated_db.txns.active_transactions() == []
         assert populated_db.version_store.live_snapshots()
         stream.close()

@@ -35,8 +35,8 @@ from repro.server.session import Session
 REPEATED = "SELECT v FROM Vehicle v WHERE v.weight >= 920"
 
 
-def _vehicle_db(**kwargs):
-    db = Database(**kwargs)
+def _vehicle_db():
+    db = Database()
     db.define_class(
         "Vehicle",
         attributes=[
@@ -228,15 +228,6 @@ class TestSysQueryStat:
         assert len(rows) == 1
         assert rows[0]["calls"] == 1
         assert rows[0]["rows_matched"] == 10
-        db.close()
-
-    def test_stats_snapshot_carries_querystats(self):
-        # The server "stats" op serves DatabaseStats.snapshot() verbatim,
-        # so this is the wire payload's shape.
-        db = _vehicle_db()
-        db.execute(REPEATED)
-        snap = db.stats.snapshot()
-        assert snap["querystats"][0]["calls"] == 1
         db.close()
 
     def test_semantic_gate_and_explain_on_sysquerystat(self):
@@ -457,7 +448,8 @@ class TestTraceContext:
         assert span.tags["trace"] == "explicit"
 
     def test_slow_op_carries_trace(self):
-        db = _vehicle_db(slow_op_threshold=0.0)
+        db = _vehicle_db()
+        db.configure_observability(slow_threshold=0.0)
         with db.tracer.trace("trace-xyz"):
             db.execute(REPEATED)
         rows = db.select("SysSlowOp where trace = 'trace-xyz'")
@@ -490,7 +482,8 @@ class TestSessionTraceParsing:
 class TestWireTracePropagation:
     @pytest.fixture
     def served(self):
-        db = _vehicle_db(slow_op_threshold=0.0)
+        db = _vehicle_db()
+        db.configure_observability(slow_threshold=0.0)
         server = Server(db, port=0, workers=2, lock_timeout=0.5)
         server.start()
         yield db, server

@@ -159,20 +159,21 @@ class TestContradictionShortCircuit:
         db = populated_db
         plan = db.plan(self.CONTRADICTION)
         assert isinstance(plan.access, EmptyScan)
-        db.stats.reset_io()
+        db.metrics.reset("buffer.")
+        db.metrics.reset("pager.")
         with db.transaction():
-            locks_before = db.locks.stats.acquisitions
+            locks_before = db.metrics.value("locks.acquisitions")
             result = db.execute(self.CONTRADICTION)
-            locks_after = db.locks.stats.acquisitions
+            locks_after = db.metrics.value("locks.acquisitions")
         assert list(result.oids) == []
         assert result.stats.examined == 0
         assert result.stats.index_probes == 0
         # Zero locks: the EmptyScan path skips the class scan locks an
         # ordinary query takes under an explicit transaction.
         assert locks_after - locks_before == 0
-        snap = db.stats.snapshot()
-        assert snap["buffer"]["hits"] == 0 and snap["buffer"]["faults"] == 0
-        assert snap["pager"]["reads"] == 0
+        snap = db.metrics.snapshot()
+        assert snap["buffer.hits"] == 0 and snap["buffer.faults"] == 0
+        assert snap["pager.reads"] == 0
 
     def test_sysstat_and_wait_events_confirm_no_lock_traffic(self, populated_db):
         db = populated_db

@@ -156,8 +156,11 @@ class TestBasicOps:
         c.close()
 
     def test_stats_op(self, client):
+        client.query("Vehicle where color = 'red'")
         snapshot = client.stats()
         assert snapshot["objects"] >= 24
+        assert snapshot["metrics"]["query.executes"] >= 1
+        assert snapshot["querystats"][0]["calls"] >= 1
 
 
 class TestSessionTransactions:
@@ -201,6 +204,26 @@ class TestSessionTransactions:
             c2.update(target, {"color": "contender"})
             c2.commit()
         assert db.select("Vehicle where color = 'contender' limit 1")
+
+    def test_query_values_are_the_rows_the_snapshot_query_saw(self, served):
+        """``values=true`` serialises the states the pipeline yielded,
+        not a re-read of current storage: a row never contradicts the
+        predicate that selected it, a concurrent delete cannot fail the
+        request, and (readers don't lock) no lock is taken."""
+        db, server = served
+        q = "select v from Vehicle v where v.weight = 1003"
+        with Client(*server.address) as c1, Client(*server.address) as c2:
+            c1.begin()
+            (oid,) = c1.query(q)  # binds c1's snapshot
+            c2.update(oid, {"weight": 99})
+            locks_before = db.metrics.value("locks.acquisitions")
+            (row,) = c1.query(q, values=True)
+            assert row["values"]["weight"] == 1003
+            assert db.metrics.value("locks.acquisitions") == locks_before
+            c2.delete(oid)
+            (row,) = c1.query(q, values=True)
+            assert (row["oid"], row["values"]["weight"]) == (oid, 1003)
+            c1.rollback()
 
     def test_nested_begin_rejected(self, client):
         client.begin()

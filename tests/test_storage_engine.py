@@ -34,7 +34,9 @@ class TestPagers:
         pid = pager.allocate()
         pager.write_page(pid, bytes(256))
         pager.read_page(pid)
-        assert pager.stats.snapshot() == {"reads": 1, "writes": 1, "allocations": 1}
+        assert pager.metrics.snapshot("pager.") == {
+            "pager.allocations": 1, "pager.reads": 1, "pager.writes": 1,
+        }
 
     def test_file_pager_persists(self, tmp_path):
         path = str(tmp_path / "pages.db")
@@ -79,8 +81,8 @@ class TestBufferPool:
         pool.drop_all()
         pool.get_page(pid)
         pool.get_page(pid)
-        assert pool.stats.faults == 1
-        assert pool.stats.hits == 1
+        assert pool.metrics.value("buffer.faults") == 1
+        assert pool.metrics.value("buffer.hits") == 1
 
     def test_eviction_writes_dirty_pages(self):
         pool = BufferPool(MemoryPager(256), capacity=2)
@@ -92,7 +94,7 @@ class TestBufferPool:
             pool.mark_dirty(pid)
             pids.append(pid)
         # Capacity 2 < 3 pages: at least one eviction flushed its data.
-        assert pool.stats.evictions >= 1
+        assert pool.metrics.value("buffer.evictions") >= 1
         pool.flush_all()
         pool.drop_all()
         for position, pid in enumerate(pids):
@@ -120,9 +122,9 @@ class TestBufferPool:
         pool = BufferPool(MemoryPager(256), capacity=8)
         pid = pool.new_page()
         pool.drop_all()
-        pool.stats.reset()
+        pool.metrics.reset("buffer.")
         pool.get_page(pid)
-        assert pool.stats.faults == 1
+        assert pool.metrics.value("buffer.faults") == 1
 
 
 class TestHeapFile:

@@ -16,8 +16,8 @@ from repro.errors import QueryError, SemanticError
 from repro.obs import MetricsRegistry, WaitProfiler, render_prometheus
 
 
-def _vehicle_db(**kwargs):
-    db = Database(**kwargs)
+def _vehicle_db():
+    db = Database()
     db.define_class(
         "Vehicle",
         attributes=[
@@ -251,7 +251,8 @@ class TestLockWaitIntegration:
 
 class TestSysSlowOp:
     def test_slow_ops_queryable(self):
-        db = _vehicle_db(slow_op_threshold=0.0)
+        db = _vehicle_db()
+        db.configure_observability(slow_threshold=0.0)
         db.execute("SELECT v FROM Vehicle v")
         rows = db.select("SysSlowOp where name = 'query.execute' order by elapsed desc")
         assert rows and rows[0]["elapsed"] >= rows[-1]["elapsed"]

@@ -1,11 +1,15 @@
 """Transactions: atomicity, rollback, WAL, recovery, durability."""
 
+import threading
+import time
+
 import pytest
 
 from repro import AttributeDef, Database
 from repro.core.obj import ObjectState
 from repro.core.oid import OID
 from repro.errors import RecoveryError, TransactionError
+from repro.evolution import SchemaEvolution
 from repro.storage.manager import StorageManager
 from repro.txn.recovery import checkpoint, recover
 from repro.txn.wal import COMMIT, INSERT, LogRecord, WriteAheadLog
@@ -90,7 +94,7 @@ class TestTransactionLifecycle:
 
     def test_autocommit_single_op(self, adb):
         account = adb.new("Account", {"balance": 5})
-        assert adb.txns.committed_count >= 1
+        assert adb.metrics.value("txn.commits") >= 1
         assert adb.exists(account.oid)
 
     def test_locks_released_after_commit(self, adb):
@@ -104,6 +108,88 @@ class TestTransactionLifecycle:
         adb.txns.abort_all_active()
         assert not adb.exists(account.oid)
         assert adb.txns.active_transactions() == []
+
+
+class TestWriterReadsItsBeforeImageUnderTheLock:
+    """Strict 2PL: a writer parked on an X lock builds on what the
+    holder left behind, never on an image it read before waiting."""
+
+    @staticmethod
+    def _race(t1_rest, t2_finish, t1_first=lambda db, oid: db.update(oid, {"a": 5})):
+        """T1 writes the object (``t1_first``); T2's ``update(b=7)``
+        parks on T1's X lock; ``t1_rest(db, t1, oid)`` ends T1; T2 then
+        runs ``t2_finish(db, t2)``.  Returns the stored values."""
+        db = Database()
+        attributes = [AttributeDef("a", "Integer"), AttributeDef("b", "Integer")]
+        db.define_class("P", attributes=attributes)
+        db.define_class("Q", attributes=attributes)
+        oid = db.new("P", {"a": 1, "b": 1}).oid
+        t1 = db.transaction()
+        t1_first(db, oid)
+        errors = []
+
+        def writer():
+            try:
+                t2 = db.transaction()
+                db.update(oid, {"b": 7})
+                t2_finish(db, t2)
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        deadline = time.monotonic() + 10
+        while not db.locks.waiting_edges():
+            assert time.monotonic() < deadline, "T2 never parked on T1's lock"
+        t1_rest(db, t1, oid)
+        thread.join(10)
+        assert not thread.is_alive() and errors == []
+        return db.get_state(oid).values
+
+    @staticmethod
+    def _update_again_and_commit(db, t1, oid):
+        db.update(oid, {"a": 6})
+        t1.commit()
+
+    def test_aborted_value_is_not_resurrected(self):
+        values = self._race(
+            lambda db, t1, oid: t1.abort(), lambda db, t2: t2.commit()
+        )
+        assert values == {"a": 1, "b": 7}
+
+    def test_holders_later_update_is_not_lost(self):
+        values = self._race(
+            self._update_again_and_commit, lambda db, t2: t2.commit()
+        )
+        assert values == {"a": 6, "b": 7}
+
+    def test_undo_restores_the_committed_image(self):
+        values = self._race(
+            self._update_again_and_commit, lambda db, t2: t2.abort()
+        )
+        assert values == {"a": 6, "b": 1}
+
+    def test_class_lock_follows_a_reclass_rolled_back_while_waiting(self):
+        """T2 read the directory while T1's uncommitted migration said
+        ``Q``; once T1 aborts the object is a ``P`` again and T2's write
+        must hold the intention lock on *that* class."""
+        held = []
+
+        def finish(db, t2):
+            held.extend(
+                row["resource"]
+                for row in db.locks.held_snapshot()
+                if row["txn"] == t2.txn_id
+            )
+            t2.commit()
+
+        values = self._race(
+            lambda db, t1, oid: t1.abort(),
+            finish,
+            t1_first=lambda db, oid: SchemaEvolution(db).migrate_instance(oid, "Q"),
+        )
+        assert values == {"a": 1, "b": 7}
+        assert "class:P" in held
 
 
 class TestWalFraming:
