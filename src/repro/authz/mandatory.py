@@ -22,7 +22,7 @@ model of :mod:`repro.authz.model`:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..core.oid import OID
 from ..errors import AuthorizationError
@@ -147,17 +147,18 @@ class MandatorySecurityManager:
                 )
             )
 
-    @property
-    def reads_everything(self) -> bool:
-        """True while MAC is not activated for this session (no subject),
-        so a query needs no per-object visibility predicate at all."""
-        return self._subject is None
+    def reader(self) -> Optional[Callable[[OID, str], bool]]:
+        """The per-object no-read-up decision a query evaluates inside
+        its pipeline, bound to the subject's clearance when the read opens.
 
-    def read_allowed(self, oid: OID, class_name: str) -> bool:
-        """The per-object no-read-up decision queries evaluate inside
-        their pipeline, on the row's own class: objects classified above
-        the subject's clearance silently vanish."""
-        return self.allowed("read", class_name, oid)
+        None while MAC is not activated for this session (no subject);
+        otherwise ``(oid, class_name) -> bool`` on the row's own class:
+        objects classified above that clearance silently vanish.
+        """
+        if self._subject is None:
+            return None
+        clearance = self._rank[self.clearance_of(self._subject)]
+        return lambda oid, cls: clearance >= self._rank[self.classification_of(cls, oid)]
 
 
 def attach_mandatory(

@@ -24,7 +24,7 @@ denial (closed world).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..core.oid import OID
 from ..errors import AuthorizationError
@@ -187,9 +187,14 @@ class AuthorizationManager:
         return False
 
     def allowed(self, action: str, class_name: str, oid: Optional[OID] = None) -> bool:
-        if self._subject is None:
+        return self._allowed(self._subject, action, class_name, oid)
+
+    def _allowed(
+        self, subject: Optional[str], action: str, class_name: str, oid: Optional[OID]
+    ) -> bool:
+        if subject is None:
             return False
-        roles = self._role_closure(self._subject)
+        roles = self._role_closure(subject)
         if self.SUPERUSER in roles:
             return True
         resources = self._applicable_resources(class_name, oid)
@@ -225,20 +230,19 @@ class AuthorizationManager:
                 )
             )
 
-    @property
-    def reads_everything(self) -> bool:
-        """True when the current subject holds the superuser role, so a
-        query needs no per-object visibility predicate at all."""
-        return (
-            self._subject is not None
-            and self.SUPERUSER in self._role_closure(self._subject)
-        )
+    def reader(self) -> Optional[Callable[[OID, str], bool]]:
+        """The per-object read decision a query evaluates inside its
+        pipeline, bound to the subject current when the read opens.
 
-    def read_allowed(self, oid: OID, class_name: str) -> bool:
-        """The per-object read decision queries evaluate inside their
-        pipeline, on the row's own class: no subject means nothing is
-        readable, otherwise the grant/denial evaluation runs per object."""
-        return self.allowed("read", class_name, oid)
+        None when that subject holds the superuser role (no per-object
+        predicate at all); otherwise ``(oid, class_name) -> bool`` — no
+        subject means nothing is readable, else the grant/denial
+        evaluation runs per object, on the row's own class.
+        """
+        subject = self._subject
+        if subject is not None and self.SUPERUSER in self._role_closure(subject):
+            return None
+        return lambda oid, class_name: self._allowed(subject, "read", class_name, oid)
 
 
 def attach(db: "Database") -> AuthorizationManager:

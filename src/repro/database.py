@@ -74,7 +74,6 @@ class QueryStream:
         db: "Database",
         pipeline,
         snapshot,
-        plan: Plan,
         source: Optional[str],
         started: float,
     ) -> None:
@@ -84,9 +83,8 @@ class QueryStream:
         #: (None for a proven-empty scan).  Ephemeral snapshots are
         #: closed by :meth:`close`, which moves the version GC horizon.
         self._snapshot = snapshot
-        #: The prepared plan, query text and start clock, kept for the
-        #: finish (counters, fingerprint statistics) that close() runs.
-        self._plan = plan
+        #: Query text and start clock, kept for the finish (counters,
+        #: fingerprint statistics) that close() runs.
         self._source = source
         self._started = started
         self._rows = pipeline.rows()
@@ -128,7 +126,7 @@ class QueryStream:
         self._closed = True
         self._pipeline.close()
         self._db._read_close(self._snapshot)
-        self._db._finish(self._plan, self._pipeline, self._source, self._started)
+        self._db._finish(self._pipeline, self._source, self._started)
 
     def __enter__(self) -> "QueryStream":
         return self
@@ -260,8 +258,7 @@ class Database:
         #: observed); served by the SysOperator view.
         self.last_operator_stats: Optional[List[Dict[str, Any]]] = None
         self._executor = Executor(
-            self._deref, self._scan_coerced, self.send, self._adt_eval,
-            metrics=self.metrics,
+            self._deref, self._scan_coerced, self.send, self._adt_eval
         )
         self._m_parses = self.metrics.counter("query.parses")
         self._m_checks = self.metrics.counter("query.checks")
@@ -313,7 +310,7 @@ class Database:
         self._closed = False
 
         if path is not None:
-            _recover(self.wal, self.storage, registry=self.metrics)
+            _recover(self.wal, self.storage)
             self._oids.advance_past(self.storage.directory.max_oid_value())
 
     # ------------------------------------------------------------------
@@ -903,14 +900,17 @@ class Database:
         skipped for view-targeted queries (the right to the view *is*
         the content-based authorization); mandatory filtering never is
         (discretionary rights never override classification).  Built per
-        caller, so it is handed to the compiler and never cached with
-        the plan.
+        caller when the read opens — each manager's ``reader()`` binds
+        the subject current *now*, so a subject switch mid-stream cannot
+        change what an open stream returns — and handed to the compiler,
+        never cached with the plan.
         """
-        deciders = [
-            manager.read_allowed
+        readers = (
+            manager.reader()
             for manager in (None if was_view else self.authz, self.mac)
-            if manager is not None and not manager.reads_everything
-        ]
+            if manager is not None
+        )
+        deciders = [allowed for allowed in readers if allowed is not None]
         if not deciders:
             return None
         return lambda row: all(
@@ -959,7 +959,6 @@ class Database:
 
     def _finish(
         self,
-        prepared_plan: Plan,
         pipeline,
         source: Optional[str],
         started: float,
@@ -982,32 +981,29 @@ class Database:
         self._m_matched.inc(pipeline.matched)
         self._m_probes.inc(pipeline.index_probes)
         self._m_query_seconds.observe(seconds)
-        # pipeline.plan, not the prepared plan: snapshot execution may
-        # have downgraded an index probe to an extent scan.
-        executed = pipeline.plan
-        if isinstance(executed.access, SystemScan):
+        plan = pipeline.plan
+        if isinstance(plan.access, SystemScan):
             return
         self.last_operator_stats = pipeline.operator_stats()
-        rewrite = getattr(executed, "rewrite", None)
+        rewrite = getattr(plan, "rewrite", None)
         if rewrite is None:
             return
         self.query_stats.record(
             rewrite.fingerprint,
-            executed.query.target_class,
+            plan.query.target_class,
             source,
             seconds,
             pipeline.examined,
             pipeline.matched,
             pipeline.index_probes,
-            cache_hit=bool(executed.cached),
-            downgraded=executed is not prepared_plan,
+            cache_hit=bool(plan.cached),
             waits=waits,
             epoch_token=(self.schema.version, self.indexes.epoch),
         )
         # Estimated-vs-actual row totals: the ratio of these counters is
         # the cost model's aggregate estimation error (EXPLAIN shows the
         # per-query version via SysQueryStat).
-        cost = getattr(prepared_plan, "cost", None)
+        cost = getattr(plan, "cost", None)
         if cost is not None and cost.source == "statistics":
             self._m_cost_estimated_rows.inc(int(round(cost.estimated_rows)))
             self._m_cost_actual_rows.inc(pipeline.matched)
@@ -1041,7 +1037,7 @@ class Database:
                 self._read_close(snapshot)
             if analyze:
                 result.analysis = operator_tree(result.plan, result.pipeline)
-            self._finish(plan, result.pipeline, source, started, waited)
+            self._finish(result.pipeline, source, started, waited)
             return result, report
 
     def explain(self, query: Union[str, Query]) -> ExplainResult:
@@ -1118,7 +1114,7 @@ class Database:
         except BaseException:
             self._read_close(snapshot)
             raise
-        return QueryStream(self, pipeline, snapshot, plan, source, started)
+        return QueryStream(self, pipeline, snapshot, source, started)
 
     # ------------------------------------------------------------------
     # observability

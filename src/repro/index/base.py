@@ -98,6 +98,11 @@ class Index:
             out.extend(self._filter(self.tree.search(value), scope))
         return sorted(set(out))
 
+    def dependents(self, changed: Iterable[OID]) -> Set[OID]:
+        """Targets whose keys were derived through a ``changed`` object
+        other than the target itself (nested paths; none here)."""
+        return set()
+
     # -- maintenance ---------------------------------------------------------
 
     def on_insert(self, state: ObjectState) -> None:

@@ -79,10 +79,6 @@ class BTree:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def key_count(self) -> int:
-        return sum(1 for _ in self.iter_keys())
-
     # -- search ------------------------------------------------------------
 
     def _find_leaf(self, key: Tuple[int, Any]) -> _Leaf:
@@ -137,6 +133,15 @@ class BTree:
                 idx += 1
             leaf = leaf.next
             idx = 0
+
+    def walk(self) -> Iterator[Tuple[Tuple[int, Any], List[Entry]]]:
+        """Every (:func:`normalize_key` form, entries) pair in key order:
+        the total order an ordered index walk merges on."""
+        leaf: Optional[_Leaf] = self._leftmost_leaf()
+        while leaf is not None:
+            for key, entries in zip(leaf.keys, leaf.values):
+                yield key, list(entries)
+            leaf = leaf.next
 
     def iter_keys(self) -> Iterator[Any]:
         for key, _entries in self.range():

@@ -16,7 +16,7 @@ make that incremental.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.obj import ObjectState
 from ..core.oid import OID
@@ -87,7 +87,9 @@ class NestedAttributeIndex(Index):
 
         Set-valued steps fan out; a broken chain (None or dangling
         reference) contributes no key.  The terminal attribute's value(s)
-        become keys even when None — the chain up to it resolved.
+        become keys even when None — the chain up to it resolved.  A
+        dangling reference is still an intermediate: a snapshot older
+        than the delete sees the object, so its targets are dependents.
         """
         keys: List[Any] = []
         intermediates: Set[OID] = set()
@@ -104,11 +106,10 @@ class NestedAttributeIndex(Index):
                         continue
                     if not isinstance(element, OID):
                         continue  # broken chain
-                    referenced = self._deref(element)
-                    if referenced is None:
-                        continue  # dangling reference
                     intermediates.add(element)
-                    next_frontier.append(referenced)
+                    referenced = self._deref(element)
+                    if referenced is not None:
+                        next_frontier.append(referenced)
             frontier = next_frontier
             if is_last:
                 break
@@ -177,6 +178,9 @@ class NestedAttributeIndex(Index):
         if dependents:
             for target in list(dependents):
                 self.recompute_target(target)
+
+    def dependents(self, changed: Iterable[OID]) -> Set[OID]:
+        return {target for oid in changed for target in self._deps.get(oid, ())}
 
     def clear(self) -> None:
         super().clear()

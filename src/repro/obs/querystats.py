@@ -5,7 +5,7 @@ the rewrite pass computes for the plan cache (PR 7), so *structurally
 equal* queries accumulate into one row regardless of how they were
 spelled.  Each entry carries the counters the future cost model and the
 clustering work need: call count, rows examined/matched, index probes,
-plan-cache hits, snapshot plan downgrades, per-kind wait seconds and a
+plan-cache hits, per-kind wait seconds and a
 bucketed latency histogram whose p50/p95/p99 come straight off the
 cumulative buckets.
 
@@ -54,7 +54,6 @@ class QueryStatEntry:
         "rows_matched",
         "index_probes",
         "plan_cache_hits",
-        "snapshot_downgrades",
         "latency",
         "wait_seconds",
     )
@@ -76,7 +75,6 @@ class QueryStatEntry:
         self.rows_matched = 0
         self.index_probes = 0
         self.plan_cache_hits = 0
-        self.snapshot_downgrades = 0
         self.latency = Histogram("query.stats.latency", bounds)
         #: Rolled-up wait seconds per group (lock_wait/io_wait/wal_wait).
         self.wait_seconds: Dict[str, float] = {}
@@ -93,7 +91,6 @@ class QueryStatEntry:
             "rows_matched": self.rows_matched,
             "index_probes": self.index_probes,
             "plan_cache_hits": self.plan_cache_hits,
-            "snapshot_downgrades": self.snapshot_downgrades,
             "total_seconds": latency.total,
             "mean_seconds": latency.mean,
             "p50": latency.quantile(0.5),
@@ -149,7 +146,6 @@ class QueryStats:
         matched: int,
         index_probes: int,
         cache_hit: bool,
-        downgraded: bool,
         waits: Optional[Dict[str, float]] = None,
         epoch_token: Optional[Tuple[int, int]] = None,
     ) -> None:
@@ -177,8 +173,6 @@ class QueryStats:
             entry.index_probes += index_probes
             if cache_hit:
                 entry.plan_cache_hits += 1
-            if downgraded:
-                entry.snapshot_downgrades += 1
             if entry.source is None and source is not None:
                 entry.source = source
             entry.latency.observe(seconds)

@@ -97,7 +97,6 @@ SYSTEM_VIEWS: Dict[str, Tuple[Tuple[str, ...], str]] = {
             "rows_matched",
             "index_probes",
             "plan_cache_hits",
-            "snapshot_downgrades",
             "total_seconds",
             "mean_seconds",
             "p50",

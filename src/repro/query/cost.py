@@ -46,9 +46,10 @@ per row, of which at most as many as the scope has heap pages are reads
 and the rest cost :data:`PAGE_RETOUCH_FRACTION` of one — after
 :data:`BTREE_DESCEND_PAGES` to walk the tree.
 
-Plans are always costed as their best access path.  Whether an index
-probe is *safe* for a given snapshot is the executor's per-execution
-call (``Executor._snapshot_plan``), never baked into a cached plan.
+Plans are always costed as their best access path, and that is the
+path that runs: index leaves answer any snapshot exactly (see
+``repro.query.operators.pipeline``), so nothing about a snapshot is
+baked into a cached plan.
 """
 
 from __future__ import annotations

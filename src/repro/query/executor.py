@@ -17,11 +17,10 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..core.obj import ObjectState
 from ..core.oid import OID
-from ..obs.metrics import MetricsRegistry
 from .ast import AdtPredicate, Query
 from .operators import ObjectKernel, Pipeline, compile_plan
 from .paths import Deref
-from .planner import EmptyScan, ExtentScan, Plan, SystemScan
+from .planner import Plan
 
 ScanClass = Callable[[str], Iterable[ObjectState]]
 Sender = Callable[..., Any]
@@ -82,60 +81,26 @@ class Executor:
         scan_class: ScanClass,
         send: Optional[Sender] = None,
         adt_eval: Optional[Callable[[AdtPredicate, ObjectState], bool]] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._scan_class = scan_class
         self._send = send
         self._adt_eval = adt_eval
         self.kernel = ObjectKernel(deref, send, adt_eval)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._m_downgrades = self.metrics.counter("txn.snapshot.plan_downgrades")
 
     def pipeline(self, plan: Plan, snapshot=None, visible=None) -> Pipeline:
         """Compile (but do not open) the physical pipeline for a plan.
 
         With a :class:`~repro.versions.store.SnapshotView`, the leaf
         scan and every dereference resolve through the snapshot instead
-        of current storage, and the plan may first be downgraded (see
-        :meth:`_snapshot_plan`).  Callers that need the actually-compiled
-        plan read it back off ``Pipeline.plan``.  ``visible`` is the
-        caller's row-visibility predicate (see ``compile_plan``).
+        of current storage, and index leaves add the objects the
+        snapshot reads differently (``snapshot.changed``) — the plan
+        runs as given.  ``visible`` is the caller's row-visibility
+        predicate (see ``compile_plan``).
         """
         if snapshot is None:
             return compile_plan(plan, self.kernel, self._scan_class, visible)
-        plan = self._snapshot_plan(plan, snapshot)
         kernel = ObjectKernel(snapshot.deref, self._send, self._adt_eval)
-        return compile_plan(plan, kernel, snapshot.scan, visible)
-
-    def _snapshot_plan(self, plan: Plan, snapshot) -> Plan:
-        """Make a plan safe to run against a snapshot.
-
-        Indexes reflect *current* values, so an index probe can miss
-        objects whose indexed attribute changed after the snapshot's
-        begin timestamp (false negatives — unfixable downstream; the
-        filter's full-predicate re-check only removes false positives).
-        Whenever the version store holds any entry for a class in scope,
-        index and ADT access paths are downgraded to a plain extent scan
-        resolved through the snapshot.  With no version entries the
-        indexes are exact for this snapshot and the plan runs as-is.
-        """
-        if isinstance(plan.access, (ExtentScan, EmptyScan, SystemScan)):
-            return plan
-        if not snapshot.has_version_entries(plan.scope):
-            return plan
-        downgraded = Plan(
-            plan.query,
-            plan.scope,
-            ExtentScan(sorted(plan.scope)),
-            plan.query.where,
-            plan.estimated_cost,
-            notes=list(plan.notes)
-            + ["snapshot: index access downgraded to extent scan"],
-        )
-        downgraded.rewrite = plan.rewrite
-        downgraded.cached = plan.cached
-        self._m_downgrades.inc()
-        return downgraded
+        return compile_plan(plan, kernel, snapshot.scan, visible, snapshot.changed)
 
     def execute(
         self, plan: Plan, timed: bool = False, snapshot=None, visible=None

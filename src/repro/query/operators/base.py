@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from .. import algebra
 from ..ast import AdtPredicate, Expr, Query
-from ..paths import Deref, evaluate_path
+from ..paths import Deref
 
 
 class PhysicalOperator:
@@ -170,6 +170,3 @@ class ObjectKernel:
 
     def aggregate(self, query: Query, rows: Iterator[Any]) -> List[Dict[str, Any]]:
         return algebra.aggregate_rows(query, rows, self.deref)
-
-    def path_values(self, row: Any, steps: Sequence[str]) -> List[Any]:
-        return evaluate_path(row, steps, self.deref)

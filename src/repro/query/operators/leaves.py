@@ -10,13 +10,23 @@ pipeline.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Set
+import heapq
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Sequence, Set, Tuple
 
 from ...core.obj import ObjectState
 from ...core.oid import OID
+from ...index.btree import normalize_key
 from .base import PhysicalOperator
 
 ScanClass = Callable[[str], Iterable[ObjectState]]
+
+#: ``normalize_key(None)``'s rank: the missing-value group of a walk.
+_NONE_RANK = normalize_key(None)[0]
+
+
+def _key_then_oid(item: Tuple[Any, OID]) -> Tuple[Any, int]:
+    return item[0], item[1].value
 
 
 class ExtentScanOp(PhysicalOperator):
@@ -110,57 +120,75 @@ class IndexOrderScanOp(PhysicalOperator):
 
     name = "index-order-scan"
 
-    def __init__(self, index, scope: Set[str], descending: bool = False) -> None:
+    def __init__(
+        self,
+        index,
+        scope: Set[str],
+        descending: bool,
+        deref: Callable[[OID], Optional[ObjectState]],
+        changed: Optional[Callable[[], Dict[OID, Set[str]]]],
+    ) -> None:
         super().__init__()
         self.index = index
         self.scope = set(scope)
         self.descending = descending
         self.detail = "%s%s" % (index.name, " desc" if descending else "")
         self.probes = 0
-        self._none_oids: Set[OID] = set()
+        self._deref = deref
+        self._changed = changed
         self._iter: Optional[Iterator[OID]] = None
 
     def _on_open(self) -> None:
         self.probes += 1
-        self._none_oids = {
-            oid
-            for cls, oid in self.index.tree.search(None)
-            if cls in self.scope
-        }
         self._iter = self._oids()
 
     def _oids(self) -> Iterator[OID]:
-        groups: Iterable[List[OID]] = self._groups()
+        """The walk, with the snapshot's changed objects (whose entries
+        hold *current* keys) merged back in at their snapshot-time keys —
+        read through ``deref``, the snapshot's; a lazy merge, so a LIMIT
+        above still stops the walk early."""
+        moved = self._changed() if self._changed is not None else {}
+        attribute = self.index.path[0]
+        late: List[Tuple[Any, OID]] = []
+        missing = {
+            oid
+            for cls, oid in self.index.tree.search(None)
+            if cls in self.scope and oid not in moved
+        }
+        for oid, classes in moved.items():
+            state = None if classes.isdisjoint(self.scope) else self._deref(oid)
+            if state is None or state.class_name not in self.scope:
+                continue
+            value = state.values.get(attribute)
+            if value is None:
+                missing.add(oid)
+            else:
+                late.append((normalize_key(value), oid))
+        late.sort(key=_key_then_oid, reverse=self.descending)
+        for _key, oid in heapq.merge(
+            self._walk(moved), late, key=_key_then_oid, reverse=self.descending
+        ):
+            yield oid
+        # A missing value is last whatever the direction.
+        for oid in sorted(missing, reverse=self.descending):
+            yield oid
+
+    def _walk(self, moved: Dict[OID, Set[str]]) -> Iterator[Tuple[Any, OID]]:
+        """(key, OID) of in-scope unchanged entries with a present key,
+        in walk order (ties by OID)."""
+        groups: Iterable[Tuple[Any, List[Tuple[str, OID]]]] = self.index.tree.walk()
         if self.descending:
             # Key groups must be emitted in reverse; only the (key, OID)
             # skeleton is materialized — states are still fetched lazily
             # above us, so a LIMIT keeps dereferences < extent size.
-            ordered = list(groups)  # lint: ignore[operator-materialization]
-            ordered.reverse()
-            groups = ordered
-        for oids in groups:
-            for oid in oids:
-                yield oid
-        for oid in sorted(self._none_oids, reverse=self.descending):
-            yield oid
-
-    def _groups(self) -> Iterator[List[OID]]:
-        """Per-key lists of in-scope OIDs, ascending key order.
-
-        None-keyed entries (missing values sort first in the tree) are
-        skipped here and appended after every present key.
-        """
-        for _key, entries in self.index.tree.range():
-            oids = sorted(
-                (
-                    oid
-                    for cls, oid in entries
-                    if cls in self.scope and oid not in self._none_oids
-                ),
-                reverse=self.descending,
-            )
-            if oids:
-                yield oids
+            groups = list(groups)  # lint: ignore[operator-materialization]
+            groups.reverse()
+        for key, entries in groups:
+            if key[0] == _NONE_RANK:
+                continue  # missing values: appended after every key
+            oids = (oid for cls, oid in entries if cls in self.scope and oid not in moved)
+            for oid in sorted(oids, reverse=self.descending):
+                yield key, oid
 
     def _next(self) -> Optional[OID]:
         if self._iter is None:

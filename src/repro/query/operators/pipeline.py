@@ -117,14 +117,38 @@ class Pipeline:
         return "<Pipeline %s>" % " -> ".join(op.name for op in self.operators())
 
 
-def compile_plan(plan: Plan, kernel, scan_class, visible=None) -> Pipeline:
+def _snapshot_exact(fetch, index, scope, changed):
+    """An index probe's candidates, made complete for a snapshot: the
+    index holds current values, so add the objects the snapshot reads
+    differently (``changed()``, taken *after* the probe so any writer it
+    saw is in it) filed under a scope class, and a nested index's
+    targets whose path runs through one.  The filter decides."""
+    if changed is None:
+        return fetch
+
+    def candidates() -> List[OID]:
+        found = fetch()
+        moved = changed()
+        if not moved:
+            return found
+        extra = {oid for oid, classes in moved.items() if not classes.isdisjoint(scope)}
+        if index is not None:
+            extra |= index.dependents(moved)
+        return sorted(extra.union(found))
+
+    return candidates
+
+
+def compile_plan(plan: Plan, kernel, scan_class, visible=None, changed=None) -> Pipeline:
     """Compile a plan into a pipeline over ``kernel``-typed rows.
 
     ``visible`` is the caller's row-visibility predicate (authorization,
     mandatory security) or None.  It is per caller, so it arrives here
     at compile time — never stored on the (cached, shared) plan — and
     runs in the filter, i.e. before sort, aggregation, limit and
-    projection ever see a row.
+    projection ever see a row.  ``changed`` is the snapshot's
+    :meth:`~repro.versions.store.SnapshotView.changed` (None without a
+    snapshot): index leaves use it to answer the snapshot exactly.
     """
     query = plan.query
     access = plan.access
@@ -138,50 +162,39 @@ def compile_plan(plan: Plan, kernel, scan_class, visible=None) -> Pipeline:
         # System views scan generated rows; ``scan_class`` here is the
         # system catalog's row producer, not the storage extent walker.
         source = VirtualScanOp(scan_class, access.view)
-    elif isinstance(access, IndexEqProbe):
-        probe = IndexProbeOp(
-            "eq",
-            lambda: access.index.lookup_eq(access.value, plan.scope),
-            access.description,
-        )
-        source = DerefOp(probe, kernel.deref)
-    elif isinstance(access, IndexInProbe):
-        probe = IndexProbeOp(
-            "in",
-            lambda: access.index.lookup_in(access.values, plan.scope),
-            access.description,
-        )
-        source = DerefOp(probe, kernel.deref)
-    elif isinstance(access, IndexRangeProbe):
-        probe = IndexProbeOp(
-            "range",
-            lambda: access.index.lookup_range(
-                access.low,
-                access.high,
-                access.include_low,
-                access.include_high,
-                plan.scope,
-            ),
-            access.description,
-        )
-        source = DerefOp(probe, kernel.deref)
-    elif isinstance(access, AdtIndexProbe):
-        probe = IndexProbeOp(
-            "adt",
-            lambda: sorted(
-                {oid for oid in access.probe() if isinstance(oid, OID)}
-            ),
-            access.description,
-        )
-        source = DerefOp(probe, kernel.deref)
     elif isinstance(access, IndexOrderScan):
-        probe = IndexOrderScanOp(access.index, plan.scope, access.descending)
+        probe = IndexOrderScanOp(
+            access.index, plan.scope, access.descending, kernel.deref, changed
+        )
         source = DerefOp(probe, kernel.deref)
     else:
-        raise QueryError("unknown access path %r" % (access,))
+        if isinstance(access, IndexEqProbe):
+            kind, index = "eq", access.index
+            fetch = lambda: index.lookup_eq(access.value, plan.scope)
+        elif isinstance(access, IndexInProbe):
+            kind, index = "in", access.index
+            fetch = lambda: index.lookup_in(access.values, plan.scope)
+        elif isinstance(access, IndexRangeProbe):
+            kind, index = "range", access.index
+            fetch = lambda: index.lookup_range(
+                access.low, access.high, access.include_low, access.include_high, plan.scope
+            )
+        elif isinstance(access, AdtIndexProbe):
+            kind, index = "adt", None
+            fetch = lambda: sorted(
+                {oid for oid in access.probe() if isinstance(oid, OID)}
+            )
+        else:
+            raise QueryError("unknown access path %r" % (access,))
+        probe = IndexProbeOp(
+            kind,
+            _snapshot_exact(fetch, index, plan.scope, changed),
+            access.description,
+        )
+        source = DerefOp(probe, kernel.deref)
 
     # The FULL predicate is re-checked — index probes give candidates,
-    # not answers; current state decides.
+    # not answers; the row's snapshot image decides.
     filter_op = FilterOp(source, kernel, plan.scope, query.where, visible)
     root: PhysicalOperator = filter_op
 

@@ -29,10 +29,9 @@ rebuild afterwards).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..core.obj import ObjectState
-from ..obs.metrics import MetricsRegistry
 from ..storage.manager import StorageManager
 from .wal import (
     ABORT,
@@ -85,15 +84,15 @@ def _apply_delete(storage: StorageManager, state: ObjectState) -> None:
         storage.remove(state.oid)
 
 
-def recover(
-    wal: WriteAheadLog,
-    storage: StorageManager,
-    registry: Optional[MetricsRegistry] = None,
-) -> RecoveryReport:
-    """Bring ``storage`` to the state implied by the log."""
+def recover(wal: WriteAheadLog, storage: StorageManager) -> RecoveryReport:
+    """Bring ``storage`` to the state implied by the log.
+
+    Counts ``recovery.*`` into ``wal.metrics`` — the database's registry,
+    or the log's own private one when it stands alone.
+    """
     report = RecoveryReport()
-    if registry is not None:
-        registry.counter("recovery.runs").inc()
+    registry = wal.metrics
+    registry.counter("recovery.runs").inc()
     records = list(wal.replay())
 
     # Phase 0: physical repair.  Re-extend the file over any allocations
@@ -106,9 +105,8 @@ def recover(
     report.pages_reimaged = storage.repair_pages(images)
     if report.pages_reimaged or report.pages_reallocated or storage.directory_stale:
         storage.rebuild_directory()
-    if registry is not None:
-        registry.counter("recovery.pages_reimaged").inc(report.pages_reimaged)
-        registry.counter("recovery.pages_reallocated").inc(report.pages_reallocated)
+    registry.counter("recovery.pages_reimaged").inc(report.pages_reimaged)
+    registry.counter("recovery.pages_reallocated").inc(report.pages_reallocated)
 
     # Start from the last checkpoint: earlier records are already durable
     # in the data pages (checkpoint = flush + truncate is the normal path,
@@ -163,9 +161,8 @@ def recover(
         report.undone += 1
 
     storage.flush()
-    if registry is not None:
-        registry.counter("recovery.redone").inc(report.redone)
-        registry.counter("recovery.undone").inc(report.undone)
+    registry.counter("recovery.redone").inc(report.redone)
+    registry.counter("recovery.undone").inc(report.undone)
     return report
 
 

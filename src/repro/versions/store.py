@@ -112,9 +112,6 @@ class VersionStore:
         self._store_mutex = threading.Lock()
         #: Newest-first before-image chains.
         self._chains: Dict[OID, List[_Entry]] = {}
-        #: Class name -> OIDs with live chain entries (scan resurrection
-        #: and the index-downgrade test both key on class).
-        self._by_class: Dict[str, Set[OID]] = {}
         #: Uncommitted entries per writer, by OID, install order.
         self._txn_entries: Dict[int, Dict[OID, _Entry]] = {}
         self._snapshots: Dict[int, Snapshot] = {}
@@ -157,12 +154,8 @@ class VersionStore:
                 self._chains.setdefault(oid, []).insert(0, entry)
                 self._entry_count += 1
                 self._m_entries.set(self._entry_count)
-            elif class_name in entry.classes:
-                return
             else:
                 entry.classes.add(class_name)
-            for cls in entry.classes:
-                self._by_class.setdefault(cls, set()).add(oid)
 
     def commit(self, txn_id: int) -> Optional[int]:
         """Stamp the writer's entries with a fresh commit timestamp.
@@ -248,38 +241,27 @@ class VersionStore:
                 result = entry.before
             return result
 
-    def resurrected(
-        self,
-        class_name: str,
-        snapshot: Snapshot,
-        seen: Set[OID],
-    ) -> List[ObjectState]:
-        """Objects of ``class_name`` visible to ``snapshot`` but missing
-        from the storage scan (deleted, or moved to another class, after
-        the snapshot began)."""
-        with self._store_mutex:
-            candidates = [
-                oid
-                for oid in sorted(self._by_class.get(class_name, ()))
-                if oid not in seen
-            ]
-        out: List[ObjectState] = []
-        for oid in candidates:
-            state = self.resolve(oid, snapshot, None)
-            if state is not None and state.class_name == class_name:
-                out.append(state)
-        return out
+    def changed(self, snapshot: Snapshot) -> Dict[OID, Set[str]]:
+        """OIDs ``snapshot`` does not read as stored, with their classes.
 
-    def has_entries(self, classes) -> bool:
-        """True when any class in ``classes`` has live version entries.
-
-        The executor's index-path guard: an index reflects *current*
-        attribute values, so whenever in-scope before-images exist a
-        probe could miss objects the snapshot must see — the plan is
-        downgraded to an extent scan, whose resurrection pass is exact.
+        An object is changed when its newest chain entry belongs to
+        another writer and is invisible to the snapshot; every other
+        object resolves to its current stored state, so an index over
+        current values is exact for it.  Each OID maps to every class
+        its chain is filed under (the snapshot-time class among them).
         """
+        if not self._chains:
+            return {}
         with self._store_mutex:
-            return any(self._by_class.get(cls) for cls in classes)
+            out: Dict[OID, Set[str]] = {}
+            for oid, chain in self._chains.items():
+                newest = chain[0]
+                if newest.txn_id == snapshot.txn_id or (
+                    newest.commit_ts is not None and newest.commit_ts <= snapshot.ts
+                ):
+                    continue
+                out[oid] = set().union(*(entry.classes for entry in chain))
+            return out
 
     # -- garbage collection ----------------------------------------------------
 
@@ -316,22 +298,12 @@ class VersionStore:
         self._entry_count -= 1
         if not chain:
             del self._chains[entry.oid]
-        for cls in entry.classes:
-            if not any(cls in other.classes for other in chain):
-                by_class = self._by_class[cls]
-                by_class.discard(entry.oid)
-                if not by_class:
-                    del self._by_class[cls]
 
     # -- introspection ---------------------------------------------------------
 
     @property
     def entry_count(self) -> int:
         return self._entry_count
-
-    @property
-    def last_commit_ts(self) -> int:
-        return self._last_commit_ts
 
     def snapshot_rows(self) -> Iterator[Dict[str, Any]]:
         """SysSnapshot rows: one per live snapshot, fresh per scan."""
@@ -382,10 +354,6 @@ class SnapshotView:
         self._coerce = coerce
         self.ephemeral = ephemeral
 
-    @property
-    def ts(self) -> int:
-        return self.snapshot.ts
-
     def deref(self, oid: OID) -> Optional[ObjectState]:
         state = self.store.resolve(oid, self.snapshot, self._base_deref(oid))
         if state is None:
@@ -401,11 +369,16 @@ class SnapshotView:
             # class: here only if that is this extent, else resurrected.
             if visible is not None and visible.class_name == class_name:
                 yield self._coerce(visible)
-        for state in self.store.resurrected(class_name, self.snapshot, seen):
-            yield self._coerce(state)
+        # Resurrection: objects of this class the snapshot sees that the
+        # storage scan missed (deleted, or moved out, after it began).
+        for oid, classes in sorted(self.changed().items()):
+            if class_name in classes and oid not in seen:
+                state = self.store.resolve(oid, self.snapshot, None)
+                if state is not None and state.class_name == class_name:
+                    yield self._coerce(state)
 
-    def has_version_entries(self, classes) -> bool:
-        return self.store.has_entries(classes)
+    def changed(self) -> Dict[OID, Set[str]]:
+        return self.store.changed(self.snapshot)
 
     def __repr__(self) -> str:
         return "<SnapshotView %r%s>" % (

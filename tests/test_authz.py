@@ -203,6 +203,27 @@ class TestEnforcement:
             reader.commit()
         assert adb.execute(text).oids == before[1:]
 
+    def test_stream_keeps_the_subject_it_opened_with(self, adb):
+        """The reader is bound when the read opens: switching subject
+        mid-stream must not widen an ordered walk's remaining rows."""
+        adb.authz.set_subject("system")
+        adb.create_hierarchy_index("Document", "level")
+        docs = [adb.new("Document", {"title": "d", "level": n}) for n in range(100)]
+        adb.authz.grant("employee", "read", "Document")
+        for doc in docs[1:10]:
+            adb.authz.deny("employee", "read", doc.oid)
+        adb.authz.set_subject("employee")
+        text = "SELECT d FROM Document d ORDER BY d.level LIMIT 5"
+        assert adb.plan(text).access.description.startswith("index-order-scan")
+        stream = adb.select_iter(text)
+        try:
+            levels = [next(stream)["level"]]
+            adb.authz.set_subject("system")
+            levels += [handle["level"] for handle in stream]
+        finally:
+            stream.close()
+        assert levels == [0, 10, 11, 12, 13]
+
     def test_cached_plan_serves_each_subject_its_own_rows(self, adb):
         docs = self._five_documents(adb, hidden_levels=(1, 2, 3))
         adb.authz.deny("employee", "read", "SecretDocument")

@@ -152,6 +152,26 @@ class TestQueryFiltering:
             reader.commit()
         assert mdb.select("SELECT r FROM Report r") == []
 
+    def test_stream_keeps_the_subject_it_opened_with(self, mdb):
+        """The no-read-up reader is bound when the read opens: raising
+        the subject mid-stream must not surface rows above the clearance
+        the stream opened with."""
+        mdb.create_hierarchy_index("Report", "title")
+        reports = [mdb.new("Report", {"title": "t%02d" % n}) for n in range(100)]
+        for report in reports[1:10]:
+            mdb.mac.classify_object(report.oid, "top_secret")
+        mdb.mac.set_subject("analyst")
+        text = "SELECT r FROM Report r ORDER BY r.title LIMIT 5"
+        assert mdb.plan(text).access.description.startswith("index-order-scan")
+        stream = mdb.select_iter(text)
+        try:
+            titles = [next(stream)["title"]]
+            mdb.mac.set_subject("chief")
+            titles += [handle["title"] for handle in stream]
+        finally:
+            stream.close()
+        assert titles == ["t00", "t10", "t11", "t12", "t13"]
+
     def test_as_subject_context(self, mdb):
         mdb.new("Report", {"title": "conf"})
         with mdb.mac.as_subject("private"):

@@ -13,8 +13,13 @@ import os
 import threading
 
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro import AttributeDef, Database
+from repro.query.parser import parse_query
+from repro.query.planner import IndexEqProbe, IndexOrderScan, IndexRangeProbe
 from repro.txn import wal as wal_module
 
 
@@ -172,26 +177,67 @@ class TestSnapshotReads:
         finally:
             db.close()
 
-    def test_index_probe_downgrades_when_versions_live(self):
+    def test_index_probe_answers_snapshot_when_versions_live(self):
         db = _vehicle_db()
         db.create_class_index("Vehicle", "weight")
         try:
-            downgrades = db.metrics.counter("txn.snapshot.plan_downgrades")
             with db.transaction():
                 assert db.execute("Vehicle where weight = 1003").oids
-                before = downgrades.value
 
                 def writer():
                     victim = db.select("Vehicle where weight = 1003")[0]
                     db.update(victim.oid, {"weight": 4444})
 
                 _in_thread(writer)
-                # The index now points 1003 -> nothing; the snapshot
-                # must still find the row via the downgraded scan.
+                # The index now points 1003 -> nothing; the probe adds
+                # the object the snapshot reads differently and the
+                # filter keeps it on its snapshot image.
                 result = db.execute("Vehicle where weight = 1003")
+                assert result.plan.access.description.startswith("index-eq")
                 assert len(result.oids) == 1
-                assert downgrades.value > before
-                assert any("downgraded" in note for note in result.plan.notes)
+                assert result.stats.examined == result.stats.matched == 1
+        finally:
+            db.close()
+
+    @staticmethod
+    def _fleet():
+        """500 vehicles over 50 companies C0..C49 (10 each), with a
+        nested-attribute index on ``manufacturer.name``."""
+        db = Database()
+        db.define_class("Company", attributes=[AttributeDef("name", "String")])
+        db.define_class(
+            "Vehicle", attributes=[AttributeDef("manufacturer", "Company")]
+        )
+        companies = [db.new("Company", {"name": "C%d" % n}) for n in range(50)]
+        for n in range(500):
+            db.new("Vehicle", {"manufacturer": companies[n % 50].oid})
+        db.create_nested_index("Vehicle", ["manufacturer", "name"])
+        return db, companies[7]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda db, company: db.update(company.oid, {"name": "renamed"}),
+            lambda db, company: db.delete(company.oid),
+        ],
+        ids=["intermediate-renamed", "intermediate-deleted"],
+    )
+    def test_nested_index_sees_intermediates_as_of_the_snapshot(self, change):
+        """The index holds the *current* path terminal; a target whose
+        intermediate changed after the snapshot must still be found."""
+        db, company = self._fleet()
+        text = "Vehicle where manufacturer.name = 'C7'"
+        try:
+            with db.transaction():
+                before = db.execute(text)
+                assert before.plan.access.description.startswith("index-eq(nx_")
+                assert len(before.oids) == 10
+                _in_thread(lambda: change(db, company))
+                after = db.execute(text)
+                assert after.plan.access.description.startswith("index-eq(nx_")
+                assert after.oids == before.oids
+                assert after.stats.examined == after.stats.matched == 10
+            assert db.execute(text).oids == []
         finally:
             db.close()
 
@@ -451,3 +497,256 @@ class TestHandleSnapshotReads:
             assert db.read_state(handle.oid).values["weight"] == 3333
         finally:
             db.close()
+
+
+# -- snapshot-exact index leaves: a stateful model check ----------------------
+
+#: Examples per run; CI's weekly-full job raises it (500), tier-1 keeps
+#: the slice short — the same knob pattern as FAULT_TORTURE_SEED_COUNT.
+SNAPSHOT_INDEX_EXAMPLES = int(os.environ.get("SNAPSHOT_INDEX_EXAMPLES", "8"))
+
+_HIERARCHY = ("Vehicle", "Car", "Truck")
+_WEIGHTS = (0, 1, 2)
+
+
+class SnapshotIndexMachine(RuleBasedStateMachine):
+    """Interleaved writers against held snapshots; every index leaf must
+    answer each snapshot exactly as a plain-Python model frozen at it.
+
+    Writers autocommit (plus one uncommitted writer that may commit or
+    abort later); up to four transactions hold their begin snapshot,
+    detached between steps.  After every step the same queries run at
+    every held snapshot and at a fresh one, each through a forced access
+    path: the single-class index, the class-hierarchy index (eq and
+    range), the nested-attribute index and the ordered walk (ASC and
+    DESC under LIMIT).
+    """
+
+    def __init__(self):
+        super().__init__()
+        db = self.db = Database()
+        db.define_class("Company", attributes=[AttributeDef("name", "String")])
+        attrs = [
+            AttributeDef("weight", "Integer"),
+            AttributeDef("manufacturer", "Company"),
+        ]
+        db.define_class("Vehicle", attributes=attrs)
+        db.define_class("Car", superclasses=("Vehicle",))
+        db.define_class("Truck", superclasses=("Vehicle",))
+        db.define_class("Boat", attributes=attrs)
+        self.car_index = db.create_class_index("Car", "weight")
+        self.weight_index = db.create_hierarchy_index("Vehicle", "weight")
+        self.name_index = db.create_nested_index("Vehicle", ["manufacturer", "name"])
+        #: The committed world: company oid -> name, object oid ->
+        #: (class, weight, manufacturer oid).
+        self.companies = {}
+        self.objects = {}
+        for n in range(3):
+            self.companies[db.new("Company", {"name": "C%d" % n}).oid] = "C%d" % n
+        for n in range(6):
+            self._insert(_HIERARCHY[n % 3], n % 3, n % 3)
+        #: Held snapshots: (transaction, frozen companies, frozen objects).
+        self.held = []
+        #: The uncommitted writer: (transaction, oid, new weight) or None.
+        self.pending = None
+
+    def teardown(self):
+        for txn, _companies, _objects in self.held:
+            self.db.txns.attach(txn)
+            txn.commit()
+        if self.pending is not None:
+            self.db.txns.attach(self.pending[0])
+            self.pending[0].abort()
+        self.db.close()
+
+    # -- helpers -----------------------------------------------------------
+
+    def _pick(self, pool, index):
+        pool = sorted(pool, key=lambda oid: oid.value)
+        return pool[index % len(pool)] if pool else None
+
+    def _free(self):
+        """Objects an autocommit writer may touch (the pending writer's
+        object is X-locked)."""
+        locked = self.pending[1] if self.pending is not None else None
+        return [oid for oid in self.objects if oid != locked]
+
+    def _insert(self, class_name, weight, company):
+        manufacturer = self._pick(self.companies, company)
+        handle = self.db.new(
+            class_name, {"weight": weight, "manufacturer": manufacturer}
+        )
+        self.objects[handle.oid] = (class_name, weight, manufacturer)
+
+    # -- writers -----------------------------------------------------------
+
+    @rule(
+        class_name=st.sampled_from(_HIERARCHY + ("Boat",)),
+        weight=st.sampled_from(_WEIGHTS + (None,)),
+        company=st.integers(0, 50),
+    )
+    def insert(self, class_name, weight, company):
+        self._insert(class_name, weight, company)
+
+    @rule(pick=st.integers(0, 50), weight=st.sampled_from(_WEIGHTS + (None,)))
+    def update_weight(self, pick, weight):
+        oid = self._pick(self._free(), pick)
+        if oid is not None:
+            self.db.update(oid, {"weight": weight})
+            cls, _old, manufacturer = self.objects[oid]
+            self.objects[oid] = (cls, weight, manufacturer)
+
+    @rule(pick=st.integers(0, 50), company=st.integers(0, 50))
+    def update_manufacturer(self, pick, company):
+        oid = self._pick(self._free(), pick)
+        manufacturer = self._pick(self.companies, company)
+        if oid is not None:
+            self.db.update(oid, {"manufacturer": manufacturer})
+            cls, weight, _old = self.objects[oid]
+            self.objects[oid] = (cls, weight, manufacturer)
+
+    @rule(pick=st.integers(0, 50))
+    def delete(self, pick):
+        oid = self._pick(self._free(), pick)
+        if oid is not None:
+            self.db.delete(oid)
+            del self.objects[oid]
+
+    @rule(pick=st.integers(0, 50), class_name=st.sampled_from(_HIERARCHY + ("Boat",)))
+    def reclass(self, pick, class_name):
+        oid = self._pick(self._free(), pick)
+        if oid is not None:
+            state = self.db.get_state(oid).copy()
+            state.class_name = class_name
+            _cls, weight, manufacturer = self.objects[oid]
+            if manufacturer not in self.companies:
+                # A full-state write re-validates references.
+                manufacturer = state.values["manufacturer"] = None
+            self.db.put_state(state)
+            self.objects[oid] = (class_name, weight, manufacturer)
+
+    @rule(pick=st.integers(0, 50), name=st.sampled_from(("C0", "C1", "C2", "C3")))
+    def rename_company(self, pick, name):
+        oid = self._pick(self.companies, pick)
+        if oid is not None:
+            self.db.update(oid, {"name": name})
+            self.companies[oid] = name
+
+    @rule(pick=st.integers(0, 50))
+    def delete_company(self, pick):
+        oid = self._pick(self.companies, pick)
+        if oid is not None:
+            self.db.delete(oid)
+            del self.companies[oid]
+
+    @rule(name=st.sampled_from(("C0", "C1", "C2", "C3")))
+    def add_company(self, name):
+        self.companies[self.db.new("Company", {"name": name}).oid] = name
+
+    @precondition(lambda self: self.pending is None and self.objects)
+    @rule(pick=st.integers(0, 50), weight=st.sampled_from(_WEIGHTS))
+    def begin_pending_update(self, pick, weight):
+        oid = self._pick(self.objects, pick)
+        txn = self.db.transaction()
+        self.db.update(oid, {"weight": weight})
+        self.db.txns.detach()
+        self.pending = (txn, oid, weight)
+
+    @precondition(lambda self: self.pending is not None)
+    @rule(commit=st.booleans())
+    def finish_pending_update(self, commit):
+        txn, oid, weight = self.pending
+        self.pending = None
+        self.db.txns.attach(txn)
+        if commit:
+            txn.commit()
+            cls, _old, manufacturer = self.objects[oid]
+            self.objects[oid] = (cls, weight, manufacturer)
+        else:
+            txn.abort()
+
+    # -- snapshots -----------------------------------------------------------
+
+    @precondition(lambda self: len(self.held) < 4)
+    @rule()
+    def open_snapshot(self):
+        txn = self.db.transaction()
+        self.db.execute("SELECT c FROM Company c")  # binds the snapshot
+        self.db.txns.detach()
+        self.held.append((txn, dict(self.companies), dict(self.objects)))
+
+    @precondition(lambda self: self.held)
+    @rule(pick=st.integers(0, 50))
+    def close_snapshot(self, pick):
+        txn, _companies, _objects = self.held.pop(pick % len(self.held))
+        self.db.txns.attach(txn)
+        txn.commit()
+
+    # -- the check -------------------------------------------------------------
+
+    def _run(self, text, access):
+        plan = self.db.planner.plan(parse_query(text))
+        plan.access = access
+        view = self.db._snapshot_view()
+        try:
+            return self.db._executor.execute(plan, snapshot=view).oids
+        finally:
+            self.db._read_close(view)
+
+    def _check(self, companies, objects):
+        def oids(keep):
+            return sorted(
+                (oid for oid, row in objects.items() if keep(*row)),
+                key=lambda oid: oid.value,
+            )
+
+        for w in _WEIGHTS:
+            assert self._run(
+                "Car where weight = %d" % w, IndexEqProbe(self.car_index, w)
+            ) == oids(lambda cls, weight, _m: cls == "Car" and weight == w)
+            assert self._run(
+                "Vehicle where weight = %d" % w, IndexEqProbe(self.weight_index, w)
+            ) == oids(lambda cls, weight, _m: cls in _HIERARCHY and weight == w)
+        assert self._run(
+            "Vehicle where weight >= 1",
+            IndexRangeProbe(self.weight_index, 1, None, True, True),
+        ) == oids(lambda cls, weight, _m: cls in _HIERARCHY and weight is not None and weight >= 1)
+        for name in ("C0", "C1", "C2", "C3"):
+            assert self._run(
+                "Vehicle where manufacturer.name = '%s'" % name,
+                IndexEqProbe(self.name_index, name),
+            ) == oids(lambda cls, _w, m: cls in _HIERARCHY and companies.get(m) == name)
+        rows = [(oid, weight) for oid, (cls, weight, _m) in objects.items() if cls in _HIERARCHY]
+        for descending in (False, True):
+            present = sorted(
+                ((weight, oid.value, oid) for oid, weight in rows if weight is not None),
+                reverse=descending,
+            )
+            missing = sorted(
+                (oid for oid, weight in rows if weight is None),
+                key=lambda oid: oid.value,
+                reverse=descending,
+            )
+            expected = ([oid for _w, _v, oid in present] + missing)[:4]
+            text = "SELECT v FROM Vehicle v ORDER BY v.weight%s LIMIT 4" % (
+                " DESC" if descending else ""
+            )
+            assert self._run(
+                text, IndexOrderScan(self.weight_index, descending)
+            ) == expected, text
+
+    @invariant()
+    def every_snapshot_matches_its_model(self):
+        for txn, companies, objects in self.held:
+            with self.db.txns.bound(txn):
+                self._check(companies, objects)
+        self._check(self.companies, self.objects)
+
+
+TestSnapshotIndexMachine = SnapshotIndexMachine.TestCase
+TestSnapshotIndexMachine.settings = settings(
+    max_examples=SNAPSHOT_INDEX_EXAMPLES,
+    stateful_step_count=25,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+)

@@ -350,7 +350,7 @@ class TestMetricNameContract:
         "rewrite.rules_applied", "trace.slow_ops", "trace.spans", "txn.aborts",
         "txn.active", "txn.commits", "txn.snapshot.closed",
         "txn.snapshot.gc_reclaimed", "txn.snapshot.live", "txn.snapshot.opened",
-        "txn.snapshot.plan_downgrades", "txn.snapshot.reads",
+        "txn.snapshot.reads",
         "txn.snapshot.version_entries", "waits.buffer_read.count",
         "waits.buffer_read.seconds", "waits.page_read.count",
         "waits.page_read.seconds", "waits.w_a_l_flush.count",

@@ -62,7 +62,7 @@ class TestQueryStatsUnit:
     def test_same_fingerprint_accumulates_one_entry(self):
         qs = QueryStats()
         for _ in range(5):
-            qs.record("fp1", "Vehicle", "q", 0.001, 40, 20, 0, False, False)
+            qs.record("fp1", "Vehicle", "q", 0.001, 40, 20, 0, False)
         assert len(qs) == 1
         entry = qs.get("fp1")
         assert entry.calls == 5
@@ -70,18 +70,16 @@ class TestQueryStatsUnit:
         assert entry.rows_matched == 100
         assert entry.latency.count == 5
 
-    def test_cache_hits_and_downgrades_counted(self):
+    def test_cache_hits_counted(self):
         qs = QueryStats()
-        qs.record("fp", "V", None, 0.001, 1, 1, 0, cache_hit=False, downgraded=False)
-        qs.record("fp", "V", None, 0.001, 1, 1, 0, cache_hit=True, downgraded=True)
-        entry = qs.get("fp")
-        assert entry.plan_cache_hits == 1
-        assert entry.snapshot_downgrades == 1
+        qs.record("fp", "V", None, 0.001, 1, 1, 0, cache_hit=False)
+        qs.record("fp", "V", None, 0.001, 1, 1, 0, cache_hit=True)
+        assert qs.get("fp").plan_cache_hits == 1
 
     def test_wait_kinds_roll_up_into_groups(self):
         qs = QueryStats()
         qs.record(
-            "fp", "V", None, 0.1, 1, 1, 0, False, False,
+            "fp", "V", None, 0.1, 1, 1, 0, False,
             waits={"Lock": 0.05, "PageRead": 0.01, "WALFlush": 0.02, "Mystery": 9.0},
         )
         row = qs.get("fp").row()
@@ -92,10 +90,10 @@ class TestQueryStatsUnit:
     def test_epoch_change_purges_and_counts_invalidations(self):
         registry = MetricsRegistry()
         qs = QueryStats(registry)
-        qs.record("a", "V", None, 0.001, 1, 1, 0, False, False, epoch_token=(1, 1))
-        qs.record("b", "V", None, 0.001, 1, 1, 0, False, False, epoch_token=(1, 1))
+        qs.record("a", "V", None, 0.001, 1, 1, 0, False, epoch_token=(1, 1))
+        qs.record("b", "V", None, 0.001, 1, 1, 0, False, epoch_token=(1, 1))
         assert len(qs) == 2
-        qs.record("c", "V", None, 0.001, 1, 1, 0, False, False, epoch_token=(2, 1))
+        qs.record("c", "V", None, 0.001, 1, 1, 0, False, epoch_token=(2, 1))
         assert len(qs) == 1 and qs.get("c") is not None
         assert registry.value("query.stats.invalidations") == 2
         assert registry.value("query.stats.recorded") == 3
@@ -103,12 +101,12 @@ class TestQueryStatsUnit:
     def test_schema_change_listener_purges_without_double_count(self):
         registry = MetricsRegistry()
         qs = QueryStats(registry)
-        qs.record("a", "V", None, 0.001, 1, 1, 0, False, False, epoch_token=(1, 1))
+        qs.record("a", "V", None, 0.001, 1, 1, 0, False, epoch_token=(1, 1))
         qs.on_schema_change("V")
         assert len(qs) == 0
         assert registry.value("query.stats.invalidations") == 1
         # The next record under the *new* epoch must not purge again.
-        qs.record("b", "V", None, 0.001, 1, 1, 0, False, False, epoch_token=(2, 1))
+        qs.record("b", "V", None, 0.001, 1, 1, 0, False, epoch_token=(2, 1))
         assert registry.value("query.stats.invalidations") == 1
 
     def test_eviction_drops_coldest_entry_at_capacity(self):
@@ -116,8 +114,8 @@ class TestQueryStatsUnit:
         qs = QueryStats(registry, capacity=3)
         for fp, calls in (("hot", 5), ("warm", 3), ("cold", 1)):
             for _ in range(calls):
-                qs.record(fp, "V", None, 0.001, 1, 1, 0, False, False)
-        qs.record("new", "V", None, 0.001, 1, 1, 0, False, False)
+                qs.record(fp, "V", None, 0.001, 1, 1, 0, False)
+        qs.record("new", "V", None, 0.001, 1, 1, 0, False)
         assert len(qs) == 3
         assert qs.get("cold") is None
         assert qs.get("hot") is not None
@@ -127,7 +125,7 @@ class TestQueryStatsUnit:
         qs = QueryStats()
         for fp, calls in (("b", 1), ("a", 3), ("c", 3)):
             for _ in range(calls):
-                qs.record(fp, "V", None, 0.001, 1, 1, 0, False, False)
+                qs.record(fp, "V", None, 0.001, 1, 1, 0, False)
         assert [e.fingerprint for e in qs.entries()] == ["a", "c", "b"]
 
 
@@ -373,7 +371,7 @@ class TestPrometheusRendering:
     def test_querystats_render_as_labeled_family(self):
         registry = MetricsRegistry()
         qs = QueryStats(bounds=(0.1, 1.0))
-        qs.record("abc123", "Vehicle", None, 0.05, 1, 1, 0, False, False)
+        qs.record("abc123", "Vehicle", None, 0.05, 1, 1, 0, False)
         qs.record("abc123", "Vehicle", None, 0.5, 1, 1, 0, True, False)
         text = render_prometheus(registry, querystats=qs)
         lines = text.splitlines()
@@ -390,7 +388,7 @@ class TestPrometheusRendering:
     def test_label_values_are_escaped(self):
         registry = MetricsRegistry()
         qs = QueryStats()
-        qs.record('fp"\\x\n', "Veh\"icle", None, 0.01, 1, 1, 0, False, False)
+        qs.record('fp"\\x\n', "Veh\"icle", None, 0.01, 1, 1, 0, False)
         text = render_prometheus(registry, querystats=qs)
         assert 'fingerprint="fp\\"\\\\x\\n"' in text
         assert 'target="Veh\\"icle"' in text

@@ -264,6 +264,15 @@ class TestRecovery:
         assert report.winners == {1}
         assert storage.load(OID(1)).values == {"x": 1}
 
+    def test_standalone_recover_counts_into_the_wal_registry(self):
+        storage, wal = self._storage_and_wal()
+        wal.log_begin(1)
+        wal.log_insert(1, ObjectState(OID(1), "A", {"x": 1}))
+        wal.log_commit(1)
+        recover(wal, storage)
+        assert wal.metrics.value("recovery.runs") == 1
+        assert wal.metrics.value("recovery.redone") == 1
+
     def test_loser_insert_undone(self):
         storage, wal = self._storage_and_wal()
         wal.log_begin(1)
