@@ -19,6 +19,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..database import Database
 
 
+def copy_value(value: Any) -> Any:
+    """A stored value with every list in it fresh (lists are the only
+    mutable thing a stored value can hold)."""
+    if isinstance(value, list):
+        return [copy_value(element) for element in value]
+    return value
+
+
 class ObjectState:
     """The persistent state of one object."""
 
@@ -33,9 +41,10 @@ class ObjectState:
         return self.values.get(name, default)
 
     def copy(self) -> "ObjectState":
-        """Shallow-plus copy: the values dict and any list values are new."""
+        """A copy the caller owns: the values dict and every (nested)
+        list are new; everything else a value can hold is immutable."""
         values = {
-            key: (list(val) if isinstance(val, list) else val)
+            key: (copy_value(val) if isinstance(val, list) else val)
             for key, val in self.values.items()
         }
         return ObjectState(self.oid, self.class_name, values)
@@ -100,6 +109,7 @@ class ObjectHandle:
         # read_state, not get_state: inside a transaction with snapshot
         # reads on, attribute access agrees with the transaction's query
         # snapshot (repeatable reads) instead of chasing current state.
+        # It returns a copy, so a list value is the caller's to edit.
         state = self._db.read_state(self.oid)
         if name not in self._db.schema.attributes(state.class_name):
             raise AttributeNotFoundError(
@@ -142,12 +152,12 @@ class ObjectHandle:
         ]
 
     def state(self) -> ObjectState:
-        """A defensive copy of the full transaction-consistent state."""
-        return self._db.read_state(self.oid).copy()
+        """A copy of the full transaction-consistent state."""
+        return self._db.read_state(self.oid)
 
     def to_dict(self) -> Dict[str, Any]:
         """Attribute values as a plain dict (copy)."""
-        return dict(self._db.read_state(self.oid).values)
+        return self._db.read_state(self.oid).values
 
     # -- behavior ---------------------------------------------------------
 

@@ -13,6 +13,7 @@ here).
 from __future__ import annotations
 
 import contextlib
+import functools
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
@@ -38,7 +39,7 @@ from .query.executor import Executor, ResultSet
 from .query.parser import parse_query
 from .query.planner import EmptyScan, Plan, Planner, SystemScan
 from .storage.clustering import ClusteringPolicy, NoClustering
-from .storage.manager import StorageManager
+from .storage.manager import StorageManager, load_state_if_exists
 from .txn.locks import (
     DATABASE,
     IS,
@@ -98,15 +99,18 @@ class QueryStream:
         return self
 
     def __next__(self) -> ObjectHandle:
-        return ObjectHandle(self._db, self.next_state().oid)
+        return ObjectHandle(self._db, self._next_row().oid)
 
     def next_state(self) -> ObjectState:
         """Next visible row as its :class:`ObjectState` (server fetch path).
 
-        Returns the snapshot-resolved state itself instead of a live
+        Returns (a copy of) the snapshot-resolved state instead of a live
         handle — a handle read would see the *current* stored value, not
         the stream's snapshot.
         """
+        return self._next_row().copy()
+
+    def _next_row(self) -> ObjectState:
         if not self._closed:
             for state in self._rows:
                 return state
@@ -628,13 +632,18 @@ class Database:
         return ObjectHandle(self, oid)
 
     def get_state(self, oid: OID) -> ObjectState:
-        """Current stored state (read-locked under the active txn)."""
+        """Current stored state (read-locked under the active txn).
+
+        A copy the caller owns: stored states are shared and read-only
+        (DESIGN "Decoded-state memo"), as is every state or list value
+        that leaves the engine.
+        """
         class_name = self.storage.class_of(oid)
         self._check_authz("read", class_name, oid)
         current = self.txns.current
         if current is not None:
             self._lock(current, oid, class_name, write=False)
-        return self._coerce(self.storage.load(oid))
+        return self._coerce(self.storage.load(oid)).copy()
 
     def read_state(self, oid: OID) -> ObjectState:
         """Transaction-consistent state: the handle-read path.
@@ -644,7 +653,8 @@ class Database:
         path) — so ``h["attr"]`` agrees with what the same transaction's
         queries see, including its own uncommitted writes (the version
         store short-circuits the reader's own chain).  Outside a
-        transaction this is exactly :meth:`get_state`.
+        transaction this is exactly :meth:`get_state`.  Either way the
+        caller owns the returned copy.
         """
         if self.txns.current is None:
             return self.get_state(oid)
@@ -657,7 +667,7 @@ class Database:
                 "object %r is not visible to this transaction's snapshot" % (oid,)
             )
         self._check_authz("read", state.class_name, oid)
-        return state
+        return state.copy()
 
     def exists(self, oid: OID) -> bool:
         return self.storage.contains(oid)
@@ -941,11 +951,13 @@ class Database:
                     current.txn_id
                 )
             snap = current.snapshot
+        # Raw storage reads: the view coerces once, after resolving (a
+        # before-image from the version store needs that coercion too).
         return SnapshotView(
             self.version_store,
             snap,
-            self._deref,
-            self._scan_coerced,
+            functools.partial(load_state_if_exists, self.storage),
+            self.storage.scan_class,
             self._coerce,
             ephemeral=current is None,
         )

@@ -165,7 +165,7 @@ class ObjectAdapter(Adapter):
     def scan(self, class_name: str) -> Iterator[Row]:
         for state in self.db.storage.scan_class(class_name):
             row: Row = {"oid": state.oid}
-            row.update(state.values)
+            row.update(state.copy().values)  # stored states are read-only
             yield row
 
 

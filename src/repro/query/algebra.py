@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
-from ..core.obj import ObjectState
+from ..core.obj import ObjectState, copy_value
 from ..core.oid import OID
 from .ast import (
     AdtPredicate,
@@ -116,7 +116,12 @@ def project_row(
     """One projected row — the per-object kernel behind :func:`project`."""
     row: Dict[str, Any] = {}
     for steps in paths:
-        values = evaluate_path(state, steps, deref)
+        # Fresh lists only: a terminal list value belongs to a shared,
+        # read-only stored state (DESIGN "Decoded-state memo").
+        values = [
+            copy_value(value) if isinstance(value, list) else value
+            for value in evaluate_path(state, steps, deref)
+        ]
         key = ".".join(steps)
         if not values:
             row[key] = None

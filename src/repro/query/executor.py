@@ -51,7 +51,8 @@ class ResultSet:
         self.plan = plan
         self.oids = oids
         self.rows = rows
-        self.states = states
+        self._states = states
+        self._states_owned = False
         self.pipeline = pipeline
         #: Execution counters: the pipeline's own live properties.
         self.stats = pipeline
@@ -60,6 +61,16 @@ class ResultSet:
         #: True for system statistics views (rows are generated dicts;
         #: ``oids`` is empty and there is nothing to materialize).
         self.system = False
+
+    @property
+    def states(self) -> Optional[List[ObjectState]]:
+        """The states the query saw, copied on first access: the pipeline
+        yields shared, read-only stored states (DESIGN "Decoded-state
+        memo"), and most callers only want ``oids``."""
+        if not self._states_owned and self._states is not None:
+            self._states = [state.copy() for state in self._states]
+            self._states_owned = True
+        return self._states
 
     def operator_stats(self) -> List[Dict[str, Any]]:
         """Per-operator counters, leaf first (bench artifacts)."""

@@ -12,6 +12,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from ..errors import PageFullError, StorageError
 from .buffer import BufferPool
+from .page import SlottedPage
 
 
 class RID:
@@ -47,6 +48,14 @@ class HeapFile:
         self.buffer = buffer
         self.name = name
         self.page_ids: List[int] = list(page_ids or [])
+        #: ``page_ids`` as a set, for the ownership checks on every access.
+        self._owned = set(self.page_ids)
+
+    def _grow(self) -> int:
+        page_id = self.buffer.new_page()
+        self.page_ids.append(page_id)
+        self._owned.add(page_id)
+        return page_id
 
     # -- placement ----------------------------------------------------------
 
@@ -69,25 +78,15 @@ class HeapFile:
         experiment E6 measures).  Unhinted inserts append to the tail
         page, allocating a new one when full.
         """
-        if near is not None and near.page_id in set(self.page_ids):
+        if near is not None and near.page_id in self._owned:
             rid = self._try_insert(near.page_id, record)
             if rid is not None:
                 return rid
-            page_id = self.buffer.new_page()
-            self.page_ids.append(page_id)
-            rid = self._try_insert(page_id, record)
-            if rid is None:
-                raise StorageError(
-                    "record of %d bytes does not fit an empty page" % len(record)
-                )
-            return rid
-        if self.page_ids:
+        elif self.page_ids:
             rid = self._try_insert(self.page_ids[-1], record)
             if rid is not None:
                 return rid
-        page_id = self.buffer.new_page()
-        self.page_ids.append(page_id)
-        rid = self._try_insert(page_id, record)
+        rid = self._try_insert(self._grow(), record)
         if rid is None:
             raise StorageError(
                 "record of %d bytes does not fit an empty page" % len(record)
@@ -96,14 +95,17 @@ class HeapFile:
 
     # -- access ---------------------------------------------------------------
 
-    def read(self, rid: RID) -> bytes:
+    def page(self, rid: RID) -> SlottedPage:
+        """The (buffer-resident) page holding ``rid``."""
         self._check_owned(rid)
-        return self.buffer.get_page(rid.page_id).read(rid.slot)
+        return self.buffer.get_page(rid.page_id)
+
+    def read(self, rid: RID) -> bytes:
+        return self.page(rid).read(rid.slot)
 
     def update(self, rid: RID, record: bytes) -> RID:
         """Update in place when possible, else relocate; returns the RID."""
-        self._check_owned(rid)
-        page = self.buffer.get_page(rid.page_id)
+        page = self.page(rid)
         try:
             page.update(rid.slot, record)
         except PageFullError:
@@ -114,20 +116,22 @@ class HeapFile:
         return rid
 
     def delete(self, rid: RID) -> None:
-        self._check_owned(rid)
-        page = self.buffer.get_page(rid.page_id)
-        page.delete(rid.slot)
+        self.page(rid).delete(rid.slot)
         self.buffer.mark_dirty(rid.page_id)
+
+    def pages(self) -> Iterator[Tuple[int, SlottedPage]]:
+        """Every page in heap order, fetched through the buffer as reached."""
+        for page_id in list(self.page_ids):
+            yield page_id, self.buffer.get_page(page_id)
 
     def scan(self) -> Iterator[Tuple[RID, bytes]]:
         """All live records in page order (sequential-scan order)."""
-        for page_id in list(self.page_ids):
-            page = self.buffer.get_page(page_id)
+        for page_id, page in self.pages():
             for slot, body in page.records():
                 yield RID(page_id, slot), body
 
     def _check_owned(self, rid: RID) -> None:
-        if rid.page_id not in set(self.page_ids):
+        if rid.page_id not in self._owned:
             raise StorageError(
                 "RID %r does not belong to heap %r" % (rid, self.name)
             )

@@ -54,8 +54,14 @@ class StorageManager:
         waits=None,
     ) -> None:
         self.path = path
-        self.pager = open_pager(path, page_size, registry, waits)
-        self.buffer = BufferPool(self.pager, buffer_capacity, registry, waits)
+        #: The registry ``storage.decodes`` (and the pager's and buffer's
+        #: counters) live in; a private one when built standalone.
+        self.metrics = registry if registry is not None else MetricsRegistry()
+        #: Records decoded: decoded-state memo misses (page.py), long
+        #: objects and directory rebuilds.  Memo hits count nothing.
+        self._m_decodes = self.metrics.counter("storage.decodes")
+        self.pager = open_pager(path, page_size, self.metrics, waits)
+        self.buffer = BufferPool(self.pager, buffer_capacity, self.metrics, waits)
         self.directory = ObjectDirectory()
         self._heaps: Dict[str, HeapFile] = {}
         self._sticky_extra: Dict[str, Any] = {}
@@ -131,7 +137,7 @@ class StorageManager:
                     oid_value, _stub_class, _chunks = self._read_stub(body)
                     self.directory.add(OID(oid_value), class_name, rid)
                 else:
-                    state = decode_object(body)
+                    state = self._decode(body)
                     self.directory.add(state.oid, class_name, rid)
         self.directory_stale = False
 
@@ -237,7 +243,7 @@ class StorageManager:
         _oid_value, _class_name, rids = self._read_stub(body)
         heap = self.heap_for(OVERFLOW_HEAP)
         data = b"".join(heap.read(rid) for rid in rids)
-        return decode_object(data)
+        return self._decode(data)
 
     def _free_chunks(self, body: bytes) -> None:
         if not self._is_stub(body):
@@ -254,10 +260,20 @@ class StorageManager:
             return self._write_long(data, state.oid, state.class_name)
         return data
 
-    def _decode_record(self, body: bytes) -> ObjectState:
+    def _decode(self, data: bytes) -> ObjectState:
+        self._m_decodes.inc()
+        return decode_object(data)
+
+    def _state_at(self, page: SlottedPage, slot: int, body: bytes) -> ObjectState:
+        """The state ``body``, just read from ``page``/``slot``, encodes.
+
+        Through the page's decoded-state memo — the result is shared and
+        read-only (DESIGN "Decoded-state memo") — except for long-object
+        stubs, whose state lives in chunks on other pages.
+        """
         if self._is_stub(body):
             return self._assemble(body)
-        return decode_object(body)
+        return page.decoded(slot, body, self._decode)
 
     # -- heap management -------------------------------------------------------
 
@@ -297,9 +313,12 @@ class StorageManager:
         return rid
 
     def load(self, oid: OID) -> ObjectState:
+        """The stored state of ``oid`` — shared and read-only (see
+        :meth:`_state_at`); copy it before changing anything."""
         entry = self.directory.lookup(oid)
-        heap = self.heap_for(entry.class_name)
-        return self._decode_record(heap.read(entry.rid))
+        rid = entry.rid
+        page = self.heap_for(entry.class_name).page(rid)
+        return self._state_at(page, rid.slot, page.read(rid.slot))
 
     def contains(self, oid: OID) -> bool:
         return oid in self.directory
@@ -329,22 +348,25 @@ class StorageManager:
         """Delete an object, returning its final state (for undo logs)."""
         entry = self.directory.lookup(oid)
         heap = self.heap_for(entry.class_name)
-        body = heap.read(entry.rid)
-        state = self._decode_record(body)
+        page = heap.page(entry.rid)
+        body = page.read(entry.rid.slot)
+        state = self._state_at(page, entry.rid.slot, body)
         self._free_chunks(body)
         heap.delete(entry.rid)
         self.directory.remove(oid)
         return state
 
     def scan_class(self, class_name: str) -> Iterator[ObjectState]:
-        """All direct instances of one class, in physical (page) order."""
+        """All direct instances of one class, in physical (page) order;
+        shared, read-only states like :meth:`load`'s."""
         if class_name == OVERFLOW_HEAP or class_name not in self._heaps:
             return iter(())
         heap = self._heaps[class_name]
 
         def _iter() -> Iterator[ObjectState]:
-            for _rid, body in heap.scan():
-                yield self._decode_record(body)
+            for _page_id, page in heap.pages():
+                for slot, body in page.records():
+                    yield self._state_at(page, slot, body)
 
         return _iter()
 

@@ -22,13 +22,26 @@ page write or flipped bit on disk is *detected* at the buffer pool
 instead of surfacing as garbage records.  A page of all zero bytes is
 the one checksum-exempt form: it is what the pager allocates and means
 "never written" — an empty page.
+
+**Decoded-state memo.**  A resident page also remembers what its
+records decode to (:meth:`SlottedPage.decoded`), so re-reading an
+unchanged record costs a dict lookup instead of a decode.  A memo entry
+``(body, state)`` is valid only while ``body is`` the slot's current
+body: bodies are immutable ``bytes`` and every write installs a new
+one, so a reader racing a writer may store a stale entry but can never
+get one back.  A state is admitted on the *second* read of the same
+body — the first leaves a ``(body, None)`` marker — so read-once bulk
+scans (ANALYZE, index builds, recovery) hold no states.  Any write
+clears the page's memo (that frees memory; correctness never depends
+on it), and the memo lives and dies with the buffer frame, so the
+pool's capacity bounds it.  Memoized states are shared and read-only.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import PageCorruptError, PageFullError, StorageError
 
@@ -41,16 +54,16 @@ TOMBSTONE = 0xFFFF
 class SlottedPage:
     """A parsed, mutable slotted page."""
 
-    __slots__ = ("page_size", "_slots", "_records")
+    __slots__ = ("page_size", "_slots", "_memo")
 
     def __init__(self, page_size: int) -> None:
         self.page_size = page_size
-        # Parallel arrays: (offset, length) per slot and the record bodies.
-        # We keep bodies separately so mutation is cheap; offsets are
+        # Record bodies per slot (None = tombstone).  Offsets are
         # recomputed at serialization time (records are always compacted on
         # write, which keeps fragmentation bounded without a vacuum pass).
         self._slots: List[Optional[bytes]] = []
-        self._records = self._slots  # alias: body stored directly in slot list
+        #: slot -> (body, decoded state or None): the decoded-state memo.
+        self._memo: Dict[int, Tuple[bytes, Any]] = {}
 
     # -- geometry -----------------------------------------------------------
 
@@ -87,10 +100,12 @@ class SlottedPage:
             if body is None:
                 if self.free_space < len(record):
                     raise PageFullError("page full")
+                self._memo.clear()
                 self._slots[slot] = bytes(record)
                 return slot
         if not self.fits(record):
             raise PageFullError("page full")
+        self._memo.clear()
         self._slots.append(bytes(record))
         return len(self._slots) - 1
 
@@ -100,17 +115,32 @@ class SlottedPage:
             raise StorageError("slot %d is deleted" % slot)
         return body
 
+    def decoded(self, slot: int, body: bytes, decode: Callable[[bytes], Any]) -> Any:
+        """``decode(body)`` for ``body``, just read from ``slot`` — memoized
+        from the second read of the same body on (module docstring)."""
+        entry = self._memo.get(slot)
+        if entry is None or entry[0] is not body:
+            self._memo[slot] = (body, None)
+            return decode(body)
+        state = entry[1]
+        if state is None:
+            state = decode(body)
+            self._memo[slot] = (body, state)
+        return state
+
     def update(self, slot: int, record: bytes) -> None:
         old = self._body(slot)
         if old is None:
             raise StorageError("slot %d is deleted" % slot)
         if self.free_space + len(old) < len(record):
             raise PageFullError("updated record does not fit")
+        self._memo.clear()
         self._slots[slot] = bytes(record)
 
     def delete(self, slot: int) -> None:
         if self._body(slot) is None:
             raise StorageError("slot %d is already deleted" % slot)
+        self._memo.clear()
         self._slots[slot] = None
 
     def records(self) -> Iterator[Tuple[int, bytes]]:

@@ -23,7 +23,7 @@ elements).
 from __future__ import annotations
 
 import struct
-from typing import Any, Tuple
+from typing import Any, Dict, Tuple
 
 from ..core.obj import ObjectState
 from ..core.oid import OID
@@ -43,10 +43,22 @@ def _encode_str(out: bytearray, text: str) -> None:
     out += raw
 
 
+#: Encoded class/attribute name -> the one ``str`` every decoded state
+#: uses for it, so the decoded-state memo (page.py) holds each schema
+#: name once rather than once per record.
+_NAMES: Dict[bytes, str] = {}
+
+
 def _decode_str(data: bytes, pos: int) -> Tuple[str, int]:
+    """A class or attribute name, from the shared name table."""
     (length,) = _U16.unpack_from(data, pos)
     pos += _U16.size
-    return data[pos : pos + length].decode("utf-8"), pos + length
+    end = pos + length
+    raw = data[pos:end]
+    name = _NAMES.get(raw)
+    if name is None:
+        name = _NAMES.setdefault(raw, raw.decode("utf-8"))
+    return name, end
 
 
 def _encode_value(out: bytearray, value: Any) -> None:

@@ -103,7 +103,7 @@ class PrivateWorkspace:
                 from .locks import object_resource
 
                 self._db.locks.acquire(self._lock_owner, object_resource(oid), "X")
-            state = self._db.get_state(oid).copy()
+            state = self._db.get_state(oid)  # already a copy
             self._baseline[oid] = state
             self._local[oid] = state.copy()
             taken.append(oid)

@@ -125,7 +125,7 @@ class VersionManager:
                 % (parent.status, parent_oid, self.policy.name)
             )
         state = self.db.get_state(parent_oid)
-        values = dict(state.values)
+        values = state.values  # get_state returns a copy
         if changes:
             values.update(changes)
         handle = self.db.new(state.class_name, values)

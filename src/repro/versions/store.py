@@ -333,7 +333,9 @@ class SnapshotView:
     the database) and exposes exactly the two hooks the physical
     operators need: :meth:`deref` for probe/path dereferencing and
     :meth:`scan` for extent scans, both resolving visibility through
-    the store.  ``ephemeral`` marks per-query snapshots the query path
+    the store.  ``deref``/``scan`` read raw stored states; ``coerce``
+    runs once per row, after resolution, since a before-image from the
+    store needs it as much as a stored record does.  ``ephemeral`` marks per-query snapshots the query path
     must close itself (transaction-bound snapshots are closed when the
     transaction finishes).
     """

@@ -116,7 +116,8 @@ class ObjectWorkspace:
         self._m_faults.inc()
         state = self.db.get_state(oid)
         self._m_loads.inc()
-        memory_object = MemoryObject(state.oid, state.class_name, dict(state.values), self)
+        # get_state hands over a copy: its values dict is ours to keep.
+        memory_object = MemoryObject(state.oid, state.class_name, state.values, self)
         self._resident[oid] = memory_object
         if self.policy != "none":
             self._swizzle(memory_object)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import AttributeDef, Database
 from repro.core.obj import ObjectState
 from repro.core.oid import OID
 from repro.errors import ObjectNotFoundError, StorageError
@@ -289,3 +290,173 @@ class TestStorageManager:
         storage.store_new(ObjectState(OID(2), "A", {"s": "y" * 60}))
         storage.overwrite(ObjectState(OID(1), "A", {"s": "z" * 150}))
         assert storage.load(OID(1)).values["s"] == "z" * 150
+
+
+class TestDecodedStateMemo:
+    """A resident, unwritten record decodes once per body: the page
+    memoizes its decoded state from the second read on (page.py)."""
+
+    @staticmethod
+    def _storage(n=40, **kwargs):
+        storage = StorageManager(**kwargs)
+        for i in range(1, n + 1):
+            storage.store_new(ObjectState(OID(i), "A", {"x": i, "tags": ["t"]}))
+        return storage
+
+    @staticmethod
+    def _decodes(storage):
+        return storage.metrics.value("storage.decodes")
+
+    def _scan_decodes(self, storage):
+        before = self._decodes(storage)
+        list(storage.scan_class("A"))
+        return self._decodes(storage) - before
+
+    def test_third_scan_of_an_unchanged_extent_decodes_nothing(self):
+        storage = self._storage()
+        assert [self._scan_decodes(storage) for _ in range(3)] == [40, 40, 0]
+
+    def test_memo_hits_fetch_exactly_one_page_per_record(self):
+        storage = self._storage()
+        for _ in range(3):
+            before = storage.metrics.value("buffer.hits")
+            assert storage.load(OID(7)).values["x"] == 7
+            assert storage.metrics.value("buffer.hits") - before == 1
+        assert storage.load(OID(7)) is storage.load(OID(7))
+
+    def test_an_update_re_decodes_only_its_own_page(self):
+        storage = self._storage(page_size=512)
+        pages = {i: storage.directory.lookup(OID(i)).rid.page_id for i in range(1, 41)}
+        assert len(set(pages.values())) > 2
+        for _ in range(2):
+            self._scan_decodes(storage)
+        storage.overwrite(ObjectState(OID(1), "A", {"x": -1, "tags": ["t"]}))
+        same_page = sum(1 for page_id in pages.values() if page_id == pages[1])
+        assert [self._scan_decodes(storage) for _ in range(3)] == [
+            same_page,
+            same_page,
+            0,
+        ]
+        assert storage.load(OID(1)).values["x"] == -1
+
+    def test_a_stale_entry_stored_after_an_update_is_never_returned(self):
+        storage = self._storage(n=3)
+        old = [storage.load(OID(2)) for _ in range(2)][-1]  # admitted
+        rid = storage.directory.lookup(OID(2)).rid
+        page = storage.buffer.get_page(rid.page_id)
+        old_body = page.read(rid.slot)
+        storage.overwrite(ObjectState(OID(2), "A", {"x": 20, "tags": []}))
+        # A reader that raced the writer stores its entry late.
+        page._memo[rid.slot] = (old_body, old)
+        for _ in range(3):
+            assert storage.load(OID(2)).values == {"x": 20, "tags": []}
+
+    def test_eviction_drops_the_memo(self):
+        storage = self._storage(page_size=512, buffer_capacity=2)
+        assert [storage.load(OID(1)).values["x"] for _ in range(3)] == [1, 1, 1]
+        before = self._decodes(storage)
+        storage.load(OID(1))
+        assert self._decodes(storage) == before  # memoized
+        list(storage.scan_class("A"))  # cycles every frame out
+        before = self._decodes(storage)
+        storage.load(OID(1))
+        assert self._decodes(storage) == before + 1
+
+    def test_invalidate_drops_the_memo(self):
+        storage = self._storage()
+        for _ in range(2):
+            storage.load(OID(1))
+        storage.buffer.flush_all()
+        # Recovery re-imaging a page underneath the pool.
+        storage.buffer.invalidate(storage.directory.lookup(OID(1)).rid.page_id)
+        before = self._decodes(storage)
+        assert storage.load(OID(1)).values["x"] == 1
+        assert self._decodes(storage) == before + 1
+
+    def test_long_records_are_never_memoized(self):
+        storage = StorageManager(page_size=512)
+        storage.store_new(ObjectState(OID(1), "A", {"blob": b"x" * 2000}))
+        before = self._decodes(storage)
+        for _ in range(3):
+            assert storage.load(OID(1)).values["blob"] == b"x" * 2000
+        assert self._decodes(storage) == before + 3
+        rid = storage.directory.lookup(OID(1)).rid
+        assert storage.buffer.get_page(rid.page_id)._memo == {}
+
+
+def _doc_db():
+    db = Database()
+    db.define_class(
+        "Doc",
+        attributes=[
+            AttributeDef("title", "String"),
+            AttributeDef("tags", "String", multi=True),
+            AttributeDef("grid"),
+        ],
+    )
+    oid = db.new("Doc", {"title": "orig", "tags": ["a"], "grid": [["g"], ["h"]]}).oid
+    for _ in range(2):  # the second scan admits the state to the memo
+        db.execute("SELECT d FROM Doc d")
+    return db, oid
+
+
+_STORED = {"title": "orig", "tags": ["a"], "grid": [["g"], ["h"]]}
+
+
+def _edit(state_values):
+    state_values["title"] = "edited"
+    state_values["tags"].append("x")
+    state_values["grid"][0].append("x")
+
+
+def _assert_stored(db, oid):
+    """A later read, query and update + abort all see the stored value."""
+    handle = db.get(oid)
+    assert [handle["title"], handle["tags"], handle["grid"]] == list(_STORED.values())
+    assert db.execute("SELECT d FROM Doc d WHERE d.title = 'orig'").oids == [oid]
+    assert db.execute("SELECT d FROM Doc d WHERE d.title = 'edited'").oids == []
+    txn = db.transaction()
+    db.update(oid, {"title": "during"})
+    txn.abort()
+    assert db.get_state(oid).values == _STORED
+
+
+class TestSharedStatesAreReadOnly:
+    """Stored states are shared by the decoded-state memo, so every state
+    or list value that leaves the engine is a copy the caller owns."""
+
+    def test_list_values_through_a_handle(self):
+        db, oid = _doc_db()
+        handle = db.get(oid)
+        handle["tags"].append("x")
+        handle.get("grid")[0].append("x")
+        _assert_stored(db, oid)
+
+    def test_get_state(self):
+        db, oid = _doc_db()
+        _edit(db.get_state(oid).values)
+        _assert_stored(db, oid)
+
+    def test_read_state_inside_a_transaction(self):
+        db, oid = _doc_db()
+        with db.transaction():
+            _edit(db.read_state(oid).values)
+        _assert_stored(db, oid)
+
+    def test_result_set_states(self):
+        db, oid = _doc_db()
+        _edit(db.execute("SELECT d FROM Doc d").states[0].values)
+        _assert_stored(db, oid)
+
+    def test_stream_next_state(self):
+        db, oid = _doc_db()
+        with db.select_iter("SELECT d FROM Doc d") as stream:
+            _edit(stream.next_state().values)
+        _assert_stored(db, oid)
+
+    def test_projected_list_values(self):
+        db, oid = _doc_db()
+        (row,) = db.execute("SELECT d.tags, d.grid FROM Doc d").rows
+        row["grid"][0].append("x")
+        row["grid"].append("x")
+        _assert_stored(db, oid)
