@@ -7,23 +7,21 @@ constant folding, NOT-pushdown, CNF and commutative ordering) share one
 entry regardless of how they were spelled.  A second map keyed on the
 raw source text lets a repeated identical query string skip even parsing.
 
-An entry is valid only for the world it was planned in.  Its key
-captures:
+An entry is valid only for the world it was planned in.  One rule
+covers the whole cache: the **epoch** ``(Schema.version,
+IndexManager.epoch)`` is compared with the cache's stored token at every
+entry point, and a moved epoch — any schema evolution, any index
+create/drop — drops every entry.  ANALYZE applies the same purge
+(:meth:`PlanCache.purge`), so the next lookup re-plans under the new
+catalog.  Per entry, only the **extent scale** is checked: a per-class
+``log2`` bucket of extent sizes, so a plan chosen when a class held 100
+objects is thrown away once the data has doubled and the scan-vs-probe
+tradeoff may have flipped.  The **analysis-facts digest** (contradiction
+flag and sargable ranges the plan was built with) is recorded for
+observability via ``SysPlanCache``.
 
-* the **schema epoch** (``Schema.version``) — any schema evolution
-  (attribute add/drop/rename, domain change, hierarchy edit) bumps it,
-  and ``Schema.on_change`` eagerly purges the cache;
-* the **index epoch** (``IndexManager.epoch``) — creating or dropping an
-  index invalidates plans that should (or should no longer) probe it;
-* the **extent scale** — a per-class ``log2`` bucket of extent sizes, so
-  a plan chosen when a class held 100 objects is thrown away once the
-  data has doubled and the scan-vs-probe tradeoff may have flipped;
-* the **analysis-facts digest** — contradiction flag and sargable ranges
-  the plan was built with (deterministic given query + schema, recorded
-  for observability via ``SysPlanCache``).
-
-Stale entries found at lookup count as ``query.plan_cache.invalidations``
-and are re-planned; capacity evictions are LRU.
+Every dropped entry counts once as ``query.plan_cache.invalidations``;
+capacity evictions are LRU.
 """
 
 from __future__ import annotations
@@ -31,21 +29,19 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: Default maximum number of cached plans.
 DEFAULT_CAPACITY = 256
 
 
 class PlanCacheEntry:
-    """One cached plan plus the validity token it was built under."""
+    """One cached plan plus the extent scale it was built under."""
 
     __slots__ = (
         "fingerprint",
         "plan",
         "report",
-        "schema_version",
-        "index_epoch",
         "extent_scale",
         "facts_digest",
         "hits",
@@ -58,8 +54,6 @@ class PlanCacheEntry:
         fingerprint: str,
         plan: Any,
         report: Any,
-        schema_version: int,
-        index_epoch: int,
         extent_scale: Any,
         facts_digest: str,
         source: Optional[str],
@@ -67,8 +61,6 @@ class PlanCacheEntry:
         self.fingerprint = fingerprint
         self.plan = plan
         self.report = report
-        self.schema_version = schema_version
-        self.index_epoch = index_epoch
         self.extent_scale = extent_scale
         self.facts_digest = facts_digest
         self.hits = 0
@@ -82,20 +74,21 @@ class PlanCache:
     """LRU cache of planned queries, keyed on normalized-AST fingerprints.
 
     Thread-safe: the server path plans queries from pool threads while
-    schema evolution may purge from another.  The internal mutex is
-    leaf-level — no engine lock is ever acquired while holding it.
+    ANALYZE may purge from another.  The internal mutex is leaf-level —
+    no engine lock is ever acquired while holding it, which is why
+    ``epoch`` (called under it) must be a lock-free read.
     """
 
     def __init__(
         self,
-        schema: Any,
-        indexes: Any,
+        epoch: Callable[[], Tuple[int, int]],
         extent_count: Any,
         metrics: Any,
         capacity: int = DEFAULT_CAPACITY,
     ) -> None:
-        self._schema = schema
-        self._indexes = indexes
+        self._epoch = epoch
+        #: The epoch the current entries were planned in.
+        self._token: Optional[Tuple[int, int]] = None
         self._extent_count = extent_count
         self._plan_cache_mutex = threading.Lock()
         self._entries: "OrderedDict[str, PlanCacheEntry]" = OrderedDict()
@@ -106,10 +99,15 @@ class PlanCache:
         self._m_misses = metrics.counter("query.plan_cache.misses")
         self._m_invalidations = metrics.counter("query.plan_cache.invalidations")
         self._m_evictions = metrics.counter("query.plan_cache.evictions")
-        self._m_recosts = metrics.counter("query.cost.plan_cache_recosts")
-        self._m_flips = metrics.counter("query.cost.plan_cache_flips")
 
     # -- validity ----------------------------------------------------------
+
+    def _check_epoch(self) -> None:
+        """The staleness rule: a moved epoch drops every entry (mutex held)."""
+        token = self._epoch()
+        if token != self._token:
+            self._purge()
+            self._token = token
 
     def _scale_of(self, scope: Any) -> Any:
         """Extent sizes bucketed by bit length: invalidation on doubling."""
@@ -118,11 +116,7 @@ class PlanCache:
         )
 
     def _valid(self, entry: PlanCacheEntry) -> bool:
-        return (
-            entry.schema_version == self._schema.version
-            and entry.index_epoch == self._indexes.epoch
-            and entry.extent_scale == self._scale_of(entry.plan.scope)
-        )
+        return entry.extent_scale == self._scale_of(entry.plan.scope)
 
     # -- lookup ------------------------------------------------------------
 
@@ -134,6 +128,7 @@ class PlanCache:
         the hit/miss accounting for the slow path.
         """
         with self._plan_cache_mutex:
+            self._check_epoch()
             fingerprint = self._sources.get(source)
             if fingerprint is None:
                 return None
@@ -155,6 +150,7 @@ class PlanCache:
     ) -> Optional[PlanCacheEntry]:
         """Entry for a normalized-AST fingerprint (post-rewrite path)."""
         with self._plan_cache_mutex:
+            self._check_epoch()
             entry = self._entries.get(fingerprint)
             if entry is not None and not self._valid(entry):
                 self._drop(fingerprint)
@@ -182,13 +178,12 @@ class PlanCache:
             fingerprint,
             plan,
             report,
-            self._schema.version,
-            self._indexes.epoch,
             self._scale_of(plan.scope),
             facts_digest,
             source,
         )
         with self._plan_cache_mutex:
+            self._check_epoch()
             self._entries[fingerprint] = entry
             self._entries.move_to_end(fingerprint)
             if source is not None:
@@ -201,65 +196,16 @@ class PlanCache:
 
     # -- invalidation ------------------------------------------------------
 
-    def on_statistics_change(self, replan: Any) -> None:
-        """Re-cost every cached plan against a fresh ANALYZE catalog.
-
-        ``replan(entry) -> Plan`` re-runs the planner for one entry under
-        the new statistics.  Entries whose winning access path stands get
-        the freshly costed plan swapped in (so EXPLAIN shows current
-        numbers); entries whose winner *flipped* are dropped — the next
-        lookup re-plans and re-caches.  Replanning happens outside the
-        cache mutex: the planner reads extent counts and index trees,
-        and no engine lock may be acquired under the leaf-level cache
-        lock.  Counters land under ``query.cost.plan_cache_recosts`` /
-        ``..._flips``.
-        """
+    def purge(self) -> None:
+        """Drop every entry — ANALYZE's half of the staleness rule."""
         with self._plan_cache_mutex:
-            snapshot = list(self._entries.items())
-        flipped: List[str] = []
-        replacements: Dict[str, Any] = {}
-        for fingerprint, entry in snapshot:
-            try:
-                plan = replan(entry)
-            except Exception:
-                # A query the new world can no longer plan (e.g. a class
-                # dropped without a schema bump) just falls out of cache.
-                flipped.append(fingerprint)
-                continue
-            self._m_recosts.inc()
-            if plan.access.description == entry.plan.access.description:
-                replacements[fingerprint] = plan
-            else:
-                flipped.append(fingerprint)
-        with self._plan_cache_mutex:
-            for fingerprint, plan in replacements.items():
-                entry = self._entries.get(fingerprint)
-                if entry is not None:
-                    entry.plan = plan
-            for fingerprint in flipped:
-                if fingerprint in self._entries:
-                    self._drop(fingerprint)
-                    self._m_flips.inc()
-                    self._m_invalidations.inc()
+            self._purge()
 
-    def on_schema_change(self, class_name: str) -> None:
-        """``Schema.on_change`` listener: evolution purges everything.
-
-        Counting each purged entry as an invalidation keeps the
-        ``query.plan_cache.invalidations`` metric honest about how much
-        planning work a schema change costs to rebuild.
-        """
-        with self._plan_cache_mutex:
-            purged = len(self._entries)
+    def _purge(self) -> None:
+        if self._entries:
+            self._m_invalidations.inc(len(self._entries))
             self._entries.clear()
-            self._sources.clear()
-            if purged:
-                self._m_invalidations.inc(purged)
-
-    def clear(self) -> None:
-        with self._plan_cache_mutex:
-            self._entries.clear()
-            self._sources.clear()
+        self._sources.clear()
 
     def _drop(self, fingerprint: str) -> None:
         self._entries.pop(fingerprint, None)
@@ -274,13 +220,16 @@ class PlanCache:
 
     def __len__(self) -> int:
         with self._plan_cache_mutex:
+            self._check_epoch()
             return len(self._entries)
 
     def rows(self) -> List[Dict[str, Any]]:
         """Row dicts for the ``SysPlanCache`` system view."""
         now = time.perf_counter()
         with self._plan_cache_mutex:
+            self._check_epoch()
             entries = list(self._entries.values())
+            schema_epoch, index_epoch = self._token
         out: List[Dict[str, Any]] = []
         for entry in entries:
             rewrite = getattr(entry.plan, "rewrite", None)
@@ -293,8 +242,8 @@ class PlanCache:
                     "access": entry.plan.access.description,
                     "cost_source": cost.source if cost is not None else "",
                     "hits": entry.hits,
-                    "schema_epoch": entry.schema_version,
-                    "index_epoch": entry.index_epoch,
+                    "schema_epoch": schema_epoch,
+                    "index_epoch": index_epoch,
                     "rules": (
                         ",".join(sorted({name for name, _ in rewrite.rules}))
                         if rewrite is not None

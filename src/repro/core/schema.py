@@ -65,7 +65,6 @@ class Schema:
         self._mro_cache: Dict[str, List[str]] = {}
         self._attr_cache: Dict[str, Dict[str, AttributeDef]] = {}
         self._method_cache: Dict[str, Dict[str, MethodDef]] = {}
-        self._listeners: List[Callable[[str], None]] = []
         #: Validators for user-defined *value* domains (abstract data
         #: types, Section 5.5): domain name -> predicate over raw values.
         #: An ADT class stores its instances inline (encoded as storable
@@ -478,7 +477,7 @@ class Schema:
                     )
 
     # ------------------------------------------------------------------
-    # change notification & catalog persistence
+    # value domains, versioning & catalog persistence
     # ------------------------------------------------------------------
 
     def register_value_domain(
@@ -498,18 +497,16 @@ class Schema:
     def is_value_domain(self, name: str) -> bool:
         return name in self._value_domains
 
-    def on_change(self, callback: Callable[[str], None]) -> None:
-        """Register a callback invoked with the affected class name."""
-        self._listeners.append(callback)
-
     def _bump(self, class_name: str) -> None:
-        """Invalidate caches after any schema mutation."""
+        """Invalidate the resolution caches after any schema mutation.
+
+        Derived state outside the schema (plan cache, query statistics,
+        ANALYZE catalog) compares :attr:`version` when it is read.
+        """
         self.version += 1
         self._mro_cache.clear()
         self._attr_cache.clear()
         self._method_cache.clear()
-        for listener in self._listeners:
-            listener(class_name)
 
     def to_dict(self) -> Dict[str, Any]:
         """Serializable catalog (methods are recorded by name only).

@@ -15,7 +15,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .analysis.diagnostics import DiagnosticReport
 from .analysis.plancache import PlanCache
@@ -233,18 +233,16 @@ class Database:
             page_size=self.storage.pager.page_size,
         )
         #: Normalized-plan cache: hot queries skip parse/analyze/plan.
-        #: Eagerly purged on schema evolution via the schema listener;
-        #: index create/drop and extent-size doubling invalidate lazily
-        #: through the entry's epoch token.
+        #: Like the fingerprint statistics below, it purges itself when
+        #: it finds the epoch moved (``_epoch``: schema evolution, index
+        #: create/drop); extent-size doubling invalidates per entry.
         self.plan_cache = PlanCache(
-            self.schema, self.indexes, self.storage.count_class, self.metrics
+            self._epoch, self.storage.count_class, self.metrics
         )
-        self.schema.on_change(self.plan_cache.on_schema_change)
         #: Per-query-fingerprint statistics accumulator (SysQueryStat);
-        #: recorded at executor close, purged on schema evolution like
-        #: the plan cache — stale fingerprints describe a dead world.
-        self.query_stats = QueryStats(self.metrics)
-        self.schema.on_change(self.query_stats.on_schema_change)
+        #: recorded at executor close — stale fingerprints describe a
+        #: dead world.
+        self.query_stats = QueryStats(self._epoch, self.metrics)
         #: ANALYZE output (:class:`~repro.obs.stats.StatisticsCatalog`):
         #: per-class row counts/sizes and per-index histograms, set by
         #: :meth:`analyze` (or reloaded from the catalog on reopen) and
@@ -355,31 +353,17 @@ class Database:
                 metrics=self.metrics,
             )
         self.statistics = catalog
-        # Fresh statistics can flip a cached plan's winning access path:
-        # re-cost every cached entry against the new catalog, keeping the
-        # ones whose choice stands and dropping the ones that flipped.
-        self.plan_cache.on_statistics_change(self._recost_cached_plan)
+        # Cached plans were costed under the old catalog: the next
+        # lookup re-plans under this one.
+        self.plan_cache.purge()
         if self.path is not None:
             self.storage.save_metadata({"statistics": catalog.to_dict()})
         return catalog
 
-    def _recost_cached_plan(self, entry):
-        """Re-plan one cached query against the current statistics."""
-        pruned = ()
-        if entry.report is not None:
-            pruned = tuple(entry.report.pruned_classes)
-        facts = None
-        rewrite = getattr(entry.plan, "rewrite", None)
-        if rewrite is not None:
-            facts = rewrite.facts
-        plan = self.planner.plan(
-            entry.plan.query,
-            exclude_classes=pruned,
-            facts=facts,
-            stats=self.statistics,
-        )
-        plan.rewrite = rewrite
-        return plan
+    def _epoch(self) -> Tuple[int, int]:
+        """The world cached query state describes: (schema version,
+        index epoch).  Read under leaf cache mutexes, so lock-free."""
+        return self.schema.version, self.indexes.epoch
 
     @property
     def closed(self) -> bool:
@@ -1010,7 +994,6 @@ class Database:
             pipeline.index_probes,
             cache_hit=bool(plan.cached),
             waits=waits,
-            epoch_token=(self.schema.version, self.indexes.epoch),
         )
         # Estimated-vs-actual row totals: the ratio of these counters is
         # the cost model's aggregate estimation error (EXPLAIN shows the

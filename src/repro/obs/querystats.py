@@ -16,17 +16,18 @@ view, the monitor front end (text panel and Prometheus labeled
 histogram series) and the server ``stats`` op.
 
 Invalidation contract (see DESIGN.md): accumulated statistics describe
-one world.  A schema-epoch bump (``Schema.version``) or an index-epoch
-bump (``IndexManager.epoch``) changes what a fingerprint *means* — the
-same normalized AST may now plan differently — so either purges every
-entry, counted under ``query.stats.invalidations``.  System-view
-queries are never recorded: observing the observer must not perturb it.
+one world, the epoch ``(Schema.version, IndexManager.epoch)``.  Either
+bump changes what a fingerprint *means* — the same normalized AST may
+now plan differently — so every entry point compares the epoch with the
+stored token and a mismatch purges every entry, each counted once under
+``query.stats.invalidations``.  System-view queries are never recorded:
+observing the observer must not perturb it.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 
@@ -108,7 +109,8 @@ class QueryStats:
     Thread-safe: server pool threads record concurrently while the
     monitor scans.  ``_querystats_mutex`` is a leaf in the engine lock
     lattice — nothing else is ever acquired while holding it, and it is
-    taken only after the query's pipeline has closed.
+    taken only after the query's pipeline has closed; ``epoch`` (called
+    under it) must be a lock-free read.
     """
 
     #: Retained fingerprints; beyond this the coldest entry (fewest
@@ -118,6 +120,7 @@ class QueryStats:
 
     def __init__(
         self,
+        epoch: Callable[[], Tuple[int, int]],
         metrics: Optional[MetricsRegistry] = None,
         capacity: int = DEFAULT_CAPACITY,
         bounds: Sequence[float] = DEFAULT_BUCKETS,
@@ -126,8 +129,9 @@ class QueryStats:
         self._bounds = tuple(bounds)
         self._querystats_mutex = threading.Lock()
         self._entries: Dict[str, QueryStatEntry] = {}
-        #: The (schema epoch, index epoch) the current entries describe.
-        self._epoch_token: Optional[Tuple[int, int]] = None
+        self._epoch = epoch
+        #: The epoch the current entries describe.
+        self._token: Optional[Tuple[int, int]] = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._m_recorded = self.metrics.counter("query.stats.recorded")
         self._m_invalidations = self.metrics.counter("query.stats.invalidations")
@@ -147,22 +151,16 @@ class QueryStats:
         index_probes: int,
         cache_hit: bool,
         waits: Optional[Dict[str, float]] = None,
-        epoch_token: Optional[Tuple[int, int]] = None,
     ) -> None:
         """Fold one finished query execution into its fingerprint's entry.
 
         ``waits`` maps raw wait kinds (``Lock``, ``BufferRead``, ...) to
         seconds blocked during this query, as captured by the wait
         profiler on the executing thread; kinds roll up per
-        :data:`WAIT_GROUPS`.  ``epoch_token`` is the current
-        (schema epoch, index epoch) pair — a change purges first.
+        :data:`WAIT_GROUPS`.
         """
         with self._querystats_mutex:
-            if epoch_token is not None and epoch_token != self._epoch_token:
-                if self._entries:
-                    self._m_invalidations.inc(len(self._entries))
-                    self._entries.clear()
-                self._epoch_token = epoch_token
+            self._check_epoch()
             entry = self._entries.get(fingerprint)
             if entry is None:
                 entry = QueryStatEntry(fingerprint, target, source, self._bounds)
@@ -197,34 +195,27 @@ class QueryStats:
 
     # -- invalidation ------------------------------------------------------
 
-    def on_schema_change(self, class_name: str) -> None:
-        """``Schema.on_change`` listener: evolution purges everything.
-
-        The epoch token is also dropped so the next :meth:`record`
-        re-establishes it instead of double-counting the purge.
-        """
-        with self._querystats_mutex:
+    def _check_epoch(self) -> None:
+        """The staleness rule: a moved epoch purges every entry (mutex held)."""
+        token = self._epoch()
+        if token != self._token:
             if self._entries:
                 self._m_invalidations.inc(len(self._entries))
                 self._entries.clear()
-            self._epoch_token = None
-            self._m_fingerprints.set(0)
-
-    def reset(self) -> None:
-        with self._querystats_mutex:
-            self._entries.clear()
-            self._epoch_token = None
-            self._m_fingerprints.set(0)
+                self._m_fingerprints.set(0)
+            self._token = token
 
     # -- reading -----------------------------------------------------------
 
     def get(self, fingerprint: str) -> Optional[QueryStatEntry]:
         with self._querystats_mutex:
+            self._check_epoch()
             return self._entries.get(fingerprint)
 
     def entries(self) -> List[QueryStatEntry]:
         """Live entries, hottest (most calls) first."""
         with self._querystats_mutex:
+            self._check_epoch()
             entries = list(self._entries.values())
         entries.sort(key=lambda e: (-e.calls, e.fingerprint))
         return entries
@@ -235,6 +226,7 @@ class QueryStats:
 
     def __len__(self) -> int:
         with self._querystats_mutex:
+            self._check_epoch()
             return len(self._entries)
 
     def __repr__(self) -> str:

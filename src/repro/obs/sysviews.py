@@ -268,10 +268,7 @@ class SystemViewsAdapter(Adapter):
 
     def _catalog_staleness(self, catalog) -> str:
         """The catalog's live staleness, surfaced on every stats row."""
-        return (
-            catalog.stale_reason(self.db.schema.version, self.db.indexes.epoch)
-            or ""
-        )
+        return catalog.stale_reason(*self.db._epoch()) or ""
 
     def _rows_sysclassstat(self) -> Iterator[Row]:
         catalog = getattr(self.db, "statistics", None)

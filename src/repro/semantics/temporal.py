@@ -5,7 +5,9 @@ temporal dimension of data, and versioning of data)" among the
 post-relational requirements.  Versioning is covered by
 :mod:`repro.versions`; this module adds *transaction-time* history:
 every mutation appends a (tick, state) entry to the object's history, so
-past states and past extents can be queried "as of" any point.
+past states and past extents can be queried "as of" any point.  Abort
+removes the entries of the writes it rolls back: history never shows an
+aborted state.
 
 Ticks are a monotonically increasing logical clock (one per mutation),
 which keeps replays deterministic; callers map ticks to wall-clock time
@@ -52,6 +54,17 @@ class TemporalManager:
     # -- recording ----------------------------------------------------------
 
     def _post_hook(self, kind: str, old, new) -> None:
+        if self.db.txns.rolling_back:
+            # A compensation undoes this object's newest entry (rollback
+            # runs newest-first under the writer's X lock): remove it, so
+            # an aborted write never appears in the history.
+            oid = (old if new is None else new).oid
+            entries = self._history.get(oid)
+            if entries:
+                entries.pop()
+                if not entries:
+                    del self._history[oid]
+            return
         self._clock += 1
         if kind == "delete":
             self._history.setdefault(old.oid, []).append(

@@ -186,12 +186,6 @@ class TestDynamicExtension:
         assert schema.version > before
         assert "x" in schema.attributes("B")
 
-    def test_change_listener_fires(self, schema):
-        events = []
-        schema.on_change(events.append)
-        schema.define_class("A")
-        assert events == ["A"]
-
     def test_caches_invalidated_on_definition(self, schema):
         schema.define_class("A")
         assert schema.hierarchy_of("A") == ["A"]

@@ -17,8 +17,8 @@ Covers the PR-10 optimizer tentpole:
   SysIndexStat) or it does not cover a scoped class;
 * cached plans are always the best access path, and live version
   entries neither poison the cache nor change the plan that runs;
-* the plan-cache re-cost protocol — a fresh ANALYZE re-costs cached
-  entries, keeping stable winners and invalidating flipped ones;
+* ANALYZE drops cached plans — the next lookup re-plans under the
+  fresh catalog;
 * the ``query.cost.*`` metric family and the EXPLAIN ``-- cost --``
   section (estimated vs. SysQueryStat-observed rows);
 * the ``python -m repro.tools.analyze --demo --explain`` CI smoke.
@@ -317,36 +317,45 @@ class TestStaleness:
         assert db.select("SysClassStat")[0]["stale"] == ""
 
 
-# -- plan-cache re-cost protocol ---------------------------------------------
+# -- ANALYZE drops cached plans ----------------------------------------------
 
 
 class TestPlanCacheRecost:
+    """ANALYZE purges the plan cache: the first lookup after it re-plans
+    (re-costs) under the new catalog, the second hits the new entry."""
+
     SOURCE = "SELECT i FROM Item i WHERE i.a = 5"
 
-    def test_stable_winner_survives_reanalyze(self):
+    def test_reanalyze_replans_at_first_lookup(self):
         db = _db(list(range(100)))
         db.analyze()
         plan = db.plan(self.SOURCE)
         assert isinstance(plan.access, IndexEqProbe)
-        db.analyze()  # nothing changed: the entry must survive
-        assert db.metrics.counter("query.cost.plan_cache_recosts").value >= 1
-        assert db.metrics.counter("query.cost.plan_cache_flips").value == 0
+        misses = db.metrics.value("query.plan_cache.misses")
+        invalidations = db.metrics.value("query.plan_cache.invalidations")
+        db.analyze()
+        assert db.metrics.value("query.plan_cache.invalidations") == invalidations + 1
+        first = db.plan(self.SOURCE)
+        assert not first.cached
+        assert first.cost.source == "statistics"
+        assert db.metrics.value("query.plan_cache.misses") == misses + 1
         again = db.plan(self.SOURCE)
-        assert again.cached and isinstance(again.access, IndexEqProbe)
+        assert again.cached and again is first
+        assert isinstance(again.access, IndexEqProbe)
 
     def test_flipped_winner_is_invalidated(self):
         db = _db([5] * 100)
         db.analyze()
         plan = db.plan(self.SOURCE)
         assert isinstance(plan.access, ExtentScan)  # a=5 matches everything
-        # Make the column selective, then re-ANALYZE: the winner flips
-        # to the index probe and the cached scan entry must be dropped.
+        # Make the column selective, then re-ANALYZE: the next lookup
+        # re-plans and the winner flips to the index probe.
         for position, item in enumerate(db.select("Item")):
             db.update(item.oid, {"a": position})
         db.analyze()
-        assert db.metrics.counter("query.cost.plan_cache_flips").value >= 1
         fresh = db.plan(self.SOURCE)
         assert not fresh.cached
+        assert fresh.cost.source == "statistics"
         assert isinstance(fresh.access, IndexEqProbe)
         assert db.execute(self.SOURCE).stats.matched == 1
 
@@ -356,7 +365,7 @@ class TestPlanCacheRecost:
         db.analyze()
         db.plan(self.SOURCE)
         rows = db.select("SysPlanCache")
-        # ANALYZE re-costed the entry planned on live cardinalities.
+        # ANALYZE dropped the entry planned on live cardinalities.
         assert rows and {row["cost_source"] for row in rows} == {"statistics"}
 
 

@@ -4,8 +4,8 @@ Covers the PR-9 observability tentpole end to end:
 
 * the :class:`~repro.obs.querystats.QueryStats` accumulator (unit level
   and through the full parse -> analyze -> plan -> pipeline path into
-  ``SysQueryStat``), including its invalidation contract — schema epoch
-  and index epoch both purge accumulated rows;
+  ``SysQueryStat``), including its invalidation contract — a moved
+  schema or index epoch purges accumulated rows at the next read;
 * ``Database.analyze()`` and the :class:`~repro.obs.stats` catalog —
   equi-depth histograms, persistence across close/reopen, the
   ``SysClassStat`` / ``SysIndexStat`` views, and the planner's inert
@@ -17,9 +17,15 @@ Covers the PR-9 observability tentpole end to end:
   in the server-side ``SysSlowOp`` row.
 """
 
+import sys
+import threading
+import time
+import types
+
 import pytest
 
 from repro import AttributeDef, Database
+from repro.analysis.plancache import PlanCache
 from repro.errors import QueryError, SemanticError
 from repro.evolution import SchemaEvolution
 from repro.obs import MetricsRegistry, Tracer
@@ -58,9 +64,13 @@ def _stat(db, name):
 # -- the accumulator, unit level ---------------------------------------------
 
 
+def _fixed_epoch():
+    return (0, 0)
+
+
 class TestQueryStatsUnit:
     def test_same_fingerprint_accumulates_one_entry(self):
-        qs = QueryStats()
+        qs = QueryStats(_fixed_epoch)
         for _ in range(5):
             qs.record("fp1", "Vehicle", "q", 0.001, 40, 20, 0, False)
         assert len(qs) == 1
@@ -71,13 +81,13 @@ class TestQueryStatsUnit:
         assert entry.latency.count == 5
 
     def test_cache_hits_counted(self):
-        qs = QueryStats()
+        qs = QueryStats(_fixed_epoch)
         qs.record("fp", "V", None, 0.001, 1, 1, 0, cache_hit=False)
         qs.record("fp", "V", None, 0.001, 1, 1, 0, cache_hit=True)
         assert qs.get("fp").plan_cache_hits == 1
 
     def test_wait_kinds_roll_up_into_groups(self):
-        qs = QueryStats()
+        qs = QueryStats(_fixed_epoch)
         qs.record(
             "fp", "V", None, 0.1, 1, 1, 0, False,
             waits={"Lock": 0.05, "PageRead": 0.01, "WALFlush": 0.02, "Mystery": 9.0},
@@ -89,29 +99,36 @@ class TestQueryStatsUnit:
 
     def test_epoch_change_purges_and_counts_invalidations(self):
         registry = MetricsRegistry()
-        qs = QueryStats(registry)
-        qs.record("a", "V", None, 0.001, 1, 1, 0, False, epoch_token=(1, 1))
-        qs.record("b", "V", None, 0.001, 1, 1, 0, False, epoch_token=(1, 1))
+        epoch = [(1, 1)]
+        qs = QueryStats(lambda: epoch[0], registry)
+        qs.record("a", "V", None, 0.001, 1, 1, 0, False)
+        qs.record("b", "V", None, 0.001, 1, 1, 0, False)
         assert len(qs) == 2
-        qs.record("c", "V", None, 0.001, 1, 1, 0, False, epoch_token=(2, 1))
+        epoch[0] = (2, 1)
+        qs.record("c", "V", None, 0.001, 1, 1, 0, False)
         assert len(qs) == 1 and qs.get("c") is not None
         assert registry.value("query.stats.invalidations") == 2
         assert registry.value("query.stats.recorded") == 3
 
-    def test_schema_change_listener_purges_without_double_count(self):
+    def test_read_after_epoch_change_purges_without_double_count(self):
         registry = MetricsRegistry()
-        qs = QueryStats(registry)
-        qs.record("a", "V", None, 0.001, 1, 1, 0, False, epoch_token=(1, 1))
-        qs.on_schema_change("V")
-        assert len(qs) == 0
+        epoch = [(1, 1)]
+        qs = QueryStats(lambda: epoch[0], registry)
+        qs.record("a", "V", None, 0.001, 1, 1, 0, False)
+        epoch[0] = (1, 2)
+        assert qs.rows() == []
         assert registry.value("query.stats.invalidations") == 1
-        # The next record under the *new* epoch must not purge again.
-        qs.record("b", "V", None, 0.001, 1, 1, 0, False, epoch_token=(2, 1))
+        assert registry.value("query.stats.fingerprints") == 0
+        # Further reads and the next record under the *new* epoch must
+        # not purge again.
+        assert len(qs) == 0 and qs.get("a") is None
+        qs.record("b", "V", None, 0.001, 1, 1, 0, False)
+        assert [e.fingerprint for e in qs.entries()] == ["b"]
         assert registry.value("query.stats.invalidations") == 1
 
     def test_eviction_drops_coldest_entry_at_capacity(self):
         registry = MetricsRegistry()
-        qs = QueryStats(registry, capacity=3)
+        qs = QueryStats(_fixed_epoch, registry, capacity=3)
         for fp, calls in (("hot", 5), ("warm", 3), ("cold", 1)):
             for _ in range(calls):
                 qs.record(fp, "V", None, 0.001, 1, 1, 0, False)
@@ -122,11 +139,86 @@ class TestQueryStatsUnit:
         assert registry.value("query.stats.evictions") == 1
 
     def test_entries_hottest_first(self):
-        qs = QueryStats()
+        qs = QueryStats(_fixed_epoch)
         for fp, calls in (("b", 1), ("a", 3), ("c", 3)):
             for _ in range(calls):
                 qs.record(fp, "V", None, 0.001, 1, 1, 0, False)
         assert [e.fingerprint for e in qs.entries()] == ["a", "c", "b"]
+
+
+class TestEpochRuleUnderThreads:
+    """Writers and readers race an epoch bumper; every entry ever added
+    is either still present or counted exactly once as purged."""
+
+    WORKERS, PER_WORKER, BUMPS = 8, 200, 400
+
+    @staticmethod
+    def _yielding(epoch):
+        """The epoch read, giving up the interpreter first so another
+        thread runs in the middle of the staleness check."""
+
+        def read():
+            time.sleep(0)
+            return (epoch[0], 0)
+
+        return read
+
+    def _race(self, epoch, add, read):
+        """Run the race; return how many entries the writers added."""
+        errors = []
+
+        def work(worker):
+            try:
+                for i in range(self.PER_WORKER):
+                    add("%d-%d" % (worker, i))
+                    read()
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        def bump():
+            for _ in range(self.BUMPS):
+                epoch[0] += 1
+                read()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(w,))
+                for w in range(self.WORKERS)
+            ] + [threading.Thread(target=bump)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        return self.WORKERS * self.PER_WORKER
+
+    def test_query_stats(self):
+        registry = MetricsRegistry()
+        epoch = [0]
+        qs = QueryStats(self._yielding(epoch), registry, capacity=10**6)
+        added = self._race(
+            epoch,
+            lambda fp: qs.record(fp, "V", None, 0.001, 1, 1, 0, False),
+            lambda: len(qs),
+        )
+        assert registry.value("query.stats.invalidations") + len(qs) == added
+
+    def test_plan_cache(self):
+        registry = MetricsRegistry()
+        epoch = [0]
+        cache = PlanCache(
+            self._yielding(epoch), lambda cls: 1, registry, capacity=10**6
+        )
+        plan = types.SimpleNamespace(scope=())
+        added = self._race(
+            epoch, lambda fp: cache.put(fp, plan, None, ""), lambda: len(cache)
+        )
+        assert registry.value("query.plan_cache.invalidations") + len(cache) == added
 
 
 class TestWaitCapture:
@@ -201,6 +293,38 @@ class TestSysQueryStat:
         )
         assert len(db.query_stats) == 0
         assert _stat(db, "query.stats.invalidations") == 1
+        db.close()
+
+    def test_ddl_purges_cached_query_state_before_the_next_query(self):
+        """One staleness rule: after DDL every reader — the views, len()
+        — sees no entry from the old epoch, without waiting for a user
+        query, and each purged entry is counted exactly once."""
+        db = _vehicle_db()
+        evolution = SchemaEvolution(db)
+        changes = (
+            lambda: db.create_class_index("Vehicle", "color"),
+            lambda: evolution.add_attribute(
+                "Vehicle", AttributeDef("maker", "String", default="acme")
+            ),
+        )
+        for change in changes:
+            db.execute(REPEATED)  # indexed
+            db.execute("Vehicle where color = 'red'")  # scanned before the color index
+            assert len(db.plan_cache) == 2 and len(db.query_stats) == 2
+            plan_inv = db.metrics.value("query.plan_cache.invalidations")
+            stats_inv = db.metrics.value("query.stats.invalidations")
+            change()
+            for _ in range(2):  # the second pass must count nothing more
+                assert db.select("SysQueryStat") == []
+                assert db.select("SysPlanCache") == []
+                assert len(db.plan_cache) == 0
+                assert len(db.query_stats) == 0
+                assert db.metrics.value("query.plan_cache.invalidations") == plan_inv + 2
+                assert db.metrics.value("query.stats.invalidations") == stats_inv + 2
+            db.execute(REPEATED)
+            (row,) = db.select("SysPlanCache")
+            assert row["schema_epoch"] == db.schema.version
+            assert row["index_epoch"] == db.indexes.epoch
         db.close()
 
     def test_index_epoch_bump_purges_on_next_record(self):
@@ -338,8 +462,8 @@ class TestAnalyze:
         plain = db.explain(REPEATED).render()
         assert "cost: live cardinalities (no ANALYZE statistics) chose" in plain
         db.analyze()
-        # ANALYZE re-costs cached plans; cached or fresh, the plan now
-        # says where its numbers came from and what was measured.
+        # ANALYZE drops cached plans; the re-planned one now says where
+        # its numbers came from and what was measured.
         noted = db.explain("SELECT v FROM Vehicle v WHERE v.weight >= 921").render()
         assert "cost: ANALYZE statistics chose" in noted
         assert "scan(Vehicle): pages=1.0 rows=40.0" in noted
@@ -370,7 +494,7 @@ class TestPrometheusRendering:
 
     def test_querystats_render_as_labeled_family(self):
         registry = MetricsRegistry()
-        qs = QueryStats(bounds=(0.1, 1.0))
+        qs = QueryStats(_fixed_epoch, bounds=(0.1, 1.0))
         qs.record("abc123", "Vehicle", None, 0.05, 1, 1, 0, False)
         qs.record("abc123", "Vehicle", None, 0.5, 1, 1, 0, True, False)
         text = render_prometheus(registry, querystats=qs)
@@ -387,14 +511,14 @@ class TestPrometheusRendering:
 
     def test_label_values_are_escaped(self):
         registry = MetricsRegistry()
-        qs = QueryStats()
+        qs = QueryStats(_fixed_epoch)
         qs.record('fp"\\x\n', "Veh\"icle", None, 0.01, 1, 1, 0, False)
         text = render_prometheus(registry, querystats=qs)
         assert 'fingerprint="fp\\"\\\\x\\n"' in text
         assert 'target="Veh\\"icle"' in text
 
     def test_empty_querystats_emits_no_family(self):
-        text = render_prometheus(MetricsRegistry(), querystats=QueryStats())
+        text = render_prometheus(MetricsRegistry(), querystats=QueryStats(_fixed_epoch))
         assert "query_latency_seconds" not in text
 
     def test_monitor_demo_exports_querystat_family(self):

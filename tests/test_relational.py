@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import KimDBError
 from repro.relational import Column, RelationalEngine
+from repro.storage.manager import StorageManager
 
 
 @pytest.fixture
@@ -92,27 +93,36 @@ class TestTables:
 
 class TestOperators:
     def test_scan_counts_rows(self, engine):
-        engine.stats.reset()
+        engine.metrics.reset("relational.")
         rows = list(engine.scan("emp"))
         assert len(rows) == 3
-        assert engine.stats.rows_examined == 3
+        assert engine.metrics.value("relational.rows_examined") == 3
 
     def test_select_predicate(self, engine):
         rich = engine.select("emp", lambda row: row["salary"] >= 90)
         assert sorted(r["name"] for r in rich) == ["alice", "bob"]
 
     def test_select_eq_uses_pk(self, engine):
-        engine.stats.reset()
+        engine.metrics.reset("relational.")
         rows = engine.select_eq("emp", "emp_id", 2)
         assert rows[0]["name"] == "bob"
-        assert engine.stats.index_lookups == 1
-        assert engine.stats.rows_examined == 0
+        assert engine.metrics.value("relational.index_lookups") == 1
+        assert engine.metrics.value("relational.rows_examined") == 0
 
     def test_select_eq_falls_back_to_scan(self, engine):
-        engine.stats.reset()
+        engine.metrics.reset("relational.")
         rows = engine.select_eq("emp", "name", "carol")
         assert rows[0]["dept_id"] == 2
-        assert engine.stats.rows_examined == 3
+        assert engine.metrics.value("relational.rows_examined") == 3
+
+    def test_paged_engine_counts_into_the_storage_registry(self):
+        storage = StorageManager()
+        engine = RelationalEngine(storage)
+        assert engine.metrics is storage.metrics
+        engine.create_table("t", [("a", "int")])
+        engine.insert("t", {"a": 1})
+        assert len(list(engine.scan("t"))) == 1
+        assert storage.metrics.value("relational.rows_examined") == 1
 
     def test_project(self, engine):
         rows = RelationalEngine.project(engine.scan("emp"), ["name"])
@@ -151,10 +161,10 @@ class TestJoins:
             engine.index_join(left, "dept_id", "emp", "dept_id")
 
     def test_auto_join_prefers_index(self, engine):
-        engine.stats.reset()
+        engine.metrics.reset("relational.")
         left = list(engine.scan("emp"))
         engine.join(left, "dept_id", "dept", "dept_id")
-        assert engine.stats.index_lookups == 3  # one PK probe per outer row
+        assert engine.metrics.value("relational.index_lookups") == 3  # one PK probe per outer row
 
     def test_null_keys_do_not_join(self, engine):
         engine.insert("emp", {"emp_id": 9, "name": "nodept", "dept_id": None, "salary": 1})
@@ -163,9 +173,9 @@ class TestJoins:
         assert all(row["emp_id"] != 9 for row in joined)
 
     def test_nested_loop_cost_quadratic(self, engine):
-        engine.stats.reset()
+        engine.metrics.reset("relational.")
         left = list(engine.scan("emp"))
-        engine.stats.reset()
+        engine.metrics.reset("relational.")
         engine.nested_loop_join(left, "dept_id", "dept", "dept_id")
         # 3 outer * 2 inner + inner scan for materialization.
-        assert engine.stats.rows_examined >= 3 * 2
+        assert engine.metrics.value("relational.rows_examined") >= 3 * 2

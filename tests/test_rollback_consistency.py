@@ -88,15 +88,49 @@ class TestCompositeLinksAfterAbort:
 
 
 class TestTemporalAfterAbort:
-    def test_compensations_recorded_in_history(self):
+    """An aborted write never enters the history: its compensation
+    removes the entry it undoes instead of appending the restored image."""
+
+    @pytest.fixture
+    def tdb(self):
         db = Database()
         attach_temporal(db)
-        db.define_class("T", attributes=[AttributeDef("n", "Integer")])
-        obj = db.new("T", {"n": 1})
-        txn = db.transaction()
-        db.update(obj.oid, {"n": 2})
+        db.define_class("T", attributes=[AttributeDef("w", "Integer")])
+        return db
+
+    def test_aborted_update_leaves_no_history(self, tdb):
+        obj = tdb.new("T", {"w": 1})
+        born = tdb.temporal.now
+        txn = tdb.transaction()
+        tdb.update(obj.oid, {"w": 999})
         txn.abort()
-        history = db.temporal.history_of(obj.oid)
-        # write(1), write(2), compensating write(1).
-        assert [e.state.values["n"] for e in history] == [1, 2, 1]
-        assert db.temporal.value_as_of(obj.oid, "n", db.temporal.now) == 1
+        temporal = tdb.temporal
+        assert [e.state.values["w"] for e in temporal.history_of(obj.oid)] == [1]
+        assert {
+            temporal.value_as_of(obj.oid, "w", tick)
+            for tick in range(born, temporal.now + 1)
+        } == {1}
+        assert temporal.changed_between(born, temporal.now) == []
+        # A committed write after the abort is recorded as usual.
+        tdb.update(obj.oid, {"w": 5})
+        assert [e.state.values["w"] for e in temporal.history_of(obj.oid)] == [1, 5]
+        assert temporal.value_as_of(obj.oid, "w", temporal.now) == 5
+
+    def test_aborted_insert_leaves_no_history(self, tdb):
+        txn = tdb.transaction()
+        obj = tdb.new("T", {"w": 7})
+        txn.abort()
+        temporal = tdb.temporal
+        assert temporal.history_of(obj.oid) == []
+        assert temporal.lifetime_of(obj.oid) == (None, None)
+        assert temporal.extent_as_of("T", temporal.now) == []
+        assert temporal.changed_between(0, temporal.now) == []
+
+    def test_aborted_delete_leaves_object_alive(self, tdb):
+        obj = tdb.new("T", {"w": 1})
+        born = tdb.temporal.now
+        txn = tdb.transaction()
+        tdb.delete(obj.oid)
+        txn.abort()
+        assert tdb.temporal.lifetime_of(obj.oid) == (born, None)
+        assert tdb.temporal.extent_as_of("T", tdb.temporal.now) == [obj.oid]
