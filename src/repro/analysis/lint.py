@@ -33,8 +33,9 @@ hard gate over ``src/repro``:
 ``operator-materialization``
     Inside ``repro.query.operators`` no ``list(...)`` call may
     materialize a stream: physical operators are pull pipelines, and an
-    eager ``list()`` defeats LIMIT early termination.  Intentional
-    pipeline breakers carry the pragma.
+    eager ``list()`` defeats LIMIT early termination.  A bounded batch
+    (at most the ``n`` rows asked for, built by a comprehension) is not
+    a drain.  Intentional pipeline breakers carry the pragma.
 ``wall-clock-duration``
     No ``time.time()`` in engine code: wall clocks step (NTP, DST) and
     make terrible duration measurements.  Durations belong to

@@ -98,7 +98,7 @@ def resolve_path(
                 % (current, attr_name, resolution.dotted())
             )
             return resolution
-        declared = schema.attributes(current)
+        declared = schema.attribute_map(current)
         attr = declared.get(attr_name)
         if attr is None:
             resolution.failed_step = step_no

@@ -264,7 +264,7 @@ def _flip_ok_paths(schema: Any, scope: Sequence[str], where: Expr) -> Set[Tuple[
             continue
         sound = True
         for cls in scope:
-            attr = schema.attributes(cls).get(steps[0])
+            attr = schema.attribute_map(cls).get(steps[0])
             if attr is None or attr.multi or attr.domain == ANY_CLASS:
                 sound = False
                 break

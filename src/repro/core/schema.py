@@ -14,6 +14,7 @@ place.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import (
     Any,
     Callable,
@@ -21,6 +22,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -63,7 +65,7 @@ class Schema:
         #: caches compare it to detect staleness.
         self.version = 0
         self._mro_cache: Dict[str, List[str]] = {}
-        self._attr_cache: Dict[str, Dict[str, AttributeDef]] = {}
+        self._attr_cache: Dict[str, Mapping[str, AttributeDef]] = {}
         self._method_cache: Dict[str, Dict[str, MethodDef]] = {}
         #: Validators for user-defined *value* domains (abstract data
         #: types, Section 5.5): domain name -> predicate over raw values.
@@ -277,18 +279,25 @@ class Schema:
     # ------------------------------------------------------------------
 
     def attributes(self, name: str) -> Dict[str, AttributeDef]:
-        """Effective attributes of ``name`` (own + inherited, resolved)."""
+        """Effective attributes of ``name`` (own + inherited, resolved):
+        a copy the caller owns."""
+        return dict(self.attribute_map(name))
+
+    def attribute_map(self, name: str) -> Mapping[str, AttributeDef]:
+        """:meth:`attributes` without the copy: a read-only view of the
+        cached resolution, for hot read paths.  Valid until the next
+        schema change (which drops the cache); re-fetch, don't keep."""
         cached = self._attr_cache.get(name)
         if cached is None:
             mro = self.mro(name)
-            cached = resolve_by_precedence(
-                mro, lambda cls: self.get_class(cls).own_attributes
+            cached = MappingProxyType(
+                resolve_by_precedence(mro, lambda cls: self.get_class(cls).own_attributes)
             )
-            self._attr_cache[name] = cached  # type: ignore[assignment]
-        return dict(cached)
+            self._attr_cache[name] = cached
+        return cached
 
     def attribute(self, class_name: str, attr_name: str) -> AttributeDef:
-        attr = self.attributes(class_name).get(attr_name)
+        attr = self.attribute_map(class_name).get(attr_name)
         if attr is None:
             raise AttributeNotFoundError(
                 "class %s has no attribute %r" % (class_name, attr_name)
@@ -296,7 +305,7 @@ class Schema:
         return attr
 
     def has_attribute(self, class_name: str, attr_name: str) -> bool:
-        return attr_name in self.attributes(class_name)
+        return attr_name in self.attribute_map(class_name)
 
     def methods(self, name: str) -> Dict[str, MethodDef]:
         """Effective methods of ``name`` (own + inherited, resolved)."""
@@ -441,7 +450,7 @@ class Schema:
         """Fresh attribute dict populated with declared defaults."""
         return {
             name: attr.default_value()
-            for name, attr in self.attributes(class_name).items()
+            for name, attr in self.attribute_map(class_name).items()
         }
 
     def validate_state(
@@ -461,7 +470,7 @@ class Schema:
             raise TypeCheckError(
                 "class %s is abstract and cannot be instantiated" % (class_name,)
             )
-        declared = self.attributes(class_name)
+        declared = self.attribute_map(class_name)
         for name, value in values.items():
             attr = declared.get(name)
             if attr is None:

@@ -260,7 +260,7 @@ class Database:
         #: observed); served by the SysOperator view.
         self.last_operator_stats: Optional[List[Dict[str, Any]]] = None
         self._executor = Executor(
-            self._deref, self._scan_coerced, self.send, self._adt_eval
+            self._deref, self._scan_pages_coerced, self.send, self._adt_eval
         )
         self._m_parses = self.metrics.counter("query.parses")
         self._m_checks = self.metrics.counter("query.checks")
@@ -439,7 +439,7 @@ class Database:
         adjusted on load: missing declared attributes take their default,
         values for dropped attributes disappear.  The stored record is
         untouched (metadata-only evolution, experiment E12)."""
-        declared = self.schema.attributes(state.class_name)
+        declared = self.schema.attribute_map(state.class_name)
         if state.values.keys() == declared.keys():
             return state
         values = {
@@ -456,9 +456,16 @@ class Database:
         except ObjectNotFoundError:
             return None
 
+    def _scan_pages_coerced(self, class_name: str) -> Iterator[List[ObjectState]]:
+        coerce = self._coerce
+        return (
+            [coerce(state) for state in page]
+            for page in self.storage.scan_pages(class_name)
+        )
+
     def _scan_coerced(self, class_name: str) -> Iterator[ObjectState]:
-        for state in self.storage.scan_class(class_name):
-            yield self._coerce(state)
+        for page in self._scan_pages_coerced(class_name):
+            yield from page
 
     def _deref_class(self, oid: OID) -> Optional[str]:
         entry = self.storage.directory.try_lookup(oid)
@@ -941,8 +948,9 @@ class Database:
             self.version_store,
             snap,
             functools.partial(load_state_if_exists, self.storage),
-            self.storage.scan_class,
+            self.storage.scan_pages,
             self._coerce,
+            self.schema.attribute_map,
             ephemeral=current is None,
         )
 

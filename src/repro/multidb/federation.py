@@ -18,14 +18,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import FederationError
-from ..query.ast import (
-    And,
-    Comparison,
-    Expr,
-    Not,
-    Or,
-    Query,
-)
+from ..query.ast import Expr, Query
+from ..query.compiler import compile_predicate
 from ..query.operators import (
     FilterOp,
     LimitOp,
@@ -35,7 +29,6 @@ from ..query.operators import (
     VirtualScanOp,
 )
 from ..query.parser import parse_query
-from ..query.paths import compare
 from .hierarchical import HierarchicalDatabase
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -173,11 +166,13 @@ class FederationKernel:
     """Row semantics for federated row dicts.
 
     The physical operators (:mod:`repro.query.operators`) are row-type
-    agnostic; this kernel gives them predicate evaluation, ordering and
-    projection over plain dicts, navigating cross-source references via
-    the federation's catalog.  Ordering is a stable full sort — virtual
-    classes have no OID tiebreaker, so the top-K heap path (which
-    reorders ties) is deliberately not used.
+    agnostic; this kernel compiles their expressions over plain dicts —
+    the WHERE clause through the engine's one expression compiler
+    (:func:`~repro.query.compiler.compile_predicate`), every path over
+    the federation's row walker, which navigates cross-source references
+    via the catalog.  Ordering is a stable full sort — virtual classes
+    have no OID tiebreaker, so the top-K heap path (which reorders ties)
+    is deliberately not used.
     """
 
     __slots__ = ("federation", "class_name")
@@ -185,6 +180,9 @@ class FederationKernel:
     #: Row dicts have no OID tiebreaker: an unordered query keeps scan
     #: order, and ``compile_plan`` must not insert an implicit sort.
     has_default_order = False
+    #: Federated rows have no behaviour: a method or ADT predicate
+    #: raises when a row reaches it.
+    send = adt_eval = None
 
     def __init__(self, federation: "Federation", class_name: str) -> None:
         self.federation = federation
@@ -193,31 +191,52 @@ class FederationKernel:
     def row_class(self, row: Row) -> str:
         return self.class_name
 
-    def matches(self, expr: Expr, row: Row) -> bool:
-        return self.federation._evaluate(self.class_name, row, expr)
+    def path(self, steps: Tuple[str, ...]) -> Callable[[Row], List[Any]]:
+        walk, class_name = self.federation._path_values, self.class_name
+        return lambda row: walk(class_name, row, steps)
 
-    def sort(
+    def exists(
+        self, steps: Tuple[str, ...], test: Callable[[Any], bool]
+    ) -> Callable[[Row], bool]:
+        path = self.path(steps)
+        return lambda row: any(map(test, path(row)))
+
+    def predicate(self, expr: Expr) -> Callable[[Row], bool]:
+        return compile_predicate(expr, self, refuse=_refuse_behaviour)
+
+    def sorter(
         self,
-        rows: Iterator[Row],
         steps: Optional[Tuple[str, ...]],
         descending: bool,
         limit: Optional[int] = None,
-    ) -> List[Row]:
+    ) -> Callable[[List[Row]], List[Row]]:
         if steps is None:
             raise FederationError("federated queries have no default row order")
+        path = self.path(steps)
 
         def sort_key(row: Row):
-            values = self.federation._path_values(self.class_name, row, steps)
+            values = path(row)
             return (0, values[0]) if values and values[0] is not None else (1, 0)
 
-        return sorted(rows, key=sort_key, reverse=descending)
+        return lambda rows: sorted(rows, key=sort_key, reverse=descending)
 
-    def project_row(self, row: Row, paths: Iterable[Tuple[str, ...]]) -> Row:
-        out: Row = {}
-        for steps in paths:
-            values = self.federation._path_values(self.class_name, row, steps)
-            out[".".join(steps)] = values[0] if len(values) == 1 else (values or None)
-        return out
+    def projector(self, paths: Iterable[Tuple[str, ...]]) -> Callable[[Row], Row]:
+        columns = [(".".join(steps), self.path(steps)) for steps in paths]
+
+        def project(row: Row) -> Row:
+            out: Row = {}
+            for key, path in columns:
+                values = path(row)
+                out[key] = values[0] if len(values) == 1 else (values or None)
+            return out
+
+        return project
+
+
+def _refuse_behaviour(expr: Expr) -> FederationError:
+    return FederationError(
+        "federated queries support comparisons and boolean operators only"
+    )
 
 
 class Federation:
@@ -290,12 +309,8 @@ class Federation:
             for cls, r in current:
                 value = r.get(step)
                 if is_last:
-                    virtual = self.virtual_class(cls)
-                    if step in virtual.references:
-                        # A terminal reference compares by its raw value.
-                        values.append(value)
-                    else:
-                        values.append(value)
+                    # A terminal reference compares by its raw value.
+                    values.append(value)
                     continue
                 resolved = self._deref_row(cls, step, value)
                 if resolved is not None:
@@ -304,20 +319,6 @@ class Federation:
                 return values
             current = next_rows
         return []
-
-    def _evaluate(self, class_name: str, row: Row, expr: Expr) -> bool:
-        if isinstance(expr, Comparison):
-            values = self._path_values(class_name, row, expr.path.steps)
-            return any(compare(expr.op, v, expr.const.value) for v in values)
-        if isinstance(expr, And):
-            return all(self._evaluate(class_name, row, op) for op in expr.operands)
-        if isinstance(expr, Or):
-            return any(self._evaluate(class_name, row, op) for op in expr.operands)
-        if isinstance(expr, Not):
-            return not self._evaluate(class_name, row, expr.operand)
-        raise FederationError(
-            "federated queries support comparisons and boolean operators only"
-        )
 
     def pipeline(self, query: Query) -> PhysicalOperator:
         """Compile a federated query into a physical operator chain.

@@ -11,10 +11,12 @@ projection along paths, set operations by object identity, and unnest.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.obj import ObjectState, copy_value
+from ..core.obj import ObjectState
 from ..core.oid import OID
+from ..index.btree import normalize_key
 from .ast import (
     AdtPredicate,
     And,
@@ -24,11 +26,16 @@ from .ast import (
     Not,
     Or,
 )
+from .compiler import compile_first, compile_path, compile_projection
 from .paths import Deref, compare, evaluate_path
 
 #: Sends a message to an object and returns the result (late binding);
 #: wired to ``Database.send`` by the executor.
 Sender = Callable[[OID, str], Any]
+
+#: ``normalize_key``'s stand-in for a missing value in an ORDER BY key.
+_MISSING = (0, False)
+_first_item = itemgetter(0)
 
 
 def evaluate_predicate(
@@ -42,7 +49,9 @@ def evaluate_predicate(
 
     Path comparisons use existential semantics over fan-out values.
     Method predicates need ``send``; ADT predicates need ``adt_eval`` —
-    both raise if required but not provided.
+    both raise if required but not provided.  This is the reference
+    interpreter: the query pipeline runs the same semantics compiled
+    (:func:`~repro.query.compiler.compile_predicate`).
     """
     if isinstance(expr, Comparison):
         values = evaluate_path(state, expr.path.steps, deref)
@@ -104,32 +113,7 @@ def project(
     A path with a single terminal value is unwrapped; fan-out keeps the
     list.  Missing/broken paths yield None.
     """
-    for state in extent:
-        yield project_row(state, paths, deref)
-
-
-def project_row(
-    state: ObjectState,
-    paths: Sequence[Sequence[str]],
-    deref: Deref,
-) -> Dict[str, Any]:
-    """One projected row — the per-object kernel behind :func:`project`."""
-    row: Dict[str, Any] = {}
-    for steps in paths:
-        # Fresh lists only: a terminal list value belongs to a shared,
-        # read-only stored state (DESIGN "Decoded-state memo").
-        values = [
-            copy_value(value) if isinstance(value, list) else value
-            for value in evaluate_path(state, steps, deref)
-        ]
-        key = ".".join(steps)
-        if not values:
-            row[key] = None
-        elif len(values) == 1:
-            row[key] = values[0]
-        else:
-            row[key] = values
-    return row
+    return map(compile_projection(paths, deref), extent)
 
 
 def union(left: Iterable[ObjectState], right: Iterable[ObjectState]) -> List[ObjectState]:
@@ -179,6 +163,66 @@ def unnest(
                     yield referenced
 
 
+def order_key(first: Callable[[ObjectState], Any]) -> Callable[[ObjectState], Tuple]:
+    """The ORDER BY key over a compiled first-terminal-value reader.
+
+    Present values order by :func:`~repro.index.btree.normalize_key`;
+    objects with no value sort after them (a leading 1 — callers keep
+    them last in descending order too); ties break on OID so results
+    are deterministic.
+    """
+
+    def key(state: ObjectState) -> Tuple:
+        value = first(state)
+        if value is None:
+            return (1, _MISSING, state.oid.value)
+        return (0, normalize_key(value), state.oid.value)
+
+    return key
+
+
+def sort_by_key(
+    extent: Iterable[ObjectState], key: Callable[[ObjectState], Tuple], descending: bool
+) -> List[ObjectState]:
+    """Order an extent by an :func:`order_key` key, computed once per row."""
+    keyed = [(key(state), state) for state in extent]
+    keyed.sort(key=_first_item, reverse=descending)
+    if descending:
+        # Keep missing values last even in descending order.
+        return [s for k, s in keyed if k[0] == 0] + [s for k, s in keyed if k[0] == 1]
+    return [state for _key, state in keyed]
+
+
+def top_by_key(
+    extent: Iterable[ObjectState],
+    key: Callable[[ObjectState], Tuple],
+    descending: bool,
+    k: int,
+) -> List[ObjectState]:
+    """The first ``k`` rows of :func:`sort_by_key`, via bounded heaps.
+
+    O(n log k) time and O(k) extra ordering state instead of a full
+    sort; returns exactly ``sort_by_key(extent, key, descending)[:k]``.
+    The whole input is still consumed — real early termination needs an
+    ordered access path underneath a LIMIT instead.
+    """
+    if k <= 0:
+        return []
+    if not descending:
+        return heapq.nsmallest(k, extent, key=key)
+    # Descending keeps missing-value rows last (by descending OID, the
+    # order a reversed full sort leaves them in).
+    present: List[Tuple[Tuple, ObjectState]] = []
+    missing: List[Tuple[Tuple, ObjectState]] = []
+    for state in extent:
+        entry = (key(state), state)
+        (present if entry[0][0] == 0 else missing).append(entry)
+    top = heapq.nlargest(k, present, key=_first_item)
+    if len(top) < k:
+        top.extend(heapq.nlargest(k - len(top), missing, key=_first_item))
+    return [state for _key, state in top]
+
+
 def order_by(
     extent: Iterable[ObjectState],
     steps: Sequence[str],
@@ -190,124 +234,66 @@ def order_by(
     Objects with no value sort last (regardless of direction) and ties
     break on OID so results are deterministic.
     """
-    from ..index.btree import normalize_key
-
-    def sort_key(state: ObjectState):
-        values = evaluate_path(state, steps, deref)
-        if not values or values[0] is None:
-            return (1, (0, False), state.oid.value)
-        return (0, normalize_key(values[0]), state.oid.value)
-
-    ordered = sorted(extent, key=sort_key, reverse=descending)
-    if descending:
-        # Keep missing values last even in descending order.
-        present = [s for s in ordered if sort_key(s)[0] == 0]
-        missing = [s for s in ordered if sort_key(s)[0] == 1]
-        return present + missing
-    return ordered
+    return sort_by_key(extent, order_key(compile_first(steps, deref)), descending)
 
 
-def top_k(
-    extent: Iterable[ObjectState],
-    steps: Optional[Sequence[str]],
-    deref: Deref,
-    descending: bool,
-    k: int,
-) -> List[ObjectState]:
-    """The first ``k`` rows of :func:`order_by`, via bounded heaps.
-
-    O(n log k) time and O(k) extra ordering state instead of a full
-    sort; returns exactly ``order_by(extent, ...)[:k]`` (and, for
-    ``steps`` None, exactly the default OID order's first ``k``).  The
-    whole input is still consumed — real early termination needs an
-    ordered access path underneath a LIMIT instead.
-    """
-    if k <= 0:
-        return []
-    if steps is None:
-        return heapq.nsmallest(k, extent, key=lambda s: s.oid.value)
-
-    from ..index.btree import normalize_key
-
-    def sort_key(state: ObjectState):
-        values = evaluate_path(state, steps, deref)
-        if not values or values[0] is None:
-            return (1, (0, False), state.oid.value)
-        return (0, normalize_key(values[0]), state.oid.value)
-
-    if not descending:
-        return heapq.nsmallest(k, extent, key=sort_key)
-    # Descending keeps missing-value rows last (by descending OID, the
-    # order a reversed full sort leaves them in).
-    present: List[Any] = []
-    missing: List[ObjectState] = []
-    for state in extent:
-        values = evaluate_path(state, steps, deref)
-        if not values or values[0] is None:
-            missing.append(state)
-        else:
-            present.append((normalize_key(values[0]), state.oid.value, state))
-    top = [
-        entry[2]
-        for entry in heapq.nlargest(k, present, key=lambda e: (e[0], e[1]))
-    ]
-    if len(top) < k:
-        top.extend(
-            heapq.nlargest(k - len(top), missing, key=lambda s: s.oid.value)
-        )
-    return top
-
-
-def aggregate_rows(
-    query,
-    extent: Iterable[ObjectState],
-    deref: Deref,
-) -> List[Dict[str, Any]]:
-    """Fold an extent into per-group summary rows (COUNT/SUM/AVG/MIN/MAX).
+def compile_aggregate(
+    query, deref: Deref
+) -> Callable[[Iterable[ObjectState]], List[Dict[str, Any]]]:
+    """Compile a query's GROUP BY key and aggregate paths into a fold:
+    extent -> per-group summary rows (COUNT/SUM/AVG/MIN/MAX).
 
     Groups order by key with the None group last; a query without GROUP
     BY folds everything into one row.
     """
-    groups: Dict[Any, List[ObjectState]] = {}
-    if query.group_by is None:
-        groups[None] = [state for state in extent]
-    else:
-        for state in extent:
-            values = evaluate_path(state, query.group_by.steps, deref)
-            key = values[0] if values else None
-            groups.setdefault(key, []).append(state)
+    group = (
+        compile_first(query.group_by.steps, deref) if query.group_by is not None else None
+    )
+    folds = [
+        (
+            aggregate.label(),
+            aggregate.fn,
+            None if aggregate.path is None else compile_path(aggregate.path.steps, deref),
+        )
+        for aggregate in query.aggregates or []
+    ]
+    group_label = query.group_by.dotted() if query.group_by is not None else None
 
-    from ..index.btree import normalize_key
+    def fold(extent: Iterable[ObjectState]) -> List[Dict[str, Any]]:
+        groups: Dict[Any, List[ObjectState]] = {}
+        if group is None:
+            groups[None] = [state for state in extent]
+        else:
+            for state in extent:
+                groups.setdefault(group(state), []).append(state)
+        rows: List[Dict[str, Any]] = []
+        for key in sorted(
+            groups, key=lambda k: (k is None, normalize_key(k) if k is not None else 0)
+        ):
+            members = groups[key]
+            row: Dict[str, Any] = {}
+            if group_label is not None:
+                row[group_label] = key
+            for label, fn, path in folds:
+                row[label] = _fold(fn, path, members)
+            rows.append(row)
+        return rows
 
-    rows: List[Dict[str, Any]] = []
-    for key in sorted(
-        groups, key=lambda k: (k is None, normalize_key(k) if k is not None else 0)
-    ):
-        members = groups[key]
-        row: Dict[str, Any] = {}
-        if query.group_by is not None:
-            row[query.group_by.dotted()] = key
-        for aggregate in query.aggregates or []:
-            row[aggregate.label()] = _fold(aggregate, members, deref)
-        rows.append(row)
-    return rows
+    return fold
 
 
-def _fold(aggregate, members: List[ObjectState], deref: Deref) -> Any:
-    if aggregate.path is None:  # count(*)
+def _fold(fn: str, path, members: List[ObjectState]) -> Any:
+    if path is None:  # count(*)
         return len(members)
-    values = []
-    for state in members:
-        terminal = evaluate_path(state, aggregate.path.steps, deref)
-        values.extend(v for v in terminal if v is not None)
-    if aggregate.fn == "count":
+    values = [value for state in members for value in path(state) if value is not None]
+    if fn == "count":
         return len(values)
     if not values:
         return None
-    if aggregate.fn == "sum":
+    if fn == "sum":
         return sum(values)
-    if aggregate.fn == "avg":
+    if fn == "avg":
         return sum(values) / len(values)
-    if aggregate.fn == "min":
+    if fn == "min":
         return min(values)
     return max(values)

@@ -3,10 +3,10 @@
 A :class:`~repro.query.planner.Plan` is compiled (see
 :mod:`repro.query.operators`) into a pull pipeline — leaf access path,
 full-predicate re-check, sort/aggregate, limit, projection — and this
-module merely drains it, collecting OIDs and projected rows in one
-streaming pass.  Execution statistics are not counted here: they *are*
-the operators' live ``rows_out`` counters — ``ResultSet.stats`` is the
-executed :class:`~repro.query.operators.Pipeline` itself — and the
+module merely drains it batch by batch, collecting OIDs and projected
+rows in one streaming pass.  Execution statistics are not counted here:
+they *are* the operators' live ``rows_out`` counters — ``ResultSet.stats``
+is the executed :class:`~repro.query.operators.Pipeline` itself — and the
 database's query tail rolls them up into the
 :class:`~repro.obs.metrics.MetricsRegistry` however a query was drained.
 """
@@ -22,7 +22,8 @@ from .operators import ObjectKernel, Pipeline, compile_plan
 from .paths import Deref
 from .planner import Plan
 
-ScanClass = Callable[[str], Iterable[ObjectState]]
+ScanPages = Callable[[str], Iterable[List[ObjectState]]]
+ScanRows = Callable[[str], Iterable[Dict[str, Any]]]
 Sender = Callable[..., Any]
 
 
@@ -89,11 +90,11 @@ class Executor:
     def __init__(
         self,
         deref: Deref,
-        scan_class: ScanClass,
+        scan_pages: ScanPages,
         send: Optional[Sender] = None,
         adt_eval: Optional[Callable[[AdtPredicate, ObjectState], bool]] = None,
     ) -> None:
-        self._scan_class = scan_class
+        self._scan_pages = scan_pages
         self._send = send
         self._adt_eval = adt_eval
         self.kernel = ObjectKernel(deref, send, adt_eval)
@@ -109,9 +110,9 @@ class Executor:
         predicate (see ``compile_plan``).
         """
         if snapshot is None:
-            return compile_plan(plan, self.kernel, self._scan_class, visible)
+            return compile_plan(plan, self.kernel, self._scan_pages, visible)
         kernel = ObjectKernel(snapshot.deref, self._send, self._adt_eval)
-        return compile_plan(plan, kernel, snapshot.scan, visible, snapshot.changed)
+        return compile_plan(plan, kernel, snapshot.scan_pages, visible, snapshot.changed)
 
     def execute(
         self, plan: Plan, timed: bool = False, snapshot=None, visible=None
@@ -123,15 +124,15 @@ class Executor:
         return self._drain(pipeline, timed, system=False)
 
     def execute_rows(
-        self, plan: Plan, kernel, scan: ScanClass, timed: bool = False
+        self, plan: Plan, kernel, scan: ScanRows, timed: bool = False
     ) -> ResultSet:
         """Run a plan whose rows are plain dicts (system views).
 
         Same compile-and-drain path as :meth:`execute`, but over a
         caller-supplied row kernel and scan callable instead of the
         object kernel — this is how SysWaitEvent & co. flow through the
-        standard Volcano pipeline.  ``oids`` is always empty; ``rows``
-        holds the (possibly projected) dicts in result order.
+        standard pipeline.  ``oids`` is always empty; ``rows`` holds the
+        (possibly projected) dicts in result order.
         """
         return self._drain(compile_plan(plan, kernel, scan), timed, system=True)
 
@@ -146,19 +147,18 @@ class Executor:
         states: Optional[List[ObjectState]] = None
         pipeline.open()
         try:
-            if query.aggregates or (system and query.projections is None):
-                rows = list(pipeline.rows())
-            elif query.projections is not None:
-                rows = []
-                for row, projected in pipeline.rows():
-                    if not system:
-                        oids.append(row.oid)
-                    rows.append(projected)
-            else:
-                states = list(pipeline.rows())
-                oids = [state.oid for state in states]
+            drained = [row for batch in pipeline.root.batches() for row in batch]
         finally:
             pipeline.close()
+        if query.aggregates or (system and query.projections is None):
+            rows = drained
+        elif query.projections is not None:
+            rows = [projected for _row, projected in drained]
+            if not system:
+                oids = [row.oid for row, _projected in drained]
+        else:
+            states = drained
+            oids = [state.oid for state in states]
         result = ResultSet(query, pipeline.plan, oids, rows, pipeline, states)
         result.system = system
         return result

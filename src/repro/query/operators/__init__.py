@@ -1,11 +1,12 @@
 """repro.query.operators — the physical operator layer.
 
-A Volcano-style pull pipeline (``open()/next()/close()``) with live
-per-operator counters (``rows_out``, ``elapsed``, probe counts).  The
-planner's :class:`~repro.query.planner.Plan` compiles into a chain of
-these via :func:`compile_plan`; the executor is a thin driver, EXPLAIN
-ANALYZE reads stats straight off the operators, and the federation
-layer reuses the same operators over row dicts through its own kernel.
+A Volcano-style pull pipeline that moves batches
+(``open()/next_batch(n)/close()``) with live per-operator counters
+(``rows_out``, ``elapsed``, probe counts).  The planner's
+:class:`~repro.query.planner.Plan` compiles into a chain of these via
+:func:`compile_plan`; the executor is a thin driver, EXPLAIN ANALYZE
+reads stats straight off the operators, and the federation layer reuses
+the same operators over row dicts through its own kernel.
 """
 
 from .base import ObjectKernel, PhysicalOperator

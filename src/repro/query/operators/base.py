@@ -1,41 +1,68 @@
-"""The physical-operator protocol: Volcano-style pull iterators.
+"""The physical-operator protocol: pull iterators that move batches.
 
 Section 2.2 makes the optimizer — and therefore an explicit physical
-plan — a first-class OODB component.  Every operator here implements the
-classic ``open() / next() / close()`` iterator contract [GRAE94-style]:
-``next()`` returns one row (an :class:`~repro.core.obj.ObjectState`, an
-OID, or a row dict — never ``None``) or ``None`` at end-of-stream, so a
-``LIMIT`` can stop pulling and the whole pipeline does only the work the
-consumer demands.
+plan — a first-class OODB component.  Every operator here implements an
+``open() / next_batch(n) / close()`` contract, the Volcano iterator
+[GRAE94-style] with a batch in place of a row: ``next_batch(n)`` returns
+a list of at most ``n`` rows (object states, OIDs or row dicts — never
+``None``), and ``[]`` only at end-of-stream.  A batch is what one call
+moves between operators — an extent scan's batch is one storage page —
+so per-row work is a loop inside an operator, not a chain of calls
+through all of them.
 
-Per-operator counters are first-class: ``rows_out`` is always counted;
-``elapsed`` (cumulative wall-clock inside ``next()``, *inclusive* of
-child time) is measured only when the pipeline runs timed (EXPLAIN
-ANALYZE), so plain execution pays no clock overhead.
+**Quota rule.**  A consumer with a quota asks for exactly the rows it
+still needs (``LimitOp`` asks for ``limit - rows_out``), and an operator
+that drops rows (``FilterOp``, ``DerefOp``) asks its child for no more
+than its own caller asked of it; so a batch can complete a quota only if
+every candidate in it qualified, and a ``LIMIT`` examines exactly the
+rows a row-at-a-time pipeline would have.  Consumers with no quota (a
+drain, a pipeline breaker) ask for :data:`BATCH_SIZE`.
+
+``next()`` and ``rows()`` stay as row-at-a-time adapters over a
+one-batch buffer, for consumers that hand rows out singly (query
+streams, server cursors, federation).
+
+Per-operator counters are first-class: ``rows_out`` is always counted
+(``len`` of each batch); ``elapsed`` (cumulative wall-clock inside
+``next_batch()``, *inclusive* of child time) is measured only when the
+pipeline runs timed (EXPLAIN ANALYZE), so plain execution pays no clock
+overhead.
 
 Operators are row-type agnostic: all row semantics (predicate
-evaluation, path navigation, ordering, projection) are delegated to a
-*kernel* object.  :class:`ObjectKernel` speaks kimdb object states via
-:mod:`repro.query.algebra`; the federation layer provides its own kernel
-over plain row dicts, so one operator set serves both engines.
+evaluation, path navigation, ordering, projection) come from a *kernel*
+that compiles the plan's expressions into closures when the operator is
+built (:mod:`repro.query.compiler`).  :class:`ObjectKernel` speaks kimdb
+object states; the federation layer provides its own kernel over plain
+row dicts, so one operator set serves both engines.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from .. import algebra
 from ..ast import AdtPredicate, Expr, Query
+from ..compiler import (
+    compile_exists,
+    compile_first,
+    compile_path,
+    compile_predicate,
+    compile_projection,
+)
 from ..paths import Deref
+
+#: Rows asked for by a consumer without a quota of its own.
+BATCH_SIZE = 256
 
 
 class PhysicalOperator:
     """Base iterator: one input (``child``, None for leaves), one output.
 
-    Subclasses implement ``_next()`` (and optionally ``_on_open`` /
-    ``_on_close``, both of which must be idempotent — a LIMIT may close
-    the pipeline early and the driver closes it again).
+    Subclasses implement ``_next_batch(n)`` (and optionally ``_on_open``
+    / ``_on_close``, both of which must be idempotent — a LIMIT may
+    close the pipeline early and the driver closes it again).
     """
 
     name = "operator"
@@ -45,10 +72,13 @@ class PhysicalOperator:
         self.detail = ""
         #: Rows this operator has produced so far (always maintained).
         self.rows_out = 0
-        #: Cumulative seconds spent in ``next()`` including child time;
-        #: only advances when the pipeline runs timed.
+        #: Cumulative seconds spent in ``next_batch()`` including child
+        #: time; only advances when the pipeline runs timed.
         self.elapsed = 0.0
         self.timed = False
+        #: The ``next()`` adapter's batch and its read position.
+        self._buffer: List[Any] = []
+        self._position = 0
 
     # -- iterator contract -------------------------------------------------
 
@@ -57,18 +87,20 @@ class PhysicalOperator:
             self.child.open()
         self._on_open()
 
-    def next(self) -> Optional[Any]:
+    def next_batch(self, n: int) -> List[Any]:
+        """At most ``n`` rows; ``[]`` only at end-of-stream."""
         if self.timed:
             started = time.perf_counter()
-            row = self._next()
+            batch = self._next_batch(n)
             self.elapsed += time.perf_counter() - started
         else:
-            row = self._next()
-        if row is not None:
-            self.rows_out += 1
-        return row
+            batch = self._next_batch(n)
+        self.rows_out += len(batch)
+        return batch
 
     def close(self) -> None:
+        self._buffer = []
+        self._position = 0
         self._on_close()
         if self.child is not None:
             self.child.close()
@@ -78,28 +110,47 @@ class PhysicalOperator:
     def _on_open(self) -> None:
         pass
 
-    def _next(self) -> Optional[Any]:
+    def _next_batch(self, n: int) -> List[Any]:
         raise NotImplementedError
 
     def _on_close(self) -> None:
         pass
 
-    # -- helpers -----------------------------------------------------------
+    # -- row-at-a-time adapters and helpers ----------------------------------
 
-    def set_timed(self, timed: bool = True) -> None:
-        """Switch per-``next()`` timing on for this operator and below."""
-        op: Optional[PhysicalOperator] = self
-        while op is not None:
-            op.timed = timed
-            op = op.child
+    def next(self) -> Optional[Any]:
+        """One row, or None at end-of-stream."""
+        if self._position == len(self._buffer):
+            self._buffer = self.next_batch(BATCH_SIZE)
+            self._position = 0
+            if not self._buffer:
+                return None
+        row = self._buffer[self._position]
+        self._position += 1
+        return row
 
     def rows(self) -> Iterator[Any]:
-        """Drain this operator as a generator (caller opens/closes)."""
+        """Drain this operator as a generator of rows (caller opens/closes)."""
         while True:
             row = self.next()
             if row is None:
                 return
             yield row
+
+    def batches(self) -> Iterator[List[Any]]:
+        """Drain this operator batch by batch (caller opens/closes)."""
+        while True:
+            batch = self.next_batch(BATCH_SIZE)
+            if not batch:
+                return
+            yield batch
+
+    def set_timed(self, timed: bool = True) -> None:
+        """Switch per-batch timing on for this operator and below."""
+        op: Optional[PhysicalOperator] = self
+        while op is not None:
+            op.timed = timed
+            op = op.child
 
     def stats(self) -> Dict[str, Any]:
         """This operator's live counters (bench artifacts, EXPLAIN)."""
@@ -115,10 +166,9 @@ class PhysicalOperator:
 
 
 class ObjectKernel:
-    """Row semantics for kimdb object states.
-
-    Thin delegation onto :mod:`repro.query.algebra` (the shared row/set
-    kernel) plus the storage-facing callables the executor owns.
+    """Row semantics for kimdb object states: the expression compiler
+    (:mod:`repro.query.compiler`) bound to one execution's storage-facing
+    callables — ``deref`` (the snapshot's), ``send`` and ``adt_eval``.
     """
 
     #: Object states have a deterministic fallback order (OID), so a
@@ -140,33 +190,45 @@ class ObjectKernel:
     def row_class(self, row: Any) -> Optional[str]:
         return row.class_name
 
-    def matches(self, expr: Expr, row: Any) -> bool:
-        return algebra.evaluate_predicate(
-            expr, row, self.deref, self.send, self.adt_eval
-        )
+    def path(self, steps: Sequence[str]) -> Callable[[Any], List[Any]]:
+        return compile_path(steps, self.deref)
 
-    def sort(
+    def exists(
+        self, steps: Sequence[str], test: Callable[[Any], bool]
+    ) -> Callable[[Any], bool]:
+        return compile_exists(steps, test, self.deref)
+
+    def predicate(self, expr: Expr) -> Callable[[Any], bool]:
+        return compile_predicate(expr, self)
+
+    def sorter(
         self,
-        rows: Iterator[Any],
         steps: Optional[Sequence[str]],
         descending: bool,
         limit: Optional[int] = None,
-    ) -> List[Any]:
+    ) -> Callable[[List[Any]], List[Any]]:
         """Order rows; ``steps`` None means the default OID order.
 
         With a limit, the bounded-heap top-K fast path replaces the full
         sort (same results, O(n log k)).
         """
-        if limit is not None:
-            return algebra.top_k(rows, steps, self.deref, descending, limit)
         if steps is None:
             # Default order ignores ``descending`` — same as a plain
             # SELECT, which always returns OID order.
-            return sorted(rows, key=lambda state: state.oid.value)
-        return algebra.order_by(rows, steps, self.deref, descending)
+            if limit is not None:
+                return lambda rows: heapq.nsmallest(limit, rows, key=_oid_value)
+            return lambda rows: sorted(rows, key=_oid_value)
+        key = algebra.order_key(compile_first(steps, self.deref))
+        if limit is not None:
+            return lambda rows: algebra.top_by_key(rows, key, descending, limit)
+        return lambda rows: algebra.sort_by_key(rows, key, descending)
 
-    def project_row(self, row: Any, paths: Sequence[Sequence[str]]) -> Dict[str, Any]:
-        return algebra.project_row(row, paths, self.deref)
+    def projector(self, paths: Sequence[Sequence[str]]) -> Callable[[Any], Dict[str, Any]]:
+        return compile_projection(paths, self.deref)
 
-    def aggregate(self, query: Query, rows: Iterator[Any]) -> List[Dict[str, Any]]:
-        return algebra.aggregate_rows(query, rows, self.deref)
+    def aggregator(self, query: Query) -> Callable[[List[Any]], List[Dict[str, Any]]]:
+        return algebra.compile_aggregate(query, self.deref)
+
+
+def _oid_value(state: Any) -> int:
+    return state.oid.value

@@ -1,6 +1,7 @@
 """Leaf operators: where rows enter the pipeline.
 
-``ExtentScanOp`` walks class extents, ``IndexProbeOp`` produces the
+``ExtentScanOp`` walks class extents a storage page per batch,
+``IndexProbeOp`` produces the
 candidate OIDs of one index probe (eq/in/range/ADT), ``IndexOrderScanOp``
 walks a B+-tree in key order (ORDER BY without a sort — the LIMIT above
 it stops the walk early), and ``VirtualScanOp`` wraps a federation
@@ -11,6 +12,7 @@ pipeline.
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 from typing import Sequence, Set, Tuple
 
@@ -19,7 +21,8 @@ from ...core.oid import OID
 from ...index.btree import normalize_key
 from .base import PhysicalOperator
 
-ScanClass = Callable[[str], Iterable[ObjectState]]
+#: One class extent's visible states, a storage page per list.
+ScanPages = Callable[[str], Iterable[List[ObjectState]]]
 
 #: ``normalize_key(None)``'s rank: the missing-value group of a walk.
 _NONE_RANK = normalize_key(None)[0]
@@ -30,32 +33,46 @@ def _key_then_oid(item: Tuple[Any, OID]) -> Tuple[Any, int]:
 
 
 class ExtentScanOp(PhysicalOperator):
-    """Yield every direct instance of the scanned classes, in heap order."""
+    """Yield every direct instance of the scanned classes, in heap order,
+    one storage page's visible states per batch (fewer when the caller
+    asks for fewer; the rest of the page waits for the next call)."""
 
     name = "extent-scan"
 
-    def __init__(self, scan_class: ScanClass, classes: Sequence[str]) -> None:
+    def __init__(self, scan_pages: ScanPages, classes: Sequence[str]) -> None:
         super().__init__()
-        self._scan_class = scan_class
+        self._scan_pages = scan_pages
         self.classes = tuple(classes)
         self.detail = "scan(%s)" % ", ".join(self.classes)
-        self._iter: Optional[Iterator[ObjectState]] = None
+        self._iter: Optional[Iterator[List[ObjectState]]] = None
+        self._pending: List[ObjectState] = []
 
     def _on_open(self) -> None:
-        self._iter = self._states()
+        self._iter = self._pages()
+        self._pending = []
 
-    def _states(self) -> Iterator[ObjectState]:
+    def _pages(self) -> Iterator[List[ObjectState]]:
         for class_name in self.classes:
-            for state in self._scan_class(class_name):
-                yield state
+            yield from self._scan_pages(class_name)
 
-    def _next(self) -> Optional[ObjectState]:
-        if self._iter is None:
-            return None
-        return next(self._iter, None)
+    def _next_batch(self, n: int) -> List[ObjectState]:
+        page = self._pending
+        while not page:
+            if self._iter is None:
+                return []
+            page = next(self._iter, None)
+            if page is None:
+                self._iter = None
+                return []
+        if len(page) > n:
+            self._pending = page[n:]
+            return page[:n]
+        self._pending = []
+        return page
 
     def _on_close(self) -> None:
         self._iter = None
+        self._pending = []
 
 
 class EmptyScanOp(PhysicalOperator):
@@ -74,11 +91,27 @@ class EmptyScanOp(PhysicalOperator):
         self.reason = reason
         self.detail = "empty(%s)" % ", ".join(self.classes)
 
-    def _next(self) -> None:
-        return None
+    def _next_batch(self, n: int) -> List[Any]:
+        return []
 
 
-class IndexProbeOp(PhysicalOperator):
+class _IteratorLeaf(PhysicalOperator):
+    """A leaf whose ``_on_open`` sets ``_iter``; batches are slices of it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._iter: Optional[Iterator[Any]] = None
+
+    def _next_batch(self, n: int) -> List[Any]:
+        if self._iter is None:
+            return []
+        return [row for row in islice(self._iter, n)]
+
+    def _on_close(self) -> None:
+        self._iter = None
+
+
+class IndexProbeOp(_IteratorLeaf):
     """One index probe; yields the candidate OIDs it returned.
 
     ``fetch`` runs the probe at ``open()`` (a B+-tree probe is a single
@@ -92,22 +125,13 @@ class IndexProbeOp(PhysicalOperator):
         self.detail = detail
         self._fetch = fetch
         self.probes = 0
-        self._iter: Optional[Iterator[OID]] = None
 
     def _on_open(self) -> None:
         self.probes += 1
         self._iter = iter(self._fetch())
 
-    def _next(self) -> Optional[OID]:
-        if self._iter is None:
-            return None
-        return next(self._iter, None)
 
-    def _on_close(self) -> None:
-        self._iter = None
-
-
-class IndexOrderScanOp(PhysicalOperator):
+class IndexOrderScanOp(_IteratorLeaf):
     """Walk an index's B+-tree in key order, yielding in-scope OIDs.
 
     Produces exactly the executor's ORDER BY order for a direct
@@ -136,7 +160,6 @@ class IndexOrderScanOp(PhysicalOperator):
         self.probes = 0
         self._deref = deref
         self._changed = changed
-        self._iter: Optional[Iterator[OID]] = None
 
     def _on_open(self) -> None:
         self.probes += 1
@@ -190,16 +213,8 @@ class IndexOrderScanOp(PhysicalOperator):
             for oid in sorted(oids, reverse=self.descending):
                 yield key, oid
 
-    def _next(self) -> Optional[OID]:
-        if self._iter is None:
-            return None
-        return next(self._iter, None)
 
-    def _on_close(self) -> None:
-        self._iter = None
-
-
-class VirtualScanOp(PhysicalOperator):
+class VirtualScanOp(_IteratorLeaf):
     """Yield the rows of one federated virtual class (adapter scan)."""
 
     name = "virtual-scan"
@@ -209,15 +224,6 @@ class VirtualScanOp(PhysicalOperator):
         self._scan = scan
         self.class_name = class_name
         self.detail = class_name
-        self._iter: Optional[Iterator[Any]] = None
 
     def _on_open(self) -> None:
         self._iter = self._scan(self.class_name)
-
-    def _next(self) -> Optional[Any]:
-        if self._iter is None:
-            return None
-        return next(self._iter, None)
-
-    def _on_close(self) -> None:
-        self._iter = None

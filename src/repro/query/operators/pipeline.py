@@ -1,10 +1,12 @@
 """Plan -> physical operator pipeline compilation.
 
 ``compile_plan`` turns the planner's logical :class:`~repro.query.planner.Plan`
-into an operator chain and wraps it in a :class:`Pipeline`, which keeps
-named handles on the interesting stages so the executor's legacy
-counters (examined/matched/index probes) and EXPLAIN ANALYZE read live
-operator state instead of re-instrumenting the run.
+into an operator chain — compiling the plan's expressions into closures
+over the execution's kernel as the operators are built — and wraps it in
+a :class:`Pipeline`, which keeps named handles on the interesting stages
+so the executor's legacy counters (examined/matched/index probes) and
+EXPLAIN ANALYZE read live operator state instead of re-instrumenting the
+run.
 """
 
 from __future__ import annotations
@@ -139,29 +141,36 @@ def _snapshot_exact(fetch, index, scope, changed):
     return candidates
 
 
-def compile_plan(plan: Plan, kernel, scan_class, visible=None, changed=None) -> Pipeline:
+def compile_plan(plan: Plan, kernel, scan, visible=None, changed=None) -> Pipeline:
     """Compile a plan into a pipeline over ``kernel``-typed rows.
 
-    ``visible`` is the caller's row-visibility predicate (authorization,
-    mandatory security) or None.  It is per caller, so it arrives here
-    at compile time — never stored on the (cached, shared) plan — and
-    runs in the filter, i.e. before sort, aggregation, limit and
-    projection ever see a row.  ``changed`` is the snapshot's
-    :meth:`~repro.versions.store.SnapshotView.changed` (None without a
-    snapshot): index leaves use it to answer the snapshot exactly.
+    Every expression the plan carries (WHERE, ORDER BY / top-K key,
+    GROUP BY key, aggregate paths, projections) is compiled here, per
+    execution, by the operator that runs it: compiling costs about what
+    a plan-cache hit does, so nothing compiled is cached on the plan.
+    ``scan`` feeds the leaf: a storage plan's page scan
+    (:meth:`~repro.versions.store.SnapshotView.scan_pages`), or a system
+    view's row producer.  ``visible`` is the caller's row-visibility
+    predicate (authorization, mandatory security) or None.  It is per
+    caller, so it arrives here at compile time — never stored on the
+    (cached, shared) plan — and runs in the filter, i.e. before sort,
+    aggregation, limit and projection ever see a row.  ``changed`` is
+    the snapshot's :meth:`~repro.versions.store.SnapshotView.changed`
+    (None without a snapshot): index leaves use it to answer the
+    snapshot exactly.
     """
     query = plan.query
     access = plan.access
     probe: Optional[PhysicalOperator] = None
 
     if isinstance(access, ExtentScan):
-        source: PhysicalOperator = ExtentScanOp(scan_class, access.classes)
+        source: PhysicalOperator = ExtentScanOp(scan, access.classes)
     elif isinstance(access, EmptyScan):
         source = EmptyScanOp(access.classes, access.reason)
     elif isinstance(access, SystemScan):
-        # System views scan generated rows; ``scan_class`` here is the
-        # system catalog's row producer, not the storage extent walker.
-        source = VirtualScanOp(scan_class, access.view)
+        # System views scan generated rows; ``scan`` here is the system
+        # catalog's row producer, not the storage extent walker.
+        source = VirtualScanOp(scan, access.view)
     elif isinstance(access, IndexOrderScan):
         probe = IndexOrderScanOp(
             access.index, plan.scope, access.descending, kernel.deref, changed

@@ -1,16 +1,17 @@
 """Unary operators: filter, deref, sort, aggregate, project, limit.
 
-Each consumes one child stream.  ``FilterOp`` re-verifies the *full*
+Each consumes one child's batches.  ``FilterOp`` re-verifies the *full*
 predicate (index probes produce candidates, not answers), ``DerefOp``
 turns candidate OIDs into object states, ``SortOp`` is the pipeline
 breaker (with a top-K fast path when a LIMIT follows), and ``LimitOp``
-implements early termination by closing its subtree as soon as the
-quota is reached.
+implements early termination by asking for no more than its quota and
+closing its subtree as soon as the quota is reached.  Expressions are
+compiled by the kernel when an operator is built, once per execution.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ast import Expr, Query
 from ..paths import Deref
@@ -24,7 +25,9 @@ class FilterOp(PhysicalOperator):
     child's ``rows_out`` is ``examined``.  ``visible`` (None: every row)
     is the executing caller's authorization predicate over the row; it
     runs last, so only rows that answer the query are ever asked about,
-    and everything above the filter sees visible rows only.
+    and everything above the filter sees visible rows only.  The child
+    is asked for no more rows than the caller asked for (the quota
+    rule), and a batch is returned as soon as one row qualifies.
     """
 
     name = "filter"
@@ -38,26 +41,30 @@ class FilterOp(PhysicalOperator):
         visible: Optional[Callable[[Any], bool]] = None,
     ) -> None:
         super().__init__(child)
-        self._kernel = kernel
+        self._row_class = kernel.row_class
         self.scope = scope
         self.where = where
+        self._matches = kernel.predicate(where) if where is not None else None
         self.visible = visible
         self.detail = repr(where) if where is not None else "true"
         if visible is not None:
             self.detail += " [visible to caller]"
 
-    def _next(self) -> Optional[Any]:
+    def _next_batch(self, n: int) -> List[Any]:
+        scope, row_class = self.scope, self._row_class
+        matches, visible = self._matches, self.visible
         while True:
-            row = self.child.next()
-            if row is None:
-                return None
-            if self.scope is not None and self._kernel.row_class(row) not in self.scope:
-                continue
-            if self.where is not None and not self._kernel.matches(self.where, row):
-                continue
-            if self.visible is not None and not self.visible(row):
-                continue
-            return row
+            rows = self.child.next_batch(n)
+            if not rows:
+                return rows
+            if scope is not None:
+                rows = [row for row in rows if row_class(row) in scope]
+            if matches is not None:
+                rows = [row for row in rows if matches(row)]
+            if visible is not None:
+                rows = [row for row in rows if visible(row)]
+            if rows:
+                return rows
 
 
 class DerefOp(PhysicalOperator):
@@ -70,17 +77,44 @@ class DerefOp(PhysicalOperator):
         self._deref = deref
         self.detail = "oid -> state"
 
-    def _next(self) -> Optional[Any]:
+    def _next_batch(self, n: int) -> List[Any]:
+        deref = self._deref
         while True:
-            oid = self.child.next()
-            if oid is None:
-                return None
-            state = self._deref(oid)
-            if state is not None:
-                return state
+            oids = self.child.next_batch(n)
+            if not oids:
+                return oids
+            states = [state for state in map(deref, oids) if state is not None]
+            if states:
+                return states
 
 
-class SortOp(PhysicalOperator):
+class _Breaker(PhysicalOperator):
+    """A pipeline breaker: drains its child on the first call, computes
+    its whole output with ``compute`` and re-emits it in batches."""
+
+    def __init__(
+        self, child: PhysicalOperator, compute: Callable[[List[Any]], List[Any]]
+    ) -> None:
+        super().__init__(child)
+        self._compute = compute
+        self._output: Optional[List[Any]] = None
+        self._emitted = 0
+
+    def _next_batch(self, n: int) -> List[Any]:
+        if self._output is None:
+            self._output = self._compute(
+                [row for batch in self.child.batches() for row in batch]
+            )
+            self._emitted = 0
+        batch = self._output[self._emitted : self._emitted + n]
+        self._emitted += len(batch)
+        return batch
+
+    def _on_close(self) -> None:
+        self._output = None
+
+
+class SortOp(_Breaker):
     """Pipeline breaker: drain the child, order via the kernel, re-emit.
 
     When a LIMIT follows, the kernel may use a bounded-heap top-K
@@ -97,9 +131,9 @@ class SortOp(PhysicalOperator):
         descending: bool = False,
         limit: Optional[int] = None,
     ) -> None:
-        super().__init__(child)
-        self._kernel = kernel
-        self.steps = tuple(steps) if steps is not None else None
+        steps = tuple(steps) if steps is not None else None
+        super().__init__(child, kernel.sorter(steps, descending, limit))
+        self.steps = steps
         self.descending = descending
         self.limit = limit
         self.detail = (
@@ -107,39 +141,16 @@ class SortOp(PhysicalOperator):
             if steps is None
             else "%s%s" % (".".join(steps), " desc" if descending else "")
         )
-        self._iter: Optional[Iterator[Any]] = None
-
-    def _next(self) -> Optional[Any]:
-        if self._iter is None:
-            ordered = self._kernel.sort(
-                self.child.rows(), self.steps, self.descending, self.limit
-            )
-            self._iter = iter(ordered)
-        return next(self._iter, None)
-
-    def _on_close(self) -> None:
-        self._iter = None
 
 
-class AggregateOp(PhysicalOperator):
+class AggregateOp(_Breaker):
     """Fold the child stream into summary rows (COUNT/SUM/AVG/MIN/MAX)."""
 
     name = "aggregate"
 
     def __init__(self, child: PhysicalOperator, kernel, query: Query) -> None:
-        super().__init__(child)
-        self._kernel = kernel
-        self._query = query
+        super().__init__(child, kernel.aggregator(query))
         self.detail = ", ".join(a.label() for a in query.aggregates or [])
-        self._iter: Optional[Iterator[Dict[str, Any]]] = None
-
-    def _next(self) -> Optional[Dict[str, Any]]:
-        if self._iter is None:
-            self._iter = iter(self._kernel.aggregate(self._query, self.child.rows()))
-        return next(self._iter, None)
-
-    def _on_close(self) -> None:
-        self._iter = None
 
 
 class GroupByOp(AggregateOp):
@@ -169,23 +180,23 @@ class ProjectOp(PhysicalOperator):
         paths: Sequence[Sequence[str]],
     ) -> None:
         super().__init__(child)
-        self._kernel = kernel
         self.paths = [tuple(steps) for steps in paths]
+        self._project = kernel.projector(self.paths)
         self.detail = ", ".join(".".join(steps) for steps in self.paths)
 
-    def _next(self) -> Optional[Tuple[Any, Dict[str, Any]]]:
-        row = self.child.next()
-        if row is None:
-            return None
-        return row, self._kernel.project_row(row, self.paths)
+    def _next_batch(self, n: int) -> List[Tuple[Any, Dict[str, Any]]]:
+        project = self._project
+        return [(row, project(row)) for row in self.child.next_batch(n)]
 
 
 class LimitOp(PhysicalOperator):
     """Stop after ``limit`` rows and close the subtree immediately.
 
-    The early ``close()`` propagates down the chain, releasing scans and
-    index walks before they finish — with an ordered leaf below, a
-    ``LIMIT k`` examines far fewer objects than the extent holds.
+    Asks the child for at most the rows still missing, so the subtree
+    never produces more than the quota; the early ``close()`` propagates
+    down the chain, releasing scans and index walks before they finish —
+    with an ordered leaf below, a ``LIMIT k`` examines far fewer objects
+    than the extent holds.
     """
 
     name = "limit"
@@ -196,17 +207,18 @@ class LimitOp(PhysicalOperator):
         self.detail = str(limit)
         self._done = False
 
-    def _next(self) -> Optional[Any]:
+    def _next_batch(self, n: int) -> List[Any]:
         if self._done:
-            return None
-        if self.rows_out >= self.limit:
+            return []
+        missing = self.limit - self.rows_out
+        if missing <= 0:
             self._done = True
             self.child.close()
-            return None
-        row = self.child.next()
-        if row is None:
+            return []
+        batch = self.child.next_batch(min(n, missing))
+        if not batch:
             self._done = True
-        return row
+        return batch
 
     def _on_close(self) -> None:
         self._done = True

@@ -116,11 +116,15 @@ def _like(candidate: Any, pattern: Any) -> bool:
         return False
     import fnmatch
 
-    translated = (
+    return fnmatch.fnmatchcase(candidate, _like_translate(pattern))
+
+
+def _like_translate(pattern: str) -> str:
+    """A LIKE pattern as an ``fnmatch`` pattern (``*``/``?`` literal)."""
+    return (
         pattern.replace("\\", "\\\\")
         .replace("*", "[*]")
         .replace("?", "[?]")
         .replace("%", "*")
         .replace("_", "?")
     )
-    return fnmatch.fnmatchcase(candidate, translated)

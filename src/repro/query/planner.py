@@ -355,7 +355,7 @@ class Planner:
             return None
         attribute = steps[0]
         for cls in scope:
-            declared = self.schema.attributes(cls)
+            declared = self.schema.attribute_map(cls)
             if attribute not in declared or declared[attribute].multi:
                 return None
         return IndexOrderScan(index, query.descending)

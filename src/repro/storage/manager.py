@@ -356,19 +356,27 @@ class StorageManager:
         self.directory.remove(oid)
         return state
 
-    def scan_class(self, class_name: str) -> Iterator[ObjectState]:
-        """All direct instances of one class, in physical (page) order;
-        shared, read-only states like :meth:`load`'s."""
+    def scan_pages(self, class_name: str) -> Iterator[List[ObjectState]]:
+        """All direct instances of one class, a list per heap page, in
+        physical order; shared, read-only states like :meth:`load`'s.
+        Each page is fetched (one ``get_page``) and read when reached."""
         if class_name == OVERFLOW_HEAP or class_name not in self._heaps:
             return iter(())
-        heap = self._heaps[class_name]
+        return (
+            self._page_states(page) for _page_id, page in self._heaps[class_name].pages()
+        )
 
-        def _iter() -> Iterator[ObjectState]:
-            for _page_id, page in heap.pages():
-                for slot, body in page.records():
-                    yield self._state_at(page, slot, body)
+    def _page_states(self, page: SlottedPage) -> List[ObjectState]:
+        """:meth:`_state_at` for every live record of ``page``."""
+        decoded, decode, assemble = page.decoded, self._decode, self._assemble
+        return [
+            assemble(body) if body.startswith(_LONG_MAGIC) else decoded(slot, body, decode)
+            for slot, body in page.records()
+        ]
 
-        return _iter()
+    def scan_class(self, class_name: str) -> Iterator[ObjectState]:
+        """:meth:`scan_pages`, a state at a time."""
+        return (state for page in self.scan_pages(class_name) for state in page)
 
     def oids_of_class(self, class_name: str) -> List[OID]:
         return self.directory.oids_of_class(class_name)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Set
 
 from ..core.obj import ObjectState
 from ..core.oid import OID
@@ -241,6 +241,33 @@ class VersionStore:
                 result = entry.before
             return result
 
+    def resolve_page(
+        self, snapshot: Snapshot, states: List[ObjectState]
+    ) -> List[Optional[ObjectState]]:
+        """:meth:`resolve` for a page of current stored states.
+
+        The caller reads the states first and only then calls this: a
+        writer installs its entry before it mutates storage, so a body
+        the read saw has its chain by now.  Reads count once per state;
+        the chain walk runs only for objects with a live chain.  Returns
+        ``states`` itself when none has one, else a new list holding
+        each state's visible version (None = absent).
+        """
+        chains = self._chains
+        plain = len(states)
+        out = states
+        if chains:
+            out = []
+            for state in states:
+                if state.oid in chains:
+                    plain -= 1
+                    out.append(self.resolve(state.oid, snapshot, state))
+                else:
+                    out.append(state)
+        snapshot.reads += plain
+        self._m_reads.inc(plain)
+        return out
+
     def changed(self, snapshot: Snapshot) -> Dict[OID, Set[str]]:
         """OIDs ``snapshot`` does not read as stored, with their classes.
 
@@ -330,14 +357,17 @@ class SnapshotView:
 
     Wraps a :class:`Snapshot` together with the database's storage
     callables (passed in by the owner — this module never reaches into
-    the database) and exposes exactly the two hooks the physical
-    operators need: :meth:`deref` for probe/path dereferencing and
-    :meth:`scan` for extent scans, both resolving visibility through
-    the store.  ``deref``/``scan`` read raw stored states; ``coerce``
-    runs once per row, after resolution, since a before-image from the
-    store needs it as much as a stored record does.  ``ephemeral`` marks per-query snapshots the query path
-    must close itself (transaction-bound snapshots are closed when the
-    transaction finishes).
+    the database) and exposes exactly the hooks the physical operators
+    need: :meth:`deref` for probe/path dereferencing and
+    :meth:`scan_pages` for extent scans, both resolving visibility
+    through the store.  The storage callables read raw stored states;
+    ``coerce`` runs after resolution, since a before-image from the
+    store needs it as much as a stored record does — a scan checks each
+    row's keys against the class's ``declared`` attributes, fetched once
+    per page, and coerces only a row that differs.  ``ephemeral`` marks
+    per-query snapshots the query path must close itself
+    (transaction-bound snapshots are closed when the transaction
+    finishes).
     """
 
     def __init__(
@@ -345,15 +375,17 @@ class SnapshotView:
         store: VersionStore,
         snapshot: Snapshot,
         deref: Callable[[OID], Optional[ObjectState]],
-        scan: Callable[[str], Iterator[ObjectState]],
+        scan_pages: Callable[[str], Iterator[List[ObjectState]]],
         coerce: Callable[[ObjectState], ObjectState],
+        declared: Callable[[str], Mapping[str, Any]],
         ephemeral: bool = False,
     ) -> None:
         self.store = store
         self.snapshot = snapshot
         self._base_deref = deref
-        self._base_scan = scan
+        self._base_scan_pages = scan_pages
         self._coerce = coerce
+        self._declared = declared
         self.ephemeral = ephemeral
 
     def deref(self, oid: OID) -> Optional[ObjectState]:
@@ -362,22 +394,50 @@ class SnapshotView:
             return None
         return self._coerce(state)
 
-    def scan(self, class_name: str) -> Iterator[ObjectState]:
-        seen: Set[OID] = set()
-        for state in self._base_scan(class_name):
-            seen.add(state.oid)
-            visible = self.store.resolve(state.oid, self.snapshot, state)
-            # A reclassed object shows up once, in its snapshot-time
-            # class: here only if that is this extent, else resurrected.
-            if visible is not None and visible.class_name == class_name:
-                yield self._coerce(visible)
+    def scan_pages(self, class_name: str) -> Iterator[List[ObjectState]]:
+        """The class extent as the snapshot sees it, a storage page of
+        visible states per list."""
+        store, snapshot, coerce = self.store, self.snapshot, self._coerce
+        scanned: List[List[ObjectState]] = []
+        for page in self._base_scan_pages(class_name):
+            if not page:
+                continue
+            scanned.append(page)
+            visible = store.resolve_page(snapshot, page)
+            if visible is not page:
+                # A reclassed object shows up once, in its snapshot-time
+                # class: here only if that is this extent, else resurrected.
+                visible = [
+                    state
+                    for state in visible
+                    if state is not None and state.class_name == class_name
+                ]
+            keys = self._declared(class_name).keys()
+            yield [
+                state if state.values.keys() == keys else coerce(state)
+                for state in visible
+            ]
         # Resurrection: objects of this class the snapshot sees that the
         # storage scan missed (deleted, or moved out, after it began).
-        for oid, classes in sorted(self.changed().items()):
-            if class_name in classes and oid not in seen:
-                state = self.store.resolve(oid, self.snapshot, None)
+        moved = [
+            oid for oid, classes in sorted(self.changed().items()) if class_name in classes
+        ]
+        if not moved:
+            return
+        seen = {state.oid for page in scanned for state in page}
+        resurrected = []
+        for oid in moved:
+            if oid not in seen:
+                state = store.resolve(oid, snapshot, None)
                 if state is not None and state.class_name == class_name:
-                    yield self._coerce(state)
+                    resurrected.append(coerce(state))
+        if resurrected:
+            yield resurrected
+
+    def scan(self, class_name: str) -> Iterator[ObjectState]:
+        """:meth:`scan_pages`, a row at a time."""
+        for page in self.scan_pages(class_name):
+            yield from page
 
     def changed(self) -> Dict[OID, Set[str]]:
         return self.store.changed(self.snapshot)

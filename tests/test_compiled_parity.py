@@ -1,0 +1,310 @@
+"""The compiled, batch-at-a-time pipeline answers exactly what the
+reference interpreter does.
+
+``repro.query.compiler`` turns WHERE trees into closures and the
+operators move rows a page at a time; ``algebra.select`` over
+``evaluate_predicate`` / ``evaluate_path`` stays as the reference.
+Random WHERE trees — the ``random_predicates`` pool of
+``test_formal_properties`` plus edge-value leaves (None, attributes
+missing from records stored before ``add_attribute``, list fan-out,
+``True = 1`` against ``1``, OID equality, LIKE with ``% _ * ? [``,
+``IN``, dangling references) — are checked two ways:
+
+* **compiled vs. interpreted, row by row**, gate or no gate: the same
+  answer, or the same exception type, for every object;
+* **through the engine**: ``execute`` and ``select_iter`` return what
+  ``algebra.select`` selects from a plain copy of the world the query
+  should see — at rest, inside a transaction with its own uncommitted
+  writes, and beside another writer's uncommitted update, delete and
+  reclass.
+
+``COMPILED_PARITY_EXAMPLES`` sets the trees per check (CI's weekly job
+runs 500; tier-1 keeps a fixed-seed slice).
+"""
+
+import os
+import random
+
+import pytest
+
+from repro import AttributeDef, Database
+from repro.core.oid import OID
+from repro.evolution import SchemaEvolution
+from repro.query import algebra
+from repro.query.ast import And, Comparison, Const, Not, Or, Path, Query
+from repro.query.operators import ObjectKernel
+from repro.query.parser import parse_query
+
+from .test_formal_properties import random_predicates
+
+COMPILED_PARITY_EXAMPLES = int(os.environ.get("COMPILED_PARITY_EXAMPLES", "40"))
+
+SCOPE = ("Item", "Special")
+CLASSES = ("Company", "Part", "Item", "Special", "Other")
+#: An OID no object ever had.
+NEVER = OID(10**9)
+VALUES = [
+    None, True, False, 0, 1, 1.0, 2, 2.5, -1, "", "1", "x", "ab", "a%b",
+    "a_b", "a*b", "a?b", "[ab]", "[", "Detroit",
+]
+PATTERNS = ["%", "_", "a%", "%b", "a_b", "a*b", "a?b", "[ab]", "[", "%[%", "x", "", 1, None]
+ANY_PATHS = [("a",), ("m",), ("late",), ("part", "a"), ("parts", "a"), ("m", "a")]
+REF_PATHS = [("part",), ("parts",), ("m",)]
+OPS = ("=", "!=", "<", "<=", ">", ">=", "like", "in", "contains")
+
+
+def build(seed):
+    """Items over every edge: Any-typed values of mixed type, lists,
+    references (some dangling once their parts are deleted) and an
+    attribute added after most records were stored."""
+    rng = random.Random(seed)
+    db = Database()
+    db.define_class("Company", attributes=[AttributeDef("location", "String")])
+    db.define_class("Part", attributes=[AttributeDef("a", "Any"), AttributeDef("n", "Integer")])
+    db.define_class(
+        "Item",
+        attributes=[
+            AttributeDef("weight", "Integer"),
+            AttributeDef("color", "String"),
+            AttributeDef("price", "Integer"),
+            AttributeDef("manufacturer", "Company"),
+            AttributeDef("a", "Any"),
+            AttributeDef("m", "Any", multi=True),
+            AttributeDef("part", "Part"),
+            AttributeDef("parts", "Part", multi=True),
+        ],
+    )
+    db.define_class("Special", superclasses=("Item",))
+    db.define_class("Other", attributes=[AttributeDef("a", "Any")])
+    companies = [
+        db.new("Company", {"location": city}).oid for city in ("Detroit", "Tokyo", "Austin")
+    ]
+    parts = [
+        db.new("Part", {"a": rng.choice(VALUES), "n": rng.choice([None, 0, 1, 2])}).oid
+        for _ in range(8)
+    ]
+
+    def new_item(extra=None):
+        values = {
+            "weight": rng.choice([None, rng.randrange(1000, 12000)]),
+            "color": rng.choice([None, "red", "blue", "white", "black"]),
+            "price": rng.randrange(5000, 100000),
+            "manufacturer": rng.choice(companies + [None]),
+            "a": rng.choice(VALUES + parts),
+            "m": [rng.choice(VALUES[1:] + parts) for _ in range(rng.randrange(4))],
+            "part": rng.choice(parts + [None]),
+            "parts": rng.sample(parts, rng.randrange(3)),
+        }
+        values.update(extra or {})
+        db.new(rng.choice(SCOPE), values)
+
+    for _ in range(120):
+        new_item()
+    for _ in range(5):
+        db.new("Other", {"a": rng.choice(VALUES)})
+    # Records stored from here on carry ``late``; the 120 above are
+    # coerced to its default on every read.
+    SchemaEvolution(db).add_attribute("Item", AttributeDef("late", "Any", default="x"))
+    for _ in range(30):
+        new_item({"late": rng.choice(VALUES)})
+    for dangling in parts[:2]:
+        db.delete(dangling)
+    return db, rng, parts
+
+
+def world_of(db):
+    """Every object as current storage holds it, coerced and copied:
+    the plain-Python world a query made now must see."""
+    return {
+        state.oid: state.copy() for cls in CLASSES for state in db._scan_coerced(cls)
+    }
+
+
+def random_leaf(rng, parts):
+    roll = rng.random()
+    if roll < 0.2:
+        return parse_query("SELECT v FROM Item v WHERE %s" % random_predicates(rng)).where
+    if roll < 0.4:
+        op = rng.choice(("=", "!=", "in", "contains"))
+        pool = parts + [NEVER, None]
+        literal = (
+            [rng.choice(pool) for _ in range(rng.randrange(3))]
+            if op == "in"
+            else rng.choice(pool)
+        )
+        return Comparison(op, Path(rng.choice(REF_PATHS)), Const(literal))
+    op = rng.choice(OPS)
+    pool = VALUES + parts[:3]
+    if op == "in":
+        literal = [rng.choice(pool) for _ in range(rng.randrange(4))]
+    elif op == "like":
+        literal = rng.choice(PATTERNS)
+    else:
+        literal = rng.choice(pool)
+    return Comparison(op, Path(rng.choice(ANY_PATHS)), Const(literal))
+
+
+def random_where(rng, parts, depth=0):
+    if depth < 3 and rng.random() < 0.4:
+        kind = rng.choice((And, Or, Not))
+        if kind is Not:
+            return Not(random_where(rng, parts, depth + 1))
+        return kind([random_where(rng, parts, depth + 1) for _ in range(rng.choice((2, 2, 3)))])
+    return random_leaf(rng, parts)
+
+
+def outcome(test, state):
+    try:
+        return bool(test(state))
+    except Exception as exc:  # compared by type with the interpreter's
+        return type(exc)
+
+
+def expected(world, where):
+    extent = sorted(
+        (state for state in world.values() if state.class_name in SCOPE),
+        key=lambda state: state.oid.value,
+    )
+    return [state.oid for state in algebra.select(extent, where, world.get)]
+
+
+def engine(db, where):
+    """``execute`` and ``select_iter`` must agree; returns their OIDs."""
+    executed = db.execute(Query("Item", "v", where=where)).oids
+    streamed = [handle.oid for handle in db.select_iter(Query("Item", "v", where=where))]
+    assert streamed == executed
+    return executed
+
+
+def edge_cases(parts):
+    """One predicate per edge, picked by hand (all pass the gate)."""
+    return [
+        Comparison("=", Path(("a",)), Const(True)),
+        Comparison("=", Path(("a",)), Const(1)),
+        Comparison("!=", Path(("a",)), Const(None)),
+        Comparison("in", Path(("a",)), Const([1, True, None])),
+        Comparison("=", Path(("late",)), Const("x")),
+        Comparison("like", Path(("late",)), Const("%")),
+        Comparison("=", Path(("part",)), Const(parts[2])),
+        Comparison("=", Path(("part",)), Const(parts[0])),  # dangling
+        Comparison("=", Path(("part",)), Const(NEVER)),
+        Comparison("=", Path(("part", "a")), Const(None)),
+        Comparison("like", Path(("a",)), Const("a*b")),
+        Comparison("like", Path(("m",)), Const("[ab]")),
+        Comparison("=", Path(("m",)), Const(1)),
+        Comparison("<", Path(("a",)), Const(2)),
+        Comparison("contains", Path(("parts",)), Const(parts[3])),
+    ]
+
+
+def accepted(db, rng, parts):
+    """The edge cases, then random WHERE trees the semantic gate lets
+    through."""
+    trees = edge_cases(parts)
+    while len(trees) < len(edge_cases(parts)) + COMPILED_PARITY_EXAMPLES:
+        where = random_where(rng, parts)
+        if db.check(Query("Item", "v", where=where)).ok:
+            trees.append(where)
+    return trees
+
+
+@pytest.fixture(scope="module")
+def edge_db():
+    db, _rng, parts = build(2026)
+    yield db, parts
+    db.close()
+
+
+class TestCompiledPredicates:
+    def test_compiled_equals_interpreted_on_every_row(self, edge_db):
+        db, parts = edge_db
+        world = world_of(db)
+        kernel = ObjectKernel(world.get)
+        rng = random.Random(11)
+        for _ in range(COMPILED_PARITY_EXAMPLES):
+            where = random_where(rng, parts)
+            compiled = kernel.predicate(where)
+            for state in world.values():
+                reference = outcome(
+                    lambda s: algebra.evaluate_predicate(where, s, world.get), state
+                )
+                assert outcome(compiled, state) == reference, (where, state)
+
+    def test_edges_by_hand(self, edge_db):
+        db, parts = edge_db
+        world = world_of(db)
+        kernel = ObjectKernel(world.get)
+        for where in edge_cases(parts):
+            compiled = kernel.predicate(where)
+            hits = [
+                oid
+                for oid, state in world.items()
+                if state.class_name in SCOPE and compiled(state)
+            ]
+            assert sorted(hits, key=lambda oid: oid.value) == expected(world, where), where
+
+    def test_method_and_adt_nodes_raise_only_when_a_row_reaches_them(self):
+        from repro.query.ast import AdtPredicate, MethodCall
+
+        kernel = ObjectKernel(lambda oid: None)
+        for node in (MethodCall(None, "area", []), AdtPredicate("overlaps", Path(("a",)), [1])):
+            compiled = kernel.predicate(node)
+            with pytest.raises(ValueError):
+                compiled(None)
+
+
+class TestEngineParity:
+    """Gate-accepted trees through the whole front door."""
+
+    def test_at_rest(self, edge_db):
+        db, parts = edge_db
+        world = world_of(db)
+        for where in accepted(db, random.Random(21), parts):
+            assert engine(db, where) == expected(world, where), where
+
+    def test_inside_a_transaction_with_its_own_writes(self, edge_db):
+        db, parts = edge_db
+        rng = random.Random(31)
+        for where in accepted(db, rng, parts):
+            txn = db.transaction()
+            try:
+                _write_some(db, rng, parts)
+                world = world_of(db)  # storage holds the own writes
+                assert engine(db, where) == expected(world, where), where
+            finally:
+                txn.abort()
+
+    def test_beside_another_writers_uncommitted_changes(self, edge_db):
+        db, parts = edge_db
+        rng = random.Random(41)
+        for where in accepted(db, rng, parts):
+            world = world_of(db)
+            txn = db.transaction()
+            _write_some(db, rng, parts)
+            db.txns.detach()
+            try:
+                assert engine(db, where) == expected(world, where), where
+            finally:
+                db.txns.attach(txn)
+                txn.abort()
+
+
+def _write_some(db, rng, parts):
+    """An update (item and part), a delete, a reclass within the scope and
+    one out of it, and an insert — all in the caller's transaction."""
+    items = sorted(
+        (oid for oid in db.storage.directory.oids_of_class("Item")),
+        key=lambda oid: oid.value,
+    )
+    live_parts = [oid for oid in parts if db.exists(oid)]
+    updated, deleted, inward, outward = rng.sample(items, 4)
+    db.update(updated, {"a": rng.choice(VALUES), "m": [rng.choice(VALUES[1:])]})
+    db.update(rng.choice(live_parts), {"a": rng.choice(VALUES)})
+    db.delete(deleted)
+    moved = db.get_state(inward)
+    moved.class_name = "Special"
+    # A full-state write re-validates references.
+    moved.values.update(part=None, parts=[p for p in moved.values["parts"] if p in live_parts])
+    db.put_state(moved)
+    db.put_state(type(moved)(outward, "Other", {"a": rng.choice(VALUES)}))
+    db.new("Item", {"a": rng.choice(VALUES), "late": rng.choice(VALUES), "parts": []})

@@ -5,7 +5,7 @@ import shutil
 import pytest
 
 from repro import AttributeDef, Database, MethodDef
-from repro.errors import SchemaEvolutionError
+from repro.errors import AttributeNotFoundError, SchemaEvolutionError
 from repro.evolution import SchemaEvolution, check_all
 from repro.evolution.invariants import check_domain_compatibility_invariant
 
@@ -32,6 +32,22 @@ def evo(edb):
 
 
 class TestAttributeChanges:
+    def test_attribute_map_is_read_only_and_dropped_by_a_change(self, edb, evo):
+        vehicle = edb.new("Vehicle", {"weight": 1})
+        declared = edb.schema.attribute_map("Vehicle")
+        with pytest.raises(TypeError):
+            declared["color"] = AttributeDef("color", "String")
+        assert edb.schema.attribute_map("Vehicle") is declared  # no copy per call
+        query = "SELECT v FROM Vehicle v WHERE v.weight = 1"
+        assert edb.execute(query).states[0].values.keys() == declared.keys()
+        with pytest.raises(AttributeNotFoundError):
+            edb.get(vehicle.oid)["color"]
+        evo.add_attribute("Vehicle", AttributeDef("color", "String", default="grey"))
+        assert "color" in edb.schema.attribute_map("Vehicle")
+        # The next scan and the next handle read both see the default.
+        assert edb.execute(query).states[0].values["color"] == "grey"
+        assert edb.get(vehicle.oid)["color"] == "grey"
+
     def test_add_attribute_metadata_only(self, edb, evo):
         vehicle = edb.new("Vehicle", {"weight": 1})
         stored_before = edb.storage.load(vehicle.oid).values

@@ -13,6 +13,7 @@ from repro.multidb import (
     run_osql,
     translate_sql,
 )
+from repro.query.ast import AdtPredicate, And, Comparison, Const, MethodCall, Path, Query
 from repro.relational import RelationalEngine
 
 
@@ -138,6 +139,22 @@ class TestFederation:
             "SELECT p FROM Product p WHERE p.price > 20 AND NOT p.sku = 'C-1'"
         )
         assert sorted(r["sku"] for r in rows) == ["T-100", "T-200"]
+
+    @pytest.mark.parametrize(
+        "behaviour",
+        [MethodCall(None, "bonus", []), AdtPredicate("overlaps", Path(("name",)), [1])],
+    )
+    def test_behaviour_predicates_raise_when_a_row_reaches_them(
+        self, federation, behaviour
+    ):
+        # Compiling is fine; testing a row is not.
+        federation.pipeline(Query("Employee", "e", where=behaviour))
+        with pytest.raises(FederationError, match="comparisons and boolean"):
+            federation.query(Query("Employee", "e", where=behaviour))
+        # A row the AND short-circuits never reaches the predicate.
+        nobody = Comparison("=", Path(("company",)), Const("Nobody"))
+        short_circuited = Query("Employee", "e", where=And([nobody, behaviour]))
+        assert federation.query(short_circuited) == []
 
 
 class TestOsql:

@@ -5,8 +5,14 @@ import pytest
 from repro import Database
 from repro.bench.schemas import build_vehicle_schema, populate_vehicles
 from repro.errors import QueryError
-from repro.query.operators import LimitOp, PhysicalOperator
-from repro.query.planner import ExtentScan, IndexOrderScan
+from repro.query.ast import Comparison, Const, Path
+from repro.query.operators import FilterOp, LimitOp, PhysicalOperator
+from repro.query.planner import (
+    ExtentScan,
+    IndexEqProbe,
+    IndexOrderScan,
+    IndexRangeProbe,
+)
 
 
 class CountingSource(PhysicalOperator):
@@ -18,13 +24,14 @@ class CountingSource(PhysicalOperator):
         super().__init__()
         self.n = n
         self.closes = 0
+        self.asked = []
         self._emitted = 0
 
-    def _next(self):
-        if self._emitted >= self.n:
-            return None
-        self._emitted += 1
-        return self._emitted
+    def _next_batch(self, n):
+        self.asked.append(n)
+        batch = list(range(self._emitted + 1, min(self.n, self._emitted + n) + 1))
+        self._emitted += len(batch)
+        return batch
 
     def _on_close(self):
         self.closes += 1
@@ -71,6 +78,93 @@ class TestIteratorProtocol:
         limit.open()
         assert list(limit.rows()) == [1, 2]
         limit.close()
+
+    def test_limit_over_filter_never_pulls_past_its_quota(self):
+        class EvenKernel:
+            def row_class(self, row):
+                return None
+
+            def predicate(self, expr):
+                return lambda n: n % 2 == 0
+
+        source = CountingSource(100)
+        where = Comparison("=", Path(("n",)), Const(0))
+        limit = LimitOp(FilterOp(source, EvenKernel(), None, where), 5)
+        limit.open()
+        assert list(limit.rows()) == [2, 4, 6, 8, 10]
+        limit.close()
+        # Row-at-a-time would have pulled 1..10: the 10th row completed
+        # the quota.  Each request asked only for the rows still missing.
+        assert source.rows_out == 10
+        assert max(source.asked) <= 5
+        assert limit.child.rows_out == 5
+
+
+class TestCounterPins:
+    """``examined`` / ``matched`` / ``index_probes`` (and the snapshot
+    reads behind them) per query, pinned at their row-at-a-time values:
+    batches never change how much work a plan does."""
+
+    CASES = [
+        (
+            "SELECT v FROM Vehicle v ORDER BY v.weight LIMIT 10",
+            IndexOrderScan,
+            (10, 10, 1, 10),
+        ),
+        (
+            "SELECT v FROM Vehicle v ORDER BY v.weight DESC LIMIT 10",
+            IndexOrderScan,
+            (10, 10, 1, 10),
+        ),
+        (
+            "SELECT v FROM Vehicle v WHERE v.color = 'red' ORDER BY v.weight LIMIT 7",
+            IndexOrderScan,
+            (28, 7, 1, 28),
+        ),
+        (
+            "SELECT v FROM Vehicle v WHERE v.color = 'red' ORDER BY v.weight DESC LIMIT 7",
+            IndexOrderScan,
+            (18, 7, 1, 18),
+        ),
+        (
+            "SELECT v FROM Vehicle v WHERE v.color = 'red' LIMIT 5",
+            ExtentScan,
+            (600, 150, 0, 600),
+        ),
+        (
+            "SELECT v FROM Vehicle v WHERE v.weight >= 5000 AND v.weight < 5400",
+            IndexRangeProbe,
+            (24, 24, 1, 24),
+        ),
+        ("SELECT v FROM Vehicle v WHERE v.weight = 2486", IndexEqProbe, (2, 2, 1, 2)),
+    ]
+
+    @pytest.fixture(scope="class")
+    def pinned_db(self):
+        database = Database()
+        build_vehicle_schema(database)
+        populate_vehicles(database, n_vehicles=600, n_companies=12, seed=7)
+        database.create_hierarchy_index("Vehicle", "weight")
+        return database
+
+    @pytest.mark.parametrize("text,access,counters", CASES)
+    def test_execute_and_stream_do_the_pinned_work(self, pinned_db, text, access, counters):
+        db = pinned_db
+        names = ("query.rows_examined", "query.rows_matched", "query.index_probes",
+                 "txn.snapshot.reads")
+
+        def work(run):
+            before = [db.metrics.value(name) for name in names]
+            run(text)
+            return tuple(db.metrics.value(name) - b for name, b in zip(names, before))
+
+        result = db.execute(text)
+        assert isinstance(result.plan.access, access)
+        assert (
+            result.stats.examined, result.stats.matched, result.stats.index_probes
+        ) == counters[:3]
+        assert work(db.execute) == counters
+        assert work(lambda q: list(db.select_iter(q))) == counters
 
 
 class TestTopKParity:
