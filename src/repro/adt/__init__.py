@@ -1,6 +1,6 @@
-"""Abstract data types: registry, operations, spatial access methods."""
+"""Abstract data types: registry, operations, spatial grid index."""
 
-from .registry import AccessMethodProbe, AdtRegistry, AdtType, attach
+from .registry import AdtRegistry, AdtType, attach
 from .spatial import (
     RECTANGLE_TYPE,
     SpatialGridIndex,
@@ -15,7 +15,6 @@ from .spatial import (
 )
 
 __all__ = [
-    "AccessMethodProbe",
     "AdtRegistry",
     "AdtType",
     "attach",

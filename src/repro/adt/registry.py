@@ -6,25 +6,19 @@ STON86a].  kimdb ADTs are *value domains*: a registered type contributes
 
 * a validator — making the type usable as an attribute domain;
 * named operations — usable as predicates in OQL
-  (``overlaps(r.shape, [0, 0, 4, 4])``);
-* optional access-method providers — index structures the planner can
-  probe instead of scanning, integrating user-defined predicates into
-  the optimization framework (the open issue the paper highlights;
-  experiment E14).
+  (``overlaps(r.shape, [0, 0, 4, 4])``).
+
+Access methods for those predicates are ordinary indexes in the
+database's :class:`~repro.index.manager.IndexManager` (an index whose
+``operation`` names the predicate, e.g. the spatial grid), which the
+cost model probes instead of scanning — integrating user-defined
+predicates into the optimization framework (the open issue the paper
+highlights; experiment E14).
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple
 
 from ..core.obj import ObjectState
 from ..core.oid import OID
@@ -39,27 +33,6 @@ Validator = Callable[[Any], bool]
 Operation = Callable[..., Any]
 
 
-class AccessMethodProbe:
-    """One ready-to-run index probe for an ADT predicate."""
-
-    def __init__(self, estimate: int, run: Callable[[], List[OID]]) -> None:
-        self._estimate = estimate
-        self._run = run
-
-    def estimated_matches(self) -> int:
-        return self._estimate
-
-    def run(self) -> List[OID]:
-        return self._run()
-
-
-#: provider(db, target_class, path, args) -> probe or None when the
-#: provider has no structure covering this class/path.
-AccessMethodProvider = Callable[
-    ["Database", str, Tuple[str, ...], Sequence[Any]], Optional[AccessMethodProbe]
-]
-
-
 class AdtType:
     __slots__ = ("name", "validator", "operations")
 
@@ -70,14 +43,13 @@ class AdtType:
 
 
 class AdtRegistry:
-    """User-defined types, operations and access methods for one database."""
+    """User-defined types and operations for one database."""
 
     def __init__(self, db: "Database") -> None:
         self.db = db
         self._types: Dict[str, AdtType] = {}
         #: operation name -> (type name, fn)
         self._operations: Dict[str, Tuple[str, Operation]] = {}
-        self._providers: Dict[str, List[AccessMethodProvider]] = {}
 
     # -- registration -----------------------------------------------------------
 
@@ -97,13 +69,6 @@ class AdtRegistry:
             raise SchemaError("ADT operation %r is already registered" % (op_name,))
         adt.operations[op_name] = fn
         self._operations[op_name] = (type_name, fn)
-
-    def register_access_method(self, op_name: str, provider: AccessMethodProvider) -> None:
-        if op_name not in self._operations:
-            raise SchemaError(
-                "access method for unknown ADT operation %r" % (op_name,)
-            )
-        self._providers.setdefault(op_name, []).append(provider)
 
     def has_operation(self, op_name: str) -> bool:
         """True when ``op_name`` names a registered ADT operation.
@@ -169,27 +134,8 @@ class AdtRegistry:
             raise SchemaError("unknown ADT operation %r" % (op_name,))
         return entry[1](value, *args)
 
-    # -- planner integration --------------------------------------------------------
-
-    def access_method(
-        self,
-        op_name: str,
-        target_class: str,
-        path: Tuple[str, ...],
-        args: Sequence[Any],
-    ) -> Optional[AccessMethodProbe]:
-        for provider in self._providers.get(op_name, ()):
-            probe = provider(self.db, target_class, tuple(path), args)
-            if probe is not None:
-                return probe
-        return None
-
-    def type_names(self) -> List[str]:
-        return sorted(self._types)
-
 
 def attach(db: "Database") -> AdtRegistry:
     registry = AdtRegistry(db)
     db.adt = registry
-    db.planner.adt_registry = registry
     return registry

@@ -10,14 +10,14 @@ behind the ``overlaps`` predicate (experiment E14).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
+from ..core.obj import ObjectState
 from ..core.oid import OID
+from ..core.schema import Schema
 from ..errors import SchemaError
-from .registry import AccessMethodProbe, AdtRegistry
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..database import Database
+from ..index.base import Index
+from .registry import AdtRegistry
 
 RECTANGLE_TYPE = "Rectangle"
 
@@ -68,32 +68,38 @@ def register_rectangle_type(registry: AdtRegistry) -> None:
     registry.register_operation(RECTANGLE_TYPE, "within", rect_within)
 
 
-class SpatialGridIndex:
-    """Uniform grid over one rectangle-valued attribute of a class.
+class SpatialGridIndex(Index):
+    """Uniform grid over one rectangle-valued attribute of a class
+    hierarchy: the access method behind ``overlaps``.
 
-    Maintained through database post-hooks; each rectangle is registered
-    in every grid cell it touches.  Queries collect the cells the search
-    window touches and return the union of their buckets (candidates —
-    the executor re-verifies exactly, as with every kimdb index).
+    An index like the B+-tree kinds — built over the coerced extent,
+    maintained by the write path and selected by the index manager;
+    it keeps no B+-tree entries, so ANALYZE skips it.  Each rectangle is
+    registered in every grid cell it touches.  Queries collect the cells
+    the search window touches and return the union of their buckets
+    (candidates — the executor re-verifies exactly, as with every kimdb
+    index).
     """
 
-    def __init__(self, db: "Database", class_name: str, attribute: str, cell_size: float = 16.0) -> None:
+    kind = "spatial-grid"
+    operation = "overlaps"
+
+    def __init__(
+        self, name: str, schema: Schema, class_name: str, attribute: str, cell_size: float = 16.0
+    ) -> None:
         if cell_size <= 0:
             raise SchemaError("cell size must be positive")
-        attr = db.schema.attribute(class_name, attribute)
+        attr = schema.attribute(class_name, attribute)
         if attr.domain != RECTANGLE_TYPE:
             raise SchemaError(
                 "attribute %s.%s has domain %s, expected %s"
                 % (class_name, attribute, attr.domain, RECTANGLE_TYPE)
             )
-        self.db = db
-        self.class_name = class_name
+        super().__init__(name, schema, class_name, (attribute,))
         self.attribute = attribute
         self.cell_size = float(cell_size)
         self._cells: Dict[Tuple[int, int], Set[OID]] = {}
         self._rect_of: Dict[OID, List[float]] = {}
-        db.add_post_hook(self._post_hook)
-        self._build()
 
     # -- cell math ------------------------------------------------------------
 
@@ -108,18 +114,11 @@ class SpatialGridIndex:
 
     # -- maintenance ---------------------------------------------------------------
 
-    def _covers(self, class_name: str) -> bool:
-        return self.db.schema.is_subclass(class_name, self.class_name)
-
-    def _build(self) -> None:
-        for cls in self.db.schema.hierarchy_of(self.class_name):
-            for state in self.db.storage.scan_class(cls):
-                self._add(state.oid, state.values.get(self.attribute))
-
     def _add(self, oid: OID, rect) -> None:
         if not is_rect(rect):
             return
         self._rect_of[oid] = list(rect)
+        self._m_inserts.inc()
         for cell in self._cells_for(rect):
             self._cells.setdefault(cell, set()).add(oid)
 
@@ -127,6 +126,7 @@ class SpatialGridIndex:
         rect = self._rect_of.pop(oid, None)
         if rect is None:
             return
+        self._m_removes.inc()
         for cell in self._cells_for(rect):
             bucket = self._cells.get(cell)
             if bucket is not None:
@@ -134,18 +134,26 @@ class SpatialGridIndex:
                 if not bucket:
                     del self._cells[cell]
 
-    def _post_hook(self, kind: str, old, new) -> None:
-        if kind == "insert" and self._covers(new.class_name):
-            self._add(new.oid, new.values.get(self.attribute))
-        elif kind == "update" and self._covers(new.class_name):
-            self._remove(old.oid)
-            self._add(new.oid, new.values.get(self.attribute))
-        elif kind == "delete" and self._covers(old.class_name):
-            self._remove(old.oid)
+    def on_insert(self, state: ObjectState) -> None:
+        if self.maintains(state.class_name):
+            self._add(state.oid, state.values.get(self.attribute))
+
+    def on_delete(self, state: ObjectState) -> None:
+        if self.maintains(state.class_name):
+            self._remove(state.oid)
+
+    def on_update(self, old: ObjectState, new: ObjectState) -> None:
+        self.on_delete(old)
+        self.on_insert(new)
+
+    def clear(self) -> None:
+        self._cells.clear()
+        self._rect_of.clear()
 
     # -- probing ----------------------------------------------------------------------
 
     def candidates(self, x1: float, y1: float, x2: float, y2: float) -> List[OID]:
+        self._m_probes.inc()
         window = make_rect(x1, y1, x2, y2)
         out: Set[OID] = set()
         for cell in self._cells_for(window):
@@ -166,19 +174,10 @@ def register_spatial_index(
     attribute: str,
     cell_size: float = 16.0,
 ) -> SpatialGridIndex:
-    """Create a grid index and plug it into the planner for ``overlaps``."""
-    grid = SpatialGridIndex(registry.db, class_name, attribute, cell_size)
-
-    def provider(db, target_class, path, args):
-        if path != (attribute,) or len(args) != 4:
-            return None
-        if not db.schema.is_subclass(target_class, class_name):
-            return None
-        x1, y1, x2, y2 = args
-        return AccessMethodProbe(
-            grid.estimate(x1, y1, x2, y2),
-            lambda: grid.candidates(x1, y1, x2, y2),
-        )
-
-    registry.register_access_method("overlaps", provider)
-    return grid
+    """Create a grid index on ``class_name.attribute`` in the database's
+    index registry, where the planner finds it for ``overlaps``."""
+    db = registry.db
+    name = "grid_%s_%s" % (class_name, attribute)
+    return db.indexes.register(
+        SpatialGridIndex(name, db.schema, class_name, attribute, cell_size)
+    )

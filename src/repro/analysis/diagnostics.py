@@ -64,10 +64,6 @@ class Diagnostic:
         self.message = message
         self.span = span
 
-    @property
-    def is_error(self) -> bool:
-        return self.severity == ERROR
-
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
             "severity": self.severity,

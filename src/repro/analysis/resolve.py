@@ -58,10 +58,6 @@ class PathResolution:
     def ok(self) -> bool:
         return self.failure is None
 
-    @property
-    def terminal_attr(self) -> Optional[AttributeDef]:
-        return self.attrs[-1] if self.attrs else None
-
     def dotted(self) -> str:
         return ".".join(self.steps)
 

@@ -381,13 +381,6 @@ class SemanticAnalyzer:
                 res.missing_on.append(cls)
         return res
 
-    def method_coverage(
-        self, receiver_classes: Sequence[str], selector: str
-    ) -> Tuple[List[str], List[str]]:
-        """(classes understanding ``selector``, classes not understanding it)."""
-        res = self._resolve_method(receiver_classes, selector)
-        return res.defined_on, res.missing_on
-
     def check_arity(
         self, receiver_classes: Sequence[str], selector: str, n_args: int
     ) -> Optional[bool]:

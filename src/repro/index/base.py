@@ -3,8 +3,10 @@
 The paper's Section 3.2 derives two OODB-specific index kinds from the
 two hierarchies of the data model: *class-hierarchy indexes* along the
 generalization hierarchy and *nested-attribute indexes* along the
-aggregation hierarchy.  All kinds share the B+-tree substrate and a
-common probe/maintenance interface defined here.
+aggregation hierarchy.  Those kinds share the B+-tree substrate; every
+kind — an ADT access method such as the spatial grid included — shares
+the coverage/maintenance interface defined here, so the index manager
+builds, maintains, selects and drops them all the same way.
 """
 
 from __future__ import annotations
@@ -21,12 +23,19 @@ from .btree import BTree
 class Index:
     """Base class for secondary indexes.
 
-    Subclasses define which classes they *maintain* entries for
-    (``maintained_classes``) and which query scopes they can *answer*
-    (:meth:`covers`).  Probes return OIDs sorted for determinism.
+    An index *maintains* entries for the instances of its target class
+    and all its (current and future) subclasses, and *answers* a
+    predicate on its path over any scope inside that hierarchy; kinds
+    that feed on fewer classes narrow :meth:`maintained_classes` and
+    :meth:`maintains`.  Probes return OIDs sorted for determinism.
     """
 
     kind = "abstract"
+    #: The ADT operation this index answers (``"overlaps"``); None for
+    #: the B+-tree kinds, which answer comparisons.  An ADT index costs
+    #: and runs a probe as ``estimate(*args)`` / ``candidates(*args)``
+    #: over the predicate's arguments.
+    operation: Optional[str] = None
 
     def __init__(
         self,
@@ -60,11 +69,18 @@ class Index:
 
     def maintained_classes(self) -> List[str]:
         """Classes whose instances feed this index."""
-        raise NotImplementedError
+        return self.schema.hierarchy_of(self.target_class)
+
+    def maintains(self, class_name: str) -> bool:
+        """Does an instance of ``class_name`` feed this index?"""
+        return self.schema.is_subclass(class_name, self.target_class)
 
     def covers(self, target_class: str, path: Sequence[str], scope: Set[str]) -> bool:
         """Can this index answer a predicate on ``path`` over ``scope``?"""
-        raise NotImplementedError
+        if tuple(path) != self.path:
+            return False
+        maintained = set(self.maintained_classes())
+        return target_class in maintained and scope <= maintained
 
     # -- probes ---------------------------------------------------------------
 
@@ -126,7 +142,7 @@ class Index:
             self.name,
             self.target_class,
             ".".join(self.path),
-            len(self.tree),
+            len(self),
         )
 
 

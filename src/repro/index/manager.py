@@ -1,29 +1,33 @@
-"""Index manager: registry, maintenance dispatch, and index selection.
+"""Index manager: the one registry, maintenance dispatch, index selection.
 
-The database calls the manager's ``notify_*`` hooks on every object
-mutation; the manager fans the change out to affected indexes.  The query
-planner calls :meth:`find_index` with a predicate's path and evaluation
-scope; the manager returns the cheapest structure that *covers* the
-probe, preferring an exact nested index over a class-hierarchy index over
-a single-class index.
+Every secondary index of a database — single-class, class-hierarchy,
+nested-attribute, and ADT access methods such as the spatial grid — is
+registered here.  Registration builds the index over the coerced extent
+(what readers see) and moves :attr:`IndexManager.epoch`, so cached plans
+and ANALYZE statistics built without it go stale.  The database calls
+the manager's ``notify_*`` hooks on every object mutation; the manager
+fans the change out to affected indexes.  The query planner calls
+:meth:`find_index` with a predicate's path and evaluation scope (and,
+for an ADT predicate, its operation); the manager returns the cheapest
+structure that *covers* the probe, preferring an exact nested index
+over a class-hierarchy index over a single-class index.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from ..core.obj import ObjectState
-from ..core.oid import OID
 from ..core.schema import Schema
 from ..errors import SchemaError
 from ..obs.metrics import MetricsRegistry
+from .attribute import AttributeIndex
 from .base import Index
-from .class_hierarchy import ClassHierarchyIndex
 from .nested import Deref, NestedAttributeIndex
-from .single_class import SingleClassIndex
 
 #: Provides all direct instances of a class for index builds.
 ScanClass = Callable[[str], Iterable[ObjectState]]
+AnyIndex = TypeVar("AnyIndex", bound=Index)
 
 
 class IndexManager:
@@ -67,7 +71,8 @@ class IndexManager:
         del self._indexes[name]
         self.epoch += 1
 
-    def _register(self, index: Index) -> Index:
+    def register(self, index: AnyIndex) -> AnyIndex:
+        """Add an index of any kind, build it and move the epoch."""
         if index.name in self._indexes:
             raise SchemaError("index %r already exists" % (index.name,))
         index.bind_metrics(self._registry)
@@ -90,21 +95,25 @@ class IndexManager:
 
     def create_class_index(
         self, class_name: str, attribute: str, name: Optional[str] = None, order: int = 64
-    ) -> SingleClassIndex:
+    ) -> AttributeIndex:
         """Relational-style index over one class's direct instances."""
         index_name = name or "sc_%s_%s" % (class_name, attribute)
-        return self._register(
-            SingleClassIndex(index_name, self.schema, class_name, attribute, order=order)
-        )  # type: ignore[return-value]
+        return self.register(
+            AttributeIndex(
+                index_name, self.schema, class_name, attribute, hierarchy=False, order=order
+            )
+        )
 
     def create_hierarchy_index(
         self, rooted_class: str, attribute: str, name: Optional[str] = None, order: int = 64
-    ) -> ClassHierarchyIndex:
+    ) -> AttributeIndex:
         """One index over a class and all its subclasses [KIM89b]."""
         index_name = name or "ch_%s_%s" % (rooted_class, attribute)
-        return self._register(
-            ClassHierarchyIndex(index_name, self.schema, rooted_class, attribute, order=order)
-        )  # type: ignore[return-value]
+        return self.register(
+            AttributeIndex(
+                index_name, self.schema, rooted_class, attribute, hierarchy=True, order=order
+            )
+        )
 
     def create_nested_index(
         self,
@@ -115,11 +124,11 @@ class IndexManager:
     ) -> NestedAttributeIndex:
         """Path index along the aggregation hierarchy [BERT89]."""
         index_name = name or "nx_%s_%s" % (target_class, "_".join(path))
-        return self._register(
+        return self.register(
             NestedAttributeIndex(
                 index_name, self.schema, target_class, path, self._deref, order=order
             )
-        )  # type: ignore[return-value]
+        )
 
     # -- maintenance dispatch ---------------------------------------------------
 
@@ -140,17 +149,23 @@ class IndexManager:
     _KIND_PREFERENCE = {"nested-attribute": 0, "class-hierarchy": 1, "single-class": 2}
 
     def find_index(
-        self, target_class: str, path: Sequence[str], scope: Set[str]
+        self,
+        target_class: str,
+        path: Sequence[str],
+        scope: Set[str],
+        operation: Optional[str] = None,
     ) -> Optional[Index]:
         """Best index covering a probe on ``path`` over ``scope`` classes.
 
+        ``operation`` names an ADT predicate (``"overlaps"``) to find its
+        access method; None asks for a B+-tree answering comparisons.
         Preference: nested (answers the whole path at once), then
         class-hierarchy, then single-class; ties broken by name for
         determinism.
         """
         candidates: List[Tuple[int, str, Index]] = []
         for index in self._indexes.values():
-            if index.covers(target_class, path, scope):
+            if index.operation == operation and index.covers(target_class, path, scope):
                 rank = self._KIND_PREFERENCE.get(index.kind, 99)
                 candidates.append((rank, index.name, index))
         if not candidates:

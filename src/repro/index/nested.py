@@ -71,15 +71,6 @@ class NestedAttributeIndex(Index):
                     )
                 current = attr.domain
 
-    def maintained_classes(self) -> List[str]:
-        return self.schema.hierarchy_of(self.target_class)
-
-    def covers(self, target_class: str, path: Sequence[str], scope: Set[str]) -> bool:
-        if tuple(path) != self.path:
-            return False
-        maintained = set(self.maintained_classes())
-        return target_class in maintained and scope <= maintained
-
     # -- path walking ------------------------------------------------------
 
     def _walk(self, state: ObjectState) -> Tuple[List[Any], Set[OID]]:
@@ -147,22 +138,19 @@ class NestedAttributeIndex(Index):
         self._remove_target(oid, state.class_name)
         self._index_target(state)
 
-    def _is_target(self, class_name: str) -> bool:
-        return self.schema.is_subclass(class_name, self.target_class)
-
     def on_insert(self, state: ObjectState) -> None:
-        if self._is_target(state.class_name):
+        if self.maintains(state.class_name):
             self._index_target(state)
 
     def on_delete(self, state: ObjectState) -> None:
-        if self._is_target(state.class_name):
+        if self.maintains(state.class_name):
             self._remove_target(state.oid, state.class_name)
         # The deleted object may be an intermediate for other targets.
         for target in list(self._deps.get(state.oid, ())):
             self.recompute_target(target)
 
     def on_update(self, old: ObjectState, new: ObjectState) -> None:
-        if self._is_target(new.class_name):
+        if self.maintains(new.class_name):
             first_step = self.path[0]
             if (
                 old.values.get(first_step) != new.values.get(first_step)
@@ -171,7 +159,7 @@ class NestedAttributeIndex(Index):
             ):
                 self._remove_target(old.oid, old.class_name)
                 self._index_target(new)
-        elif self._is_target(old.class_name):
+        elif self.maintains(old.class_name):
             self._remove_target(old.oid, old.class_name)  # migrated out of scope
         # Intermediate change: any dependent target may have a new key.
         dependents = self._deps.get(new.oid)

@@ -20,15 +20,9 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List,
 from ..errors import FederationError
 from ..query.ast import Expr, Query
 from ..query.compiler import compile_predicate
-from ..query.operators import (
-    FilterOp,
-    LimitOp,
-    PhysicalOperator,
-    ProjectOp,
-    SortOp,
-    VirtualScanOp,
-)
+from ..query.operators import compile_plan
 from ..query.parser import parse_query
+from ..query.planner import Plan, SystemScan
 from .hierarchical import HierarchicalDatabase
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -156,9 +150,11 @@ class ObjectAdapter(Adapter):
         return out
 
     def scan(self, class_name: str) -> Iterator[Row]:
-        for state in self.db.storage.scan_class(class_name):
+        """The class's direct instances as an ``ONLY`` query shows them to
+        the current subject (snapshot, authorization, coerced values)."""
+        for state in self.db.execute(Query(class_name, hierarchy=False)).states:
             row: Row = {"oid": state.oid}
-            row.update(state.copy().values)  # stored states are read-only
+            row.update(state.values)
             yield row
 
 
@@ -219,6 +215,9 @@ class FederationKernel:
             return (0, values[0]) if values and values[0] is not None else (1, 0)
 
         return lambda rows: sorted(rows, key=sort_key, reverse=descending)
+
+    def aggregator(self, query: Query) -> Callable[[List[Row]], List[Row]]:
+        raise FederationError("federated queries do not support aggregates")
 
     def projector(self, paths: Iterable[Tuple[str, ...]]) -> Callable[[Row], Row]:
         columns = [(".".join(steps), self.path(steps)) for steps in paths]
@@ -320,47 +319,34 @@ class Federation:
             current = next_rows
         return []
 
-    def pipeline(self, query: Query) -> PhysicalOperator:
-        """Compile a federated query into a physical operator chain.
-
-        The same Volcano operators the local engine runs, parameterized
-        by :class:`FederationKernel` over row dicts: virtual scan,
-        filter, (stable) sort, limit, projection.  Hierarchy scope is
-        meaningless across sources and ignored.
-        """
-        self._entry(query.target_class)
-        kernel = FederationKernel(self, query.target_class)
-        root: PhysicalOperator = VirtualScanOp(self.scan, query.target_class)
-        root = FilterOp(root, kernel, None, query.where)
-        if query.order_by is not None:
-            root = SortOp(root, kernel, query.order_by.steps, query.descending)
-        if query.limit is not None:
-            root = LimitOp(root, query.limit)
-        if query.projections is not None:
-            root = ProjectOp(
-                root, kernel, [path.steps for path in query.projections]
-            )
-        return root
-
     def query(self, text_or_query) -> List[Row]:
         """Run a federated OQL query; returns row dicts.
 
-        Projections are honoured; hierarchy scope is meaningless across
-        sources and ignored.
+        Compiled by the engine's one plan compiler
+        (:func:`~repro.query.operators.compile_plan`) over a
+        :class:`~repro.query.planner.SystemScan` of the virtual class —
+        the leaf system views use — with :class:`FederationKernel` row
+        semantics: filter, (stable) sort, limit, projection; aggregates
+        are refused.  Hierarchy scope is meaningless across sources and
+        ignored.
         """
         query: Query = (
             parse_query(text_or_query)
             if isinstance(text_or_query, str)
             else text_or_query
         )
-        root = self.pipeline(query)
-        root.open()
+        target = query.target_class
+        self._entry(target)  # unknown virtual class: FederationError
+        plan = Plan(query, {target}, SystemScan(target), query.where, 0.0)
+        pipeline = compile_plan(plan, FederationKernel(self, target), self.scan)
+        pipeline.open()
         try:
-            if query.projections is not None:
-                return [projected for _row, projected in root.rows()]
-            return [row for row in root.rows()]
+            rows = [row for batch in pipeline.root.batches() for row in batch]
         finally:
-            root.close()
+            pipeline.close()
+        if query.projections is not None:
+            return [projected for _row, projected in rows]
+        return rows
 
     def __repr__(self) -> str:
         return "<Federation %d sources, %d virtual classes>" % (

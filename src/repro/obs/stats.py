@@ -189,10 +189,6 @@ class StatisticsCatalog:
 
     # -- planner-facing reads ---------------------------------------------
 
-    def class_rows(self, class_name: str) -> Optional[int]:
-        stat = self.class_stats.get(class_name)
-        return stat.rows if stat is not None else None
-
     def index_selectivity(self, index_name: str) -> Optional[float]:
         """Average fraction of entries matched by an equality probe."""
         stat = self.index_stats.get(index_name)
@@ -348,6 +344,10 @@ def collect_statistics(
 
     index_stats: Dict[str, IndexStat] = {}
     for index in indexes.all_indexes():
+        if index.operation is not None:
+            # An ADT access method keeps no B+-tree keys to histogram;
+            # the cost model asks it for its own estimate instead.
+            continue
         entries = 0
         distinct = 0
         low: Any = None

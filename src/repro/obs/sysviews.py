@@ -324,9 +324,6 @@ class SystemCatalog:
     def is_system(self, name: str) -> bool:
         return name in SYSTEM_VIEWS
 
-    def view_names(self) -> List[str]:
-        return sorted(SYSTEM_VIEWS)
-
     def attributes(self, view: str) -> Tuple[str, ...]:
         return SYSTEM_VIEWS[view][0]
 

@@ -337,7 +337,6 @@ class CostModel:
         extent_count: Optional[Callable[[str], int]] = None,
         extent_pages: Optional[Callable[[str], int]] = None,
         page_size: int = 4096,
-        adt_registry: Any = None,
     ) -> None:
         self.schema = schema
         self.indexes = indexes
@@ -348,7 +347,6 @@ class CostModel:
         self.extent_count = extent_count
         self.extent_pages = extent_pages
         self.page_size = max(1, int(page_size))
-        self.adt_registry = adt_registry
         #: Per decision: the catalog when it is this decision's source
         #: (None = live), and the scope's total rows and heap pages.
         self._catalog: Any = None
@@ -495,6 +493,14 @@ class CostModel:
         stat = self._catalog.index_stats.get(index.name)
         return (index, stat) if stat is not None else None
 
+    def _adt_index(self, query: Query, predicate: AdtPredicate, scope: Set[str]) -> Any:
+        """The index answering an ADT predicate over ``scope``, or None.
+        ADT indexes keep no histogram: their own estimate is the fact,
+        whichever the source."""
+        return self.indexes.find_index(
+            query.target_class, predicate.path.steps, scope, predicate.name
+        )
+
     def _fetch_pages(self, rows: float, probes: int = 1) -> float:
         """Pages charged to an index-driven candidate: the B+-tree
         descents plus one heap page touch per fetched row.  Only as many
@@ -549,12 +555,10 @@ class CostModel:
             return 1.0 - miss
         if isinstance(expr, Not):
             return 1.0 - _clamp(self._selectivity(query, expr.operand, scope))
-        if isinstance(expr, AdtPredicate) and self.adt_registry is not None:
-            probe = self.adt_registry.access_method(
-                expr.name, query.target_class, expr.path.steps, expr.args
-            )
-            if probe is not None and self._total_rows > 0:
-                return _clamp(probe.estimated_matches() / self._total_rows)
+        if isinstance(expr, AdtPredicate):
+            index = self._adt_index(query, expr, scope)
+            if index is not None and self._total_rows > 0:
+                return _clamp(index.estimate(*expr.args) / self._total_rows)
         return DEFAULT_OPAQUE_SELECTIVITY
 
     def _comparison_selectivity(
@@ -598,17 +602,14 @@ class CostModel:
         scope: Set[str],
     ) -> Optional[CandidateCost]:
         residual = predicates[:position] + predicates[position + 1 :]
-        if isinstance(predicate, AdtPredicate) and self.adt_registry is not None:
-            probe = self.adt_registry.access_method(
-                predicate.name, query.target_class, predicate.path.steps,
-                predicate.args,
-            )
-            if probe is None:
+        if isinstance(predicate, AdtPredicate):
+            index = self._adt_index(query, predicate, scope)
+            if index is None:
                 return None
-            matched = float(probe.estimated_matches())
+            matched = float(index.estimate(*predicate.args))
             return CandidateCost(
                 "adt-index",
-                AdtIndexProbe(predicate, probe.run),
+                AdtIndexProbe(index, predicate),
                 self._fetch_pages(matched),
                 matched,
                 _clamp(self._selectivity(query, predicate, scope)),

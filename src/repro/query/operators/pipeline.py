@@ -189,10 +189,8 @@ def compile_plan(plan: Plan, kernel, scan, visible=None, changed=None) -> Pipeli
                 access.low, access.high, access.include_low, access.include_high, plan.scope
             )
         elif isinstance(access, AdtIndexProbe):
-            kind, index = "adt", None
-            fetch = lambda: sorted(
-                {oid for oid in access.probe() if isinstance(oid, OID)}
-            )
+            kind, index = "adt", access.index
+            fetch = lambda: index.candidates(*access.predicate.args)
         else:
             raise QueryError("unknown access path %r" % (access,))
         probe = IndexProbeOp(

@@ -6,9 +6,10 @@ performs the OODB version of System-R-style access-path selection
 [SELI79]: it determines the evaluation scope (class vs. class hierarchy),
 validates paths, and hands scope and predicate to the one
 :class:`~repro.query.cost.CostModel`, which matches sargable conjuncts
-against single-class, class-hierarchy and nested-attribute indexes and
-picks the cheapest access path — the extent scan when no index wins
-(experiment E7's crossover).
+against single-class, class-hierarchy and nested-attribute indexes (and
+ADT predicates against their access-method indexes) and picks the
+cheapest access path — the extent scan when no index wins (experiment
+E7's crossover).
 """
 
 from __future__ import annotations
@@ -93,11 +94,11 @@ class IndexRangeProbe(AccessPath):
 
 
 class AdtIndexProbe(AccessPath):
-    """Probe a registered ADT access method (e.g. a spatial grid)."""
+    """Probe the index answering an ADT predicate (e.g. a spatial grid)."""
 
-    def __init__(self, predicate: AdtPredicate, probe: Callable[[], List[Any]]) -> None:
+    def __init__(self, index: Index, predicate: AdtPredicate) -> None:
+        self.index = index
         self.predicate = predicate
-        self.probe = probe
         self.description = "adt-index(%s on %s)" % (
             predicate.name,
             predicate.path.dotted(),
@@ -122,11 +123,13 @@ class IndexOrderScan(AccessPath):
 
 
 class SystemScan(AccessPath):
-    """Scan one system statistics view (SysStat, SysWaitEvent, ...).
+    """Scan one virtual extent: a system statistics view (SysStat,
+    SysWaitEvent, ...) or a federated virtual class.
 
     System views are virtual extents produced by the observability layer
-    (:mod:`repro.obs.sysviews`); there is nothing to index, so the only
-    access path is a full scan of the generated rows.
+    (:mod:`repro.obs.sysviews`), federated classes are row sources of
+    other engines (:mod:`repro.multidb.federation`); there is nothing to
+    index, so the only access path is a full scan of the rows.
     """
 
     def __init__(self, view: str) -> None:
@@ -188,7 +191,6 @@ class Planner:
         indexes: IndexManager,
         extent_count: ExtentCount,
         extent_pages: ExtentCount,
-        adt_registry=None,
         system_catalog=None,
         page_size: int = 4096,
     ) -> None:
@@ -198,7 +200,6 @@ class Planner:
         #: cost model runs on when no usable ANALYZE catalog is offered.
         self.extent_count = extent_count
         self.extent_pages = extent_pages
-        self.adt_registry = adt_registry
         #: Storage page size, used by the cost model to convert ANALYZE
         #: byte counts into estimated pages read.
         self.page_size = page_size
@@ -279,7 +280,6 @@ class Planner:
             self.extent_count,
             self.extent_pages,
             page_size=self.page_size,
-            adt_registry=self.adt_registry,
         ).decide(
             query,
             scope,

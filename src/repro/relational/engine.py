@@ -15,7 +15,7 @@ work for deterministic comparisons.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..errors import KimDBError
 from ..obs.metrics import MetricsRegistry
@@ -67,11 +67,6 @@ class RelationalEngine:
         self._tables[name] = table
         return table
 
-    def drop_table(self, name: str) -> None:
-        if name not in self._tables:
-            raise KimDBError("no table named %r" % (name,))
-        del self._tables[name]
-
     def table(self, name: str) -> Table:
         table = self._tables.get(name)
         if table is None:
@@ -85,14 +80,6 @@ class RelationalEngine:
 
     def insert(self, table_name: str, row: Row) -> int:
         return self.table(table_name).insert(row)
-
-    def insert_many(self, table_name: str, rows: Iterable[Row]) -> int:
-        table = self.table(table_name)
-        count = 0
-        for row in rows:
-            table.insert(row)
-            count += 1
-        return count
 
     # -- operators -------------------------------------------------------------------
 

@@ -28,6 +28,7 @@ from typing import (
 )
 
 from ..errors import RuleError
+from ..query.ast import Query
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..database import Database
@@ -189,13 +190,17 @@ class RuleEngine:
         self._fresh = False
 
     def _mapped_facts(self) -> Iterable[Fact]:
+        """Base facts of the class mappings, read through the query front
+        door: what a hierarchy query shows the current subject — its
+        snapshot, authorization and lazily coerced values."""
         for mapping in self._mappings:
-            for cls in self.db.schema.hierarchy_of(mapping.class_name):
-                for state in self.db.storage.scan_class(cls):
-                    args: List[Any] = [state.oid]
-                    for attr in mapping.attributes:
-                        args.append(state.values.get(attr))
-                    yield fact(mapping.predicate, *args)
+            for state in self.db.execute(Query(mapping.class_name)).states:
+                values = state.values
+                yield fact(
+                    mapping.predicate,
+                    state.oid,
+                    *(values.get(attr) for attr in mapping.attributes),
+                )
 
     # -- stratification -----------------------------------------------------------
 
@@ -469,10 +474,6 @@ class RuleEngine:
         return chain
 
     # -- introspection ------------------------------------------------------------
-
-    @property
-    def base_fact_count(self) -> int:
-        return len(self._base)
 
     @property
     def derived_fact_count(self) -> int:

@@ -84,9 +84,6 @@ class ObjectDirectory:
         """Number of direct instances of ``class_name``, in O(1)."""
         return len(self._by_class.get(class_name, ()))
 
-    def class_extent_sizes(self) -> Dict[str, int]:
-        return {name: len(oids) for name, oids in self._by_class.items() if oids}
-
     def items(self) -> Iterator[Tuple[OID, DirectoryEntry]]:
         return iter(list(self._entries.items()))
 

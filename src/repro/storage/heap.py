@@ -37,9 +37,6 @@ class RID:
     def __repr__(self) -> str:
         return "RID(%d, %d)" % (self.page_id, self.slot)
 
-    def to_pair(self) -> Tuple[int, int]:
-        return (self.page_id, self.slot)
-
 
 class HeapFile:
     """An append-friendly bag of records on slotted pages."""

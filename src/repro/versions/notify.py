@@ -13,7 +13,7 @@ designer can learn that a vehicle they reference has a newer version.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from ..core.oid import OID
 
@@ -33,7 +33,6 @@ class NotificationManager:
         self._object_subs: Dict[OID, List[Callback]] = {}
         self._class_subs: Dict[str, List[Callback]] = {}
         self._flags: Set[OID] = set()
-        self._deliveries = 0
         db.add_post_hook(self._post_hook)
 
     # -- subscription ---------------------------------------------------------
@@ -69,12 +68,10 @@ class NotificationManager:
     ) -> None:
         for callback in self._object_subs.get(oid, ()):
             callback(event, oid, extra)
-            self._deliveries += 1
         mro = self.db.schema.mro(class_name)
         for cls in mro:
             for callback in self._class_subs.get(cls, ()):
                 callback(event, oid, extra)
-                self._deliveries += 1
 
     # -- flag-based polling ---------------------------------------------------------
 
@@ -91,10 +88,6 @@ class NotificationManager:
         for oid in flagged:
             self._flags.discard(oid)
         return flagged
-
-    @property
-    def delivery_count(self) -> int:
-        return self._deliveries
 
 
 def attach(db: "Database") -> NotificationManager:

@@ -32,7 +32,9 @@ needed only by snapshots with ``ts < c``; :meth:`VersionStore.gc`
 reclaims every committed entry at or below the oldest live snapshot's
 timestamp (all of them when no snapshot is live — future snapshots
 begin at the current commit horizon).  Uncommitted entries always
-survive; their writer is still running.
+survive; their writer is still running.  An aborted writer's entries
+stay as invisible tombstones while snapshots need them
+(:meth:`VersionStore.abort`).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class _Entry:
     """One before-image: ``txn_id`` overwrote ``oid``; the state before
     its first write was ``before`` (None = the object did not exist)."""
 
-    __slots__ = ("txn_id", "oid", "classes", "before", "commit_ts")
+    __slots__ = ("txn_id", "oid", "classes", "before", "commit_ts", "aborted_before")
 
     def __init__(
         self,
@@ -69,6 +71,10 @@ class _Entry:
         self.before = before
         #: Stamped at commit (monotonic); None while the writer runs.
         self.commit_ts: Optional[int] = None
+        #: Set when the writer aborted with snapshots live: the entry is a
+        #: tombstone (never committed, so invisible to every snapshot)
+        #: that snapshots with a lower id may still need.
+        self.aborted_before: Optional[int] = None
 
 
 class Snapshot:
@@ -178,13 +184,24 @@ class VersionStore:
             return ts
 
     def abort(self, txn_id: int) -> None:
-        """Discard the writer's entries (its undo restored storage)."""
+        """Retire the writer's entries (its undo restored storage).
+
+        A live snapshot may have loaded the writer's in-place image
+        before the undo and not resolved it yet.  So with snapshots live
+        the entries stay linked as tombstones: never committed, they are
+        invisible to every snapshot, which steps back to ``before`` — the
+        restored image.  GC drops them once every snapshot opened before
+        the abort has closed; with none live they go at once.
+        """
         with self._store_mutex:
             entries = self._txn_entries.pop(txn_id, None)
             if not entries:
                 return
             for entry in entries.values():
-                self._unlink_locked(entry)
+                if self._snapshots:
+                    entry.aborted_before = self._next_snapshot_id
+                else:
+                    self._unlink_locked(entry)
             self._m_entries.set(self._entry_count)
 
     # -- snapshot lifecycle --------------------------------------------------
@@ -305,10 +322,17 @@ class VersionStore:
         return self._reclaim_locked(horizon)
 
     def _reclaim_locked(self, horizon: int) -> int:
+        """Unlink committed entries at or below ``horizon``, and the
+        tombstones of aborts no live snapshot predates — compared by
+        snapshot id, since an abort moves no commit timestamp."""
+        oldest = min(self._snapshots, default=self._next_snapshot_id)
         reclaimed = []
         for chain in self._chains.values():
             for entry in chain:
-                if entry.commit_ts is not None and entry.commit_ts <= horizon:
+                if entry.commit_ts is not None:
+                    if entry.commit_ts <= horizon:
+                        reclaimed.append(entry)
+                elif entry.aborted_before is not None and entry.aborted_before <= oldest:
                     reclaimed.append(entry)
         for entry in reclaimed:
             self._unlink_locked(entry)

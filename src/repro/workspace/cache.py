@@ -123,9 +123,6 @@ class ObjectWorkspace:
             self._swizzle(memory_object)
         return memory_object
 
-    def load_many(self, oids: Iterable[OID]) -> List[MemoryObject]:
-        return [self.load(oid) for oid in oids]
-
     def _swizzle(self, memory_object: MemoryObject) -> None:
         """Convert embedded OIDs to pointers/descriptors."""
         for name, value in list(memory_object.values.items()):

@@ -17,6 +17,7 @@ from repro.adt import (
     register_spatial_index,
 )
 from repro.errors import SchemaError, TypeCheckError
+from repro.evolution import SchemaEvolution
 from repro.query.planner import AdtIndexProbe, ExtentScan
 
 
@@ -169,3 +170,59 @@ class TestSpatialIndex:
         cell = sdb.new("Cell", {"shape": make_rect(0, 0, 30, 4)})
         # A window touching only the far end of the rectangle finds it.
         assert cell.oid in grid.candidates(28, 0, 29, 2)
+
+
+class TestGridInIndexRegistry:
+    """The grid is an index-manager index: coerced build, epoch, drop."""
+
+    QUERY = "SELECT c FROM Cell c WHERE overlaps(c.shape, [0, 0, 40, 40])"
+
+    def test_grid_built_over_lazily_defaulted_attribute(self, sdb):
+        populate_cells(sdb, 300)
+        SchemaEvolution(sdb).add_attribute(
+            "Cell", AttributeDef("box", "Rectangle", default=[0, 0, 4, 4])
+        )
+        far = make_rect(500, 500, 501, 501)
+        for _ in range(300):
+            sdb.new("Cell", {"box": far})
+        query = "SELECT c FROM Cell c WHERE overlaps(c.box, [1, 1, 2, 2])"
+        scanned = [h.oid for h in sdb.select(query)]
+        assert len(scanned) == 300
+        register_spatial_index(sdb.adt, "Cell", "box", cell_size=16)
+        assert isinstance(sdb.plan(query).access, AdtIndexProbe)
+        assert [h.oid for h in sdb.select(query)] == scanned
+
+    def test_registering_a_grid_replans_a_cached_query(self, sdb):
+        populate_cells(sdb, 100)
+        sdb.select(self.QUERY)
+        assert isinstance(sdb.plan(self.QUERY).access, ExtentScan)
+        invalidations = sdb.metrics.value("query.plan_cache.invalidations")
+        register_spatial_index(sdb.adt, "Cell", "shape", cell_size=16)
+        assert isinstance(sdb.plan(self.QUERY).access, AdtIndexProbe)
+        assert sdb.metrics.value("query.plan_cache.invalidations") > invalidations
+
+    def test_dropped_grid_is_no_longer_planned(self, sdb):
+        populate_cells(sdb, 100)
+        grid = register_spatial_index(sdb.adt, "Cell", "shape", cell_size=16)
+        indexed = [h.oid for h in sdb.select(self.QUERY)]
+        sdb.indexes.drop_index(grid.name)
+        assert isinstance(sdb.plan(self.QUERY).access, ExtentScan)
+        assert [h.oid for h in sdb.select(self.QUERY)] == indexed
+
+    def test_new_subclass_instances_feed_the_grid(self, sdb):
+        grid = register_spatial_index(sdb.adt, "Cell", "shape", cell_size=16)
+        sdb.define_class("Via", superclasses=("Cell",))
+        via = sdb.new("Via", {"shape": make_rect(1, 1, 2, 2)})
+        assert via.oid in grid.candidates(0, 0, 3, 3)
+        assert [h.oid for h in sdb.select(self.QUERY)] == [via.oid]
+
+    def test_analyze_skips_the_grid_and_keeps_using_it(self, sdb):
+        populate_cells(sdb, 100)
+        grid = register_spatial_index(sdb.adt, "Cell", "shape", cell_size=16)
+        catalog = sdb.analyze()
+        assert grid.name not in catalog.index_stats
+        listed = {row["index"] for row in sdb.select("SELECT s FROM SysIndexStat s")}
+        assert grid.name not in listed
+        plan = sdb.plan(self.QUERY)
+        assert plan.cost.source == "statistics"
+        assert isinstance(plan.access, AdtIndexProbe)

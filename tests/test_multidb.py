@@ -147,14 +147,58 @@ class TestFederation:
     def test_behaviour_predicates_raise_when_a_row_reaches_them(
         self, federation, behaviour
     ):
-        # Compiling is fine; testing a row is not.
-        federation.pipeline(Query("Employee", "e", where=behaviour))
+        # Compiling is fine (see the short-circuit below); testing a row is not.
         with pytest.raises(FederationError, match="comparisons and boolean"):
             federation.query(Query("Employee", "e", where=behaviour))
         # A row the AND short-circuits never reaches the predicate.
         nobody = Comparison("=", Path(("company",)), Const("Nobody"))
         short_circuited = Query("Employee", "e", where=And([nobody, behaviour]))
         assert federation.query(short_circuited) == []
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT count(*) FROM Employee e",
+            "SELECT e.company, count(*) FROM Employee e GROUP BY e.company",
+        ],
+    )
+    def test_aggregates_refused(self, federation, text):
+        with pytest.raises(FederationError, match="aggregates"):
+            federation.query(text)
+
+
+class TestObjectAdapterReadsThroughQueries:
+    """The object adapter sees what an ``ONLY`` query shows the subject."""
+
+    def test_lazily_defaulted_attribute_is_visible(self):
+        from repro.evolution import SchemaEvolution
+
+        db = Database()
+        db.define_class("P", attributes=[AttributeDef("n", "Integer")])
+        for n in range(5):
+            db.new("P", {"n": n})
+        SchemaEvolution(db).add_attribute(
+            "P", AttributeDef("color", "String", default="red")
+        )
+        federation = Federation()
+        federation.register("objects", ObjectAdapter(db, ["P"]))
+        rows = federation.query("SELECT p FROM P p WHERE p.color = 'red'")
+        assert sorted(row["n"] for row in rows) == [0, 1, 2, 3, 4]
+
+    def test_no_read_up_through_the_federation(self):
+        from repro.authz import attach_mandatory
+
+        db = Database()
+        mac = attach_mandatory(db)
+        db.define_class("Report", attributes=[AttributeDef("body", "String")])
+        mac.classify_class("Report", "secret")
+        mac.clear_subject("private", "unclassified")
+        db.new("Report", {"body": "launch codes"})
+        federation = Federation()
+        federation.register("objects", ObjectAdapter(db, ["Report"]))
+        mac.set_subject("private")
+        assert db.select("SELECT r FROM Report r") == []
+        assert federation.query("SELECT r FROM Report r") == []
 
 
 class TestOsql:

@@ -21,6 +21,7 @@ from repro import AttributeDef, Database
 from repro.query.parser import parse_query
 from repro.query.planner import IndexEqProbe, IndexOrderScan, IndexRangeProbe
 from repro.txn import wal as wal_module
+from repro.versions.store import SnapshotView
 
 
 def _vehicle_db(**kwargs):
@@ -253,6 +254,64 @@ class TestSnapshotReads:
             assert db.select("SysSnapshot") == []
         finally:
             db.close()
+
+
+class TestSnapshotReadRacingAbort:
+    """A reader loads a writer's in-place image, the writer aborts, then
+    the reader resolves what it loaded: it must see the restored image."""
+
+    @staticmethod
+    def _writer():
+        db = Database()
+        db.define_class("T", attributes=[AttributeDef("w", "Integer")])
+        obj = db.new("T", {"w": 1})
+        txn = db.transaction()
+        db.update(obj.oid, {"w": 999})
+        return db, obj, txn
+
+    @staticmethod
+    def _view(db, load, scan_pages):
+        store = db.version_store
+        return SnapshotView(
+            store, store.open_snapshot(None), load, scan_pages,
+            db._coerce, db.schema.attribute_map, ephemeral=True,
+        )
+
+    @staticmethod
+    def _closed_and_reclaimed(db, view):
+        entries = db.version_store.entry_count
+        view.store.close_snapshot(view.snapshot)
+        return entries == 1 and db.metrics.value("txn.snapshot.version_entries") == 0
+
+    def test_deref_resolves_after_the_abort(self):
+        db, obj, txn = self._writer()
+
+        def load(oid):
+            state = db.storage.load(oid)  # the writer's in-place image
+            txn.abort()
+            return state
+
+        view = self._view(db, load, db.storage.scan_pages)
+        assert view.deref(obj.oid).values["w"] == 1
+        assert db.get_state(obj.oid).values["w"] == 1
+        assert self._closed_and_reclaimed(db, view)
+
+    def test_scan_resolves_after_the_abort(self):
+        db, obj, txn = self._writer()
+
+        def scan_pages(class_name):
+            pages = list(db.storage.scan_pages(class_name))
+            txn.abort()
+            yield from pages
+
+        view = self._view(db, db.storage.load, scan_pages)
+        assert [(s.oid, s.values["w"]) for s in view.scan("T")] == [(obj.oid, 1)]
+        assert self._closed_and_reclaimed(db, view)
+
+    def test_abort_without_live_snapshots_unlinks_at_once(self):
+        db, _obj, txn = self._writer()
+        txn.abort()
+        assert db.version_store.entry_count == 0
 
 
 class TestGroupCommit:

@@ -3,7 +3,10 @@
 import pytest
 
 from repro import AttributeDef, Database
-from repro.errors import RuleError
+from repro.authz import attach as attach_authz
+from repro.authz import attach_mandatory
+from repro.errors import AuthorizationError, RuleError
+from repro.evolution import SchemaEvolution
 from repro.rules import Literal, Rule, RuleEngine, TruthMaintenance, Var, rule
 
 
@@ -141,6 +144,49 @@ class TestClassMappings:
         handle = db.new("Item", {"n": 10})
         engine._fresh = False  # new data arrived
         assert engine.query("big", None) == [(handle.oid,)]
+
+
+class TestMappingsReadThroughQueries:
+    """Mapped facts are what a hierarchy query shows the subject."""
+
+    def test_lazily_defaulted_attribute_maps_its_default(self):
+        db = Database()
+        db.define_class("P", attributes=[AttributeDef("n", "Integer")])
+        handle = db.new("P", {"n": 1})
+        SchemaEvolution(db).add_attribute(
+            "P", AttributeDef("color", "String", default="red")
+        )
+        engine = RuleEngine(db)
+        engine.map_class("p", "P", ["n", "color"])
+        assert engine.query("p", None, None, None) == [(handle.oid, 1, "red")]
+
+    def test_no_read_up_through_rules(self):
+        db = Database()
+        mac = attach_mandatory(db)
+        db.define_class("Report", attributes=[AttributeDef("body", "String")])
+        mac.classify_class("Report", "secret")
+        mac.clear_subject("private", "unclassified")
+        db.new("Report", {"body": "launch codes"})
+        engine = RuleEngine(db)
+        engine.map_class("rep", "Report", ["body"])
+        mac.set_subject("private")
+        assert db.select("SELECT r FROM Report r") == []
+        assert engine.query("rep", None, None) == []
+        assert engine.ask("rep", None, None) == []
+
+    def test_read_permission_is_enforced(self):
+        db = Database()
+        authz = attach_authz(db)
+        db.define_class("Doc", attributes=[AttributeDef("title", "String")])
+        db.new("Doc", {"title": "t"})
+        authz.add_role("guest")
+        engine = RuleEngine(db)
+        engine.map_class("doc", "Doc", ["title"])
+        authz.set_subject("guest")
+        with pytest.raises(AuthorizationError):
+            db.execute("SELECT d FROM Doc d")
+        with pytest.raises(AuthorizationError):
+            engine.query("doc", None, None)
 
 
 class TestTruthMaintenance:
