@@ -1,21 +1,18 @@
-"""E17: query-fingerprint statistics overhead and ANALYZE cost.
+"""E17: query-fingerprint statistics overhead.
 
-Two phases over the Figure 1 population:
+A deterministic battery of distinct query shapes over the Figure 1
+population, each executed a fixed number of times.  Every execution
+folds into the accumulator (``query.stats.recorded`` grows by exactly
+sweep x repeats), and the per-fingerprint call counts come out exact:
+the accumulator is bookkeeping, not sampling.  More ``query.stats.*``
+work for the same battery is a regression the benchgate flags.
 
-1. **fingerprint sweep** — a deterministic battery of distinct query
-   shapes, each executed a fixed number of times.  Every execution folds
-   into the accumulator (``query.stats.recorded`` grows by exactly
-   sweep x repeats), and the per-fingerprint call counts come out exact:
-   the accumulator is bookkeeping, not sampling.  More ``query.stats.*``
-   work for the same battery is a regression the benchgate flags.
+(The timed ANALYZE phase is retired: the planner costs from exact live
+counts, so there is no statistics collection left to time.)
 
-2. **ANALYZE** — a full statistics collection over the populated
-   schema and its indexes, measured and checked for exact row coverage
-   (``analyze.rows_scanned`` counts every Vehicle and AutoCompany).
-
-The emitted ``BENCH_querystats`` artifact carries both timings plus the
-engine metric snapshot (``query.stats.*``, ``analyze.*``), so perf PRs
-diff accumulator behavior rather than stdout tables.
+The emitted ``BENCH_querystats`` artifact carries the timing plus the
+engine metric snapshot (``query.stats.*``), so perf PRs diff
+accumulator behavior rather than stdout tables.
 """
 
 import pytest
@@ -46,10 +43,8 @@ def _sweep_query(i):
     return "SELECT v FROM Vehicle v WHERE v.weight >= %d" % low
 
 
-def test_fingerprint_sweep_and_analyze(bench_db):
+def test_fingerprint_sweep(bench_db):
     db = bench_db
-
-    # -- phase 1: deterministic fingerprint sweep --------------------------
     recorded_before = db.metrics.snapshot().get("query.stats.recorded", 0)
     sweep_seconds, _ = timed(
         lambda: [
@@ -70,43 +65,23 @@ def test_fingerprint_sweep_and_analyze(bench_db):
     assert all(row["plan_cache_hits"] == REPEATS - 1 for row in rows)
     assert sum(row["rows_examined"] for row in rows) > 0
 
-    # -- phase 2: ANALYZE --------------------------------------------------
-    analyze_seconds, catalog = timed(db.analyze)
-    snap = db.metrics.snapshot()
-    assert snap["analyze.rows_scanned"] >= N_VEHICLES + N_COMPANIES
-    # Class stats count *direct* instances; the population spreads the
-    # vehicles over the Vehicle hierarchy (each with one drivetrain part),
-    # so the hierarchy-wide total is what's exact.
-    total_rows = sum(stat.rows for stat in catalog.class_stats.values())
-    assert total_rows == 2 * N_VEHICLES + N_COMPANIES
-    assert catalog.class_stats["Vehicle"].rows > 0
-    weight_index = next(
-        stat for stat in catalog.index_stats.values() if stat.path == "weight"
+    print_table(
+        "E17 query statistics",
+        ("phase", "ms"),
+        [
+            (
+                "fingerprint sweep (%d shapes x %d)" % (SWEEP_SHAPES, REPEATS),
+                "%.1f" % (sweep_seconds * 1e3),
+            )
+        ],
     )
-    assert weight_index.entries > 0
-    assert weight_index.distinct_keys > 0
-
-    table = [
-        (
-            "fingerprint sweep (%d shapes x %d)" % (SWEEP_SHAPES, REPEATS),
-            "%.1f" % (sweep_seconds * 1e3),
-        ),
-        ("ANALYZE (%d rows)" % (N_VEHICLES + N_COMPANIES), "%.1f" % (analyze_seconds * 1e3)),
-    ]
-    print_table("E17 query statistics & ANALYZE", ("phase", "ms"), table)
-
     emit_bench_artifact(
         "querystats",
         {
-            "series": [
-                {"plan": "sweep", "ms": sweep_seconds * 1e3},
-                {"plan": "analyze", "ms": analyze_seconds * 1e3},
-            ],
+            "series": [{"plan": "sweep", "ms": sweep_seconds * 1e3}],
             "sweep_shapes": SWEEP_SHAPES,
             "repeats": REPEATS,
             "fingerprints": len(rows),
-            "analyzed_classes": len(catalog.class_stats),
-            "analyzed_indexes": len(catalog.index_stats),
         },
         db,
     )

@@ -233,14 +233,12 @@ class PlanCache:
         out: List[Dict[str, Any]] = []
         for entry in entries:
             rewrite = getattr(entry.plan, "rewrite", None)
-            cost = getattr(entry.plan, "cost", None)
             out.append(
                 {
                     "fingerprint": entry.fingerprint,
                     "target": entry.plan.query.target_class,
                     "source": entry.source or "",
                     "access": entry.plan.access.description,
-                    "cost_source": cost.source if cost is not None else "",
                     "hits": entry.hits,
                     "schema_epoch": schema_epoch,
                     "index_epoch": index_epoch,

@@ -186,8 +186,7 @@ class Database:
         )
         # The persisted catalog is read before anything captures the
         # schema, so a reopened database is wired exactly like a new one.
-        extra = self.storage.load_extra_metadata()
-        catalog = extra.get("schema")
+        catalog = self.storage.load_extra_metadata().get("schema")
         self.schema = Schema.from_dict(catalog) if catalog else Schema()
         self.locks = LockManager(self.metrics, waits=self.waits)
         self.wal = WriteAheadLog(
@@ -230,7 +229,6 @@ class Database:
         self.planner = Planner(
             self.schema, self.indexes, self.storage.count_class, self._extent_pages,
             system_catalog=self.syscat,
-            page_size=self.storage.pager.page_size,
         )
         #: Normalized-plan cache: hot queries skip parse/analyze/plan.
         #: Like the fingerprint statistics below, it purges itself when
@@ -243,15 +241,6 @@ class Database:
         #: recorded at executor close — stale fingerprints describe a
         #: dead world.
         self.query_stats = QueryStats(self._epoch, self.metrics)
-        #: ANALYZE output (:class:`~repro.obs.stats.StatisticsCatalog`):
-        #: per-class row counts/sizes and per-index histograms, set by
-        #: :meth:`analyze` (or reloaded from the catalog on reopen) and
-        #: handed to the planner as inert facts for the cost model.
-        self.statistics = None
-        if extra.get("statistics"):
-            from .obs.stats import StatisticsCatalog
-
-            self.statistics = StatisticsCatalog.from_dict(extra["statistics"])
         # Waits recorded on a request thread inherit its trace context,
         # so SysWaitEvent rows link back to the client's trace id.
         self.waits.current_trace = lambda: self.tracer.current_trace
@@ -276,19 +265,10 @@ class Database:
         self._m_rewrite_contradictions = self.metrics.counter(
             "rewrite.contradictions"
         )
-        # Cost-model decision family (benchgate-gated): how often a plan
-        # was costed from the ANALYZE catalog vs. live cardinalities,
-        # how many candidates were weighed, and the estimated-vs-actual
-        # row totals that expose systematic mis-estimation.
-        self._m_cost_stats_decisions = self.metrics.counter(
-            "query.cost.decisions_statistics"
-        )
-        self._m_cost_live_decisions = self.metrics.counter(
-            "query.cost.decisions_live"
-        )
-        self._m_cost_stale_fallbacks = self.metrics.counter(
-            "query.cost.stale_fallbacks"
-        )
+        # Cost-model decision family (benchgate-gated): how many plans
+        # were costed, how many candidates were weighed, and the
+        # estimated-vs-actual row totals that expose mis-estimation.
+        self._m_cost_decisions = self.metrics.counter("query.cost.decisions")
         self._m_cost_candidates = self.metrics.counter("query.cost.candidates")
         self._m_cost_estimated_rows = self.metrics.counter(
             "query.cost.estimated_rows"
@@ -321,44 +301,18 @@ class Database:
 
     def checkpoint(self) -> None:
         """Flush data pages, persist the catalog, truncate the WAL."""
-        extra: Dict[str, Any] = {"schema": self.schema.to_dict()}
-        if self.statistics is not None:
-            extra["statistics"] = self.statistics.to_dict()
-        self.storage.save_metadata(extra)
+        self.storage.save_metadata({"schema": self.schema.to_dict()})
         _checkpoint(self.wal, self.storage)
 
-    def analyze(self):
-        """ANALYZE: collect per-class and per-index statistics.
+    def analyze(self) -> None:
+        """Drop cached plans (counted as ``analyze.runs``).
 
-        Scans every user class extent (row counts, average encoded
-        object size) and walks every index (entry/distinct-key counts,
-        equi-depth value histograms), installs the resulting
-        :class:`~repro.obs.stats.StatisticsCatalog` as ``db.statistics``
-        — where ``SysClassStat``/``SysIndexStat`` and the planner's
-        ``stats=`` argument read it — and, on a durable database,
-        persists it in the storage catalog so it survives close/reopen.
-        Returns the catalog.
+        The planner costs every decision from exact live counts, so
+        there are no statistics to collect; this remains only because
+        existing callers invoke it, and goes with ROADMAP item 2.
         """
-        # Imported lazily like sysviews: keeps repro.obs importable on
-        # its own (the collector itself only needs callables we pass).
-        from .obs.stats import collect_statistics
-        from .storage.serializer import encode_object
-
-        with self.tracer.span("database.analyze"):
-            catalog = collect_statistics(
-                self.schema,
-                self._scan_coerced,
-                self.indexes,
-                lambda state: len(encode_object(state)),
-                metrics=self.metrics,
-            )
-        self.statistics = catalog
-        # Cached plans were costed under the old catalog: the next
-        # lookup re-plans under this one.
+        self.metrics.counter("analyze.runs").inc()
         self.plan_cache.purge()
-        if self.path is not None:
-            self.storage.save_metadata({"statistics": catalog.to_dict()})
-        return catalog
 
     def _epoch(self) -> Tuple[int, int]:
         """The world cached query state describes: (schema version,
@@ -826,7 +780,6 @@ class Database:
                 query,
                 exclude_classes=report.pruned_classes,
                 facts=facts,
-                stats=self.statistics,
             )
         planned.rewrite = rewritten
         self._m_plans.inc()
@@ -884,13 +837,8 @@ class Database:
         decision = plan.cost
         if decision is None:
             return  # system and proven-empty scans: nothing was weighed
+        self._m_cost_decisions.inc()
         self._m_cost_candidates.inc(len(decision.candidates))
-        if decision.source == "statistics":
-            self._m_cost_stats_decisions.inc()
-        else:
-            self._m_cost_live_decisions.inc()
-            if decision.stale_reason is not None:
-                self._m_cost_stale_fallbacks.inc()
 
     def _visibility(self, was_view: bool) -> Optional[Callable[[ObjectState], bool]]:
         """This execution's row-visibility predicate (None: all visible).
@@ -1007,7 +955,7 @@ class Database:
         # the cost model's aggregate estimation error (EXPLAIN shows the
         # per-query version via SysQueryStat).
         cost = getattr(plan, "cost", None)
-        if cost is not None and cost.source == "statistics":
+        if cost is not None:
             self._m_cost_estimated_rows.inc(int(round(cost.estimated_rows)))
             self._m_cost_actual_rows.inc(pipeline.matched)
 

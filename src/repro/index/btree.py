@@ -9,6 +9,11 @@ of the hierarchy (the structure of [KIM89b]).
 
 Keys of mixed Python types are made totally ordered by
 :func:`normalize_key`, which prefixes each value with a type rank.
+
+The tree is *counted* (an order-statistic B+-tree): every internal node
+keeps the entry count under each child, so :meth:`BTree.count_range` is
+two root-to-leaf rank descents and the planner costs every decision on
+exact cardinalities, never on an estimate.
 """
 
 from __future__ import annotations
@@ -59,11 +64,20 @@ class _Leaf:
 
 
 class _Internal:
-    __slots__ = ("keys", "children")
+    __slots__ = ("keys", "children", "counts")
 
     def __init__(self) -> None:
         self.keys: List[Tuple[int, Any]] = []
         self.children: List[Any] = []
+        #: Entries under each child, parallel to ``children``.
+        self.counts: List[int] = []
+
+
+def _total(node: Any) -> int:
+    """Entries under one node."""
+    if isinstance(node, _Internal):
+        return sum(node.counts)
+    return sum(map(len, node.values))
 
 
 class BTree:
@@ -96,6 +110,47 @@ class BTree:
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
             return list(leaf.values[idx])
         return []
+
+    def count(self, raw_key: Any) -> int:
+        """Entries under one key (no copy of the entry list)."""
+        key = normalize_key(raw_key)
+        leaf = self._find_leaf(key)
+        idx = bisect.bisect_left(leaf.keys, key)
+        if idx < len(leaf.keys) and leaf.keys[idx] == key:
+            return len(leaf.values[idx])
+        return 0
+
+    def count_range(
+        self,
+        low: Any = None,
+        high: Any = None,
+        include_low: bool = True,
+        include_high: bool = True,
+    ) -> int:
+        """Exact number of entries :meth:`range` would yield for the same
+        bounds: two rank descents, ``None`` bounds open."""
+        below = 0 if low is None else self._rank(normalize_key(low), not include_low)
+        upto = self._size if high is None else self._rank(normalize_key(high), include_high)
+        return max(0, upto - below)
+
+    def _rank(self, key: Tuple[int, Any], inclusive: bool) -> int:
+        """Entries whose key is < ``key`` (``<=`` when ``inclusive``)."""
+        node, rank = self._root, 0
+        while isinstance(node, _Internal):
+            idx = bisect.bisect_right(node.keys, key)
+            rank += sum(node.counts[:idx])
+            node = node.children[idx]
+        cut = (bisect.bisect_right if inclusive else bisect.bisect_left)(node.keys, key)
+        return rank + sum(map(len, node.values[:cut]))
+
+    def distinct_keys(self) -> int:
+        """Number of distinct keys (a leaf walk)."""
+        leaf: Optional[_Leaf] = self._leftmost_leaf()
+        keys = 0
+        while leaf is not None:
+            keys += len(leaf.keys)
+            leaf = leaf.next
+        return keys
 
     def range(
         self,
@@ -164,13 +219,14 @@ class BTree:
         """Add one entry under a key (duplicates per key allowed)."""
         key = normalize_key(raw_key)
         split = self._insert(self._root, key, (class_name, oid))
+        self._size += 1
         if split is not None:
-            sep, right = split
+            sep, right, right_count = split
             new_root = _Internal()
             new_root.keys = [sep]
             new_root.children = [self._root, right]
+            new_root.counts = [self._size - right_count, right_count]
             self._root = new_root
-        self._size += 1
 
     def _insert(self, node: Any, key, entry: Entry):
         if isinstance(node, _Leaf):
@@ -185,10 +241,13 @@ class BTree:
             return None
         idx = bisect.bisect_right(node.keys, key)
         split = self._insert(node.children[idx], key, entry)
+        node.counts[idx] += 1
         if split is not None:
-            sep, right = split
+            sep, right, right_count = split
             node.keys.insert(idx, sep)
             node.children.insert(idx + 1, right)
+            node.counts[idx] -= right_count
+            node.counts.insert(idx + 1, right_count)
             if len(node.keys) > self.order:
                 return self._split_internal(node)
         return None
@@ -202,7 +261,7 @@ class BTree:
         leaf.values = leaf.values[:mid]
         right.next = leaf.next
         leaf.next = right
-        return right.keys[0], right
+        return right.keys[0], right, _total(right)
 
     def _split_internal(self, node: _Internal):
         mid = len(node.keys) // 2
@@ -210,9 +269,11 @@ class BTree:
         right = _Internal()
         right.keys = node.keys[mid + 1 :]
         right.children = node.children[mid + 1 :]
+        right.counts = node.counts[mid + 1 :]
         node.keys = node.keys[:mid]
         node.children = node.children[: mid + 1]
-        return sep, right
+        node.counts = node.counts[: mid + 1]
+        return sep, right, _total(right)
 
     def remove(self, raw_key: Any, class_name: str, oid: OID) -> bool:
         """Remove one entry; returns False when it was not present.
@@ -222,74 +283,30 @@ class BTree:
         rebuild in the index manager.  Empty keys are dropped from leaves.
         """
         key = normalize_key(raw_key)
-        leaf = self._find_leaf(key)
-        idx = bisect.bisect_left(leaf.keys, key)
-        if idx >= len(leaf.keys) or leaf.keys[idx] != key:
+        node, path = self._root, []
+        while isinstance(node, _Internal):
+            idx = bisect.bisect_right(node.keys, key)
+            path.append((node, idx))
+            node = node.children[idx]
+        idx = bisect.bisect_left(node.keys, key)
+        if idx >= len(node.keys) or node.keys[idx] != key:
             return False
-        entries = leaf.values[idx]
+        entries = node.values[idx]
         try:
             entries.remove((class_name, oid))
         except ValueError:
             return False
         if not entries:
-            leaf.keys.pop(idx)
-            leaf.values.pop(idx)
+            node.keys.pop(idx)
+            node.values.pop(idx)
+        for parent, child in path:
+            parent.counts[child] -= 1
         self._size -= 1
         return True
 
     def clear(self) -> None:
         self._root = _Leaf()
         self._size = 0
-
-    # -- estimation ------------------------------------------------------------
-
-    def min_key(self) -> Optional[Any]:
-        leaf = self._leftmost_leaf()
-        while leaf is not None and not leaf.keys:
-            leaf = leaf.next
-        return leaf.keys[0][1] if leaf is not None and leaf.keys else None
-
-    def max_key(self) -> Optional[Any]:
-        node = self._root
-        while isinstance(node, _Internal):
-            node = node.children[-1]
-        # The rightmost leaf can be empty after deletions; fall back to a
-        # linked-leaf walk tracking the last non-empty leaf.
-        if node.keys:
-            return node.keys[-1][1]
-        leaf = self._leftmost_leaf()
-        last = None
-        while leaf is not None:
-            if leaf.keys:
-                last = leaf.keys[-1][1]
-            leaf = leaf.next
-        return last
-
-    def estimate_range(self, low: Any = None, high: Any = None) -> int:
-        """Estimated entry count in [low, high] by linear interpolation.
-
-        System-R-style uniformity assumption over the key span for
-        numeric keys; non-numeric keys (or an empty tree) fall back to a
-        1/3 magic fraction.  Never costs more than two root-to-leaf
-        walks.
-        """
-        total = self._size
-        if total == 0:
-            return 0
-        lo_key, hi_key = self.min_key(), self.max_key()
-        numeric = all(
-            isinstance(k, (int, float)) and not isinstance(k, bool)
-            for k in (lo_key, hi_key)
-        )
-        if not numeric or lo_key is None or hi_key is None or hi_key <= lo_key:
-            return max(1, total // 3)
-        span = float(hi_key - lo_key)
-        lo = lo_key if low is None or not isinstance(low, (int, float)) else max(low, lo_key)
-        hi = hi_key if high is None or not isinstance(high, (int, float)) else min(high, hi_key)
-        if hi < lo:
-            return 0
-        fraction = (hi - lo) / span
-        return max(1, int(total * min(1.0, max(0.0, fraction))))
 
     # -- introspection ----------------------------------------------------------
 
@@ -301,7 +318,9 @@ class BTree:
         return levels
 
     def check_invariants(self) -> None:
-        """Validate ordering and linkage; used by property-based tests."""
+        """Validate ordering, linkage and every internal entry count;
+        used by property-based tests."""
+        self._check_counts(self._root)
         previous_key = None
         leaf: Optional[_Leaf] = self._leftmost_leaf()
         counted = 0
@@ -318,6 +337,19 @@ class BTree:
             raise KimDBError(
                 "B+-tree size drift: counted %d, recorded %d" % (counted, self._size)
             )
+
+    def _check_counts(self, node: Any) -> int:
+        if not isinstance(node, _Internal):
+            return _total(node)
+        if len(node.counts) != len(node.children):
+            raise KimDBError("B+-tree node counts misaligned with children")
+        for child, recorded in zip(node.children, node.counts):
+            counted = self._check_counts(child)
+            if counted != recorded:
+                raise KimDBError(
+                    "B+-tree count drift: counted %d, recorded %d" % (counted, recorded)
+                )
+        return sum(node.counts)
 
     def __repr__(self) -> str:
         return "<BTree order=%d size=%d depth=%d>" % (

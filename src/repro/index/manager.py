@@ -4,7 +4,7 @@ Every secondary index of a database — single-class, class-hierarchy,
 nested-attribute, and ADT access methods such as the spatial grid — is
 registered here.  Registration builds the index over the coerced extent
 (what readers see) and moves :attr:`IndexManager.epoch`, so cached plans
-and ANALYZE statistics built without it go stale.  The database calls
+built without it go stale.  The database calls
 the manager's ``notify_*`` hooks on every object mutation; the manager
 fans the change out to affected indexes.  The query planner calls
 :meth:`find_index` with a predicate's path and evaluation scope (and,

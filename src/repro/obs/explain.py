@@ -232,19 +232,6 @@ class ExplainResult:
         if decision is None:
             lines.append("nothing to cost (system view or proven-empty scan)")
         else:
-            if decision.source == "statistics":
-                lines.append(
-                    "model: statistics (ANALYZE schema v%d, index epoch %d)"
-                    % (decision.schema_version, decision.index_epoch)
-                )
-            else:
-                lines.append("model: live cardinalities (%s)" % decision.reason)
-                lines.append(
-                    "WARNING: %s — costed on live extent and B+-tree "
-                    "counts; re-run Database.analyze()" % decision.reason
-                    if decision.stale_reason is not None
-                    else "run Database.analyze() to cost from histograms"
-                )
             for candidate in decision.candidates:
                 marker = "  <- chosen" if candidate.chosen else ""
                 lines.append("candidate %s%s" % (candidate.describe(), marker))

@@ -109,24 +109,12 @@ SYSTEM_VIEWS: Dict[str, Tuple[Tuple[str, ...], str]] = {
         "accumulated per-query-fingerprint execution statistics",
     ),
     "SysClassStat": (
-        ("class_name", "rows", "avg_bytes", "total_bytes", "stale"),
-        "ANALYZE row counts and object sizing per class extent",
+        ("class_name", "rows", "pages"),
+        "live row and heap-page counts per class extent",
     ),
     "SysIndexStat": (
-        (
-            "index",
-            "kind",
-            "target",
-            "path",
-            "entries",
-            "distinct_keys",
-            "buckets",
-            "low",
-            "high",
-            "histogram",
-            "stale",
-        ),
-        "ANALYZE index cardinalities and equi-depth value histograms",
+        ("index", "kind", "target", "path", "entries", "distinct_keys", "height"),
+        "live B+-tree index cardinalities (the planner's exact counts)",
     ),
     "SysSession": (
         (
@@ -152,7 +140,6 @@ SYSTEM_VIEWS: Dict[str, Tuple[Tuple[str, ...], str]] = {
             "target",
             "source",
             "access",
-            "cost_source",
             "hits",
             "schema_epoch",
             "index_epoch",
@@ -266,27 +253,28 @@ class SystemViewsAdapter(Adapter):
             return iter(())
         return iter(stats.rows())
 
-    def _catalog_staleness(self, catalog) -> str:
-        """The catalog's live staleness, surfaced on every stats row."""
-        return catalog.stale_reason(*self.db._epoch()) or ""
-
     def _rows_sysclassstat(self) -> Iterator[Row]:
-        catalog = getattr(self.db, "statistics", None)
-        if catalog is None:
-            return iter(())
-        stale = self._catalog_staleness(catalog)
-        return iter(
-            dict(row, stale=stale) for row in catalog.class_rows_table()
-        )
+        planner = self.db.planner
+        for name in sorted(c.name for c in self.db.schema.user_classes()):
+            yield {
+                "class_name": name,
+                "rows": planner.extent_count(name),
+                "pages": planner.extent_pages(name),
+            }
 
     def _rows_sysindexstat(self) -> Iterator[Row]:
-        catalog = getattr(self.db, "statistics", None)
-        if catalog is None:
-            return iter(())
-        stale = self._catalog_staleness(catalog)
-        return iter(
-            dict(row, stale=stale) for row in catalog.index_rows_table()
-        )
+        for index in sorted(self.db.indexes.all_indexes(), key=lambda i: i.name):
+            if index.operation is not None:
+                continue  # an ADT access method keeps no B+-tree keys
+            yield {
+                "index": index.name,
+                "kind": index.kind,
+                "target": index.target_class,
+                "path": ".".join(index.path),
+                "entries": len(index.tree),
+                "distinct_keys": index.tree.distinct_keys(),
+                "height": index.tree.depth(),
+            }
 
     def _rows_sysplancache(self) -> Iterator[Row]:
         cache = getattr(self.db, "plan_cache", None)

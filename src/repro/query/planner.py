@@ -192,17 +192,13 @@ class Planner:
         extent_count: ExtentCount,
         extent_pages: ExtentCount,
         system_catalog=None,
-        page_size: int = 4096,
     ) -> None:
         self.schema = schema
         self.indexes = indexes
         #: Live rows / heap pages of a class's direct extent: what the
-        #: cost model runs on when no usable ANALYZE catalog is offered.
+        #: cost model runs on (with the indexes' exact counts).
         self.extent_count = extent_count
         self.extent_pages = extent_pages
-        #: Storage page size, used by the cost model to convert ANALYZE
-        #: byte counts into estimated pages read.
-        self.page_size = page_size
         #: Optional :class:`~repro.obs.sysviews.SystemCatalog`; when a
         #: query targets one of its views the planner short-circuits to a
         #: SystemScan (duck-typed — no import, the obs layer already
@@ -216,19 +212,15 @@ class Planner:
         query: Query,
         exclude_classes: Sequence[str] = (),
         facts=None,
-        stats=None,
     ) -> Plan:
         """Choose an access path.
 
-        ``stats`` is an optional ANALYZE
-        :class:`~repro.obs.stats.StatisticsCatalog` (duck-typed, like
-        the system catalog).  Access-path selection always runs through
+        Access-path selection always runs through
         :class:`~repro.query.cost.CostModel` — every candidate costed in
-        estimated pages + rows, cheapest wins — on the catalog's
-        cardinalities and histograms when it is present, fresh and
-        covers the scope, on live extent and B+-tree counts otherwise.
-        The :class:`~repro.query.cost.CostDecision` rides on
-        ``plan.cost`` for EXPLAIN and the plan cache.
+        estimated pages + rows on live extent counts and exact B+-tree
+        counts, cheapest wins.  The
+        :class:`~repro.query.cost.CostDecision` rides on ``plan.cost``
+        for EXPLAIN and the plan cache.
         """
         # System statistics views bypass schema validation entirely: they
         # are not classes, have no hierarchy, no extents and no indexes.
@@ -274,12 +266,7 @@ class Planner:
         from .cost import CostModel
 
         decision = CostModel(
-            self.schema,
-            self.indexes,
-            stats,
-            self.extent_count,
-            self.extent_pages,
-            page_size=self.page_size,
+            self.indexes, self.extent_count, self.extent_pages
         ).decide(
             query,
             scope,
@@ -288,11 +275,8 @@ class Planner:
         )
         chosen = decision.chosen
         notes.append(
-            "cost: %s chose %s (total %.1f) among %d candidate(s)"
+            "cost: chose %s (total %.1f) among %d candidate(s)"
             % (
-                "ANALYZE statistics"
-                if decision.source == "statistics"
-                else "live cardinalities (%s)" % decision.reason,
                 chosen.access.description,
                 chosen.total,
                 len(decision.candidates),

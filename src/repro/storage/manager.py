@@ -64,7 +64,7 @@ class StorageManager:
         self.buffer = BufferPool(self.pager, buffer_capacity, self.metrics, waits)
         self.directory = ObjectDirectory()
         self._heaps: Dict[str, HeapFile] = {}
-        self._sticky_extra: Dict[str, Any] = {}
+        self._extra: Dict[str, Any] = {}
         #: True when the bootstrap directory rebuild hit corrupt pages.
         #: Recovery repairs the pages from WAL full-page images and
         #: rebuilds again; anything else must not trust the directory.
@@ -86,7 +86,7 @@ class StorageManager:
             meta = json.load(handle)
         for class_name, page_ids in meta.pop("heaps", {}).items():
             self._heaps[class_name] = HeapFile(self.buffer, class_name, page_ids)
-        self._sticky_extra = meta
+        self._extra = meta
         try:
             self.rebuild_directory()
         except StorageError:
@@ -98,18 +98,19 @@ class StorageManager:
     def save_metadata(self, extra: Optional[Dict[str, Any]] = None) -> None:
         """Persist heap catalogs (and arbitrary extra metadata) to disk.
 
-        Extra metadata (e.g. the schema catalog) is sticky: once written
-        it is preserved by later saves that do not pass a new value.
+        Extra metadata (the schema catalog) replaces what the last save
+        wrote — keys an earlier build persisted are dropped — and a save
+        that passes none keeps it.
         """
         meta_path = self._meta_path
         if meta_path is None:
             return
-        if extra:
-            self._sticky_extra.update(extra)
+        if extra is not None:
+            self._extra = dict(extra)
         meta: Dict[str, Any] = {
             "heaps": {name: heap.page_ids for name, heap in self._heaps.items()}
         }
-        meta.update(self._sticky_extra)
+        meta.update(self._extra)
         tmp_path = meta_path + ".tmp"
         with open(tmp_path, "w", encoding="utf-8") as handle:
             json.dump(meta, handle)

@@ -31,7 +31,7 @@ body: bodies are immutable ``bytes`` and every write installs a new
 one, so a reader racing a writer may store a stale entry but can never
 get one back.  A state is admitted on the *second* read of the same
 body — the first leaves a ``(body, None)`` marker — so read-once bulk
-scans (ANALYZE, index builds, recovery) hold no states.  Any write
+scans (index builds, recovery) hold no states.  Any write
 clears the page's memo (that frees memory; correctness never depends
 on it), and the memo lives and dies with the buffer frame, so the
 pool's capacity bounds it.  Memoized states are shared and read-only.

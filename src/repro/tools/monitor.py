@@ -48,10 +48,8 @@ def build_demo_database() -> Database:
     db.create_class_index("Vehicle", "weight")
     db.execute("SELECT v FROM Vehicle v WHERE v.weight >= 950")
     db.execute("Vehicle where color = 'red' order by weight desc limit 5")
-    # Repeat one query so SysQueryStat shows calls > 1 and a cache hit,
-    # and ANALYZE so SysClassStat/SysIndexStat have rows.
+    # Repeat one query so SysQueryStat shows calls > 1 and a cache hit.
     db.execute("SELECT v FROM Vehicle v WHERE v.weight >= 950")
-    db.analyze()
     _demo_lock_conflict(db)
     return db
 
@@ -132,14 +130,14 @@ PANELS = [
         ["fingerprint", "target", "calls", "plan_cache_hits", "mean_seconds", "p95", "lock_wait"],
     ),
     (
-        "class statistics (ANALYZE)",
+        "class statistics",
         "SysClassStat order by rows desc limit 10",
-        ["class_name", "rows", "avg_bytes", "total_bytes"],
+        ["class_name", "rows", "pages"],
     ),
     (
-        "index statistics (ANALYZE)",
+        "index statistics",
         "SysIndexStat order by entries desc limit 10",
-        ["index", "kind", "path", "entries", "distinct_keys", "buckets", "low", "high"],
+        ["index", "kind", "path", "entries", "distinct_keys", "height"],
     ),
     (
         "last query pipeline",

@@ -1,4 +1,4 @@
-"""Lock escalation, range estimation, change_domain, explain analyze,
+"""Lock escalation, exact range counts, change_domain, explain analyze,
 paged relational tables, WAL-truncation fuzzing."""
 
 import random
@@ -59,34 +59,35 @@ class TestLockEscalation:
 
 
 class TestRangeEstimation:
-    def test_uniform_keys_interpolate(self):
+    """Range estimates are exact counted-B+-tree counts."""
+
+    def test_open_high_range_counts_exactly(self):
         tree = BTree()
         for value in range(1000):
             tree.insert(value, "A", OID(value + 1))
-        estimate = tree.estimate_range(low=900)
-        assert 50 <= estimate <= 200  # true answer: 100
+        assert tree.count_range(low=900) == 100
 
     def test_bounded_range(self):
         tree = BTree()
         for value in range(1000):
             tree.insert(value, "A", OID(value + 1))
-        estimate = tree.estimate_range(low=250, high=500)
-        assert 150 <= estimate <= 400  # true answer: 251
+        assert tree.count_range(low=250, high=500) == 251
+        assert tree.count_range(250, 500, include_low=False, include_high=False) == 249
 
     def test_out_of_span_range_is_zero(self):
         tree = BTree()
         for value in range(100):
             tree.insert(value, "A", OID(value + 1))
-        assert tree.estimate_range(low=1000) == 0
+        assert tree.count_range(low=1000) == 0
 
-    def test_string_keys_fall_back(self):
+    def test_string_keys_count_exactly(self):
         tree = BTree()
         for value in range(90):
             tree.insert("k%03d" % value, "A", OID(value + 1))
-        assert tree.estimate_range(low="k010") == 30  # total // 3
+        assert tree.count_range(low="k010") == 80
 
     def test_empty_tree(self):
-        assert BTree().estimate_range() == 0
+        assert BTree().count_range() == 0
 
     def test_planner_prefers_tight_ranges(self):
         db = Database()

@@ -1,67 +1,44 @@
-"""The statistics-driven cost model (``repro.query.cost``).
+"""The cost model (``repro.query.cost``): one source of exact counts.
 
-Covers the PR-10 optimizer tentpole:
+Covers:
 
-* selectivity estimation — equality via distinct-key counts, ranges via
-  the equi-depth histogram with *provable* bounds (hypothesis checks
-  ``floor <= true <= ceiling`` on randomized distributions);
 * access-path choice — selective probes win, unselective predicates
   fall back to the scan even with an index available, ORDER BY + LIMIT
   walks the index only when the limit is small enough to pay off;
+* exact counts — every single-index decision estimates exactly the rows
+  it matches, on uniform and on Zipf-skewed keys (where uniform
+  interpolation over the key span picks the wrong path);
 * oracle parity — the cost model may change *plans* but never query
   *results* (hypothesis compares against a forced extent scan);
-* the two statistics sources — the same model runs on the ANALYZE
-  catalog when it can be trusted and on live cardinalities when there
-  is none, it is stale (moved schema version or index epoch, with the
-  EXPLAIN warning and the ``stale`` column on SysClassStat /
-  SysIndexStat) or it does not cover a scoped class;
+* each conjunct's index is looked up once per decision;
 * cached plans are always the best access path, and live version
   entries neither poison the cache nor change the plan that runs;
-* ANALYZE drops cached plans — the next lookup re-plans under the
-  fresh catalog;
+* ``Database.analyze()`` only drops cached plans — the next lookup
+  re-plans;
 * the ``query.cost.*`` metric family and the EXPLAIN ``-- cost --``
   section (estimated vs. SysQueryStat-observed rows);
-* the ``python -m repro.tools.analyze --demo --explain`` CI smoke.
+* the plan-quality smoke: the monitor demo's fixed query set keeps its
+  access paths.
 """
 
+import bisect
+import itertools
 import threading
-from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import AttributeDef, Database
-from repro.obs.stats import IndexStat, equi_depth_histogram
 from repro.query.ast import And, Comparison, Const, Path, Query
-from repro.query.cost import (
-    CostModel,
-    equality_rows,
-    range_estimate,
-)
+from repro.query.cost import CostModel
 from repro.query.planner import (
     ExtentScan,
     IndexEqProbe,
     IndexOrderScan,
     IndexRangeProbe,
 )
-
-
-def _stat_for(values, buckets=8):
-    counts = sorted(Counter(values).items())
-    boundaries, depths = equi_depth_histogram(counts, buckets)
-    return IndexStat(
-        "idx",
-        "single-class",
-        "C",
-        "a",
-        len(values),
-        len(counts),
-        boundaries,
-        min(values),
-        max(values),
-        depths=depths,
-    )
 
 
 def _db(rows, index=True, **kwargs):
@@ -80,13 +57,21 @@ def _db(rows, index=True, **kwargs):
     return db
 
 
-# -- histogram estimates (property) ------------------------------------------
+def _range_rows(db, low, include_low, high, include_high):
+    """Rows the cost model charges the index range probe over one interval."""
+    model = CostModel(db.indexes, db.storage.count_class, db.planner.extent_pages)
+    facts = SimpleNamespace(ranges={("a",): (low, include_low, high, include_high)})
+    decision = model.decide(Query("Item"), {"Item"}, facts)
+    (candidate,) = [c for c in decision.candidates if c.kind == "index-range"]
+    return candidate.rows
+
+
+# -- range and equality estimates (property): the floor meets the ceiling ----
 
 
 class TestHistogramProperties:
     @given(
         values=st.lists(st.integers(-500, 500), min_size=1, max_size=300),
-        buckets=st.integers(2, 16),
         bound_a=st.integers(-600, 600),
         bound_b=st.integers(-600, 600),
         include_low=st.booleans(),
@@ -94,35 +79,36 @@ class TestHistogramProperties:
     )
     @settings(max_examples=300, deadline=None)
     def test_true_count_within_floor_and_ceiling(
-        self, values, buckets, bound_a, bound_b, include_low, include_high
+        self, values, bound_a, bound_b, include_low, include_high
     ):
+        # Live index counts leave no gap between floor and ceiling: the
+        # estimate is the true count.
         low, high = min(bound_a, bound_b), max(bound_a, bound_b)
-        stat = _stat_for(values, buckets)
-        estimate = range_estimate(stat, low, include_low, high, include_high)
+        db = _db(values)
         true = sum(
             1
             for v in values
             if (v > low or (include_low and v == low))
             and (v < high or (include_high and v == high))
         )
-        assert estimate.floor - 1e-9 <= true <= estimate.ceiling + 1e-9
-        assert estimate.rows == pytest.approx(
-            (estimate.floor + estimate.ceiling) / 2.0
-        )
+        assert _range_rows(db, low, include_low, high, include_high) == true
+        db.close()
 
     @given(values=st.lists(st.integers(-100, 100), min_size=1, max_size=200))
     @settings(max_examples=100, deadline=None)
     def test_whole_domain_estimate_is_exact(self, values):
-        stat = _stat_for(values)
-        estimate = range_estimate(stat, None, True, None, True)
-        assert estimate.floor == estimate.ceiling == len(values)
-        assert estimate.rows == len(values)
+        db = _db(values)
+        assert _range_rows(db, None, True, None, True) == len(values)
+        db.close()
 
     def test_equality_average_duplication_and_domain_clamp(self):
-        stat = _stat_for([1, 1, 2, 2, 3, 3])
-        assert equality_rows(stat, 2) == pytest.approx(2.0)
-        assert equality_rows(stat, 99) == 0.0  # above the indexed domain
-        assert equality_rows(stat, -1) == 0.0  # below it
+        db = _db([1, 1, 2, 2, 3, 3])
+        for value, rows in ((2, 2.0), (99, 0.0), (-1, 0.0)):  # 99, -1: off the domain
+            plan = db.plan("SELECT i FROM Item i WHERE i.a = %d" % value)
+            by_kind = {c.kind: c for c in plan.cost.candidates}
+            assert by_kind["index-eq"].rows == rows
+            assert plan.cost.estimated_rows == pytest.approx(rows)
+        db.close()
 
 
 # -- oracle parity (property): plan choice never changes results -------------
@@ -134,29 +120,23 @@ class TestOracleParity:
         op=st.sampled_from(["=", "!=", "<", "<=", ">", ">=", "in"]),
         constant=st.integers(-2, 32),
         second=st.one_of(st.none(), st.integers(0, 32)),
-        catalog=st.sampled_from(["analyzed", "never-analyzed", "stale"]),
     )
     @settings(max_examples=60, deadline=None)
     def test_cost_model_plans_match_forced_scan(
-        self, values, op, constant, second, catalog
+        self, values, op, constant, second
     ):
         db = _db(values)
-        if catalog != "never-analyzed":
-            db.analyze()
-        if catalog == "stale":
-            db.create_class_index("Item", "b")  # moves the index epoch
         const = [constant, constant + 3] if op == "in" else constant
         where = Comparison(op, Path(("a",)), Const(const))
         if second is not None:
             where = And([where, Comparison(">=", Path(("a",)), Const(second))])
         query = Query("Item", where=where)
         plan = db.plan(query)
-        # Contradictions may be rewritten away before costing; every
-        # query that *does* reach the planner is costed by the one model,
-        # from the catalog only when it can be trusted.
-        source = "statistics" if catalog == "analyzed" else "live"
-        assert plan.cost is None or plan.cost.source == source
         chosen = db.execute(query)
+        # Contradictions may be rewritten away before costing; a single
+        # sargable conjunct is costed on its exact match count.
+        if plan.cost is not None and second is None:
+            assert plan.cost.estimated_rows == pytest.approx(len(chosen.oids))
         forced_plan = db.planner.plan(Query("Item", where=where))
         forced_plan.access = ExtentScan(sorted(forced_plan.scope))
         forced_plan.residual = where
@@ -171,33 +151,28 @@ class TestOracleParity:
 class TestCostDecisions:
     def test_selective_equality_probes_the_index(self):
         db = _db(list(range(200)))
-        db.analyze()
         plan = db.plan("SELECT i FROM Item i WHERE i.a = 7")
         assert isinstance(plan.access, IndexEqProbe)
-        assert plan.cost.source == "statistics"
         assert plan.cost.chosen.kind == "index-eq"
         assert len(plan.cost.candidates) == 2
 
     def test_unselective_equality_prefers_scan_despite_index(self):
         db = _db([5] * 200)  # every row has a = 5
-        db.analyze()
         plan = db.plan("SELECT i FROM Item i WHERE i.a = 5")
         assert isinstance(plan.access, ExtentScan)
-        assert plan.cost.source == "statistics"
         by_kind = {c.kind: c for c in plan.cost.candidates}
         assert by_kind["extent-scan"].total < by_kind["index-eq"].total
 
     def test_narrow_range_probes_wide_range_scans(self):
         db = _db(list(range(400)))
-        db.analyze()
         narrow = db.plan("SELECT i FROM Item i WHERE i.a >= 395")
         wide = db.plan("SELECT i FROM Item i WHERE i.a >= 5")
         assert isinstance(narrow.access, IndexRangeProbe)
+        assert narrow.cost.chosen.rows == 5
         assert isinstance(wide.access, ExtentScan)
 
     def test_ordered_walk_only_when_limit_is_small(self):
         db = _db(list(range(300)))
-        db.analyze()
         small = db.plan("SELECT i FROM Item i ORDER BY i.a LIMIT 5")
         large = db.plan("SELECT i FROM Item i ORDER BY i.a LIMIT 300")
         assert isinstance(small.access, IndexOrderScan)
@@ -206,9 +181,7 @@ class TestCostDecisions:
     def test_no_statistics_costs_on_live_cardinalities(self):
         db = _db(list(range(50)))
         plan = db.plan("SELECT i FROM Item i WHERE i.a = 7")
-        assert plan.cost.source == "live"
-        assert "no ANALYZE statistics" in plan.cost.reason
-        # Same candidates, same formula: the exact one-row match wins.
+        # No ANALYZE ever ran: the exact one-row match wins.
         assert isinstance(plan.access, IndexEqProbe)
         assert {c.kind for c in plan.cost.candidates} == {"extent-scan", "index-eq"}
         assert plan.cost.chosen.rows == 1
@@ -216,16 +189,18 @@ class TestCostDecisions:
     def test_missing_class_stat_costs_on_live_cardinalities(self):
         db = _db(list(range(50)))
         db.analyze()
-        del db.statistics.class_stats["Item"]
-        plan = db.plan("SELECT i FROM Item i WHERE i.a = 7")
-        assert plan.cost.source == "live"
-        assert "missing from the ANALYZE catalog" in plan.cost.reason
+        # A class defined and filled after ANALYZE is costed exactly too.
+        db.define_class("Late", attributes=[AttributeDef("a", "Integer")])
+        for value in range(120):
+            db.new("Late", {"a": value % 60})
+        db.create_class_index("Late", "a")
+        plan = db.plan("SELECT l FROM Late l WHERE l.a = 7")
         assert isinstance(plan.access, IndexEqProbe)
+        assert plan.cost.chosen.rows == 2
 
     def test_conjunction_uses_independence_product(self):
         db = _db([{"a": i, "b": i % 2} for i in range(100)])
-        db.analyze()
-        model = CostModel(db.schema, db.indexes, db.statistics)
+        model = CostModel(db.indexes, db.storage.count_class, db.planner.extent_pages)
         where = And(
             [
                 Comparison("=", Path(("a",)), Const(5)),
@@ -236,6 +211,67 @@ class TestCostDecisions:
         # sel(a=5) = 1/100; sel(b=1) has no index -> default 0.1.
         assert decision.estimated_rows == pytest.approx(100 * 0.01 * 0.1)
 
+    def test_in_list_costs_the_sum_of_member_counts(self):
+        db = _db([i % 10 for i in range(200)])
+        plan = db.plan("SELECT i FROM Item i WHERE i.a in (1, 2, 42)")
+        by_kind = {c.kind: c for c in plan.cost.candidates}
+        assert by_kind["index-in"].rows == 40
+        assert plan.cost.estimated_rows == pytest.approx(40)
+
+    def test_hierarchy_scope_sums_every_extent(self):
+        db = _db(list(range(30)), index=False)
+        db.define_class("Special", superclasses=["Item"])
+        for value in range(70):
+            db.new("Special", {"a": value})
+        db.create_hierarchy_index("Item", "a")
+        plan = db.plan("SELECT i FROM Item i WHERE i.a = 3")
+        by_kind = {c.kind: c for c in plan.cost.candidates}
+        assert by_kind["extent-scan"].rows == 100
+        assert by_kind["index-eq"].rows == 2
+        assert isinstance(plan.access, IndexEqProbe)
+
+    def test_each_conjunct_looks_its_index_up_once(self):
+        db = _db([{"a": i, "b": i % 7} for i in range(100)])
+        db.create_class_index("Item", "b")
+        calls = []
+        find_index = db.indexes.find_index
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return find_index(*args, **kwargs)
+
+        db.indexes.find_index = counting
+        plan = db.plan("SELECT i FROM Item i WHERE i.a = 5 AND i.b = 3")
+        assert isinstance(plan.access, IndexEqProbe)
+        assert sorted(calls) == [("a",), ("b",)]
+        del calls[:]
+        db.plan("SELECT i FROM Item i WHERE i.a < 40 AND i.b in (1, 2)")
+        assert sorted(calls) == [("a",), ("b",)]
+
+    def test_zipf_skew_exact_counts_pick_the_right_path(self):
+        # 2 000 rows whose keys follow a Zipf law (s = 2 over 1..1000,
+        # the i-th row at the (i + 0.5) / 2000 quantile; OCB-style skew):
+        # keys <= 5 hold 89 % of the rows, keys >= 20 hold 3 %.  Uniform
+        # interpolation over the key span [1, 709] gets both ranges
+        # backwards (0.6 % and 97 %); exact counts do not.
+        weights = list(itertools.accumulate(1.0 / k ** 2 for k in range(1, 1001)))
+        keys = [
+            bisect.bisect_left(weights, (i + 0.5) / 2000 * weights[-1]) + 1
+            for i in range(2000)
+        ]
+        db = _db(keys)
+        span = max(keys) - min(keys)
+        for source, right, interval in (
+            ("SELECT i FROM Item i WHERE i.a >= 20", IndexRangeProbe, (20, max(keys))),
+            ("SELECT i FROM Item i WHERE i.a <= 5", ExtentScan, (min(keys), 5)),
+        ):
+            plan = db.plan(source)
+            result = db.execute(source)
+            assert isinstance(plan.access, right), (source, plan.access.description)
+            assert plan.cost.estimated_rows == pytest.approx(result.stats.matched)
+            interpolated = 2000 * (interval[1] - interval[0]) / float(span)
+            assert abs(interpolated - result.stats.matched) > 1000
+
     def test_live_version_entries_never_poison_the_cached_plan(self):
         # Regression: a query first planned while version entries were
         # live used to be *cached* as scan(Item) and kept scanning the
@@ -243,7 +279,6 @@ class TestCostDecisions:
         # cached as the probe but *executed* as a 300-row scan while any
         # entry was live.  Now the plan given is the plan run.
         db = _db(list(range(300)))
-        db.analyze()
         source = "SELECT i FROM Item i WHERE i.a = 7"
         held, release = threading.Event(), threading.Event()
 
@@ -279,65 +314,25 @@ class TestCostDecisions:
         assert result.stats.examined == result.stats.matched == 1
 
 
-# -- staleness ---------------------------------------------------------------
-
-
-class TestStaleness:
-    def test_index_epoch_move_costs_live_with_explain_warning(self):
-        db = _db(list(range(100)))
-        db.analyze()
-        db.create_class_index("Item", "b")  # bumps the index epoch
-        explain = db.explain("SELECT i FROM Item i WHERE i.a = 7")
-        assert explain.plan.cost.source == "live"
-        assert explain.plan.cost.stale_reason is not None
-        assert isinstance(explain.plan.access, IndexEqProbe)
-        text = explain.render()
-        assert "-- cost --" in text
-        assert "WARNING: statistics are stale" in text
-        assert "index epoch moved" in text
-
-    def test_sysviews_surface_stale_reason(self):
-        db = _db(list(range(50)))
-        db.analyze()
-        fresh = db.select("SysClassStat")
-        assert fresh and fresh[0]["stale"] == ""
-        db.create_class_index("Item", "b")
-        stale_rows = db.select("SysClassStat")
-        assert "index epoch moved" in stale_rows[0]["stale"]
-        index_rows = db.select("SysIndexStat")
-        assert all("index epoch moved" in row["stale"] for row in index_rows)
-
-    def test_reanalyze_clears_staleness(self):
-        db = _db(list(range(50)))
-        db.analyze()
-        db.create_class_index("Item", "b")
-        db.analyze()
-        plan = db.plan("SELECT i FROM Item i WHERE i.a = 7")
-        assert plan.cost.source == "statistics"
-        assert db.select("SysClassStat")[0]["stale"] == ""
-
-
 # -- ANALYZE drops cached plans ----------------------------------------------
 
 
 class TestPlanCacheRecost:
     """ANALYZE purges the plan cache: the first lookup after it re-plans
-    (re-costs) under the new catalog, the second hits the new entry."""
+    (re-costs) on the current counts, the second hits the new entry."""
 
     SOURCE = "SELECT i FROM Item i WHERE i.a = 5"
 
     def test_reanalyze_replans_at_first_lookup(self):
         db = _db(list(range(100)))
-        db.analyze()
         plan = db.plan(self.SOURCE)
         assert isinstance(plan.access, IndexEqProbe)
         misses = db.metrics.value("query.plan_cache.misses")
         invalidations = db.metrics.value("query.plan_cache.invalidations")
-        db.analyze()
+        assert db.analyze() is None
         assert db.metrics.value("query.plan_cache.invalidations") == invalidations + 1
         first = db.plan(self.SOURCE)
         assert not first.cached
-        assert first.cost.source == "statistics"
         assert db.metrics.value("query.plan_cache.misses") == misses + 1
         again = db.plan(self.SOURCE)
         assert again.cached and again is first
@@ -345,28 +340,17 @@ class TestPlanCacheRecost:
 
     def test_flipped_winner_is_invalidated(self):
         db = _db([5] * 100)
-        db.analyze()
         plan = db.plan(self.SOURCE)
         assert isinstance(plan.access, ExtentScan)  # a=5 matches everything
-        # Make the column selective, then re-ANALYZE: the next lookup
+        # Make the column selective, then ANALYZE: the next lookup
         # re-plans and the winner flips to the index probe.
         for position, item in enumerate(db.select("Item")):
             db.update(item.oid, {"a": position})
         db.analyze()
         fresh = db.plan(self.SOURCE)
         assert not fresh.cached
-        assert fresh.cost.source == "statistics"
         assert isinstance(fresh.access, IndexEqProbe)
         assert db.execute(self.SOURCE).stats.matched == 1
-
-    def test_sysplancache_reports_cost_source(self):
-        db = _db(list(range(50)))
-        db.plan("SELECT i FROM Item i WHERE i.a = 6")
-        db.analyze()
-        db.plan(self.SOURCE)
-        rows = db.select("SysPlanCache")
-        # ANALYZE dropped the entry planned on live cardinalities.
-        assert rows and {row["cost_source"] for row in rows} == {"statistics"}
 
 
 # -- metrics and EXPLAIN feedback --------------------------------------------
@@ -376,54 +360,61 @@ class TestCostObservability:
     def test_query_cost_metric_family(self):
         db = _db(list(range(100)))
         db.execute("SELECT i FROM Item i WHERE i.a = 7")
-        assert db.metrics.counter("query.cost.decisions_live").value == 1
+        assert db.metrics.counter("query.cost.decisions").value == 1
         assert db.metrics.counter("query.cost.candidates").value == 2
-        db.analyze()
-        db.execute("SELECT i FROM Item i WHERE i.a = 8")
-        assert db.metrics.counter("query.cost.decisions_statistics").value == 1
-        assert db.metrics.counter("query.cost.candidates").value == 4
         assert db.metrics.counter("query.cost.estimated_rows").value == 1
         assert db.metrics.counter("query.cost.actual_rows").value == 1
         db.create_class_index("Item", "b")
-        db.execute("SELECT i FROM Item i WHERE i.a = 9")
-        assert db.metrics.counter("query.cost.decisions_live").value == 2
-        assert db.metrics.counter("query.cost.stale_fallbacks").value == 1
+        db.execute("SELECT i FROM Item i WHERE i.a < 10")
+        assert db.metrics.counter("query.cost.decisions").value == 2
+        assert db.metrics.counter("query.cost.candidates").value == 4
+        assert db.metrics.counter("query.cost.estimated_rows").value == 11
+        assert db.metrics.counter("query.cost.actual_rows").value == 11
+        names = set(db.metrics.names())
+        assert not {n for n in names if n.startswith("query.cost.decisions_")}
+        assert "query.cost.stale_fallbacks" not in names
 
     def test_explain_shows_estimated_vs_observed(self):
         db = _db(list(range(80)))
-        db.analyze()
         source = "SELECT i FROM Item i WHERE i.a < 4"
         db.execute(source)
         text = db.explain(source).render()
         assert "-- cost --" in text
-        assert "model: statistics" in text
         assert "<- chosen" in text
+        assert "estimated rows: 4.0" in text
         assert "observed (SysQueryStat" in text
-        assert "estimated/observed rows:" in text
+        assert "estimated/observed rows: 1.00x" in text
 
-    def test_explain_without_stats_names_the_remedy(self):
+    def test_explain_cost_section_lists_every_candidate(self):
         db = _db(list(range(10)))
         text = db.explain("SELECT i FROM Item i WHERE i.a = 1").render()
         assert "-- cost --" in text
-        assert "run Database.analyze()" in text
+        assert "candidate scan(Item)" in text
+        assert "candidate index-eq(" in text
+        assert "model:" not in text and "analyze()" not in text
 
 
-# -- the CI plan-quality smoke ----------------------------------------------
+# -- the plan-quality smoke ----------------------------------------------------
 
 
-class TestAnalyzeExplainSmoke:
-    def test_demo_smoke_passes_and_writes_output(self, tmp_path):
-        from repro.tools.analyze import main
+class TestPlanQualitySmoke:
+    #: The monitor demo workload (64 Vehicles, weight-indexed): a
+    #: selective indexed equality must probe, an unselective range and
+    #: an unindexed equality must scan.
+    QUERIES = (
+        ("SELECT v FROM Vehicle v WHERE v.weight = 910", "index-eq("),
+        ("SELECT v FROM Vehicle v WHERE v.weight >= 900", "scan("),
+        ("SELECT v FROM Vehicle v WHERE v.color = 'red'", "scan("),
+    )
 
-        out = tmp_path / "plan-quality.txt"
-        assert main(["--demo", "--explain", str(out)]) == 0
-        text = out.read_text()
-        assert "-- cost --" in text
-        assert "model: statistics" in text
-        assert "index-eq(" in text
+    def test_demo_queries_keep_their_access_paths(self):
+        from repro.tools.monitor import build_demo_database
 
-    def test_explain_requires_demo(self, tmp_path):
-        from repro.tools.analyze import main
-
-        with pytest.raises(SystemExit):
-            main(["--path", str(tmp_path / "x.kim"), "--explain", "out.txt"])
+        db = build_demo_database()
+        try:
+            for source, expected in self.QUERIES:
+                explain = db.explain(source)
+                assert "-- cost --" in explain.render()
+                assert explain.plan.access.description.startswith(expected), source
+        finally:
+            db.close()

@@ -1,8 +1,16 @@
-"""B+-tree substrate."""
+"""B+-tree substrate.
 
+``COUNTED_BTREE_EXAMPLES`` sets the hypothesis examples of the counted
+tree's brute-force check (CI's weekly job runs 500; tier-1 keeps a
+short slice).
+"""
+
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.oid import OID
 from repro.errors import KimDBError
@@ -160,3 +168,99 @@ class TestIterEntries:
         tree.insert(1, "A", OID(1))
         entries = list(tree.iter_entries())
         assert entries == [(1, ("A", OID(1))), (2, ("B", OID(2)))]
+
+
+COUNTED_BTREE_EXAMPLES = int(os.environ.get("COUNTED_BTREE_EXAMPLES", "60"))
+
+#: Keys of every indexable rank, few enough to collide: duplicates,
+#: ``None``, booleans beside numbers (``1 == 1.0``), short strings.
+_KEYS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-6, 6),
+    st.floats(-6, 6, allow_nan=False),
+    st.text(alphabet="ab", max_size=2),
+)
+_BOUNDS = st.tuples(
+    st.one_of(st.none(), _KEYS), st.one_of(st.none(), _KEYS), st.booleans(), st.booleans()
+)
+
+
+class TestCountedTree:
+    @given(
+        order=st.integers(4, 6),
+        # (op, key, pick): op 0 removes the live entry ``pick`` selects,
+        # 1 and 2 insert ``key`` — enough net inserts to split levels.
+        ops=st.lists(
+            st.tuples(st.integers(0, 2), _KEYS, st.integers(0, 10 ** 6)),
+            min_size=40,
+            max_size=240,
+        ),
+        bounds=st.lists(_BOUNDS, min_size=1, max_size=12),
+    )
+    @settings(max_examples=COUNTED_BTREE_EXAMPLES, deadline=None)
+    def test_counts_match_brute_force(self, order, ops, bounds):
+        tree = BTree(order=order)
+        live = []  # (key, oid) pairs in the tree
+        for serial, (op, key, pick) in enumerate(ops, start=1):
+            if op or not live:
+                tree.insert(key, "A", OID(serial))
+                live.append((key, OID(serial)))
+            else:
+                key, oid = live.pop(pick % len(live))
+                assert tree.remove(key, "A", oid)
+        tree.check_invariants()
+        assert len(tree) == len(live)
+        normal = [normalize_key(key) for key, _oid in live]
+        for key, _oid in live:
+            assert tree.count(key) == normal.count(normalize_key(key))
+        assert tree.distinct_keys() == len(set(normal))
+        for low, high, include_low, include_high in bounds:
+            lo = None if low is None else normalize_key(low)
+            hi = None if high is None else normalize_key(high)
+            expected = sum(
+                1
+                for k in normal
+                if (lo is None or k > lo or (include_low and k == lo))
+                and (hi is None or k < hi or (include_high and k == hi))
+            )
+            assert tree.count_range(low, high, include_low, include_high) == expected
+            yielded = tree.range(low, high, include_low, include_high)
+            assert sum(len(entries) for _key, entries in yielded) == expected
+
+    def test_count_missing_and_duplicate_keys(self):
+        tree = BTree(order=4)
+        for serial in range(1, 31):
+            tree.insert(serial % 3, "A", OID(serial))
+        assert tree.count(0) == tree.count(1) == tree.count(2) == 10
+        assert tree.count(3) == tree.count("0") == tree.count(None) == 0
+        assert tree.remove(1, "A", OID(1))
+        assert tree.count(1) == 9 and tree.count(1.0) == 9
+
+    def test_inverted_or_empty_bounds_count_zero(self):
+        tree = BTree(order=4)
+        for value in range(50):
+            tree.insert(value, "A", OID(value + 1))
+        assert tree.count_range(30, 10) == 0
+        assert tree.count_range(10, 10, include_low=False) == 0
+        assert tree.count_range(10, 10) == 1
+        assert tree.count_range(None, None) == 50
+
+    def test_internal_counts_survive_splits_and_removals(self):
+        tree = BTree(order=4)
+        for value in range(400):
+            tree.insert(value % 97, "A", OID(value + 1))
+        assert tree.depth() > 2
+        for value in range(0, 400, 2):
+            assert tree.remove(value % 97, "A", OID(value + 1))
+        tree.check_invariants()
+        assert sum(tree._root.counts) == len(tree) == 200
+        assert tree.count_range(10, 20) == sum(tree.count(k) for k in range(10, 21))
+
+    def test_check_invariants_catches_count_drift(self):
+        tree = BTree(order=4)
+        for value in range(40):
+            tree.insert(value, "A", OID(value + 1))
+        tree._root.counts[0] += 1
+        with pytest.raises(KimDBError, match="count drift"):
+            tree.check_invariants()

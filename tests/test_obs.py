@@ -335,8 +335,7 @@ class TestMetricNameContract:
         "locks.deadlocks", "locks.upgrades", "locks.wait_seconds",
         "locks.waits", "pager.allocations", "pager.reads", "pager.writes",
         "query.checks", "query.cost.actual_rows", "query.cost.candidates",
-        "query.cost.decisions_live", "query.cost.decisions_statistics",
-        "query.cost.estimated_rows", "query.cost.stale_fallbacks",
+        "query.cost.decisions", "query.cost.estimated_rows",
         "query.executes", "query.index_probes", "query.parses",
         "query.plan_cache.evictions", "query.plan_cache.hits",
         "query.plan_cache.invalidations", "query.plan_cache.misses",

@@ -1,4 +1,4 @@
-"""Query-fingerprint statistics, ANALYZE, and trace propagation.
+"""Query-fingerprint statistics, class/index statistics, trace propagation.
 
 Covers the PR-9 observability tentpole end to end:
 
@@ -6,10 +6,9 @@ Covers the PR-9 observability tentpole end to end:
   and through the full parse -> analyze -> plan -> pipeline path into
   ``SysQueryStat``), including its invalidation contract — a moved
   schema or index epoch purges accumulated rows at the next read;
-* ``Database.analyze()`` and the :class:`~repro.obs.stats` catalog —
-  equi-depth histograms, persistence across close/reopen, the
-  ``SysClassStat`` / ``SysIndexStat`` views, and the planner's inert
-  stats note;
+* the live ``SysClassStat`` / ``SysIndexStat`` views, what
+  ``Database.analyze()`` still does (drop cached plans), and database
+  files that still carry an old ANALYZE catalog;
 * the Prometheus text rendering of latency histograms (``_bucket`` /
   ``_sum`` / ``_count`` series, label escaping);
 * trace propagation — the tracer's thread-local trace context, and the
@@ -17,6 +16,7 @@ Covers the PR-9 observability tentpole end to end:
   in the server-side ``SysSlowOp`` row.
 """
 
+import json
 import sys
 import threading
 import time
@@ -31,11 +31,11 @@ from repro.evolution import SchemaEvolution
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.export import render_prometheus
 from repro.obs.querystats import QueryStats
-from repro.obs.stats import StatisticsCatalog, equi_depth_boundaries
 from repro.obs.waits import WaitProfiler
 from repro.server import Client, Server
 from repro.server import protocol
 from repro.server.session import Session
+from repro.storage import StorageManager
 
 
 REPEATED = "SELECT v FROM Vehicle v WHERE v.weight >= 920"
@@ -376,59 +376,39 @@ class TestSysQueryStat:
         db.close()
 
 
-# -- ANALYZE -----------------------------------------------------------------
-
-
-class TestEquiDepthBoundaries:
-    def test_uniform_distribution_yields_full_bucket_count(self):
-        pairs = [(k, 1) for k in range(64)]
-        bounds = equi_depth_boundaries(pairs, buckets=16)
-        assert len(bounds) == 16
-        assert bounds[-1] == 63
-        assert bounds == sorted(bounds)
-
-    def test_heavy_key_widens_its_bucket_without_duplicates(self):
-        pairs = [(1, 100), (2, 1), (3, 1), (4, 1)]
-        bounds = equi_depth_boundaries(pairs, buckets=4)
-        assert bounds == sorted(set(bounds))
-        assert bounds[0] == 1  # the heavy key crosses every early quantile once
-        assert bounds[-1] == 4
-
-    def test_empty_input(self):
-        assert equi_depth_boundaries([]) == []
+# -- live class and index statistics ------------------------------------------
 
 
 class TestAnalyze:
     def test_catalog_contents(self):
         db = _vehicle_db()
-        catalog = db.analyze()
-        assert catalog is db.statistics
-        cls = catalog.class_stats["Vehicle"]
-        assert cls.rows == 40
-        assert cls.avg_bytes > 0
-        assert cls.total_bytes == pytest.approx(cls.avg_bytes * 40)
-        (index,) = catalog.index_stats.values()
-        assert index.target_class == "Vehicle"
-        assert index.path == "weight"
-        assert index.entries == 40
-        assert index.distinct_keys == 40
-        assert index.low == 900 and index.high == 939
-        assert index.boundaries == sorted(index.boundaries)
-        assert index.boundaries[-1] == 939
-        assert catalog.index_selectivity(index.name) == pytest.approx(1 / 40)
+        assert db.analyze() is None
+        (irow,) = db.select("SysIndexStat")
+        assert (irow["target"], irow["path"], irow["kind"]) == (
+            "Vehicle", "weight", "single-class",
+        )
+        # Live, never stale: writes show up at the next read, no ANALYZE.
+        for _ in range(3):
+            db.new("Vehicle", {"weight": 905})
+        db.delete(db.select("Vehicle where weight = 939")[0].oid)
+        (irow,) = db.select("SysIndexStat")
+        assert irow["entries"] == 42
+        assert irow["distinct_keys"] == 39
+        (crow,) = db.select("SysClassStat where class_name = 'Vehicle'")
+        assert crow["rows"] == 42
         db.close()
 
     def test_sysclassstat_and_sysindexstat_views(self):
         db = _vehicle_db()
-        assert db.select("SysClassStat") == []
-        assert db.select("SysIndexStat") == []
-        db.analyze()
         (crow,) = db.select("SysClassStat where class_name = 'Vehicle'")
-        assert crow["rows"] == 40
+        assert crow == {"class_name": "Vehicle", "rows": 40, "pages": crow["pages"]}
+        assert crow["pages"] >= 1
         (irow,) = db.select("SysIndexStat order by entries desc")
-        assert irow["entries"] == 40
-        assert irow["buckets"] == len(irow["histogram"].split("|"))
-        assert irow["low"] == 900 and irow["high"] == 939
+        assert set(irow) == {
+            "index", "kind", "target", "path", "entries", "distinct_keys", "height",
+        }
+        assert irow["entries"] == irow["distinct_keys"] == 40
+        assert irow["height"] == 1
         db.close()
 
     def test_statistics_persist_across_reopen(self, tmp_path):
@@ -438,34 +418,63 @@ class TestAnalyze:
         for i in range(12):
             db.new("Vehicle", {"weight": 100 + i})
         db.create_class_index("Vehicle", "weight")
-        first = db.analyze().to_dict()
+        before = (db.select("SysClassStat"), db.select("SysIndexStat"))
         db.close()
 
         db = Database(path)
-        assert db.statistics is not None
-        assert db.statistics.to_dict() == first
-        (row,) = db.select("SysClassStat")
-        assert row["rows"] == 12
-        (irow,) = db.select("SysIndexStat")
+        assert db.select("SysClassStat") == before[0]
+        # Indexes live in memory: their counts come back with the index.
+        assert db.select("SysIndexStat") == []
+        db.create_class_index("Vehicle", "weight")
+        assert db.select("SysIndexStat") == before[1]
+        (irow,) = before[1]
         assert irow["distinct_keys"] == 12
         db.close()
 
-    def test_stale_reason_reports_epoch_movement(self):
-        catalog = StatisticsCatalog({}, {}, schema_version=3, index_epoch=7)
-        assert catalog.stale_reason(3, 7) is None
-        assert "schema version" in catalog.stale_reason(4, 7)
-        assert "index epoch" in catalog.stale_reason(3, 8)
+    def test_old_statistics_key_reopens_and_checkpoint_drops_it(self, tmp_path):
+        # Earlier builds persisted an ANALYZE catalog beside the schema.
+        path = str(tmp_path / "old.kim")
+        db = Database(path)
+        db.define_class("Vehicle", attributes=[AttributeDef("weight", "Integer")])
+        for i in range(50):
+            db.new("Vehicle", {"weight": i})
+        db.close()
+        storage = StorageManager(path)
+        extra = storage.load_extra_metadata()
+        extra["statistics"] = {
+            "schema_version": 0,
+            "index_epoch": 0,
+            "classes": [{"class_name": "Vehicle", "rows": 1,
+                         "total_bytes": 1, "avg_bytes": 1.0}],
+            "indexes": [],
+        }
+        storage.save_metadata(extra)
+        storage.close()
+        with open(path + ".meta", encoding="utf-8") as handle:
+            assert "statistics" in json.load(handle)
+
+        db = Database(path)
+        db.create_class_index("Vehicle", "weight")
+        plan = db.plan("SELECT v FROM Vehicle v WHERE v.weight = 7")
+        assert plan.access.description.startswith("index-eq(")
+        assert plan.cost.chosen.rows == 1
+        assert len(db.select("Vehicle where weight < 10")) == 10
+        db.checkpoint()
+        with open(path + ".meta", encoding="utf-8") as handle:
+            meta = json.load(handle)
+        assert "statistics" not in meta and "schema" in meta
+        db.close()
 
     def test_planner_notes_stats_but_results_are_unchanged(self):
         db = _vehicle_db()
         before = sorted(h.oid for h in db.select(REPEATED))
         plain = db.explain(REPEATED).render()
-        assert "cost: live cardinalities (no ANALYZE statistics) chose" in plain
+        assert "cost: chose index-range(" in plain
         db.analyze()
-        # ANALYZE drops cached plans; the re-planned one now says where
-        # its numbers came from and what was measured.
+        # ANALYZE drops cached plans; the re-planned one is costed on the
+        # same exact counts.
         noted = db.explain("SELECT v FROM Vehicle v WHERE v.weight >= 921").render()
-        assert "cost: ANALYZE statistics chose" in noted
+        assert "cost: chose" in noted
         assert "scan(Vehicle): pages=1.0 rows=40.0" in noted
         after = sorted(h.oid for h in db.select(REPEATED))
         assert after == before
@@ -529,7 +538,7 @@ class TestPrometheusRendering:
             text = render_prometheus(db.metrics, querystats=db.query_stats)
             assert "# TYPE kimdb_query_latency_seconds histogram" in text
             assert "kimdb_query_stats_recorded_total" in text
-            assert "kimdb_analyze_runs_total" in text
+            assert "kimdb_query_cost_decisions_total" in text
         finally:
             db.close()
 

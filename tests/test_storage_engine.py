@@ -221,6 +221,15 @@ class TestSerializer:
 
 
 class TestStorageManager:
+    def test_save_metadata_replaces_extra_and_a_bare_save_keeps_it(self, tmp_path):
+        path = str(tmp_path / "meta.kim")
+        storage = StorageManager(path)
+        storage.save_metadata({"schema": 1, "retired": 2})
+        storage.save_metadata({"schema": 3})
+        storage.save_metadata()
+        assert storage.load_extra_metadata() == {"schema": 3}
+        storage.close()
+
     def test_store_load(self):
         storage = StorageManager()
         state = ObjectState(OID(1), "A", {"x": 1})

@@ -102,6 +102,23 @@ class TestWaitProfiler:
 
 
 class TestSystemViewQueries:
+    def test_index_stats_cover_every_btree_index_kind(self):
+        db = _vehicle_db()
+        db.define_class("Owner", attributes=[AttributeDef("car", "Vehicle")])
+        for vehicle in db.select("Vehicle where weight < 1005"):
+            db.new("Owner", {"car": vehicle.oid})
+        db.create_class_index("Vehicle", "color")
+        db.create_hierarchy_index("Vehicle", "weight")
+        db.create_nested_index("Owner", ["car", "weight"])
+        rows = {row["path"]: row for row in db.select("SysIndexStat")}
+        assert set(rows) == {"color", "weight", "car.weight"}
+        assert (rows["color"]["entries"], rows["color"]["distinct_keys"]) == (20, 2)
+        assert rows["weight"]["kind"] == "class-hierarchy"
+        assert (rows["car.weight"]["entries"], rows["car.weight"]["target"]) == (5, "Owner")
+        classes = {row["class_name"]: row["rows"] for row in db.select("SysClassStat")}
+        assert classes == {"Owner": 5, "Vehicle": 20}
+        db.close()
+
     def test_shorthand_select_returns_rows_through_pipeline(self):
         db = _vehicle_db()
         db.execute("SELECT v FROM Vehicle v WHERE v.weight > 1010")
