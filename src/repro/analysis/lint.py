@@ -64,6 +64,10 @@ hard gate over ``src/repro``:
     (``"index.%s.probes" % name``) for a per-instance family: every
     metric name is then greppable at its one registration site, which
     is what a declarative metric catalog will be generated against.
+``tools-layering``
+    No module outside ``repro.tools`` may import ``repro.tools``: the
+    tools (CLIs, browser, advisor, benchgate) sit on top of the engine,
+    so an engine module that imports one inverts the layering.
 
 A violation can be baselined in place with an inline pragma::
 
@@ -92,6 +96,7 @@ ALL_RULES = (
     "async-blocking-call",
     "single-write-path",
     "literal-metric-name",
+    "tools-layering",
 )
 
 #: The files allowed to call the storage manager's three write methods.
@@ -267,6 +272,8 @@ class Linter:
             self._check_single_write_path(tree, path, violations)
         if "literal-metric-name" in run:
             self._check_metric_names(tree, path, violations)
+        if "tools-layering" in run and subpackage not in (None, "tools"):
+            self._check_tools_layering(tree, path, subpackage, violations)
         return [v for v in violations if not _silenced(v, pragmas)]
 
     # -- simple rules ----------------------------------------------------
@@ -579,6 +586,36 @@ class Linter:
                         'literal format, "family.%%s.what" %% key) so the '
                         "metric is greppable where it is registered"
                         % node.func.attr,
+                    )
+                )
+
+    # -- layering ----------------------------------------------------------
+
+    def _check_tools_layering(self, tree, path, subpackage, out) -> None:
+        """Flag imports of ``repro.tools`` from outside it."""
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                origin = _import_origin(node, subpackage)
+                # ``from .. import tools`` names the package itself.
+                hit = origin == "tools" or (
+                    origin == "" and any(alias.name == "tools" for alias in node.names)
+                )
+            elif isinstance(node, ast.Import):
+                hit = any(
+                    alias.name.split(".")[:2] == ["repro", "tools"] for alias in node.names
+                )
+            else:
+                continue
+            if hit:
+                out.append(
+                    Violation(
+                        "tools-layering",
+                        path,
+                        node.lineno,
+                        node.col_offset,
+                        "imports repro.tools from %r; tools sit on top of the "
+                        "engine — move what is shared below them"
+                        % (subpackage or "repro"),
                     )
                 )
 

@@ -541,6 +541,9 @@ class Database:
             self.storage.overwrite(after)
             self.indexes.notify_update(old, new)
             self.wal.log_update(txn.txn_id, before, after)
+        if txn.view is not None:
+            # Read-your-own-writes: the writer's view re-resolves the OID.
+            txn.view.forget(state.oid)
         if not compensating:
             txn.record_undo(
                 lambda: self._write(txn, after, before, compensating=True)
@@ -594,12 +597,13 @@ class Database:
         """Transaction-consistent state: the handle-read path.
 
         Inside a transaction, resolves the object through the
-        transaction's begin snapshot (opened lazily, like the query
-        path) — so ``h["attr"]`` agrees with what the same transaction's
-        queries see, including its own uncommitted writes (the version
-        store short-circuits the reader's own chain).  Outside a
-        transaction this is exactly :meth:`get_state`.  Either way the
-        caller owns the returned copy.
+        transaction's view of its begin snapshot (built lazily and
+        shared with its queries) — so ``h["attr"]`` agrees with what the
+        same transaction's queries see, including its own uncommitted
+        writes (the version store short-circuits the reader's own chain,
+        and ``_write`` drops the view's memo of the written object).
+        Outside a transaction this is exactly :meth:`get_state`.  Either
+        way the caller owns the returned copy.
         """
         if self.txns.current is None:
             return self.get_state(oid)
@@ -867,39 +871,47 @@ class Database:
         )
 
     def _read_open(self, plan: Plan) -> Optional[SnapshotView]:
-        """Open a query's read side: the snapshot :meth:`_read_close` takes.
+        """Open a query's read side: the view :meth:`_read_close` takes.
 
         Every read runs lock-free against an MVCC snapshot: inside a
         transaction its begin snapshot, opened once at the first read
-        and reused (repeatable reads across the whole transaction);
-        outside one an ephemeral snapshot.  A plan that touches no
-        storage (proven-empty scan, system view) opens nothing.
+        and reused with its view (repeatable reads across the whole
+        transaction); outside one an ephemeral snapshot.  A plan that
+        touches no storage (proven-empty scan, system view) opens
+        nothing.
         """
         if isinstance(plan.access, (EmptyScan, SystemScan)):
             return None
         return self._snapshot_view()
 
     def _snapshot_view(self) -> SnapshotView:
-        """The calling thread's read view (see :meth:`_read_open`)."""
+        """The calling thread's read view (see :meth:`_read_open`).
+
+        One view per snapshot, so its deref memo lives as long as the
+        snapshot: a transaction builds its view with its snapshot at the
+        first read and keeps it until it finishes; outside a transaction
+        each call builds an ephemeral one.
+        """
         current = self.txns.current
         if current is None:
-            snap = self.version_store.open_snapshot(None)
-        else:
-            if current.snapshot is None:
-                current.snapshot = self.version_store.open_snapshot(
-                    current.txn_id
-                )
-            snap = current.snapshot
+            return self._new_view(self.version_store.open_snapshot(None), ephemeral=True)
+        if current.view is None:
+            current.snapshot = self.version_store.open_snapshot(current.txn_id)
+            current.view = self._new_view(current.snapshot, ephemeral=False)
+        return current.view
+
+    def _new_view(self, snapshot, ephemeral: bool) -> SnapshotView:
         # Raw storage reads: the view coerces once, after resolving (a
         # before-image from the version store needs that coercion too).
         return SnapshotView(
             self.version_store,
-            snap,
+            snapshot,
             functools.partial(load_state_if_exists, self.storage),
             self.storage.scan_pages,
             self._coerce,
             self.schema.attribute_map,
-            ephemeral=current is None,
+            self._epoch,
+            ephemeral=ephemeral,
         )
 
     def _read_close(self, snapshot: Optional[SnapshotView]) -> None:

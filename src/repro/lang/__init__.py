@@ -1,5 +1,5 @@
 """kimdb DL: the unified DDL/DML/DCL database language (Section 3.1)."""
 
-from .ddl import Interpreter, StatementResult
+from .ddl import Interpreter, StatementResult, describe_class
 
-__all__ = ["Interpreter", "StatementResult"]
+__all__ = ["Interpreter", "StatementResult", "describe_class"]

@@ -551,6 +551,51 @@ class Interpreter:
     def _describe(self) -> StatementResult:
         self._expect_kw("describe")
         name = self._expect_name()
-        from ..tools.browser import describe_class
-
         return StatementResult("description", name, describe_class(self.db, name))
+
+
+def describe_class(db: "Database", class_name: str) -> str:
+    """``DESCRIBE``'s text: superclasses, MRO, attributes with provenance,
+    methods, direct extent size and covering indexes.  The schema
+    browser (:mod:`repro.tools.browser`) shows the same text."""
+    cls = db.schema.get_class(class_name)
+    lines = ["class %s" % class_name]
+    if cls.doc:
+        lines.append("  doc: %s" % cls.doc)
+    lines.append("  superclasses: %s" % (", ".join(cls.superclasses) or "(root)"))
+    lines.append("  mro: %s" % " -> ".join(db.schema.mro(class_name)))
+    if cls.abstract:
+        lines.append("  abstract")
+    lines.append("  attributes:")
+    for name, attr in sorted(db.schema.attributes(class_name).items()):
+        flags = []
+        if attr.multi:
+            flags.append("multi")
+        if attr.required:
+            flags.append("required")
+        if attr.composite:
+            flags.append(
+                "composite(%s%s)"
+                % ("exclusive" if attr.exclusive else "shared",
+                   ", dependent" if attr.dependent else "")
+            )
+        origin = "" if attr.defined_in == class_name else "  [from %s]" % attr.defined_in
+        lines.append(
+            "    %-16s %-14s %s%s"
+            % (name, attr.domain, " ".join(flags), origin)
+        )
+    methods = db.schema.methods(class_name)
+    if methods:
+        lines.append("  methods:")
+        for name, meth in sorted(methods.items()):
+            origin = "" if meth.defined_in == class_name else "  [from %s]" % meth.defined_in
+            lines.append("    %s()%s" % (name, origin))
+    lines.append("  direct extent: %d objects" % db.storage.count_class(class_name))
+    covering = [
+        index.name
+        for index in db.indexes.all_indexes()
+        if class_name in index.maintained_classes()
+    ]
+    if covering:
+        lines.append("  indexes: %s" % ", ".join(covering))
+    return "\n".join(lines)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.obj import ObjectState
 from ..core.oid import OID
@@ -357,23 +357,36 @@ class StorageManager:
         self.directory.remove(oid)
         return state
 
-    def scan_pages(self, class_name: str) -> Iterator[List[ObjectState]]:
-        """All direct instances of one class, a list per heap page, in
-        physical order; shared, read-only states like :meth:`load`'s.
-        Each page is fetched (one ``get_page``) and read when reached."""
+    def scan_pages(self, class_name: str) -> Iterator[Sequence[ObjectState]]:
+        """All direct instances of one class, a sequence per heap page, in
+        physical order; shared, read-only states like :meth:`load`'s, in
+        a sequence that is itself shared and read-only (a tuple, once the
+        page keeps it).  Each page is fetched (one ``get_page``) and read
+        when reached."""
         if class_name == OVERFLOW_HEAP or class_name not in self._heaps:
             return iter(())
         return (
             self._page_states(page) for _page_id, page in self._heaps[class_name].pages()
         )
 
-    def _page_states(self, page: SlottedPage) -> List[ObjectState]:
-        """:meth:`_state_at` for every live record of ``page``."""
+    def _page_states(self, page: SlottedPage) -> Sequence[ObjectState]:
+        """:meth:`_state_at` for every live record of ``page``, through
+        the page's state list (page.py)."""
+        return page.states(self._build_page_states)
+
+    def _build_page_states(self, page: SlottedPage) -> Tuple[List[ObjectState], bool]:
+        """The states of ``page`` and whether the page may keep them: not
+        when it holds a long-object stub."""
         decoded, decode, assemble = page.decoded, self._decode, self._assemble
-        return [
-            assemble(body) if body.startswith(_LONG_MAGIC) else decoded(slot, body, decode)
-            for slot, body in page.records()
-        ]
+        keep = True
+        states = []
+        for slot, body in page.records():
+            if body.startswith(_LONG_MAGIC):
+                keep = False
+                states.append(assemble(body))
+            else:
+                states.append(decoded(slot, body, decode))
+        return states, keep
 
     def scan_class(self, class_name: str) -> Iterator[ObjectState]:
         """:meth:`scan_pages`, a state at a time."""

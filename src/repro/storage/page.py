@@ -35,13 +35,24 @@ scans (index builds, recovery) hold no states.  Any write
 clears the page's memo (that frees memory; correctness never depends
 on it), and the memo lives and dies with the buffer frame, so the
 pool's capacity bounds it.  Memoized states are shared and read-only.
+
+**State list.**  A scan wants the whole page, so a page also keeps the
+list of its live records' states (:meth:`SlottedPage.states`) under the
+same rules: kept on the second scan of an unchanged page, dropped by
+every insert, update and delete and with the buffer frame.  The list is
+handed out as a tuple, so no caller can change what the next one gets.
+Its validity is a stamp, not identity: every write bumps a counter
+*after* changing the slots, and a list is returned only while the
+counter still reads what it read before the list was built.  The
+storage manager never keeps the list of a page holding a long-object
+stub, whose state lives in chunks on other pages.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import PageCorruptError, PageFullError, StorageError
 
@@ -54,7 +65,7 @@ TOMBSTONE = 0xFFFF
 class SlottedPage:
     """A parsed, mutable slotted page."""
 
-    __slots__ = ("page_size", "_slots", "_memo")
+    __slots__ = ("page_size", "_slots", "_memo", "_writes", "_states")
 
     def __init__(self, page_size: int) -> None:
         self.page_size = page_size
@@ -64,6 +75,10 @@ class SlottedPage:
         self._slots: List[Optional[bytes]] = []
         #: slot -> (body, decoded state or None): the decoded-state memo.
         self._memo: Dict[int, Tuple[bytes, Any]] = {}
+        #: Slot changes so far: what the page's state list is stamped with.
+        self._writes = 0
+        #: (writes, state tuple or None): the page's state list.
+        self._states: Optional[Tuple[int, Optional[Tuple[Any, ...]]]] = None
 
     # -- geometry -----------------------------------------------------------
 
@@ -100,13 +115,13 @@ class SlottedPage:
             if body is None:
                 if self.free_space < len(record):
                     raise PageFullError("page full")
-                self._memo.clear()
                 self._slots[slot] = bytes(record)
+                self._wrote()
                 return slot
         if not self.fits(record):
             raise PageFullError("page full")
-        self._memo.clear()
         self._slots.append(bytes(record))
+        self._wrote()
         return len(self._slots) - 1
 
     def read(self, slot: int) -> bytes:
@@ -128,20 +143,51 @@ class SlottedPage:
             self._memo[slot] = (body, state)
         return state
 
+    def states(
+        self, build: Callable[["SlottedPage"], Tuple[List[Any], bool]]
+    ) -> Sequence[Any]:
+        """Every live record's state, in slot order.
+
+        ``build(self)`` makes the list and says whether it may be kept;
+        a kept list is a shared tuple, admitted on the second call on an
+        unchanged page (module docstring).
+        """
+        writes = self._writes
+        kept = self._states
+        if kept is None or kept[0] != writes:
+            self._states = (writes, None)
+            return build(self)[0]
+        if kept[1] is not None:
+            return kept[1]
+        states, keep = build(self)
+        if not keep:
+            return states
+        frozen = tuple(states)
+        self._states = (writes, frozen)
+        return frozen
+
     def update(self, slot: int, record: bytes) -> None:
         old = self._body(slot)
         if old is None:
             raise StorageError("slot %d is deleted" % slot)
         if self.free_space + len(old) < len(record):
             raise PageFullError("updated record does not fit")
-        self._memo.clear()
         self._slots[slot] = bytes(record)
+        self._wrote()
 
     def delete(self, slot: int) -> None:
         if self._body(slot) is None:
             raise StorageError("slot %d is already deleted" % slot)
-        self._memo.clear()
         self._slots[slot] = None
+        self._wrote()
+
+    def _wrote(self) -> None:
+        """After a slot change: drop both memos (that frees memory) and
+        move the stamp, so a state list a racing reader built from the
+        old slots is never handed back."""
+        self._memo.clear()
+        self._states = None
+        self._writes += 1
 
     def records(self) -> Iterator[Tuple[int, bytes]]:
         """Yield (slot, body) for every live record."""

@@ -7,7 +7,8 @@ friendly and efficient design aids ... is significantly stronger than
 that for relational databases."  The IRIS and O2 projects built
 graphical browsers; kimdb's equivalent is textual: hierarchy trees,
 per-class descriptions with inheritance provenance, aggregation-graph
-rendering and a catalog report.
+rendering and a catalog report.  The per-class description is the DL's
+``DESCRIBE`` text, so it lives below the tools, in :mod:`repro.lang`.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from ..core.primitives import BUILTIN_CLASSES, is_primitive_class
+from ..lang import describe_class
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..database import Database
+
+__all__ = ["aggregation_graph", "catalog_report", "class_tree", "describe_class"]
 
 
 def class_tree(db: "Database", root: str = "Object", show_builtin: bool = False) -> str:
@@ -46,52 +50,6 @@ def class_tree(db: "Database", root: str = "Object", show_builtin: bool = False)
             render(child, depth + 1)
 
     render(root, 0)
-    return "\n".join(lines)
-
-
-def describe_class(db: "Database", class_name: str) -> str:
-    """Full description: superclasses, MRO, attributes with provenance,
-    methods, direct extent size and covering indexes."""
-    cls = db.schema.get_class(class_name)
-    lines = ["class %s" % class_name]
-    if cls.doc:
-        lines.append("  doc: %s" % cls.doc)
-    lines.append("  superclasses: %s" % (", ".join(cls.superclasses) or "(root)"))
-    lines.append("  mro: %s" % " -> ".join(db.schema.mro(class_name)))
-    if cls.abstract:
-        lines.append("  abstract")
-    lines.append("  attributes:")
-    for name, attr in sorted(db.schema.attributes(class_name).items()):
-        flags = []
-        if attr.multi:
-            flags.append("multi")
-        if attr.required:
-            flags.append("required")
-        if attr.composite:
-            flags.append(
-                "composite(%s%s)"
-                % ("exclusive" if attr.exclusive else "shared",
-                   ", dependent" if attr.dependent else "")
-            )
-        origin = "" if attr.defined_in == class_name else "  [from %s]" % attr.defined_in
-        lines.append(
-            "    %-16s %-14s %s%s"
-            % (name, attr.domain, " ".join(flags), origin)
-        )
-    methods = db.schema.methods(class_name)
-    if methods:
-        lines.append("  methods:")
-        for name, meth in sorted(methods.items()):
-            origin = "" if meth.defined_in == class_name else "  [from %s]" % meth.defined_in
-            lines.append("    %s()%s" % (name, origin))
-    lines.append("  direct extent: %d objects" % db.storage.count_class(class_name))
-    covering = [
-        index.name
-        for index in db.indexes.all_indexes()
-        if class_name in index.maintained_classes()
-    ]
-    if covering:
-        lines.append("  indexes: %s" % ", ".join(covering))
     return "\n".join(lines)
 
 

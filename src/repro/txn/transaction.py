@@ -48,6 +48,10 @@ class Transaction:
         #: the database at the transaction's first snapshot read and
         #: closed by the manager when the transaction finishes.
         self.snapshot = None
+        #: The :class:`~repro.versions.store.SnapshotView` over
+        #: ``snapshot``, built beside it: every read of the transaction
+        #: shares it (and its deref memo); dropped at finish.
+        self.view = None
 
     # -- state ------------------------------------------------------------
 
@@ -234,6 +238,7 @@ class TransactionManager:
         self._m_aborts.inc()
 
     def _finish(self, txn: Transaction) -> None:
+        txn.view = None
         if txn.snapshot is not None:
             if self.version_store is not None:
                 self.version_store.close_snapshot(txn.snapshot)

@@ -41,11 +41,15 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Set
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set
 
 from ..core.obj import ObjectState
 from ..core.oid import OID
 from ..obs.metrics import MetricsRegistry
+
+
+#: "Not memoised" — None is a memoised image (the object is absent).
+_MISSING = object()
 
 
 class _Entry:
@@ -242,8 +246,7 @@ class VersionStore:
         is gone from storage); the chain walk steps it back past every
         write the snapshot must not see.
         """
-        snapshot.reads += 1
-        self._m_reads.inc()
+        self.count_reads(snapshot, 1)
         chain = self._chains.get(oid)
         if chain is None:
             return current
@@ -259,8 +262,8 @@ class VersionStore:
             return result
 
     def resolve_page(
-        self, snapshot: Snapshot, states: List[ObjectState]
-    ) -> List[Optional[ObjectState]]:
+        self, snapshot: Snapshot, states: Sequence[ObjectState]
+    ) -> Sequence[Optional[ObjectState]]:
         """:meth:`resolve` for a page of current stored states.
 
         The caller reads the states first and only then calls this: a
@@ -281,9 +284,14 @@ class VersionStore:
                     out.append(self.resolve(state.oid, snapshot, state))
                 else:
                     out.append(state)
-        snapshot.reads += plain
-        self._m_reads.inc(plain)
+        self.count_reads(snapshot, plain)
         return out
+
+    def count_reads(self, snapshot: Snapshot, n: int) -> None:
+        """Count ``n`` objects read through ``snapshot`` — resolved here,
+        or served from a view's memo of what this store resolved."""
+        snapshot.reads += n
+        self._m_reads.inc(n)
 
     def changed(self, snapshot: Snapshot) -> Dict[OID, Set[str]]:
         """OIDs ``snapshot`` does not read as stored, with their classes.
@@ -377,7 +385,7 @@ class VersionStore:
 
 
 class SnapshotView:
-    """Snapshot-aware read hooks for one query.
+    """Snapshot-aware read hooks: one per snapshot, living as long as it.
 
     Wraps a :class:`Snapshot` together with the database's storage
     callables (passed in by the owner — this module never reaches into
@@ -392,6 +400,17 @@ class SnapshotView:
     per-query snapshots the query path must close itself
     (transaction-bound snapshots are closed when the transaction
     finishes).
+
+    **Deref memo.**  A snapshot's image of an OID never changes, except
+    through the owning transaction's own writes — so :meth:`deref` keeps
+    OID -> resolved, coerced image (None = absent) and serves a repeat
+    from it, still counting one snapshot read.  Two rules keep it valid:
+    the owner calls :meth:`forget` for every OID its transaction writes,
+    and the memo is stamped with ``epoch()`` (the schema/index epoch the
+    coercion depends on) and emptied when that moves.  Images are
+    shared and read-only, like the stored states they come from.  The
+    memo grows with the distinct OIDs the snapshot dereferenced and dies
+    with the view.
     """
 
     def __init__(
@@ -399,9 +418,10 @@ class SnapshotView:
         store: VersionStore,
         snapshot: Snapshot,
         deref: Callable[[OID], Optional[ObjectState]],
-        scan_pages: Callable[[str], Iterator[List[ObjectState]]],
+        scan_pages: Callable[[str], Iterator[Sequence[ObjectState]]],
         coerce: Callable[[ObjectState], ObjectState],
         declared: Callable[[str], Mapping[str, Any]],
+        epoch: Callable[[], Any],
         ephemeral: bool = False,
     ) -> None:
         self.store = store
@@ -410,19 +430,37 @@ class SnapshotView:
         self._base_scan_pages = scan_pages
         self._coerce = coerce
         self._declared = declared
+        self._epoch = epoch
         self.ephemeral = ephemeral
+        #: The deref memo and the epoch it was filled under.
+        self._images: Dict[OID, Optional[ObjectState]] = {}
+        self._stamp = epoch()
 
     def deref(self, oid: OID) -> Optional[ObjectState]:
+        images = self._images
+        stamp = self._epoch()
+        if stamp != self._stamp:
+            images.clear()
+            self._stamp = stamp
+        state = images.get(oid, _MISSING)
+        if state is not _MISSING:
+            self.store.count_reads(self.snapshot, 1)
+            return state
         state = self.store.resolve(oid, self.snapshot, self._base_deref(oid))
-        if state is None:
-            return None
-        return self._coerce(state)
+        if state is not None:
+            state = self._coerce(state)
+        images[oid] = state
+        return state
+
+    def forget(self, oid: OID) -> None:
+        """Drop ``oid``'s memoised image: the owning transaction wrote it."""
+        self._images.pop(oid, None)
 
     def scan_pages(self, class_name: str) -> Iterator[List[ObjectState]]:
         """The class extent as the snapshot sees it, a storage page of
         visible states per list."""
         store, snapshot, coerce = self.store, self.snapshot, self._coerce
-        scanned: List[List[ObjectState]] = []
+        scanned: List[Sequence[ObjectState]] = []
         for page in self._base_scan_pages(class_name):
             if not page:
                 continue

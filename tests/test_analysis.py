@@ -686,6 +686,31 @@ def f(registry, name, bounds):
         assert lint(source) == []
 
 
+class TestToolsLayeringRule:
+    SOURCE = """
+from ..tools.browser import class_tree
+from .. import tools
+from repro.tools import benchgate
+import repro.tools.monitor
+from ..lang import describe_class
+from .tools import helper
+import repro.toolsmith
+"""
+
+    def test_engine_imports_of_the_tools_flagged(self):
+        violations = lint(self.SOURCE, subpackage="lang")
+        assert [(v.rule, v.line) for v in violations] == [
+            ("tools-layering", line) for line in (2, 3, 4, 5)
+        ]
+        assert "'lang'" in violations[0].message
+
+    def test_root_modules_are_checked_too(self):
+        assert [v.line for v in lint("from .tools import browser\n", subpackage="")] == [1]
+
+    def test_the_tools_may_import_each_other(self):
+        assert lint(self.SOURCE, subpackage="tools") == []
+
+
 class TestLintGate:
     def test_engine_source_is_clean(self):
         assert lint_paths([SRC_REPRO], engine_config()) == []

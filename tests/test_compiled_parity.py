@@ -16,7 +16,10 @@ missing from records stored before ``add_attribute``, list fan-out,
   ``algebra.select`` selects from a plain copy of the world the query
   should see — at rest, inside a transaction with its own uncommitted
   writes, and beside another writer's uncommitted update, delete and
-  reclass.
+  reclass;
+* **through one transaction's view**: the same tree again and again
+  inside one transaction, whose view memoises every deref, across its
+  own writes and another transaction's commit.
 
 ``COMPILED_PARITY_EXAMPLES`` sets the trees per check (CI's weekly job
 runs 500; tier-1 keeps a fixed-seed slice).
@@ -289,9 +292,56 @@ class TestEngineParity:
                 txn.abort()
 
 
+class TestTransactionViewParity:
+    """One transaction reads through one view — and one deref memo —
+    across all its queries: each tree runs at the transaction's first
+    read, after its own writes, after another transaction's commit and
+    after more own writes, then once more outside any transaction."""
+
+    def test_memoised_view_across_own_writes_and_a_concurrent_commit(self):
+        db, rng, parts = build(2027)
+        for where in accepted(db, random.Random(51), parts):
+            txn = db.transaction()
+            try:
+                assert engine(db, where) == expected(world_of(db), where), where
+                mine = _write_some(db, rng, parts)
+                seen = world_of(db)  # the begin snapshot plus the own writes
+                assert engine(db, where) == expected(seen, where), where
+                theirs = _commit_elsewhere(db, rng, parts, mine)
+                assert engine(db, where) == expected(seen, where), where
+                part = rng.choice([oid for oid in parts if db.exists(oid) and oid not in theirs])
+                db.update(part, {"a": rng.choice(VALUES)})
+                seen[part] = db._coerce(db.storage.load(part)).copy()
+                assert engine(db, where) == expected(seen, where), where
+            finally:
+                txn.abort()
+            assert engine(db, where) == expected(world_of(db), where), where
+        db.close()
+
+
+def _commit_elsewhere(db, rng, parts, busy):
+    """Commit, from a transaction other than the caller's, updates to a
+    part, a company and an item none of the caller's writes locked;
+    returns their OIDs."""
+    mine = db.txns.detach()
+    try:
+        free = lambda oids: sorted((oid for oid in oids if oid not in busy), key=lambda o: o.value)
+        part = rng.choice(free(oid for oid in parts if db.exists(oid)))
+        company = rng.choice(free(db.storage.directory.oids_of_class("Company")))
+        item = rng.choice(free(db.storage.directory.oids_of_class("Item")))
+        with db.transaction():
+            db.update(part, {"a": rng.choice(VALUES)})
+            db.update(company, {"location": rng.choice(("Detroit", "Tokyo", "Austin"))})
+            db.update(item, {"a": rng.choice(VALUES), "weight": rng.randrange(1000, 12000)})
+        return {part, company, item}
+    finally:
+        db.txns.attach(mine)
+
+
 def _write_some(db, rng, parts):
     """An update (item and part), a delete, a reclass within the scope and
-    one out of it, and an insert — all in the caller's transaction."""
+    one out of it, and an insert — all in the caller's transaction.
+    Returns the OIDs written."""
     items = sorted(
         (oid for oid in db.storage.directory.oids_of_class("Item")),
         key=lambda oid: oid.value,
@@ -299,7 +349,8 @@ def _write_some(db, rng, parts):
     live_parts = [oid for oid in parts if db.exists(oid)]
     updated, deleted, inward, outward = rng.sample(items, 4)
     db.update(updated, {"a": rng.choice(VALUES), "m": [rng.choice(VALUES[1:])]})
-    db.update(rng.choice(live_parts), {"a": rng.choice(VALUES)})
+    part = rng.choice(live_parts)
+    db.update(part, {"a": rng.choice(VALUES)})
     db.delete(deleted)
     moved = db.get_state(inward)
     moved.class_name = "Special"
@@ -307,4 +358,5 @@ def _write_some(db, rng, parts):
     moved.values.update(part=None, parts=[p for p in moved.values["parts"] if p in live_parts])
     db.put_state(moved)
     db.put_state(type(moved)(outward, "Other", {"a": rng.choice(VALUES)}))
-    db.new("Item", {"a": rng.choice(VALUES), "late": rng.choice(VALUES), "parts": []})
+    new = db.new("Item", {"a": rng.choice(VALUES), "late": rng.choice(VALUES), "parts": []})
+    return {updated, part, deleted, inward, outward, new.oid}

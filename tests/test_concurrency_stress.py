@@ -1,6 +1,7 @@
 """Concurrency stress: invariants under interleaved transactions."""
 
 import random
+import sys
 import threading
 
 import pytest
@@ -137,3 +138,63 @@ class TestTransfers:
         stop.set()
         writer_thread.join(timeout=60)
         assert violations == [], "readers observed torn transfer totals"
+
+    def test_kept_page_lists_stay_exact_under_racing_writers(self, bank):
+        """Scanners keep and reuse the accounts page's state list while
+        writers rewrite records on that page: every snapshot scan sums to
+        the conserved total, and once the writers stop, repeated scans
+        (served from a kept list) read exactly what storage holds."""
+        db, oids = bank
+        query = "SELECT a.balance FROM Account a"
+        stop = threading.Event()
+        errors, totals = [], []
+
+        def balances():
+            result = db.execute(query)
+            return dict(zip(result.oids, (row["balance"] for row in result.rows)))
+
+        def writer(seed):
+            rng = random.Random(seed)
+            done = 0
+            while done < 300:
+                first, second = sorted(rng.sample(oids, 2))
+                try:
+                    with db.transaction():
+                        a, b = db.get_state(first), db.get_state(second)
+                        db.update(first, {"balance": a.values["balance"] - 1})
+                        db.update(second, {"balance": b.values["balance"] + 1})
+                    done += 1
+                except (DeadlockError, LockTimeoutError):
+                    pass
+                except Exception as exc:  # pragma: no cover - report real bugs
+                    errors.append(exc)
+                    return
+
+        def scanner():
+            while not stop.is_set():
+                try:
+                    totals.append(sum(balances().values()))
+                except Exception as exc:  # pragma: no cover - report real bugs
+                    errors.append(exc)
+                    return
+
+        writers = [threading.Thread(target=writer, args=(seed,)) for seed in (1, 2)]
+        scanners = [threading.Thread(target=scanner) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in writers + scanners:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            stop.set()
+            for thread in scanners:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in writers + scanners)
+        assert errors == []
+        assert totals and set(totals) == {N_ACCOUNTS * INITIAL}
+        stored = {oid: db.get_state(oid).values["balance"] for oid in oids}
+        for _ in range(3):
+            assert balances() == stored

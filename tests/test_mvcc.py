@@ -18,6 +18,9 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro import AttributeDef, Database
+from repro.errors import ObjectNotFoundError
+from repro.evolution import SchemaEvolution
+from repro.query.operators.base import BATCH_SIZE
 from repro.query.parser import parse_query
 from repro.query.planner import IndexEqProbe, IndexOrderScan, IndexRangeProbe
 from repro.txn import wal as wal_module
@@ -274,7 +277,7 @@ class TestSnapshotReadRacingAbort:
         store = db.version_store
         return SnapshotView(
             store, store.open_snapshot(None), load, scan_pages,
-            db._coerce, db.schema.attribute_map, ephemeral=True,
+            db._coerce, db.schema.attribute_map, db._epoch, ephemeral=True,
         )
 
     @staticmethod
@@ -556,6 +559,109 @@ class TestHandleSnapshotReads:
             assert db.read_state(handle.oid).values["weight"] == 3333
         finally:
             db.close()
+
+
+def _car_db(n_cars=1):
+    db = Database()
+    db.define_class("Maker", attributes=[AttributeDef("location", "String")])
+    db.define_class(
+        "Car",
+        attributes=[AttributeDef("weight", "Integer"), AttributeDef("maker", "Maker")],
+    )
+    db.define_class(
+        "Truck", superclasses=("Car",), attributes=[AttributeDef("payload", "Integer", default=7)]
+    )
+    maker = db.new("Maker", {"location": "Detroit"}).oid
+    with db.transaction():
+        cars = [db.new("Car", {"weight": i, "maker": maker}).oid for i in range(n_cars)]
+    return db, maker, cars
+
+
+def _put_weight(db, oid, weight):
+    state = db.get_state(oid)
+    state.values["weight"] = weight
+    db.put_state(state)
+
+
+class TestTransactionView:
+    """A transaction reads through one :class:`SnapshotView` whose deref
+    memo lives as long as the transaction; its own writes and DDL must
+    still show, and nobody else's commits may."""
+
+    def test_one_view_per_transaction_and_one_per_ephemeral_read(self):
+        db, _maker, _cars = _car_db()
+        with db.transaction() as txn:
+            view = db._snapshot_view()
+            assert db._snapshot_view() is view is txn.view
+            assert view.snapshot is txn.snapshot and not view.ephemeral
+        assert txn.view is None and txn.snapshot is None
+        first, second = db._snapshot_view(), db._snapshot_view()
+        assert first is not second and first.ephemeral
+        for ephemeral in (first, second):
+            db._read_close(ephemeral)
+        assert db.version_store.live_snapshots() == []
+
+    def test_a_stream_sees_its_own_write_to_a_referenced_object(self):
+        """The company moves between two fetches of a lazily filtered
+        stream: rows filtered after the move see the new location."""
+        db, maker, cars = _car_db(n_cars=4000)
+        db.create_hierarchy_index("Car", "weight")
+        query = (
+            "SELECT c FROM Car c WHERE c.maker.location = 'Detroit' "
+            "ORDER BY c.weight LIMIT %d" % (BATCH_SIZE + 50)
+        )
+        assert isinstance(db.plan(query).access, IndexOrderScan)
+        with db.transaction():
+            stream = db.select_iter(query)
+            first = next(stream)
+            db.update(maker, {"location": "Tokyo"})
+            rest = [handle.oid for handle in stream]
+        # Only the first batch was filtered before the move.
+        assert [first.oid] + rest == cars[:BATCH_SIZE]
+
+    @pytest.mark.parametrize(
+        "write, attr, value",
+        [
+            (lambda db, oid: db.update(oid, {"weight": 2}), "weight", 2),
+            (lambda db, oid: _put_weight(db, oid, 3), "weight", 3),
+            # Only a Truck has a payload: reading it proves the reclass.
+            (lambda db, oid: SchemaEvolution(db).migrate_instance(oid, "Truck"), "payload", 7),
+            (lambda db, oid: db.delete(oid), "weight", None),
+        ],
+        ids=["update", "put_state", "migrate_instance", "delete"],
+    )
+    def test_a_handle_reads_its_own_write(self, write, attr, value):
+        db, _maker, (car,) = _car_db()
+        handle = db.get(car)
+        with db.transaction():
+            assert handle["weight"] == 0
+            assert handle["weight"] == 0  # from the view's memo
+            write(db, car)
+            if value is None:
+                with pytest.raises(ObjectNotFoundError):
+                    handle[attr]
+            else:
+                assert handle[attr] == value
+
+    def test_ddl_inside_the_transaction_shows_in_the_next_read(self):
+        db, maker, (car,) = _car_db()
+        with db.transaction():
+            assert db.read_state(car).values == {"weight": 0, "maker": maker}
+            SchemaEvolution(db).add_attribute("Car", AttributeDef("color", "String", default="grey"))
+            assert db.read_state(car).values["color"] == "grey"
+
+    def test_another_commit_is_invisible_to_the_view_and_visible_after(self):
+        db, _maker, (car,) = _car_db()
+        handle = db.get(car)
+        with db.transaction():
+            assert handle["weight"] == 0
+            _in_thread(lambda: db.update(car, {"weight": 5}))
+            assert handle["weight"] == 0
+            assert db.execute("SELECT c FROM Car c WHERE c.weight = 0").oids == [car]
+        with db.transaction():
+            # A newer snapshot, and with it a fresh memo.
+            assert handle["weight"] == 5
+        assert handle["weight"] == 5
 
 
 # -- snapshot-exact index leaves: a stateful model check ----------------------

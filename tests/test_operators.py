@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Database
-from repro.bench.schemas import build_vehicle_schema, populate_vehicles
+from repro.bench.schemas import FIG1_QUERY, build_vehicle_schema, populate_vehicles
 from repro.errors import QueryError
 from repro.query.ast import Comparison, Const, Path
 from repro.query.operators import FilterOp, LimitOp, PhysicalOperator
@@ -13,6 +13,7 @@ from repro.query.planner import (
     IndexOrderScan,
     IndexRangeProbe,
 )
+from repro.storage.manager import StorageManager
 
 
 class CountingSource(PhysicalOperator):
@@ -137,6 +138,9 @@ class TestCounterPins:
             (24, 24, 1, 24),
         ),
         ("SELECT v FROM Vehicle v WHERE v.weight = 2486", IndexEqProbe, (2, 2, 1, 2)),
+        # Every candidate's manufacturer is read through the snapshot: a
+        # deref memo hit counts one snapshot read, like a resolve.
+        (FIG1_QUERY, IndexRangeProbe, (257, 64, 1, 514)),
     ]
 
     @pytest.fixture(scope="class")
@@ -165,6 +169,24 @@ class TestCounterPins:
         ) == counters[:3]
         assert work(db.execute) == counters
         assert work(lambda q: list(db.select_iter(q))) == counters
+
+
+def test_fig1_loads_each_company_once_per_execution(monkeypatch):
+    """~400 ``manufacturer`` derefs over 20 companies: the query's
+    snapshot view loads each company from storage once and serves the
+    rest from its memo."""
+    db = Database()
+    build_vehicle_schema(db)
+    populate_vehicles(db, n_vehicles=1000, n_companies=20, seed=1990)
+    db.execute(FIG1_QUERY)
+    loads = []
+    real_load = StorageManager.load
+    monkeypatch.setattr(
+        StorageManager, "load", lambda self, oid: loads.append(oid) or real_load(self, oid)
+    )
+    result = db.execute(FIG1_QUERY)
+    assert isinstance(result.plan.access, ExtentScan) and result.oids
+    assert len(loads) == len(set(loads)) <= 20
 
 
 class TestTopKParity:

@@ -393,6 +393,74 @@ class TestDecodedStateMemo:
         assert storage.buffer.get_page(rid.page_id)._memo == {}
 
 
+class TestPageStateList:
+    """A scan gets each page's states as one sequence, kept by the page
+    as a shared tuple from the second scan of it on and rebuilt after any
+    write to it (page.py)."""
+
+    @staticmethod
+    def _scan(storage):
+        return list(storage.scan_pages("A"))
+
+    @staticmethod
+    def _values(storage):
+        return {state.oid.value: state.values["x"] for state in storage.scan_class("A")}
+
+    def test_third_scan_hands_back_the_kept_tuples(self):
+        storage = TestDecodedStateMemo._storage(page_size=512)
+        first, second = self._scan(storage), self._scan(storage)
+        assert len(first) > 2 and not any(isinstance(page, tuple) for page in first)
+        assert all(isinstance(page, tuple) for page in second)
+        hits = storage.metrics.value("buffer.hits")
+        third = self._scan(storage)
+        assert all(kept is again for kept, again in zip(second, third))
+        assert storage.metrics.value("buffer.hits") - hits == len(third)
+        assert storage.metrics.value("storage.decodes") == 80  # the first two scans
+
+    @pytest.mark.parametrize("write", ["insert", "update", "delete"])
+    def test_a_write_rebuilds_its_page_list(self, write):
+        storage = TestDecodedStateMemo._storage(page_size=512)
+        expected = self._values(storage)
+        for _ in range(2):
+            assert self._values(storage) == expected  # kept from here on
+        last = max(expected)  # on the tail page, where an insert lands
+        if write == "insert":
+            storage.store_new(ObjectState(OID(99), "A", {"x": 99, "tags": []}))
+            expected[99] = 99
+        elif write == "update":
+            storage.overwrite(ObjectState(OID(last), "A", {"x": -1, "tags": ["t"]}))
+            expected[last] = -1
+        else:
+            storage.remove(OID(last))
+            del expected[last]
+        for _ in range(3):
+            assert self._values(storage) == expected
+
+    def test_a_list_built_across_a_write_is_never_handed_back(self):
+        storage = TestDecodedStateMemo._storage(n=3)
+        self._scan(storage)  # the first scan marks the page
+        page = storage.buffer.get_page(storage.directory.lookup(OID(2)).rid.page_id)
+
+        def racing(page):
+            built = storage._build_page_states(page)
+            # A writer lands after the reader read the slots.
+            storage.overwrite(ObjectState(OID(2), "A", {"x": 20, "tags": []}))
+            return built
+
+        assert [state.values["x"] for state in page.states(racing)] == [1, 2, 3]
+        for _ in range(3):
+            assert self._values(storage) == {1: 1, 2: 20, 3: 3}
+
+    def test_a_page_holding_a_stub_keeps_no_list(self):
+        storage = StorageManager(page_size=512)
+        storage.store_new(ObjectState(OID(1), "A", {"blob": b"x" * 2000}))
+        storage.store_new(ObjectState(OID(2), "A", {"blob": b"y"}))
+        for _ in range(3):
+            (page,) = self._scan(storage)
+            assert not isinstance(page, tuple)
+            assert [state.values["blob"] for state in page] == [b"x" * 2000, b"y"]
+
+
 def _doc_db():
     db = Database()
     db.define_class(
