@@ -110,6 +110,17 @@ class QueryStream:
         """
         return self._next_row().copy()
 
+    def next_shared_state(self) -> ObjectState:
+        """Next visible row as the stream's own state, not a copy.
+
+        The state is shared and read-only (DESIGN "Stored states are
+        shared and read-only"): the caller may read it but must not
+        mutate it or hand it on to code that might.  For readers that
+        only serialise a row — the server's fetch encodes it straight
+        into a frame — and so have no use for :meth:`next_state`'s copy.
+        """
+        return self._next_row()
+
     def _next_row(self) -> ObjectState:
         if not self._closed:
             for state in self._rows:

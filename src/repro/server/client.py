@@ -22,14 +22,7 @@ import uuid
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..core.oid import OID
-from .protocol import (
-    ServerError,
-    from_wire,
-    raise_on_error,
-    recv_frame,
-    send_frame,
-    to_wire,
-)
+from .protocol import ServerError, raise_on_error, recv_frame, send_frame
 
 
 class Client:
@@ -84,7 +77,7 @@ class Client:
                 "response id %r does not match request id %d"
                 % (payload.get("id"), request_id)
             )
-        return from_wire(raise_on_error(payload))
+        return raise_on_error(payload)
 
     def close(self) -> None:
         """Close the connection (the server rolls back any open txn)."""
@@ -190,17 +183,17 @@ class Client:
     # -- objects -------------------------------------------------------------
 
     def new(self, class_name: str, values: Optional[Dict[str, Any]] = None) -> OID:
-        reply = self.call("new", **{"class": class_name, "values": to_wire(values or {})})
+        reply = self.call("new", **{"class": class_name, "values": values or {}})
         return reply["oid"]
 
     def get(self, oid: OID) -> Dict[str, Any]:
-        return self.call("get", oid=to_wire(oid))
+        return self.call("get", oid=oid)
 
     def update(self, oid: OID, changes: Dict[str, Any]) -> OID:
-        return self.call("update", oid=to_wire(oid), changes=to_wire(changes))["oid"]
+        return self.call("update", oid=oid, changes=changes)["oid"]
 
     def delete(self, oid: OID) -> OID:
-        return self.call("delete", oid=to_wire(oid))["oid"]
+        return self.call("delete", oid=oid)["oid"]
 
     def stats(self) -> Dict[str, Any]:
         return self.call("stats")

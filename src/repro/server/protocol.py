@@ -22,8 +22,24 @@ This one is deliberately small:
   Error *codes* are the stable contract (clients dispatch on them);
   messages are human-readable and may change.
 * **Values** — JSON primitives pass through; an OID crosses the wire as
-  ``{"$oid": value, "$class": hint}`` (see :func:`to_wire` /
-  :func:`from_wire`), so object references survive the round trip.
+  ``{"$oid": value, "$class": hint}``, so object references survive the
+  round trip; a set or frozenset goes out as a list.
+
+The codec is one pass inside the standard library's C JSON codec:
+:func:`encode_frame` runs one module-level encoder whose ``default`` hook
+turns OIDs into markers and sets into lists and refuses everything else,
+and :func:`decode_payload` runs one decoder whose ``object_hook`` revives
+a marker whose ``"$oid"`` is a non-negative integer.  A malformed marker
+(``{"$oid": -1}``, ``{"$oid": "x"}``) stays a plain dict, so the op's
+own parameter check answers it with a typed error.  Dict keys follow
+JSON's rule: a str key goes out as is, an int or float key as its JSON
+number text, a ``None``/``True``/``False`` key as ``"null"``/``"true"``/
+``"false"`` (no engine value has one); any other key type is a
+:class:`ProtocolError`.
+:func:`to_wire` / :func:`from_wire` are the same mapping as explicit
+Python walks, kept as the reference the one-pass codec is tested
+against: ``encode_frame(x)`` is byte for byte the frame of
+``json.dumps(to_wire(x))``.
 
 Engine exceptions map onto stable error codes via :func:`error_code`;
 the client re-raises them as :class:`ServerError` carrying the code.
@@ -115,13 +131,43 @@ def error_code(exc: BaseException) -> str:
 # -- value encoding ----------------------------------------------------------
 
 
+def _wire_default(value: Any) -> Any:
+    """The encoder's hook for values JSON has no form for.
+
+    OIDs become ``{"$oid": ..., "$class": ...}`` markers and sets become
+    lists; anything else is a :class:`ProtocolError` (the server must
+    never silently ``repr`` an internal object onto the wire).
+    """
+    if isinstance(value, OID):
+        return {"$oid": value.value, "$class": value.hint}
+    if isinstance(value, (set, frozenset)):
+        return list(value)
+    raise ProtocolError(
+        "value of type %s is not wire-encodable" % type(value).__name__
+    )
+
+
+def _revive(obj: Dict[str, Any]) -> Any:
+    """The decoder's hook: a well-formed OID marker becomes an OID."""
+    if "$oid" in obj:
+        value = obj["$oid"]
+        if type(value) is int and value >= 0:
+            return OID(value, str(obj.get("$class") or ""))
+    return obj
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_wire_default)
+_DECODER = json.JSONDecoder(object_hook=_revive)
+
+
 def to_wire(value: Any) -> Any:
-    """Recursively encode a result value for JSON transport.
+    """Reference encoder: the wire form of a value as a Python walk.
 
     OIDs become ``{"$oid": ..., "$class": ...}`` markers; containers
     recurse; JSON primitives pass through; anything else is a
-    :class:`ProtocolError` (the server must never silently ``repr`` an
-    internal object onto the wire).
+    :class:`ProtocolError`.  :func:`encode_frame` computes the same
+    mapping inside the C encoder; this walk is the oracle it is tested
+    against.
     """
     if isinstance(value, OID):
         return {"$oid": value.value, "$class": value.hint}
@@ -137,7 +183,8 @@ def to_wire(value: Any) -> Any:
 
 
 def from_wire(value: Any) -> Any:
-    """Inverse of :func:`to_wire`: revive OID markers, recurse containers."""
+    """Reference decoder, the inverse of :func:`to_wire`: revive OID
+    markers, recurse containers (the oracle for :func:`decode_payload`)."""
     if isinstance(value, dict):
         if "$oid" in value:
             return OID(int(value["$oid"]), str(value.get("$class") or ""))
@@ -151,8 +198,17 @@ def from_wire(value: Any) -> Any:
 
 
 def encode_frame(payload: Dict[str, Any]) -> bytes:
-    """One wire frame (length prefix + JSON body) for a message dict."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    """One wire frame (length prefix + JSON body) for a message dict.
+
+    Anything the frame cannot carry — a value with no wire form, a dict
+    key that is not a str/int/float, a reference cycle, a body over
+    :data:`MAX_FRAME_BYTES` — is a :class:`ProtocolError`.
+    """
+    try:
+        text = _ENCODER.encode(payload)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise ProtocolError("payload is not wire-encodable: %s" % exc) from exc
+    body = text.encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             "frame of %d bytes exceeds the %d-byte limit"
@@ -162,10 +218,11 @@ def encode_frame(payload: Dict[str, Any]) -> bytes:
 
 
 def decode_payload(body: bytes) -> Dict[str, Any]:
-    """Parse one frame body; malformed JSON is a :class:`ProtocolError`."""
+    """Parse one frame body, OID markers revived; malformed JSON is a
+    :class:`ProtocolError`."""
     try:
-        payload = json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+        payload = _DECODER.decode(body.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError("undecodable frame: %s" % exc) from exc
     if not isinstance(payload, dict):
         raise ProtocolError("frame payload must be a JSON object")

@@ -8,8 +8,11 @@ clients share it over TCP.  The split of responsibilities:
   into the engine, so a slow query can't stall other clients' reads.
 * the **thread pool** runs engine work.  A request is decoded on the
   loop, handed to :meth:`Session.handle` on a pool thread (which
-  re-attaches the session's parked transaction there), and the response
-  frame is written back from the loop.
+  re-attaches the session's parked transaction there), its response is
+  encoded into a frame on that same pool thread — inside the request's
+  error boundary, so a response that cannot be framed becomes a typed
+  ``PROTOCOL`` frame for that request — and the frame is written back
+  from the loop.
 * the **idle reaper** (an asyncio task) closes connections whose
   sessions have been idle past ``idle_timeout``; the connection
   handler's ``finally`` then releases the session, so eviction and
@@ -25,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..database import Database
 from . import protocol
@@ -213,10 +216,9 @@ class Server:
                     await self._drain(writer)
                     break
                 m_in.inc(4 + length)
-                response = await self._loop.run_in_executor(
-                    self._pool, session.handle, payload
+                frame = await self._loop.run_in_executor(
+                    self._pool, self._serve, session, payload
                 )
-                frame = protocol.encode_frame(response)
                 writer.write(frame)
                 if not await self._drain(writer):
                     break
@@ -228,6 +230,23 @@ class Server:
             # open transaction rolled back, cursors closed, locks freed.
             await self._release(session)
             writer.close()
+
+    def _serve(self, session: Session, payload: Dict[str, Any]) -> bytes:
+        """Pool thread: run one request and encode its response frame.
+
+        A response the wire cannot carry (a value with no wire form, a
+        frame over the size cap) is answered with a typed ``PROTOCOL``
+        frame for the same request id; the connection, the session and
+        its open transaction all stay up.
+        """
+        response = session.handle(payload)
+        try:
+            return protocol.encode_frame(response)
+        except ProtocolError as exc:
+            self.db.metrics.counter("server.errors").inc()
+            return protocol.encode_frame(
+                protocol.error_response(response.get("id"), exc)
+            )
 
     @staticmethod
     async def _drain(writer: asyncio.StreamWriter) -> bool:

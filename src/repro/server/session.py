@@ -31,13 +31,10 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 from ..core.oid import OID
 from ..database import Database, QueryStream
 from ..errors import DeadlockError
-from .protocol import (
-    SessionError,
-    error_response,
-    from_wire,
-    ok_response,
-    to_wire,
-)
+from .protocol import SessionError, error_response, ok_response
+
+# Unused here: the ledger tracer patches these two bindings by name (ROADMAP 2(a)).
+from .protocol import from_wire, to_wire  # noqa: F401
 
 #: Session states as reported by the SysSession view.
 IDLE = "idle"
@@ -76,6 +73,11 @@ class Session:
         self.busy = False
         self.requests = 0
         self.rows_streamed = 0
+        metrics = db.metrics
+        self._m_requests = metrics.counter("server.requests")
+        self._m_errors = metrics.counter("server.errors")
+        self._m_rows_streamed = metrics.counter("server.rows_streamed")
+        self._m_cursors = metrics.gauge("server.cursors")
         self._created_clock = time.perf_counter()
         self._last_active_clock = self._created_clock
 
@@ -121,8 +123,8 @@ class Session:
                         "session %d is released" % self.session_id
                     )
                 self.requests += 1
-                self.db.metrics.counter("server.requests").inc()
-                handler = self._op_table().get(op)
+                self._m_requests.inc()
+                handler = self._OPS.get(op)
                 if handler is None:
                     raise SessionError("unknown op %r" % op)
                 if not isinstance(params, dict):
@@ -132,18 +134,18 @@ class Session:
                 # events and slow-op entries recorded on this thread all
                 # carry the id the client stamped into the frame.
                 with self.db.tracer.trace(trace_id):
-                    with self.db.tracer.span("server.request", target=str(op)):
-                        result = handler(params)
+                    with self.db.tracer.span("server.request", target=op):
+                        result = handler(self, params)
             return ok_response(request_id, result)
         except DeadlockError as exc:
             # The engine chose this transaction as the deadlock victim;
             # its locks must go away *now*, not when the client decides
             # to send a rollback.
             self._abort_parked_txn()
-            self.db.metrics.counter("server.errors").inc()
+            self._m_errors.inc()
             return error_response(request_id, exc)
         except Exception as exc:
-            self.db.metrics.counter("server.errors").inc()
+            self._m_errors.inc()
             return error_response(request_id, exc)
         finally:
             self._last_active_clock = time.perf_counter()
@@ -164,23 +166,6 @@ class Session:
         if not isinstance(trace, str) or not trace or len(trace) > 64:
             return None
         return trace
-
-    def _op_table(self) -> Dict[str, Callable[[Dict[str, Any]], Any]]:
-        return {
-            "ping": self._op_ping,
-            "begin": self._op_begin,
-            "commit": self._op_commit,
-            "rollback": self._op_rollback,
-            "query": self._op_query,
-            "query_stream": self._op_query_stream,
-            "fetch": self._op_fetch,
-            "close_cursor": self._op_close_cursor,
-            "new": self._op_new,
-            "get": self._op_get,
-            "update": self._op_update,
-            "delete": self._op_delete,
-            "stats": self._op_stats,
-        }
 
     def _bound(self):
         """Context running the block under this session's transaction.
@@ -248,19 +233,25 @@ class Session:
 
     # -- query ops ---------------------------------------------------------
 
+    # Results leave the ops as engine values — OIDs, states' own values
+    # dicts — and are serialised once, by the frame encoder, after the
+    # op returns.  Nothing mutable leaves the process, so a shared,
+    # read-only stored state needs no copy on its way out (DESIGN
+    # "Stored states are shared and read-only").
+
     def _op_query(self, params: Dict[str, Any]) -> Dict[str, Any]:
         q = self._str_param(params, "q")
         want_values = bool(params.get("values"))
         with self._bound():
             result = self.db.execute(q)
             if result.system or result.rows is not None:
-                rows: List[Any] = [to_wire(row) for row in result.rows or []]
+                rows: List[Any] = result.rows or []
             elif want_values:
                 # The states the snapshot query saw — not a re-read of
                 # current storage, which could contradict the predicate.
                 rows = [self._row(state) for state in result.states]
             else:
-                rows = [to_wire(oid) for oid in result.oids]
+                rows = result.oids
         return {"rows": rows, "count": len(rows)}
 
     def _op_query_stream(self, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -270,7 +261,7 @@ class Session:
         cursor_id = self._next_cursor
         self._next_cursor += 1
         self._cursors[cursor_id] = stream
-        self.db.metrics.gauge("server.cursors").set(len(self._cursors))
+        self._m_cursors.set(len(self._cursors))
         return {"cursor": cursor_id}
 
     def _op_fetch(self, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -290,7 +281,7 @@ class Session:
                     # current storage: under snapshot reads the cursor
                     # must keep serving its begin snapshot even while
                     # writers commit between fetch batches.
-                    state = stream.next_state()
+                    state = stream.next_shared_state()
                 except StopIteration:
                     done = True
                     break
@@ -298,9 +289,9 @@ class Session:
         if done:
             stream.close()
             self._cursors.pop(cursor_id, None)
-            self.db.metrics.gauge("server.cursors").set(len(self._cursors))
+            self._m_cursors.set(len(self._cursors))
         self.rows_streamed += len(rows)
-        self.db.metrics.counter("server.rows_streamed").inc(len(rows))
+        self._m_rows_streamed.inc(len(rows))
         return {"rows": rows, "done": done}
 
     def _op_close_cursor(self, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -309,7 +300,7 @@ class Session:
         if stream is None:
             raise SessionError("unknown cursor %r" % cursor_id)
         stream.close()
-        self.db.metrics.gauge("server.cursors").set(len(self._cursors))
+        self._m_cursors.set(len(self._cursors))
         return {"closed": cursor_id}
 
     # -- object ops ----------------------------------------------------------
@@ -320,8 +311,8 @@ class Session:
         if not isinstance(values, dict):
             raise SessionError("values must be an object")
         with self._bound():
-            handle = self.db.new(class_name, from_wire(values))
-        return {"oid": to_wire(handle.oid)}
+            handle = self.db.new(class_name, values)
+        return {"oid": handle.oid}
 
     def _op_get(self, params: Dict[str, Any]) -> Dict[str, Any]:
         oid = self._oid_param(params)
@@ -334,23 +325,21 @@ class Session:
         if not isinstance(changes, dict):
             raise SessionError("changes must be an object")
         with self._bound():
-            self.db.update(oid, from_wire(changes))
-        return {"oid": to_wire(oid)}
+            self.db.update(oid, changes)
+        return {"oid": oid}
 
     def _op_delete(self, params: Dict[str, Any]) -> Dict[str, Any]:
         oid = self._oid_param(params)
         with self._bound():
             self.db.delete(oid)
-        return {"oid": to_wire(oid)}
+        return {"oid": oid}
 
     def _op_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        return to_wire(
-            {
-                "objects": len(self.db.storage.directory),
-                "metrics": self.db.metrics.snapshot(),
-                "querystats": self.db.query_stats.rows(),
-            }
-        )
+        return {
+            "objects": len(self.db.storage.directory),
+            "metrics": self.db.metrics.snapshot(),
+            "querystats": self.db.query_stats.rows(),
+        }
 
     # -- param / row helpers -------------------------------------------------
 
@@ -361,18 +350,14 @@ class Session:
         return value
 
     def _oid_param(self, params: Dict[str, Any]) -> OID:
-        oid = from_wire(params.get("oid"))
+        oid = params.get("oid")
         if not isinstance(oid, OID):
             raise SessionError("op requires an 'oid' reference")
         return oid
 
     @staticmethod
     def _row(state) -> Dict[str, Any]:
-        return {
-            "oid": to_wire(state.oid),
-            "class": state.class_name,
-            "values": to_wire(dict(state.values)),
-        }
+        return {"oid": state.oid, "class": state.class_name, "values": state.values}
 
     # -- teardown ------------------------------------------------------------
 
@@ -380,7 +365,7 @@ class Session:
         cursors, self._cursors = self._cursors, {}
         for stream in cursors.values():
             stream.close()
-        self.db.metrics.gauge("server.cursors").set(0)
+        self._m_cursors.set(0)
 
     def release(self) -> None:
         """Tear the session down: cursors closed, transaction rolled
@@ -400,6 +385,23 @@ class Session:
             self.state,
             self.client,
         )
+
+    #: Wire op name -> handler, built once for the class.
+    _OPS: Dict[str, Callable[["Session", Dict[str, Any]], Any]] = {
+        "ping": _op_ping,
+        "begin": _op_begin,
+        "commit": _op_commit,
+        "rollback": _op_rollback,
+        "query": _op_query,
+        "query_stream": _op_query_stream,
+        "fetch": _op_fetch,
+        "close_cursor": _op_close_cursor,
+        "new": _op_new,
+        "get": _op_get,
+        "update": _op_update,
+        "delete": _op_delete,
+        "stats": _op_stats,
+    }
 
 
 class _NullContext:

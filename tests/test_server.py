@@ -7,6 +7,7 @@ a hang, rollback-and-release on disconnect), cursor streaming, the
 idle-session reaper, the SysSession view, and the connection pool.
 """
 
+import copy
 import threading
 import time
 
@@ -87,16 +88,29 @@ class TestProtocol:
             protocol.decode_payload(b"not json at all {")
         with pytest.raises(ProtocolError):
             protocol.decode_payload(b"[1, 2, 3]")  # not an object
+        with pytest.raises(ProtocolError):
+            protocol.decode_payload(b"[" * 100000)  # nested past the recursion limit
 
     def test_oid_survives_wire_round_trip(self):
         oid = OID(42, "Vehicle")
-        revived = protocol.from_wire(protocol.to_wire({"ref": oid, "n": [1, oid]}))
+        frame = protocol.encode_frame({"ref": oid, "n": [1, oid], "s": {oid}})
+        revived = protocol.decode_payload(frame[4:])
         assert revived["n"][1] == oid
         assert revived["ref"].hint == "Vehicle"
+        assert revived["s"] == [oid]
 
     def test_unencodable_value_rejected(self):
-        with pytest.raises(ProtocolError):
-            protocol.to_wire(object())
+        cycle = []
+        cycle.append(cycle)
+        for bad in (object(), b"bytes", {(1, 2): "tuple key"}, {OID(1): "oid key"}, cycle):
+            with pytest.raises(ProtocolError):
+                protocol.encode_frame({"id": 1, "result": bad})
+
+    def test_malformed_oid_marker_stays_a_dict(self):
+        body = b'{"a":{"$oid":-1},"b":{"$oid":"7"},"c":{"$oid":true},"d":{"$oid":1.0}}'
+        payload = protocol.decode_payload(body)
+        assert not any(isinstance(value, OID) for value in payload.values())
+        assert payload["a"] == {"$oid": -1}
 
     def test_error_codes_most_specific_first(self):
         assert protocol.error_code(DeadlockError("x")) == "DEADLOCK"
@@ -368,6 +382,105 @@ class TestStreaming:
         ]
         assert len(seen) == 1
         client.rollback()
+
+
+class TestPerRequestWireErrors:
+    """A response the wire cannot carry is a typed error for that request
+    alone: the connection, the session and its transaction stay up."""
+
+    def test_oversized_response_keeps_connection_and_transaction(
+        self, served, monkeypatch
+    ):
+        db, server = served
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1024)
+        with Client(*server.address) as c:
+            c.begin()
+            (oid,) = c.query("Vehicle where weight = 1000")
+            c.update(oid, {"color": "green"})
+            with pytest.raises(ServerError) as err:
+                c.query("Vehicle", values=True)  # 24 rows: well over 1 KiB
+            assert err.value.code == "PROTOCOL"
+            assert c.ping()
+            c.commit()
+        assert db.get_state(oid).values["color"] == "green"
+
+    def test_bytes_attribute_is_typed_error_on_every_read_path(self, served):
+        db, server = served
+        db.define_class("Blob", attributes=[AttributeDef("data", "Bytes")])
+        oid = db.new("Blob", {"data": b"\x00\x01"}).oid
+        reads = {
+            "get": lambda c: c.get(oid),
+            "fetch": lambda c: list(c.query_stream("Blob")),
+            "values": lambda c: c.query("Blob", values=True),
+        }
+        with Client(*server.address) as c:
+            for name, read in reads.items():
+                with pytest.raises(ServerError) as err:
+                    read(c)
+                assert err.value.code == "PROTOCOL", name
+                assert c.ping()
+            assert c.query("Blob") == [oid]
+
+    @pytest.mark.parametrize("marker", [{"$oid": -1}, {"$oid": "x"}])
+    def test_malformed_oid_marker_is_typed_error(self, served, marker):
+        db, server = served
+        with Client(*server.address) as c:
+            with pytest.raises(ServerError):
+                c.call("get", oid=marker)
+            (oid,) = c.query("Vehicle where weight = 1000")
+            with pytest.raises(ServerError):
+                c.update(oid, {"color": marker})
+            assert c.ping()
+        assert db.get_state(oid).values["color"] == "red"
+
+
+class TestWireLeavesSharedStatesAlone:
+    """Serialising a row reads the engine's shared, read-only states; it
+    must never write into them."""
+
+    def _docs(self, db):
+        """Thirty Docs with list values; returns {oid: values as written}."""
+        db.define_class(
+            "Doc",
+            attributes=[
+                AttributeDef("title", "String"),
+                AttributeDef("tags", "String", multi=True),
+                AttributeDef("grid"),
+            ],
+        )
+        written = {}
+        for i in range(30):
+            values = {"title": "t%d" % i, "tags": ["a", "b"], "grid": [["g"], [i]]}
+            written[db.new("Doc", copy.deepcopy(values)).oid] = values
+        return written
+
+    def test_fetch_drain_leaves_kept_page_states_unchanged(self, served):
+        db, server = served
+        written = self._docs(db)
+        with Client(*server.address) as c:
+            for _ in range(2):  # the second scan makes each page keep its states
+                list(c.query_stream("Doc", batch=7))
+            pages = list(db.storage.scan_pages("Doc"))
+            assert pages and all(isinstance(page, tuple) for page in pages)
+            kept = [state for page in pages for state in page]
+            assert {state.oid: state.values for state in kept} == written
+            before = copy.deepcopy(kept)
+            rows = list(c.query_stream("Doc", batch=7))
+        assert {row["oid"]: row["values"] for row in rows} == written
+        assert all(a is b for a, b in zip(db.storage.scan_pages("Doc"), pages))
+        assert kept == before
+
+    def test_get_result_is_the_clients_own(self, served):
+        db, server = served
+        oid, values = next(iter(self._docs(db).items()))
+        with Client(*server.address) as c:
+            row = c.get(oid)
+            assert row["values"] == values
+            row["values"]["title"] = "edited"
+            row["values"]["tags"].append("x")
+            row["values"]["grid"][0].append("x")
+            assert c.get(oid)["values"] == values
+        assert db.get_state(oid).values == values
 
 
 class TestSysSession:

@@ -1,0 +1,116 @@
+"""The one-pass wire codec equals the reference codec byte for byte.
+
+:func:`repro.server.protocol.encode_frame` / :func:`decode_payload` map
+OIDs and sets inside the C JSON codec through hooks;
+:func:`~repro.server.protocol.to_wire` / :func:`from_wire` are the same
+mapping as explicit Python walks and serve as the oracle.  For random
+nested values — None, bools, ints, floats (NaN and infinities included),
+strings, lists, tuples, sets, dicts with str and int keys, OIDs anywhere
+— the frame must equal the frame of ``json.dumps(to_wire(x))`` and the
+decoded payload must equal ``from_wire(json.loads(...))``; a value with
+an unencodable leaf must be a ``ProtocolError`` on both sides.
+
+``WIRE_CODEC_EXAMPLES`` sets the examples per property (CI's weekly job
+runs 500).
+"""
+
+import json
+import math
+import os
+import struct
+from decimal import Decimal
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pytest
+
+from repro.core.oid import OID
+from repro.server import ProtocolError
+from repro.server.protocol import decode_payload, encode_frame, from_wire, to_wire
+
+WIRE_CODEC_EXAMPLES = int(os.environ.get("WIRE_CODEC_EXAMPLES", "60"))
+
+_OIDS = st.builds(OID, st.integers(0, 2 ** 40), st.text(max_size=6))
+_HASHABLE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.floats(),
+    st.text(max_size=8),
+    _OIDS,
+)
+#: Dict keys: str (never the marker key itself) and int.
+_KEYS = st.one_of(st.text(max_size=6).filter(lambda key: key != "$oid"), st.integers(-999, 999))
+
+
+def _dicts(values):
+    # Keys 1 and "1" both render as "1": the reference walk keeps one of
+    # them, JSON keeps both (and a decoder keeps the last).
+    return st.dictionaries(_KEYS, values, max_size=4).filter(
+        lambda d: len({str(key) for key in d}) == len(d)
+    )
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.sets(_HASHABLE, max_size=3),
+        st.frozensets(_HASHABLE, max_size=3),
+        _dicts(children),
+    )
+
+
+_VALUES = st.recursive(_HASHABLE, _containers, max_leaves=16)
+
+#: Leaves with no wire form.
+_BAD = st.sampled_from([b"bytes", 1j, Decimal("1.5"), object(), range(2)])
+
+
+def _with_bad_leaf(children):
+    return st.one_of(
+        st.tuples(_VALUES, children).map(list),
+        st.tuples(_KEYS, children, _dicts(_VALUES)).map(lambda t: {**t[2], t[0]: t[1]}),
+    )
+
+
+_BAD_VALUES = st.recursive(_BAD, _with_bad_leaf, max_leaves=6)
+
+
+def _reference_frame(payload):
+    body = json.dumps(to_wire(payload), separators=(",", ":")).encode("utf-8")
+    return struct.pack(">I", len(body)) + body
+
+
+def _shape(value):
+    """A comparable image of a decoded value: types kept, NaN == NaN."""
+    if isinstance(value, OID):
+        return ("oid", value.value, value.hint)
+    if isinstance(value, dict):
+        return ("dict", [(key, _shape(item)) for key, item in value.items()])
+    if isinstance(value, list):
+        return ("list", [_shape(item) for item in value])
+    if isinstance(value, float) and math.isnan(value):
+        return ("nan",)
+    return (type(value).__name__, value)
+
+
+class TestWireCodecMatchesReference:
+    @given(value=_VALUES)
+    @settings(max_examples=WIRE_CODEC_EXAMPLES, deadline=None)
+    def test_frames_and_decoded_payloads_match(self, value):
+        payload = {"id": 1, "ok": True, "result": value}
+        frame = encode_frame(payload)
+        assert frame == _reference_frame(payload)
+        body = frame[4:]
+        assert _shape(decode_payload(body)) == _shape(from_wire(json.loads(body)))
+
+    @given(value=_BAD_VALUES)
+    @settings(max_examples=WIRE_CODEC_EXAMPLES, deadline=None)
+    def test_unencodable_values_are_protocol_errors_on_both_sides(self, value):
+        payload = {"id": 1, "ok": True, "result": value}
+        with pytest.raises(ProtocolError):
+            to_wire(payload)
+        with pytest.raises(ProtocolError):
+            encode_frame(payload)
