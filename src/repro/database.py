@@ -597,12 +597,18 @@ class Database:
         (DESIGN "Decoded-state memo"), as is every state or list value
         that leaves the engine.
         """
+        return self._read_stored(oid).copy()
+
+    def _read_stored(self, oid: OID) -> ObjectState:
+        """:meth:`get_state` without the copy: authorized, S-locked under
+        the active txn, coerced — and shared and read-only.  The
+        workspace reads through this and copies while it swizzles."""
         class_name = self.storage.class_of(oid)
         self._check_authz("read", class_name, oid)
         current = self.txns.current
         if current is not None:
             self._lock(current, oid, class_name, write=False)
-        return self._coerce(self.storage.load(oid)).copy()
+        return self._coerce(self.storage.load(oid))
 
     def read_state(self, oid: OID) -> ObjectState:
         """Transaction-consistent state: the handle-read path.

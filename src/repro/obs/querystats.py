@@ -32,12 +32,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 
 #: How the wait-kind taxonomy rolls up into per-query wait columns.
+#: ``PageRead``/``PageWrite`` are absent: they are nested inside the
+#: ``Buffer*`` episodes already counted (``waits.NESTED_KINDS``).
 WAIT_GROUPS = {
     "Lock": "lock_wait",
     "BufferRead": "io_wait",
     "BufferWrite": "io_wait",
-    "PageRead": "io_wait",
-    "PageWrite": "io_wait",
     "WALFlush": "wal_wait",
     "WALSync": "wal_wait",
 }

@@ -46,6 +46,13 @@ WAIT_KINDS = (
     "WALSync",     # txn/wal.py — commit-time fsync
 )
 
+#: Kinds recorded *inside* an episode of another kind: the buffer pool's
+#: ``BufferRead``/``BufferWrite`` time spans the pager call that records
+#: ``PageRead``/``PageWrite``.  Every roll-up (``total_wait_seconds``,
+#: the totals of ``txn_waits``, the per-query wait groups) counts only
+#: the outer episode; ``rows()`` and ``by_kind`` still show both.
+NESTED_KINDS = frozenset(("PageRead", "PageWrite"))
+
 
 def _metric_name(kind: str) -> str:
     """``BufferRead`` -> ``buffer_read`` for registry metric names."""
@@ -141,7 +148,9 @@ class WaitProfiler:
         #: txn_id -> kind -> [count, total_seconds]  (insertion-ordered
         #: for eviction).
         self._by_txn: Dict[int, Dict[str, List[float]]] = {}
-        self._recent: "deque[WaitEvent]" = deque(maxlen=recent_capacity)
+        #: The recent ring: (kind, target, seconds, txn_id, blocker, trace)
+        #: tuples, WaitEvent's constructor arguments.
+        self._recent: "deque[Tuple[Any, ...]]" = deque(maxlen=recent_capacity)
         self._instruments: Dict[str, Tuple[Any, Any]] = {}
         #: Per-thread stack of active capture dicts (kind -> seconds);
         #: waits are recorded on the blocking thread, so thread-local
@@ -170,17 +179,18 @@ class WaitProfiler:
         blocker: Optional[int] = None,
     ) -> None:
         """Report one blocking episode of ``seconds`` (perf_counter delta)."""
-        if kind not in WAIT_KINDS:
+        instruments = self._instruments.get(kind)
+        if instruments is None and kind not in WAIT_KINDS:
             raise ValueError(
                 "unknown wait kind %r (known: %s)" % (kind, ", ".join(WAIT_KINDS))
             )
         if not self.enabled:
             return
+        if instruments is None:
+            instruments = self._kind_instruments(kind)
         if txn_id is None:
             txn_id = self.current_txn()
         trace = self.current_trace()
-        event = WaitEvent(kind, target, seconds, txn_id, blocker, trace)
-        counter, histogram = self._kind_instruments(kind)
         captures = getattr(self._local, "captures", None)
         if captures:
             for capture in captures:
@@ -211,7 +221,8 @@ class WaitProfiler:
                 totals = per_txn.setdefault(kind, [0, 0.0])
                 totals[0] += 1
                 totals[1] += seconds
-            self._recent.append(event)
+            self._recent.append((kind, target, seconds, txn_id, blocker, trace))
+        counter, histogram = instruments
         counter.inc()
         histogram.observe(seconds)
 
@@ -269,17 +280,21 @@ class WaitProfiler:
         """Most recent raw events, newest last."""
         with self._waits_mutex:
             events = list(self._recent)
-        return events if limit is None else events[-limit:]
+        if limit is not None:
+            events = events[-limit:]
+        return [WaitEvent(*event) for event in events]
 
     def txn_waits(self, txn_id: int) -> Dict[str, Any]:
-        """One transaction's accumulated waits: total and per-kind."""
+        """One transaction's accumulated waits: the total (outer episodes
+        only, see :data:`NESTED_KINDS`) and every kind on its own."""
         with self._waits_mutex:
             per_txn = {
                 kind: list(totals)
                 for kind, totals in self._by_txn.get(txn_id, {}).items()
             }
-        count = sum(int(t[0]) for t in per_txn.values())
-        seconds = sum(t[1] for t in per_txn.values())
+        outer = [t for kind, t in per_txn.items() if kind not in NESTED_KINDS]
+        count = sum(int(t[0]) for t in outer)
+        seconds = sum(t[1] for t in outer)
         return {
             "count": count,
             "seconds": seconds,
@@ -290,8 +305,13 @@ class WaitProfiler:
         }
 
     def total_wait_seconds(self) -> float:
+        """Seconds blocked, outer episodes only (:data:`NESTED_KINDS`)."""
         with self._waits_mutex:
-            return sum(values[1] for values in self._aggregate.values())
+            return sum(
+                values[1]
+                for (kind, _target), values in self._aggregate.items()
+                if kind not in NESTED_KINDS
+            )
 
     def reset(self) -> None:
         with self._waits_mutex:

@@ -251,16 +251,19 @@ class SlottedPage:
     ) -> "SlottedPage":
         if verify:
             cls.verify_bytes(data, page_id)
+        if type(data) is not bytes:
+            data = bytes(data)  # bodies are sliced out: they must be immutable
         page = cls(len(data))
         _crc, slot_count, _free_end = _HEADER.unpack_from(data, 0)
-        pos = _HEADER.size
-        for _ in range(slot_count):
-            offset, length = _SLOT.unpack_from(data, pos)
-            pos += _SLOT.size
-            if offset == TOMBSTONE:
-                page._slots.append(None)
-            else:
-                page._slots.append(bytes(data[offset : offset + length]))
+        directory_end = _HEADER.size + _SLOT.size * slot_count
+        if directory_end > len(data):
+            raise StorageError("slot directory runs past the page end")
+        # Eager, in one pass: a lazily parsed slot could be materialized
+        # by a lock-free snapshot reader over a racing writer's new body.
+        page._slots = [
+            None if offset == TOMBSTONE else data[offset : offset + length]
+            for offset, length in _SLOT.iter_unpack(data[_HEADER.size : directory_end])
+        ]
         return page
 
     @classmethod

@@ -18,6 +18,9 @@ Tagged values: ``N`` none, ``T``/``F`` bool, ``I`` signed int
 (u8 length + big-endian two's complement), ``D`` float (8-byte IEEE),
 ``S`` string, ``B`` bytes, ``O`` OID (u64), ``L`` list (u32 count +
 elements).
+
+A record is exactly its bytes: the decoder rejects one that is cut
+short or carries bytes after its last value.
 """
 
 from __future__ import annotations
@@ -33,6 +36,11 @@ _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _F64 = struct.Struct(">d")
+#: A record's head: its OID and the length of its class name.
+_HEAD = struct.Struct(">QH")
+#: One ``O``-tagged element of a list: the tag byte, skipped, then a u64.
+_OID_RUN = struct.Struct(">xQ")
+_TAG_I, _TAG_L, _TAG_O, _TAG_S = b"ILOS"
 
 
 def _encode_str(out: bytearray, text: str) -> None:
@@ -47,18 +55,6 @@ def _encode_str(out: bytearray, text: str) -> None:
 #: uses for it, so the decoded-state memo (page.py) holds each schema
 #: name once rather than once per record.
 _NAMES: Dict[bytes, str] = {}
-
-
-def _decode_str(data: bytes, pos: int) -> Tuple[str, int]:
-    """A class or attribute name, from the shared name table."""
-    (length,) = _U16.unpack_from(data, pos)
-    pos += _U16.size
-    end = pos + length
-    raw = data[pos:end]
-    name = _NAMES.get(raw)
-    if name is None:
-        name = _NAMES.setdefault(raw, raw.decode("utf-8"))
-    return name, end
 
 
 def _encode_value(out: bytearray, value: Any) -> None:
@@ -101,7 +97,16 @@ def _encode_value(out: bytearray, value: Any) -> None:
         )
 
 
+def _past_end(data: bytes, pos: int) -> StorageError:
+    return StorageError(
+        "corrupt object record: a value at offset %d runs past its %d bytes"
+        % (pos, len(data))
+    )
+
+
 def _decode_value(data: bytes, pos: int) -> Tuple[Any, int]:
+    """One tagged value at ``pos``: the general (recursive) decoder the
+    flat loop in :func:`decode_object` falls back to for rare tags."""
     tag = data[pos : pos + 1]
     pos += 1
     if tag == b"N":
@@ -114,20 +119,21 @@ def _decode_value(data: bytes, pos: int) -> Tuple[Any, int]:
         (raw,) = _U64.unpack_from(data, pos)
         return OID(raw), pos + _U64.size
     if tag == b"I":
-        length = data[pos]
-        pos += 1
-        return int.from_bytes(data[pos : pos + length], "big", signed=True), pos + length
+        end = pos + 1 + data[pos]
+        if end > len(data):
+            raise _past_end(data, pos - 1)
+        return int.from_bytes(data[pos + 1 : end], "big", signed=True), end
     if tag == b"D":
         (raw_f,) = _F64.unpack_from(data, pos)
         return raw_f, pos + _F64.size
-    if tag == b"S":
+    if tag == b"S" or tag == b"B":
         (length,) = _U32.unpack_from(data, pos)
-        pos += _U32.size
-        return data[pos : pos + length].decode("utf-8"), pos + length
-    if tag == b"B":
-        (length,) = _U32.unpack_from(data, pos)
-        pos += _U32.size
-        return bytes(data[pos : pos + length]), pos + length
+        start = pos + _U32.size
+        end = start + length
+        if end > len(data):
+            raise _past_end(data, pos - 1)
+        raw = data[start:end]
+        return (raw.decode("utf-8") if tag == b"S" else bytes(raw)), end
     if tag == b"L":
         (count,) = _U32.unpack_from(data, pos)
         pos += _U32.size
@@ -155,18 +161,73 @@ def encode_object(state: ObjectState) -> bytes:
 
 
 def decode_object(data: bytes) -> ObjectState:
-    """Deserialize bytes produced by :func:`encode_object`."""
+    """Deserialize bytes produced by :func:`encode_object`.
+
+    One flat loop: attribute names come from the shared name table and
+    the common tags — ``O``, ``I``, ``S`` and ``L`` lists of OIDs — decode
+    inline; only the rest go through :func:`_decode_value`.  ``data``
+    must be exactly one record: a value that runs past its end, or bytes
+    left over after the last value, raise :class:`StorageError`.
+    """
+    names = _NAMES
+    unpack_u16, unpack_u32, unpack_u64 = _U16.unpack_from, _U32.unpack_from, _U64.unpack_from
+    size = len(data)
     try:
-        (oid_raw,) = _U64.unpack_from(data, 0)
-        pos = _U64.size
-        class_name, pos = _decode_str(data, pos)
-        (count,) = _U16.unpack_from(data, pos)
-        pos += _U16.size
+        oid_raw, length = _HEAD.unpack_from(data, 0)
+        pos = _HEAD.size + length
+        raw = data[_HEAD.size : pos]
+        class_name = names.get(raw)
+        if class_name is None:
+            class_name = names.setdefault(raw, raw.decode("utf-8"))
+        (count,) = unpack_u16(data, pos)
+        pos += 2
         values = {}
         for _ in range(count):
-            name, pos = _decode_str(data, pos)
-            value, pos = _decode_value(data, pos)
+            (length,) = unpack_u16(data, pos)
+            start = pos + 2
+            pos = start + length
+            raw = data[start:pos]
+            name = names.get(raw)
+            if name is None:
+                name = names.setdefault(raw, raw.decode("utf-8"))
+            # A name cut short by the end of ``data`` leaves ``pos`` past
+            # it, so reading the tag raises.
+            tag = data[pos]
+            if tag == _TAG_O:
+                (raw_oid,) = unpack_u64(data, pos + 1)
+                value = OID(raw_oid)
+                pos += 9
+            elif tag == _TAG_I:
+                start = pos + 2
+                pos = start + data[pos + 1]
+                if pos > size:
+                    raise _past_end(data, start - 2)
+                value = int.from_bytes(data[start:pos], "big", signed=True)
+            elif tag == _TAG_S:
+                (length,) = unpack_u32(data, pos + 1)
+                start = pos + 5
+                pos = start + length
+                if pos > size:
+                    raise _past_end(data, start - 5)
+                value = data[start:pos].decode("utf-8")
+            else:
+                value = None
+                if tag == _TAG_L:
+                    (length,) = unpack_u32(data, pos + 1)
+                    start = pos + 5
+                    end = start + 9 * length
+                    # Every element an OID: each 9th byte is an ``O`` tag.
+                    if end <= size and data[start:end:9] == b"O" * length:
+                        value = [OID(oid) for (oid,) in _OID_RUN.iter_unpack(data[start:end])]
+                        pos = end
+                if value is None:
+                    value, pos = _decode_value(data, pos)
             values[name] = value
     except (struct.error, IndexError, UnicodeDecodeError) as exc:
         raise StorageError("corrupt object record: %s" % exc) from exc
+    if pos != size:
+        raise StorageError(
+            "corrupt object record: %d bytes left over after the last value"
+            % (size - pos)
+        )
     return ObjectState(OID(oid_raw, class_name), class_name, values)

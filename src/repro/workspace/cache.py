@@ -19,8 +19,9 @@ Swizzling policies (the E5 ablation):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set
 
+from ..core.obj import copy_value
 from ..core.oid import OID
 from ..errors import KimDBError
 from ..obs.metrics import Counter, MetricsRegistry
@@ -113,26 +114,32 @@ class ObjectWorkspace:
         return memory_object
 
     def _admit(self, oid: OID) -> MemoryObject:
+        """Fault ``oid`` in: read its shared stored state (authorized and
+        S-locked like ``get_state``) and copy it once, swizzling as it
+        goes — the memory object's dict and lists are its own."""
         self._m_faults.inc()
-        state = self.db.get_state(oid)
+        state = self.db._read_stored(oid)
         self._m_loads.inc()
-        # get_state hands over a copy: its values dict is ours to keep.
-        memory_object = MemoryObject(state.oid, state.class_name, state.values, self)
+        values: Dict[str, Any] = {}
+        memory_object = MemoryObject(state.oid, state.class_name, values, self)
+        # Resident before its values are built: a self-reference
+        # swizzles to the object itself.
         self._resident[oid] = memory_object
-        if self.policy != "none":
-            self._swizzle(memory_object)
-        return memory_object
-
-    def _swizzle(self, memory_object: MemoryObject) -> None:
-        """Convert embedded OIDs to pointers/descriptors."""
-        for name, value in list(memory_object.values.items()):
+        if self.policy == "none":
+            for name, value in state.values.items():
+                values[name] = copy_value(value)
+            return memory_object
+        pointer_for = self._pointer_for
+        for name, value in state.values.items():
             if isinstance(value, OID):
-                memory_object.values[name] = self._pointer_for(value)
+                value = pointer_for(value)
             elif isinstance(value, list):
-                memory_object.values[name] = [
-                    self._pointer_for(element) if isinstance(element, OID) else element
+                value = [
+                    pointer_for(element) if isinstance(element, OID) else copy_value(element)
                     for element in value
                 ]
+            values[name] = value
+        return memory_object
 
     def _pointer_for(self, oid: OID):
         resident = self._resident.get(oid)

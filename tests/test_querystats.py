@@ -90,10 +90,14 @@ class TestQueryStatsUnit:
         qs = QueryStats(_fixed_epoch)
         qs.record(
             "fp", "V", None, 0.1, 1, 1, 0, False,
-            waits={"Lock": 0.05, "PageRead": 0.01, "WALFlush": 0.02, "Mystery": 9.0},
+            waits={
+                "Lock": 0.05, "BufferRead": 0.01, "PageRead": 0.004,
+                "WALFlush": 0.02, "Mystery": 9.0,
+            },
         )
         row = qs.get("fp").row()
         assert row["lock_wait"] == pytest.approx(0.05)
+        # PageRead ran inside the BufferRead: only the outer episode counts.
         assert row["io_wait"] == pytest.approx(0.01)
         assert row["wal_wait"] == pytest.approx(0.02)
 
@@ -273,6 +277,34 @@ class TestSysQueryStat:
         rows = db.select("SysQueryStat")
         assert len(rows) == 1
         assert rows[0]["calls"] == 2
+        db.close()
+
+    def test_io_wait_counts_each_buffer_miss_once(self, tmp_path):
+        """A FilePager read is timed inside the pool's BufferRead; the
+        roll-ups add only the outer episode."""
+        db = Database(str(tmp_path / "io.kim"), buffer_capacity=2)
+        db.define_class("Item", attributes=[AttributeDef("text", "String")])
+        with db.transaction():
+            for i in range(200):
+                db.new("Item", {"text": "item %d " % i + "x" * 80})
+        db.checkpoint()
+        db.storage.drop_cache()
+        db.waits.reset()
+        with db.transaction() as txn:
+            db.execute("SELECT i FROM Item i WHERE i.text = 'nope'")
+            per_txn = db.waits.txn_waits(txn.txn_id)
+            total = db.waits.total_wait_seconds()
+            seconds = {}
+            for row in db.waits.rows():
+                seconds[row["kind"]] = seconds.get(row["kind"], 0.0) + row["total_wait"]
+        assert seconds.get("PageRead", 0.0) > 0.0  # nested reads did happen
+        buffer = seconds.get("BufferRead", 0.0) + seconds.get("BufferWrite", 0.0)
+        assert set(seconds) <= {"BufferRead", "BufferWrite", "PageRead", "PageWrite"}
+        (row,) = db.select("SysQueryStat")
+        assert row["io_wait"] == pytest.approx(buffer, rel=1e-9)
+        assert total == pytest.approx(buffer, rel=1e-9)
+        assert per_txn["seconds"] == pytest.approx(buffer, rel=1e-9)
+        assert per_txn["by_kind"]["PageRead"]["seconds"] > 0.0
         db.close()
 
     def test_system_queries_are_never_recorded(self):

@@ -3,14 +3,16 @@
 import pytest
 
 from repro import AttributeDef, Database
+from repro.authz import attach
 from repro.core.obj import ObjectState
 from repro.core.oid import OID
-from repro.errors import ObjectNotFoundError, StorageError
+from repro.errors import AuthorizationError, ObjectNotFoundError, StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import RID, HeapFile
 from repro.storage.manager import StorageManager
 from repro.storage.pager import FilePager, MemoryPager, open_pager
 from repro.storage.serializer import decode_object, encode_object
+from repro.workspace.cache import ObjectWorkspace
 
 
 class TestPagers:
@@ -537,3 +539,45 @@ class TestSharedStatesAreReadOnly:
         row["grid"][0].append("x")
         row["grid"].append("x")
         _assert_stored(db, oid)
+
+    # The workspace reads the shared stored state and copies it while
+    # swizzling; these pin that copy and the checks the read keeps.
+
+    @pytest.mark.parametrize("policy", ["lazy", "eager", "none"])
+    def test_workspace_edits(self, policy):
+        db, oid = _doc_db()
+        memoized = db.storage.load(oid)
+        assert db.storage.load(oid) is memoized  # the page memo's own state
+        memory_object = ObjectWorkspace(db, policy=policy).load(oid)
+        memory_object["tags"].append("x")
+        memory_object["grid"][0].append("x")
+        memory_object["grid"].append(["y"])
+        memory_object.set("title", "edited")
+        memory_object.values["extra"] = 1
+        assert db.storage.load(oid) is memoized
+        assert memoized.values == _STORED
+        _assert_stored(db, oid)
+
+    @pytest.mark.parametrize("policy", ["lazy", "eager", "none"])
+    def test_workspace_load_is_authorized(self, policy):
+        db, oid = _doc_db()
+        manager = attach(db)
+        manager.add_role("clerk")
+        manager.set_subject("clerk")
+        assert manager.reader()(oid, "Doc") is False
+        workspace = ObjectWorkspace(db, policy=policy)
+        with pytest.raises(AuthorizationError):
+            workspace.load(oid)
+        assert oid not in workspace
+
+    @pytest.mark.parametrize("policy", ["lazy", "eager", "none"])
+    def test_workspace_load_takes_its_s_lock(self, policy):
+        db, oid = _doc_db()
+        with db.transaction() as txn:
+            ObjectWorkspace(db, policy=policy).load(oid)
+            held = {
+                (row["resource"], row["mode"])
+                for row in db.select("SysLock")
+                if row["txn"] == txn.txn_id
+            }
+        assert ("object:%s" % (oid,), "S") in held

@@ -13,7 +13,7 @@ import pytest
 
 from repro import AttributeDef, Database
 from repro.errors import QueryError, SemanticError
-from repro.obs import MetricsRegistry, WaitProfiler, render_prometheus
+from repro.obs import MetricsRegistry, WaitEvent, WaitProfiler, render_prometheus
 
 
 def _vehicle_db():
@@ -99,6 +99,45 @@ class TestWaitProfiler:
         waits = WaitProfiler()
         with pytest.raises(ValueError):
             waits.record("Nap", 1.0)
+
+    def test_unknown_kind_rejected_while_disabled(self):
+        waits = WaitProfiler()
+        waits.record("Lock", 0.1)  # the kind's instruments now exist
+        waits.enabled = False
+        with pytest.raises(ValueError):
+            waits.record("Nap", 1.0)
+        waits.record("Lock", 0.1)
+        assert waits.rows()[0]["count"] == 1
+
+    def test_recent_builds_wait_events_on_read(self):
+        waits = WaitProfiler(recent_capacity=2)
+        waits.current_trace = lambda: "t-1"
+        waits.record("Lock", 0.1, target="class:A", txn_id=4, blocker=2)
+        waits.record("BufferRead", 0.2, target="page:1", txn_id=5)
+        waits.record("PageRead", 0.05, target="page:1", txn_id=5)
+        events = waits.recent()
+        assert all(isinstance(event, WaitEvent) for event in events)
+        assert [event.to_dict() for event in events] == [
+            {"kind": "BufferRead", "target": "page:1", "seconds": 0.2,
+             "txn": 5, "blocker": None, "trace": "t-1"},
+            {"kind": "PageRead", "target": "page:1", "seconds": 0.05,
+             "txn": 5, "blocker": None, "trace": "t-1"},
+        ]
+        assert [event.kind for event in waits.recent(1)] == ["PageRead"]
+
+    def test_nested_page_episodes_stay_out_of_the_totals(self):
+        waits = WaitProfiler()
+        waits.record("BufferRead", 0.2, target="page:1", txn_id=5)
+        waits.record("PageRead", 0.05, target="page:1", txn_id=5)
+        waits.record("BufferWrite", 0.3, target="page:2", txn_id=5)
+        waits.record("PageWrite", 0.25, target="page:2", txn_id=5)
+        assert waits.total_wait_seconds() == pytest.approx(0.5)
+        per_txn = waits.txn_waits(5)
+        assert (per_txn["count"], per_txn["seconds"]) == (2, pytest.approx(0.5))
+        assert per_txn["by_kind"]["PageWrite"] == {"count": 1, "seconds": 0.25}
+        assert {row["kind"] for row in waits.rows()} == {
+            "BufferRead", "PageRead", "BufferWrite", "PageWrite",
+        }
 
 
 class TestSystemViewQueries:
