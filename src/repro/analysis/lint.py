@@ -43,14 +43,6 @@ hard gate over ``src/repro``:
     (``histogram.time()``, ``tracer.span()``, ``WaitProfiler.record``).
     A genuine wall-clock *timestamp* (export ``generated_at``,
     transaction start time) carries the pragma.
-``async-blocking-call``
-    Inside ``repro.server`` coroutine bodies, no blocking engine call:
-    ``*.db.<method>()`` (every ``Database`` entry point may take locks
-    and do page I/O), ``open()``, ``.acquire()``, and synchronous
-    ``with <lock>:`` all stall the event loop and every connected
-    client with it.  Blocking work must be dispatched through the
-    session thread pool (``loop.run_in_executor``); the counter-only
-    fast path ``*.db.metrics.*`` is exempt.
 ``single-write-path``
     ``storage.store_new`` / ``storage.overwrite`` / ``storage.remove``
     may be called only from ``database.py`` (``Database._write``, the
@@ -93,7 +85,6 @@ ALL_RULES = (
     "bare-except",
     "operator-materialization",
     "wall-clock-duration",
-    "async-blocking-call",
     "single-write-path",
     "literal-metric-name",
     "tools-layering",
@@ -174,12 +165,16 @@ class LintConfig:
 #: never be held while re-entering id allocation.
 ENGINE_LOCK_LATTICE: Dict[str, int] = {
     # The server layer (its own privacy domain, like every top-level
-    # subpackage) sits entirely below the engine: a session's mutex is
-    # held across whole engine calls, so every engine latch must rank
-    # strictly above it.  The pool mutex is a client-side leaf that
-    # never nests with engine state at all.
+    # subpackage) sits entirely below the engine.  A connection holds
+    # one of the server's engine slots (a semaphore) across a whole
+    # request, and a session's mutex across whole engine calls inside
+    # it, so every engine latch must rank strictly above both.  The
+    # connection-table mutex and the client pool mutex are leaves that
+    # never nest with engine state at all.
+    "_engine_slots": 1,
     "_session_mutex": 2,
     "_sessions_mutex": 4,
+    "_conns_mutex": 5,
     "_pool_mutex": 6,
     # The plan cache's mutex is a planner-side leaf: nothing else is
     # ever acquired while holding it, and it nests inside no engine
@@ -264,8 +259,6 @@ class Linter:
             self._check_operator_materialization(tree, path, violations)
         if "wall-clock-duration" in run:
             self._check_wall_clock(tree, path, violations)
-        if "async-blocking-call" in run and subpackage == "server":
-            self._check_async_blocking(tree, path, violations)
         if "single-write-path" in run and not path.replace(os.sep, "/").endswith(
             _WRITE_PATH_FILES
         ):
@@ -618,81 +611,6 @@ class Linter:
                         % (subpackage or "repro"),
                     )
                 )
-
-    # -- event-loop discipline -------------------------------------------
-
-    def _check_async_blocking(self, tree, path, out) -> None:
-        """Flag blocking engine calls inside server coroutine bodies.
-
-        The network front end runs one asyncio event loop; every
-        ``Database`` entry point may take locks, wait on other
-        transactions and do page I/O, so calling one from a coroutine
-        stalls *all* connected clients.  The server's contract is that
-        blocking work goes through the session thread pool
-        (``loop.run_in_executor``); passing a callable there is fine —
-        this rule only flags direct *calls* made on the loop itself.
-        """
-        for node in ast.walk(tree):
-            if isinstance(node, ast.AsyncFunctionDef):
-                for stmt in node.body:
-                    self._scan_coroutine(stmt, path, out)
-
-    def _scan_coroutine(self, node, path, out) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            # Nested defs don't run here; a nested coroutine gets its
-            # own top-level walk, and a nested sync def is the body the
-            # executor runs off-loop.
-            return
-        if isinstance(node, ast.With):
-            for item in node.items:
-                name = _lock_name(item.context_expr, set(self.config.lock_lattice))
-                if name is not None:
-                    out.append(
-                        Violation(
-                            "async-blocking-call",
-                            path,
-                            item.context_expr.lineno,
-                            item.context_expr.col_offset,
-                            "synchronously acquires lock %r in a coroutine; "
-                            "a contended lock stalls the event loop — "
-                            "dispatch via run_in_executor" % name,
-                        )
-                    )
-        elif isinstance(node, ast.Call):
-            blocking = self._blocking_call_description(node)
-            if blocking is not None:
-                out.append(
-                    Violation(
-                        "async-blocking-call",
-                        path,
-                        node.lineno,
-                        node.col_offset,
-                        "%s in a coroutine blocks the event loop; dispatch "
-                        "through the session thread pool "
-                        "(loop.run_in_executor)" % blocking,
-                    )
-                )
-        for child in ast.iter_child_nodes(node):
-            self._scan_coroutine(child, path, out)
-
-    @staticmethod
-    def _blocking_call_description(node: ast.Call) -> Optional[str]:
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "open":
-            return "open() does blocking file I/O"
-        if not isinstance(func, ast.Attribute):
-            return None
-        if func.attr == "acquire":
-            return ".acquire() blocks on lock acquisition"
-        # ``<anything>.db.<method>(...)`` — a Database entry point.  The
-        # metrics registry hangs off db too, but counter bumps never
-        # block, so ``*.db.metrics.*`` chains (value.attr != 'db') pass.
-        value = func.value
-        if isinstance(value, ast.Attribute) and value.attr == "db":
-            return "engine call .db.%s()" % func.attr
-        if isinstance(value, ast.Name) and value.id == "db":
-            return "engine call db.%s()" % func.attr
-        return None
 
     # -- cross-package privacy -------------------------------------------
 

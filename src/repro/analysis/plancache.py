@@ -73,7 +73,7 @@ class PlanCacheEntry:
 class PlanCache:
     """LRU cache of planned queries, keyed on normalized-AST fingerprints.
 
-    Thread-safe: the server path plans queries from pool threads while
+    Thread-safe: the server plans queries from connection threads while
     ANALYZE may purge from another.  The internal mutex is leaf-level —
     no engine lock is ever acquired while holding it, which is why
     ``epoch`` (called under it) must be a lock-free read.

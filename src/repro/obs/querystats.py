@@ -106,7 +106,7 @@ class QueryStatEntry:
 class QueryStats:
     """The per-fingerprint accumulator, one per database.
 
-    Thread-safe: server pool threads record concurrently while the
+    Thread-safe: server connection threads record concurrently while the
     monitor scans.  ``_querystats_mutex`` is a leaf in the engine lock
     lattice — nothing else is ever acquired while holding it, and it is
     taken only after the query's pipeline has closed; ``epoch`` (called

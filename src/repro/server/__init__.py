@@ -8,10 +8,10 @@ makes the repository sharable in the ordinary client/server sense:
 * :mod:`~repro.server.protocol` — the wire format: length-prefixed JSON
   frames, OID markers, stable error codes;
 * :mod:`~repro.server.session` — per-connection sessions owning at most
-  one open transaction each, parked between requests and re-attached on
-  whichever pool thread serves the next one;
-* :mod:`~repro.server.server` — the asyncio accept loop + thread pool,
-  with an idle reaper and rollback-on-disconnect;
+  one open transaction each, bound to the connection's own thread;
+* :mod:`~repro.server.server` — an accept thread plus one thread per
+  connection, with idle eviction by read timeout and
+  rollback-on-disconnect;
 * :mod:`~repro.server.client` — a blocking :class:`Client` and a
   health-checked :class:`ConnectionPool`.
 

@@ -1,22 +1,23 @@
-"""The network front end: asyncio framing, thread-pool execution.
+"""The network front end: one thread per connection.
 
 One process owns the :class:`~repro.database.Database`; any number of
 clients share it over TCP.  The split of responsibilities:
 
-* the **asyncio loop** (one daemon thread) does nothing but frame I/O —
-  read a length prefix, read a body, write a response.  It never calls
-  into the engine, so a slow query can't stall other clients' reads.
-* the **thread pool** runs engine work.  A request is decoded on the
-  loop, handed to :meth:`Session.handle` on a pool thread (which
-  re-attaches the session's parked transaction there), its response is
-  encoded into a frame on that same pool thread — inside the request's
-  error boundary, so a response that cannot be framed becomes a typed
-  ``PROTOCOL`` frame for that request — and the frame is written back
-  from the loop.
-* the **idle reaper** (an asyncio task) closes connections whose
-  sessions have been idle past ``idle_timeout``; the connection
-  handler's ``finally`` then releases the session, so eviction and
-  client crash share one cleanup path.
+* the **accept thread** takes connections off the listening socket and
+  starts one thread for each.
+* a **connection thread** loops over four steps: read a frame, run
+  :meth:`Session.handle`, encode the response into a frame — inside the
+  request's error boundary, so a response that cannot be framed becomes
+  a typed ``PROTOCOL`` frame for that request — and ``sendall`` it.  A
+  session's transaction is begun on this thread and stays bound to it
+  until commit, rollback or release, so the engine's thread-local
+  autocommit logic applies unchanged.  At most ``workers`` requests
+  execute in the engine at once; frame reads and writes do not count.
+* **idle eviction** is the connection's read timeout: a client silent
+  for ``idle_timeout`` seconds is hung up on, and the thread's
+  ``finally`` releases its session, so eviction and client crash share
+  one cleanup path.  A request that is merely slow (waiting on a lock)
+  is not reading, so it is never evicted.
 
 The server registers its session registry as ``db.sessions``, which
 makes the ``SysSession`` system view live — connected sessions are
@@ -25,14 +26,14 @@ queryable over the very protocol they arrive on.
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from typing import Any, Dict, Optional, Tuple
 
 from ..database import Database
 from . import protocol
-from .protocol import ProtocolError
+from .protocol import ProtocolError, _recv_exact
 from .session import Session, SessionRegistry
 
 
@@ -59,21 +60,16 @@ class Server:
         self.idle_timeout = idle_timeout
         self.lock_timeout = lock_timeout
         self.sessions = SessionRegistry(db)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._asyncio_server: Optional[asyncio.base_events.Server] = None
-        self._stop_requested: Optional[asyncio.Event] = None
-        self._reaper: Optional[asyncio.Task] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
+        #: Held around each request's execution: at most ``workers``
+        #: requests are inside the engine at once.
+        self._engine_slots = threading.BoundedSemaphore(workers)
+        self._listener: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
         self._running = False
-        #: session id -> StreamWriter; loop-thread only (reaper eviction
-        #: and shutdown close connections through it).
-        self._conns: Dict[int, asyncio.StreamWriter] = {}
-        #: Live connection-handler tasks; shutdown drains these so every
-        #: session release completes before the loop exits.
-        self._handler_tasks: set = set()
+        #: Live connection socket -> its thread; shutdown wakes and
+        #: joins them through it.
+        self._conns_mutex = threading.Lock()
+        self._conns: Dict[socket.socket, threading.Thread] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -84,42 +80,45 @@ class Server:
     def start(self) -> "Server":
         if self._running:
             return self
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        self._listener = socket.create_server((self.host, self.port), family=family)
+        self.port = self._listener.getsockname()[1]
         if self.lock_timeout is not None:
             self.db.locks.default_timeout = self.lock_timeout
         self.db.sessions = self.sessions
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="kimdb-worker"
-        )
-        self._started.clear()
-        self._startup_error = None
-        self._thread = threading.Thread(
-            target=self._run_loop, name="kimdb-server", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=10.0):
-            raise RuntimeError("server failed to start within 10s")
-        if self._startup_error is not None:
-            self._thread.join(timeout=5.0)
-            raise self._startup_error
         self._running = True
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, name="kimdb-server", daemon=True
+        )
+        self._accept_thread.start()
         return self
 
     def stop(self) -> None:
         if not self._running:
             return
         self._running = False
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(self._request_stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-        # Belt and braces: the connection handlers already released
-        # their sessions on the way down; anything left (a connection
-        # that never finished its handshake) is swept here.
+        try:
+            # close() alone does not wake a blocked accept() on Linux.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._accept_thread.join(timeout=10.0)
+        self._listener.close()
+        # Under the mutex: a connection thread closes its socket only
+        # after leaving the table, so no socket here is closed yet.
+        with self._conns_mutex:
+            conns = list(self._conns.items())
+            for sock, _thread in conns:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        for _sock, thread in conns:
+            thread.join(timeout=10.0)
+        # Belt and braces: the connection threads already released
+        # their sessions on the way down; anything left (a thread still
+        # inside a long request) is swept here.
         self.sessions.release_all()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         self.db.sessions = None
 
     def __enter__(self) -> "Server":
@@ -132,107 +131,82 @@ class Server:
     def serve_forever(self) -> None:
         """Block the calling thread until the server is stopped."""
         self.start()
-        thread = self._thread
         try:
-            while thread is not None and thread.is_alive():
-                thread.join(timeout=0.5)
+            while self._accept_thread.is_alive():
+                self._accept_thread.join(timeout=0.5)
         except KeyboardInterrupt:
             pass
         finally:
             self.stop()
 
-    # -- event loop ----------------------------------------------------------
+    # -- connections ---------------------------------------------------------
 
-    def _run_loop(self) -> None:
-        asyncio.run(self._main())
-
-    def _request_stop(self) -> None:
-        if self._stop_requested is not None:
-            self._stop_requested.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_requested = asyncio.Event()
-        try:
-            self._asyncio_server = await asyncio.start_server(
-                self._handle_conn, self.host, self.port
-            )
-        except OSError as exc:
-            self._startup_error = exc
-            self._started.set()
-            return
-        sockname = self._asyncio_server.sockets[0].getsockname()
-        self.port = sockname[1]
-        if self.idle_timeout is not None:
-            self._reaper = self._loop.create_task(self._reap_idle())
-        self._started.set()
-        await self._stop_requested.wait()
-        if self._reaper is not None:
-            self._reaper.cancel()
+    def _accept_loop(self) -> None:
+        while True:
             try:
-                await self._reaper
-            except asyncio.CancelledError:
-                pass
-        self._asyncio_server.close()
-        await self._asyncio_server.wait_closed()
-        for writer in list(self._conns.values()):
-            writer.close()
-        # Let every handler run its finally block (session release) to
-        # completion before asyncio.run starts cancelling tasks.
-        pending = [task for task in self._handler_tasks if not task.done()]
-        if pending:
-            await asyncio.wait(pending, timeout=5.0)
+                sock, peer = self._listener.accept()
+            except OSError:
+                if not self._running:
+                    return  # stop() shut the listener down
+                time.sleep(0.1)  # e.g. out of file descriptors: retry, don't spin
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            client = "%s:%s" % peer[:2]
+            thread = threading.Thread(
+                target=self._serve_connection,
+                args=(sock, client),
+                name="kimdb-conn %s" % client,
+                daemon=True,
+            )
+            with self._conns_mutex:
+                self._conns[sock] = thread
+            thread.start()
 
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handler_tasks.add(task)
-            task.add_done_callback(self._handler_tasks.discard)
-        peer = writer.get_extra_info("peername")
-        client = "%s:%s" % (peer[0], peer[1]) if isinstance(peer, tuple) else "?"
+    def _serve_connection(self, sock: socket.socket, client: str) -> None:
         session = self.sessions.create(client=client)
-        self._conns[session.session_id] = writer
         metrics = self.db.metrics
         metrics.counter("server.connections").inc()
         m_in = metrics.counter("server.bytes_in")
         m_out = metrics.counter("server.bytes_out")
+        sock.settimeout(self.idle_timeout)
         try:
             while True:
                 try:
-                    header = await reader.readexactly(4)
-                    length = protocol.frame_length(header)
-                    body = await reader.readexactly(length)
-                    payload = protocol.decode_payload(body)
-                except (asyncio.IncompleteReadError, ConnectionError):
+                    length = protocol.frame_length(_recv_exact(sock, 4))
+                    payload = protocol.decode_payload(_recv_exact(sock, length))
+                except socket.timeout:
+                    metrics.counter("server.idle_evictions").inc()
+                    break
+                except OSError:
                     break
                 except ProtocolError as exc:
                     # Framing is unrecoverable once a bad length or
                     # body arrives: answer with a typed error, hang up.
-                    writer.write(
-                        protocol.encode_frame(protocol.error_response(None, exc))
-                    )
-                    await self._drain(writer)
+                    frame = protocol.encode_frame(protocol.error_response(None, exc))
+                    try:
+                        sock.sendall(frame)
+                    except OSError:
+                        pass
                     break
                 m_in.inc(4 + length)
-                frame = await self._loop.run_in_executor(
-                    self._pool, self._serve, session, payload
-                )
-                writer.write(frame)
-                if not await self._drain(writer):
+                with self._engine_slots:
+                    frame = self._serve(session, payload)
+                try:
+                    sock.sendall(frame)
+                except OSError:
                     break
                 m_out.inc(len(frame))
         finally:
-            self._conns.pop(session.session_id, None)
             # The stranded-lock guarantee: clean goodbye, client crash
-            # and reaper eviction all funnel through this release —
-            # open transaction rolled back, cursors closed, locks freed.
-            await self._release(session)
-            writer.close()
+            # and idle eviction all funnel through this release — open
+            # transaction rolled back, cursors closed, locks freed.
+            session.release()
+            with self._conns_mutex:
+                self._conns.pop(sock, None)
+            sock.close()
 
     def _serve(self, session: Session, payload: Dict[str, Any]) -> bytes:
-        """Pool thread: run one request and encode its response frame.
+        """Run one request and encode its response frame.
 
         A response the wire cannot carry (a value with no wire form, a
         frame over the size cap) is answered with a typed ``PROTOCOL``
@@ -247,39 +221,6 @@ class Server:
             return protocol.encode_frame(
                 protocol.error_response(response.get("id"), exc)
             )
-
-    @staticmethod
-    async def _drain(writer: asyncio.StreamWriter) -> bool:
-        try:
-            await writer.drain()
-        except ConnectionError:
-            return False
-        return True
-
-    async def _release(self, session: Session) -> None:
-        try:
-            await asyncio.shield(
-                self._loop.run_in_executor(self._pool, session.release)
-            )
-        except (RuntimeError, asyncio.CancelledError):
-            # Pool shutting down, or this handler was cancelled during
-            # loop teardown: release inline (idempotent either way).
-            session.release()
-
-    async def _reap_idle(self) -> None:
-        assert self.idle_timeout is not None
-        interval = max(0.05, min(1.0, self.idle_timeout / 4.0))
-        while True:
-            await asyncio.sleep(interval)
-            for session in self.sessions.snapshot():
-                if session.busy or session.idle_seconds < self.idle_timeout:
-                    continue
-                writer = self._conns.get(session.session_id)
-                if writer is not None:
-                    self.db.metrics.counter("server.idle_evictions").inc()
-                    # Closing the transport wakes the handler's read,
-                    # which runs the one true cleanup path above.
-                    writer.close()
 
     def __repr__(self) -> str:
         state = "running" if self._running else "stopped"

@@ -2,12 +2,11 @@
 
 A :class:`Session` is the unit of transaction scope on the wire — the
 paper's "sharable repository" requirement means many clients, each with
-at most one open transaction.  Sessions bridge the engine's thread-local
-transaction tracking and the server's thread pool: a transaction begun
-by a session is immediately *detached* from the worker thread that
-created it and parked on the session; every later request re-attaches
-it (``TransactionManager.bound``) on whichever pool thread happens to
-serve that request.
+at most one open transaction.  Every request of a session runs on its
+connection's own thread, so a transaction the session begins is that
+thread's current transaction until commit, rollback or release: the
+engine's thread-local autocommit logic applies exactly as in embedded
+use.
 
 Lifecycle (see DESIGN.md for the full state diagram)::
 
@@ -17,7 +16,7 @@ Lifecycle (see DESIGN.md for the full state diagram)::
                  locks freed, session removed from the registry)
 
 ``release()`` is idempotent and is the single cleanup path for normal
-close, client crash, and reaper-forced eviction alike, which is what
+close, client crash, and idle eviction alike, which is what
 makes "kill a client mid-transaction leaves no stranded locks" a
 structural property rather than a best-effort one.
 """
@@ -64,12 +63,12 @@ class Session:
         self.client = client
         self._registry = registry
         self._session_mutex = threading.Lock()
-        self._txn = None  # parked Transaction, attached per request
+        self._txn = None  # open Transaction, current on the connection thread
         self._cursors: Dict[int, QueryStream] = {}
         self._next_cursor = 1
         self._released = False
-        #: True while a request is executing (the idle reaper skips
-        #: sessions that are merely slow, not idle).
+        #: True while a request is executing (SysSession reports a
+        #: session that is merely slow as 0 s idle).
         self.busy = False
         self.requests = 0
         self.rows_streamed = 0
@@ -124,7 +123,7 @@ class Session:
                     )
                 self.requests += 1
                 self._m_requests.inc()
-                handler = self._OPS.get(op)
+                handler = self._OPS.get(op) if isinstance(op, str) else None
                 if handler is None:
                     raise SessionError("unknown op %r" % op)
                 if not isinstance(params, dict):
@@ -141,7 +140,7 @@ class Session:
             # The engine chose this transaction as the deadlock victim;
             # its locks must go away *now*, not when the client decides
             # to send a rollback.
-            self._abort_parked_txn()
+            self._abort_txn()
             self._m_errors.inc()
             return error_response(request_id, exc)
         except Exception as exc:
@@ -167,17 +166,7 @@ class Session:
             return None
         return trace
 
-    def _bound(self):
-        """Context running the block under this session's transaction.
-
-        Without an open transaction the engine's per-operation
-        autocommit applies, exactly as in embedded use.
-        """
-        if self._txn is not None:
-            return self.db.txns.bound(self._txn)
-        return _NULL_CONTEXT
-
-    def _abort_parked_txn(self) -> None:
+    def _abort_txn(self) -> None:
         txn = self._txn
         self._txn = None
         if txn is not None and txn.is_active:
@@ -195,9 +184,6 @@ class Session:
                 % (self.session_id, self._txn.txn_id)
             )
         txn = self.db.txns.begin()
-        # Park it: the worker thread returns to the pool, the session
-        # owns the transaction until commit/rollback/release.
-        self.db.txns.detach()
         self._txn = txn
         return {"txn": txn.txn_id}
 
@@ -242,22 +228,20 @@ class Session:
     def _op_query(self, params: Dict[str, Any]) -> Dict[str, Any]:
         q = self._str_param(params, "q")
         want_values = bool(params.get("values"))
-        with self._bound():
-            result = self.db.execute(q)
-            if result.system or result.rows is not None:
-                rows: List[Any] = result.rows or []
-            elif want_values:
-                # The states the snapshot query saw — not a re-read of
-                # current storage, which could contradict the predicate.
-                rows = [self._row(state) for state in result.states]
-            else:
-                rows = result.oids
+        result = self.db.execute(q)
+        if result.system or result.rows is not None:
+            rows: List[Any] = result.rows or []
+        elif want_values:
+            # The states the snapshot query saw — not a re-read of
+            # current storage, which could contradict the predicate.
+            rows = [self._row(state) for state in result.states]
+        else:
+            rows = result.oids
         return {"rows": rows, "count": len(rows)}
 
     def _op_query_stream(self, params: Dict[str, Any]) -> Dict[str, Any]:
         q = self._str_param(params, "q")
-        with self._bound():
-            stream = self.db.select_iter(q)
+        stream = self.db.select_iter(q)
         cursor_id = self._next_cursor
         self._next_cursor += 1
         self._cursors[cursor_id] = stream
@@ -265,27 +249,26 @@ class Session:
         return {"cursor": cursor_id}
 
     def _op_fetch(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        cursor_id = params.get("cursor")
-        limit = int(params.get("n") or 64)
-        if limit < 1:
-            raise SessionError("fetch size must be positive")
+        cursor_id = self._cursor_param(params)
+        limit = params.get("n", 64)
+        if type(limit) is not int or limit < 1:
+            raise SessionError("fetch size 'n' must be a positive integer")
         stream = self._cursors.get(cursor_id)
         if stream is None:
             raise SessionError("unknown cursor %r" % cursor_id)
         rows: List[Any] = []
         done = False
-        with self._bound():
-            while len(rows) < limit:
-                try:
-                    # The stream's own visible state, not a re-read of
-                    # current storage: under snapshot reads the cursor
-                    # must keep serving its begin snapshot even while
-                    # writers commit between fetch batches.
-                    state = stream.next_shared_state()
-                except StopIteration:
-                    done = True
-                    break
-                rows.append(self._row(state))
+        while len(rows) < limit:
+            try:
+                # The stream's own visible state, not a re-read of
+                # current storage: under snapshot reads the cursor
+                # must keep serving its begin snapshot even while
+                # writers commit between fetch batches.
+                state = stream.next_shared_state()
+            except StopIteration:
+                done = True
+                break
+            rows.append(self._row(state))
         if done:
             stream.close()
             self._cursors.pop(cursor_id, None)
@@ -295,7 +278,7 @@ class Session:
         return {"rows": rows, "done": done}
 
     def _op_close_cursor(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        cursor_id = params.get("cursor")
+        cursor_id = self._cursor_param(params)
         stream = self._cursors.pop(cursor_id, None)
         if stream is None:
             raise SessionError("unknown cursor %r" % cursor_id)
@@ -310,28 +293,24 @@ class Session:
         values = params.get("values") or {}
         if not isinstance(values, dict):
             raise SessionError("values must be an object")
-        with self._bound():
-            handle = self.db.new(class_name, values)
+        handle = self.db.new(class_name, values)
         return {"oid": handle.oid}
 
     def _op_get(self, params: Dict[str, Any]) -> Dict[str, Any]:
         oid = self._oid_param(params)
-        with self._bound():
-            return self._row(self.db.get_state(oid))
+        return self._row(self.db.get_state(oid))
 
     def _op_update(self, params: Dict[str, Any]) -> Dict[str, Any]:
         oid = self._oid_param(params)
         changes = params.get("changes")
         if not isinstance(changes, dict):
             raise SessionError("changes must be an object")
-        with self._bound():
-            self.db.update(oid, changes)
+        self.db.update(oid, changes)
         return {"oid": oid}
 
     def _op_delete(self, params: Dict[str, Any]) -> Dict[str, Any]:
         oid = self._oid_param(params)
-        with self._bound():
-            self.db.delete(oid)
+        self.db.delete(oid)
         return {"oid": oid}
 
     def _op_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -348,6 +327,12 @@ class Session:
         if not isinstance(value, str) or not value:
             raise SessionError("op requires a non-empty %r string" % key)
         return value
+
+    def _cursor_param(self, params: Dict[str, Any]) -> int:
+        cursor_id = params.get("cursor")
+        if type(cursor_id) is not int:  # bool is not a cursor id either
+            raise SessionError("op requires an integer 'cursor'")
+        return cursor_id
 
     def _oid_param(self, params: Dict[str, Any]) -> OID:
         oid = params.get("oid")
@@ -370,13 +355,13 @@ class Session:
     def release(self) -> None:
         """Tear the session down: cursors closed, transaction rolled
         back, registry entry removed.  Idempotent; runs on clean close,
-        client crash and reaper eviction alike."""
+        client crash, idle eviction and server shutdown alike."""
         with self._session_mutex:
             if self._released:
                 return
             self._released = True
             self._close_cursors()
-            self._abort_parked_txn()
+            self._abort_txn()
         self._registry.remove(self)
 
     def __repr__(self) -> str:
@@ -402,17 +387,6 @@ class Session:
         "delete": _op_delete,
         "stats": _op_stats,
     }
-
-
-class _NullContext:
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_CONTEXT = _NullContext()
 
 
 class SessionRegistry:

@@ -169,11 +169,10 @@ class TransactionManager:
     def attach(self, txn: Transaction) -> None:
         """Bind ``txn`` as the calling thread's current transaction.
 
-        Server sessions park their transaction between requests (see
-        :meth:`detach`) and re-attach it on whichever worker thread
-        serves the next request, so one logical session spans many
-        threads while the engine's thread-local autocommit logic keeps
-        working unchanged.
+        With :meth:`detach` this lets one thread interleave several
+        transactions (park one, work under another, come back), while
+        the engine's thread-local autocommit logic keeps working
+        unchanged.
         """
         current = self.current
         if current is not None and current is not txn:

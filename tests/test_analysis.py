@@ -470,75 +470,6 @@ class TestNestedPrivacyDomain:
         assert [v.rule for v in violations] == ["private-access"]
         assert "query.operators" in violations[0].message
 
-
-class TestAsyncBlockingRule:
-    """Blocking engine calls in repro.server coroutines stall the loop."""
-
-    def test_direct_db_call_in_coroutine_fires(self):
-        source = """
-class Session:
-    async def handle(self, text):
-        return self.db.query(text)
-"""
-        violations = lint(source, subpackage="server")
-        assert [v.rule for v in violations] == ["async-blocking-call"]
-        assert ".db.query()" in violations[0].message
-
-    def test_executor_dispatch_is_clean(self):
-        source = """
-import asyncio
-
-class Session:
-    async def handle(self, text):
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self.pool, self.run_query, text)
-"""
-        assert lint(source, subpackage="server") == []
-
-    def test_open_and_acquire_in_coroutine_fire(self):
-        source = """
-class Session:
-    async def dump(self, path):
-        self._lock.acquire()
-        with open(path) as handle:
-            return handle.read()
-"""
-        rules = [v.rule for v in lint(source, subpackage="server")]
-        assert rules == ["async-blocking-call", "async-blocking-call"]
-
-    def test_sync_lock_with_in_coroutine_fires(self):
-        source = """
-import threading
-
-class Session:
-    def __init__(self):
-        self._low = threading.Lock()
-    async def handle(self):
-        with self._low:
-            pass
-"""
-        violations = lint(source, subpackage="server")
-        assert "async-blocking-call" in [v.rule for v in violations]
-
-    def test_nested_sync_helper_is_exempt(self):
-        # The nested def runs on the executor thread, not the loop.
-        source = """
-class Session:
-    async def handle(self, text):
-        def work():
-            return self.db.query(text)
-        return await self.dispatch(work)
-"""
-        assert lint(source, subpackage="server") == []
-
-    def test_rule_only_runs_in_server_subpackage(self):
-        source = """
-class Worker:
-    async def tick(self):
-        return self.db.query("SysStat")
-"""
-        assert lint(source, subpackage="txn") == []
-
     def test_parent_reaching_into_nested_domain_privates_fires(self):
         source = "from .operators.base import _chain\n"
         violations = lint(source, subpackage="query")
@@ -720,11 +651,18 @@ class TestLintGate:
         assert {"_id_mutex", "_mutex", "_condition"} <= set(config.lock_lattice)
 
     def test_server_mutexes_rank_below_every_engine_latch(self):
-        # The session mutex is held across whole engine calls, so the
-        # lattice must place it (and its registry/pool cousins) below
-        # the engine's own latches.
+        # The engine slots and the session mutex are held across whole
+        # engine calls, so the lattice must place them (and their
+        # registry/connection-table/pool cousins) below the engine's
+        # own latches.
         lattice = engine_config().lock_lattice
-        server_locks = {"_session_mutex", "_sessions_mutex", "_pool_mutex"}
+        server_locks = {
+            "_engine_slots",
+            "_session_mutex",
+            "_sessions_mutex",
+            "_conns_mutex",
+            "_pool_mutex",
+        }
         assert server_locks <= set(lattice)
         ceiling = max(lattice[name] for name in server_locks)
         engine_floor = min(

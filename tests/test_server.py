@@ -3,11 +3,13 @@
 Covers the repro.server subsystem end to end over real sockets: frame
 and OID codecs, typed error frames, session-scoped transactions
 (read-your-writes, writer/writer conflict as a typed error rather than
-a hang, rollback-and-release on disconnect), cursor streaming, the
-idle-session reaper, the SysSession view, and the connection pool.
+a hang, rollback-and-release on disconnect), cursor streaming, idle
+eviction, shutdown, thread and session leaks, the SysSession view, and
+the connection pool.
 """
 
 import copy
+import sys
 import threading
 import time
 
@@ -434,6 +436,40 @@ class TestPerRequestWireErrors:
         assert db.get_state(oid).values["color"] == "red"
 
 
+class TestClientControlledParameters:
+    """A malformed op or parameter is the client's error (``SESSION``),
+    never ``INTERNAL`` and never silently rewritten into a valid one."""
+
+    @pytest.mark.parametrize(
+        "op, params",
+        [
+            ("fetch", {"n": 0}),
+            ("fetch", {"n": -3}),
+            ("fetch", {"n": 2.9}),
+            ("fetch", {"n": True}),
+            ("fetch", {"n": None}),
+            ("fetch", {"n": "x"}),
+            ("fetch", {"n": [1]}),
+            ("fetch", {"cursor": [1]}),
+            ("fetch", {"cursor": "1"}),
+            ("fetch", {"cursor": True}),
+            ("close_cursor", {"cursor": {}}),
+            ("close_cursor", {"cursor": 1.0}),
+            ([1], {}),
+            ({"op": "ping"}, {}),
+            (7, {}),
+        ],
+    )
+    def test_malformed_parameter_is_session_error(self, client, op, params):
+        cursor = client.call("query_stream", q="Vehicle")["cursor"]
+        with pytest.raises(ServerError) as err:
+            client.call(op, **{"cursor": cursor, **params})
+        assert err.value.code == "SESSION"
+        # Nothing was fetched or closed: the cursor still starts at row 1.
+        reply = client.call("fetch", cursor=cursor, n=30)
+        assert len(reply["rows"]) == 24 and reply["done"]
+
+
 class TestWireLeavesSharedStatesAlone:
     """Serialising a row reads the engine's shared, read-only states; it
     must never write into them."""
@@ -523,6 +559,107 @@ class TestIdleReaper:
             with pytest.raises((ConnectionError, OSError)):
                 c.ping()
             c.close()
+        db.close()
+
+    def test_request_blocked_on_a_lock_is_not_evicted(self):
+        db = _make_db()
+        target = db.select("Vehicle limit 1")[0].oid
+        evictions = db.metrics.counter("server.idle_evictions")
+        with Server(db, port=0, idle_timeout=0.2, lock_timeout=2.0) as server:
+            with Client(*server.address) as holder, Client(*server.address) as waiter:
+                holder.begin()
+                holder.update(target, {"color": "held"})
+
+                def hold_then_release():
+                    # Pings keep the holder itself from going idle.
+                    deadline = time.perf_counter() + 0.5
+                    while time.perf_counter() < deadline:
+                        holder.ping()
+                        time.sleep(0.05)
+                    holder.rollback()
+
+                thread = threading.Thread(target=hold_then_release)
+                started = time.perf_counter()
+                thread.start()
+                waiter.update(target, {"color": "waited"})
+                waited = time.perf_counter() - started
+                assert evictions.value == 0
+                assert waiter.ping()
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert waited >= 0.4
+        assert db.get_state(target).values["color"] == "waited"
+        db.close()
+
+
+class TestServerShutdown:
+    def test_stop_with_an_idle_open_transaction_is_prompt(self):
+        db = _make_db()
+        target = db.select("Vehicle limit 1")[0].oid
+        server = Server(db, port=0).start()
+        c = Client(*server.address)
+        c.begin()
+        c.update(target, {"color": "abandoned"})
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started < 1.0
+        assert db.txns.active_transactions() == []
+        assert db.select("SysLock") == []
+        assert db.get_state(target).values["color"] == "red"
+        c.close()
+        db.close()
+
+    def test_second_server_on_a_bound_port_raises_from_start(self):
+        db = _make_db()
+        with Server(db, port=0) as first:
+            second = Server(db, port=first.address[1])
+            with pytest.raises(OSError):
+                second.start()
+            assert db.sessions is first.sessions
+        db.close()
+
+    def test_no_thread_or_session_outlives_its_connection(self):
+        db = _make_db()
+        oids = [state.oid for state in db.select("Vehicle")]
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # more thread switches, more races
+        try:
+            with Server(db, port=0, workers=2) as server:
+                baseline = threading.active_count()
+                for i in range(64):
+                    c = Client(*server.address)
+                    c.begin()
+                    c.update(oids[i % len(oids)], {"weight": i})
+                    c.close()
+
+                def client_work(k):
+                    try:
+                        with Client(*server.address) as c:
+                            with c.transaction():
+                                c.update(oids[k], {"color": "c%d" % k})
+                            c.query("Vehicle where weight > 0")
+                    except Exception as exc:  # surfaced by the assert below
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=client_work, args=(k,)) for k in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert _wait_until(
+                    lambda: threading.active_count() == baseline, timeout=2.0
+                )
+                assert db.select("SysSession") == []
+                assert db.select("SysLock") == []
+                assert db.txns.active_transactions() == []
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(db.select("Vehicle where color like 'c%'")) == 8
         db.close()
 
 
