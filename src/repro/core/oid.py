@@ -57,7 +57,7 @@ class OID:
         return self.value >= other.value
 
     def __hash__(self) -> int:
-        return hash(("OID", self.value))
+        return self.value
 
     def __repr__(self) -> str:
         if self.hint:

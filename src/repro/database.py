@@ -13,7 +13,6 @@ here).
 from __future__ import annotations
 
 import contextlib
-import functools
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -39,7 +38,7 @@ from .query.executor import Executor, ResultSet
 from .query.parser import lift_literals, parse_query
 from .query.planner import EmptyScan, Plan, Planner, SystemScan
 from .storage.clustering import ClusteringPolicy, NoClustering
-from .storage.manager import StorageManager, load_state_if_exists
+from .storage.manager import StorageManager
 from .txn.locks import (
     DATABASE,
     IS,
@@ -552,9 +551,6 @@ class Database:
             self.storage.overwrite(after)
             self.indexes.notify_update(old, new)
             self.wal.log_update(txn.txn_id, before, after)
-        if txn.view is not None:
-            # Read-your-own-writes: the writer's view re-resolves the OID.
-            txn.view.forget(state.oid)
         if not compensating:
             txn.record_undo(
                 lambda: self._write(txn, after, before, compensating=True)
@@ -594,8 +590,8 @@ class Database:
         """Current stored state (read-locked under the active txn).
 
         A copy the caller owns: stored states are shared and read-only
-        (DESIGN "Decoded-state memo"), as is every state or list value
-        that leaves the engine.
+        (DESIGN "Object buffer"), so every state or list value that
+        leaves the engine is a copy.
         """
         return self._read_stored(oid).copy()
 
@@ -617,8 +613,8 @@ class Database:
         transaction's view of its begin snapshot (built lazily and
         shared with its queries) — so ``h["attr"]`` agrees with what the
         same transaction's queries see, including its own uncommitted
-        writes (the version store short-circuits the reader's own chain,
-        and ``_write`` drops the view's memo of the written object).
+        writes (the version store short-circuits the reader's own chain
+        to the current stored state).
         Outside a transaction this is exactly :meth:`get_state`.  Either
         way the caller owns the returned copy.
         """
@@ -961,10 +957,9 @@ class Database:
     def _snapshot_view(self) -> SnapshotView:
         """The calling thread's read view (see :meth:`_read_open`).
 
-        One view per snapshot, so its deref memo lives as long as the
-        snapshot: a transaction builds its view with its snapshot at the
-        first read and keeps it until it finishes; outside a transaction
-        each call builds an ephemeral one.
+        A transaction builds its view with its snapshot at the first
+        read and keeps it until it finishes; outside a transaction each
+        call builds an ephemeral one.
         """
         current = self.txns.current
         if current is None:
@@ -980,11 +975,10 @@ class Database:
         return SnapshotView(
             self.version_store,
             snapshot,
-            functools.partial(load_state_if_exists, self.storage),
+            self.storage.load,
             self.storage.scan_pages,
             self._coerce,
             self.schema.attribute_map,
-            self._epoch,
             ephemeral=ephemeral,
         )
 

@@ -175,7 +175,7 @@ def compile_projection(
 ) -> Callable[[ObjectState], Dict[str, Any]]:
     """One projected row: {dotted path -> value, list on fan-out, None
     when missing}.  Lists are fresh: a terminal list value belongs to a
-    shared, read-only stored state (DESIGN "Decoded-state memo")."""
+    shared, read-only stored state (DESIGN "Object buffer")."""
     columns = [(".".join(steps), compile_path(steps, deref)) for steps in paths]
 
     def project(state: ObjectState) -> Dict[str, Any]:

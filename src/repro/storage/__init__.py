@@ -9,7 +9,7 @@ from .clustering import (
 )
 from .directory import DirectoryEntry, ObjectDirectory
 from .heap import RID, HeapFile
-from .manager import StorageManager, load_state_if_exists
+from .manager import StorageManager
 from .page import SlottedPage
 from .pager import DEFAULT_PAGE_SIZE, FilePager, MemoryPager, open_pager
 from .serializer import decode_object, encode_object
@@ -25,7 +25,6 @@ __all__ = [
     "RID",
     "HeapFile",
     "StorageManager",
-    "load_state_if_exists",
     "SlottedPage",
     "DEFAULT_PAGE_SIZE",
     "FilePager",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Iterator, Optional, Set
+from typing import Callable, Iterator, Optional, Set
 
 from ..errors import PageCorruptError, StorageError
 from ..obs.metrics import MetricsRegistry
@@ -57,6 +57,8 @@ class BufferPool:
         # make logged images durable.  Both None when no WAL is wired.
         self._image_log = None
         self._image_sync = None
+        #: Called with the page id of every frame the pool gives up.
+        self.on_drop: Callable[[int], None] = lambda page_id: None
 
     @property
     def page_size(self) -> int:
@@ -149,6 +151,7 @@ class BufferPool:
             self._dirty.discard(victim_id)
             self._m_flushes.inc()
         self._m_evictions.inc()
+        self.on_drop(victim_id)
 
     def flush_page(self, page_id: int, image_logged: bool = False) -> None:
         frame = self._frames.get(page_id)
@@ -178,18 +181,22 @@ class BufferPool:
         page on disk underneath us; the cached parse is stale)."""
         self._frames.pop(page_id, None)
         self._dirty.discard(page_id)
+        self.on_drop(page_id)
 
     def drop_all(self) -> None:
         """Empty the pool *after* flushing — used to simulate a cold cache."""
         self.flush_all()
-        self._frames.clear()
-        self._dirty.clear()
+        for page_id in list(self._frames):
+            self.invalidate(page_id)
 
     def resident_pages(self) -> Iterator[int]:
         return iter(list(self._frames))
 
     def __len__(self) -> int:
         return len(self._frames)
+
+    def __contains__(self, page_id: int) -> bool:
+        return page_id in self._frames
 
     def __repr__(self) -> str:
         return "<BufferPool %d/%d pages, %d dirty>" % (

@@ -62,11 +62,11 @@ class ObjectDirectory:
         self.lookup(oid).rid = rid
 
     def reclass(self, oid: OID, new_class: str, rid: RID) -> None:
-        """Move an object between classes (schema evolution migrate)."""
+        """Move an object between classes (schema evolution migrate); a
+        new entry, so a lock-free reader never pairs class and RID wrongly."""
         entry = self.lookup(oid)
         self._by_class.get(entry.class_name, set()).discard(oid)
-        entry.class_name = new_class
-        entry.rid = rid
+        self._entries[oid] = DirectoryEntry(new_class, rid)
         self._by_class.setdefault(new_class, set()).add(oid)
 
     def remove(self, oid: OID) -> DirectoryEntry:

@@ -10,18 +10,27 @@ images, audio, and textual documents)" among the post-relational
 requirements.  An encoded object larger than a page spills into an
 overflow heap as a chain of chunks; its class heap holds a small *stub*
 pointing at the chain.  The split is invisible above this module.
+
+**Object buffer.**  The manager also keeps decoded stored states by OID
+(ORION's object buffer, §4.2; DESIGN "Object buffer"): shared,
+read-only, admitted on an OID's second read, never for long objects,
+dropped with their frame.  :meth:`store_new`, :meth:`overwrite` and
+:meth:`remove` change every record, and *first* move a stamp, *then*
+pop the OID; a read that sees the stamp move drops what it admitted.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import os
 import struct
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.obj import ObjectState
 from ..core.oid import OID
-from ..errors import ObjectNotFoundError, PageCorruptError, StorageError
+from ..errors import PageCorruptError, StorageError
 from ..obs.metrics import MetricsRegistry
 from .buffer import BufferPool
 from .directory import ObjectDirectory
@@ -35,7 +44,7 @@ from .serializer import decode_object, encode_object
 #: always starts with an 8-byte big-endian OID, whose first byte is 0 for
 #: any realistic OID, so the prefix cannot collide with a real record).
 _LONG_MAGIC = b"\xffKIMLONG"
-_STUB_HEAD = struct.Struct(">Q")  # oid value
+_OID_VALUE = struct.Struct(">Q")  # how a record, or a stub, starts
 _CHUNK_REF = struct.Struct(">IH")  # page id, slot
 
 #: Name of the heap holding overflow chunks.
@@ -57,11 +66,20 @@ class StorageManager:
         #: The registry ``storage.decodes`` (and the pager's and buffer's
         #: counters) live in; a private one when built standalone.
         self.metrics = registry if registry is not None else MetricsRegistry()
-        #: Records decoded: decoded-state memo misses (page.py), long
-        #: objects and directory rebuilds.  Memo hits count nothing.
+        #: Records decoded: object-buffer misses, long objects, page
+        #: state lists and directory rebuilds.  Buffer hits count nothing.
         self._m_decodes = self.metrics.counter("storage.decodes")
         self.pager = open_pager(path, page_size, self.metrics, waits)
         self.buffer = BufferPool(self.pager, buffer_capacity, self.metrics, waits)
+        self.buffer.on_drop = self._frame_dropped
+        #: The object buffer: OID value -> stored state.
+        self._objects: Dict[int, ObjectState] = {}
+        #: Page id -> the OID values read from it since they last changed:
+        #: the first read's marker, and what ``_objects`` may hold.
+        self._read_from: Dict[int, Set[int]] = {}
+        #: Moved by every write, each time to a value never stored before.
+        self._stamps = itertools.count()
+        self._stamp = next(self._stamps)
         self.directory = ObjectDirectory()
         self._heaps: Dict[str, HeapFile] = {}
         self._extra: Dict[str, Any] = {}
@@ -214,7 +232,7 @@ class StorageManager:
             rids.append(rid)
             previous = rid
         stub = bytearray(_LONG_MAGIC)
-        stub += _STUB_HEAD.pack(oid.value)
+        stub += _OID_VALUE.pack(oid.value)
         name = class_name.encode("utf-8")
         stub += struct.pack(">H", len(name)) + name
         stub += struct.pack(">I", len(rids))
@@ -225,8 +243,8 @@ class StorageManager:
     @staticmethod
     def _read_stub(body: bytes):
         pos = len(_LONG_MAGIC)
-        (oid_value,) = _STUB_HEAD.unpack_from(body, pos)
-        pos += _STUB_HEAD.size
+        (oid_value,) = _OID_VALUE.unpack_from(body, pos)
+        pos += _OID_VALUE.size
         (name_len,) = struct.unpack_from(">H", body, pos)
         pos += 2
         class_name = body[pos : pos + name_len].decode("utf-8")
@@ -265,17 +283,6 @@ class StorageManager:
         self._m_decodes.inc()
         return decode_object(data)
 
-    def _state_at(self, page: SlottedPage, slot: int, body: bytes) -> ObjectState:
-        """The state ``body``, just read from ``page``/``slot``, encodes.
-
-        Through the page's decoded-state memo — the result is shared and
-        read-only (DESIGN "Decoded-state memo") — except for long-object
-        stubs, whose state lives in chunks on other pages.
-        """
-        if self._is_stub(body):
-            return self._assemble(body)
-        return page.decoded(slot, body, self._decode)
-
     # -- heap management -------------------------------------------------------
 
     def heap_for(self, class_name: str) -> HeapFile:
@@ -311,15 +318,61 @@ class StorageManager:
                 near_rid = entry.rid
         rid = heap.insert(self._encode_record(state), near=near_rid)
         self.directory.add(state.oid, state.class_name, rid)
+        self._wrote(state.oid, rid.page_id)
         return rid
 
     def load(self, oid: OID) -> ObjectState:
-        """The stored state of ``oid`` — shared and read-only (see
-        :meth:`_state_at`); copy it before changing anything."""
-        entry = self.directory.lookup(oid)
-        rid = entry.rid
-        page = self.heap_for(entry.class_name).page(rid)
-        return self._state_at(page, rid.slot, page.read(rid.slot))
+        """The stored state of ``oid``, from the object buffer when it
+        holds it — shared and read-only: copy it before changing it."""
+        return self._objects.get(oid.value) or self._fetch(oid)
+
+    def _fetch(self, oid: OID) -> ObjectState:
+        """:meth:`load` on a miss: read the record, then admit it."""
+        while True:
+            stamp = self._stamp
+            entry = self.directory.lookup(oid)
+            rid = entry.rid
+            read_from = self._read_set(rid.page_id)  # before the fetch: see _admit
+            body = self.heap_for(entry.class_name).page(rid).body(rid.slot)
+            if body is not None:
+                stub = body.startswith(_LONG_MAGIC)
+                state = self._assemble(body) if stub else self._decode(body)
+                if state.oid.value == oid.value:
+                    break
+            # Deleted or moved since the lookup: look again (and raise).
+        if not stub:
+            self._admit(state, rid.page_id, read_from, stamp)
+        return state
+
+    def _read_set(self, page_id: int) -> Set[int]:
+        """The set of OID values read from ``page_id``, registered."""
+        return self._read_from.get(page_id) or self._read_from.setdefault(page_id, set())
+
+    def _admit(self, state: ObjectState, page_id: int, read_from: Set[int], stamp: int) -> None:
+        """Buffer ``state`` (just mark it, on its OID's first read), read
+        from ``page_id`` under ``stamp``; ``read_from`` was registered first."""
+        value, objects = state.oid.value, self._objects
+        if value not in read_from:
+            read_from.add(value)
+            return
+        objects[value] = state
+        if self._stamp != stamp or self._read_from.get(page_id) is not read_from:
+            objects.pop(value, None)  # a racing write or frame drop
+
+    def _wrote(self, oid: OID, page_id: int) -> None:
+        """After a write changed ``oid``'s record on ``page_id``: forget it
+        in the page's set, move the stamp, *then* pop it."""
+        read_from = self._read_from.get(page_id)
+        if read_from is not None:
+            read_from.discard(oid.value)
+        self._stamp = next(self._stamps)
+        self._objects.pop(oid.value, None)
+
+    def _frame_dropped(self, page_id: int) -> None:
+        """The pool gave up ``page_id``'s frame: pop what was read from it."""
+        read_from = self._read_from.pop(page_id, ())
+        while read_from:  # not a for loop: readers may still add
+            self._objects.pop(read_from.pop(), None)
 
     def contains(self, oid: OID) -> bool:
         return oid in self.directory
@@ -330,31 +383,33 @@ class StorageManager:
     def overwrite(self, state: ObjectState) -> None:
         """Replace the stored state of an existing object."""
         entry = self.directory.lookup(state.oid)
+        rid = entry.rid
+        heap = self.heap_for(entry.class_name)
+        self._free_chunks(heap.read(rid))
         if entry.class_name != state.class_name:
             # Class migration: remove from the old heap, insert into new.
-            old_heap = self.heap_for(entry.class_name)
-            self._free_chunks(old_heap.read(entry.rid))
-            old_heap.delete(entry.rid)
+            heap.delete(rid)
             new_heap = self.heap_for(state.class_name)
-            rid = new_heap.insert(self._encode_record(state))
-            self.directory.reclass(state.oid, state.class_name, rid)
-            return
-        heap = self.heap_for(entry.class_name)
-        self._free_chunks(heap.read(entry.rid))
-        new_rid = heap.update(entry.rid, self._encode_record(state))
-        if new_rid != entry.rid:
-            self.directory.relocate(state.oid, new_rid)
+            new_rid = new_heap.insert(self._encode_record(state))
+            self.directory.reclass(state.oid, state.class_name, new_rid)
+        else:
+            new_rid = heap.update(rid, self._encode_record(state))
+            if new_rid != rid:
+                self.directory.relocate(state.oid, new_rid)
+        self._wrote(state.oid, rid.page_id)
 
     def remove(self, oid: OID) -> ObjectState:
         """Delete an object, returning its final state (for undo logs)."""
         entry = self.directory.lookup(oid)
         heap = self.heap_for(entry.class_name)
-        page = heap.page(entry.rid)
-        body = page.read(entry.rid.slot)
-        state = self._state_at(page, entry.rid.slot, body)
+        body = heap.read(entry.rid)
+        state = self._objects.get(oid.value)
+        if state is None:
+            state = self._assemble(body) if self._is_stub(body) else self._decode(body)
         self._free_chunks(body)
+        self.directory.remove(oid)  # first: a dead slot's reader finds no entry
         heap.delete(entry.rid)
-        self.directory.remove(oid)
+        self._wrote(oid, entry.rid.page_id)
         return state
 
     def scan_pages(self, class_name: str) -> Iterator[Sequence[ObjectState]]:
@@ -366,26 +421,29 @@ class StorageManager:
         if class_name == OVERFLOW_HEAP or class_name not in self._heaps:
             return iter(())
         return (
-            self._page_states(page) for _page_id, page in self._heaps[class_name].pages()
+            page.states(functools.partial(self._build_page_states, page_id))
+            for page_id, page in self._heaps[class_name].pages()
         )
 
-    def _page_states(self, page: SlottedPage) -> Sequence[ObjectState]:
-        """:meth:`_state_at` for every live record of ``page``, through
-        the page's state list (page.py)."""
-        return page.states(self._build_page_states)
-
-    def _build_page_states(self, page: SlottedPage) -> Tuple[List[ObjectState], bool]:
-        """The states of ``page`` and whether the page may keep them: not
-        when it holds a long-object stub."""
-        decoded, decode, assemble = page.decoded, self._decode, self._assemble
+    def _build_page_states(self, page_id: int, page: SlottedPage) -> Tuple[list, bool]:
+        """The states of ``page``, for its state list (page.py), and
+        whether the page may keep them: not when it holds a long-object
+        stub.  Each record comes from the object buffer or goes to it."""
+        stamp, objects, read_from = self._stamp, self._objects, self._read_set(page_id)
+        admit = page_id in self.buffer  # registered after the fetch: check
         keep = True
         states = []
-        for slot, body in page.records():
+        for _slot, body in page.records():
             if body.startswith(_LONG_MAGIC):
                 keep = False
-                states.append(assemble(body))
-            else:
-                states.append(decoded(slot, body, decode))
+                states.append(self._assemble(body))
+                continue
+            state = objects.get(_OID_VALUE.unpack_from(body)[0])
+            if state is None:
+                state = self._decode(body)
+                if admit:
+                    self._admit(state, page_id, read_from, stamp)
+            states.append(state)
         return states, keep
 
     def scan_class(self, class_name: str) -> Iterator[ObjectState]:
@@ -405,7 +463,8 @@ class StorageManager:
         self.save_metadata()
 
     def drop_cache(self) -> None:
-        """Flush then empty the buffer pool (cold-cache experiments)."""
+        """Flush then empty the buffer pool, and with it the object
+        buffer (cold-cache experiments)."""
         self.buffer.drop_all()
 
     def close(self) -> None:
@@ -426,11 +485,3 @@ class StorageManager:
             len(self.directory),
             len(self._heaps),
         )
-
-
-def load_state_if_exists(storage: StorageManager, oid: OID) -> Optional[ObjectState]:
-    """Convenience: load or None instead of raising."""
-    try:
-        return storage.load(oid)
-    except ObjectNotFoundError:
-        return None

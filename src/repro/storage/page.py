@@ -23,36 +23,23 @@ instead of surfacing as garbage records.  A page of all zero bytes is
 the one checksum-exempt form: it is what the pager allocates and means
 "never written" — an empty page.
 
-**Decoded-state memo.**  A resident page also remembers what its
-records decode to (:meth:`SlottedPage.decoded`), so re-reading an
-unchanged record costs a dict lookup instead of a decode.  A memo entry
-``(body, state)`` is valid only while ``body is`` the slot's current
-body: bodies are immutable ``bytes`` and every write installs a new
-one, so a reader racing a writer may store a stale entry but can never
-get one back.  A state is admitted on the *second* read of the same
-body — the first leaves a ``(body, None)`` marker — so read-once bulk
-scans (index builds, recovery) hold no states.  Any write
-clears the page's memo (that frees memory; correctness never depends
-on it), and the memo lives and dies with the buffer frame, so the
-pool's capacity bounds it.  Memoized states are shared and read-only.
-
-**State list.**  A scan wants the whole page, so a page also keeps the
-list of its live records' states (:meth:`SlottedPage.states`) under the
-same rules: kept on the second scan of an unchanged page, dropped by
-every insert, update and delete and with the buffer frame.  The list is
-handed out as a tuple, so no caller can change what the next one gets.
-Its validity is a stamp, not identity: every write bumps a counter
-*after* changing the slots, and a list is returned only while the
-counter still reads what it read before the list was built.  The
-storage manager never keeps the list of a page holding a long-object
-stub, whose state lives in chunks on other pages.
+**State list.**  A scan wants the whole page, so a page keeps the list
+of its live records' states (:meth:`SlottedPage.states`), from the
+second scan of an unchanged page on, and drops it on every insert,
+update and delete and with the buffer frame.  The list is handed out as
+a tuple, so no caller can change what the next one gets.  Its validity
+is a stamp, not identity: every write bumps a counter *after* changing
+the slots, and a list is returned only while the counter still reads
+what it read before the list was built.  The storage manager never
+keeps the list of a page holding a long-object stub, whose state lives
+in chunks on other pages.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import PageCorruptError, PageFullError, StorageError
 
@@ -65,7 +52,7 @@ TOMBSTONE = 0xFFFF
 class SlottedPage:
     """A parsed, mutable slotted page."""
 
-    __slots__ = ("page_size", "_slots", "_memo", "_writes", "_states")
+    __slots__ = ("page_size", "_slots", "_writes", "_states")
 
     def __init__(self, page_size: int) -> None:
         self.page_size = page_size
@@ -73,8 +60,6 @@ class SlottedPage:
         # recomputed at serialization time (records are always compacted on
         # write, which keeps fragmentation bounded without a vacuum pass).
         self._slots: List[Optional[bytes]] = []
-        #: slot -> (body, decoded state or None): the decoded-state memo.
-        self._memo: Dict[int, Tuple[bytes, Any]] = {}
         #: Slot changes so far: what the page's state list is stamped with.
         self._writes = 0
         #: (writes, state tuple or None): the page's state list.
@@ -125,23 +110,10 @@ class SlottedPage:
         return len(self._slots) - 1
 
     def read(self, slot: int) -> bytes:
-        body = self._body(slot)
+        body = self.body(slot)
         if body is None:
             raise StorageError("slot %d is deleted" % slot)
         return body
-
-    def decoded(self, slot: int, body: bytes, decode: Callable[[bytes], Any]) -> Any:
-        """``decode(body)`` for ``body``, just read from ``slot`` — memoized
-        from the second read of the same body on (module docstring)."""
-        entry = self._memo.get(slot)
-        if entry is None or entry[0] is not body:
-            self._memo[slot] = (body, None)
-            return decode(body)
-        state = entry[1]
-        if state is None:
-            state = decode(body)
-            self._memo[slot] = (body, state)
-        return state
 
     def states(
         self, build: Callable[["SlottedPage"], Tuple[List[Any], bool]]
@@ -167,7 +139,7 @@ class SlottedPage:
         return frozen
 
     def update(self, slot: int, record: bytes) -> None:
-        old = self._body(slot)
+        old = self.body(slot)
         if old is None:
             raise StorageError("slot %d is deleted" % slot)
         if self.free_space + len(old) < len(record):
@@ -176,16 +148,14 @@ class SlottedPage:
         self._wrote()
 
     def delete(self, slot: int) -> None:
-        if self._body(slot) is None:
+        if self.body(slot) is None:
             raise StorageError("slot %d is already deleted" % slot)
         self._slots[slot] = None
         self._wrote()
 
     def _wrote(self) -> None:
-        """After a slot change: drop both memos (that frees memory) and
-        move the stamp, so a state list a racing reader built from the
-        old slots is never handed back."""
-        self._memo.clear()
+        """After a slot change: drop the state list and move the stamp, so
+        a list a racing reader built from the old slots is never returned."""
         self._states = None
         self._writes += 1
 
@@ -195,7 +165,8 @@ class SlottedPage:
             if body is not None:
                 yield slot, body
 
-    def _body(self, slot: int) -> Optional[bytes]:
+    def body(self, slot: int) -> Optional[bytes]:
+        """The record in ``slot``; None when the slot is tombstoned."""
         if not 0 <= slot < len(self._slots):
             raise StorageError("slot %d out of range" % slot)
         return self._slots[slot]

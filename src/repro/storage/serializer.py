@@ -52,7 +52,7 @@ def _encode_str(out: bytearray, text: str) -> None:
 
 
 #: Encoded class/attribute name -> the one ``str`` every decoded state
-#: uses for it, so the decoded-state memo (page.py) holds each schema
+#: uses for it, so the object buffer (manager.py) holds each schema
 #: name once rather than once per record.
 _NAMES: Dict[bytes, str] = {}
 

@@ -50,7 +50,7 @@ class Transaction:
         self.snapshot = None
         #: The :class:`~repro.versions.store.SnapshotView` over
         #: ``snapshot``, built beside it: every read of the transaction
-        #: shares it (and its deref memo); dropped at finish.
+        #: shares it; dropped at finish.
         self.view = None
 
     # -- state ------------------------------------------------------------

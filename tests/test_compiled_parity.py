@@ -18,8 +18,8 @@ missing from records stored before ``add_attribute``, list fan-out,
   writes, and beside another writer's uncommitted update, delete and
   reclass;
 * **through one transaction's view**: the same tree again and again
-  inside one transaction, whose view memoises every deref, across its
-  own writes and another transaction's commit.
+  inside one transaction, whose derefs the object buffer serves once
+  warm, across its own writes and another transaction's commit.
 
 ``COMPILED_PARITY_EXAMPLES`` sets the trees per check (CI's weekly job
 runs 500; tier-1 keeps a fixed-seed slice).
@@ -293,10 +293,11 @@ class TestEngineParity:
 
 
 class TestTransactionViewParity:
-    """One transaction reads through one view — and one deref memo —
-    across all its queries: each tree runs at the transaction's first
-    read, after its own writes, after another transaction's commit and
-    after more own writes, then once more outside any transaction."""
+    """One transaction reads through one view — its derefs served by the
+    object buffer once warm — across all its queries: each tree runs at
+    the transaction's first read, after its own writes, after another
+    transaction's commit and after more own writes, then once more
+    outside any transaction."""
 
     def test_memoised_view_across_own_writes_and_a_concurrent_commit(self):
         db, rng, parts = build(2027)

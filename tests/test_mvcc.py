@@ -277,7 +277,7 @@ class TestSnapshotReadRacingAbort:
         store = db.version_store
         return SnapshotView(
             store, store.open_snapshot(None), load, scan_pages,
-            db._coerce, db.schema.attribute_map, db._epoch, ephemeral=True,
+            db._coerce, db.schema.attribute_map, ephemeral=True,
         )
 
     @staticmethod

@@ -1,0 +1,174 @@
+"""Race stress for the object buffer's one invalidation rule.
+
+Seeded writer threads update (growing and shrinking records, so some
+move), delete, reinsert and reclass their own objects while reader
+threads dereference any object through a snapshot view or read it with
+``get_state``; updates read through ``_load_for_write``.  A four-frame
+pool of 512-byte pages drops frames all the time, and a tiny GIL switch
+interval interleaves the threads finely.  The pool and the pages carry
+no latches of their own (two threads faulting one page, or inserting
+into one page, can race outside the object buffer), so the stress makes
+each page fetch and each heap change atomic with a test latch; every
+step of the object buffer's own protocol still interleaves freely.
+After the threads join: no
+read returned another object's state, every buffered state equals a
+fresh decode of its object's current record, and the buffer holds only
+objects on resident frames.  A failure names its seed; replay with::
+
+    OBJECT_BUFFER_SEED=<seed> python -m pytest tests/test_object_buffer.py
+
+``OBJECT_BUFFER_ROUNDS`` sets the writes per writer thread (the weekly
+CI sweep runs 500).
+"""
+
+import os
+import random
+import sys
+import threading
+
+import pytest
+
+from repro import AttributeDef, Database
+from repro.core.obj import ObjectState
+from repro.core.oid import OID
+from repro.errors import ObjectNotFoundError
+from repro.storage.buffer import BufferPool
+from repro.storage.heap import HeapFile
+from repro.storage.serializer import decode_object
+
+ROUNDS = int(os.environ.get("OBJECT_BUFFER_ROUNDS", "60"))
+SEEDS = [1, 2, 3]
+_extra = os.environ.get("OBJECT_BUFFER_SEED")
+if _extra is not None:
+    SEEDS.append(int(_extra))
+
+WRITERS, READERS, OBJECTS_PER_WRITER = 2, 2, 10
+
+
+def _values(rng):
+    return {"x": rng.randrange(1000), "pad": "p" * rng.choice((0, 0, 20, 150))}
+
+
+def _writer(db, rng, mine, every):
+    for _ in range(ROUNDS):
+        oid = rng.choice(mine)
+        roll = rng.random()
+        if roll < 0.55:
+            db.update(oid, _values(rng))
+        elif roll < 0.75:
+            db.delete(oid)
+            mine.remove(oid)
+            new = db.new(rng.choice("TU"), _values(rng)).oid
+            mine.append(new)
+            every.append(new)
+        else:
+            state = db.get_state(oid)
+            other = "U" if state.class_name == "T" else "T"
+            db.put_state(ObjectState(oid, other, state.values))
+
+
+def _read(db, rng, oid):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return db.get_state(oid)
+    if kind == 1:
+        with db.transaction():
+            return db.read_state(oid)
+    view = db._snapshot_view()
+    try:
+        return view.deref(oid)
+    finally:
+        db._read_close(view)
+
+
+def _reader(db, rng, every, done, wrong):
+    while not done.is_set():
+        oid = rng.choice(every)
+        try:
+            state = _read(db, rng, oid)
+        except ObjectNotFoundError:
+            continue
+        if state is not None and state.oid != oid:
+            wrong.append((oid, state))
+
+
+def _guarded(target, errors, *args):
+    try:
+        target(*args)
+    except BaseException as exc:  # reported by the test, with the seed
+        errors.append(exc)
+
+
+@pytest.fixture
+def latched(monkeypatch):
+    latch = threading.RLock()
+    for owner, name in (
+        (BufferPool, "get_page"),
+        (HeapFile, "insert"),
+        (HeapFile, "update"),
+        (HeapFile, "delete"),
+    ):
+        def atomic(*args, _real=getattr(owner, name), **kwargs):
+            with latch:
+                return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, atomic)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_buffer_agrees_with_the_records_after_racing_threads(seed, latched):
+    db = Database(page_size=512, buffer_capacity=4)
+    for name in "TU":
+        db.define_class(
+            name, attributes=[AttributeDef("x", "Integer"), AttributeDef("pad", "String")]
+        )
+    rng = random.Random(seed)
+    owned = [
+        [db.new("T", _values(rng)).oid for _ in range(OBJECTS_PER_WRITER)]
+        for _ in range(WRITERS)
+    ]
+    every = [oid for mine in owned for oid in mine]
+    done = threading.Event()
+    wrong, errors = [], []
+    writers = [
+        threading.Thread(
+            target=_guarded,
+            args=(_writer, errors, db, random.Random(seed * 31 + k), mine, every),
+            daemon=True,
+        )
+        for k, mine in enumerate(owned)
+    ]
+    readers = [
+        threading.Thread(
+            target=_guarded,
+            args=(_reader, errors, db, random.Random(seed * 37 + k), every, done, wrong),
+            daemon=True,
+        )
+        for k in range(READERS)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in writers + readers:
+            thread.start()
+        for thread in writers:
+            thread.join(120)
+    finally:
+        done.set()
+        for thread in readers:
+            thread.join(120)
+        sys.setswitchinterval(interval)
+    replay = "replay with OBJECT_BUFFER_SEED=%d" % seed
+    assert not any(thread.is_alive() for thread in writers + readers), replay
+    assert errors == [], (replay, errors)
+    assert wrong == [], replay
+
+    storage = db.storage
+    resident = set(storage.buffer.resident_pages())
+    buffered = list(storage._objects.items())
+    entries = [storage.directory.lookup(OID(value)) for value, _state in buffered]
+    assert {entry.rid.page_id for entry in entries} <= resident, replay
+    for (_value, state), entry in zip(buffered, entries):
+        if state is not None:
+            page = storage.buffer.get_page(entry.rid.page_id)  # resident: a hit
+            assert decode_object(page.read(entry.rid.slot)) == state, replay

@@ -1,5 +1,7 @@
 """Pagers, buffer pool, heap files, serializer, storage manager."""
 
+import threading
+
 import pytest
 
 from repro import AttributeDef, Database
@@ -7,6 +9,7 @@ from repro.authz import attach
 from repro.core.obj import ObjectState
 from repro.core.oid import OID
 from repro.errors import AuthorizationError, ObjectNotFoundError, StorageError
+from repro.storage import manager as manager_module
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import RID, HeapFile
 from repro.storage.manager import StorageManager
@@ -304,8 +307,9 @@ class TestStorageManager:
 
 
 class TestDecodedStateMemo:
-    """A resident, unwritten record decodes once per body: the page
-    memoizes its decoded state from the second read on (page.py)."""
+    """The object buffer, the storage manager's memo of decoded stored
+    states by OID: while its page stays in the pool, an unwritten object
+    decodes on its first two reads (the second admits it), then never."""
 
     @staticmethod
     def _storage(n=40, **kwargs):
@@ -318,22 +322,44 @@ class TestDecodedStateMemo:
     def _decodes(storage):
         return storage.metrics.value("storage.decodes")
 
+    @staticmethod
+    def _buffered(storage):
+        """OIDs the object buffer holds a state for (markers live in the
+        page sets, not here)."""
+        return {OID(value) for value in storage._objects}
+
     def _scan_decodes(self, storage):
         before = self._decodes(storage)
         list(storage.scan_class("A"))
+        return self._decodes(storage) - before
+
+    def _load_decodes(self, storage, oids):
+        before = self._decodes(storage)
+        for oid in oids:
+            assert storage.load(oid).oid == oid
         return self._decodes(storage) - before
 
     def test_third_scan_of_an_unchanged_extent_decodes_nothing(self):
         storage = self._storage()
         assert [self._scan_decodes(storage) for _ in range(3)] == [40, 40, 0]
 
-    def test_memo_hits_fetch_exactly_one_page_per_record(self):
+    def test_memo_hits_fetch_no_page_and_decode_nothing(self):
         storage = self._storage()
+        assert self._load_decodes(storage, [OID(7)] * 2) == 2  # the second read admits
+        names = ("buffer.hits", "buffer.faults", "storage.decodes")
         for _ in range(3):
-            before = storage.metrics.value("buffer.hits")
+            before = [storage.metrics.value(name) for name in names]
             assert storage.load(OID(7)).values["x"] == 7
-            assert storage.metrics.value("buffer.hits") - before == 1
+            assert [storage.metrics.value(name) for name in names] == before
         assert storage.load(OID(7)) is storage.load(OID(7))
+
+    def test_a_read_once_sweep_keeps_no_state(self):
+        storage = self._storage()
+        oids = [OID(i) for i in range(1, 41)]
+        assert self._load_decodes(storage, oids) == 40
+        assert self._buffered(storage) == set()
+        assert [self._load_decodes(storage, oids) for _ in range(2)] == [40, 0]
+        assert self._buffered(storage) == set(oids)
 
     def test_an_update_re_decodes_only_its_own_page(self):
         storage = self._storage(page_size=512)
@@ -342,47 +368,109 @@ class TestDecodedStateMemo:
         for _ in range(2):
             self._scan_decodes(storage)
         storage.overwrite(ObjectState(OID(1), "A", {"x": -1, "tags": ["t"]}))
-        same_page = sum(1 for page_id in pages.values() if page_id == pages[1])
-        assert [self._scan_decodes(storage) for _ in range(3)] == [
-            same_page,
-            same_page,
-            0,
-        ]
+        # The page's list is rebuilt, but the object buffer still holds its
+        # other records: only the written one decodes (marker, then state).
+        assert [self._scan_decodes(storage) for _ in range(3)] == [1, 1, 0]
         assert storage.load(OID(1)).values["x"] == -1
 
-    def test_a_stale_entry_stored_after_an_update_is_never_returned(self):
+    @pytest.mark.parametrize("write", ["update", "grow", "reclass", "remove"])
+    def test_a_write_drops_only_its_own_entry(self, write):
+        storage = self._storage(page_size=512)
+        oids = [OID(i) for i in range(1, 41)]
+        self._load_decodes(storage, oids * 2)
+        if write == "remove":
+            storage.remove(OID(2))
+            with pytest.raises(ObjectNotFoundError):
+                storage.load(OID(2))
+        else:
+            values = {"x": 20, "tags": ["t" * (300 if write == "grow" else 1)]}
+            state = ObjectState(OID(2), "B" if write == "reclass" else "A", values)
+            rid = storage.directory.lookup(OID(2)).rid
+            storage.overwrite(state)
+            assert (storage.directory.lookup(OID(2)).rid == rid) is (write == "update")
+            assert storage.load(OID(2)) == state
+        assert self._buffered(storage) == set(oids) - {OID(2)}
+
+    def test_a_stale_entry_stored_after_an_update_is_never_returned(self, monkeypatch):
+        """A reader decodes the old body; the writer changes the record
+        and pops; a second reader leaves a marker; only then does the
+        first reader admit the old state.  The moved stamp drops it."""
         storage = self._storage(n=3)
-        old = [storage.load(OID(2)) for _ in range(2)][-1]  # admitted
-        rid = storage.directory.lookup(OID(2)).rid
-        page = storage.buffer.get_page(rid.page_id)
-        old_body = page.read(rid.slot)
+        storage.load(OID(2))  # the marker: the next read admits
+        decoded, resume = threading.Event(), threading.Event()
+
+        def decode(data):
+            state = decode_object(data)
+            if threading.current_thread() is reader:
+                decoded.set()
+                assert resume.wait(10)
+            return state
+
+        monkeypatch.setattr(manager_module, "decode_object", decode)
+        reader = threading.Thread(target=storage.load, args=(OID(2),))
+
+        class WriterPop(dict):
+            def pop(self, *args):
+                popped = super().pop(*args)
+                if threading.current_thread() is not reader and reader.is_alive():
+                    storage.load(OID(2))  # a second reader: the new body's marker
+                    resume.set()
+                    reader.join(10)
+                return popped
+
+        storage._objects = WriterPop(storage._objects)
+        reader.start()
+        assert decoded.wait(10)
         storage.overwrite(ObjectState(OID(2), "A", {"x": 20, "tags": []}))
-        # A reader that raced the writer stores its entry late.
-        page._memo[rid.slot] = (old_body, old)
+        reader.join(10)
+        assert not reader.is_alive()
         for _ in range(3):
             assert storage.load(OID(2)).values == {"x": 20, "tags": []}
+
+    def test_a_frame_dropped_during_a_read_keeps_no_entry(self):
+        storage = self._storage(n=3)
+        storage.load(OID(2))  # the marker: the next read admits
+        page_id = storage.directory.lookup(OID(2)).rid.page_id
+
+        class DroppedFirst(dict):
+            def __setitem__(self, value, state):
+                storage.buffer.invalidate(page_id)  # the pool gives the frame up mid-admission
+                super().__setitem__(value, state)
+
+        storage._objects = DroppedFirst()
+        assert storage.load(OID(2)).values["x"] == 2
+        assert OID(2).value not in storage._objects
 
     def test_eviction_drops_the_memo(self):
         storage = self._storage(page_size=512, buffer_capacity=2)
         assert [storage.load(OID(1)).values["x"] for _ in range(3)] == [1, 1, 1]
         before = self._decodes(storage)
         storage.load(OID(1))
-        assert self._decodes(storage) == before  # memoized
+        assert self._decodes(storage) == before  # buffered
         list(storage.scan_class("A"))  # cycles every frame out
-        before = self._decodes(storage)
-        storage.load(OID(1))
-        assert self._decodes(storage) == before + 1
+        assert OID(1).value not in storage._objects
+        assert self._load_decodes(storage, [OID(1)]) == 1
+        resident = set(storage.buffer.resident_pages())
+        pages = {storage.directory.lookup(OID(value)).rid.page_id for value in storage._objects}
+        assert pages <= resident
+
+    def _dropped(self, drop):
+        """Buffer two objects, let ``drop(storage)`` give their frame up,
+        and check the buffer is empty and reads decode again."""
+        storage = self._storage()
+        self._load_decodes(storage, [OID(1), OID(2)] * 2)
+        storage.buffer.flush_all()
+        drop(storage)
+        assert storage._objects == {}
+        assert self._load_decodes(storage, [OID(1)]) == 1
+        assert storage.load(OID(1)).values["x"] == 1
 
     def test_invalidate_drops_the_memo(self):
-        storage = self._storage()
-        for _ in range(2):
-            storage.load(OID(1))
-        storage.buffer.flush_all()
         # Recovery re-imaging a page underneath the pool.
-        storage.buffer.invalidate(storage.directory.lookup(OID(1)).rid.page_id)
-        before = self._decodes(storage)
-        assert storage.load(OID(1)).values["x"] == 1
-        assert self._decodes(storage) == before + 1
+        self._dropped(lambda s: s.buffer.invalidate(s.directory.lookup(OID(1)).rid.page_id))
+
+    def test_drop_cache_drops_the_memo(self):
+        self._dropped(lambda s: s.drop_cache())
 
     def test_long_records_are_never_memoized(self):
         storage = StorageManager(page_size=512)
@@ -391,8 +479,52 @@ class TestDecodedStateMemo:
         for _ in range(3):
             assert storage.load(OID(1)).values["blob"] == b"x" * 2000
         assert self._decodes(storage) == before + 3
-        rid = storage.directory.lookup(OID(1)).rid
-        assert storage.buffer.get_page(rid.page_id)._memo == {}
+        assert storage._objects == {}
+
+
+class TestReadRacingAMove:
+    """A read whose directory lookup a write overtakes — the slot is
+    tombstoned or holds another object by the time it is read — looks
+    the OID up again instead of failing or returning another object."""
+
+    @staticmethod
+    def _racing(monkeypatch, write):
+        """Run ``write`` once, between the next lookup and its slot read."""
+        real_page = HeapFile.page
+        pending = [write]
+
+        def page(heap, rid):
+            if pending:
+                pending.pop()()
+            return real_page(heap, rid)
+
+        monkeypatch.setattr(HeapFile, "page", page)
+
+    @staticmethod
+    def _db():
+        db = Database()
+        db.define_class("T", attributes=[AttributeDef("x", "Integer")])
+        return db, db.new("T", {"x": 1}).oid
+
+    def test_a_snapshot_read_racing_a_delete_sees_its_image(self, monkeypatch):
+        db, oid = self._db()
+        view = db._snapshot_view()
+        self._racing(monkeypatch, lambda: db.delete(oid))
+        assert view.deref(oid).values == {"x": 1}
+        db._read_close(view)
+        assert not db.exists(oid)
+
+    def test_a_read_racing_a_delete_and_insert_finds_no_object(self, monkeypatch):
+        db, oid = self._db()
+
+        def write():
+            db.delete(oid)
+            db.new("T", {"x": 99})  # reuses the tombstoned slot
+
+        self._racing(monkeypatch, write)
+        with pytest.raises(ObjectNotFoundError):
+            db.get_state(oid)
+        assert db.storage._objects.get(oid.value) is None
 
 
 class TestPageStateList:
@@ -441,10 +573,11 @@ class TestPageStateList:
     def test_a_list_built_across_a_write_is_never_handed_back(self):
         storage = TestDecodedStateMemo._storage(n=3)
         self._scan(storage)  # the first scan marks the page
-        page = storage.buffer.get_page(storage.directory.lookup(OID(2)).rid.page_id)
+        page_id = storage.directory.lookup(OID(2)).rid.page_id
+        page = storage.buffer.get_page(page_id)
 
         def racing(page):
-            built = storage._build_page_states(page)
+            built = storage._build_page_states(page_id, page)
             # A writer lands after the reader read the slots.
             storage.overwrite(ObjectState(OID(2), "A", {"x": 20, "tags": []}))
             return built
@@ -474,7 +607,7 @@ def _doc_db():
         ],
     )
     oid = db.new("Doc", {"title": "orig", "tags": ["a"], "grid": [["g"], ["h"]]}).oid
-    for _ in range(2):  # the second scan admits the state to the memo
+    for _ in range(2):  # the second scan keeps the page's state list
         db.execute("SELECT d FROM Doc d")
     return db, oid
 
@@ -501,8 +634,9 @@ def _assert_stored(db, oid):
 
 
 class TestSharedStatesAreReadOnly:
-    """Stored states are shared by the decoded-state memo, so every state
-    or list value that leaves the engine is a copy the caller owns."""
+    """Stored states are shared by the object buffer and the page state
+    lists, so every state or list value that leaves the engine is a copy
+    the caller owns."""
 
     def test_list_values_through_a_handle(self):
         db, oid = _doc_db()
@@ -546,8 +680,9 @@ class TestSharedStatesAreReadOnly:
     @pytest.mark.parametrize("policy", ["lazy", "eager", "none"])
     def test_workspace_edits(self, policy):
         db, oid = _doc_db()
+        db.storage.load(oid)  # the second read admits
         memoized = db.storage.load(oid)
-        assert db.storage.load(oid) is memoized  # the page memo's own state
+        assert db.storage.load(oid) is memoized  # the object buffer's own state
         memory_object = ObjectWorkspace(db, policy=policy).load(oid)
         memory_object["tags"].append("x")
         memory_object["grid"][0].append("x")
