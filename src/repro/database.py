@@ -222,6 +222,9 @@ class Database:
             self.wal, self.locks, registry=self.metrics,
             version_store=self.version_store,
         )
+        self.txns.compensate = lambda txn, before, after: self._write(
+            txn, after, before, compensating=True
+        )
         self.waits.current_txn = self._current_txn_id
         self.clustering = clustering or NoClustering()
         self._oids = OIDGenerator()
@@ -349,6 +352,8 @@ class Database:
             self.checkpoint()
         self.storage.close()
         self.wal.close()
+        for index in self.indexes.all_indexes():  # see StorageManager.close
+            index.clear()
 
     def __enter__(self) -> "Database":
         return self
@@ -433,7 +438,7 @@ class Database:
 
     def _deref_class(self, oid: OID) -> Optional[str]:
         entry = self.storage.directory.try_lookup(oid)
-        return entry.class_name if entry else None
+        return entry[0] if entry else None
 
     def _extent_pages(self, class_name: str) -> int:
         if not self.storage.has_heap(class_name):
@@ -513,12 +518,13 @@ class Database:
 
         ``before is None`` inserts ``after``, ``after is None`` deletes
         ``before``, both present overwrite — a differing ``class_name``
-        moves the object between extents.  The log, the undo closure and
-        snapshot readers keep the stored images as given; indexes and
-        hooks hold what readers see, so they get both images coerced to
-        the current class definition.  Compensation is this call with
-        the pair swapped: locks are still held, a rollback cannot be
-        vetoed (no pre-hooks), abort drops the version chain (no entry).
+        moves the object between extents.  The log, the transaction's
+        write log and snapshot readers keep the stored images as given;
+        indexes and hooks hold what readers see, so they get both images
+        coerced to the current class definition.  Compensation is this
+        call with the pair swapped (``txns.compensate``): locks are still
+        held, a rollback cannot be vetoed (no pre-hooks), abort drops the
+        version chain (no entry).
         """
         state = before if after is None else after
         kind = "insert" if before is None else "delete" if after is None else "update"
@@ -552,9 +558,7 @@ class Database:
             self.indexes.notify_update(old, new)
             self.wal.log_update(txn.txn_id, before, after)
         if not compensating:
-            txn.record_undo(
-                lambda: self._write(txn, after, before, compensating=True)
-            )
+            txn.writes.append((before, after))
         for hook in self._post_hooks:
             hook(kind, old, new)
 

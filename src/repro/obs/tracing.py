@@ -2,10 +2,13 @@
 
 ``tracer.span("query.execute", target="Vehicle")`` times a block and
 records it as a node in a parent/child tree; nesting follows the runtime
-call stack (per thread).  Finished spans land in a fixed-size ring
-buffer so a long-lived database never grows without bound, and any span
-slower than the configured threshold is copied to the slow-op log — the
-first place to look when a workload degrades.
+call stack (per thread).  Links point down only (a span keeps its
+children and its depth, not its parent), so a span the ring drops is
+freed by reference counting, not left to the cyclic collector.
+Finished spans land in a fixed-size ring buffer so a long-lived
+database never grows without bound, and any span slower than the
+configured threshold is copied to the slow-op log — the first place to
+look when a workload degrades.
 
 A thread can also carry a *trace context*: ``with tracer.trace(id):``
 stamps every span and note recorded inside the block with a
@@ -39,7 +42,6 @@ class Span:
         "tags",
         "start",
         "elapsed",
-        "parent",
         "children",
         "dropped_children",
         "depth",
@@ -51,16 +53,15 @@ class Span:
         name: str,
         tags: Dict[str, Any],
         start: float,
-        parent: Optional["Span"] = None,
+        depth: int = 0,
     ) -> None:
         self.name = name
         self.tags = tags
         self.start = start
         self.elapsed: Optional[float] = None
-        self.parent = parent
         self.children: List["Span"] = []
         self.dropped_children = 0
-        self.depth = 0 if parent is None else parent.depth + 1
+        self.depth = depth
         self.error: Optional[str] = None
 
     @property
@@ -227,7 +228,7 @@ class Tracer:
         self._stamp_trace(tags)
         stack = self._stack()
         parent = stack[-1] if stack else None
-        span = Span(name, tags, self._clock(), parent)
+        span = Span(name, tags, self._clock(), len(stack))
         if parent is not None:
             if len(parent.children) < Span.MAX_CHILDREN:
                 parent.children.append(span)
@@ -288,7 +289,7 @@ class Tracer:
 
     def roots(self) -> List[Span]:
         """Finished top-level spans (whole-operation trees)."""
-        return [span for span in self._buffer if span.parent is None]
+        return [span for span in self._buffer if span.depth == 0]
 
     def last(self, name: Optional[str] = None) -> Optional[Span]:
         for span in reversed(self._buffer):

@@ -7,7 +7,7 @@ from .clustering import (
     CompositeClustering,
     NoClustering,
 )
-from .directory import DirectoryEntry, ObjectDirectory
+from .directory import ObjectDirectory
 from .heap import RID, HeapFile
 from .manager import StorageManager
 from .page import SlottedPage
@@ -20,7 +20,6 @@ __all__ = [
     "NoClustering",
     "CompositeClustering",
     "AttributeClustering",
-    "DirectoryEntry",
     "ObjectDirectory",
     "RID",
     "HeapFile",

@@ -6,91 +6,87 @@ logical OID to its physical location (class heap + RID), which is what
 makes kimdb OIDs *logical*: relocating a record (page overflow,
 reclustering) only touches the directory entry, never the references
 stored inside other objects.
+
+The directory is plain data, so the cyclic collector does not scan it:
+it is keyed by the OID's int value, as the object buffer is, and an
+entry is an exact ``(class_name, page_id, slot)`` tuple, which CPython
+stops tracking because it holds only atoms (a namedtuple it would
+track).  An entry is never changed, only replaced whole
+(:meth:`ObjectDirectory.move`), so a lock-free reader never pairs a
+class with another class's page and slot.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.oid import OID
 from ..errors import ObjectNotFoundError
 from .heap import RID
 
-
-class DirectoryEntry:
-    __slots__ = ("class_name", "rid")
-
-    def __init__(self, class_name: str, rid: RID) -> None:
-        self.class_name = class_name
-        self.rid = rid
-
-    def __repr__(self) -> str:
-        return "<DirectoryEntry %s %r>" % (self.class_name, self.rid)
+#: ``(class_name, page_id, slot)``: where one object is stored.
+Entry = Tuple[str, int, int]
 
 
 class ObjectDirectory:
-    """OID -> (class, RID) map with a per-class secondary index."""
+    """OID value -> entry map with a per-class set of OID values."""
 
     def __init__(self) -> None:
-        self._entries: Dict[OID, DirectoryEntry] = {}
-        self._by_class: Dict[str, set] = {}
+        self._entries: Dict[int, Entry] = {}
+        self._by_class: Dict[str, Set[int]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, oid: OID) -> bool:
-        return oid in self._entries
+        return oid.value in self._entries
 
     def add(self, oid: OID, class_name: str, rid: RID) -> None:
-        if oid in self._entries:
+        value = oid.value
+        if value in self._entries:
             raise ObjectNotFoundError(
                 "directory already has an entry for %r" % (oid,)
             )
-        self._entries[oid] = DirectoryEntry(class_name, rid)
-        self._by_class.setdefault(class_name, set()).add(oid)
+        self._entries[value] = (class_name, rid[0], rid[1])
+        self._by_class.setdefault(class_name, set()).add(value)
 
-    def lookup(self, oid: OID) -> DirectoryEntry:
-        entry = self._entries.get(oid)
+    def lookup(self, oid: OID) -> Entry:
+        entry = self._entries.get(oid.value)
         if entry is None:
             raise ObjectNotFoundError("no object with OID %r" % (oid,))
         return entry
 
-    def try_lookup(self, oid: OID) -> Optional[DirectoryEntry]:
-        return self._entries.get(oid)
+    def try_lookup(self, oid: OID) -> Optional[Entry]:
+        return self._entries.get(oid.value)
 
-    def relocate(self, oid: OID, rid: RID) -> None:
-        self.lookup(oid).rid = rid
+    def move(self, oid: OID, class_name: str, rid: RID) -> None:
+        """``oid`` now lives at ``rid`` in ``class_name``'s heap (a
+        relocation, or a migration between classes): a fresh entry."""
+        value = oid.value
+        old_class = self.lookup(oid)[0]
+        if old_class != class_name:
+            self._by_class[old_class].discard(value)
+            self._by_class.setdefault(class_name, set()).add(value)
+        self._entries[value] = (class_name, rid[0], rid[1])
 
-    def reclass(self, oid: OID, new_class: str, rid: RID) -> None:
-        """Move an object between classes (schema evolution migrate); a
-        new entry, so a lock-free reader never pairs class and RID wrongly."""
-        entry = self.lookup(oid)
-        self._by_class.get(entry.class_name, set()).discard(oid)
-        self._entries[oid] = DirectoryEntry(new_class, rid)
-        self._by_class.setdefault(new_class, set()).add(oid)
-
-    def remove(self, oid: OID) -> DirectoryEntry:
-        entry = self._entries.pop(oid, None)
+    def remove(self, oid: OID) -> Entry:
+        entry = self._entries.pop(oid.value, None)
         if entry is None:
             raise ObjectNotFoundError("no object with OID %r" % (oid,))
-        self._by_class.get(entry.class_name, set()).discard(oid)
+        self._by_class[entry[0]].discard(oid.value)
         return entry
 
     def oids_of_class(self, class_name: str) -> List[OID]:
         """OIDs of direct instances of ``class_name`` only, sorted."""
-        return sorted(self._by_class.get(class_name, ()))
+        values = sorted(self._by_class.get(class_name, ()))
+        return [OID(value, class_name) for value in values]
 
     def count_of_class(self, class_name: str) -> int:
         """Number of direct instances of ``class_name``, in O(1)."""
         return len(self._by_class.get(class_name, ()))
 
-    def items(self) -> Iterator[Tuple[OID, DirectoryEntry]]:
-        return iter(list(self._entries.items()))
-
     def max_oid_value(self) -> int:
-        if not self._entries:
-            return 0
-        return max(oid.value for oid in self._entries)
+        return max(self._entries, default=0)
 
     def clear(self) -> None:
         self._entries.clear()

@@ -4,6 +4,10 @@ kimdb gives every class its own heap file (a list of slotted pages), the
 segment-per-class layout ORION used.  That makes class scans sequential
 and gives the clustering policy (experiment E6) a meaningful notion of
 "place this object near that one".
+
+A record is addressed by its RID, a plain ``(page id, slot)`` tuple,
+stable while the record is updated in place: a tuple of ints is data
+the cyclic collector stops tracking.
 """
 
 from __future__ import annotations
@@ -15,27 +19,8 @@ from .buffer import BufferPool
 from .page import SlottedPage
 
 
-class RID:
-    """Record identifier: (page id, slot) — stable across updates in place."""
-
-    __slots__ = ("page_id", "slot")
-
-    def __init__(self, page_id: int, slot: int) -> None:
-        self.page_id = page_id
-        self.slot = slot
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RID)
-            and other.page_id == self.page_id
-            and other.slot == self.slot
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.page_id, self.slot))
-
-    def __repr__(self) -> str:
-        return "RID(%d, %d)" % (self.page_id, self.slot)
+#: Record identifier: (page id, slot) (module docstring).
+RID = Tuple[int, int]
 
 
 class HeapFile:
@@ -63,7 +48,7 @@ class HeapFile:
         except PageFullError:
             return None
         self.buffer.mark_dirty(page_id)
-        return RID(page_id, slot)
+        return page_id, slot
 
     def insert(self, record: bytes, near: Optional[RID] = None) -> RID:
         """Insert a record; with ``near`` co-locate with its page's run.
@@ -75,8 +60,8 @@ class HeapFile:
         experiment E6 measures).  Unhinted inserts append to the tail
         page, allocating a new one when full.
         """
-        if near is not None and near.page_id in self._owned:
-            rid = self._try_insert(near.page_id, record)
+        if near is not None and near[0] in self._owned:
+            rid = self._try_insert(near[0], record)
             if rid is not None:
                 return rid
         elif self.page_ids:
@@ -92,29 +77,35 @@ class HeapFile:
 
     # -- access ---------------------------------------------------------------
 
-    def page(self, rid: RID) -> SlottedPage:
-        """The (buffer-resident) page holding ``rid``."""
-        self._check_owned(rid)
-        return self.buffer.get_page(rid.page_id)
+    def page(self, page_id: int) -> SlottedPage:
+        """The (buffer-resident) page ``page_id`` of this heap."""
+        if page_id not in self._owned:
+            raise StorageError(
+                "page %d does not belong to heap %r" % (page_id, self.name)
+            )
+        return self.buffer.get_page(page_id)
 
     def read(self, rid: RID) -> bytes:
-        return self.page(rid).read(rid.slot)
+        page_id, slot = rid
+        return self.page(page_id).read(slot)
 
     def update(self, rid: RID, record: bytes) -> RID:
         """Update in place when possible, else relocate; returns the RID."""
-        page = self.page(rid)
+        page_id, slot = rid
+        page = self.page(page_id)
         try:
-            page.update(rid.slot, record)
+            page.update(slot, record)
         except PageFullError:
-            page.delete(rid.slot)
-            self.buffer.mark_dirty(rid.page_id)
+            page.delete(slot)
+            self.buffer.mark_dirty(page_id)
             return self.insert(record, near=rid)
-        self.buffer.mark_dirty(rid.page_id)
+        self.buffer.mark_dirty(page_id)
         return rid
 
     def delete(self, rid: RID) -> None:
-        self.page(rid).delete(rid.slot)
-        self.buffer.mark_dirty(rid.page_id)
+        page_id, slot = rid
+        self.page(page_id).delete(slot)
+        self.buffer.mark_dirty(page_id)
 
     def pages(self) -> Iterator[Tuple[int, SlottedPage]]:
         """Every page in heap order, fetched through the buffer as reached."""
@@ -125,13 +116,7 @@ class HeapFile:
         """All live records in page order (sequential-scan order)."""
         for page_id, page in self.pages():
             for slot, body in page.records():
-                yield RID(page_id, slot), body
-
-    def _check_owned(self, rid: RID) -> None:
-        if rid.page_id not in self._owned:
-            raise StorageError(
-                "RID %r does not belong to heap %r" % (rid, self.name)
-            )
+                yield (page_id, slot), body
 
     @property
     def page_count(self) -> int:

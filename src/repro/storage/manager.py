@@ -44,7 +44,7 @@ from .serializer import decode_object, encode_object
 #: always starts with an 8-byte big-endian OID, whose first byte is 0 for
 #: any realistic OID, so the prefix cannot collide with a real record).
 _LONG_MAGIC = b"\xffKIMLONG"
-_OID_VALUE = struct.Struct(">Q")  # how a record, or a stub, starts
+_OID_VALUE = struct.Struct(">Q")  # a stub's OID value
 _CHUNK_REF = struct.Struct(">IH")  # page id, slot
 
 #: Name of the heap holding overflow chunks.
@@ -146,18 +146,30 @@ class StorageManager:
         return meta
 
     def rebuild_directory(self) -> None:
-        """Re-derive OID -> location by scanning every heap."""
+        """Re-derive OID -> location by scanning every heap.
+
+        A crash in the middle of a move between classes can leave the
+        object's record on both heaps' pages: the first record found is
+        kept and the others are deleted after the scan.  Recovery then
+        rewrites the object from the log, which the page-image hook made
+        durable before either page was written back.
+        """
         self.directory.clear()
+        duplicates = []
         for class_name, heap in self._heaps.items():
             if class_name == OVERFLOW_HEAP:
                 continue
             for rid, body in heap.scan():
                 if self._is_stub(body):
-                    oid_value, _stub_class, _chunks = self._read_stub(body)
-                    self.directory.add(OID(oid_value), class_name, rid)
+                    oid = OID(self._read_stub(body)[0])
                 else:
-                    state = self._decode(body)
-                    self.directory.add(state.oid, class_name, rid)
+                    oid = self._decode(body).oid
+                if oid in self.directory:
+                    duplicates.append((heap, rid))
+                else:
+                    self.directory.add(oid, class_name, rid)
+        for heap, rid in duplicates:
+            heap.delete(rid)
         self.directory_stale = False
 
     # -- crash repair (driven by txn.recovery) ----------------------------
@@ -237,7 +249,7 @@ class StorageManager:
         stub += struct.pack(">H", len(name)) + name
         stub += struct.pack(">I", len(rids))
         for rid in rids:
-            stub += _CHUNK_REF.pack(rid.page_id, rid.slot)
+            stub += _CHUNK_REF.pack(*rid)
         return bytes(stub)
 
     @staticmethod
@@ -251,11 +263,7 @@ class StorageManager:
         pos += name_len
         (count,) = struct.unpack_from(">I", body, pos)
         pos += 4
-        rids = []
-        for _ in range(count):
-            page_id, slot = _CHUNK_REF.unpack_from(body, pos)
-            pos += _CHUNK_REF.size
-            rids.append(RID(page_id, slot))
+        rids = list(_CHUNK_REF.iter_unpack(body[pos : pos + count * _CHUNK_REF.size]))
         return oid_value, class_name, rids
 
     def _assemble(self, body: bytes) -> ObjectState:
@@ -314,11 +322,11 @@ class StorageManager:
         near_rid: Optional[RID] = None
         if near is not None:
             entry = self.directory.try_lookup(near)
-            if entry is not None and entry.class_name == state.class_name:
-                near_rid = entry.rid
+            if entry is not None and entry[0] == state.class_name:
+                near_rid = entry[1:]
         rid = heap.insert(self._encode_record(state), near=near_rid)
         self.directory.add(state.oid, state.class_name, rid)
-        self._wrote(state.oid, rid.page_id)
+        self._wrote(state.oid, rid[0])
         return rid
 
     def load(self, oid: OID) -> ObjectState:
@@ -330,10 +338,9 @@ class StorageManager:
         """:meth:`load` on a miss: read the record, then admit it."""
         while True:
             stamp = self._stamp
-            entry = self.directory.lookup(oid)
-            rid = entry.rid
-            read_from = self._read_set(rid.page_id)  # before the fetch: see _admit
-            body = self.heap_for(entry.class_name).page(rid).body(rid.slot)
+            class_name, page_id, slot = self.directory.lookup(oid)
+            read_from = self._read_set(page_id)  # before the fetch: see _admit
+            body = self.heap_for(class_name).page(page_id).body(slot)
             if body is not None:
                 stub = body.startswith(_LONG_MAGIC)
                 state = self._assemble(body) if stub else self._decode(body)
@@ -341,7 +348,7 @@ class StorageManager:
                     break
             # Deleted or moved since the lookup: look again (and raise).
         if not stub:
-            self._admit(state, rid.page_id, read_from, stamp)
+            self._admit(state, page_id, read_from, stamp)
         return state
 
     def _read_set(self, page_id: int) -> Set[int]:
@@ -378,38 +385,36 @@ class StorageManager:
         return oid in self.directory
 
     def class_of(self, oid: OID) -> str:
-        return self.directory.lookup(oid).class_name
+        return self.directory.lookup(oid)[0]
 
     def overwrite(self, state: ObjectState) -> None:
         """Replace the stored state of an existing object."""
-        entry = self.directory.lookup(state.oid)
-        rid = entry.rid
-        heap = self.heap_for(entry.class_name)
+        class_name, page_id, slot = self.directory.lookup(state.oid)
+        rid = (page_id, slot)
+        heap = self.heap_for(class_name)
         self._free_chunks(heap.read(rid))
-        if entry.class_name != state.class_name:
+        if class_name != state.class_name:
             # Class migration: remove from the old heap, insert into new.
             heap.delete(rid)
-            new_heap = self.heap_for(state.class_name)
-            new_rid = new_heap.insert(self._encode_record(state))
-            self.directory.reclass(state.oid, state.class_name, new_rid)
+            new_rid = self.heap_for(state.class_name).insert(self._encode_record(state))
         else:
             new_rid = heap.update(rid, self._encode_record(state))
-            if new_rid != rid:
-                self.directory.relocate(state.oid, new_rid)
-        self._wrote(state.oid, rid.page_id)
+        if new_rid != rid:  # heaps share no pages: always so for a migration
+            self.directory.move(state.oid, state.class_name, new_rid)
+        self._wrote(state.oid, page_id)
 
     def remove(self, oid: OID) -> ObjectState:
         """Delete an object, returning its final state (for undo logs)."""
-        entry = self.directory.lookup(oid)
-        heap = self.heap_for(entry.class_name)
-        body = heap.read(entry.rid)
+        class_name, page_id, slot = self.directory.lookup(oid)
+        heap = self.heap_for(class_name)
+        body = heap.read((page_id, slot))
         state = self._objects.get(oid.value)
         if state is None:
             state = self._assemble(body) if self._is_stub(body) else self._decode(body)
         self._free_chunks(body)
         self.directory.remove(oid)  # first: a dead slot's reader finds no entry
-        heap.delete(entry.rid)
-        self._wrote(oid, entry.rid.page_id)
+        heap.delete((page_id, slot))
+        self._wrote(oid, page_id)
         return state
 
     def scan_pages(self, class_name: str) -> Iterator[Sequence[ObjectState]]:
@@ -428,8 +433,11 @@ class StorageManager:
     def _build_page_states(self, page_id: int, page: SlottedPage) -> Tuple[list, bool]:
         """The states of ``page``, for its state list (page.py), and
         whether the page may keep them: not when it holds a long-object
-        stub.  Each record comes from the object buffer or goes to it."""
-        stamp, objects, read_from = self._stamp, self._objects, self._read_set(page_id)
+        stub.  Each record is decoded and offered to the object buffer,
+        never taken from it: a writer changes the page before it pops
+        the OID, so the buffer may still hold the old state of a record
+        the page already holds anew."""
+        stamp, read_from = self._stamp, self._read_set(page_id)
         admit = page_id in self.buffer  # registered after the fetch: check
         keep = True
         states = []
@@ -438,11 +446,9 @@ class StorageManager:
                 keep = False
                 states.append(self._assemble(body))
                 continue
-            state = objects.get(_OID_VALUE.unpack_from(body)[0])
-            if state is None:
-                state = self._decode(body)
-                if admit:
-                    self._admit(state, page_id, read_from, stamp)
+            state = self._decode(body)
+            if admit:
+                self._admit(state, page_id, read_from, stamp)
             states.append(state)
         return states, keep
 
@@ -469,9 +475,11 @@ class StorageManager:
 
     def close(self) -> None:
         try:
-            self.flush()
+            self.drop_cache()  # empty now: a dropped database is cyclic garbage
+            self.save_metadata()
         finally:
             self.pager.close()
+            self.directory.clear()
 
     def __enter__(self) -> "StorageManager":
         return self

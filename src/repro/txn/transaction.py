@@ -3,8 +3,11 @@
 Conventional short transactions with ACID semantics (requirement 2 of the
 paper's minimum definition): strict two-phase locking via the lock
 manager, logical undo for rollback, WAL records for durability.  The
-database layer registers an undo closure for every mutation; abort runs
-them newest-first, then both paths release all locks.
+database layer appends a ``(before, after)`` pair of stored images to
+the transaction's write log for every mutation; abort hands them
+newest-first to the manager's ``compensate`` hook, then both paths
+release all locks.  The log is plain values, so a finished transaction
+is freed by reference counting and never becomes cyclic garbage.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from ..core.obj import ObjectState
 from ..errors import TransactionError
 from ..obs.metrics import MetricsRegistry
 from .locks import LockManager
@@ -35,9 +39,9 @@ class Transaction:
         #: perf_counter twin below per the obs clock convention).
         self.started_at = time.time()  # lint: ignore[wall-clock-duration]
         self._started_clock = time.perf_counter()
-        self._undo_actions: List[Callable[[], None]] = []
-        #: Mutation count, for tests and the WAL experiment.
-        self.operations = 0
+        #: The write log: one ``(before, after)`` pair per mutation, in
+        #: order (``Database._write``; ``None`` = "did not exist").
+        self.writes: List[Tuple[Optional[ObjectState], Optional[ObjectState]]] = []
         #: Lock-escalation bookkeeping (maintained by the database):
         #: object-lock counts per class, and classes escalated to a
         #: class-level lock ("S" or "X").
@@ -60,6 +64,11 @@ class Transaction:
         return self.status == ACTIVE
 
     @property
+    def operations(self) -> int:
+        """Mutation count, for tests and the WAL experiment."""
+        return len(self.writes)
+
+    @property
     def age_seconds(self) -> float:
         """Seconds since begin (perf_counter-based)."""
         return time.perf_counter() - self._started_clock
@@ -69,12 +78,6 @@ class Transaction:
             raise TransactionError(
                 "transaction %d is %s, not active" % (self.txn_id, self.status)
             )
-
-    def record_undo(self, action: Callable[[], None]) -> None:
-        """Register a compensation closure, run newest-first on abort."""
-        self._require_active()
-        self._undo_actions.append(action)
-        self.operations += 1
 
     # -- completion ----------------------------------------------------------
 
@@ -132,6 +135,9 @@ class TransactionManager:
         self._m_active = self.metrics.gauge("txn.active")
         self._m_commits = self.metrics.counter("txn.commits")
         self._m_aborts = self.metrics.counter("txn.aborts")
+        #: ``compensate(txn, before, after)`` undoes one logged write on
+        #: abort; the database sets it (its write path, pair swapped).
+        self.compensate: Callable[..., None] = lambda txn, before, after: None
 
     # -- current-transaction tracking ---------------------------------------
 
@@ -225,8 +231,8 @@ class TransactionManager:
         # Compensate newest-first while still holding all locks.
         self._current.rolling_back = True
         try:
-            for action in reversed(txn._undo_actions):
-                action()
+            for before, after in reversed(txn.writes):
+                self.compensate(txn, before, after)
         finally:
             self._current.rolling_back = False
         self.wal.log_abort(txn.txn_id)

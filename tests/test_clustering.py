@@ -124,6 +124,6 @@ class TestClusteringEffect:
         for _ in range(20):
             db.new("Noise", {"filler": "x" * 100})
         friend = db.new("Assembly", {"label": "friend"}, near=anchor.oid)
-        anchor_rid = db.storage.directory.lookup(anchor.oid).rid
-        friend_rid = db.storage.directory.lookup(friend.oid).rid
-        assert anchor_rid.page_id == friend_rid.page_id
+        _class, anchor_page, _slot = db.storage.directory.lookup(anchor.oid)
+        _class, friend_page, _slot = db.storage.directory.lookup(friend.oid)
+        assert anchor_page == friend_page

@@ -1,0 +1,112 @@
+"""Per-write and per-span bookkeeping is plain data, never cyclic garbage.
+
+A transaction's write log holds ``(before, after)`` pairs, not closures
+over the transaction, and a span links only to its children.  So a
+finished transaction and a span the tracer's ring drops are freed by
+reference counting.  ``gc.DEBUG_SAVEALL`` keeps everything the cyclic
+collector finds unreachable in ``gc.garbage``, where these tests look.
+An abort replays the pairs newest-first through the one write path.
+"""
+
+import gc
+
+import pytest
+
+from repro import AttributeDef, Database
+from repro.core.obj import ObjectState
+from repro.core.oid import OID
+from repro.obs.tracing import Span, Tracer
+from repro.storage import SlottedPage
+from repro.txn.transaction import Transaction
+
+
+@pytest.fixture
+def cyclic_garbage():
+    """A function that collects and returns what was cyclic garbage
+    since the fixture started."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+
+    def collect():
+        gc.collect()
+        return list(gc.garbage)
+
+    try:
+        yield collect
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def _db():
+    db = Database()
+    for name in "TU":
+        db.define_class(name, attributes=[AttributeDef("x", "Integer")])
+    return db
+
+
+def _instances(objects, cls):
+    return [obj for obj in objects if isinstance(obj, cls)]
+
+
+def test_finished_transactions_leave_no_cyclic_garbage(cyclic_garbage):
+    db = _db()
+    oid = db.new("T", {"x": 1}).oid
+    with db.transaction():
+        db.update(oid, {"x": 2})
+        db.new("T", {"x": 3})
+    txn = db.transaction()
+    db.update(oid, {"x": 4})
+    txn.abort()
+    del txn
+    assert db.get_state(oid).values == {"x": 2}
+    assert _instances(cyclic_garbage(), Transaction) == []
+
+
+def test_spans_the_ring_drops_leave_no_cyclic_garbage(cyclic_garbage):
+    tracer = Tracer(capacity=8)
+    for _ in range(3 * tracer.capacity):
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                pass
+    assert len(tracer.spans()) == tracer.capacity
+    assert _instances(cyclic_garbage(), Span) == []
+
+
+def test_an_abort_compensates_every_kind_of_write():
+    db = _db()
+    updated, moved, deleted = (db.new("T", {"x": x}).oid for x in (1, 2, 3))
+    txn = db.transaction()
+    inserted = db.new("T", {"x": 4}).oid
+    db.update(updated, {"x": 10})
+    db.put_state(ObjectState(moved, "U", {"x": 20}))
+    db.delete(deleted)
+    assert txn.operations == 4
+    txn.abort()
+    assert not db.exists(inserted)
+    assert {oid: db.get_state(oid) for oid in (updated, moved, deleted)} == {
+        updated: ObjectState(updated, "T", {"x": 1}),
+        moved: ObjectState(moved, "T", {"x": 2}),
+        deleted: ObjectState(deleted, "T", {"x": 3}),
+    }
+    assert db.count("T") == 3 and db.count("U") == 0
+    rows = db.execute("SELECT t.x FROM T t").rows
+    assert sorted(row["x"] for row in rows) == [1, 2, 3]
+
+
+def test_a_closed_database_holds_no_per_object_state(cyclic_garbage, tmp_path):
+    """A database is a web of bound methods, so a dropped one is cyclic
+    garbage; ``close`` empties its frames, object buffer, directory and
+    indexes first, so their memory does not wait for a full collection."""
+    db = Database(str(tmp_path / "closed.db"))
+    db.define_class("T", attributes=[AttributeDef("x", "Integer")])
+    db.create_class_index("T", "x")
+    oids = [db.new("T", {"x": x}).oid for x in range(200)]
+    assert [db.get_state(oid).values["x"] for oid in oids] == list(range(200))
+    db.close()
+    assert len(db.storage.directory) == 0 and len(db.storage.buffer) == 0
+    del db, oids
+    garbage = cyclic_garbage()
+    assert _instances(garbage, SlottedPage) == []
+    assert _instances(garbage, ObjectState) == []
+    assert _instances(garbage, OID) == []

@@ -2,18 +2,23 @@
 
 Seeded writer threads update (growing and shrinking records, so some
 move), delete, reinsert and reclass their own objects while reader
-threads dereference any object through a snapshot view or read it with
-``get_state``; updates read through ``_load_for_write``.  A four-frame
-pool of 512-byte pages drops frames all the time, and a tiny GIL switch
-interval interleaves the threads finely.  The pool and the pages carry
-no latches of their own (two threads faulting one page, or inserting
-into one page, can race outside the object buffer), so the stress makes
-each page fetch and each heap change atomic with a test latch; every
-step of the object buffer's own protocol still interleaves freely.
-After the threads join: no
-read returned another object's state, every buffered state equals a
-fresh decode of its object's current record, and the buffer holds only
-objects on resident frames.  A failure names its seed; replay with::
+threads dereference any object through a snapshot view, read it with
+``get_state`` or scan a class with a snapshot ``execute`` (which builds
+and keeps page state lists); updates read through ``_load_for_write``.
+A four-frame pool of 512-byte pages drops frames all the time, and a
+tiny GIL switch interval interleaves the threads finely.  The pool and
+the pages carry no latches of their own (two threads faulting one page,
+or inserting into one page, can race outside the object buffer), so the
+stress makes each page fetch and each heap change atomic with a test
+latch; every step of the object buffer's own protocol still interleaves
+freely.  Each write sleeps between its page change and its pop, the
+window in which a scan sees the new record while the buffer still holds
+the old state.  After each scan, under the latch, and after the threads
+join, every kept page state list equals a fresh decode of its page.
+After the threads join also: no read returned another object's state,
+every buffered state equals a fresh decode of its object's current
+record, and the buffer holds only objects on resident frames.  A
+failure names its seed; replay with::
 
     OBJECT_BUFFER_SEED=<seed> python -m pytest tests/test_object_buffer.py
 
@@ -25,6 +30,7 @@ import os
 import random
 import sys
 import threading
+import time
 
 import pytest
 
@@ -34,6 +40,7 @@ from repro.core.oid import OID
 from repro.errors import ObjectNotFoundError
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile
+from repro.storage.manager import StorageManager
 from repro.storage.serializer import decode_object
 
 ROUNDS = int(os.environ.get("OBJECT_BUFFER_ROUNDS", "60"))
@@ -81,8 +88,34 @@ def _read(db, rng, oid):
         db._read_close(view)
 
 
-def _reader(db, rng, every, done, wrong):
+def _stale_kept_lists(storage):
+    """Resident pages whose current kept state list differs from a fresh
+    decode of the page; run with no heap change in flight."""
+    stale = []
+    for page_id in storage.buffer.resident_pages():
+        page = storage.buffer.get_page(page_id)
+        kept = page._states
+        if kept is not None and kept[0] == page._writes and kept[1] is not None:
+            if list(kept[1]) != [decode_object(body) for _slot, body in page.records()]:
+                stale.append(page_id)
+    return stale
+
+
+def _scan(db, class_name, latch, wrong):
+    result = db.execute("SELECT t.x FROM %s t" % class_name)
+    if len(set(result.oids)) != len(result.oids):
+        wrong.append((class_name, result.oids))
+    with latch:
+        stale = _stale_kept_lists(db.storage)
+    if stale:
+        wrong.append(("stale kept lists", stale))
+
+
+def _reader(db, rng, every, latch, done, wrong):
     while not done.is_set():
+        if rng.random() < 0.2:
+            _scan(db, rng.choice("TU"), latch, wrong)
+            continue
         oid = rng.choice(every)
         try:
             state = _read(db, rng, oid)
@@ -113,6 +146,14 @@ def latched(monkeypatch):
                 return _real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, atomic)
+    real_wrote = StorageManager._wrote
+
+    def wrote(*args):
+        time.sleep(2e-3)  # scans run between the write's page change and its pop
+        real_wrote(*args)
+
+    monkeypatch.setattr(StorageManager, "_wrote", wrote)
+    return latch
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -141,7 +182,9 @@ def test_the_buffer_agrees_with_the_records_after_racing_threads(seed, latched):
     readers = [
         threading.Thread(
             target=_guarded,
-            args=(_reader, errors, db, random.Random(seed * 37 + k), every, done, wrong),
+            args=(
+                _reader, errors, db, random.Random(seed * 37 + k), every, latched, done, wrong
+            ),
             daemon=True,
         )
         for k in range(READERS)
@@ -167,8 +210,9 @@ def test_the_buffer_agrees_with_the_records_after_racing_threads(seed, latched):
     resident = set(storage.buffer.resident_pages())
     buffered = list(storage._objects.items())
     entries = [storage.directory.lookup(OID(value)) for value, _state in buffered]
-    assert {entry.rid.page_id for entry in entries} <= resident, replay
-    for (_value, state), entry in zip(buffered, entries):
+    assert {page_id for _class, page_id, _slot in entries} <= resident, replay
+    for (_value, state), (_class, page_id, slot) in zip(buffered, entries):
         if state is not None:
-            page = storage.buffer.get_page(entry.rid.page_id)  # resident: a hit
-            assert decode_object(page.read(entry.rid.slot)) == state, replay
+            page = storage.buffer.get_page(page_id)  # resident: a hit
+            assert decode_object(page.read(slot)) == state, replay
+    assert _stale_kept_lists(storage) == [], replay

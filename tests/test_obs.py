@@ -134,7 +134,7 @@ class TestTracer:
                 assert tracer.current is inner
             assert tracer.current is outer
         assert outer.finished and inner.finished
-        assert inner.parent is outer
+        assert inner in outer.children
         assert outer.children == [inner]
         assert inner.depth == 1
         assert tracer.roots() == [outer]

@@ -11,7 +11,7 @@ from repro.core.oid import OID
 from repro.errors import AuthorizationError, ObjectNotFoundError, StorageError
 from repro.storage import manager as manager_module
 from repro.storage.buffer import BufferPool
-from repro.storage.heap import RID, HeapFile
+from repro.storage.heap import HeapFile
 from repro.storage.manager import StorageManager
 from repro.storage.pager import FilePager, MemoryPager, open_pager
 from repro.storage.serializer import decode_object, encode_object
@@ -145,7 +145,7 @@ class TestHeapFile:
     def test_spills_to_new_pages(self, heap):
         rids = [heap.insert(b"x" * 100) for _ in range(10)]
         assert heap.page_count > 1
-        assert len({rid.page_id for rid in rids}) == heap.page_count
+        assert len({page_id for page_id, _slot in rids}) == heap.page_count
 
     def test_update_in_place_keeps_rid(self, heap):
         rid = heap.insert(b"abc")
@@ -174,11 +174,11 @@ class TestHeapFile:
         for _ in range(3):
             heap.insert(b"x" * 120)  # push tail to later pages
         near = heap.insert(b"friend", near=anchor)
-        assert near.page_id == anchor.page_id
+        assert near[0] == anchor[0]
 
     def test_foreign_rid_rejected(self, heap):
         with pytest.raises(StorageError):
-            heap.read(RID(999, 0))
+            heap.read((999, 0))
 
 
 class TestSerializer:
@@ -363,14 +363,16 @@ class TestDecodedStateMemo:
 
     def test_an_update_re_decodes_only_its_own_page(self):
         storage = self._storage(page_size=512)
-        pages = {i: storage.directory.lookup(OID(i)).rid.page_id for i in range(1, 41)}
+        pages = {i: storage.directory.lookup(OID(i))[1] for i in range(1, 41)}
         assert len(set(pages.values())) > 2
         for _ in range(2):
             self._scan_decodes(storage)
         storage.overwrite(ObjectState(OID(1), "A", {"x": -1, "tags": ["t"]}))
-        # The page's list is rebuilt, but the object buffer still holds its
-        # other records: only the written one decodes (marker, then state).
-        assert [self._scan_decodes(storage) for _ in range(3)] == [1, 1, 0]
+        # The page's list is rebuilt by decoding its records (a build never
+        # takes a state from the object buffer); every other page's kept
+        # list decodes nothing.
+        on_page = list(pages.values()).count(pages[1])
+        assert [self._scan_decodes(storage) for _ in range(3)] == [on_page, on_page, 0]
         assert storage.load(OID(1)).values["x"] == -1
 
     @pytest.mark.parametrize("write", ["update", "grow", "reclass", "remove"])
@@ -385,9 +387,9 @@ class TestDecodedStateMemo:
         else:
             values = {"x": 20, "tags": ["t" * (300 if write == "grow" else 1)]}
             state = ObjectState(OID(2), "B" if write == "reclass" else "A", values)
-            rid = storage.directory.lookup(OID(2)).rid
+            entry = storage.directory.lookup(OID(2))
             storage.overwrite(state)
-            assert (storage.directory.lookup(OID(2)).rid == rid) is (write == "update")
+            assert (storage.directory.lookup(OID(2)) == entry) is (write == "update")
             assert storage.load(OID(2)) == state
         assert self._buffered(storage) == set(oids) - {OID(2)}
 
@@ -430,7 +432,7 @@ class TestDecodedStateMemo:
     def test_a_frame_dropped_during_a_read_keeps_no_entry(self):
         storage = self._storage(n=3)
         storage.load(OID(2))  # the marker: the next read admits
-        page_id = storage.directory.lookup(OID(2)).rid.page_id
+        page_id = storage.directory.lookup(OID(2))[1]
 
         class DroppedFirst(dict):
             def __setitem__(self, value, state):
@@ -451,7 +453,7 @@ class TestDecodedStateMemo:
         assert OID(1).value not in storage._objects
         assert self._load_decodes(storage, [OID(1)]) == 1
         resident = set(storage.buffer.resident_pages())
-        pages = {storage.directory.lookup(OID(value)).rid.page_id for value in storage._objects}
+        pages = {storage.directory.lookup(OID(value))[1] for value in storage._objects}
         assert pages <= resident
 
     def _dropped(self, drop):
@@ -467,7 +469,7 @@ class TestDecodedStateMemo:
 
     def test_invalidate_drops_the_memo(self):
         # Recovery re-imaging a page underneath the pool.
-        self._dropped(lambda s: s.buffer.invalidate(s.directory.lookup(OID(1)).rid.page_id))
+        self._dropped(lambda s: s.buffer.invalidate(s.directory.lookup(OID(1))[1]))
 
     def test_drop_cache_drops_the_memo(self):
         self._dropped(lambda s: s.drop_cache())
@@ -573,7 +575,7 @@ class TestPageStateList:
     def test_a_list_built_across_a_write_is_never_handed_back(self):
         storage = TestDecodedStateMemo._storage(n=3)
         self._scan(storage)  # the first scan marks the page
-        page_id = storage.directory.lookup(OID(2)).rid.page_id
+        page_id = storage.directory.lookup(OID(2))[1]
         page = storage.buffer.get_page(page_id)
 
         def racing(page):
@@ -585,6 +587,31 @@ class TestPageStateList:
         assert [state.values["x"] for state in page.states(racing)] == [1, 2, 3]
         for _ in range(3):
             assert self._values(storage) == {1: 1, 2: 20, 3: 3}
+
+    def test_a_scan_between_a_write_and_its_pop_keeps_no_stale_state(self, monkeypatch):
+        """A writer changes the page first and pops the OID from the object
+        buffer after: scans in between see the new record while the
+        buffer still holds the old state, and the list the page keeps
+        must hold the new one."""
+        db = Database()
+        db.define_class("Account", attributes=[AttributeDef("balance", "Integer")])
+        oid = db.new("Account", {"balance": 100}).oid
+        query = "SELECT a.balance FROM Account a"
+        for _ in range(2):
+            assert db.get_state(oid).values["balance"] == 100  # now buffered
+        real_wrote = StorageManager._wrote
+
+        def wrote(storage, written, page_id):
+            for _ in range(2):  # the second scan keeps the page's list
+                list(storage.scan_class("Account"))
+            real_wrote(storage, written, page_id)
+
+        monkeypatch.setattr(StorageManager, "_wrote", wrote)
+        db.update(oid, {"balance": 7})
+        monkeypatch.undo()
+        for _ in range(3):
+            assert db.get_state(oid).values["balance"] == 7
+            assert [row["balance"] for row in db.execute(query).rows] == [7]
 
     def test_a_page_holding_a_stub_keeps_no_list(self):
         storage = StorageManager(page_size=512)

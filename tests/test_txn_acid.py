@@ -378,6 +378,41 @@ class TestDurability:
         assert not reopened.exists(uncommitted.oid)
         reopened.close()
 
+    @staticmethod
+    def _crash_mid_move(path, commit):
+        """Move @1 from A to B, write back B's page only, and crash: the
+        record is then on both classes' pages on disk."""
+        db = Database(path)
+        for name in "AB":
+            db.define_class(name, attributes=[AttributeDef("v", "Integer")])
+        oid = db.new("A", {"v": 5}).oid
+        db.new("B", {"v": 0})  # B's heap is cataloged, with room on its page
+        db.checkpoint()
+        txn = db.transaction()
+        SchemaEvolution(db).migrate_instance(oid, "B")
+        if commit:
+            txn.commit()
+        db.storage.buffer.flush_page(db.storage.heap_for("B").page_ids[-1])
+        db.storage.pager.close()
+        db.wal.close()
+        return oid
+
+    def test_crash_after_a_half_flushed_committed_move_reopens_moved(self, durable_path):
+        oid = self._crash_mid_move(durable_path, commit=True)
+        reopened = Database(durable_path)
+        assert reopened.class_of(oid) == "B"
+        assert reopened.get_state(oid).values == {"v": 5}
+        assert (reopened.count("A"), reopened.count("B")) == (0, 2)
+        reopened.close()
+
+    def test_crash_after_a_half_flushed_loser_move_reopens_unmoved(self, durable_path):
+        oid = self._crash_mid_move(durable_path, commit=False)
+        reopened = Database(durable_path)
+        assert reopened.class_of(oid) == "A"
+        assert reopened.get_state(oid).values == {"v": 5}
+        assert (reopened.count("A"), reopened.count("B")) == (1, 1)
+        reopened.close()
+
     def test_oid_generator_resumes_past_stored(self, durable_path):
         db = Database(durable_path)
         db.define_class("Account", attributes=[AttributeDef("balance", "Integer")])
