@@ -980,7 +980,7 @@ class Database:
             self.version_store,
             snapshot,
             self.storage.load,
-            self.storage.scan_pages,
+            self.storage.scan_frames,
             self._coerce,
             self.schema.attribute_map,
             ephemeral=ephemeral,

@@ -21,8 +21,8 @@ from ...core.oid import OID
 from ...index.btree import normalize_key
 from .base import PhysicalOperator
 
-#: One class extent's visible states, a storage page per list.
-ScanPages = Callable[[str], Iterable[List[ObjectState]]]
+#: One class extent's visible states, a storage page per sequence.
+ScanPages = Callable[[str], Iterable[Sequence[ObjectState]]]
 
 #: ``normalize_key(None)``'s rank: the missing-value group of a walk.
 _NONE_RANK = normalize_key(None)[0]
@@ -44,18 +44,18 @@ class ExtentScanOp(PhysicalOperator):
         self._scan_pages = scan_pages
         self.classes = tuple(classes)
         self.detail = "scan(%s)" % ", ".join(self.classes)
-        self._iter: Optional[Iterator[List[ObjectState]]] = None
-        self._pending: List[ObjectState] = []
+        self._iter: Optional[Iterator[Sequence[ObjectState]]] = None
+        self._pending: Sequence[ObjectState] = []
 
     def _on_open(self) -> None:
         self._iter = self._pages()
         self._pending = []
 
-    def _pages(self) -> Iterator[List[ObjectState]]:
+    def _pages(self) -> Iterator[Sequence[ObjectState]]:
         for class_name in self.classes:
             yield from self._scan_pages(class_name)
 
-    def _next_batch(self, n: int) -> List[ObjectState]:
+    def _next_batch(self, n: int) -> Sequence[ObjectState]:
         page = self._pending
         while not page:
             if self._iter is None:

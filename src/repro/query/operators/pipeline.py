@@ -201,8 +201,11 @@ def compile_plan(plan: Plan, kernel, scan, visible=None, changed=None) -> Pipeli
         source = DerefOp(probe, kernel.deref)
 
     # The FULL predicate is re-checked — index probes give candidates,
-    # not answers; the row's snapshot image decides.
-    filter_op = FilterOp(source, kernel, plan.scope, query.where, visible)
+    # not answers; the row's snapshot image decides.  So is the scope, for
+    # probe rows only: a scan leaf reads exactly the scope's extents
+    # (``ExtentScan(sorted(scope))``), each yielding its own class's rows.
+    scope = plan.scope if probe is not None else None
+    filter_op = FilterOp(source, kernel, scope, query.where, visible)
     root: PhysicalOperator = filter_op
 
     if query.aggregates:

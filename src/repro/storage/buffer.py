@@ -151,6 +151,7 @@ class BufferPool:
             self._dirty.discard(victim_id)
             self._m_flushes.inc()
         self._m_evictions.inc()
+        victim.forget()
         self.on_drop(victim_id)
 
     def flush_page(self, page_id: int, image_logged: bool = False) -> None:
@@ -179,7 +180,9 @@ class BufferPool:
     def invalidate(self, page_id: int) -> None:
         """Drop a frame without writing it back (recovery re-imaged the
         page on disk underneath us; the cached parse is stale)."""
-        self._frames.pop(page_id, None)
+        frame = self._frames.pop(page_id, None)
+        if frame is not None:
+            frame.forget()
         self._dirty.discard(page_id)
         self.on_drop(page_id)
 

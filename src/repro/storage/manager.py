@@ -26,6 +26,7 @@ import itertools
 import json
 import os
 import struct
+import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.obj import ObjectState
@@ -49,6 +50,14 @@ _CHUNK_REF = struct.Struct(">IH")  # page id, slot
 
 #: Name of the heap holding overflow chunks.
 OVERFLOW_HEAP = "__overflow__"
+
+#: Directory lookups a read makes before it gives up on an entry that
+#: keeps naming a tombstoned slot or another object's record, sleeping
+#: ``_FETCH_BACKOFF`` seconds longer before each retry (~0.2 s in all).
+#: A racing delete settles at the first retry; a racing move may first
+#: wait for a page write.
+_FETCH_LOOKUPS = 64
+_FETCH_BACKOFF = 0.0001
 
 
 class StorageManager:
@@ -336,6 +345,7 @@ class StorageManager:
 
     def _fetch(self, oid: OID) -> ObjectState:
         """:meth:`load` on a miss: read the record, then admit it."""
+        retries = 0
         while True:
             stamp = self._stamp
             class_name, page_id, slot = self.directory.lookup(oid)
@@ -346,7 +356,15 @@ class StorageManager:
                 state = self._assemble(body) if stub else self._decode(body)
                 if state.oid.value == oid.value:
                     break
-            # Deleted or moved since the lookup: look again (and raise).
+            # Deleted or moved since the lookup: let the writer finish,
+            # then look again (and raise if it deleted the object).
+            retries += 1
+            if retries == _FETCH_LOOKUPS:
+                raise StorageError(
+                    "object %r: its directory entry still names a slot that "
+                    "does not hold it after %d lookups" % (oid, _FETCH_LOOKUPS)
+                )
+            time.sleep(_FETCH_BACKOFF * (retries - 1))
         if not stub:
             self._admit(state, page_id, read_from, stamp)
         return state
@@ -423,10 +441,16 @@ class StorageManager:
         a sequence that is itself shared and read-only (a tuple, once the
         page keeps it).  Each page is fetched (one ``get_page``) and read
         when reached."""
+        return (states for _page, states in self.scan_frames(class_name))
+
+    def scan_frames(self, class_name: str) -> Iterator[Tuple[SlottedPage, Sequence[ObjectState]]]:
+        """:meth:`scan_pages`, each sequence with the buffer frame it came
+        from: a reader keeps its per-row verdict on a kept tuple there
+        (:meth:`SlottedPage.checked`)."""
         if class_name == OVERFLOW_HEAP or class_name not in self._heaps:
             return iter(())
         return (
-            page.states(functools.partial(self._build_page_states, page_id))
+            (page, page.states(functools.partial(self._build_page_states, page_id)))
             for page_id, page in self._heaps[class_name].pages()
         )
 

@@ -33,6 +33,13 @@ the slots, and a list is returned only while the counter still reads
 what it read before the list was built.  The storage manager never
 keeps the list of a page holding a long-object stub, whose state lives
 in chunks on other pages.
+
+**Verdict.**  A kept list carries one verdict beside it
+(:meth:`SlottedPage.checked`): what a reader's per-row check made of
+the whole tuple, under the token it checked against — the snapshot
+view keeps each row coerced to its class's declared attributes there,
+under the attribute map it compared with.  The verdict lives and dies
+with its tuple: every write and every frame drop resets both.
 """
 
 from __future__ import annotations
@@ -62,8 +69,9 @@ class SlottedPage:
         self._slots: List[Optional[bytes]] = []
         #: Slot changes so far: what the page's state list is stamped with.
         self._writes = 0
-        #: (writes, state tuple or None): the page's state list.
-        self._states: Optional[Tuple[int, Optional[Tuple[Any, ...]]]] = None
+        #: (writes, state tuple or None, verdict or None): the page's
+        #: state list, and its verdict as (token, checked).
+        self._states: Optional[Tuple[int, Optional[Tuple[Any, ...]], Any]] = None
 
     # -- geometry -----------------------------------------------------------
 
@@ -127,7 +135,7 @@ class SlottedPage:
         writes = self._writes
         kept = self._states
         if kept is None or kept[0] != writes:
-            self._states = (writes, None)
+            self._states = (writes, None, None)
             return build(self)[0]
         if kept[1] is not None:
             return kept[1]
@@ -135,8 +143,28 @@ class SlottedPage:
         if not keep:
             return states
         frozen = tuple(states)
-        self._states = (writes, frozen)
+        self._states = (writes, frozen, None)
         return frozen
+
+    def checked(
+        self,
+        states: Sequence[Any],
+        token: Any,
+        check: Callable[[Sequence[Any], Any], Sequence[Any]],
+    ) -> Sequence[Any]:
+        """``check(states, token)``, kept as the verdict of the page's
+        kept tuple when ``states`` is that tuple, and answered from it
+        while its token is still ``token`` (compared with ``is``)."""
+        kept = self._states
+        if kept is None or kept[1] is not states:
+            return check(states, token)
+        verdict = kept[2]
+        if verdict is not None and verdict[0] is token:
+            return verdict[1]
+        result = check(states, token)
+        if self._states is kept:  # else a write or a drop came first
+            self._states = (kept[0], states, (token, result))
+        return result
 
     def update(self, slot: int, record: bytes) -> None:
         old = self.body(slot)
@@ -158,6 +186,11 @@ class SlottedPage:
         a list a racing reader built from the old slots is never returned."""
         self._states = None
         self._writes += 1
+
+    def forget(self) -> None:
+        """Drop the state list and its verdict: the buffer pool gave up
+        this page's frame."""
+        self._states = None
 
     def records(self) -> Iterator[Tuple[int, bytes]]:
         """Yield (slot, body) for every live record."""

@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set
+from operator import is_not
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.obj import ObjectState
 from ..core.oid import OID
@@ -274,7 +275,7 @@ class VersionStore:
         chains = self._chains
         plain = len(states)
         out = states
-        if chains:
+        if chains and not chains.keys().isdisjoint(state.oid for state in states):
             out = []
             for state in states:
                 if state.oid in chains:
@@ -390,10 +391,14 @@ class SnapshotView:
     need: :meth:`deref` for probe/path dereferencing and
     :meth:`scan_pages` for extent scans, both resolving visibility
     through the store.  ``load`` reads a raw stored state (raising
-    :class:`ObjectNotFoundError` for a missing OID); after resolution a
-    row whose keys differ from its class's ``declared`` attributes goes
-    through ``coerce`` — a before-image needs that as much as a stored
-    record.  The view keeps nothing: the storage manager's object buffer
+    :class:`ObjectNotFoundError` for a missing OID); ``scan_frames``
+    yields a class's pages as ``(frame, states)`` pairs (the storage
+    manager's ``scan_frames``).  After resolution a row whose keys differ
+    from its class's ``declared`` attributes goes through ``coerce`` — a
+    before-image needs that as much as a stored record.  A page the
+    snapshot reads as stored is checked once per kept state tuple and
+    attribute map: the frame keeps the verdict (storage/page.py).  The
+    view itself keeps nothing: the storage manager's object buffer
     serves repeat reads.  ``ephemeral`` marks per-query snapshots the
     query path must close itself (transaction-bound snapshots are closed
     when the transaction finishes).
@@ -404,7 +409,7 @@ class SnapshotView:
         store: VersionStore,
         snapshot: Snapshot,
         load: Callable[[OID], ObjectState],
-        scan_pages: Callable[[str], Iterator[Sequence[ObjectState]]],
+        scan_frames: Callable[[str], Iterator[Tuple[Any, Sequence[ObjectState]]]],
         coerce: Callable[[ObjectState], ObjectState],
         declared: Callable[[str], Mapping[str, Any]],
         ephemeral: bool = False,
@@ -412,7 +417,7 @@ class SnapshotView:
         self.store = store
         self.snapshot = snapshot
         self._load = load
-        self._base_scan_pages = scan_pages
+        self._scan_frames = scan_frames
         self._coerce = coerce
         self._declared = declared
         self.ephemeral = ephemeral
@@ -427,12 +432,13 @@ class SnapshotView:
             return state
         return self._coerce(state)
 
-    def scan_pages(self, class_name: str) -> Iterator[List[ObjectState]]:
+    def scan_pages(self, class_name: str) -> Iterator[Sequence[ObjectState]]:
         """The class extent as the snapshot sees it, a storage page of
-        visible states per list."""
-        store, snapshot, coerce = self.store, self.snapshot, self._coerce
+        visible states per sequence — shared and read-only, like the
+        states in it: the kept verdict of a page read as stored."""
+        store, snapshot, coerce, check = self.store, self.snapshot, self._coerce, self._check
         scanned: List[Sequence[ObjectState]] = []
-        for page in self._base_scan_pages(class_name):
+        for frame, page in self._scan_frames(class_name):
             if not page:
                 continue
             scanned.append(page)
@@ -445,11 +451,8 @@ class SnapshotView:
                     for state in visible
                     if state is not None and state.class_name == class_name
                 ]
-            keys = self._declared(class_name).keys()
-            yield [
-                state if state.values.keys() == keys else coerce(state)
-                for state in visible
-            ]
+            # The frame keeps the check of a page read as stored.
+            yield frame.checked(visible, self._declared(class_name), check)
         # Resurrection: objects of this class the snapshot sees that the
         # storage scan missed (deleted, or moved out, after it began).
         moved = [
@@ -466,6 +469,15 @@ class SnapshotView:
                     resurrected.append(coerce(state))
         if resurrected:
             yield resurrected
+
+    def _check(
+        self, states: Sequence[ObjectState], declared: Mapping[str, Any]
+    ) -> Sequence[ObjectState]:
+        """``states`` with each row whose keys differ from ``declared``'s
+        coerced: ``states`` itself when every row's keys match."""
+        keys, coerce = declared.keys(), self._coerce
+        checked = [state if state.values.keys() == keys else coerce(state) for state in states]
+        return tuple(checked) if any(map(is_not, checked, states)) else states
 
     def scan(self, class_name: str) -> Iterator[ObjectState]:
         """:meth:`scan_pages`, a row at a time."""

@@ -15,8 +15,9 @@ missing from records stored before ``add_attribute``, list fan-out,
 * **through the engine**: ``execute`` and ``select_iter`` return what
   ``algebra.select`` selects from a plain copy of the world the query
   should see — at rest, inside a transaction with its own uncommitted
-  writes, and beside another writer's uncommitted update, delete and
-  reclass;
+  writes, beside another writer's uncommitted update, delete and
+  reclass, and before and after an ``add_attribute`` that changes what
+  the kept page state tuples' records read;
 * **through one transaction's view**: the same tree again and again
   inside one transaction, whose derefs the object buffer serves once
   warm, across its own writes and another transaction's commit.
@@ -290,6 +291,25 @@ class TestEngineParity:
             finally:
                 db.txns.attach(txn)
                 txn.abort()
+
+
+    def test_before_and_after_an_add_attribute(self):
+        """Each tree again after ``late`` is dropped and added back with
+        another default: those runs scan pages whose kept state tuples
+        were checked under the old schema, where the 120 records stored
+        without ``late`` read the old default."""
+        db, _rng, parts = build(2028)
+        trees = accepted(db, random.Random(61), parts)
+        world = world_of(db)
+        for where in trees:
+            assert engine(db, where) == expected(world, where), where
+        evolution = SchemaEvolution(db)
+        evolution.drop_attribute("Item", "late")
+        evolution.add_attribute("Item", AttributeDef("late", "Any", default="y"))
+        world = world_of(db)
+        for where in trees:
+            assert engine(db, where) == expected(world, where), where
+        db.close()
 
 
 class TestTransactionViewParity:

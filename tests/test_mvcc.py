@@ -11,6 +11,7 @@ did not complete.
 
 import os
 import threading
+from collections.abc import KeysView, Mapping
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro import AttributeDef, Database
+from repro.core.obj import ObjectState
 from repro.errors import ObjectNotFoundError
 from repro.evolution import SchemaEvolution
 from repro.query.operators.base import BATCH_SIZE
@@ -273,10 +275,10 @@ class TestSnapshotReadRacingAbort:
         return db, obj, txn
 
     @staticmethod
-    def _view(db, load, scan_pages):
+    def _view(db, load, scan_frames):
         store = db.version_store
         return SnapshotView(
-            store, store.open_snapshot(None), load, scan_pages,
+            store, store.open_snapshot(None), load, scan_frames,
             db._coerce, db.schema.attribute_map, ephemeral=True,
         )
 
@@ -294,7 +296,7 @@ class TestSnapshotReadRacingAbort:
             txn.abort()
             return state
 
-        view = self._view(db, load, db.storage.scan_pages)
+        view = self._view(db, load, db.storage.scan_frames)
         assert view.deref(obj.oid).values["w"] == 1
         assert db.get_state(obj.oid).values["w"] == 1
         assert self._closed_and_reclaimed(db, view)
@@ -302,12 +304,12 @@ class TestSnapshotReadRacingAbort:
     def test_scan_resolves_after_the_abort(self):
         db, obj, txn = self._writer()
 
-        def scan_pages(class_name):
-            pages = list(db.storage.scan_pages(class_name))
+        def scan_frames(class_name):
+            pages = list(db.storage.scan_frames(class_name))
             txn.abort()
             yield from pages
 
-        view = self._view(db, db.storage.load, scan_pages)
+        view = self._view(db, db.storage.load, scan_frames)
         assert [(s.oid, s.values["w"]) for s in view.scan("T")] == [(obj.oid, 1)]
         assert self._closed_and_reclaimed(db, view)
 
@@ -315,6 +317,146 @@ class TestSnapshotReadRacingAbort:
         db, _obj, txn = self._writer()
         txn.abort()
         assert db.version_store.entry_count == 0
+
+
+class _CountedKeys(KeysView):
+    """A declared attribute map's keys that count the row key sets
+    compared with them (``dict_keys == other`` defers to ``other``)."""
+
+    def __init__(self, mapping, counter):
+        super().__init__(mapping)
+        self._counter = counter
+
+    def __eq__(self, other):
+        self._counter[0] += 1
+        return set(self) == set(other)
+
+    __hash__ = None
+
+
+class _CountedDeclared(Mapping):
+    def __init__(self, inner, counter):
+        self.inner = inner
+        self._counter = counter
+
+    def __getitem__(self, name):
+        return self.inner[name]
+
+    def __iter__(self):
+        return iter(self.inner)
+
+    def __len__(self):
+        return len(self.inner)
+
+    def keys(self):
+        return _CountedKeys(self.inner, self._counter)
+
+
+class TestPageVerdict:
+    """A kept page state tuple carries the snapshot view's verdict: its
+    rows checked against the class's declared attributes, under the
+    attribute map checked with (storage/page.py)."""
+
+    @staticmethod
+    def _db(n=6):
+        db = Database()
+        db.define_class("T", attributes=[AttributeDef("x", "Integer")])
+        db.define_class("U", attributes=[AttributeDef("x", "Integer")])
+        oids = [db.new(cls, {"x": i}).oid for i in range(n) for cls in "TU"]
+        return db, oids
+
+    @staticmethod
+    def _rows(db, cls):
+        return sorted(
+            (state.oid.value, state.values)
+            for state in db.execute("SELECT t FROM %s t" % cls).states
+        )
+
+    @staticmethod
+    def _frames(db, cls):
+        heap = db.storage.heap_for(cls)
+        return [db.storage.buffer.get_page(page_id) for page_id in heap.page_ids]
+
+    @staticmethod
+    def _verdicts(frames):
+        return [frame._states[2] for frame in frames if frame._states is not None]
+
+    def test_add_attribute_between_scans_of_a_kept_page_coerces(self):
+        db, _oids = self._db()
+        for _ in range(3):  # kept from the second, checked from the third on
+            assert all(values == {"x": values["x"]} for _oid, values in self._rows(db, "T"))
+        assert all(v is not None for v in self._verdicts(self._frames(db, "T")))
+        SchemaEvolution(db).add_attribute("T", AttributeDef("y", "Integer", default=7))
+        for _ in range(2):
+            rows = self._rows(db, "T")
+            assert len(rows) == 6 and all(values["y"] == 7 for _oid, values in rows)
+
+    def test_a_dropped_attribute_between_scans_of_a_kept_page_coerces(self):
+        db, _oids = self._db()
+        SchemaEvolution(db).add_attribute("T", AttributeDef("y", "Integer", default=7))
+        for oid in db.execute("SELECT t FROM T t").oids:
+            db.update(oid, {"y": 8})  # stored with y, under the wider schema
+        for _ in range(3):
+            assert all(values["y"] == 8 for _oid, values in self._rows(db, "T"))
+        SchemaEvolution(db).drop_attribute("T", "y")
+        for _ in range(2):
+            rows = self._rows(db, "T")
+            assert len(rows) == 6 and all(set(values) == {"x"} for _oid, values in rows)
+
+    def test_a_live_version_entry_on_a_kept_page_resolves_and_filters_per_row(self):
+        db, oids = self._db()
+        moved = oids[0]  # a T
+        for _ in range(3):
+            self._rows(db, "U")
+        view = db._snapshot_view()  # opened before the move
+        try:
+            db.put_state(ObjectState(moved, "U", {"x": 100}))
+            for _ in range(3):  # U's page is kept again, with a live chain on it
+                assert (moved.value, {"x": 100}) in self._rows(db, "U")
+            assert self._verdicts(self._frames(db, "U")) == [None]
+            in_u = [state.oid for state in view.scan("U")]
+            in_t = {state.oid: state.values for state in view.scan("T")}
+        finally:
+            db._read_close(view)
+        assert moved not in in_u and len(in_u) == 6
+        assert in_t[moved] == {"x": 0} and len(in_t) == 6
+
+    def test_a_page_holding_a_long_object_stub_gets_no_verdict(self):
+        db = Database(page_size=512)
+        db.define_class("Doc", attributes=[AttributeDef("blob", "String")])
+        db.new("Doc", {"blob": "x" * 2000})
+        db.new("Doc", {"blob": "y"})
+        for _ in range(4):
+            rows = self._rows(db, "Doc")
+            assert [len(values["blob"]) for _oid, values in rows] == [2000, 1]
+        (frame,) = self._frames(db, "Doc")
+        assert self._verdicts([frame]) == [None]
+
+    def test_the_third_scan_of_an_unchanged_extent_compares_no_row_keys(self):
+        db, _oids = self._db(n=40)
+        counter, wrapped = [0], {}
+
+        def declared(class_name):
+            inner = db.schema.attribute_map(class_name)
+            counted = wrapped.get(class_name)
+            if counted is None or counted.inner is not inner:
+                counted = wrapped[class_name] = _CountedDeclared(inner, counter)
+            return counted
+
+        store = db.version_store
+        view = SnapshotView(
+            store, store.open_snapshot(None), db.storage.load, db.storage.scan_frames,
+            db._coerce, declared, ephemeral=True,
+        )
+        compared = []
+        try:
+            for _ in range(4):
+                counter[0] = 0
+                assert len(list(view.scan("T"))) == 40
+                compared.append(counter[0])
+        finally:
+            store.close_snapshot(view.snapshot)
+        assert compared == [40, 40, 0, 0]
 
 
 class TestGroupCommit:

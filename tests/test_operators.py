@@ -1,10 +1,13 @@
 """The physical operator pipeline: protocol, top-K, early termination."""
 
+import threading
 from collections import Counter
 
 import pytest
 
-from repro import Database
+from repro import AttributeDef, Database
+from repro.core.obj import ObjectState
+from repro.index.attribute import AttributeIndex
 from repro.bench.schemas import FIG1_QUERY, build_vehicle_schema, populate_vehicles
 from repro.errors import QueryError
 from repro.query.ast import Comparison, Const, Path
@@ -415,3 +418,109 @@ class TestPipelineCounters:
         for oid, row in zip(result.oids, result.rows):
             state = populated_db.get(oid)
             assert row["weight"] == state["weight"]
+
+
+class TestScopeTest:
+    """The filter tests a row's class against the plan's scope for rows
+    from index probes and index-order walks only: an extent scan reads
+    exactly the scope's extents, each yielding its own class's rows."""
+
+    @staticmethod
+    def _db():
+        database = Database()
+        database.define_class("Item", attributes=[AttributeDef("w", "Integer"),
+                                                  AttributeDef("tag", "Integer")])
+        database.define_class("Sub", superclasses=["Item"])
+        database.define_class(
+            "OddItem", superclasses=["Item"], attributes=[AttributeDef("tag", "Boolean")]
+        )
+        for cls, tag in (("Item", 1), ("Sub", 2), ("OddItem", True)):
+            for w in range(20):  # one w = 5 per class: probing beats scanning
+                database.new(cls, {"w": w, "tag": tag})
+        database.create_hierarchy_index("Item", "w")
+        return database
+
+    @staticmethod
+    def _in_thread(fn):
+        """Run ``fn`` as another transaction: on a thread of its own."""
+        errors = []
+
+        def run():
+            try:
+                fn()
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive() and not errors, errors
+
+    @staticmethod
+    def _classes(db, result):
+        return Counter(db.get_state(oid).class_name for oid in result.oids)
+
+    @pytest.fixture
+    def unscoped_probes(self, monkeypatch):
+        """Hierarchy-index probes that hand back every class's candidates."""
+        real = AttributeIndex.lookup_eq
+        monkeypatch.setattr(
+            AttributeIndex, "lookup_eq", lambda index, value, scope=None: real(index, value)
+        )
+
+    def test_probe_candidates_outside_an_only_scope_are_dropped(self, unscoped_probes):
+        db = self._db()
+        result = db.execute("SELECT i FROM ONLY Item i WHERE i.w = 5")
+        assert isinstance(result.plan.access, IndexEqProbe)
+        assert result.pipeline.filter.scope == {"Item"}
+        assert self._classes(db, result) == {"Item": 1}
+
+    def test_probe_candidates_of_a_class_pruned_by_analysis_are_dropped(self, unscoped_probes):
+        db = self._db()
+        text = "SELECT i FROM Item i WHERE i.w = 5 AND i.tag >= 0"
+        assert db.check(text).pruned_classes == ["OddItem"]
+        result = db.execute(text)
+        assert isinstance(result.plan.access, IndexEqProbe)
+        assert result.pipeline.source.rows_out == 3  # OddItem's reaches the filter
+        assert self._classes(db, result) == {"Item": 1, "Sub": 1}
+
+    def test_a_snapshot_probe_drops_an_object_it_reads_out_of_scope(self):
+        """The index files a reclassed object under its new class; the
+        snapshot reads it in its old one, outside the scope."""
+        db = self._db()
+        (sub,) = db.execute("SELECT i FROM ONLY Sub i WHERE i.w = 5").oids
+        text = "SELECT i FROM ONLY Item i WHERE i.w = 5"
+        with db.transaction():
+            assert len(db.execute(text).oids) == 1
+            self._in_thread(lambda: db.put_state(ObjectState(sub, "Item", {"w": 5, "tag": 2})))
+            result = db.execute(text)
+            assert isinstance(result.plan.access, IndexEqProbe)
+            assert sub not in result.oids and len(result.oids) == 1
+        assert sub in db.execute(text).oids
+
+    def test_extent_scan_rows_are_in_scope_without_the_test(self):
+        db = self._db()
+        for text in ("SELECT i FROM ONLY Sub i", "SELECT i FROM Item i WHERE i.tag >= 0"):
+            result = db.execute(text)
+            assert isinstance(result.plan.access, ExtentScan)
+            assert result.pipeline.filter.scope is None
+            assert all(state.class_name in result.plan.scope for state in result.states)
+        assert self._classes(db, db.execute("SELECT i FROM ONLY Sub i")) == {"Sub": 20}
+        assert self._classes(db, db.execute("SELECT i FROM Item i WHERE i.tag >= 0")) == {
+            "Item": 20, "Sub": 20,
+        }
+
+    def test_a_reclass_under_a_snapshot_scans_in_its_snapshot_class(self):
+        db = self._db()
+        moved = db.execute("SELECT i FROM ONLY Sub i").oids[0]
+        with db.transaction():
+            before = {cls: db.execute("SELECT i FROM ONLY %s i" % cls) for cls in ("Item", "Sub")}
+            assert {cls: len(r.oids) for cls, r in before.items()} == {"Item": 20, "Sub": 20}
+            self._in_thread(lambda: db.put_state(ObjectState(moved, "Item", {"w": 5, "tag": 2})))
+            for _ in range(3):  # the pages are kept again, with the move's chain live
+                item = db.execute("SELECT i FROM ONLY Item i")
+                sub = db.execute("SELECT i FROM ONLY Sub i")
+                assert moved in sub.oids and moved not in item.oids  # resurrected
+                assert [s.class_name for s in sub.states] == ["Sub"] * 20
+                assert [s.class_name for s in item.states] == ["Item"] * 20
+        assert moved in db.execute("SELECT i FROM ONLY Item i").oids

@@ -529,6 +529,30 @@ class TestReadRacingAMove:
         assert db.storage._objects.get(oid.value) is None
 
 
+    def test_a_directory_entry_that_stays_wrong_raises_instead_of_spinning(self):
+        """An entry naming another object's slot never settles: the read
+        gives up after a bounded number of lookups, naming the OID."""
+        storage = StorageManager()
+        for value in (1, 2):
+            storage.store_new(ObjectState(OID(value), "A", {"x": value}))
+        _class, page_id, slot = storage.directory.lookup(OID(2))
+        storage.directory.move(OID(1), "A", (page_id, slot))
+        raised = []
+
+        def load():
+            try:
+                storage.load(OID(1))
+            except StorageError as exc:
+                raised.append(exc)
+
+        reader = threading.Thread(target=load, daemon=True)
+        reader.start()
+        reader.join(timeout=10.0)
+        assert not reader.is_alive(), "load(OID 1) is still looking up its entry"
+        assert len(raised) == 1 and repr(OID(1)) in str(raised[0])
+        assert storage.load(OID(2)).values == {"x": 2}
+
+
 class TestPageStateList:
     """A scan gets each page's states as one sequence, kept by the page
     as a shared tuple from the second scan of it on and rebuilt after any
