@@ -60,6 +60,11 @@ hard gate over ``src/repro``:
     No module outside ``repro.tools`` may import ``repro.tools``: the
     tools (CLIs, browser, advisor, benchgate) sit on top of the engine,
     so an engine module that imports one inverts the layering.
+``dynamic-code``
+    The builtins ``exec``, ``eval`` and ``compile`` may be called only
+    in ``repro/query/compiler.py``, whose generated WHERE filters hold
+    nothing but generated names and whitelisted operators.  Code built
+    from text anywhere else is code no review has read.
 
 A violation can be baselined in place with an inline pragma::
 
@@ -88,10 +93,15 @@ ALL_RULES = (
     "single-write-path",
     "literal-metric-name",
     "tools-layering",
+    "dynamic-code",
 )
 
 #: The files allowed to call the storage manager's three write methods.
 _WRITE_PATH_FILES = ("repro/database.py", "repro/txn/recovery.py")
+
+#: The one file allowed to build code from text.
+_DYNAMIC_CODE_FILES = ("repro/query/compiler.py",)
+_DYNAMIC_CODE_CALLS = ("exec", "eval", "compile")
 
 #: Nested packages that are privacy domains of their own: files under
 #: them do not share privates with the parent subpackage.
@@ -267,6 +277,10 @@ class Linter:
             self._check_metric_names(tree, path, violations)
         if "tools-layering" in run and subpackage not in (None, "tools"):
             self._check_tools_layering(tree, path, subpackage, violations)
+        if "dynamic-code" in run and not path.replace(os.sep, "/").endswith(
+            _DYNAMIC_CODE_FILES
+        ):
+            self._check_dynamic_code(tree, path, violations)
         return [v for v in violations if not _silenced(v, pragmas)]
 
     # -- simple rules ----------------------------------------------------
@@ -609,6 +623,27 @@ class Linter:
                         "imports repro.tools from %r; tools sit on top of the "
                         "engine — move what is shared below them"
                         % (subpackage or "repro"),
+                    )
+                )
+
+    # -- dynamic code ------------------------------------------------------
+
+    def _check_dynamic_code(self, tree, path, out) -> None:
+        """Flag calls of the ``exec`` / ``eval`` / ``compile`` builtins."""
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in _DYNAMIC_CODE_CALLS
+            ):
+                out.append(
+                    Violation(
+                        "dynamic-code",
+                        path,
+                        node.lineno,
+                        node.col_offset,
+                        "%s() builds code from text; only repro/query/compiler.py "
+                        "may (generated WHERE filters)" % node.func.id,
                     )
                 )
 

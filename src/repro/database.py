@@ -264,6 +264,9 @@ class Database:
         self._executor = Executor(
             self._deref, self._scan_pages_coerced, self.send, self._adt_eval
         )
+        #: Generated WHERE filters, one per predicate shape, shared by
+        #: every execution's kernel (``repro.query.compiler``).
+        self.filter_shapes = self._executor.shapes
         self._m_parses = self.metrics.counter("query.parses")
         self._m_checks = self.metrics.counter("query.checks")
         self._m_plans = self.metrics.counter("query.plans")
@@ -354,6 +357,7 @@ class Database:
         self.wal.close()
         for index in self.indexes.all_indexes():  # see StorageManager.close
             index.clear()
+        self.filter_shapes.clear()
 
     def __enter__(self) -> "Database":
         return self

@@ -200,6 +200,10 @@ class FederationKernel:
     def predicate(self, expr: Expr) -> Callable[[Row], bool]:
         return compile_predicate(expr, self, refuse=_refuse_behaviour)
 
+    def filter(self, expr: Expr) -> Callable[[List[Row]], List[Row]]:
+        test = self.predicate(expr)
+        return lambda rows: [row for row in rows if test(row)]
+
     def sorter(
         self,
         steps: Optional[Tuple[str, ...]],

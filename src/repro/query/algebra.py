@@ -16,6 +16,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 from ..core.obj import ObjectState
 from ..core.oid import OID
+from ..errors import QueryError
 from ..index.btree import normalize_key
 from .ast import (
     AdtPredicate,
@@ -26,7 +27,7 @@ from .ast import (
     Not,
     Or,
 )
-from .compiler import compile_first, compile_path, compile_projection
+from .compiler import compile_first, compile_path, compile_projection, first_of_one
 from .paths import Deref, compare, evaluate_path
 
 #: Sends a message to an object and returns the result (late binding);
@@ -35,6 +36,9 @@ Sender = Callable[[OID, str], Any]
 
 #: ``normalize_key``'s stand-in for a missing value in an ORDER BY key.
 _MISSING = (0, False)
+#: ``normalize_key``'s rank of the value types ORDER BY and GROUP BY
+#: keys rank inline (``bool`` is not one: it ranks apart from numbers).
+_RANKS = {int: 2, float: 2, str: 3}
 _first_item = itemgetter(0)
 
 
@@ -163,22 +167,34 @@ def unnest(
                     yield referenced
 
 
-def order_key(first: Callable[[ObjectState], Any]) -> Callable[[ObjectState], Tuple]:
-    """The ORDER BY key over a compiled first-terminal-value reader.
+def order_key(steps: Sequence[str], deref: Deref) -> Callable[[ObjectState], Tuple]:
+    """The ORDER BY key: the path's first terminal value, ranked.
 
     Present values order by :func:`~repro.index.btree.normalize_key`;
     objects with no value sort after them (a leading 1 — callers keep
     them last in descending order too); ties break on OID so results
-    are deterministic.
+    are deterministic.  A one-step path reads its attribute inline, and
+    an ``int`` / ``float`` / ``str`` value is ranked there too.
     """
+    if len(steps) == 1:
+        attr, rank_of = steps[0], _RANKS.get
 
-    def key(state: ObjectState) -> Tuple:
-        value = first(state)
-        if value is None:
-            return (1, _MISSING, state.oid.value)
-        return (0, normalize_key(value), state.oid.value)
+        def key_of_one(state: ObjectState) -> Tuple:
+            value = state.values.get(attr)
+            rank = rank_of(type(value))
+            if rank is not None:
+                return (0, (rank, value), state.oid.value)
+            return _ranked(first_of_one(value), state)
 
-    return key
+        return key_of_one
+    first = compile_first(steps, deref)
+    return lambda state: _ranked(first(state), state)
+
+
+def _ranked(value: Any, state: ObjectState) -> Tuple:
+    if value is None:
+        return (1, _MISSING, state.oid.value)
+    return (0, normalize_key(value), state.oid.value)
 
 
 def sort_by_key(
@@ -234,7 +250,7 @@ def order_by(
     Objects with no value sort last (regardless of direction) and ties
     break on OID so results are deterministic.
     """
-    return sort_by_key(extent, order_key(compile_first(steps, deref)), descending)
+    return sort_by_key(extent, order_key(steps, deref), descending)
 
 
 def compile_aggregate(
@@ -243,12 +259,12 @@ def compile_aggregate(
     """Compile a query's GROUP BY key and aggregate paths into a fold:
     extent -> per-group summary rows (COUNT/SUM/AVG/MIN/MAX).
 
-    Groups order by key with the None group last; a query without GROUP
-    BY folds everything into one row.
+    Rows group by the ORDER BY key's ranked value (``normalize_key`` of
+    the first terminal value), so ``1`` and ``1.0`` share a group — ``1
+    = 1.0`` holds — while ``True`` and ``1`` do not.  A group shows the
+    value its first member read.  Groups order by key with the None
+    group last; a query without GROUP BY folds everything into one row.
     """
-    group = (
-        compile_first(query.group_by.steps, deref) if query.group_by is not None else None
-    )
     folds = [
         (
             aggregate.label(),
@@ -257,32 +273,58 @@ def compile_aggregate(
         )
         for aggregate in query.aggregates or []
     ]
-    group_label = query.group_by.dotted() if query.group_by is not None else None
+    if query.group_by is None:
+
+        def fold_all(extent: Iterable[ObjectState]) -> List[Dict[str, Any]]:
+            members = [state for state in extent]
+            return [{label: _fold(label, fn, path, members) for label, fn, path in folds}]
+
+        return fold_all
+    steps = query.group_by.steps
+    group_label = query.group_by.dotted()
+    first = compile_first(steps, deref)
+    attr = steps[0] if len(steps) == 1 else None
 
     def fold(extent: Iterable[ObjectState]) -> List[Dict[str, Any]]:
         groups: Dict[Any, List[ObjectState]] = {}
-        if group is None:
-            groups[None] = [state for state in extent]
-        else:
-            for state in extent:
-                groups.setdefault(group(state), []).append(state)
+        for state in extent:
+            key = state.values.get(attr) if attr is not None else first(state)
+            if type(key) not in _RANKS:
+                # A one-step list's first item may be an int, float or str.
+                key = _group_key(first_of_one(key) if attr is not None else key)
+            members = groups.get(key)
+            if members is None:
+                groups[key] = [state]
+            else:
+                members.append(state)
         rows: List[Dict[str, Any]] = []
-        for key in sorted(
-            groups, key=lambda k: (k is None, normalize_key(k) if k is not None else 0)
-        ):
+        for key in sorted(groups, key=_group_order):
             members = groups[key]
-            row: Dict[str, Any] = {}
-            if group_label is not None:
-                row[group_label] = key
+            row: Dict[str, Any] = {group_label: first(members[0])}
             for label, fn, path in folds:
-                row[label] = _fold(fn, path, members)
+                row[label] = _fold(label, fn, path, members)
             rows.append(row)
         return rows
 
     return fold
 
 
-def _fold(fn: str, path, members: List[ObjectState]) -> Any:
+def _group_key(value: Any) -> Any:
+    """A first terminal value's group key.  An int, float or str value is
+    its own key: no two of them are equal unless their ranked keys are,
+    and none equals a ranked (tuple) key.  Any other value is keyed by
+    its ranked key."""
+    return value if type(value) in _RANKS else normalize_key(value)
+
+
+def _group_order(key: Any) -> Tuple:
+    """Groups by ranked key, the None group (rank 0) last."""
+    if type(key) is not tuple:
+        key = (_RANKS[type(key)], key)
+    return (key[0] == 0, key)
+
+
+def _fold(label: str, fn: str, path, members: List[ObjectState]) -> Any:
     if path is None:  # count(*)
         return len(members)
     values = [value for state in members for value in path(state) if value is not None]
@@ -290,10 +332,45 @@ def _fold(fn: str, path, members: List[ObjectState]) -> Any:
         return len(values)
     if not values:
         return None
-    if fn == "sum":
-        return sum(values)
-    if fn == "avg":
-        return sum(values) / len(values)
-    if fn == "min":
-        return min(values)
-    return max(values)
+    try:
+        if fn == "sum":
+            return sum(values)
+        if fn == "avg":
+            return sum(values) / len(values)
+        if fn == "min":
+            return min(values)
+        return max(values)
+    except TypeError:
+        raise _unfoldable(label, fn, values) from None
+
+
+def _unfoldable(label: str, fn: str, values: List[Any]) -> QueryError:
+    """The error for values ``fn`` cannot fold: it names the first two
+    types that meet, in the order the fold met them, or the first
+    value's type alone when a sum cannot start from it."""
+    adds = fn in ("sum", "avg")
+    so_far = values[0]
+    if adds:
+        try:
+            0 + so_far
+        except TypeError:
+            return QueryError(
+                "%s: values of type %s cannot be summed" % (label, type(so_far).__name__)
+            )
+    for value in values[1:]:
+        try:
+            if adds:
+                so_far = so_far + value
+            elif (value < so_far) if fn == "min" else (value > so_far):
+                so_far = value
+        except TypeError:
+            break
+    return QueryError(
+        "%s: values of type %s and %s %s"
+        % (
+            label,
+            type(so_far).__name__,
+            type(value).__name__,
+            "cannot be added" if adds else "have no common order",
+        )
+    )

@@ -1,13 +1,14 @@
-"""Expression compiler: query expressions -> per-row closures.
+"""Expression compiler: query expressions -> per-row closures and
+generated batch filters.
 
 The pipeline never walks an AST per row.  When a plan is compiled into
 operators (:func:`~repro.query.operators.compile_plan`), each expression
 it carries — the WHERE clause, the ORDER BY / top-K key, the GROUP BY
 key, the aggregate paths and the projections — is compiled once into a
 closure bound to that execution's kernel (its ``deref``, ``send`` and
-``adt_eval``).  Compiling is cheaper than a plan-cache lookup (a few
-microseconds for the Fig. 1 predicate), so it happens per execution and
-nothing compiled is cached with the plan.
+``adt_eval``).  Closures bound to one snapshot's ``deref`` cannot be
+shared, so binding happens per execution and nothing bound is cached
+with the plan.
 
 The closures specialise by shape: a one-step path reads
 ``values.get(attr)`` directly, a multi-step path walks its steps through
@@ -18,6 +19,17 @@ interpreter, :func:`~repro.query.algebra.evaluate_predicate` over
 :func:`~repro.query.paths.evaluate_path`: existential comparisons over
 fan-out, ``_eq``'s bool / OID rules, None never ordered, a ``TypeError``
 is False.
+
+Over object states the WHERE clause runs as one generated comprehension
+per predicate *shape* (:func:`compile_filter`): ``And`` / ``Or`` /
+``Not`` are inlined, and a comparison of a one-step path, or of a
+two-step path through one reference, against an ``int`` / ``float``
+(ordered or ``=``) or a ``str`` (``=`` / ``contains``) inlines its
+common case — the value read has exactly the literal's kind — and hands
+every other value to the leaf's closure above.  The source text depends
+on the shape alone: attribute names and literals are arguments of the
+generated factory, never text in it.  :class:`FilterShapes` keeps the
+factories, so a known shape pays only the binding.
 """
 
 from __future__ import annotations
@@ -148,19 +160,19 @@ def compile_exists(steps: Sequence[str], test: Test, deref: Deref) -> Test:
     return lambda state: any(map(test, path(state)))
 
 
+def first_of_one(value: Any) -> Any:
+    """A one-step path's first terminal value, given the attribute's."""
+    if isinstance(value, list):
+        return value[0] if value else None
+    return value
+
+
 def compile_first(steps: Sequence[str], deref: Deref) -> Callable[[ObjectState], Any]:
     """The path's first terminal value, or None — the ORDER BY and GROUP
     BY key."""
     if len(steps) == 1:
         attr = steps[0]
-
-        def first_of_one(state: ObjectState) -> Any:
-            value = state.values.get(attr)
-            if isinstance(value, list):
-                return value[0] if value else None
-            return value
-
-        return first_of_one
+        return lambda state: first_of_one(state.values.get(attr))
     path = compile_path(steps, deref)
 
     def first(state: ObjectState) -> Any:
@@ -265,3 +277,156 @@ def _raising(error: Callable[[], Exception]) -> Test:
         raise error()
 
     return refused
+
+
+# -- generated batch filters ---------------------------------------------
+
+#: Generated filter factories one :class:`FilterShapes` keeps at most.
+SHAPE_CACHE_SIZE = 256
+
+#: A batch filter: the rows of one batch that satisfy a WHERE clause.
+BatchFilter = Callable[[List[Any]], List[Any]]
+
+#: Source text for each comparison a leaf may inline.
+_SOURCE_OPS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "==", "contains": "=="}
+#: A leaf that calls its closure on every row.
+_CALL = ("call",)
+#: The comparisons a leaf inlines against an ``int`` / ``float``.
+_NUMERIC_OPS = frozenset(("<", "<=", ">", ">=", "="))
+#: The only names generated code reads besides its parameters.
+_GLOBALS = {"__builtins__": {"type": type, "str": str}, "NUM": (int, float), "OID": OID}
+
+
+class FilterShapes:
+    """Generated batch-filter factories, one per predicate shape.
+
+    A shape is the tree :func:`compile_filter` derives from a WHERE
+    clause: its boolean structure plus, for each comparison, whether and
+    how it inlines — never an attribute name or a literal.  A new shape
+    pays one ``exec``; at :data:`SHAPE_CACHE_SIZE` shapes the cache
+    starts over.  Lookups and inserts are single dict operations, so
+    concurrent executions need no lock: two that miss on one shape
+    both generate it, and the second insert wins.
+    """
+
+    __slots__ = ("_factories",)
+
+    def __init__(self) -> None:
+        self._factories: Dict[tuple, Callable[..., BatchFilter]] = {}
+
+    def factory(self, shape: tuple) -> Callable[..., BatchFilter]:
+        factory = self._factories.get(shape)
+        if factory is None:
+            namespace: Dict[str, Any] = {}
+            code = compile(filter_source(shape), "<generated filter>", "exec")
+            exec(code, dict(_GLOBALS), namespace)
+            factory = namespace["factory"]
+            if len(self._factories) >= SHAPE_CACHE_SIZE:
+                self._factories.clear()
+            self._factories[shape] = factory
+        return factory
+
+    def clear(self) -> None:
+        self._factories.clear()
+
+    def __len__(self) -> int:
+        return len(self._factories)
+
+
+def compile_filter(expr: Expr, kernel: Any, shapes: FilterShapes) -> BatchFilter:
+    """The WHERE clause as a batch function over object states: ``rows
+    -> [row for row in rows if <expr>]``, generated once per shape and
+    bound here to ``kernel`` — its ``deref``, and its ``predicate`` to
+    compile a leaf's closure the first time a row needs it."""
+    args: List[Any] = [kernel.deref, kernel.predicate]
+    return shapes.factory(filter_shape(expr, args))(*args)
+
+
+def filter_shape(expr: Expr, args: List[Any]) -> tuple:
+    """``expr``'s shape; appends the generated factory's arguments to
+    ``args``, leaf by leaf: the leaf itself, then, for an inlined
+    comparison, its path steps and its literal."""
+    kind = type(expr)
+    if kind is Comparison:
+        args.append(expr)
+        op, steps, literal = expr.op, expr.path.steps, expr.const.value
+        literal_type = type(literal)
+        if (literal_type is int or literal_type is float) and op in _NUMERIC_OPS:
+            guard = "num"
+        elif literal_type is str and (op == "=" or op == "contains"):
+            guard = "str"
+        else:
+            return _CALL
+        if len(steps) > 2:
+            return _CALL
+        args.extend(steps)
+        args.append(literal)
+        return (guard, op, len(steps))
+    if kind is And or kind is Or:
+        return (
+            "and" if kind is And else "or",
+            *[filter_shape(part, args) for part in expr.operands],
+        )
+    if kind is Not:
+        return ("not", filter_shape(expr.operand, args))
+    args.append(expr)
+    return _CALL
+
+
+def filter_source(shape: tuple) -> str:
+    """The factory's source for one shape.  Only generated names and the
+    operators of :data:`_SOURCE_OPS` appear in it.
+
+    Leaf ``i`` binds ``E<i>`` (the leaf), ``A<i>`` (first step), ``B<i>``
+    (second step, two-step paths only) and ``K<i>`` (literal).  Its
+    inline case is taken only when the value read has exactly the
+    literal's kind — ``int`` or ``float`` (never ``bool``) against a
+    number, ``str`` against a string — and, on a two-step path, the
+    first value is one ``OID``; a dangling reference reads no value, so
+    it does not match.  Everything else calls ``H<i>``, the leaf's
+    closure, compiled by ``C`` (the kernel's ``predicate``) on first use.
+    """
+    params = ["D", "C"]
+    closures: List[str] = []
+
+    def emit(node: tuple) -> str:
+        kind = node[0]
+        if kind in ("and", "or"):
+            return "(%s)" % (" %s " % kind).join(emit(part) for part in node[1:])
+        if kind == "not":
+            return "(not %s)" % emit(node[1])
+        leaf = len(closures)
+        h, e, a, b, k = ("%s%d" % (name, leaf) for name in "HEABK")
+        closures.append(h)
+        params.append(e)
+        call = "(%s or (%s := C(%s)))(row)" % (h, h, e)
+        if kind == "call":
+            return call
+        _, op, length = node
+        guard = "in NUM" if kind == "num" else "is str"
+        compare = "(w%d %s %s)" % (leaf, _SOURCE_OPS[op], k)
+        if length == 1:
+            params.extend((a, k))
+            return "(%s if type(w%d := row.values.get(%s)) %s else %s)" % (
+                compare, leaf, a, guard, call,
+            )
+        params.extend((a, b, k))
+        second = "(%s if type(w%d := s%d.values.get(%s)) %s else %s)" % (
+            compare, leaf, leaf, b, guard, call,
+        )
+        return (
+            "((%s if (s%d := D(v%d)) is not None else False)"
+            " if type(v%d := row.values.get(%s)) is OID else %s)"
+            % (second, leaf, leaf, leaf, a, call)
+        )
+
+    test = emit(shape)
+    return (
+        "def factory(%s):\n"
+        "    %s = None\n"
+        "    def batch(rows):\n"
+        "        nonlocal %s\n"
+        "        return [row for row in rows if %s]\n"
+        "    return batch\n"
+        % (", ".join(params), " = ".join(closures), ", ".join(closures), test)
+    )

@@ -18,6 +18,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 from ..core.obj import ObjectState
 from ..core.oid import OID
 from .ast import AdtPredicate, Query
+from .compiler import FilterShapes
 from .operators import ObjectKernel, Pipeline, compile_plan
 from .paths import Deref
 from .planner import Plan
@@ -97,7 +98,8 @@ class Executor:
         self._scan_pages = scan_pages
         self._send = send
         self._adt_eval = adt_eval
-        self.kernel = ObjectKernel(deref, send, adt_eval)
+        self.shapes = FilterShapes()
+        self.kernel = ObjectKernel(deref, self.shapes, send, adt_eval)
 
     def pipeline(self, plan: Plan, snapshot=None, visible=None) -> Pipeline:
         """Compile (but do not open) the physical pipeline for a plan.
@@ -111,7 +113,7 @@ class Executor:
         """
         if snapshot is None:
             return compile_plan(plan, self.kernel, self._scan_pages, visible)
-        kernel = ObjectKernel(snapshot.deref, self._send, self._adt_eval)
+        kernel = ObjectKernel(snapshot.deref, self.shapes, self._send, self._adt_eval)
         return compile_plan(plan, kernel, snapshot.scan_pages, visible, snapshot.changed)
 
     def execute(

@@ -45,8 +45,10 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 from .. import algebra
 from ..ast import AdtPredicate, Expr, Query
 from ..compiler import (
+    BatchFilter,
+    FilterShapes,
     compile_exists,
-    compile_first,
+    compile_filter,
     compile_path,
     compile_predicate,
     compile_projection,
@@ -169,6 +171,7 @@ class ObjectKernel:
     """Row semantics for kimdb object states: the expression compiler
     (:mod:`repro.query.compiler`) bound to one execution's storage-facing
     callables — ``deref`` (the snapshot's), ``send`` and ``adt_eval``.
+    ``shapes`` keeps the generated WHERE filters (the executor's).
     """
 
     #: Object states have a deterministic fallback order (OID), so a
@@ -180,10 +183,12 @@ class ObjectKernel:
     def __init__(
         self,
         deref: Deref,
+        shapes: FilterShapes,
         send: Optional[Callable[..., Any]] = None,
         adt_eval: Optional[Callable[[AdtPredicate, Any], bool]] = None,
     ) -> None:
         self.deref = deref
+        self.shapes = shapes
         self.send = send
         self.adt_eval = adt_eval
 
@@ -200,6 +205,9 @@ class ObjectKernel:
 
     def predicate(self, expr: Expr) -> Callable[[Any], bool]:
         return compile_predicate(expr, self)
+
+    def filter(self, expr: Expr) -> BatchFilter:
+        return compile_filter(expr, self, self.shapes)
 
     def sorter(
         self,
@@ -218,7 +226,7 @@ class ObjectKernel:
             if limit is not None:
                 return lambda rows: heapq.nsmallest(limit, rows, key=_oid_value)
             return lambda rows: sorted(rows, key=_oid_value)
-        key = algebra.order_key(compile_first(steps, self.deref))
+        key = algebra.order_key(steps, self.deref)
         if limit is not None:
             return lambda rows: algebra.top_by_key(rows, key, descending, limit)
         return lambda rows: algebra.sort_by_key(rows, key, descending)

@@ -145,9 +145,13 @@ def compile_plan(plan: Plan, kernel, scan, visible=None, changed=None) -> Pipeli
     """Compile a plan into a pipeline over ``kernel``-typed rows.
 
     Every expression the plan carries (WHERE, ORDER BY / top-K key,
-    GROUP BY key, aggregate paths, projections) is compiled here, per
-    execution, by the operator that runs it: compiling costs about what
-    a plan-cache hit does, so nothing compiled is cached on the plan.
+    GROUP BY key, aggregate paths, projections) is bound here, per
+    execution, to this execution's kernel by the operator that runs it;
+    nothing bound to a snapshot is cached on the plan.  An object
+    plan's WHERE runs as a generated batch filter whose code the
+    database keeps per predicate shape
+    (:class:`~repro.query.compiler.FilterShapes`), so binding it costs
+    one walk of the tree and one factory call.
     ``scan`` feeds the leaf: a storage plan's page scan
     (:meth:`~repro.versions.store.SnapshotView.scan_pages`), or a system
     view's row producer.  ``visible`` is the caller's row-visibility

@@ -44,7 +44,7 @@ class FilterOp(PhysicalOperator):
         self._row_class = kernel.row_class
         self.scope = scope
         self.where = where
-        self._matches = kernel.predicate(where) if where is not None else None
+        self._matches = kernel.filter(where) if where is not None else None
         self.visible = visible
         self.detail = repr(where) if where is not None else "true"
         if visible is not None:
@@ -60,7 +60,7 @@ class FilterOp(PhysicalOperator):
             if scope is not None:
                 rows = [row for row in rows if row_class(row) in scope]
             if matches is not None:
-                rows = [row for row in rows if matches(row)]
+                rows = matches(rows)
             if visible is not None:
                 rows = [row for row in rows if visible(row)]
             if rows:

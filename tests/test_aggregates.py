@@ -150,3 +150,58 @@ class TestEvaluation:
             "SELECT b.product, COUNT(b) FROM BigSale b GROUP BY b.product"
         ).rows
         assert rows == [{"product": "widget", "count(*)": 3}]
+
+
+@pytest.fixture
+def mixed_db():
+    """One ``Any`` attribute holding numbers, bools and a string."""
+    db = Database()
+    db.define_class("T", attributes=[AttributeDef("a", "Any")])
+    return db
+
+
+class TestMixedValues:
+    def test_bools_group_apart_from_numbers(self, mixed_db):
+        for value in (1, True, 1.0, False, 0):
+            mixed_db.new("T", {"a": value})
+        rows = mixed_db.execute("SELECT t.a, COUNT(t) FROM T t GROUP BY t.a").rows
+        groups = [(row["a"], type(row["a"]), row["count(*)"]) for row in rows]
+        # bools rank below numbers; 1 and 1.0 are one group (1 = 1.0),
+        # True is not 1 (WHERE t.a = 1 leaves it out) — nor is False 0.
+        assert groups == [(False, bool, 1), (True, bool, 1), (0, int, 1), (1, int, 2)]
+        assert len(mixed_db.execute("SELECT t FROM T t WHERE t.a = 1").oids) == 2
+
+    def test_a_list_groups_with_its_first_item(self, mixed_db):
+        for value in ([1], 1, ["x"], "x", [True], True, []):
+            mixed_db.new("T", {"a": value})
+        rows = mixed_db.execute("SELECT t.a, COUNT(t) FROM T t GROUP BY t.a").rows
+        groups = [(row["a"], type(row["a"]), row["count(*)"]) for row in rows]
+        assert groups == [(True, bool, 2), (1, int, 2), ("x", str, 2), (None, type(None), 1)]
+
+    def test_a_sum_of_strings_names_only_str(self, mixed_db):
+        for value in ("a", "b"):
+            mixed_db.new("T", {"a": value})
+        for fn in ("SUM", "AVG"):
+            with pytest.raises(QueryError) as err:
+                mixed_db.execute("SELECT %s(t.a) FROM T t" % fn)
+            assert str(err.value) == "%s(a): values of type str cannot be summed" % fn.lower()
+
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            ("SELECT MIN(t.a) FROM T t", ("min(a)", "int", "str", "order")),
+            ("SELECT MAX(t.a) FROM T t", ("max(a)", "int", "str", "order")),
+            ("SELECT SUM(t.a) FROM T t", ("sum(a)", "int", "str", "added")),
+            ("SELECT AVG(t.a) FROM T t", ("avg(a)", "int", "str", "added")),
+        ],
+    )
+    def test_values_with_no_common_order_or_sum_raise_a_query_error(
+        self, mixed_db, text, words
+    ):
+        mixed_db.new("T", {"a": 1})
+        mixed_db.new("T", {"a": "x"})
+        with pytest.raises(QueryError) as err:
+            mixed_db.execute(text)
+        assert all(word in str(err.value) for word in words), str(err.value)
+        # COUNT folds anything.
+        assert mixed_db.execute("SELECT COUNT(t.a) FROM T t").rows == [{"count(a)": 2}]

@@ -642,6 +642,30 @@ import repro.toolsmith
         assert lint(self.SOURCE, subpackage="tools") == []
 
 
+class TestDynamicCodeRule:
+    SOURCE = """
+import re
+
+def f(text, namespace):
+    exec(text, namespace)
+    eval(text)
+    code = compile(text, "<x>", "exec")
+    re.compile(text)
+    return namespace.exec(code)
+"""
+
+    def test_exec_eval_and_compile_flagged_outside_the_compiler(self):
+        violations = lint(self.SOURCE)
+        assert [(v.rule, v.line) for v in violations] == [
+            ("dynamic-code", line) for line in (5, 6, 7)
+        ]
+        assert "exec()" in violations[0].message
+
+    def test_the_expression_compiler_is_exempt(self):
+        linter = Linter(LintConfig(lock_lattice=LATTICE))
+        assert linter.lint_source(self.SOURCE, "src/repro/query/compiler.py", "query") == []
+
+
 class TestLintGate:
     def test_engine_source_is_clean(self):
         assert lint_paths([SRC_REPRO], engine_config()) == []

@@ -22,22 +22,40 @@ missing from records stored before ``add_attribute``, list fan-out,
   inside one transaction, whose derefs the object buffer serves once
   warm, across its own writes and another transaction's commit.
 
+The generated batch filter (one comprehension per WHERE shape) is held
+to the interpreter the same way, on the random trees and on leaves made
+to take its inline cases; so is the generated source itself, which must
+not change when attribute names and string literals turn hostile.
+ORDER BY (both directions, with and without LIMIT) and GROUP BY keys
+are checked against a reference built from ``evaluate_path``,
+``normalize_key`` and the OID tiebreak.
+
 ``COMPILED_PARITY_EXAMPLES`` sets the trees per check (CI's weekly job
 runs 500; tier-1 keeps a fixed-seed slice).
 """
 
+import itertools
 import os
 import random
 
 import pytest
 
 from repro import AttributeDef, Database
+from repro.core.obj import ObjectState
 from repro.core.oid import OID
 from repro.evolution import SchemaEvolution
+from repro.index.btree import normalize_key
 from repro.query import algebra
 from repro.query.ast import And, Comparison, Const, Not, Or, Path, Query
+from repro.query.compiler import (
+    SHAPE_CACHE_SIZE,
+    FilterShapes,
+    filter_shape,
+    filter_source,
+)
 from repro.query.operators import ObjectKernel
 from repro.query.parser import parse_query
+from repro.query.paths import evaluate_path
 
 from .test_formal_properties import random_predicates
 
@@ -164,6 +182,14 @@ def outcome(test, state):
         return type(exc)
 
 
+def batch_outcome(run):
+    """The OIDs a batch run keeps, or the type of what it raised."""
+    try:
+        return [state.oid for state in run()]
+    except Exception as exc:
+        return type(exc)
+
+
 def expected(world, where):
     extent = sorted(
         (state for state in world.values() if state.class_name in SCOPE),
@@ -201,6 +227,27 @@ def edge_cases(parts):
     ]
 
 
+def inline_edges(parts):
+    """Leaves the generated filter inlines: one- and two-step paths
+    against int, float and str literals, over bools, ``1.0``, lists,
+    None, missing attributes and dangling references (``parts[:2]``)."""
+    leaves = []
+    for steps in (("a",), ("late",), ("part", "a"), ("part", "n"), ("m", "a")):
+        for op in ("<", "<=", ">", ">=", "="):
+            for literal in (0, 1, 1.0, 2.5):
+                leaves.append(Comparison(op, Path(steps), Const(literal)))
+        for op in ("=", "contains"):
+            for literal in ("x", "", "1"):
+                leaves.append(Comparison(op, Path(steps), Const(literal)))
+    leaves.append(Comparison("=", Path(("manufacturer", "location")), Const("Detroit")))
+    leaves.append(Comparison("<", Path(("part", "n")), Const(5)))
+    return leaves + [
+        And([leaves[0], Not(leaves[5])]),
+        Or([leaves[40], leaves[3], leaves[-1]]),
+        Not(And([leaves[-2], leaves[1]])),
+    ]
+
+
 def accepted(db, rng, parts):
     """The edge cases, then random WHERE trees the semantic gate lets
     through."""
@@ -223,7 +270,7 @@ class TestCompiledPredicates:
     def test_compiled_equals_interpreted_on_every_row(self, edge_db):
         db, parts = edge_db
         world = world_of(db)
-        kernel = ObjectKernel(world.get)
+        kernel = ObjectKernel(world.get, FilterShapes())
         rng = random.Random(11)
         for _ in range(COMPILED_PARITY_EXAMPLES):
             where = random_where(rng, parts)
@@ -237,7 +284,7 @@ class TestCompiledPredicates:
     def test_edges_by_hand(self, edge_db):
         db, parts = edge_db
         world = world_of(db)
-        kernel = ObjectKernel(world.get)
+        kernel = ObjectKernel(world.get, FilterShapes())
         for where in edge_cases(parts):
             compiled = kernel.predicate(where)
             hits = [
@@ -247,14 +294,199 @@ class TestCompiledPredicates:
             ]
             assert sorted(hits, key=lambda oid: oid.value) == expected(world, where), where
 
+    def test_generated_filter_keeps_what_the_interpreter_keeps(self, edge_db):
+        db, parts = edge_db
+        world = world_of(db)
+        kernel = ObjectKernel(world.get, FilterShapes())
+        states = sorted(world.values(), key=lambda state: state.oid.value)
+        rng = random.Random(13)
+        trees = inline_edges(parts) + [
+            random_where(rng, parts) for _ in range(COMPILED_PARITY_EXAMPLES)
+        ]
+        for where in trees:
+            reference = batch_outcome(
+                lambda: [s for s in states if algebra.evaluate_predicate(where, s, world.get)]
+            )
+            assert batch_outcome(lambda: kernel.filter(where)(states)) == reference, where
+        # Each shape was generated once, whatever its names and literals.
+        assert len(kernel.shapes) < len(trees)
+
+    def test_the_database_keeps_one_factory_per_shape_until_close(self):
+        db = Database()
+        db.define_class("V", attributes=[AttributeDef("w", "Integer")])
+        for w in range(10):
+            db.new("V", {"w": w})
+        assert len(db.execute("SELECT v FROM V v WHERE v.w > 4").oids) == 5
+        assert len(db.execute("SELECT v FROM V v WHERE v.w > 7").oids) == 2
+        assert len(db.filter_shapes) == 1
+        db.close()
+        assert len(db.filter_shapes) == 0
+
+    def test_the_shape_cache_is_bounded(self):
+        leaves = [("call",)] + [
+            (kind, op, length)
+            for kind, ops in (("num", ("<", "<=", ">", ">=", "=")), ("str", ("=", "contains")))
+            for op in ops
+            for length in (1, 2)
+        ]
+        shapes = FilterShapes()
+        for n, shape in enumerate(
+            (conj, a, b) for conj in ("and", "or") for a in leaves for b in leaves
+        ):
+            if n > SHAPE_CACHE_SIZE:
+                break
+            shapes.factory(shape)
+            assert 0 < len(shapes) <= SHAPE_CACHE_SIZE
+
     def test_method_and_adt_nodes_raise_only_when_a_row_reaches_them(self):
         from repro.query.ast import AdtPredicate, MethodCall
 
-        kernel = ObjectKernel(lambda oid: None)
+        kernel = ObjectKernel(lambda oid: None, FilterShapes())
         for node in (MethodCall(None, "area", []), AdtPredicate("overlaps", Path(("a",)), [1])):
             compiled = kernel.predicate(node)
             with pytest.raises(ValueError):
                 compiled(None)
+
+
+#: Attribute names and string literals that would do harm as source text.
+HOSTILE = ["x') or __import__('os').system('true') or ('", "a\nb", "'\"", "__import__('os')"]
+
+
+class TestHostileNames:
+    """Names and literals are arguments of the generated factory, never
+    text in it."""
+
+    def shapes(self, first, second, literal):
+        return [
+            Comparison("=", Path((first,)), Const(literal)),
+            Comparison("=", Path((first, second)), Const(literal)),
+            And([Comparison(">", Path((first,)), Const(3)), Not(
+                Comparison("contains", Path((first, second)), Const(literal)))]),
+            Or([Comparison("like", Path((first,)), Const(literal)),
+                Comparison("in", Path((second,)), Const([literal, 1]))]),
+        ]
+
+    def test_hostile_source_is_the_benign_source(self):
+        benign = self.shapes("a", "b", "plain")
+        literals = HOSTILE[1:] + HOSTILE[:1]
+        for first, second, literal in zip(HOSTILE, reversed(HOSTILE), literals):
+            for mild, wild in zip(benign, self.shapes(first, second, literal)):
+                source = filter_source(filter_shape(wild, []))
+                assert source == filter_source(filter_shape(mild, []))
+                assert not any(text in source for text in HOSTILE)
+
+    def test_hostile_names_select_what_the_interpreter_selects(self):
+        world = {
+            OID(100 + i): ObjectState(OID(100 + i), "R", {name: name for name in HOSTILE})
+            for i in range(2)
+        }
+        values = HOSTILE + [3, 4.5, True, None, OID(100), OID(101), OID(999)]
+        rows = [
+            ObjectState(OID(i), "S", {name: value for name in HOSTILE})
+            for i, value in enumerate(values)
+        ]
+        world.update((row.oid, row) for row in rows)
+        kernel = ObjectKernel(world.get, FilterShapes())
+        for first, second, literal in itertools.product(HOSTILE, repeat=3):
+            for where in self.shapes(first, second, literal):
+                reference = [
+                    row.oid for row in rows
+                    if algebra.evaluate_predicate(where, row, world.get)
+                ]
+                assert batch_outcome(lambda: kernel.filter(where)(rows)) == reference, where
+
+
+#: ORDER BY / GROUP BY paths over every edge value: mixed Any values,
+#: bools beside ``1``/``1.0``, lists, references (some dangling), an
+#: attribute missing from old records, and None.
+KEY_PATHS = [
+    ("a",), ("m",), ("late",), ("part",), ("part", "a"), ("parts", "a"),
+    ("m", "a"), ("weight",), ("color",), ("manufacturer", "location"),
+]
+
+
+def first_value(state, steps, world):
+    values = evaluate_path(state, steps, world.get)
+    return values[0] if values else None
+
+
+def reference_order(world, steps, descending):
+    """Present values by ``normalize_key`` then OID, reversed for
+    DESC; objects with no value after them, by OID (descending for
+    DESC)."""
+    states = [state for state in world.values() if state.class_name in SCOPE]
+    present, missing = [], []
+    for state in states:
+        value = first_value(state, steps, world)
+        if value is None:
+            missing.append(state.oid.value)
+        else:
+            present.append((normalize_key(value), state.oid.value))
+    present.sort(reverse=descending)
+    missing.sort(reverse=descending)
+    order = [oid for _key, oid in present] + missing
+    return [OID(value) for value in order]
+
+
+def reference_groups(world, steps):
+    """(normalized key, count, max price) per group; None last."""
+    groups = {}
+    for state in world.values():
+        if state.class_name in SCOPE:
+            key = normalize_key(first_value(state, steps, world))
+            groups.setdefault(key, []).append(state.values["price"])
+    ordered = sorted(groups, key=lambda key: (key == normalize_key(None), key))
+    return [(key, len(groups[key]), max(groups[key])) for key in ordered]
+
+
+class TestOrderAndGroupKeys:
+    @pytest.mark.parametrize("descending", [False, True])
+    @pytest.mark.parametrize("limit", [None, 1, 7, 500])
+    def test_order_by_equals_the_reference(self, edge_db, descending, limit):
+        db, _parts = edge_db
+        world = world_of(db)
+        for steps in KEY_PATHS:
+            query = Query(
+                "Item", "v", order_by=Path(steps), descending=descending, limit=limit
+            )
+            want = reference_order(world, steps, descending)[:limit]
+            assert [oid.value for oid in db.execute(query).oids] == [
+                oid.value for oid in want
+            ], (steps, descending, limit)
+
+    def test_group_by_equals_the_reference(self, edge_db):
+        db, _parts = edge_db
+        world = world_of(db)
+        for steps in KEY_PATHS:
+            dotted = ".".join(steps)
+            rows = db.execute(
+                "SELECT v.%s, COUNT(v), MAX(v.price) FROM Item v GROUP BY v.%s"
+                % (dotted, dotted)
+            ).rows
+            got = [
+                (normalize_key(row[dotted]), row["count(*)"], row["max(price)"])
+                for row in rows
+            ]
+            assert got == reference_groups(world, steps), steps
+
+    def test_a_single_valued_list_keys_as_its_first_item(self):
+        """A single-valued ``Any`` attribute may hold a list; ORDER BY and
+        GROUP BY read its first item, as for a multi-valued path."""
+        db = Database()
+        db.define_class(
+            "Item", attributes=[AttributeDef("a", "Any"), AttributeDef("price", "Integer")]
+        )
+        values = [[1], 1, 1.0, ["x"], "x", [True], True, [], None, [2, 1], [None], 2]
+        for price, value in enumerate(values):
+            db.new("Item", {"a": value, "price": price})
+        world = world_of(db)
+        for descending in (False, True):
+            query = Query("Item", "v", order_by=Path(("a",)), descending=descending)
+            assert db.execute(query).oids == reference_order(world, ("a",), descending)
+        rows = db.execute("SELECT v.a, COUNT(v), MAX(v.price) FROM Item v GROUP BY v.a").rows
+        got = [(normalize_key(row["a"]), row["count(*)"], row["max(price)"]) for row in rows]
+        assert got == reference_groups(world, ("a",))
+        db.close()
 
 
 class TestEngineParity:

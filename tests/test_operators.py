@@ -90,8 +90,8 @@ class TestIteratorProtocol:
             def row_class(self, row):
                 return None
 
-            def predicate(self, expr):
-                return lambda n: n % 2 == 0
+            def filter(self, expr):
+                return lambda rows: [n for n in rows if n % 2 == 0]
 
         source = CountingSource(100)
         where = Comparison("=", Path(("n",)), Const(0))

@@ -752,3 +752,24 @@ class TestSemanticErrorPayload:
         # informational, the server returns an empty result, not an error.
         oids = client.query("Vehicle where weight > 10 and weight < 5")
         assert oids == []
+
+
+class TestAggregateErrors:
+    def test_an_aggregate_over_unorderable_values_is_a_query_error(self):
+        db = Database()
+        db.define_class("T", attributes=[AttributeDef("a", "Any")])
+        db.new("T", {"a": 1})
+        db.new("T", {"a": "x"})
+        server = Server(db, port=0, workers=2)
+        server.start()
+        client = Client(*server.address)
+        try:
+            for text in ("SELECT MIN(t.a) FROM T t", "SELECT SUM(t.a) FROM T t"):
+                with pytest.raises(ServerError) as err:
+                    client.query(text)
+                assert err.value.code == "QUERY", text
+                assert "int and str" in str(err.value)
+        finally:
+            client.close()
+            server.stop()
+            db.close()
