@@ -523,7 +523,8 @@ class Database:
         ``before is None`` inserts ``after``, ``after is None`` deletes
         ``before``, both present overwrite — a differing ``class_name``
         moves the object between extents.  The log, the transaction's
-        write log and snapshot readers keep the stored images as given;
+        write log and snapshot readers keep the stored images as given —
+        the log as the bytes the storage manager stored and replaced;
         indexes and hooks hold what readers see, so they get both images
         coerced to the current class definition.  Compensation is this
         call with the pair swapped (``txns.compensate``): locks are still
@@ -550,17 +551,17 @@ class Database:
                 txn.txn_id, state.oid, state.class_name, before and before.copy()
             )
         if before is None:
-            self.storage.store_new(after, near=near)
+            image = self.storage.store_new(after, near=near)
             self.indexes.notify_insert(new)
-            self.wal.log_insert(txn.txn_id, after)
+            self.wal.log_insert(txn.txn_id, after, image)
         elif after is None:
-            self.storage.remove(before.oid)
+            image = self.storage.remove(before.oid)
             self.indexes.notify_delete(old)
-            self.wal.log_delete(txn.txn_id, before)
+            self.wal.log_delete(txn.txn_id, before, image)
         else:
-            self.storage.overwrite(after)
+            images = self.storage.overwrite(after)
             self.indexes.notify_update(old, new)
-            self.wal.log_update(txn.txn_id, before, after)
+            self.wal.log_update(txn.txn_id, before, after, images)
         if not compensating:
             txn.writes.append((before, after))
         for hook in self._post_hooks:
@@ -668,10 +669,10 @@ class Database:
             class_name, changes, self._deref_class, partial=True
         )
         with self._auto_txn() as txn:
-            old = self._coerce(self._load_for_write(txn, oid))
-            new = old.copy()
+            stored = self._load_for_write(txn, oid)
+            new = self._coerce(stored).copy()
             new.values.update(changes)
-            self._write(txn, old, new)
+            self._write(txn, stored, new)
         return ObjectHandle(self, oid)
 
     def put_state(self, state: ObjectState) -> None:

@@ -41,6 +41,7 @@ WAIT_GROUPS = {
     "BufferWrite": "io_wait",
     "WALFlush": "wal_wait",
     "WALSync": "wal_wait",
+    "WALGroupWait": "wal_wait",
 }
 
 

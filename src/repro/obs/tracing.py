@@ -141,6 +141,15 @@ class SlowOp:
         )
 
 
+class _TraceLocal(threading.local):
+    """A thread's open-span stack and active trace id, None until set:
+    class-level defaults, so reading them on a thread that never set
+    them raises (and catches) nothing."""
+
+    stack: Optional[List[Span]] = None
+    trace: Optional[str] = None
+
+
 class Tracer:
     """Per-database tracer.
 
@@ -171,7 +180,7 @@ class Tracer:
         self._clock = clock
         self._buffer: "deque[Span]" = deque(maxlen=capacity)
         self._slow: "deque[SlowOp]" = deque(maxlen=slow_capacity)
-        self._local = threading.local()
+        self._local = _TraceLocal()
         self.metrics = registry if registry is not None else MetricsRegistry()
         self._span_counter = self.metrics.counter("trace.spans")
         self._slow_counter = self.metrics.counter("trace.slow_ops")
@@ -179,7 +188,7 @@ class Tracer:
     # -- recording -----------------------------------------------------------
 
     def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
+        stack = self._local.stack
         if stack is None:
             stack = []
             self._local.stack = stack
@@ -193,7 +202,7 @@ class Tracer:
     @property
     def current_trace(self) -> Optional[str]:
         """The trace id active on this thread, if any."""
-        return getattr(self._local, "trace", None)
+        return self._local.trace
 
     @contextmanager
     def trace(self, trace_id: Optional[str]) -> Iterator[None]:
@@ -208,7 +217,7 @@ class Tracer:
         if trace_id is None:
             yield
             return
-        previous = getattr(self._local, "trace", None)
+        previous = self._local.trace
         self._local.trace = trace_id
         try:
             yield
@@ -216,7 +225,7 @@ class Tracer:
             self._local.trace = previous
 
     def _stamp_trace(self, tags: Dict[str, Any]) -> None:
-        trace_id = getattr(self._local, "trace", None)
+        trace_id = self._local.trace
         if trace_id is not None and "trace" not in tags:
             tags["trace"] = trace_id
 

@@ -44,6 +44,7 @@ WAIT_KINDS = (
     "PageWrite",   # storage/pager.py — raw file write (FilePager only)
     "WALFlush",    # txn/wal.py — commit-time log flush
     "WALSync",     # txn/wal.py — commit-time fsync
+    "WALGroupWait",  # txn/wal.py — a committer parked behind another's sync
 )
 
 #: Kinds recorded *inside* an episode of another kind: the buffer pool's
@@ -107,6 +108,14 @@ class WaitEvent:
         )
 
 
+class _Captures(threading.local):
+    """A thread's stack of active captures: None until its first
+    :meth:`WaitProfiler.capture` (a class-level default, so reading it
+    on any other thread raises nothing)."""
+
+    captures: Optional[List[Dict[str, float]]] = None
+
+
 class WaitProfiler:
     """Accumulates :class:`WaitEvent` reports from the engine layers.
 
@@ -155,7 +164,7 @@ class WaitProfiler:
         #: Per-thread stack of active capture dicts (kind -> seconds);
         #: waits are recorded on the blocking thread, so thread-local
         #: capture attributes them to the exact query that blocked.
-        self._local = threading.local()
+        self._local = _Captures()
 
     # -- recording -----------------------------------------------------------
 
@@ -191,7 +200,7 @@ class WaitProfiler:
         if txn_id is None:
             txn_id = self.current_txn()
         trace = self.current_trace()
-        captures = getattr(self._local, "captures", None)
+        captures = self._local.captures
         if captures:
             for capture in captures:
                 capture[kind] = capture.get(kind, 0.0) + seconds
@@ -237,7 +246,7 @@ class WaitProfiler:
         recorded *on the capturing thread* land in the dict, which is
         exactly the per-query attribution semantics we want.
         """
-        captures = getattr(self._local, "captures", None)
+        captures = self._local.captures
         if captures is None:
             captures = []
             self._local.captures = captures

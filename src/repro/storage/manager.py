@@ -17,6 +17,12 @@ read-only, admitted on an OID's second read, never for long objects,
 dropped with their frame.  :meth:`store_new`, :meth:`overwrite` and
 :meth:`remove` change every record, and *first* move a stamp, *then*
 pop the OID; a read that sees the stamp move drops what it admitted.
+
+**Images.**  Each write encodes its new state once, and returns the
+bytes the write-ahead log takes as its images: the encoding it stored
+(the after-image) and the encoding it replaced, read from the slot
+before the slot changed (the before-image) — for a long object, the
+chain's assembled chunks, not its stub.
 """
 
 from __future__ import annotations
@@ -275,11 +281,15 @@ class StorageManager:
         rids = list(_CHUNK_REF.iter_unpack(body[pos : pos + count * _CHUNK_REF.size]))
         return oid_value, class_name, rids
 
-    def _assemble(self, body: bytes) -> ObjectState:
-        _oid_value, _class_name, rids = self._read_stub(body)
+    def _image(self, body: bytes) -> bytes:
+        """The encoding ``body`` stores: itself, or a long object's chunks."""
+        if not body.startswith(_LONG_MAGIC):
+            return body
         heap = self.heap_for(OVERFLOW_HEAP)
-        data = b"".join(heap.read(rid) for rid in rids)
-        return self._decode(data)
+        return b"".join(heap.read(rid) for rid in self._read_stub(body)[2])
+
+    def _assemble(self, body: bytes) -> ObjectState:
+        return self._decode(self._image(body))
 
     def _free_chunks(self, body: bytes) -> None:
         if not self._is_stub(body):
@@ -289,12 +299,13 @@ class StorageManager:
         for rid in rids:
             heap.delete(rid)
 
-    def _encode_record(self, state: ObjectState) -> bytes:
-        """Inline record, or a stub after spilling a long object."""
+    def _encode_record(self, state: ObjectState) -> Tuple[bytes, bytes]:
+        """``state``'s encoding and the record that stores it: the
+        encoding itself, or a stub after spilling a long object."""
         data = encode_object(state)
         if len(data) > self._max_plain_record():
-            return self._write_long(data, state.oid, state.class_name)
-        return data
+            return data, self._write_long(data, state.oid, state.class_name)
+        return data, data
 
     def _decode(self, data: bytes) -> ObjectState:
         self._m_decodes.inc()
@@ -317,8 +328,9 @@ class StorageManager:
 
     # -- object operations ------------------------------------------------------
 
-    def store_new(self, state: ObjectState, near: Optional[OID] = None) -> RID:
-        """Store a brand-new object, optionally clustered near ``near``.
+    def store_new(self, state: ObjectState, near: Optional[OID] = None) -> bytes:
+        """Store a brand-new object, optionally clustered near ``near``;
+        returns its encoding (the log's after-image).
 
         Clustering only applies when the neighbour lives in the *same*
         class heap; a cross-class hint silently degrades to normal
@@ -333,10 +345,11 @@ class StorageManager:
             entry = self.directory.try_lookup(near)
             if entry is not None and entry[0] == state.class_name:
                 near_rid = entry[1:]
-        rid = heap.insert(self._encode_record(state), near=near_rid)
+        data, record = self._encode_record(state)
+        rid = heap.insert(record, near=near_rid)
         self.directory.add(state.oid, state.class_name, rid)
         self._wrote(state.oid, rid[0])
-        return rid
+        return data
 
     def load(self, oid: OID) -> ObjectState:
         """The stored state of ``oid``, from the object buffer when it
@@ -405,35 +418,39 @@ class StorageManager:
     def class_of(self, oid: OID) -> str:
         return self.directory.lookup(oid)[0]
 
-    def overwrite(self, state: ObjectState) -> None:
-        """Replace the stored state of an existing object."""
+    def overwrite(self, state: ObjectState) -> Tuple[bytes, bytes]:
+        """Replace the stored state of an existing object; returns the
+        encodings replaced and stored (the log's before- and after-image)."""
         class_name, page_id, slot = self.directory.lookup(state.oid)
         rid = (page_id, slot)
         heap = self.heap_for(class_name)
-        self._free_chunks(heap.read(rid))
+        body = heap.read(rid)
+        replaced = self._image(body)
+        self._free_chunks(body)
+        data, record = self._encode_record(state)
         if class_name != state.class_name:
             # Class migration: remove from the old heap, insert into new.
             heap.delete(rid)
-            new_rid = self.heap_for(state.class_name).insert(self._encode_record(state))
+            new_rid = self.heap_for(state.class_name).insert(record)
         else:
-            new_rid = heap.update(rid, self._encode_record(state))
+            new_rid = heap.update(rid, record)
         if new_rid != rid:  # heaps share no pages: always so for a migration
             self.directory.move(state.oid, state.class_name, new_rid)
         self._wrote(state.oid, page_id)
+        return replaced, data
 
-    def remove(self, oid: OID) -> ObjectState:
-        """Delete an object, returning its final state (for undo logs)."""
+    def remove(self, oid: OID) -> bytes:
+        """Delete an object; returns the encoding it stored (the log's
+        before-image)."""
         class_name, page_id, slot = self.directory.lookup(oid)
         heap = self.heap_for(class_name)
         body = heap.read((page_id, slot))
-        state = self._objects.get(oid.value)
-        if state is None:
-            state = self._assemble(body) if self._is_stub(body) else self._decode(body)
+        replaced = self._image(body)
         self._free_chunks(body)
         self.directory.remove(oid)  # first: a dead slot's reader finds no entry
         heap.delete((page_id, slot))
         self._wrote(oid, page_id)
-        return state
+        return replaced
 
     def scan_pages(self, class_name: str) -> Iterator[Sequence[ObjectState]]:
         """All direct instances of one class, a sequence per heap page, in

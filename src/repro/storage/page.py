@@ -34,6 +34,14 @@ what it read before the list was built.  The storage manager never
 keeps the list of a page holding a long-object stub, whose state lives
 in chunks on other pages.
 
+**Free space.**  A page keeps the total length of its record bodies as
+a running count that every insert, update and delete adjusts, so
+:attr:`SlottedPage.free_space` and :meth:`SlottedPage.fits` cost O(1)
+instead of a pass over the slots.  The count is computed on first use:
+parsing a page (:meth:`SlottedPage.from_bytes`, the read path of every
+buffer miss) makes no extra pass, and a page that is only read never
+pays for it.
+
 **Verdict.**  A kept list carries one verdict beside it
 (:meth:`SlottedPage.checked`): what a reader's per-row check made of
 the whole tuple, under the token it checked against — the snapshot
@@ -59,7 +67,7 @@ TOMBSTONE = 0xFFFF
 class SlottedPage:
     """A parsed, mutable slotted page."""
 
-    __slots__ = ("page_size", "_slots", "_writes", "_states")
+    __slots__ = ("page_size", "_slots", "_body_bytes", "_writes", "_states")
 
     def __init__(self, page_size: int) -> None:
         self.page_size = page_size
@@ -67,6 +75,9 @@ class SlottedPage:
         # recomputed at serialization time (records are always compacted on
         # write, which keeps fragmentation bounded without a vacuum pass).
         self._slots: List[Optional[bytes]] = []
+        #: Total length of the live bodies; None until first needed
+        #: (module docstring, "Free space").
+        self._body_bytes: Optional[int] = None
         #: Slot changes so far: what the page's state list is stamped with.
         self._writes = 0
         #: (writes, state tuple or None, verdict or None): the page's
@@ -83,13 +94,23 @@ class SlottedPage:
     def live_count(self) -> int:
         return sum(1 for body in self._slots if body is not None)
 
-    def _used_bytes(self) -> int:
-        body_bytes = sum(len(body) for body in self._slots if body is not None)
-        return _HEADER.size + _SLOT.size * len(self._slots) + body_bytes
+    def _record_bytes(self) -> int:
+        """The running body total, computed on first use."""
+        total = self._body_bytes
+        if total is None:
+            total = self._body_bytes = sum(
+                len(body) for body in self._slots if body is not None
+            )
+        return total
 
     @property
     def free_space(self) -> int:
-        return self.page_size - self._used_bytes()
+        return (
+            self.page_size
+            - _HEADER.size
+            - _SLOT.size * len(self._slots)
+            - self._record_bytes()
+        )
 
     def fits(self, record: bytes) -> bool:
         """Would ``record`` fit as a new insert (slot entry included)?"""
@@ -109,11 +130,13 @@ class SlottedPage:
                 if self.free_space < len(record):
                     raise PageFullError("page full")
                 self._slots[slot] = bytes(record)
+                self._body_bytes += len(record)
                 self._wrote()
                 return slot
         if not self.fits(record):
             raise PageFullError("page full")
         self._slots.append(bytes(record))
+        self._body_bytes += len(record)
         self._wrote()
         return len(self._slots) - 1
 
@@ -173,12 +196,16 @@ class SlottedPage:
         if self.free_space + len(old) < len(record):
             raise PageFullError("updated record does not fit")
         self._slots[slot] = bytes(record)
+        self._body_bytes += len(record) - len(old)
         self._wrote()
 
     def delete(self, slot: int) -> None:
-        if self.body(slot) is None:
+        old = self.body(slot)
+        if old is None:
             raise StorageError("slot %d is already deleted" % slot)
         self._slots[slot] = None
+        if self._body_bytes is not None:
+            self._body_bytes -= len(old)
         self._wrote()
 
     def _wrote(self) -> None:

@@ -43,18 +43,22 @@ _OID_RUN = struct.Struct(">xQ")
 _TAG_I, _TAG_L, _TAG_O, _TAG_S = b"ILOS"
 
 
-def _encode_str(out: bytearray, text: str) -> None:
-    raw = text.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise StorageError("string of %d bytes exceeds field limit" % len(raw))
-    out += _U16.pack(len(raw))
-    out += raw
-
-
 #: Encoded class/attribute name -> the one ``str`` every decoded state
 #: uses for it, so the object buffer (manager.py) holds each schema
 #: name once rather than once per record.
 _NAMES: Dict[bytes, str] = {}
+
+#: The encode side's table: class/attribute name -> its length-prefixed
+#: UTF-8 bytes, so :func:`encode_object` encodes each name once.
+_ENCODED_NAMES: Dict[str, bytes] = {}
+
+
+def _encoded_name(name: str) -> bytes:
+    """``name`` as a record stores it, entered in the table."""
+    raw = name.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise StorageError("string of %d bytes exceeds field limit" % len(raw))
+    return _ENCODED_NAMES.setdefault(name, _U16.pack(len(raw)) + raw)
 
 
 def _encode_value(out: bytearray, value: Any) -> None:
@@ -147,16 +151,17 @@ def _decode_value(data: bytes, pos: int) -> Tuple[Any, int]:
 
 def encode_object(state: ObjectState) -> bytes:
     """Serialize an object state to bytes."""
-    out = bytearray()
-    out += _U64.pack(state.oid.value)
-    _encode_str(out, state.class_name)
-    names = sorted(state.values)
+    encoded_names = _ENCODED_NAMES
+    out = bytearray(_U64.pack(state.oid.value))
+    out += encoded_names.get(state.class_name) or _encoded_name(state.class_name)
+    values = state.values
+    names = sorted(values)
     if len(names) > 0xFFFF:
         raise StorageError("too many attributes to serialize")
     out += _U16.pack(len(names))
     for name in names:
-        _encode_str(out, name)
-        _encode_value(out, state.values[name])
+        out += encoded_names.get(name) or _encoded_name(name)
+        _encode_value(out, values[name])
     return bytes(out)
 
 

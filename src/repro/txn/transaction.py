@@ -109,6 +109,15 @@ class Transaction:
         )
 
 
+class _ThreadState(threading.local):
+    """A thread's current transaction and rollback flag.  The class-level
+    defaults answer a thread that never set them, without the raised
+    and caught ``AttributeError`` of ``getattr`` on a plain local."""
+
+    txn: Optional[Transaction] = None
+    rolling_back = False
+
+
 class TransactionManager:
     """Begins, commits and aborts transactions; tracks the per-thread
     current transaction so the database can autocommit single operations.
@@ -130,7 +139,7 @@ class TransactionManager:
         self._next_id = 1
         self._id_mutex = threading.Lock()
         self._active: Dict[int, Transaction] = {}
-        self._current = threading.local()
+        self._current = _ThreadState()
         self.metrics = registry if registry is not None else MetricsRegistry()
         self._m_active = self.metrics.gauge("txn.active")
         self._m_commits = self.metrics.counter("txn.commits")
@@ -143,7 +152,7 @@ class TransactionManager:
 
     @property
     def current(self) -> Optional[Transaction]:
-        txn = getattr(self._current, "txn", None)
+        txn = self._current.txn
         if txn is not None and not txn.is_active:
             self._current.txn = None
             return None
@@ -154,7 +163,7 @@ class TransactionManager:
         """True while this thread's abort is replaying compensations:
         cascading side-effects (composite delete propagation) are
         suppressed — each mutation has its own compensation."""
-        return getattr(self._current, "rolling_back", False)
+        return self._current.rolling_back
 
     def begin(self) -> Transaction:
         if self.current is not None:
@@ -211,7 +220,7 @@ class TransactionManager:
         try:
             yield txn
         finally:
-            if getattr(self._current, "txn", None) is txn:
+            if self._current.txn is txn:
                 self._current.txn = None
 
     def commit(self, txn: Transaction) -> None:
@@ -251,7 +260,7 @@ class TransactionManager:
         self.locks.release_all(txn.txn_id)
         self._active.pop(txn.txn_id, None)
         self._m_active.set(len(self._active))
-        if getattr(self._current, "txn", None) is txn:
+        if self._current.txn is txn:
             self._current.txn = None
 
     # -- introspection --------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Logical logging: every committed mutation is recorded as an insert,
 update (with before- and after-images) or delete (with before-image),
-framed with a CRC so torn tails are detected instead of replayed.  The
+framed with a CRC so torn tails are detected instead of replayed.  An
+image is an encoded object record: the storage manager hands over the
+bytes it stored and replaced, so a write is encoded once, and the log
+encodes a state only when a record arrives without its bytes.  The
 log is the durability boundary — data pages may be flushed lazily; after
 a crash, :mod:`repro.txn.recovery` repeats history from the last
 checkpoint and rolls back losers.
@@ -52,16 +55,28 @@ _TYPE_NAMES = {
 
 _FRAME = struct.Struct(">IIBQ")  # crc, payload length, type, txn id
 _PAGE_HEAD = struct.Struct(">I")  # page id prefix of a PAGE_IMAGE payload
+_U32 = struct.Struct(">I")  # an image's length prefix
+_NO_IMAGE = _U32.pack(0)
+
+
+def _frame_crc(record_type: int, payload: bytes) -> int:
+    """A frame's checksum: CRC-32 of the payload followed by the type
+    byte, computed without copying the payload."""
+    return zlib.crc32(bytes((record_type,)), zlib.crc32(payload))
 
 
 class LogRecord:
-    """One log entry; ``before``/``after`` are object states or None.
+    """One log entry; ``before``/``after`` are object states or None, and
+    ``images`` their encodings as ``(before, after)`` bytes when the
+    writer has them (None where it has not: :meth:`payload` encodes).
 
     ``PAGE_IMAGE`` records carry ``page_id``/``page_data`` instead — a
     physical snapshot, not a logical mutation.
     """
 
-    __slots__ = ("lsn", "record_type", "txn_id", "before", "after", "page_id", "page_data")
+    __slots__ = (
+        "lsn", "record_type", "txn_id", "before", "after", "images", "page_id", "page_data",
+    )
 
     def __init__(
         self,
@@ -72,11 +87,13 @@ class LogRecord:
         lsn: int = -1,
         page_id: Optional[int] = None,
         page_data: Optional[bytes] = None,
+        images: Tuple[Optional[bytes], Optional[bytes]] = (None, None),
     ) -> None:
         self.record_type = record_type
         self.txn_id = txn_id
         self.before = before
         self.after = after
+        self.images = images
         self.lsn = lsn
         self.page_id = page_id
         self.page_data = page_data
@@ -85,12 +102,13 @@ class LogRecord:
         if self.record_type == PAGE_IMAGE:
             return _PAGE_HEAD.pack(self.page_id) + (self.page_data or b"")
         parts = []
-        for state in (self.before, self.after):
+        for state, encoded in zip((self.before, self.after), self.images):
             if state is None:
-                parts.append(struct.pack(">I", 0))
+                parts.append(_NO_IMAGE)
             else:
-                encoded = encode_object(state)
-                parts.append(struct.pack(">I", len(encoded)))
+                if encoded is None:
+                    encoded = encode_object(state)
+                parts.append(_U32.pack(len(encoded)))
                 parts.append(encoded)
         return b"".join(parts)
 
@@ -211,6 +229,7 @@ class WriteAheadLog:
             self._next_lsn += 1
             self._appends.inc()
             if self._file is None:
+                record.images = (None, None)  # the states suffice here
                 self._records.append(record)
                 if record.record_type == COMMIT:
                     self._flushes.inc()
@@ -231,7 +250,7 @@ class WriteAheadLog:
     def _frame(record: LogRecord) -> bytes:
         """The on-disk form of a record: CRC-framed header + payload."""
         payload = record.payload()
-        crc = zlib.crc32(payload + bytes([record.record_type]))
+        crc = _frame_crc(record.record_type, payload)
         return (
             _FRAME.pack(crc, len(payload), record.record_type, record.txn_id)
             + payload
@@ -244,19 +263,28 @@ class WriteAheadLog:
         its sequence; if no sync is in flight the caller elects itself
         leader and performs one, otherwise it waits — by the time it
         wakes, either some batch covered it (done: one fsync amortized
-        over the whole queue) or it takes the leader role itself.
+        over the whole queue) or it takes the leader role itself.  Time
+        parked behind another leader's sync is a ``WALGroupWait`` wait
+        event, recorded once the condition is released.
         """
         cond = self._group_cond
+        parked = 0.0
         with cond:
             self._pending.append(seq)
             while True:
                 if self._synced_seq >= seq:
-                    return
-                if not self._leader_busy:
-                    self._leader_busy = True
+                    leader = False
                     break
+                if not self._leader_busy:
+                    self._leader_busy = leader = True
+                    break
+                started = time.perf_counter()
                 cond.wait()
-        self._sync_batch(txn_id)
+                parked += time.perf_counter() - started
+        if parked and self._waits is not None:
+            self._waits.record("WALGroupWait", parked, target=self.path, txn_id=txn_id)
+        if leader:
+            self._sync_batch(txn_id)
 
     def _sync_batch(self, txn_id: int) -> None:
         """Leader half: one flush+fsync covering every appended commit.
@@ -309,14 +337,26 @@ class WriteAheadLog:
     def log_begin(self, txn_id: int) -> None:
         self.append(LogRecord(BEGIN, txn_id))
 
-    def log_insert(self, txn_id: int, after: ObjectState) -> None:
-        self.append(LogRecord(INSERT, txn_id, after=after))
+    def log_insert(
+        self, txn_id: int, after: ObjectState, image: Optional[bytes] = None
+    ) -> None:
+        """Log an insert; ``image`` is ``after``'s encoding when the
+        caller has it (the bytes it stored), as in the two below."""
+        self.append(LogRecord(INSERT, txn_id, after=after, images=(None, image)))
 
-    def log_update(self, txn_id: int, before: ObjectState, after: ObjectState) -> None:
-        self.append(LogRecord(UPDATE, txn_id, before=before, after=after))
+    def log_update(
+        self,
+        txn_id: int,
+        before: ObjectState,
+        after: ObjectState,
+        images: Tuple[Optional[bytes], Optional[bytes]] = (None, None),
+    ) -> None:
+        self.append(LogRecord(UPDATE, txn_id, before=before, after=after, images=images))
 
-    def log_delete(self, txn_id: int, before: ObjectState) -> None:
-        self.append(LogRecord(DELETE, txn_id, before=before))
+    def log_delete(
+        self, txn_id: int, before: ObjectState, image: Optional[bytes] = None
+    ) -> None:
+        self.append(LogRecord(DELETE, txn_id, before=before, images=(image, None)))
 
     def log_commit(self, txn_id: int) -> None:
         self.append(LogRecord(COMMIT, txn_id))
@@ -388,7 +428,7 @@ class WriteAheadLog:
                 self._note_torn_tail(path, pos, len(data), "torn payload")
                 break
             payload = data[pos + _FRAME.size : frame_end]
-            if zlib.crc32(payload + bytes([record_type])) != crc:
+            if _frame_crc(record_type, payload) != crc:
                 if frame_end == len(data):
                     self._note_torn_tail(path, pos, len(data), "checksum mismatch")
                     break

@@ -320,6 +320,49 @@ class TestEngineWiring:
         assert "query.execute" in names
 
 
+class TestThreadLocals:
+    def test_a_fresh_thread_sees_the_defaults_and_no_other_threads_values(self):
+        """The current transaction, the rollback flag, the trace id, the
+        span stack and the wait captures are per thread: a thread that
+        never set them reads the defaults, and a value one thread sets
+        is not seen on another."""
+        db = _vehicle_db()
+        seen = {}
+
+        def probe():
+            seen["current"] = db.txns.current
+            seen["rolling_back"] = db.txns.rolling_back
+            seen["trace"] = db.tracer.current_trace
+            seen["span"] = db.tracer.current
+            with db.waits.capture() as bucket:
+                db.waits.record("Lock", 0.5)
+            seen["bucket"] = bucket
+            with db.tracer.trace("probe"):
+                seen["own_trace"] = db.tracer.current_trace
+                with db.txns.begin() as txn:
+                    seen["own_txn"] = db.txns.current is txn
+
+        txn = db.txns.begin()
+        with db.tracer.trace("main"), db.tracer.span("outer"), db.waits.capture() as main_bucket:
+            thread = threading.Thread(target=probe)
+            thread.start()
+            thread.join(10)
+            assert db.txns.current is txn
+            assert db.tracer.current_trace == "main"
+        txn.commit()
+        assert seen == {
+            "current": None,
+            "rolling_back": False,
+            "trace": None,
+            "span": None,
+            "bucket": {"Lock": 0.5},
+            "own_trace": "probe",
+            "own_txn": True,
+        }
+        assert main_bucket == {}  # the probe's wait was not this thread's
+        assert db.txns.current is None and db.tracer.current_trace is None
+
+
 class TestMetricNameContract:
     """The registry's names are an interface: benchgate baselines, the
     ledger's counter deltas, SysStat and the Prometheus export all key

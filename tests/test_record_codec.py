@@ -6,9 +6,14 @@ recursive decoder it replaced, kept as the oracle.  For random objects —
 None, bools, ints (big and negative), floats, strings (non-ASCII
 included), bytes, OIDs and nested lists under random attribute names —
 decoding the encoding must give back the object and agree with the
-oracle; every strict prefix of a record, and a record with bytes after
-it, must be a ``StorageError``.  A slotted page must survive its own
-image, tombstones included, and a flipped byte must fail its checksum.
+oracle, and re-encoding the decoded object must give back the same bytes
+(the log reuses stored records as its images on that promise); every
+strict prefix of a record, and a record with bytes after it, must be a
+``StorageError``.  A slotted page must survive its own image, tombstones
+included, and a flipped byte must fail its checksum; its running
+record-byte total must equal a recount after any sequence of inserts,
+updates, deletes and re-parses, and ``free_space``/``fits`` must answer
+as the recount does.
 
 ``RECORD_CODEC_EXAMPLES`` sets the examples per property (CI's weekly
 job runs 500).
@@ -23,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.obj import ObjectState
 from repro.core.oid import OID
-from repro.errors import PageCorruptError, StorageError
+from repro.errors import PageCorruptError, PageFullError, StorageError
 from repro.storage.page import SlottedPage
 from repro.storage.serializer import decode_object, encode_object
 
@@ -144,6 +149,12 @@ class TestRecordCodec:
 
     @settings(max_examples=RECORD_CODEC_EXAMPLES, deadline=None)
     @given(_STATES)
+    def test_the_encoding_is_canonical(self, state):
+        data = encode_object(state)
+        assert encode_object(decode_object(data)) == data
+
+    @settings(max_examples=RECORD_CODEC_EXAMPLES, deadline=None)
+    @given(_STATES)
     def test_every_strict_prefix_is_rejected(self, state):
         data = encode_object(state)
         for cut in range(len(data)):
@@ -250,3 +261,82 @@ class TestPageImage:
         image[4:6] = b"\xff\xff"  # slot_count
         with pytest.raises(StorageError):
             SlottedPage.from_bytes(bytes(image), verify=False)
+
+
+#: Page operations: insert a body, update or delete the slot at an index
+#: (modulo the slot count), or re-parse the page from its image.
+_PAGE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.binary(max_size=120)),
+        st.tuples(st.just("update"), st.integers(0, 63), st.binary(max_size=160)),
+        st.tuples(st.just("delete"), st.integers(0, 63)),
+        st.tuples(st.just("parse")),
+    ),
+    max_size=60,
+)
+
+_HEADER_BYTES, _SLOT_BYTES = 8, 4
+
+
+def _recounted_free(bodies, page_size):
+    """Free space recounted from the slot bodies (None = tombstone)."""
+    used = sum(len(body) for body in bodies if body is not None)
+    return page_size - _HEADER_BYTES - _SLOT_BYTES * len(bodies) - used
+
+
+def _model_apply(bodies, op, page_size):
+    """``op`` on the plain slot list; returns the exception the page must
+    raise, or None."""
+    free = _recounted_free(bodies, page_size)
+    kind = op[0]
+    if kind == "insert":
+        record = op[1]
+        if None in bodies:
+            if free < len(record):
+                return PageFullError
+            bodies[bodies.index(None)] = record
+        elif free < len(record) + _SLOT_BYTES:
+            return PageFullError
+        else:
+            bodies.append(record)
+        return None
+    slot = op[1] % len(bodies)
+    old = bodies[slot]
+    if old is None:
+        return StorageError
+    if kind == "update":
+        if free + len(old) < len(op[2]):
+            return PageFullError
+        bodies[slot] = op[2]
+    else:
+        bodies[slot] = None
+    return None
+
+
+class TestPageSpace:
+    @settings(max_examples=RECORD_CODEC_EXAMPLES, deadline=None)
+    @given(_PAGE_OPS, st.sampled_from([256, 1024]))
+    def test_the_running_total_matches_a_recount(self, ops, page_size):
+        page = SlottedPage.empty(page_size)
+        bodies = []
+        for op in ops:
+            if op[0] == "parse":
+                page = SlottedPage.from_bytes(page.to_bytes())
+            elif op[0] != "insert" and not bodies:
+                continue
+            else:
+                args = op[1:] if op[0] == "insert" else (op[1] % len(bodies),) + op[2:]
+                expected = _model_apply(bodies, op, page_size)
+                method = getattr(page, op[0])
+                if expected is None:
+                    method(*args)
+                else:
+                    with pytest.raises(expected):
+                        method(*args)
+            assert page._slots == bodies
+            free = _recounted_free(bodies, page_size)
+            if page._body_bytes is not None:
+                assert page._body_bytes == sum(len(b) for b in bodies if b is not None)
+            assert page.free_space == free
+            for length in (0, free - _SLOT_BYTES, free - _SLOT_BYTES + 1, free):
+                assert page.fits(b"x" * max(length, 0)) == (free >= max(length, 0) + _SLOT_BYTES)

@@ -256,7 +256,7 @@ class TestStorageManager:
     def test_remove_returns_final_state(self):
         storage = StorageManager()
         storage.store_new(ObjectState(OID(1), "A", {"x": 1}))
-        removed = storage.remove(OID(1))
+        removed = decode_object(storage.remove(OID(1)))  # the record it stored
         assert removed.values == {"x": 1}
         assert not storage.contains(OID(1))
         with pytest.raises(ObjectNotFoundError):

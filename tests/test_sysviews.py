@@ -305,6 +305,72 @@ class TestLockWaitIntegration:
         assert db.metrics.value("locks.waits") == 1  # legacy stat still counts
 
 
+class TestGroupCommitWait:
+    def test_a_committer_parked_behind_another_sync_shows_the_wait(self, tmp_path, monkeypatch):
+        """The leader's fsync is held; a second committer parks behind
+        it.  Its ``WALGroupWait`` shows in SysWaitEvent and, while it is
+        still committing, in its SysTransaction row."""
+        from repro.txn import wal as wal_module
+
+        db = Database(str(tmp_path / "group.pages"))
+        db.define_class("Item", attributes=[AttributeDef("n", "Integer")])
+        held, release = threading.Event(), threading.Event()
+        real_fsync = wal_module.fsync_file
+
+        def slow_fsync(handle):
+            if not held.is_set():  # the first commit's sync: hold it
+                held.set()
+                release.wait(10)
+            real_fsync(handle)
+
+        monkeypatch.setattr(wal_module, "fsync_file", slow_fsync)
+        follower = {}
+        committing, resume = threading.Event(), threading.Event()
+        real_commit = db.version_store.commit
+
+        def commit_stamp(txn_id):  # runs after the commit record is durable
+            if txn_id == follower.get("txn"):
+                committing.set()
+                resume.wait(10)
+            real_commit(txn_id)
+
+        monkeypatch.setattr(db.version_store, "commit", commit_stamp)
+
+        def commit_one(n, record=None):
+            with db.transaction() as txn:
+                if record is not None:
+                    record["txn"] = txn.txn_id
+                db.new("Item", {"n": n})
+
+        leader = threading.Thread(target=commit_one, args=(1,))
+        leader.start()
+        assert held.wait(10)
+        parked = threading.Thread(target=commit_one, args=(2, follower))
+        parked.start()
+        deadline = time.perf_counter() + 10
+        while len(db.wal._pending) < 2 and time.perf_counter() < deadline:
+            time.sleep(0.005)  # until the follower has queued its commit
+        time.sleep(0.02)
+        release.set()
+        try:
+            assert committing.wait(10)
+            txn_id = follower["txn"]
+            row = db.select("SysTransaction where txn = %d" % txn_id)[0]
+            assert row["wait_count"] >= 1 and row["wait_seconds"] > 0
+            by_kind = db.waits.txn_waits(txn_id)["by_kind"]
+            assert by_kind["WALGroupWait"]["count"] == 1
+            assert by_kind["WALGroupWait"]["seconds"] >= 0.01
+            events = db.select("SysWaitEvent where kind = 'WALGroupWait'")
+            assert len(events) == 1
+            assert events[0]["last_txn"] == txn_id and events[0]["count"] == 1
+        finally:
+            resume.set()
+            leader.join(10)
+            parked.join(10)
+        assert db.metrics.value("waits.w_a_l_group_wait.count") == 1
+        db.close()
+
+
 class TestSysSlowOp:
     def test_slow_ops_queryable(self):
         db = _vehicle_db()
