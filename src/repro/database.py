@@ -708,6 +708,8 @@ class Database:
         Inside a transaction this is the same snapshot scan its queries
         run, so every handle yielded is readable (:meth:`read_state`)
         and the extent agrees with ``execute`` — lock-free, like them.
+        Either way each object comes out once, even when the caller's
+        own updates move its record ahead of the scan or reclass it.
         """
         classes = (
             self.schema.hierarchy_of(class_name) if hierarchy else [class_name]
@@ -716,9 +718,12 @@ class Database:
             scan = self.storage.scan_class
         else:
             scan = self._snapshot_view().scan
+        seen = set()
         for cls in classes:
             for state in scan(cls):
-                yield ObjectHandle(self, state.oid)
+                if state.oid not in seen:
+                    seen.add(state.oid)
+                    yield ObjectHandle(self, state.oid)
 
     def count(self, class_name: str, hierarchy: bool = True) -> int:
         classes = (

@@ -8,6 +8,13 @@ and gives the clustering policy (experiment E6) a meaningful notion of
 A record is addressed by its RID, a plain ``(page id, slot)`` tuple,
 stable while the record is updated in place: a tuple of ints is data
 the cyclic collector stops tracking.
+
+Placement: an unhinted insert appends to the tail page, growing the
+heap when the tail is full; a hinted insert keeps its cluster run
+(:meth:`HeapFile.insert`).  A record that outgrows its page relocates
+*unhinted* — the only page a hint could name is the one that just
+refused it — so relocations fill the tail instead of leaving a fresh,
+nearly empty page behind each one.
 """
 
 from __future__ import annotations
@@ -57,8 +64,8 @@ class HeapFile:
         *cluster run* with a fresh page rather than falling back to the
         shared tail — otherwise every interleaved writer would stripe the
         same tail page and clustering would silently degrade (the effect
-        experiment E6 measures).  Unhinted inserts append to the tail
-        page, allocating a new one when full.
+        experiment E6 measures).  Unhinted inserts, relocations among
+        them, append to the tail page, allocating a new one when full.
         """
         if near is not None and near[0] in self._owned:
             rid = self._try_insert(near[0], record)
@@ -90,7 +97,11 @@ class HeapFile:
         return self.page(page_id).read(slot)
 
     def update(self, rid: RID, record: bytes) -> RID:
-        """Update in place when possible, else relocate; returns the RID."""
+        """Update in place when possible, else relocate; returns the RID.
+
+        A relocation is an unhinted :meth:`insert`: into the tail page's
+        room, else a grown page (module docstring, "Placement").
+        """
         page_id, slot = rid
         page = self.page(page_id)
         try:
@@ -98,7 +109,7 @@ class HeapFile:
         except PageFullError:
             page.delete(slot)
             self.buffer.mark_dirty(page_id)
-            return self.insert(record, near=rid)
+            return self.insert(record)
         self.buffer.mark_dirty(page_id)
         return rid
 

@@ -165,25 +165,31 @@ class StorageManager:
 
         A crash in the middle of a move between classes can leave the
         object's record on both heaps' pages: the first record found is
-        kept and the others are deleted after the scan.  Recovery then
-        rewrites the object from the log, which the page-image hook made
-        durable before either page was written back.
+        kept and the others are deleted after the scan.  A crash can also
+        write back a long object's stub but not its chunks, or not the
+        catalog of the pages they went to: such a stub is deleted too.
+        Either way recovery then rewrites the object from the log, which
+        holds every write since the last checkpoint and, through the
+        page-image hook, was durable before the page was written back.
         """
         self.directory.clear()
-        duplicates = []
+        doomed = []
         for class_name, heap in self._heaps.items():
             if class_name == OVERFLOW_HEAP:
                 continue
             for rid, body in heap.scan():
                 if self._is_stub(body):
+                    if self._dangling(body):
+                        doomed.append((heap, rid))
+                        continue
                     oid = OID(self._read_stub(body)[0])
                 else:
                     oid = self._decode(body).oid
                 if oid in self.directory:
-                    duplicates.append((heap, rid))
+                    doomed.append((heap, rid))
                 else:
                     self.directory.add(oid, class_name, rid)
-        for heap, rid in duplicates:
+        for heap, rid in doomed:
             heap.delete(rid)
         self.directory_stale = False
 
@@ -280,6 +286,22 @@ class StorageManager:
         pos += 4
         rids = list(_CHUNK_REF.iter_unpack(body[pos : pos + count * _CHUNK_REF.size]))
         return oid_value, class_name, rids
+
+    def _dangling(self, body: bytes) -> bool:
+        """Whether the stub ``body`` names a chunk the overflow heap does
+        not hold: on a page it does not own, or in a slot it never wrote
+        (a torn page still raises, for recovery to repair)."""
+        heap = self._heaps.get(OVERFLOW_HEAP)
+        if heap is None:
+            return True
+        try:
+            return any(
+                heap.page(page).body(slot) is None for page, slot in self._read_stub(body)[2]
+            )
+        except PageCorruptError:
+            raise
+        except StorageError:
+            return True
 
     def _image(self, body: bytes) -> bytes:
         """The encoding ``body`` stores: itself, or a long object's chunks."""

@@ -313,6 +313,14 @@ class VersionStore:
                 out[oid] = set().union(*(entry.classes for entry in chain))
             return out
 
+    def written(self, snapshot: Snapshot) -> Dict[OID, Set[str]]:
+        """OIDs ``snapshot``'s own transaction wrote, with their classes."""
+        if snapshot.txn_id is None or not self._txn_entries:
+            return {}
+        with self._store_mutex:
+            mine = self._txn_entries.get(snapshot.txn_id, {})
+            return {oid: set(entry.classes) for oid, entry in mine.items()}
+
     # -- garbage collection ----------------------------------------------------
 
     def gc(self) -> int:
@@ -435,38 +443,56 @@ class SnapshotView:
     def scan_pages(self, class_name: str) -> Iterator[Sequence[ObjectState]]:
         """The class extent as the snapshot sees it, a storage page of
         visible states per sequence — shared and read-only, like the
-        states in it: the kept verdict of a page read as stored."""
-        store, snapshot, coerce, check = self.store, self.snapshot, self._coerce, self._check
+        states in it: the kept verdict of a page read as stored.
+
+        Each OID comes out once, wherever a write moves its record while
+        the scan runs.  A record moved ahead of the scan shows up again
+        on a page with a chain for it (the writer installs its entry
+        before it touches storage), and is dropped there; one moved off
+        the pages the scan reads, or deleted, comes back at the end."""
+        store, snapshot, check = self.store, self.snapshot, self._check
         scanned: List[Sequence[ObjectState]] = []
+        seen: Optional[Set[OID]] = None  # built at the first page with a chain
         for frame, page in self._scan_frames(class_name):
             if not page:
                 continue
-            scanned.append(page)
             visible = store.resolve_page(snapshot, page)
             if visible is not page:
+                if seen is None:
+                    seen = {state.oid for states in scanned for state in states}
                 # A reclassed object shows up once, in its snapshot-time
                 # class: here only if that is this extent, else resurrected.
                 visible = [
                     state
                     for state in visible
-                    if state is not None and state.class_name == class_name
+                    if state is not None
+                    and state.class_name == class_name
+                    and state.oid not in seen
                 ]
+            if seen is None:
+                scanned.append(page)
+            else:
+                seen.update(state.oid for state in page)
             # The frame keeps the check of a page read as stored.
             yield frame.checked(visible, self._declared(class_name), check)
         # Resurrection: objects of this class the snapshot sees that the
-        # storage scan missed (deleted, or moved out, after it began).
-        moved = [
-            oid for oid, classes in sorted(self.changed().items()) if class_name in classes
+        # storage scan missed — another writer deleted or moved them, or
+        # this transaction moved them onto a page grown since it began.
+        missed = [
+            oid
+            for oid, classes in sorted({**self.changed(), **store.written(snapshot)}.items())
+            if class_name in classes
         ]
-        if not moved:
+        if not missed:
             return
-        seen = {state.oid for page in scanned for state in page}
+        if seen is None:
+            seen = {state.oid for states in scanned for state in states}
         resurrected = []
-        for oid in moved:
+        for oid in missed:
             if oid not in seen:
-                state = store.resolve(oid, snapshot, None)
+                state = self.deref(oid)
                 if state is not None and state.class_name == class_name:
-                    resurrected.append(coerce(state))
+                    resurrected.append(state)
         if resurrected:
             yield resurrected
 

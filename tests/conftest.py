@@ -4,6 +4,7 @@ import pytest
 
 from repro import AttributeDef, Database
 from repro.bench.schemas import build_vehicle_schema, populate_vehicles
+from repro.storage.heap import HeapFile
 
 
 @pytest.fixture
@@ -35,6 +36,24 @@ def populated_db():
 def durable_path(tmp_path):
     """Path for a durable database's page file."""
     return str(tmp_path / "kimdb.pages")
+
+
+@pytest.fixture
+def relocations(monkeypatch):
+    """A list of ``(old rid, new rid)``, one per heap update that moved
+    its record off its page: a mix asserts it is not empty, so its
+    relocation coverage cannot vanish silently."""
+    moved = []
+    real = HeapFile.update
+
+    def counting(heap, rid, record):
+        new_rid = real(heap, rid, record)
+        if new_rid != rid:
+            moved.append((rid, new_rid))
+        return new_rid
+
+    monkeypatch.setattr(HeapFile, "update", counting)
+    return moved
 
 
 @pytest.fixture

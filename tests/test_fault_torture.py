@@ -143,6 +143,128 @@ class TestCrashTortureMatrix:
         again.close()
 
 
+# -- relocation mix ------------------------------------------------------------
+
+#: Small pages, so a record outgrows its page after a few appends.
+RELOCATION_PAGE_SIZE = 512
+
+
+def _relocation_db(path, **kwargs):
+    db = Database(path, page_size=RELOCATION_PAGE_SIZE, **kwargs)
+    if "Note" not in {c.name for c in db.schema.user_classes()}:
+        db.define_class(
+            "Note", attributes=[AttributeDef("n", "Integer"), AttributeDef("s", "String")]
+        )
+    return db
+
+
+def note_state(db):
+    return {
+        state.oid: (state.values["n"], state.values["s"])
+        for state in db.storage.scan_class("Note")
+    }
+
+
+def grow_until_moved(db, oid, rng):
+    """Append to ``oid``'s string until its record leaves its page (or
+    reaches a bound); returns the final ``(n, s)``."""
+    state = db.get_state(oid)
+    n, text = state.values["n"], state.values["s"]
+    page = db.storage.directory.lookup(oid)[1]
+    for _ in range(6):
+        text += rng.choice("abc") * rng.randrange(30, 90)
+        db.update(oid, {"s": text})
+        if db.storage.directory.lookup(oid)[1] != page:
+            break
+    return n, text
+
+
+def run_relocation_mix_until_crash(db, rng, n_txns, out):
+    """:func:`run_workload_until_crash` over ``Note``, where each
+    transaction opens with a growing update that moves its record (the
+    first one the oldest note's, on a full page: it moves at once), and
+    strings reset to short from time to time so pages keep refilling."""
+    confirmed = note_state(db)
+    out["acceptable"] = [dict(confirmed)]
+    for txn_no in range(n_txns):
+        commit = rng.random() < 0.8
+        txn = db.txns.begin()
+        live = sorted(confirmed)
+        local, local_deletes = {}, set()
+        if live:
+            oid = live[0] if txn_no == 0 else rng.choice(live)
+            local[oid] = grow_until_moved(db, oid, rng)
+        for _ in range(rng.randrange(0, 4)):
+            action = rng.random()
+            candidates = [oid for oid in live if oid not in local_deletes]
+            if action < 0.4 or not candidates:
+                value = (rng.randrange(1000), "s" * rng.randrange(40))
+                handle = db.new("Note", {"n": value[0], "s": value[1]})
+                local[handle.oid] = value
+                continue
+            oid = rng.choice(candidates)
+            if action < 0.6:
+                local[oid] = grow_until_moved(db, oid, rng)
+            elif action < 0.85:
+                n = rng.randrange(1000)
+                db.update(oid, {"n": n, "s": ""})
+                local[oid] = (n, "")
+            else:
+                db.delete(oid)
+                local_deletes.add(oid)
+                local.pop(oid, None)
+        if not commit:
+            txn.abort()
+            continue
+        with_inflight = dict(confirmed)
+        with_inflight.update(local)
+        for oid in local_deletes:
+            with_inflight.pop(oid, None)
+        out["acceptable"] = [dict(confirmed), with_inflight]
+        txn.commit()
+        confirmed = with_inflight
+        out["acceptable"] = [dict(confirmed)]
+
+
+class TestRelocationTorture:
+    @pytest.mark.parametrize("seed", TORTURE_SEEDS)
+    def test_relocating_updates_recover_exactly_committed_state(
+        self, tmp_path, seed, relocations
+    ):
+        path = str(tmp_path / ("relocate-%d.pages" % seed))
+        db = _relocation_db(path)
+        for i in range(24):  # three full pages: the first growth moves
+            db.new("Note", {"n": i, "s": "s" * 30})
+        db.checkpoint()
+        db.close()
+        del relocations[:]
+        rng = random.Random(seed ^ 0xF00D)
+        crash_after = 5 + (seed * 13) % 220
+        plan = FaultPlan(seed, crash_after=crash_after)
+        out = {"acceptable": [{}]}
+        with plan:
+            try:
+                db = _relocation_db(path, buffer_capacity=4)
+                run_relocation_mix_until_crash(db, rng, n_txns=40, out=out)
+                db.close()
+            except InjectedCrash:
+                pass
+        replay = "seed %d crash@%d (replay with FAULT_TORTURE_SEED=%d)" % (
+            seed, crash_after, seed,
+        )
+        assert plan.crashed, "crash point never fired: " + replay
+        assert relocations, "no update moved its record before the crash: " + replay
+        recovered = _relocation_db(path)
+        survived = note_state(recovered)
+        recovered.close()
+        assert survived in out["acceptable"], (
+            "%s: recovered %d objects, not a legal committed state" % (replay, len(survived))
+        )
+        again = _relocation_db(path)
+        assert note_state(again) == survived
+        again.close()
+
+
 class TestCrashDuringRecovery:
     @pytest.mark.parametrize("seed", [3, 11, 17, 29])
     def test_crash_during_recovery_then_clean_recovery(self, tmp_path, seed):

@@ -81,6 +81,27 @@ class TestLongObjects:
         assert reopened.get(handle.oid)["payload"] == BIG
         reopened.close()
 
+    @pytest.mark.parametrize("committed", [True, False])
+    def test_a_stub_written_back_without_its_chunks_recovers_from_the_log(
+        self, durable_path, committed
+    ):
+        """A crash wrote back the page holding a long object's stub, but
+        neither its chunks' pages nor the catalog that lists them."""
+        db = Database(durable_path, page_size=512)
+        db.define_class("Blob", attributes=[AttributeDef("payload", "Bytes")])
+        oid = db.new("Blob", {"payload": b"short"}).oid
+        db.checkpoint()
+        txn = db.transaction()
+        db.update(oid, {"payload": BIG})
+        if committed:
+            txn.commit()
+        db.storage.buffer.flush_page(db.storage.directory.lookup(oid)[1])
+        db.storage.pager.close()
+        db.wal.close()
+        reopened = Database(durable_path, page_size=512)
+        assert reopened.get(oid)["payload"] == (BIG if committed else b"short")
+        reopened.close()
+
     def test_transaction_rollback_restores_long_object(self, blob_db):
         handle = blob_db.new("Blob", {"name": "v", "payload": BIG})
         txn = blob_db.transaction()

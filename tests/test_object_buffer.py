@@ -16,6 +16,7 @@ window in which a scan sees the new record while the buffer still holds
 the old state.  After each scan, under the latch, and after the threads
 join, every kept page state list equals a fresh decode of its page.
 After the threads join also: no read returned another object's state,
+no scan returned an object twice, at least one update moved its record,
 every buffered state equals a fresh decode of its object's current
 record, and the buffer holds only objects on resident frames.  A
 failure names its seed; replay with::
@@ -57,6 +58,8 @@ def _values(rng):
 
 
 def _writer(db, rng, mine, every):
+    # The first object sits on a full page: outgrowing it, it moves.
+    db.update(mine[0], {"x": 0, "pad": "p" * 300})
     for _ in range(ROUNDS):
         oid = rng.choice(mine)
         roll = rng.random()
@@ -157,7 +160,7 @@ def latched(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_the_buffer_agrees_with_the_records_after_racing_threads(seed, latched):
+def test_the_buffer_agrees_with_the_records_after_racing_threads(seed, latched, relocations):
     db = Database(page_size=512, buffer_capacity=4)
     for name in "TU":
         db.define_class(
@@ -205,6 +208,7 @@ def test_the_buffer_agrees_with_the_records_after_racing_threads(seed, latched):
     assert not any(thread.is_alive() for thread in writers + readers), replay
     assert errors == [], (replay, errors)
     assert wrong == [], replay
+    assert relocations, ("no update moved its record", replay)
 
     storage = db.storage
     resident = set(storage.buffer.resident_pages())

@@ -167,6 +167,19 @@ def _schema(db):
     db.define_class("Special", superclasses=("Part",))
 
 
+def _room(db, oid):
+    """The free space on the page holding ``oid``'s record."""
+    class_name, page_id, _slot = db.storage.directory.lookup(oid)
+    return db.storage.heap_for(class_name).page(page_id).free_space
+
+
+def _grow(db, oid, rng):
+    """Append more to ``oid``'s string than its page has room for: the
+    record moves, unless the append makes it a long object instead."""
+    text = db.get_state(oid).values["s"] + "g" * (_room(db, oid) + rng.randrange(1, 40))
+    db.update(oid, {"s": text})
+
+
 def _mix(db, rng, old_oids, n_txns):
     """A random mix of committed and aborted transactions.  Returns the
     live OIDs.  An abort must leave every record's bytes as they were."""
@@ -186,11 +199,13 @@ def _mix(db, rng, old_oids, n_txns):
                 created.append(db.new("Part", {"n": rng.randrange(1000), "s": text}).oid)
                 continue
             oid = rng.choice(candidates)
-            if action < 0.7:
+            if action < 0.6:
                 changes = {"n": rng.randrange(1000)}
                 if rng.random() < 0.2:
                     changes["s"] = LONG_TEXT if rng.random() < 0.5 else "short"
                 db.update(oid, changes)
+            elif action < 0.7:
+                _grow(db, oid, rng)
             elif action < 0.8:
                 target = "Part" if db.class_of(oid) == "Special" else "Special"
                 evolution.migrate_instance(oid, target)
@@ -222,9 +237,10 @@ def _crash(db):
 
 
 @pytest.mark.parametrize("seed", PARITY_SEEDS)
-def test_logged_images_are_the_stored_and_replaced_records(tmp_path, seed):
+def test_logged_images_are_the_stored_and_replaced_records(tmp_path, seed, relocations):
     try:
         _run_parity(str(tmp_path / ("parity-%d.pages" % seed)), seed)
+        assert relocations, "no update moved its record"
     except AssertionError as exc:
         raise AssertionError("%s (replay with WAL_PARITY_SEED=%d)" % (exc, seed)) from exc
 
@@ -235,7 +251,7 @@ def _run_parity(path, seed):
     _schema(db)
     old_oids = [
         db.new("Part", {"n": i, "s": LONG_TEXT if i == 0 else "old-%d" % i}).oid
-        for i in range(6)
+        for i in range(24)  # page 0 full: a grown record there has to move
     ]
     SchemaEvolution(db).add_attribute(
         "Part", AttributeDef("extra", "Integer", default=DEFAULT_EXTRA)
@@ -249,12 +265,15 @@ def _run_parity(path, seed):
     check_log_parity(baseline, logged_writes(db.wal), stored_images(db))
     _check_defaults(db, old_oids)
 
-    # A loser touching an old record and the long object, then a crash.
+    # A loser touching an old record and the long object, growing one
+    # until it moves, then a crash.
     db.checkpoint()
     before_loser = stored_images(db)
     db.transaction()
     for oid in [oid for oid in old_oids if oid in live][:2]:
         db.update(oid, {"n": -1, "s": "loser"})
+    if live:
+        _grow(db, min(live, key=lambda oid: _room(db, oid)), rng)
     db.new("Part", {"n": -2, "s": LONG_TEXT})
     if len(live) > 2:
         db.delete(live[-1])
