@@ -28,9 +28,16 @@ def copy_value(value: Any) -> Any:
 
 
 class ObjectState:
-    """The persistent state of one object."""
+    """The persistent state of one object.
 
-    __slots__ = ("oid", "class_name", "values")
+    ``wire_row`` is unset until the server's frame encoder first sends
+    the state; it then keeps the JSON text of the state's wire row
+    (:func:`repro.server.protocol.encode_frame`).  A stored state never
+    changes — a write installs a new one — so the kept text cannot go
+    stale; :meth:`copy` does not carry it.
+    """
+
+    __slots__ = ("oid", "class_name", "values", "wire_row")
 
     def __init__(self, oid: OID, class_name: str, values: Dict[str, Any]) -> None:
         self.oid = oid

@@ -602,12 +602,13 @@ class Database:
         (DESIGN "Object buffer"), so every state or list value that
         leaves the engine is a copy.
         """
-        return self._read_stored(oid).copy()
+        return self.get_shared_state(oid).copy()
 
-    def _read_stored(self, oid: OID) -> ObjectState:
+    def get_shared_state(self, oid: OID) -> ObjectState:
         """:meth:`get_state` without the copy: authorized, S-locked under
         the active txn, coerced — and shared and read-only.  The
-        workspace reads through this and copies while it swizzles."""
+        workspace reads through this and copies while it swizzles; the
+        server's ``get`` sends it as is."""
         class_name = self.storage.class_of(oid)
         self._check_authz("read", class_name, oid)
         current = self.txns.current

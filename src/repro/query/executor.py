@@ -74,6 +74,12 @@ class ResultSet:
             self._states_owned = True
         return self._states
 
+    @property
+    def shared_states(self) -> Optional[List[ObjectState]]:
+        """The states the query saw, not copied: shared and read-only,
+        for readers that only serialise them (the server's ``query``)."""
+        return self._states
+
     def operator_stats(self) -> List[Dict[str, Any]]:
         """Per-operator counters, leaf first (bench artifacts)."""
         return self.pipeline.operator_stats()

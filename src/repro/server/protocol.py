@@ -41,6 +41,11 @@ Python walks, kept as the reference the one-pass codec is tested
 against: ``encode_frame(x)`` is byte for byte the frame of
 ``json.dumps(to_wire(x))``.
 
+A stored state never changes (a write installs a new one), so the first
+frame that carries a shared state keeps its row's JSON text in the
+state's ``wire_row`` slot and later frames join that text in
+(:func:`_joined`).  Never send a caller-owned copy: it may be edited.
+
 Engine exceptions map onto stable error codes via :func:`error_code`;
 the client re-raises them as :class:`ServerError` carrying the code.
 """
@@ -52,6 +57,7 @@ import socket
 import struct
 from typing import Any, Dict, Optional, Tuple
 
+from ..core.obj import ObjectState
 from ..core.oid import OID
 from ..errors import caret_snippet, source_position
 from ..errors import (
@@ -197,15 +203,54 @@ def from_wire(value: Any) -> Any:
 # -- frame encoding ----------------------------------------------------------
 
 
+def _row_text(state: ObjectState) -> str:
+    """The JSON text of a shared state's row, encoded on first use and
+    then kept in its ``wire_row`` slot.  A row with no wire form raises
+    before anything is kept; two threads that fill one row store equal
+    strings."""
+    try:
+        return state.wire_row
+    except AttributeError:
+        row = {"oid": state.oid, "class": state.class_name, "values": state.values}
+        text = state.wire_row = _ENCODER.encode(row)
+        return text
+
+
+def _joined(value: Any) -> Optional[str]:
+    """The JSON text of a response part that holds states where the
+    server puts them — a state, a list of states (a list's first item
+    decides), or a dict of str keys over such parts — joined from the
+    states' kept rows; None for a part that holds none, which the
+    one-pass encoder takes whole (and which refuses a state anywhere
+    else)."""
+    kind = type(value)
+    if kind is ObjectState:
+        return _row_text(value)
+    if kind is list and value and type(value[0]) is ObjectState:
+        return "[%s]" % ",".join(map(_row_text, value))
+    if kind is dict and all(type(key) is str for key in value):
+        parts = [_joined(item) for item in value.values()]
+        if any(parts):
+            return "{%s}" % ",".join(
+                [
+                    _ENCODER.encode(key) + ":" + (part or _ENCODER.encode(item))
+                    for (key, item), part in zip(value.items(), parts)
+                ]
+            )
+    return None
+
+
 def encode_frame(payload: Dict[str, Any]) -> bytes:
     """One wire frame (length prefix + JSON body) for a message dict.
 
     Anything the frame cannot carry — a value with no wire form, a dict
     key that is not a str/int/float, a reference cycle, a body over
-    :data:`MAX_FRAME_BYTES` — is a :class:`ProtocolError`.
+    :data:`MAX_FRAME_BYTES` — is a :class:`ProtocolError`.  A shared
+    state goes out as its row ``{"oid", "class", "values"}``, joined in
+    from the text :func:`_row_text` keeps.
     """
     try:
-        text = _ENCODER.encode(payload)
+        text = _joined(payload) or _ENCODER.encode(payload)
     except (TypeError, ValueError, RecursionError) as exc:
         raise ProtocolError("payload is not wire-encodable: %s" % exc) from exc
     body = text.encode("utf-8")

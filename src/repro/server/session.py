@@ -27,6 +27,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from ..core.obj import ObjectState
 from ..core.oid import OID
 from ..database import Database, QueryStream
 from ..errors import DeadlockError
@@ -219,11 +220,12 @@ class Session:
 
     # -- query ops ---------------------------------------------------------
 
-    # Results leave the ops as engine values — OIDs, states' own values
-    # dicts — and are serialised once, by the frame encoder, after the
-    # op returns.  Nothing mutable leaves the process, so a shared,
-    # read-only stored state needs no copy on its way out (DESIGN
-    # "Stored states are shared and read-only").
+    # Results leave the ops as engine values — OIDs, the shared stored
+    # states themselves — and are serialised by the frame encoder after
+    # the op returns, each state's row encoded once and kept with the
+    # state.  Nothing mutable leaves the process, so a shared, read-only
+    # stored state needs no copy on its way out (DESIGN "Stored states
+    # are shared and read-only").
 
     def _op_query(self, params: Dict[str, Any]) -> Dict[str, Any]:
         q = self._str_param(params, "q")
@@ -234,7 +236,7 @@ class Session:
         elif want_values:
             # The states the snapshot query saw — not a re-read of
             # current storage, which could contradict the predicate.
-            rows = [self._row(state) for state in result.states]
+            rows = result.shared_states
         else:
             rows = result.oids
         return {"rows": rows, "count": len(rows)}
@@ -268,7 +270,7 @@ class Session:
             except StopIteration:
                 done = True
                 break
-            rows.append(self._row(state))
+            rows.append(state)
         if done:
             stream.close()
             self._cursors.pop(cursor_id, None)
@@ -296,9 +298,9 @@ class Session:
         handle = self.db.new(class_name, values)
         return {"oid": handle.oid}
 
-    def _op_get(self, params: Dict[str, Any]) -> Dict[str, Any]:
+    def _op_get(self, params: Dict[str, Any]) -> ObjectState:
         oid = self._oid_param(params)
-        return self._row(self.db.get_state(oid))
+        return self.db.get_shared_state(oid)
 
     def _op_update(self, params: Dict[str, Any]) -> Dict[str, Any]:
         oid = self._oid_param(params)
@@ -339,10 +341,6 @@ class Session:
         if not isinstance(oid, OID):
             raise SessionError("op requires an 'oid' reference")
         return oid
-
-    @staticmethod
-    def _row(state) -> Dict[str, Any]:
-        return {"oid": state.oid, "class": state.class_name, "values": state.values}
 
     # -- teardown ------------------------------------------------------------
 

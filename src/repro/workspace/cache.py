@@ -118,7 +118,7 @@ class ObjectWorkspace:
         S-locked like ``get_state``) and copy it once, swizzling as it
         goes — the memory object's dict and lists are its own."""
         self._m_faults.inc()
-        state = self.db._read_stored(oid)
+        state = self.db.get_shared_state(oid)
         self._m_loads.inc()
         values: Dict[str, Any] = {}
         memory_object = MemoryObject(state.oid, state.class_name, values, self)

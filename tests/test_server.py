@@ -9,6 +9,8 @@ the connection pool.
 """
 
 import copy
+import json
+import socket
 import sys
 import threading
 import time
@@ -17,6 +19,7 @@ import pytest
 
 from repro import AttributeDef, Database
 from repro.core.oid import OID
+from repro.evolution import SchemaEvolution
 from repro.errors import (
     DeadlockError,
     LockTimeoutError,
@@ -403,6 +406,14 @@ class TestPerRequestWireErrors:
                 c.query("Vehicle", values=True)  # 24 rows: well over 1 KiB
             assert err.value.code == "PROTOCOL"
             assert c.ping()
+            # One fetch batch of kept rows, joined over the limit.
+            cursor = c.call("query_stream", q="Vehicle")["cursor"]
+            assert len(c.call("fetch", cursor=cursor, n=2)["rows"]) == 2
+            with pytest.raises(ServerError) as err:
+                c.call("fetch", cursor=cursor, n=30)
+            assert err.value.code == "PROTOCOL"
+            assert c.ping()
+            assert c.get(oid)["values"]["color"] == "green"
             c.commit()
         assert db.get_state(oid).values["color"] == "green"
 
@@ -517,6 +528,125 @@ class TestWireLeavesSharedStatesAlone:
             row["values"]["grid"][0].append("x")
             assert c.get(oid)["values"] == values
         assert db.get_state(oid).values == values
+
+
+def _streamed(client, q="Vehicle", batch=5):
+    return {row["oid"]: row["values"] for row in client.query_stream(q, batch=batch)}
+
+
+class TestKeptRowsNeverGoStale:
+    """A state's wire row is encoded once and kept with the state; a
+    write installs a new state, so no stream ever sees a row that an
+    update, its own transaction or a schema change has outdated."""
+
+    def test_a_committed_update_shows_in_the_next_stream(self, served):
+        db, server = served
+        with Client(*server.address) as c1, Client(*server.address) as c2:
+            first = _streamed(c1)
+            target = next(iter(first))
+            c2.begin()
+            c2.update(target, {"weight": 77777, "color": "teal"})
+            c2.commit()
+            second = _streamed(c1)
+        assert second[target] == {"weight": 77777, "color": "teal"}
+        assert {oid: v for oid, v in second.items() if oid != target} == {
+            oid: v for oid, v in first.items() if oid != target
+        }
+
+    def test_a_writers_stream_shows_its_own_uncommitted_update(self, served):
+        db, server = served
+        with Client(*server.address) as c:
+            before = _streamed(c)
+            target = next(iter(before))
+            c.begin()
+            c.update(target, {"weight": 4242})
+            assert _streamed(c)[target]["weight"] == 4242
+            c.rollback()
+            assert _streamed(c) == before
+
+    def test_rows_after_add_attribute_are_the_reference_bytes(self, served):
+        db, server = served
+        with Client(*server.address) as c:
+            _streamed(c)  # every Vehicle state keeps its row
+        SchemaEvolution(db).add_attribute(
+            "Vehicle", AttributeDef("year", "Integer", default=1990)
+        )
+        with socket.create_connection(server.address) as sock:
+            protocol.send_frame(sock, {"id": 1, "op": "query_stream", "params": {"q": "Vehicle"}})
+            cursor = protocol.raise_on_error(protocol.recv_frame(sock)[0])["cursor"]
+            protocol.send_frame(sock, {"id": 2, "op": "fetch", "params": {"cursor": cursor, "n": 100}})
+            header = protocol._recv_exact(sock, 4)
+            body = protocol._recv_exact(sock, protocol.frame_length(header))
+        oids = [row["oid"] for row in protocol.decode_payload(body)["result"]["rows"]]
+        assert len(oids) == 24
+        rows = []
+        for oid in oids:
+            state = db.get_state(oid)  # a fresh copy: it keeps no row
+            assert state.values["year"] == 1990
+            rows.append({"oid": state.oid, "class": state.class_name, "values": state.values})
+        reference = {"id": 2, "ok": True, "result": {"rows": rows, "done": True}}
+        assert body == json.dumps(protocol.to_wire(reference), separators=(",", ":")).encode()
+
+    def test_fetched_rows_are_a_committed_version_in_the_snapshot(self, served):
+        """Three fetch threads stream beside a committing writer, filling
+        the same states' rows at once: each stream matches, row for row,
+        the database after some commit made while its query_stream
+        request was in flight."""
+        db, server = served
+        oids = [handle.oid for handle in db.select("Vehicle")]
+        base = {oid: db.get_state(oid).values for oid in oids}
+        commits = []  # (oid, weight), in commit order
+        counts = {"started": 0, "done": 0}
+        stop = threading.Event()
+        failures, streams = [], []
+
+        def expected(k):
+            image = {oid: dict(values) for oid, values in base.items()}
+            for oid, weight in commits[:k]:
+                image[oid]["weight"] = weight
+            return image
+
+        def reader():
+            try:
+                with Client(*server.address) as c:
+                    first = True
+                    while first or not stop.is_set():
+                        first = False
+                        low = counts["done"]
+                        cursor = c.call("query_stream", q="Vehicle")["cursor"]
+                        high = counts["started"]
+                        rows, done = {}, False
+                        while not done:
+                            reply = c.call("fetch", cursor=cursor, n=3)
+                            done = reply["done"]
+                            rows.update((row["oid"], row["values"]) for row in reply["rows"])
+                        if not any(rows == expected(k) for k in range(low, high + 1)):
+                            failures.append((low, high, rows))
+                        streams.append(low)
+            except Exception as exc:  # pragma: no cover - reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            with Client(*server.address) as writer:
+                for i in range(60):
+                    oid = oids[(i * 7) % len(oids)]
+                    commits.append((oid, 50000 + i))
+                    counts["started"] += 1
+                    writer.update(oid, {"weight": 50000 + i})
+                    counts["done"] += 1
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(20)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:1]
+        assert len(streams) >= 3
 
 
 class TestSysSession:

@@ -10,6 +10,12 @@ strings, lists, tuples, sets, dicts with str and int keys, OIDs anywhere
 decoded payload must equal ``from_wire(json.loads(...))``; a value with
 an unencodable leaf must be a ``ProtocolError`` on both sides.
 
+A stored state's row is encoded once and kept with the state: the
+frame a response of shared states gets — a fetch batch, a values query,
+a ``get`` — must equal the frame of its rows as plain dicts, both on the
+encode that keeps the rows and on the one that reuses them; a row with
+no wire form keeps nothing, and a copy carries no row.
+
 ``WIRE_CODEC_EXAMPLES`` sets the examples per property (CI's weekly job
 runs 500).
 """
@@ -25,6 +31,7 @@ from hypothesis import strategies as st
 
 import pytest
 
+from repro.core.obj import ObjectState
 from repro.core.oid import OID
 from repro.server import ProtocolError
 from repro.server.protocol import decode_payload, encode_frame, from_wire, to_wire
@@ -78,6 +85,48 @@ def _with_bad_leaf(children):
 _BAD_VALUES = st.recursive(_BAD, _with_bad_leaf, max_leaves=6)
 
 
+#: Every kind a stored value can hold: None, bool, int, float, str,
+#: OIDs with and without a class hint, and lists nesting them.
+_STORED_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2 ** 63), 2 ** 63 - 1),
+    st.floats(),
+    st.text(max_size=8),
+    st.builds(OID, st.integers(0, 2 ** 40)),
+    _OIDS,
+)
+_STORED = st.recursive(_STORED_LEAVES, lambda kids: st.lists(kids, max_size=4), max_leaves=12)
+_ATTRS = st.text(min_size=1, max_size=6)
+
+
+def _states(values):
+    return st.builds(
+        ObjectState,
+        st.builds(OID, st.integers(0, 2 ** 40), st.text(max_size=6)),
+        st.text(min_size=1, max_size=6),
+        st.dictionaries(_ATTRS, values, max_size=4),
+    )
+
+
+def _row(state):
+    return {"oid": state.oid, "class": state.class_name, "values": state.values}
+
+
+def _responses(states):
+    """The three response shapes that carry states, and each one's image
+    with the states as plain row dicts."""
+    rows = [_row(state) for state in states]
+    return [
+        ({"id": 7, "ok": True, "result": {"rows": states, "done": False}},
+         {"id": 7, "ok": True, "result": {"rows": rows, "done": False}}),
+        ({"id": 8, "ok": True, "result": {"rows": states, "count": len(states)}},
+         {"id": 8, "ok": True, "result": {"rows": rows, "count": len(rows)}}),
+        ({"id": 9, "ok": True, "result": states[0]},
+         {"id": 9, "ok": True, "result": rows[0]}),
+    ]
+
+
 def _reference_frame(payload):
     body = json.dumps(to_wire(payload), separators=(",", ":")).encode("utf-8")
     return struct.pack(">I", len(body)) + body
@@ -114,3 +163,26 @@ class TestWireCodecMatchesReference:
             to_wire(payload)
         with pytest.raises(ProtocolError):
             encode_frame(payload)
+
+
+class TestKeptRowFrames:
+    @given(states=st.lists(_states(_STORED), min_size=1, max_size=4))
+    @settings(max_examples=WIRE_CODEC_EXAMPLES, deadline=None)
+    def test_kept_row_frames_match_the_reference(self, states):
+        for payload, plain in _responses(states):
+            expected = _reference_frame(plain)
+            assert encode_frame(payload) == expected  # fills the rows
+            assert all(isinstance(state.wire_row, str) for state in states)
+            assert encode_frame(payload) == expected  # reuses them
+        for state in states:
+            assert not hasattr(state.copy(), "wire_row")
+
+    @given(state=_states(_STORED), attr=_ATTRS, blob=st.binary(max_size=4))
+    @settings(max_examples=WIRE_CODEC_EXAMPLES, deadline=None)
+    def test_a_row_with_no_wire_form_keeps_nothing(self, state, attr, blob):
+        state.values[attr] = [blob] if len(blob) % 2 else blob
+        for payload, _plain in _responses([state]):
+            for _attempt in range(2):
+                with pytest.raises(ProtocolError):
+                    encode_frame(payload)
+                assert not hasattr(state, "wire_row")
