@@ -994,6 +994,8 @@ class Database:
             self.storage.scan_frames,
             self._coerce,
             self.schema.attribute_map,
+            self.storage,
+            self.schema,
             ephemeral=ephemeral,
         )
 

@@ -28,26 +28,34 @@ from ..errors import KimDBError
 DEFAULT_ORDER = 64
 
 
+#: Every NaN's key.  A NaN equals no float, not even itself, so every NaN
+#: is keyed by this one tuple, whose member is one object: a tuple
+#: compares identical members equal, so each NaN key equals the next.
+_NAN_KEY = (3, float("nan"))
+
+
 def normalize_key(value: Any) -> Tuple[int, Any]:
     """Map an attribute value to a totally-ordered key.
 
     Ranks: None < booleans < numbers (ints and floats interleaved) <
-    strings < bytes < OIDs.  Within the numeric rank, ``1`` and ``1.0``
-    compare equal — matching predicate semantics, where ``weight = 7500``
-    should find a float-valued 7500.0.
+    NaN < strings < bytes < OIDs.  Within the numeric rank, ``1`` and
+    ``1.0`` compare equal — matching predicate semantics, where
+    ``weight = 7500`` should find a float-valued 7500.0.  Every NaN is
+    one key, equal to itself and after every number (PostgreSQL's rule):
+    among the numbers it would break the order a search bisects on.
     """
     if value is None:
         return (0, False)
     if isinstance(value, bool):
         return (1, value)
     if isinstance(value, (int, float)):
-        return (2, value)
+        return (2, value) if value == value else _NAN_KEY
     if isinstance(value, str):
-        return (3, value)
-    if isinstance(value, bytes):
         return (4, value)
+    if isinstance(value, bytes):
+        return (5, value)
     if isinstance(value, OID):
-        return (5, value.value)
+        return (6, value.value)
     raise KimDBError("value %r cannot be used as an index key" % (value,))
 
 

@@ -11,7 +11,8 @@ projection along paths, set operations by object identity, and unnest.
 from __future__ import annotations
 
 import heapq
-from operator import itemgetter
+from itertools import repeat, tee
+from operator import attrgetter, eq, itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.obj import ObjectState
@@ -37,8 +38,16 @@ Sender = Callable[[OID, str], Any]
 #: ``normalize_key``'s stand-in for a missing value in an ORDER BY key.
 _MISSING = (0, False)
 #: ``normalize_key``'s rank of the value types ORDER BY and GROUP BY
-#: keys rank inline (``bool`` is not one: it ranks apart from numbers).
-_RANKS = {int: 2, float: 2, str: 3}
+#: keys rank inline (``bool`` is not one: it ranks apart from numbers;
+#: nor is a NaN float, which ranks after them).
+_RANKS = {int: 2, float: 2, str: 4}
+#: Values that are their own GROUP BY key unchecked: never NaN.
+_OWN_KEYS = frozenset((int, str))
+#: The value kinds :func:`top_by_value` ranks as plain tuples, by the
+#: type of the first row's value: a batch of ints, of ints and floats
+#: led by a float, or of strs.
+_PLAIN = {int: frozenset((int,)), float: frozenset((int, float)), str: frozenset((str,))}
+_VALUES = attrgetter("values")
 _first_item = itemgetter(0)
 
 
@@ -174,7 +183,8 @@ def order_key(steps: Sequence[str], deref: Deref) -> Callable[[ObjectState], Tup
     objects with no value sort after them (a leading 1 — callers keep
     them last in descending order too); ties break on OID so results
     are deterministic.  A one-step path reads its attribute inline, and
-    an ``int`` / ``float`` / ``str`` value is ranked there too.
+    an ``int`` / ``float`` / ``str`` value other than NaN is ranked there
+    too.
     """
     if len(steps) == 1:
         attr, rank_of = steps[0], _RANKS.get
@@ -182,7 +192,7 @@ def order_key(steps: Sequence[str], deref: Deref) -> Callable[[ObjectState], Tup
         def key_of_one(state: ObjectState) -> Tuple:
             value = state.values.get(attr)
             rank = rank_of(type(value))
-            if rank is not None:
+            if rank is not None and value == value:
                 return (0, (rank, value), state.oid.value)
             return _ranked(first_of_one(value), state)
 
@@ -239,6 +249,33 @@ def top_by_key(
     return [state for _key, state in top]
 
 
+def top_by_value(
+    extent: List[ObjectState],
+    attr: str,
+    key: Callable[[ObjectState], Tuple],
+    descending: bool,
+    k: int,
+) -> List[ObjectState]:
+    """:func:`top_by_key` over the one-step path ``attr`` (``key`` its
+    :func:`order_key`).  When every value is of a kind the first row's
+    value picks in :data:`_PLAIN` and none is NaN, it ranks plain
+    ``(value, OID value, state)`` tuples — the order ``key`` gives, ties
+    on the OID.  Any other batch takes the keyed path, found by a
+    C-level scan that stops at the first value of another kind."""
+    if k <= 0 or not extent:
+        return []
+    kinds = _PLAIN.get(type(extent[0].values.get(attr)))
+    if kinds is None or not all(
+        map(kinds.__contains__, map(type, map(dict.get, map(_VALUES, extent), repeat(attr))))
+    ):
+        return top_by_key(extent, key, descending, k)
+    ranked = [(state.values.get(attr), state.oid.value, state) for state in extent]
+    if float in kinds and not all(map(eq, *tee(map(_first_item, ranked)))):
+        return top_by_key(extent, key, descending, k)  # a NaN: it equals nothing
+    top = heapq.nlargest(k, ranked) if descending else heapq.nsmallest(k, ranked)
+    return [state for _value, _oid, state in top]
+
+
 def order_by(
     extent: Iterable[ObjectState],
     steps: Sequence[str],
@@ -289,7 +326,7 @@ def compile_aggregate(
         groups: Dict[Any, List[ObjectState]] = {}
         for state in extent:
             key = state.values.get(attr) if attr is not None else first(state)
-            if type(key) not in _RANKS:
+            if type(key) not in _OWN_KEYS:
                 # A one-step list's first item may be an int, float or str.
                 key = _group_key(first_of_one(key) if attr is not None else key)
             members = groups.get(key)
@@ -310,11 +347,11 @@ def compile_aggregate(
 
 
 def _group_key(value: Any) -> Any:
-    """A first terminal value's group key.  An int, float or str value is
-    its own key: no two of them are equal unless their ranked keys are,
-    and none equals a ranked (tuple) key.  Any other value is keyed by
-    its ranked key."""
-    return value if type(value) in _RANKS else normalize_key(value)
+    """A first terminal value's group key.  An int, float or str value
+    other than NaN is its own key: no two of them are equal unless their
+    ranked keys are, and none equals a ranked (tuple) key.  Any other
+    value — NaN too, which equals nothing — is keyed by its ranked key."""
+    return value if type(value) in _RANKS and value == value else normalize_key(value)
 
 
 def _group_order(key: Any) -> Tuple:

@@ -5,10 +5,10 @@ The pipeline never walks an AST per row.  When a plan is compiled into
 operators (:func:`~repro.query.operators.compile_plan`), each expression
 it carries — the WHERE clause, the ORDER BY / top-K key, the GROUP BY
 key, the aggregate paths and the projections — is compiled once into a
-closure bound to that execution's kernel (its ``deref``, ``send`` and
-``adt_eval``).  Closures bound to one snapshot's ``deref`` cannot be
-shared, so binding happens per execution and nothing bound is cached
-with the plan.
+closure bound to that execution's kernel (its ``path_deref`` — the
+execution's path memo, for steps that dereference — ``send`` and
+``adt_eval``).  Closures bound to one execution cannot be shared, so
+binding happens per execution and nothing bound is cached with the plan.
 
 The closures specialise by shape: a one-step path reads
 ``values.get(attr)`` directly, a multi-step path walks its steps through
@@ -321,6 +321,7 @@ class FilterShapes:
             code = compile(filter_source(shape), "<generated filter>", "exec")
             exec(code, dict(_GLOBALS), namespace)
             factory = namespace["factory"]
+            factory.dereferences = _dereferences(shape)
             if len(self._factories) >= SHAPE_CACHE_SIZE:
                 self._factories.clear()
             self._factories[shape] = factory
@@ -336,10 +337,21 @@ class FilterShapes:
 def compile_filter(expr: Expr, kernel: Any, shapes: FilterShapes) -> BatchFilter:
     """The WHERE clause as a batch function over object states: ``rows
     -> [row for row in rows if <expr>]``, generated once per shape and
-    bound here to ``kernel`` — its ``deref``, and its ``predicate`` to
-    compile a leaf's closure the first time a row needs it."""
+    bound here to ``kernel`` — its ``path_deref`` if an inlined leaf
+    dereferences, and its ``predicate`` to compile a leaf's closure the
+    first time a row needs it."""
     args: List[Any] = [kernel.deref, kernel.predicate]
-    return shapes.factory(filter_shape(expr, args))(*args)
+    factory = shapes.factory(filter_shape(expr, args))
+    if factory.dereferences:
+        args[0] = kernel.path_deref
+    return factory(*args)
+
+
+def _dereferences(shape: tuple) -> bool:
+    """Does a filter of ``shape`` call ``D``: has it an inlined two-step leaf?"""
+    if shape[0] in ("and", "or", "not"):
+        return any(_dereferences(part) for part in shape[1:])
+    return len(shape) == 3 and shape[2] == 2
 
 
 def filter_shape(expr: Expr, args: List[Any]) -> tuple:

@@ -114,13 +114,21 @@ class Executor:
         scan and every dereference resolve through the snapshot instead
         of current storage, and index leaves add the objects the
         snapshot reads differently (``snapshot.changed``) — the plan
-        runs as given.  ``visible`` is the caller's row-visibility
-        predicate (see ``compile_plan``).
+        runs as given, its path steps through a memo of this execution's
+        own (:meth:`~repro.versions.store.SnapshotView.path_memo`, built
+        by the first step that dereferences), whose hits the pipeline
+        counts as snapshot reads when it closes.
+        ``visible`` is the caller's row-visibility predicate (see
+        ``compile_plan``).
         """
         if snapshot is None:
             return compile_plan(plan, self.kernel, self._scan_pages, visible)
-        kernel = ObjectKernel(snapshot.deref, self.shapes, self._send, self._adt_eval)
-        return compile_plan(plan, kernel, snapshot.scan_pages, visible, snapshot.changed)
+        kernel = ObjectKernel(
+            snapshot.deref, self.shapes, self._send, self._adt_eval, snapshot.path_memo
+        )
+        pipeline = compile_plan(plan, kernel, snapshot.scan_pages, visible, snapshot.changed)
+        pipeline.finish = kernel.finish
+        return pipeline
 
     def execute(
         self, plan: Plan, timed: bool = False, snapshot=None, visible=None

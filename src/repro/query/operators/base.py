@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .. import algebra
 from ..ast import AdtPredicate, Expr, Query
@@ -172,6 +172,12 @@ class ObjectKernel:
     (:mod:`repro.query.compiler`) bound to one execution's storage-facing
     callables — ``deref`` (the snapshot's), ``send`` and ``adt_eval``.
     ``shapes`` keeps the generated WHERE filters (the executor's).
+    ``path_memo`` (a :meth:`~repro.versions.store.SnapshotView.path_memo`)
+    builds the execution's memoized dereference and its ``flush`` the
+    first time a compiled path has a step to dereference; every such
+    step reads through it (:attr:`path_deref`) and :meth:`finish` counts
+    its hits.  ``deref`` alone turns an index probe's candidates, which
+    never repeat, into states.
     """
 
     #: Object states have a deterministic fallback order (OID), so a
@@ -186,22 +192,45 @@ class ObjectKernel:
         shapes: FilterShapes,
         send: Optional[Callable[..., Any]] = None,
         adt_eval: Optional[Callable[[AdtPredicate, Any], bool]] = None,
+        path_memo: Optional[Callable[[], Tuple[Deref, Callable[[], None]]]] = None,
     ) -> None:
         self.deref = deref
         self.shapes = shapes
         self.send = send
         self.adt_eval = adt_eval
+        self._path_memo = path_memo
+        self._memo: Optional[Tuple[Deref, Callable[[], None]]] = None
+
+    @property
+    def path_deref(self) -> Deref:
+        """The dereference for path steps: the execution's path memo,
+        built here on first use, or ``deref`` when there is none."""
+        if self._path_memo is None:
+            return self.deref
+        if self._memo is None:
+            self._memo = self._path_memo()
+        return self._memo[0]
+
+    def finish(self) -> None:
+        """Count the path memo's hits as snapshot reads, if it was built."""
+        if self._memo is not None:
+            self._memo[1]()
+
+    def _deref_for(self, *paths: Sequence[str]) -> Deref:
+        """:attr:`path_deref` if a path has a step to dereference; a
+        one-step path never dereferences, so it builds no memo."""
+        return self.path_deref if any(len(steps) > 1 for steps in paths) else self.deref
 
     def row_class(self, row: Any) -> Optional[str]:
         return row.class_name
 
     def path(self, steps: Sequence[str]) -> Callable[[Any], List[Any]]:
-        return compile_path(steps, self.deref)
+        return compile_path(steps, self._deref_for(steps))
 
     def exists(
         self, steps: Sequence[str], test: Callable[[Any], bool]
     ) -> Callable[[Any], bool]:
-        return compile_exists(steps, test, self.deref)
+        return compile_exists(steps, test, self._deref_for(steps))
 
     def predicate(self, expr: Expr) -> Callable[[Any], bool]:
         return compile_predicate(expr, self)
@@ -218,7 +247,8 @@ class ObjectKernel:
         """Order rows; ``steps`` None means the default OID order.
 
         With a limit, the bounded-heap top-K fast path replaces the full
-        sort (same results, O(n log k)).
+        sort (same results, O(n log k)); over a one-step path it ranks
+        plain value tuples when it can (``algebra.top_by_value``).
         """
         if steps is None:
             # Default order ignores ``descending`` — same as a plain
@@ -226,16 +256,23 @@ class ObjectKernel:
             if limit is not None:
                 return lambda rows: heapq.nsmallest(limit, rows, key=_oid_value)
             return lambda rows: sorted(rows, key=_oid_value)
-        key = algebra.order_key(steps, self.deref)
+        key = algebra.order_key(steps, self._deref_for(steps))
         if limit is not None:
+            if len(steps) == 1:
+                attr = steps[0]
+                return lambda rows: algebra.top_by_value(rows, attr, key, descending, limit)
             return lambda rows: algebra.top_by_key(rows, key, descending, limit)
         return lambda rows: algebra.sort_by_key(rows, key, descending)
 
     def projector(self, paths: Sequence[Sequence[str]]) -> Callable[[Any], Dict[str, Any]]:
-        return compile_projection(paths, self.deref)
+        return compile_projection(paths, self._deref_for(*paths))
 
     def aggregator(self, query: Query) -> Callable[[List[Any]], List[Dict[str, Any]]]:
-        return algebra.compile_aggregate(query, self.deref)
+        aggregates = query.aggregates or []
+        paths = [each.path.steps for each in aggregates if each.path is not None]
+        if query.group_by is not None:
+            paths.append(query.group_by.steps)
+        return algebra.compile_aggregate(query, self._deref_for(*paths))
 
 
 def _oid_value(state: Any) -> int:

@@ -11,7 +11,7 @@ run.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ...core.oid import OID
 from ...errors import QueryError
@@ -72,6 +72,9 @@ class Pipeline:
         self.limit = limit
         self.aggregate = aggregate
         self.project = project
+        #: Run by every :meth:`close` after the operators close (the
+        #: path memo's hit count), or None.
+        self.finish: Optional[Callable[[], None]] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -80,6 +83,8 @@ class Pipeline:
 
     def close(self) -> None:
         self.root.close()
+        if self.finish is not None:
+            self.finish()
 
     def set_timed(self, timed: bool = True) -> None:
         self.root.set_timed(timed)

@@ -44,7 +44,10 @@ against: ``encode_frame(x)`` is byte for byte the frame of
 A stored state never changes (a write installs a new one), so the first
 frame that carries a shared state keeps its row's JSON text in the
 state's ``wire_row`` slot and later frames join that text in
-(:func:`_joined`).  Never send a caller-owned copy: it may be edited.
+(:func:`_joined`).  A state travels only as a response's ``result`` or
+in its result's ``rows``; every other frame — a request, an error — is
+encoded whole, with no walk.  Never send a caller-owned copy: it may be
+edited.
 
 Engine exceptions map onto stable error codes via :func:`error_code`;
 the client re-raises them as :class:`ServerError` carrying the code.
@@ -216,28 +219,34 @@ def _row_text(state: ObjectState) -> str:
         return text
 
 
-def _joined(value: Any) -> Optional[str]:
-    """The JSON text of a response part that holds states where the
-    server puts them — a state, a list of states (a list's first item
-    decides), or a dict of str keys over such parts — joined from the
-    states' kept rows; None for a part that holds none, which the
-    one-pass encoder takes whole (and which refuses a state anywhere
-    else)."""
-    kind = type(value)
-    if kind is ObjectState:
-        return _row_text(value)
-    if kind is list and value and type(value[0]) is ObjectState:
-        return "[%s]" % ",".join(map(_row_text, value))
-    if kind is dict and all(type(key) is str for key in value):
-        parts = [_joined(item) for item in value.values()]
-        if any(parts):
-            return "{%s}" % ",".join(
-                [
-                    _ENCODER.encode(key) + ":" + (part or _ENCODER.encode(item))
-                    for (key, item), part in zip(value.items(), parts)
-                ]
-            )
-    return None
+def _joined(payload: Dict[str, Any]) -> Optional[str]:
+    """The JSON text of a response whose ``result`` is a shared state or
+    holds a ``rows`` list of them (a list's first item decides) — the
+    only places the server puts states — joined from the states' kept
+    rows; None for any other payload, which the one-pass encoder takes
+    whole, unwalked (and which refuses a state anywhere else)."""
+    result = payload.get("result")
+    rows = result.get("rows") if type(result) is dict else None
+    if type(result) is ObjectState:
+        text: Optional[str] = _row_text(result)
+    elif type(rows) is list and rows and type(rows[0]) is ObjectState:
+        text = _object(result, "rows", "[%s]" % ",".join(map(_row_text, rows)))
+    else:
+        return None
+    return _object(payload, "result", text)
+
+
+def _object(members: Dict[Any, Any], name: str, text: Optional[str]) -> Optional[str]:
+    """``members`` as a JSON object whose member ``name`` is ``text``;
+    None when ``text`` is None or a key is not a str."""
+    if text is None or not all(type(key) is str for key in members):
+        return None
+    return "{%s}" % ",".join(
+        [
+            _ENCODER.encode(key) + ":" + (text if key == name else _ENCODER.encode(value))
+            for key, value in members.items()
+        ]
+    )
 
 
 def encode_frame(payload: Dict[str, Any]) -> bytes:
@@ -251,7 +260,8 @@ def encode_frame(payload: Dict[str, Any]) -> bytes:
     """
     try:
         text = _joined(payload) or _ENCODER.encode(payload)
-    except (TypeError, ValueError, RecursionError) as exc:
+    except (TypeError, ValueError, RecursionError, AttributeError) as exc:
+        # AttributeError: a joined ``rows`` list whose later item is no state.
         raise ProtocolError("payload is not wire-encodable: %s" % exc) from exc
     body = text.encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:

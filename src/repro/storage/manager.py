@@ -92,9 +92,10 @@ class StorageManager:
         #: Page id -> the OID values read from it since they last changed:
         #: the first read's marker, and what ``_objects`` may hold.
         self._read_from: Dict[int, Set[int]] = {}
-        #: Moved by every write, each time to a value never stored before.
+        #: Moved by every write, each time to a value never stored before;
+        #: a query's path memo drops what it kept when it moves.
         self._stamps = itertools.count()
-        self._stamp = next(self._stamps)
+        self.write_stamp = next(self._stamps)
         self.directory = ObjectDirectory()
         self._heaps: Dict[str, HeapFile] = {}
         self._extra: Dict[str, Any] = {}
@@ -382,7 +383,7 @@ class StorageManager:
         """:meth:`load` on a miss: read the record, then admit it."""
         retries = 0
         while True:
-            stamp = self._stamp
+            stamp = self.write_stamp
             class_name, page_id, slot = self.directory.lookup(oid)
             read_from = self._read_set(page_id)  # before the fetch: see _admit
             body = self.heap_for(class_name).page(page_id).body(slot)
@@ -416,7 +417,7 @@ class StorageManager:
             read_from.add(value)
             return
         objects[value] = state
-        if self._stamp != stamp or self._read_from.get(page_id) is not read_from:
+        if self.write_stamp != stamp or self._read_from.get(page_id) is not read_from:
             objects.pop(value, None)  # a racing write or frame drop
 
     def _wrote(self, oid: OID, page_id: int) -> None:
@@ -425,7 +426,7 @@ class StorageManager:
         read_from = self._read_from.get(page_id)
         if read_from is not None:
             read_from.discard(oid.value)
-        self._stamp = next(self._stamps)
+        self.write_stamp = next(self._stamps)
         self._objects.pop(oid.value, None)
 
     def _frame_dropped(self, page_id: int) -> None:
@@ -500,7 +501,7 @@ class StorageManager:
         never taken from it: a writer changes the page before it pops
         the OID, so the buffer may still hold the old state of a record
         the page already holds anew."""
-        stamp, read_from = self._stamp, self._read_set(page_id)
+        stamp, read_from = self.write_stamp, self._read_set(page_id)
         admit = page_id in self.buffer  # registered after the fetch: check
         keep = True
         states = []

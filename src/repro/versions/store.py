@@ -49,6 +49,18 @@ from ..core.oid import OID
 from ..errors import ObjectNotFoundError
 from ..obs.metrics import MetricsRegistry
 
+#: Objects one query execution's path memo keeps at most; once full it
+#: admits no more (:meth:`SnapshotView.path_memo`).
+PATH_MEMO_SIZE = 4096
+#: Objects a path memo keeps before, with no hit yet, it stops keeping:
+#: a miss that keeps costs ~0.25 us more than one that does not, so
+#: references that never repeat would run ~15 % slower (DESIGN "Path
+#: memo" has the sweep behind the value).
+PATH_MEMO_PROBE = 64
+_UNKEPT = object()
+#: A dereference: an OID's state, or None.
+Deref = Callable[[OID], Optional[ObjectState]]
+
 
 class _Entry:
     """One before-image: ``txn_id`` overwrote ``oid``; the state before
@@ -396,20 +408,22 @@ class SnapshotView:
     Wraps a :class:`Snapshot` together with the database's storage
     callables (passed in by the owner — this module never reaches into
     the database) and exposes exactly the hooks the physical operators
-    need: :meth:`deref` for probe/path dereferencing and
-    :meth:`scan_pages` for extent scans, both resolving visibility
-    through the store.  ``load`` reads a raw stored state (raising
-    :class:`ObjectNotFoundError` for a missing OID); ``scan_frames``
-    yields a class's pages as ``(frame, states)`` pairs (the storage
-    manager's ``scan_frames``).  After resolution a row whose keys differ
-    from its class's ``declared`` attributes goes through ``coerce`` — a
-    before-image needs that as much as a stored record.  A page the
-    snapshot reads as stored is checked once per kept state tuple and
-    attribute map: the frame keeps the verdict (storage/page.py).  The
-    view itself keeps nothing: the storage manager's object buffer
-    serves repeat reads.  ``ephemeral`` marks per-query snapshots the
-    query path must close itself (transaction-bound snapshots are closed
-    when the transaction finishes).
+    need: :attr:`deref` for probe dereferencing, :meth:`path_memo` for
+    one execution's path steps and :meth:`scan_pages` for extent scans,
+    all resolving visibility through the store.  ``load`` reads a raw
+    stored state (raising :class:`ObjectNotFoundError` for a missing
+    OID); ``scan_frames`` yields a class's pages as ``(frame, states)``
+    pairs (the storage manager's ``scan_frames``).  After resolution a
+    row whose keys differ from its class's ``declared`` attributes goes
+    through ``coerce`` — a before-image needs that as much as a stored
+    record.  A path memo watches ``storage.write_stamp`` and
+    ``schema.version``.  A page the snapshot reads as stored is checked
+    once per kept state tuple and attribute map: the frame keeps the
+    verdict (storage/page.py).  The view itself keeps nothing: the
+    storage manager's object buffer serves repeat reads.  ``ephemeral``
+    marks per-query snapshots the query path must close itself
+    (transaction-bound snapshots are closed when the transaction
+    finishes).
     """
 
     def __init__(
@@ -420,6 +434,8 @@ class SnapshotView:
         scan_frames: Callable[[str], Iterator[Tuple[Any, Sequence[ObjectState]]]],
         coerce: Callable[[ObjectState], ObjectState],
         declared: Callable[[str], Mapping[str, Any]],
+        storage: Any,
+        schema: Any,
         ephemeral: bool = False,
     ) -> None:
         self.store = store
@@ -428,17 +444,68 @@ class SnapshotView:
         self._scan_frames = scan_frames
         self._coerce = coerce
         self._declared = declared
+        self._storage = storage
+        self._schema = schema
         self.ephemeral = ephemeral
+        #: An OID's state as the snapshot sees it, or None.
+        self.deref: Deref = self._reader(False)[0]
 
-    def deref(self, oid: OID) -> Optional[ObjectState]:
-        try:
-            current: Optional[ObjectState] = self._load(oid)
-        except ObjectNotFoundError:
-            current = None
-        state = self.store.resolve(oid, self.snapshot, current)
-        if state is None or state.values.keys() == self._declared(state.class_name).keys():
+    def path_memo(self) -> Tuple[Deref, Callable[[], None]]:
+        """:attr:`deref` remembered for one query execution's path steps,
+        and the ``flush`` that counts its hits as snapshot reads (DESIGN
+        "Path memo")."""
+        return self._reader(True)
+
+    def _reader(self, keep: bool) -> Tuple[Deref, Callable[[], None]]:
+        """The view's dereference and the ``flush`` that counts its hits.
+
+        A read loads the stored state (None for a missing OID), resolves
+        it through the store and coerces it when its keys differ from its
+        class's declared attributes.  With ``keep`` it remembers each
+        result, None too, for up to :data:`PATH_MEMO_SIZE` objects; a hit
+        serves it unless ``storage.write_stamp`` or ``schema.version`` has
+        moved since, which drops everything kept.  Once it keeps
+        :data:`PATH_MEMO_PROBE` objects with no hit yet, it stops keeping
+        and only reads."""
+        load, resolve, snapshot = self._load, self.store.resolve, self.snapshot
+        declared, coerce = self._declared, self._coerce
+        storage, schema = self._storage, self._schema
+        kept: Dict[int, Optional[ObjectState]] = {}
+        get = kept.get
+        stamp, version = storage.write_stamp, schema.version
+        hits = 0
+        keeping = keep
+
+        def read(oid: OID) -> Optional[ObjectState]:
+            nonlocal stamp, version, hits, keeping
+            if keeping:
+                state = get(oid.value, _UNKEPT)
+                if state is not _UNKEPT:
+                    if storage.write_stamp == stamp and schema.version == version:
+                        hits += 1
+                        return state
+                    kept.clear()
+                    stamp, version = storage.write_stamp, schema.version
+            try:
+                current: Optional[ObjectState] = load(oid)
+            except ObjectNotFoundError:
+                current = None
+            state = resolve(oid, snapshot, current)
+            if state is not None and state.values.keys() != declared(state.class_name).keys():
+                state = coerce(state)
+            if keeping and len(kept) < PATH_MEMO_SIZE:
+                kept[oid.value] = state
+                if not hits and len(kept) == PATH_MEMO_PROBE:
+                    keeping = False
+                    kept.clear()
             return state
-        return self._coerce(state)
+
+        def flush() -> None:
+            nonlocal hits
+            self.store.count_reads(snapshot, hits)
+            hits = 0
+
+        return read, flush
 
     def scan_pages(self, class_name: str) -> Iterator[Sequence[ObjectState]]:
         """The class extent as the snapshot sees it, a storage page of

@@ -28,7 +28,16 @@ to take its inline cases; so is the generated source itself, which must
 not change when attribute names and string literals turn hostile.
 ORDER BY (both directions, with and without LIMIT) and GROUP BY keys
 are checked against a reference built from ``evaluate_path``,
-``normalize_key`` and the OID tiebreak.
+``normalize_key`` and the OID tiebreak; top-K's plain-tuple ranking
+against the full sort over NaN, bools, mixed ints and floats, strings,
+None and ties.
+
+Each execution's path memo (``SnapshotView.path_memo``) is held to the
+interpreter over references that repeat and dangle, and to the plain
+dereference where what it kept could go stale: a second execution after
+another transaction's commit, and an index-order stream whose own
+transaction writes, or whose attribute is dropped, between its fetches.
+A plan with no step to dereference builds no memo.
 
 ``COMPILED_PARITY_EXAMPLES`` sets the trees per check (CI's weekly job
 runs 500; tier-1 keeps a fixed-seed slice).
@@ -41,6 +50,7 @@ import random
 import pytest
 
 from repro import AttributeDef, Database
+from repro.bench.schemas import FIG1_QUERY, build_vehicle_schema, populate_vehicles
 from repro.core.obj import ObjectState
 from repro.core.oid import OID
 from repro.evolution import SchemaEvolution
@@ -56,6 +66,8 @@ from repro.query.compiler import (
 from repro.query.operators import ObjectKernel
 from repro.query.parser import parse_query
 from repro.query.paths import evaluate_path
+from repro.query.planner import IndexOrderScan
+from repro.versions.store import SnapshotView
 
 from .test_formal_properties import random_predicates
 
@@ -410,6 +422,14 @@ def first_value(state, steps, world):
     return values[0] if values else None
 
 
+def first_values(state, steps, world):
+    """A projected column: None, the one value, or the fan-out list."""
+    values = evaluate_path(state, steps, world.get)
+    if not values:
+        return None
+    return values[0] if len(values) == 1 else values
+
+
 def reference_order(world, steps, descending):
     """Present values by ``normalize_key`` then OID, reversed for
     DESC; objects with no value after them, by OID (descending for
@@ -487,6 +507,256 @@ class TestOrderAndGroupKeys:
         got = [(normalize_key(row["a"]), row["count(*)"], row["max(price)"]) for row in rows]
         assert got == reference_groups(world, ("a",))
         db.close()
+
+
+#: ORDER BY values for top-K: NaN, bools beside ``0``/``1``, ints and
+#: floats that tie (``1``/``1.0``, ``7``/``7.0``), None, and values that
+#: rank apart from numbers.
+TOPK_POOLS = {
+    "ints": [0, 1, 2, 7, -1, 3],
+    "numbers": [0, 1, 1.0, 2.5, 7, 7.0, -1, -0.0, 1e300],
+    "nan": [1, 2.5, float("nan"), 7.0, -1],
+    "bool": [0, 1, True, False, 2.5],
+    "none": [1, 2, None, 3.5],
+    "strings": ["b", "a", "", "B", "ab", "\u00e9"],
+    "strings_and_none": ["b", None, "a"],
+    "strings_and_numbers": ["a", 1, "b", 2.5],
+    "mixed": [1, "1", [2], None, True, float("nan"), 2.5, OID(3)],
+}
+
+
+class TestTopK:
+    """Top-K over a one-step path ranks plain ``(value, OID value, state)``
+    tuples when every value is an int or a float other than NaN, or every
+    value is a str; any other batch takes the keyed path.  Both return exactly
+    the full sort's first k rows."""
+
+    def test_top_by_value_is_the_full_sort_prefix(self):
+        rng = random.Random(81)
+        key = algebra.order_key(("x",), None)
+        for _ in range(COMPILED_PARITY_EXAMPLES):
+            pool = TOPK_POOLS[rng.choice(sorted(TOPK_POOLS))]
+            states = [
+                ObjectState(OID(serial), "T", {"x": rng.choice(pool)})
+                for serial in rng.sample(range(1, 500), rng.randrange(0, 60))
+            ]
+            for descending in (False, True):
+                full = algebra.sort_by_key(states, key, descending)
+                for k in (0, 1, 3, len(states), len(states) + 2):
+                    top = algebra.top_by_value(states, "x", key, descending, k)
+                    assert [s.oid for s in top] == [s.oid for s in full[:k]], (pool, k)
+
+    def test_order_by_limit_is_the_full_sort_prefix(self):
+        rng = random.Random(83)
+        db = Database()
+        db.define_class("T", attributes=[AttributeDef("x", "Any"), AttributeDef("pool", "Integer")])
+        pools = [pool for _name, pool in sorted(TOPK_POOLS.items())]
+        for number, pool in enumerate(pools):
+            for _ in range(12):
+                db.new("T", {"x": rng.choice(pool), "pool": number})
+        for _ in range(COMPILED_PARITY_EXAMPLES):
+            # One pool's rows: its values decide the fast path.
+            number = rng.randrange(len(pools))
+            for direction in ("", " DESC"):
+                base = "SELECT v FROM T v WHERE v.pool = %d ORDER BY v.x%s" % (number, direction)
+                full = db.execute(base).oids
+                k = rng.randrange(1, len(full) + 2)
+                assert db.execute("%s LIMIT %d" % (base, k)).oids == full[:k], (base, k)
+        db.close()
+
+
+def fig1_reference(db):
+    """FIG1_QUERY over current storage, by hand."""
+    hits = []
+    for cls in db.schema.hierarchy_of("Vehicle"):
+        for state in db._scan_coerced(cls):
+            maker = state.values.get("manufacturer")
+            if state.values["weight"] > 7500 and maker is not None:
+                if db.get_state(maker).values["location"] == "Detroit":
+                    hits.append(state.oid)
+    return sorted(hits, key=lambda oid: oid.value)
+
+
+class TestPathMemo:
+    """One execution dereferences each referenced object once and counts
+    every later step to it as a snapshot read; nothing it keeps outlives
+    the execution or a write."""
+
+    def test_repeated_and_dangling_references_keep_parity(self):
+        """Path trees, and projections through paths, over parts that many
+        items reference and some no longer exist: at rest, beside another
+        transaction's uncommitted delete of a referenced part, and after
+        it commits — when the part dangles for every later execution."""
+        db, rng, parts = build(2029)
+        trees = [
+            Comparison(op, Path(steps), Const(literal))
+            for steps in (("part", "a"), ("part", "n"), ("parts", "a"), ("m", "a"))
+            for op, literal in (("=", 1), ("<", 2), ("=", "x"), ("!=", None))
+        ] + [random_where(rng, parts) for _ in range(COMPILED_PARITY_EXAMPLES)]
+        trees = [where for where in trees if db.check(Query("Item", "v", where=where)).ok]
+        live = [oid for oid in parts if db.exists(oid)]
+        for doomed in rng.sample(live, 3):
+            world = world_of(db)
+            self.assert_parity(db, trees, world)
+            writer = db.transaction()
+            db.delete(doomed)
+            db.txns.detach()
+            self.assert_parity(db, trees, world)
+            db.txns.attach(writer)
+            writer.commit()
+            self.assert_parity(db, trees, world_of(db))
+        db.close()
+
+    @staticmethod
+    def assert_parity(db, trees, world):
+        for where in trees:
+            assert engine(db, where) == expected(world, where), where
+        kept = Comparison(">=", Path(("part", "n")), Const(0))
+        for steps in (("part", "a"), ("parts", "n"), ("m", "a")):
+            dotted = ".".join(steps)
+            rows = db.execute("SELECT v.%s FROM Item v WHERE v.part.n >= 0" % dotted).rows
+            reference = [first_values(world[oid], steps, world) for oid in expected(world, kept)]
+            assert [row[dotted] for row in rows] == reference, steps
+
+    def test_every_step_counts_one_snapshot_read(self, edge_db):
+        """A hit is counted like the read it replaces: the scan's rows plus
+        one read per reference, repeated and dangling ones included."""
+        db, parts = edge_db
+        world = world_of(db)
+        scope = [state for state in world.values() if state.class_name in SCOPE]
+        references = sum(isinstance(state.values.get("part"), OID) for state in scope)
+        assert references > len(parts) + 20  # references repeat
+        before = db.metrics.value("txn.snapshot.reads")
+        db.execute("SELECT v FROM Item v WHERE v.part.n != 5")
+        assert db.metrics.value("txn.snapshot.reads") - before == len(scope) + references
+
+    def test_a_second_execution_sees_a_committed_update(self):
+        """Another transaction's update, uncommitted during one execution
+        and committed before the next: the next reads the new location.
+        A commit moves no storage write stamp, so only the memo's
+        one-execution lifetime keeps the first execution's company out."""
+        db = Database()
+        build_vehicle_schema(db)
+        companies = populate_vehicles(db, n_vehicles=200, n_companies=6, seed=3)["Company"]
+        rng = random.Random(91)
+        for _ in range(COMPILED_PARITY_EXAMPLES):
+            company = rng.choice(companies)
+            location = db.get_state(company).values["location"]
+            moved = "Tokyo" if location == "Detroit" else "Detroit"
+            before = fig1_reference(db)
+            writer = db.transaction()
+            db.update(company, {"location": moved})
+            db.txns.detach()
+            assert sorted(db.execute(FIG1_QUERY).oids, key=lambda oid: oid.value) == before
+            db.txns.attach(writer)
+            writer.commit()
+            after = fig1_reference(db)
+            assert after != before
+            assert sorted(db.execute(FIG1_QUERY).oids, key=lambda oid: oid.value) == after
+        db.close()
+
+    def test_an_index_order_stream_sees_its_own_write_between_fetches(self, monkeypatch):
+        """The filter of an index-order walk runs fetch by fetch; its
+        transaction moves a company between fetches.  The stream returns
+        exactly what it returns with every path step on the plain
+        dereference."""
+        db = Database()
+        build_vehicle_schema(db)
+        companies = populate_vehicles(db, n_vehicles=700, n_companies=8, seed=5)["Company"]
+        db.create_hierarchy_index("Vehicle", "weight")
+        rng = random.Random(93)
+        cases = []
+        for _ in range(COMPILED_PARITY_EXAMPLES):
+            limit = rng.choice((20, 30, 50))
+            cases.append((limit, rng.randrange(1, 8), rng.choice(companies)))
+
+        def stream(limit, pulled, company):
+            text = (
+                "SELECT v FROM Vehicle v WHERE v.manufacturer.location = 'Detroit' "
+                "ORDER BY v.weight LIMIT %d" % limit
+            )
+            txn = db.transaction()
+            try:
+                assert isinstance(db.execute(text).plan.access, IndexOrderScan)
+                rows = db.select_iter(text)
+                seen = [next(rows).oid for _ in range(pulled)]
+                location = db.get_state(company).values["location"]
+                db.update(company, {"location": "Tokyo" if location == "Detroit" else "Detroit"})
+                return seen + [handle.oid for handle in rows]
+            finally:
+                txn.abort()
+
+        memoised = [stream(*case) for case in cases]
+        plain_path_steps(monkeypatch)
+        assert [stream(*case) for case in cases] == memoised
+        db.close()
+
+    def test_an_index_order_stream_sees_a_schema_change_between_fetches(self, monkeypatch):
+        """Between two fetches of a stream, outside any transaction, the
+        attribute its path filter reads is dropped (as another session
+        may) and added back once it ends.  A drop moves no storage write
+        stamp, yet the stream returns exactly what it returns with every
+        path step on the plain dereference, which coerces each read under
+        the schema of the moment."""
+        db = Database()
+        build_vehicle_schema(db)
+        populate_vehicles(db, n_vehicles=700, n_companies=8, seed=5)
+        db.create_hierarchy_index("Vehicle", "weight")
+        evolution = SchemaEvolution(db)
+        location = db.schema.attribute_map("Company")["location"]
+        rng = random.Random(95)
+        cases = [
+            (rng.choice((20, 30, 50)), rng.randrange(1, 8))
+            for _ in range(COMPILED_PARITY_EXAMPLES)
+        ]
+
+        def stream(limit, pulled):
+            rows = db.select_iter(
+                "SELECT v FROM Vehicle v WHERE v.manufacturer.location = 'Detroit' "
+                "ORDER BY v.weight LIMIT %d" % limit
+            )
+            seen = [next(rows).oid for _ in range(pulled)]
+            evolution.drop_attribute("Company", "location")
+            try:
+                return seen + [handle.oid for handle in rows]
+            finally:
+                evolution.add_attribute("Company", location)
+
+        memoised = [stream(*case) for case in cases]
+        assert any(len(oids) < limit for oids, (limit, _) in zip(memoised, cases))
+        plain_path_steps(monkeypatch)
+        assert [stream(*case) for case in cases] == memoised
+        db.close()
+
+    def test_a_plan_with_no_step_to_dereference_builds_no_memo(self, monkeypatch):
+        """An index probe, one-step filters, keys, projections and
+        aggregates read no reference, so they build no path memo."""
+        db = Database()
+        build_vehicle_schema(db)
+        populate_vehicles(db, n_vehicles=200, n_companies=6, seed=7)
+        db.create_hierarchy_index("Vehicle", "weight")
+        texts = [
+            "SELECT v FROM Vehicle v WHERE v.weight = 7600",
+            "SELECT v FROM Vehicle v WHERE v.weight > 7500 AND v.color = 'red' "
+            "ORDER BY v.price LIMIT 5",
+            "SELECT v.color, v.price FROM Vehicle v WHERE v.price > 1",
+            "SELECT v.color, COUNT(v), SUM(v.price) FROM Vehicle v GROUP BY v.color",
+        ]
+        expected_rows = [db.execute(text).rows for text in texts]
+
+        def refused(view):
+            raise AssertionError("a path memo was built")
+
+        monkeypatch.setattr(SnapshotView, "path_memo", refused)
+        assert [db.execute(text).rows for text in texts] == expected_rows
+        with pytest.raises(AssertionError, match="path memo"):
+            db.execute("SELECT v FROM Vehicle v WHERE v.manufacturer.location = 'Detroit'")
+        db.close()
+
+
+def plain_path_steps(monkeypatch):
+    """Every path step on the plain dereference, as before the memo."""
+    monkeypatch.setattr(SnapshotView, "path_memo", lambda view: (view.deref, lambda: None))
 
 
 class TestEngineParity:

@@ -73,6 +73,31 @@ def test_spans_the_ring_drops_leave_no_cyclic_garbage(cyclic_garbage):
     assert _instances(cyclic_garbage(), Span) == []
 
 
+def test_query_executions_leave_no_cyclic_garbage(cyclic_garbage):
+    """Each execution's path memo, kernel and pipeline are freed by
+    reference counting: no execution leaves a cycle behind."""
+    import types
+
+    from repro.bench.schemas import FIG1_QUERY, build_vehicle_schema, populate_vehicles
+
+    db = Database()
+    build_vehicle_schema(db)
+    populate_vehicles(db, n_vehicles=120, n_companies=6, seed=2)
+    texts = (
+        FIG1_QUERY,
+        "SELECT v FROM Vehicle v ORDER BY v.price LIMIT 5",
+        "SELECT v.manufacturer.name, COUNT(v) FROM Vehicle v GROUP BY v.manufacturer.name",
+        "SELECT v.manufacturer.location FROM Vehicle v WHERE v.weight > 9000",
+    )
+    for text in texts:
+        db.execute(text)  # parsed, planned and cached before counting
+    before = len(cyclic_garbage())
+    for text in texts:
+        db.execute(text)
+    assert list(db.select_iter(FIG1_QUERY))
+    assert _instances(cyclic_garbage()[before:], types.FunctionType) == []
+
+
 def test_an_abort_compensates_every_kind_of_write():
     db = _db()
     updated, moved, deleted = (db.new("T", {"x": x}).oid for x in (1, 2, 3))

@@ -29,6 +29,12 @@ class TestNormalizeKey:
     def test_int_equals_equal_float(self):
         assert normalize_key(7500) == normalize_key(7500.0)
 
+    def test_every_nan_is_one_key_after_every_number(self):
+        nan = normalize_key(float("nan"))
+        assert nan == normalize_key(float("nan"))
+        assert hash(nan) == hash(normalize_key(-float("nan")))
+        assert normalize_key(float("inf")) < nan < normalize_key("")
+
     def test_unindexable_value(self):
         with pytest.raises(KimDBError):
             normalize_key([1, 2])
@@ -173,12 +179,14 @@ class TestIterEntries:
 COUNTED_BTREE_EXAMPLES = int(os.environ.get("COUNTED_BTREE_EXAMPLES", "60"))
 
 #: Keys of every indexable rank, few enough to collide: duplicates,
-#: ``None``, booleans beside numbers (``1 == 1.0``), short strings.
+#: ``None``, booleans beside numbers (``1 == 1.0``), NaN (one key after
+#: every number), short strings.
 _KEYS = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-6, 6),
     st.floats(-6, 6, allow_nan=False),
+    st.just(float("nan")),
     st.text(alphabet="ab", max_size=2),
 )
 _BOUNDS = st.tuples(

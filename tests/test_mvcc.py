@@ -279,7 +279,7 @@ class TestSnapshotReadRacingAbort:
         store = db.version_store
         return SnapshotView(
             store, store.open_snapshot(None), load, scan_frames,
-            db._coerce, db.schema.attribute_map, ephemeral=True,
+            db._coerce, db.schema.attribute_map, db.storage, db.schema, ephemeral=True,
         )
 
     @staticmethod
@@ -446,7 +446,7 @@ class TestPageVerdict:
         store = db.version_store
         view = SnapshotView(
             store, store.open_snapshot(None), db.storage.load, db.storage.scan_frames,
-            db._coerce, declared, ephemeral=True,
+            db._coerce, declared, db.storage, db.schema, ephemeral=True,
         )
         compared = []
         try:

@@ -1,5 +1,8 @@
 """Path evaluation, algebra, planner and executor semantics."""
 
+import math
+import random
+
 import pytest
 
 from repro import AttributeDef, Database, MethodDef
@@ -8,7 +11,7 @@ from repro.errors import QueryError
 from repro.query.ast import Comparison, Const, Path, Query
 from repro.query.parser import parse_query
 from repro.query.paths import compare, evaluate_path, validate_path
-from repro.query.planner import ExtentScan, IndexEqProbe, IndexRangeProbe
+from repro.query.planner import ExtentScan, IndexEqProbe, IndexOrderScan, IndexRangeProbe
 from repro.query import algebra
 
 
@@ -255,3 +258,56 @@ class TestAlgebra:
         assert [s.oid for s in ordered] == [c.oid, a.oid, b.oid]
         ordered_desc = algebra.order_by(states, ("k",), db._deref, descending=True)
         assert [s.oid for s in ordered_desc] == [a.oid, c.oid, b.oid]
+
+
+def nan_db(n, seed, index=False):
+    """``n`` objects whose Float ``x`` is NaN one time in ten."""
+    rng = random.Random(seed)
+    db = Database()
+    db.define_class("M", attributes=[AttributeDef("x", "Float")])
+    if index:
+        db.create_class_index("M", "x")
+    rows = {}
+    for _ in range(n):
+        x = float("nan") if rng.random() < 0.1 else rng.uniform(0, 100)
+        rows[db.new("M", {"x": x}).oid] = x
+    return db, rows
+
+
+class TestNaNRank:
+    """NaN is one key, equal to itself and after every number (PostgreSQL's
+    rule), in B+-tree keys, ORDER BY keys, top-K and GROUP BY."""
+
+    def test_index_ranges_keep_every_committed_row(self):
+        db, rows = nan_db(300, 5, index=True)
+        for low in range(0, 100, 7):
+            result = db.execute("SELECT m FROM M m WHERE m.x >= %d AND m.x < %d" % (low, low + 10))
+            assert isinstance(result.plan.access, IndexRangeProbe)
+            want = sorted(oid for oid, x in rows.items() if low <= x < low + 10)
+            assert sorted(result.oids) == want, low
+        db.close()
+
+    @pytest.mark.parametrize("index", [False, True])
+    def test_order_by_limit_is_the_full_sort_prefix(self, index):
+        db, rows = nan_db(60, 9, index=index)
+        for direction in ("", " DESC"):
+            full = db.execute("SELECT m FROM M m ORDER BY m.x%s" % direction).oids
+            present = [oid for oid in full if not math.isnan(rows[oid])]
+            nans = [oid for oid in full if math.isnan(rows[oid])]
+            # NaN ranks after every number: last ascending, first descending.
+            assert full == (present + nans if not direction else nans + present)
+            for k in range(1, 11):
+                limited = db.execute("SELECT m FROM M m ORDER BY m.x%s LIMIT %d" % (direction, k))
+                assert limited.oids == full[:k], (direction, k)
+                assert isinstance(limited.plan.access, IndexOrderScan) == index
+        db.close()
+
+    def test_group_by_puts_every_nan_in_one_group(self):
+        db = Database()
+        db.define_class("M", attributes=[AttributeDef("x", "Float")])
+        for x in (1.0, float("nan"), 2.0, float("nan"), float("nan"), 1, float("nan")):
+            db.new("M", {"x": x})
+        rows = db.execute("SELECT m.x, COUNT(m) FROM M m GROUP BY m.x").rows
+        assert [row["count(*)"] for row in rows] == [2, 1, 4]
+        assert math.isnan(rows[2]["x"])
+        db.close()

@@ -177,6 +177,28 @@ class TestKeptRowFrames:
         for state in states:
             assert not hasattr(state.copy(), "wire_row")
 
+    @given(value=_VALUES, states=st.lists(_states(_STORED), min_size=1, max_size=3))
+    @settings(max_examples=WIRE_CODEC_EXAMPLES, deadline=None)
+    def test_frames_without_states_match_and_states_elsewhere_are_refused(self, value, states):
+        """Requests and errors are encoded whole; a state anywhere but a
+        response's ``result`` or its result's ``rows`` is a ProtocolError."""
+        for payload in (
+            {"id": 3, "op": "query", "params": {"text": "x", "values": value}},
+            {"id": 4, "ok": False, "error": {"code": "QUERY", "message": "x", "at": value}},
+            {"id": 5, "ok": True, "result": {"items": value, "rows": [value]}},
+        ):
+            assert encode_frame(payload) == _reference_frame(payload)
+        for payload in (
+            {"id": 3, "op": "put", "params": {"state": states[0]}},
+            {"id": 3, "op": "put", "params": states},
+            {"id": 6, "ok": True, "result": {"state": states[0], "rows": []}},
+            {"id": 6, "ok": True, "result": {"rows": [value] + states}},
+            {"id": 6, "ok": True, "result": {"rows": states + [value]}},
+            {"id": 6, "ok": True, "result": [states]},
+        ):
+            with pytest.raises(ProtocolError):
+                encode_frame(payload)
+
     @given(state=_states(_STORED), attr=_ATTRS, blob=st.binary(max_size=4))
     @settings(max_examples=WIRE_CODEC_EXAMPLES, deadline=None)
     def test_a_row_with_no_wire_form_keeps_nothing(self, state, attr, blob):
