@@ -26,7 +26,9 @@ per predicate *shape* (:func:`compile_filter`): ``And`` / ``Or`` /
 two-step path through one reference, against an ``int`` / ``float``
 (ordered or ``=``) or a ``str`` (``=`` / ``contains``) inlines its
 common case — the value read has exactly the literal's kind — and hands
-every other value to the leaf's closure above.  The source text depends
+every other value to the leaf's closure above (a two-step path's second
+value to the closure's compare alone, :func:`value_test`, so the
+reference is read once).  The source text depends
 on the shape alone: attribute names and literals are arguments of the
 generated factory, never text in it.  :class:`FilterShapes` keeps the
 factories, so a known shape pays only the binding.
@@ -293,8 +295,19 @@ _SOURCE_OPS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "==", "contains"
 _CALL = ("call",)
 #: The comparisons a leaf inlines against an ``int`` / ``float``.
 _NUMERIC_OPS = frozenset(("<", "<=", ">", ">=", "="))
+
+
+def value_test(leaf: Comparison) -> Test:
+    """``leaf``'s comparison of one value a path's last step read: a
+    list's elements existentially, as the leaf's closure tests them."""
+    test = compile_compare(leaf.op, leaf.const.value)
+    return lambda value: any(map(test, value)) if isinstance(value, list) else test(value)
+
+
 #: The only names generated code reads besides its parameters.
-_GLOBALS = {"__builtins__": {"type": type, "str": str}, "NUM": (int, float), "OID": OID}
+_GLOBALS = {
+    "__builtins__": {"type": type, "str": str}, "NUM": (int, float), "OID": OID, "X": value_test
+}
 
 
 class FilterShapes:
@@ -395,8 +408,11 @@ def filter_source(shape: tuple) -> str:
     literal's kind — ``int`` or ``float`` (never ``bool``) against a
     number, ``str`` against a string — and, on a two-step path, the
     first value is one ``OID``; a dangling reference reads no value, so
-    it does not match.  Everything else calls ``H<i>``, the leaf's
-    closure, compiled by ``C`` (the kernel's ``predicate``) on first use.
+    it does not match.  A second value of another kind goes to ``G<i>``,
+    the leaf's compare over one value (:func:`value_test`, through
+    ``X``), so the reference is not read again; everything else calls
+    ``H<i>``, the leaf's closure, compiled by ``C`` (the kernel's
+    ``predicate``).  Both are made on first use.
     """
     params = ["D", "C"]
     closures: List[str] = []
@@ -423,8 +439,10 @@ def filter_source(shape: tuple) -> str:
                 compare, leaf, a, guard, call,
             )
         params.extend((a, b, k))
-        second = "(%s if type(w%d := s%d.values.get(%s)) %s else %s)" % (
-            compare, leaf, leaf, b, guard, call,
+        g = "G%d" % leaf
+        closures.append(g)
+        second = "(%s if type(w%d := s%d.values.get(%s)) %s else (%s or (%s := X(%s)))(w%d))" % (
+            compare, leaf, leaf, b, guard, g, g, e, leaf,
         )
         return (
             "((%s if (s%d := D(v%d)) is not None else False)"

@@ -57,8 +57,8 @@ class BufferPool:
         # make logged images durable.  Both None when no WAL is wired.
         self._image_log = None
         self._image_sync = None
-        #: Called with the page id of every frame the pool gives up.
-        self.on_drop: Callable[[int], None] = lambda page_id: None
+        #: Called after :meth:`invalidate` and :meth:`drop_all`, never on eviction.
+        self.on_drop: Callable[[], None] = lambda: None
 
     @property
     def page_size(self) -> int:
@@ -152,7 +152,6 @@ class BufferPool:
             self._m_flushes.inc()
         self._m_evictions.inc()
         victim.forget()
-        self.on_drop(victim_id)
 
     def flush_page(self, page_id: int, image_logged: bool = False) -> None:
         frame = self._frames.get(page_id)
@@ -184,13 +183,14 @@ class BufferPool:
         if frame is not None:
             frame.forget()
         self._dirty.discard(page_id)
-        self.on_drop(page_id)
+        self.on_drop()
 
     def drop_all(self) -> None:
         """Empty the pool *after* flushing — used to simulate a cold cache."""
         self.flush_all()
-        for page_id in list(self._frames):
-            self.invalidate(page_id)
+        while self._frames:
+            self._frames.popitem()[1].forget()
+        self.on_drop()
 
     def resident_pages(self) -> Iterator[int]:
         return iter(list(self._frames))

@@ -14,9 +14,10 @@ pointing at the chain.  The split is invisible above this module.
 **Object buffer.**  The manager also keeps decoded stored states by OID
 (ORION's object buffer, §4.2; DESIGN "Object buffer"): shared,
 read-only, admitted on an OID's second read, never for long objects,
-dropped with their frame.  :meth:`store_new`, :meth:`overwrite` and
-:meth:`remove` change every record, and *first* move a stamp, *then*
-pop the OID; a read that sees the stamp move drops what it admitted.
+kept past their frame, at most :data:`OBJECT_BUFFER_STATES`.
+:meth:`store_new`, :meth:`overwrite` and :meth:`remove` change every
+record, and *first* move a stamp, *then* pop the OID, as does emptying
+the buffer; a read that sees the stamp move drops what it admitted.
 
 **Images.**  Each write encodes its new state once, and returns the
 bytes the write-ahead log takes as its images: the encoding it stored
@@ -33,6 +34,7 @@ import json
 import os
 import struct
 import time
+from collections import OrderedDict
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.obj import ObjectState
@@ -65,6 +67,9 @@ OVERFLOW_HEAP = "__overflow__"
 _FETCH_LOOKUPS = 64
 _FETCH_BACKOFF = 0.0001
 
+#: States (and first-read markers) the object buffer keeps at most.
+OBJECT_BUFFER_STATES = 8192
+
 
 class StorageManager:
     """Object store: one heap per class, one directory for all OIDs."""
@@ -86,12 +91,12 @@ class StorageManager:
         self._m_decodes = self.metrics.counter("storage.decodes")
         self.pager = open_pager(path, page_size, self.metrics, waits)
         self.buffer = BufferPool(self.pager, buffer_capacity, self.metrics, waits)
-        self.buffer.on_drop = self._frame_dropped
-        #: The object buffer: OID value -> stored state.
-        self._objects: Dict[int, ObjectState] = {}
-        #: Page id -> the OID values read from it since they last changed:
-        #: the first read's marker, and what ``_objects`` may hold.
-        self._read_from: Dict[int, Set[int]] = {}
+        self.buffer.on_drop = self._forget_all
+        #: The object buffer: OID value -> stored state, oldest admitted first.
+        self._objects: "OrderedDict[int, ObjectState]" = OrderedDict()
+        #: OID values read once since they last changed: a second read admits.
+        self._marked: Set[int] = set()
+        self.metrics.derived("storage.object_buffer_states", lambda: len(self._objects))
         #: Moved by every write, each time to a value never stored before;
         #: a query's path memo drops what it kept when it moves.
         self._stamps = itertools.count()
@@ -371,7 +376,7 @@ class StorageManager:
         data, record = self._encode_record(state)
         rid = heap.insert(record, near=near_rid)
         self.directory.add(state.oid, state.class_name, rid)
-        self._wrote(state.oid, rid[0])
+        self._wrote(state.oid)
         return data
 
     def load(self, oid: OID) -> ObjectState:
@@ -385,7 +390,6 @@ class StorageManager:
         while True:
             stamp = self.write_stamp
             class_name, page_id, slot = self.directory.lookup(oid)
-            read_from = self._read_set(page_id)  # before the fetch: see _admit
             body = self.heap_for(class_name).page(page_id).body(slot)
             if body is not None:
                 stub = body.startswith(_LONG_MAGIC)
@@ -402,38 +406,37 @@ class StorageManager:
                 )
             time.sleep(_FETCH_BACKOFF * (retries - 1))
         if not stub:
-            self._admit(state, page_id, read_from, stamp)
+            self._admit(state, stamp)
         return state
 
-    def _read_set(self, page_id: int) -> Set[int]:
-        """The set of OID values read from ``page_id``, registered."""
-        return self._read_from.get(page_id) or self._read_from.setdefault(page_id, set())
-
-    def _admit(self, state: ObjectState, page_id: int, read_from: Set[int], stamp: int) -> None:
-        """Buffer ``state`` (just mark it, on its OID's first read), read
-        from ``page_id`` under ``stamp``; ``read_from`` was registered first."""
-        value, objects = state.oid.value, self._objects
-        if value not in read_from:
-            read_from.add(value)
+    def _admit(self, state: ObjectState, stamp: int) -> None:
+        """Buffer ``state``, fetched under ``stamp``; on a first read, just mark it."""
+        value, marked, objects = state.oid.value, self._marked, self._objects
+        if value not in marked:
+            if len(marked) >= OBJECT_BUFFER_STATES:
+                marked.clear()
+            marked.add(value)
             return
         objects[value] = state
-        if self.write_stamp != stamp or self._read_from.get(page_id) is not read_from:
-            objects.pop(value, None)  # a racing write or frame drop
+        if self.write_stamp != stamp:
+            objects.pop(value, None)  # a racing write or clear
+        while len(objects) > OBJECT_BUFFER_STATES:  # a loop: admissions race
+            try:
+                objects.popitem(last=False)
+            except KeyError:  # emptied meanwhile
+                break
 
-    def _wrote(self, oid: OID, page_id: int) -> None:
-        """After a write changed ``oid``'s record on ``page_id``: forget it
-        in the page's set, move the stamp, *then* pop it."""
-        read_from = self._read_from.get(page_id)
-        if read_from is not None:
-            read_from.discard(oid.value)
+    def _wrote(self, oid: OID) -> None:
+        """After a write changed ``oid``'s record: unmark it, move the stamp, *then* pop it."""
+        self._marked.discard(oid.value)
         self.write_stamp = next(self._stamps)
         self._objects.pop(oid.value, None)
 
-    def _frame_dropped(self, page_id: int) -> None:
-        """The pool gave up ``page_id``'s frame: pop what was read from it."""
-        read_from = self._read_from.pop(page_id, ())
-        while read_from:  # not a for loop: readers may still add
-            self._objects.pop(read_from.pop(), None)
+    def _forget_all(self) -> None:
+        """``BufferPool.on_drop``: move the stamp, *then* empty the buffer."""
+        self.write_stamp = next(self._stamps)
+        self._objects.clear()
+        self._marked.clear()
 
     def contains(self, oid: OID) -> bool:
         return oid in self.directory
@@ -459,7 +462,7 @@ class StorageManager:
             new_rid = heap.update(rid, record)
         if new_rid != rid:  # heaps share no pages: always so for a migration
             self.directory.move(state.oid, state.class_name, new_rid)
-        self._wrote(state.oid, page_id)
+        self._wrote(state.oid)
         return replaced, data
 
     def remove(self, oid: OID) -> bytes:
@@ -472,7 +475,7 @@ class StorageManager:
         self._free_chunks(body)
         self.directory.remove(oid)  # first: a dead slot's reader finds no entry
         heap.delete((page_id, slot))
-        self._wrote(oid, page_id)
+        self._wrote(oid)
         return replaced
 
     def scan_pages(self, class_name: str) -> Iterator[Sequence[ObjectState]]:
@@ -488,21 +491,19 @@ class StorageManager:
         from: a reader keeps its per-row verdict on a kept tuple there
         (:meth:`SlottedPage.checked`)."""
         if class_name == OVERFLOW_HEAP or class_name not in self._heaps:
-            return iter(())
-        return (
-            (page, page.states(functools.partial(self._build_page_states, page_id)))
-            for page_id, page in self._heaps[class_name].pages()
-        )
+            return
+        for page_id in list(self._heaps[class_name].page_ids):
+            stamp = self.write_stamp  # before the fetch, as a miss reads it
+            page = self.buffer.get_page(page_id)
+            yield page, page.states(functools.partial(self._build_page_states, stamp))
 
-    def _build_page_states(self, page_id: int, page: SlottedPage) -> Tuple[list, bool]:
+    def _build_page_states(self, stamp: int, page: SlottedPage) -> Tuple[list, bool]:
         """The states of ``page``, for its state list (page.py), and
         whether the page may keep them: not when it holds a long-object
         stub.  Each record is decoded and offered to the object buffer,
         never taken from it: a writer changes the page before it pops
         the OID, so the buffer may still hold the old state of a record
         the page already holds anew."""
-        stamp, read_from = self.write_stamp, self._read_set(page_id)
-        admit = page_id in self.buffer  # registered after the fetch: check
         keep = True
         states = []
         for _slot, body in page.records():
@@ -511,8 +512,7 @@ class StorageManager:
                 states.append(self._assemble(body))
                 continue
             state = self._decode(body)
-            if admit:
-                self._admit(state, page_id, read_from, stamp)
+            self._admit(state, stamp)
             states.append(state)
         return states, keep
 

@@ -630,6 +630,20 @@ class TestPathMemo:
         db.execute("SELECT v FROM Item v WHERE v.part.n != 5")
         assert db.metrics.value("txn.snapshot.reads") - before == len(scope) + references
 
+    def test_an_inlined_leaf_reads_each_reference_once(self, edge_db):
+        """The generated filter's two-step leaf compares a second value of
+        another kind than its literal (``n`` is None) itself, instead of
+        handing the row to its closure, which would read the reference
+        again: 281 snapshot reads here, not 314."""
+        db, parts = edge_db
+        world = world_of(db)
+        scope = [state for state in world.values() if state.class_name in SCOPE]
+        references = sum(isinstance(state.values.get("part"), OID) for state in scope)
+        where = parse_query("SELECT v FROM Item v WHERE v.part.n < 5").where
+        before = db.metrics.value("txn.snapshot.reads")
+        assert db.execute(Query("Item", "v", where=where)).oids == expected(world, where)
+        assert db.metrics.value("txn.snapshot.reads") - before == len(scope) + references == 281
+
     def test_a_second_execution_sees_a_committed_update(self):
         """Another transaction's update, uncommitted during one execution
         and committed before the next: the next reads the new location.

@@ -17,9 +17,13 @@ the old state.  After each scan, under the latch, and after the threads
 join, every kept page state list equals a fresh decode of its page.
 After the threads join also: no read returned another object's state,
 no scan returned an object twice, at least one update moved its record,
-every buffered state equals a fresh decode of its object's current
-record, and the buffer holds only objects on resident frames.  A
-failure names its seed; replay with::
+the buffer holds no more states than its bound, and every buffered
+state equals a fresh decode of its object's current record, on a frame
+fetched again when it was evicted: a state outlives its page's frame.
+A second run bounds the buffer to a few states, so its own evictions
+race the readers and the writers; there the readers also sample the
+``storage.object_buffer_states`` gauge.  A failure names its seed;
+replay with::
 
     OBJECT_BUFFER_SEED=<seed> python -m pytest tests/test_object_buffer.py
 
@@ -39,6 +43,7 @@ from repro import AttributeDef, Database
 from repro.core.obj import ObjectState
 from repro.core.oid import OID
 from repro.errors import ObjectNotFoundError
+from repro.storage import manager as manager_module
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile
 from repro.storage.manager import StorageManager
@@ -114,7 +119,7 @@ def _scan(db, class_name, latch, wrong):
         wrong.append(("stale kept lists", stale))
 
 
-def _reader(db, rng, every, latch, done, wrong):
+def _reader(db, rng, every, latch, done, wrong, sizes):
     while not done.is_set():
         if rng.random() < 0.2:
             _scan(db, rng.choice("TU"), latch, wrong)
@@ -126,6 +131,7 @@ def _reader(db, rng, every, latch, done, wrong):
             continue
         if state is not None and state.oid != oid:
             wrong.append((oid, state))
+        sizes.append(db.metrics.value("storage.object_buffer_states"))
 
 
 def _guarded(target, errors, *args):
@@ -161,6 +167,25 @@ def latched(monkeypatch):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_the_buffer_agrees_with_the_records_after_racing_threads(seed, latched, relocations):
+    _race(seed, latched, relocations)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_bounded_buffer_agrees_with_the_records_after_racing_threads(
+    seed, latched, relocations, monkeypatch
+):
+    bound = 3
+    monkeypatch.setattr(manager_module, "OBJECT_BUFFER_STATES", bound)
+    sizes = _race(seed, latched, relocations)
+    # An admission inserts before it evicts: each thread inside one may
+    # hold one state over the bound, and none is left over once all are out.
+    assert sizes and max(sizes) <= bound + WRITERS + READERS, seed
+    assert len(sizes) > sizes.count(0), ("the buffer never held a state", seed)
+
+
+def _race(seed, latch, relocations):
+    """Run the writers and the readers on ``seed`` and check the buffer
+    against the records; returns the gauge values the readers saw."""
     db = Database(page_size=512, buffer_capacity=4)
     for name in "TU":
         db.define_class(
@@ -173,7 +198,7 @@ def test_the_buffer_agrees_with_the_records_after_racing_threads(seed, latched, 
     ]
     every = [oid for mine in owned for oid in mine]
     done = threading.Event()
-    wrong, errors = [], []
+    wrong, errors, sizes = [], [], []
     writers = [
         threading.Thread(
             target=_guarded,
@@ -186,7 +211,8 @@ def test_the_buffer_agrees_with_the_records_after_racing_threads(seed, latched, 
         threading.Thread(
             target=_guarded,
             args=(
-                _reader, errors, db, random.Random(seed * 37 + k), every, latched, done, wrong
+                _reader, errors, db, random.Random(seed * 37 + k), every, latch, done,
+                wrong, sizes,
             ),
             daemon=True,
         )
@@ -211,12 +237,11 @@ def test_the_buffer_agrees_with_the_records_after_racing_threads(seed, latched, 
     assert relocations, ("no update moved its record", replay)
 
     storage = db.storage
-    resident = set(storage.buffer.resident_pages())
     buffered = list(storage._objects.items())
-    entries = [storage.directory.lookup(OID(value)) for value, _state in buffered]
-    assert {page_id for _class, page_id, _slot in entries} <= resident, replay
-    for (_value, state), (_class, page_id, slot) in zip(buffered, entries):
-        if state is not None:
-            page = storage.buffer.get_page(page_id)  # resident: a hit
-            assert decode_object(page.read(slot)) == state, replay
+    assert len(buffered) <= manager_module.OBJECT_BUFFER_STATES, replay
+    for value, state in buffered:
+        _class, page_id, slot = storage.directory.lookup(OID(value))
+        page = storage.buffer.get_page(page_id)  # fetched again if evicted
+        assert decode_object(page.read(slot)) == state, replay
     assert _stale_kept_lists(storage) == [], replay
+    return sizes

@@ -388,7 +388,8 @@ class TestMetricNameContract:
         "query.stats.recorded", "recovery.pages_reallocated",
         "recovery.pages_reimaged", "recovery.redone", "recovery.runs",
         "recovery.undone", "rewrite.contradictions", "rewrite.queries",
-        "rewrite.rules_applied", "storage.decodes", "trace.slow_ops", "trace.spans", "txn.aborts",
+        "rewrite.rules_applied", "storage.decodes", "storage.object_buffer_states",
+        "trace.slow_ops", "trace.spans", "txn.aborts",
         "txn.active", "txn.commits", "txn.snapshot.closed",
         "txn.snapshot.gc_reclaimed", "txn.snapshot.live", "txn.snapshot.opened",
         "txn.snapshot.reads",

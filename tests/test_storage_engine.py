@@ -308,8 +308,9 @@ class TestStorageManager:
 
 class TestDecodedStateMemo:
     """The object buffer, the storage manager's memo of decoded stored
-    states by OID: while its page stays in the pool, an unwritten object
-    decodes on its first two reads (the second admits it), then never."""
+    states by OID: up to its bound, an unwritten object decodes on its
+    first two reads (the second admits it), then never, whether or not
+    its page stays in the pool."""
 
     @staticmethod
     def _storage(n=40, **kwargs):
@@ -324,8 +325,8 @@ class TestDecodedStateMemo:
 
     @staticmethod
     def _buffered(storage):
-        """OIDs the object buffer holds a state for (markers live in the
-        page sets, not here)."""
+        """OIDs the object buffer holds a state for (markers live in
+        ``_marked``, not here)."""
         return {OID(value) for value in storage._objects}
 
     def _scan_decodes(self, storage):
@@ -443,27 +444,61 @@ class TestDecodedStateMemo:
         assert storage.load(OID(2)).values["x"] == 2
         assert OID(2).value not in storage._objects
 
-    def test_eviction_drops_the_memo(self):
+    @staticmethod
+    def _cycle_out(storage, oid):
+        """Fetch every other page of ``oid``'s heap, so a two-frame pool
+        gives up ``oid``'s frame; decodes nothing."""
+        home = storage.directory.lookup(oid)[1]
+        for page_id in storage.heap_for("A").page_ids:
+            if page_id != home:
+                storage.buffer.get_page(page_id)
+        assert home not in storage.buffer
+
+    def test_eviction_keeps_the_buffer(self):
+        """A frame's eviction pops neither a buffered state nor a first
+        read's marker: an OID read twice, its frame cycled out between the
+        reads and again after, loads decoding nothing and fetching no page."""
         storage = self._storage(page_size=512, buffer_capacity=2)
-        assert [storage.load(OID(1)).values["x"] for _ in range(3)] == [1, 1, 1]
-        before = self._decodes(storage)
-        storage.load(OID(1))
-        assert self._decodes(storage) == before  # buffered
-        list(storage.scan_class("A"))  # cycles every frame out
+        assert self._load_decodes(storage, [OID(1)]) == 1  # the first read marks
+        self._cycle_out(storage, OID(1))
+        assert self._load_decodes(storage, [OID(1)]) == 1  # the second admits
+        self._cycle_out(storage, OID(1))
+        names = ("buffer.hits", "buffer.faults", "pager.reads", "storage.decodes")
+        before = [storage.metrics.value(name) for name in names]
+        assert storage.load(OID(1)).values["x"] == 1
+        assert [storage.metrics.value(name) for name in names] == before
+
+    def test_a_write_after_its_frame_was_evicted_pops_its_state(self):
+        storage = self._storage(page_size=512, buffer_capacity=2)
+        self._load_decodes(storage, [OID(1)] * 2)
+        self._cycle_out(storage, OID(1))
+        assert OID(1).value in storage._objects
+        storage.overwrite(ObjectState(OID(1), "A", {"x": -1, "tags": ["t"]}))
         assert OID(1).value not in storage._objects
-        assert self._load_decodes(storage, [OID(1)]) == 1
-        resident = set(storage.buffer.resident_pages())
-        pages = {storage.directory.lookup(OID(value))[1] for value in storage._objects}
-        assert pages <= resident
+        assert storage.load(OID(1)).values["x"] == -1
+
+    def test_the_buffer_keeps_at_most_its_bound_oldest_out_first(self, monkeypatch):
+        """The bound caps states and first-read markers alike; the gauge
+        reads the buffer's length."""
+        monkeypatch.setattr(manager_module, "OBJECT_BUFFER_STATES", 4)
+        storage = self._storage(n=6)
+        for value in range(1, 7):
+            self._load_decodes(storage, [OID(value)] * 2)
+            assert len(storage._marked) <= 4
+        assert list(storage._objects) == [3, 4, 5, 6]
+        assert storage.metrics.value("storage.object_buffer_states") == 4
 
     def _dropped(self, drop):
-        """Buffer two objects, let ``drop(storage)`` give their frame up,
-        and check the buffer is empty and reads decode again."""
-        storage = self._storage()
+        """Buffer two objects, cycle their frame out, let ``drop(storage)``
+        drop frames unevicted, and check the buffer and its markers are
+        empty, the stamp moved and reads decode again."""
+        storage = self._storage(page_size=512, buffer_capacity=2)
         self._load_decodes(storage, [OID(1), OID(2)] * 2)
-        storage.buffer.flush_all()
+        self._cycle_out(storage, OID(1))
+        stamp = storage.write_stamp
         drop(storage)
-        assert storage._objects == {}
+        assert storage._objects == {} and storage._marked == set()
+        assert storage.write_stamp != stamp
         assert self._load_decodes(storage, [OID(1)]) == 1
         assert storage.load(OID(1)).values["x"] == 1
 
@@ -473,6 +508,20 @@ class TestDecodedStateMemo:
 
     def test_drop_cache_drops_the_memo(self):
         self._dropped(lambda s: s.drop_cache())
+
+    def test_torn_page_repair_empties_the_buffer_and_moves_the_stamp(self, tmp_path):
+        storage = self._storage(path=str(tmp_path / "torn.pages"))
+        self._load_decodes(storage, [OID(1), OID(2)] * 2)
+        storage.flush()
+        page_id = storage.directory.lookup(OID(1))[1]
+        image = storage.pager.read_page(page_id)
+        storage.pager.write_page(page_id, b"\x01" * len(image))
+        stamp = storage.write_stamp
+        assert storage.repair_pages({page_id: image}) == 1
+        assert storage._objects == {} and storage._marked == set()
+        assert storage.write_stamp != stamp
+        assert self._load_decodes(storage, [OID(1)]) == 1
+        storage.close()
 
     def test_long_records_are_never_memoized(self):
         storage = StorageManager(page_size=512)
@@ -625,10 +674,10 @@ class TestPageStateList:
             assert db.get_state(oid).values["balance"] == 100  # now buffered
         real_wrote = StorageManager._wrote
 
-        def wrote(storage, written, page_id):
+        def wrote(storage, written):
             for _ in range(2):  # the second scan keeps the page's list
                 list(storage.scan_class("Account"))
-            real_wrote(storage, written, page_id)
+            real_wrote(storage, written)
 
         monkeypatch.setattr(StorageManager, "_wrote", wrote)
         db.update(oid, {"balance": 7})
