@@ -91,6 +91,6 @@ def test_first_read_pays_coercion_once(benchmark):
     evolution.add_attribute("Doc", AttributeDef("status", "String", default="new"))
 
     def read_all():
-        return sum(1 for _ in db._scan_coerced("Doc"))
+        return sum(1 for _ in db.storage.scan_class("Doc"))
 
     assert benchmark(read_all) == 2000

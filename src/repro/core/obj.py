@@ -118,7 +118,7 @@ class ObjectHandle:
         # snapshot (repeatable reads) instead of chasing current state.
         # It returns a copy, so a list value is the caller's to edit.
         state = self._db.read_state(self.oid)
-        if name not in self._db.schema.attribute_map(state.class_name):
+        if name not in state.values:  # every read is coerced: exactly the declared keys
             raise AttributeNotFoundError(
                 "class %s has no attribute %r" % (state.class_name, name)
             )

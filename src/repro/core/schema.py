@@ -40,6 +40,7 @@ from .attribute import AttributeDef
 from .inheritance import c3_linearize, detect_cycle, resolve_by_precedence
 from .klass import ClassDef
 from .method import MethodDef
+from .obj import ObjectState
 from .oid import OID
 from .primitives import (
     ANY_CLASS,
@@ -68,6 +69,10 @@ class Schema:
         self._attr_cache: Dict[str, Mapping[str, AttributeDef]] = {}
         self._method_cache: Dict[str, Dict[str, MethodDef]] = {}
         self._subclass_cache: Dict[str, List[str]] = {}
+        #: Called by every change after the caches are cleared: the
+        #: database empties the states its storage manager keeps there,
+        #: each coerced to a class definition the change may have altered.
+        self.on_change: Callable[[], None] = lambda: None
         #: Validators for user-defined *value* domains (abstract data
         #: types, Section 5.5): domain name -> predicate over raw values.
         #: An ADT class stores its instances inline (encoded as storable
@@ -301,6 +306,25 @@ class Schema:
             self._attr_cache[name] = cached
         return cached
 
+    def coerce(self, class_name: str, state: ObjectState) -> ObjectState:
+        """``state`` as an instance of ``class_name``'s current definition:
+        lazy schema-evolution coercion [BANE87].
+
+        Values of attributes the class no longer declares disappear, and
+        declared attributes the state lacks take their default.  Returns
+        ``state`` itself when it already is such an instance.  The stored
+        record is untouched (metadata-only evolution, experiment E12)."""
+        declared = self.attribute_map(class_name)
+        if state.values.keys() == declared.keys() and state.class_name == class_name:
+            return state
+        values = {
+            name: value for name, value in state.values.items() if name in declared
+        }
+        for name, attr in declared.items():
+            if name not in values:
+                values[name] = attr.default_value()
+        return ObjectState(state.oid, class_name, values)
+
     def attribute(self, class_name: str, attr_name: str) -> AttributeDef:
         attr = self.attribute_map(class_name).get(attr_name)
         if attr is None:
@@ -512,16 +536,18 @@ class Schema:
         return name in self._value_domains
 
     def _bump(self, class_name: str) -> None:
-        """Invalidate the resolution caches after any schema mutation.
+        """Invalidate the resolution caches after any schema mutation,
+        then every coerced state kept outside the schema (:attr:`on_change`).
 
-        Derived state outside the schema (query templates, plan cache,
-        query statistics) compares :attr:`version` when it is read.
+        Other derived state (query templates, plan cache, query
+        statistics) compares :attr:`version` when it is read.
         """
         self.version += 1
         self._mro_cache.clear()
         self._attr_cache.clear()
         self._method_cache.clear()
         self._subclass_cache.clear()
+        self.on_change()
 
     def to_dict(self) -> Dict[str, Any]:
         """Serializable catalog (methods are recorded by name only).

@@ -39,6 +39,7 @@ from .query.parser import lift_literals, parse_query
 from .query.planner import EmptyScan, Plan, Planner, SystemScan
 from .storage.clustering import ClusteringPolicy, NoClustering
 from .storage.manager import StorageManager
+from .storage.serializer import decode_object
 from .txn.locks import (
     DATABASE,
     IS,
@@ -198,6 +199,10 @@ class Database:
         # schema, so a reopened database is wired exactly like a new one.
         catalog = self.storage.load_extra_metadata().get("schema")
         self.schema = Schema.from_dict(catalog) if catalog else Schema()
+        # Coerce once, where a state leaves storage; a schema change
+        # drops every state coerced before it.
+        self.storage.coerce = self.schema.coerce
+        self.schema.on_change = self.storage.forget_states
         self.locks = LockManager(self.metrics, waits=self.waits)
         self.wal = WriteAheadLog(
             path + ".wal" if path else None,
@@ -222,14 +227,12 @@ class Database:
             self.wal, self.locks, registry=self.metrics,
             version_store=self.version_store,
         )
-        self.txns.compensate = lambda txn, before, after: self._write(
-            txn, after, before, compensating=True
-        )
+        self.txns.compensate = self._compensate
         self.waits.current_txn = self._current_txn_id
         self.clustering = clustering or NoClustering()
         self._oids = OIDGenerator()
         self.indexes = IndexManager(
-            self.schema, self._scan_coerced, self._deref, self.metrics
+            self.schema, self.storage.scan_class, self._deref, self.metrics
         )
         # Imported here, not at module top: sysviews pulls in the multidb
         # and query layers, which import repro.obs — an eager import from
@@ -262,7 +265,7 @@ class Database:
         #: observed); served by the SysOperator view.
         self.last_operator_stats: Optional[List[Dict[str, Any]]] = None
         self._executor = Executor(
-            self._deref, self._scan_pages_coerced, self.send, self._adt_eval
+            self._deref, self.storage.scan_pages, self.send, self._adt_eval
         )
         #: Generated WHERE filters, one per predicate shape, shared by
         #: every execution's kernel (``repro.query.compiler``).
@@ -405,40 +408,11 @@ class Database:
     # internal plumbing
     # ------------------------------------------------------------------
 
-    def _coerce(self, state: ObjectState) -> ObjectState:
-        """Lazy schema-evolution coercion [BANE87].
-
-        Stored records written under an older class definition are
-        adjusted on load: missing declared attributes take their default,
-        values for dropped attributes disappear.  The stored record is
-        untouched (metadata-only evolution, experiment E12)."""
-        declared = self.schema.attribute_map(state.class_name)
-        if state.values.keys() == declared.keys():
-            return state
-        values = {
-            name: value for name, value in state.values.items() if name in declared
-        }
-        for name, attr in declared.items():
-            if name not in values:
-                values[name] = attr.default_value()
-        return ObjectState(state.oid, state.class_name, values)
-
     def _deref(self, oid: OID) -> Optional[ObjectState]:
         try:
-            return self._coerce(self.storage.load(oid))
+            return self.storage.load(oid)
         except ObjectNotFoundError:
             return None
-
-    def _scan_pages_coerced(self, class_name: str) -> Iterator[List[ObjectState]]:
-        coerce = self._coerce
-        return (
-            [coerce(state) for state in page]
-            for page in self.storage.scan_pages(class_name)
-        )
-
-    def _scan_coerced(self, class_name: str) -> Iterator[ObjectState]:
-        for page in self._scan_pages_coerced(class_name):
-            yield from page
 
     def _deref_class(self, oid: OID) -> Optional[str]:
         entry = self.storage.directory.try_lookup(oid)
@@ -522,19 +496,21 @@ class Database:
 
         ``before is None`` inserts ``after``, ``after is None`` deletes
         ``before``, both present overwrite — a differing ``class_name``
-        moves the object between extents.  The log, the transaction's
-        write log and snapshot readers keep the stored images as given —
-        the log as the bytes the storage manager stored and replaced;
-        indexes and hooks hold what readers see, so they get both images
-        coerced to the current class definition.  Compensation is this
-        call with the pair swapped (``txns.compensate``): locks are still
-        held, a rollback cannot be vetoed (no pre-hooks), abort drops the
-        version chain (no entry).
+        moves the object between extents.  The log keeps the bytes the
+        storage manager stored and replaced, and the transaction's write
+        log the replaced bytes with ``after``; snapshot readers keep
+        ``before`` as given, and indexes and hooks, which hold what
+        readers see, get both images coerced to the current class
+        definition.  Compensation (:meth:`_compensate`) is this call
+        with the pair swapped: locks are still held, a rollback cannot
+        be vetoed (no pre-hooks), abort drops the version chain (no
+        entry).
         """
         state = before if after is None else after
         kind = "insert" if before is None else "delete" if after is None else "update"
-        old = None if before is None else self._coerce(before)
-        new = None if after is None else self._coerce(after)
+        coerce = self.schema.coerce
+        old = None if before is None else coerce(before.class_name, before)
+        new = None if after is None else coerce(after.class_name, after)
         if not compensating:
             # ``before`` was read under its X lock (_load_for_write);
             # only a new identity — an insert, a reclass's target
@@ -550,22 +526,34 @@ class Database:
             self.version_store.record_before(
                 txn.txn_id, state.oid, state.class_name, before and before.copy()
             )
+        replaced = None
         if before is None:
             image = self.storage.store_new(after, near=near)
             self.indexes.notify_insert(new)
             self.wal.log_insert(txn.txn_id, after, image)
         elif after is None:
-            image = self.storage.remove(before.oid)
+            replaced = self.storage.remove(before.oid)
             self.indexes.notify_delete(old)
-            self.wal.log_delete(txn.txn_id, before, image)
+            self.wal.log_delete(txn.txn_id, before, replaced)
         else:
             images = self.storage.overwrite(after)
+            replaced = images[0]
             self.indexes.notify_update(old, new)
             self.wal.log_update(txn.txn_id, before, after, images)
         if not compensating:
-            txn.writes.append((before, after))
+            txn.writes.append((replaced, after))
         for hook in self._post_hooks:
             hook(kind, old, new)
+
+    def _compensate(
+        self, txn: Transaction, replaced: Optional[bytes], after: Optional[ObjectState]
+    ) -> None:
+        """``txns.compensate``: undo one write by putting back the record
+        bytes it replaced, decoded only now and as stored — not coerced,
+        so a record written under an older class definition comes back
+        byte for byte, as recovery's undo brings it back."""
+        before = None if replaced is None else decode_object(replaced)
+        self._write(txn, after, before, compensating=True)
 
     def new(
         self,
@@ -614,7 +602,7 @@ class Database:
         current = self.txns.current
         if current is not None:
             self._lock(current, oid, class_name, write=False)
-        return self._coerce(self.storage.load(oid))
+        return self.storage.load(oid)
 
     def read_state(self, oid: OID) -> ObjectState:
         """Transaction-consistent state: the handle-read path.
@@ -671,7 +659,7 @@ class Database:
         )
         with self._auto_txn() as txn:
             stored = self._load_for_write(txn, oid)
-            new = self._coerce(stored).copy()
+            new = stored.copy()
             new.values.update(changes)
             self._write(txn, stored, new)
         return ObjectHandle(self, oid)
@@ -985,17 +973,13 @@ class Database:
         return current.view
 
     def _new_view(self, snapshot, ephemeral: bool) -> SnapshotView:
-        # Raw storage reads: the view coerces once, after resolving (a
-        # before-image from the version store needs that coercion too).
         return SnapshotView(
             self.version_store,
             snapshot,
             self.storage.load,
-            self.storage.scan_frames,
-            self._coerce,
-            self.schema.attribute_map,
+            self.storage.scan_pages,
+            self.schema.coerce,
             self.storage,
-            self.schema,
             ephemeral=ephemeral,
         )
 

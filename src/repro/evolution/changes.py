@@ -18,10 +18,10 @@ writer, so the move is logged, undoable and snapshot-correct; the two
 renames are the documented exception (see ``rename_attribute``).
 
 Every change lands through ``Schema._bump``, which bumps the schema
-version and notifies listeners — in particular the plan cache
-(:mod:`repro.analysis.plancache`), which eagerly purges every cached
-plan: a plan compiled against the old class definition must never run
-against the new one.
+version — cached plans and query statistics compare it when read, so a
+plan compiled against the old class definition never runs against the
+new one — and empties the storage manager's decoded states, which were
+coerced to the old definition.
 """
 
 from __future__ import annotations
@@ -147,7 +147,8 @@ class SchemaEvolution:
         )
         count = 0
         for sub in self.schema.hierarchy_of(class_name):
-            for state in list(self.db.storage.scan_class(sub)):
+            # As stored: a coerced read would have dropped the old name.
+            for state in list(self.db.storage.scan_stored(sub)):
                 if old_name in state.values:
                     state = state.copy()
                     state.values[new_name] = state.values.pop(old_name)
@@ -336,11 +337,10 @@ class SchemaEvolution:
         undoable, durable as a whole at the next checkpoint.
         """
         self.schema.get_class(old_name)
-        oids = list(self.db.storage.oids_of_class(old_name))
         self.schema._rename_class_entry(old_name, new_name)
         count = 0
-        for oid in oids:
-            state = self.db.storage.load(oid)
+        # As stored: a coerced read would find no class to coerce to.
+        for state in list(self.db.storage.scan_stored(old_name)):
             migrated = ObjectState(state.oid, new_name, state.values)
             self.db.storage.overwrite(migrated)  # lint: ignore[single-write-path]
             count += 1
@@ -354,14 +354,9 @@ class SchemaEvolution:
 
     def migrate_instance(self, oid, new_class: str) -> None:
         """Move one object to another class, coercing its state."""
-        declared = self.schema.attributes(new_class)
         with self.db._auto_txn() as txn:
             state = self.db._load_for_write(txn, oid)
-            values = {
-                name: value for name, value in state.values.items() if name in declared
-            }
-            for name, attr in declared.items():
-                values.setdefault(name, attr.default_value())
-            self.schema.validate_state(new_class, values, self.db._deref_class)
-            self.db._write(txn, state, ObjectState(state.oid, new_class, values))
+            migrated = self.schema.coerce(new_class, state)
+            self.schema.validate_state(new_class, migrated.values, self.db._deref_class)
+            self.db._write(txn, state, migrated)
         self.log.append("migrate_instance %r -> %s" % (oid, new_class))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Callable, Iterator, Optional, Set
+from typing import Callable, Iterator, List, Optional, Set
 
 from ..errors import PageCorruptError, StorageError
 from ..obs.metrics import MetricsRegistry
@@ -194,6 +194,10 @@ class BufferPool:
 
     def resident_pages(self) -> Iterator[int]:
         return iter(list(self._frames))
+
+    def frames(self) -> List[SlottedPage]:
+        """The resident frames, without touching their LRU order."""
+        return list(self._frames.values())
 
     def __len__(self) -> int:
         return len(self._frames)

@@ -11,6 +11,15 @@ requirements.  An encoded object larger than a page spills into an
 overflow heap as a chain of chunks; its class heap holds a small *stub*
 pointing at the chain.  The split is invisible above this module.
 
+**Coercion.**  Every state a read hands out is coerced to its class's
+current definition (lazy schema evolution, [BANE87]) once, when its
+record is decoded: by :attr:`StorageManager.coerce`, which the database
+sets to :meth:`~repro.core.schema.Schema.coerce` (a standalone manager
+hands states out as stored).  So the object buffer and the pages' kept
+state lists hold coerced states only, and a schema change drops them
+all (:meth:`StorageManager.forget_states`).  The stored record is never
+rewritten; :meth:`StorageManager.scan_stored` alone reads it as stored.
+
 **Object buffer.**  The manager also keeps decoded stored states by OID
 (ORION's object buffer, §4.2; DESIGN "Object buffer"): shared,
 read-only, admitted on an OID's second read, never for long objects,
@@ -35,7 +44,7 @@ import os
 import struct
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.obj import ObjectState
 from ..core.oid import OID
@@ -97,8 +106,12 @@ class StorageManager:
         #: OID values read once since they last changed: a second read admits.
         self._marked: Set[int] = set()
         self.metrics.derived("storage.object_buffer_states", lambda: len(self._objects))
-        #: Moved by every write, each time to a value never stored before;
-        #: a query's path memo drops what it kept when it moves.
+        #: ``coerce(class_name, state)``: what a decoded state becomes
+        #: before it leaves the manager (module docstring, "Coercion").
+        self.coerce: Callable[[str, ObjectState], ObjectState] = lambda _cls, state: state
+        #: Moved by every write and schema change, each time to a value
+        #: never stored before; a query's path memo drops what it kept
+        #: when it moves.
         self._stamps = itertools.count()
         self.write_stamp = next(self._stamps)
         self.directory = ObjectDirectory()
@@ -316,8 +329,10 @@ class StorageManager:
         heap = self.heap_for(OVERFLOW_HEAP)
         return b"".join(heap.read(rid) for rid in self._read_stub(body)[2])
 
-    def _assemble(self, body: bytes) -> ObjectState:
-        return self._decode(self._image(body))
+    def _state(self, body: bytes) -> ObjectState:
+        """The state the record ``body`` stores, coerced."""
+        state = self._decode(self._image(body))
+        return self.coerce(state.class_name, state)
 
     def _free_chunks(self, body: bytes) -> None:
         if not self._is_stub(body):
@@ -392,8 +407,7 @@ class StorageManager:
             class_name, page_id, slot = self.directory.lookup(oid)
             body = self.heap_for(class_name).page(page_id).body(slot)
             if body is not None:
-                stub = body.startswith(_LONG_MAGIC)
-                state = self._assemble(body) if stub else self._decode(body)
+                state = self._state(body)
                 if state.oid.value == oid.value:
                     break
             # Deleted or moved since the lookup: let the writer finish,
@@ -405,7 +419,7 @@ class StorageManager:
                     "does not hold it after %d lookups" % (oid, _FETCH_LOOKUPS)
                 )
             time.sleep(_FETCH_BACKOFF * (retries - 1))
-        if not stub:
+        if not body.startswith(_LONG_MAGIC):
             self._admit(state, stamp)
         return state
 
@@ -437,6 +451,16 @@ class StorageManager:
         self.write_stamp = next(self._stamps)
         self._objects.clear()
         self._marked.clear()
+
+    def forget_states(self) -> None:
+        """Drop every decoded state kept: each resident page's state list
+        and the object buffer.  A schema change calls it (``Schema.on_change``):
+        what they hold was coerced to a definition the change may have
+        altered.  Each page's stamp moves, as the buffer's does, so a
+        list or a state decoded while the change ran is never kept."""
+        for page in self.buffer.frames():
+            page.forget()
+        self._forget_all()
 
     def contains(self, oid: OID) -> bool:
         return oid in self.directory
@@ -484,18 +508,12 @@ class StorageManager:
         a sequence that is itself shared and read-only (a tuple, once the
         page keeps it).  Each page is fetched (one ``get_page``) and read
         when reached."""
-        return (states for _page, states in self.scan_frames(class_name))
-
-    def scan_frames(self, class_name: str) -> Iterator[Tuple[SlottedPage, Sequence[ObjectState]]]:
-        """:meth:`scan_pages`, each sequence with the buffer frame it came
-        from: a reader keeps its per-row verdict on a kept tuple there
-        (:meth:`SlottedPage.checked`)."""
         if class_name == OVERFLOW_HEAP or class_name not in self._heaps:
             return
         for page_id in list(self._heaps[class_name].page_ids):
             stamp = self.write_stamp  # before the fetch, as a miss reads it
             page = self.buffer.get_page(page_id)
-            yield page, page.states(functools.partial(self._build_page_states, stamp))
+            yield page.states(functools.partial(self._build_page_states, stamp))
 
     def _build_page_states(self, stamp: int, page: SlottedPage) -> Tuple[list, bool]:
         """The states of ``page``, for its state list (page.py), and
@@ -507,18 +525,26 @@ class StorageManager:
         keep = True
         states = []
         for _slot, body in page.records():
+            state = self._state(body)
             if body.startswith(_LONG_MAGIC):
                 keep = False
-                states.append(self._assemble(body))
-                continue
-            state = self._decode(body)
-            self._admit(state, stamp)
+            else:
+                self._admit(state, stamp)
             states.append(state)
         return states, keep
 
     def scan_class(self, class_name: str) -> Iterator[ObjectState]:
         """:meth:`scan_pages`, a state at a time."""
         return (state for page in self.scan_pages(class_name) for state in page)
+
+    def scan_stored(self, class_name: str) -> Iterator[ObjectState]:
+        """All direct instances of one class as their records store them:
+        not coerced, not buffered.  For the renames, which rewrite the
+        names a record holds after the catalog has changed them."""
+        if class_name == OVERFLOW_HEAP or class_name not in self._heaps:
+            return
+        for _rid, body in self._heaps[class_name].scan():
+            yield self._decode(self._image(body))
 
     def oids_of_class(self, class_name: str) -> List[OID]:
         return self.directory.oids_of_class(class_name)

@@ -26,13 +26,15 @@ the one checksum-exempt form: it is what the pager allocates and means
 **State list.**  A scan wants the whole page, so a page keeps the list
 of its live records' states (:meth:`SlottedPage.states`), from the
 second scan of an unchanged page on, and drops it on every insert,
-update and delete and with the buffer frame.  The list is handed out as
-a tuple, so no caller can change what the next one gets.  Its validity
-is a stamp, not identity: every write bumps a counter *after* changing
-the slots, and a list is returned only while the counter still reads
-what it read before the list was built.  The storage manager never
-keeps the list of a page holding a long-object stub, whose state lives
-in chunks on other pages.
+update and delete, with the buffer frame, and on every schema change
+(:meth:`SlottedPage.forget`: a kept state is coerced to its class's
+definition at the time it was decoded).  The list is handed out as a
+tuple, so no caller can change what the next one gets.  Its validity
+is a stamp, not identity: :meth:`forget` bumps a counter (a write
+calls it *after* changing the slots), and a list is returned only
+while the counter still reads what it read before the list was built.  The
+storage manager never keeps the list of a page holding a long-object
+stub, whose state lives in chunks on other pages.
 
 **Free space.**  A page keeps the total length of its record bodies as
 a running count that every insert, update and delete adjusts, so
@@ -41,13 +43,6 @@ instead of a pass over the slots.  The count is computed on first use:
 parsing a page (:meth:`SlottedPage.from_bytes`, the read path of every
 buffer miss) makes no extra pass, and a page that is only read never
 pays for it.
-
-**Verdict.**  A kept list carries one verdict beside it
-(:meth:`SlottedPage.checked`): what a reader's per-row check made of
-the whole tuple, under the token it checked against — the snapshot
-view keeps each row coerced to its class's declared attributes there,
-under the attribute map it compared with.  The verdict lives and dies
-with its tuple: every write and every frame drop resets both.
 """
 
 from __future__ import annotations
@@ -80,9 +75,8 @@ class SlottedPage:
         self._body_bytes: Optional[int] = None
         #: Slot changes so far: what the page's state list is stamped with.
         self._writes = 0
-        #: (writes, state tuple or None, verdict or None): the page's
-        #: state list, and its verdict as (token, checked).
-        self._states: Optional[Tuple[int, Optional[Tuple[Any, ...]], Any]] = None
+        #: (writes, state tuple or None): the page's state list.
+        self._states: Optional[Tuple[int, Optional[Tuple[Any, ...]]]] = None
 
     # -- geometry -----------------------------------------------------------
 
@@ -131,13 +125,13 @@ class SlottedPage:
                     raise PageFullError("page full")
                 self._slots[slot] = bytes(record)
                 self._body_bytes += len(record)
-                self._wrote()
+                self.forget()
                 return slot
         if not self.fits(record):
             raise PageFullError("page full")
         self._slots.append(bytes(record))
         self._body_bytes += len(record)
-        self._wrote()
+        self.forget()
         return len(self._slots) - 1
 
     def read(self, slot: int) -> bytes:
@@ -158,7 +152,7 @@ class SlottedPage:
         writes = self._writes
         kept = self._states
         if kept is None or kept[0] != writes:
-            self._states = (writes, None, None)
+            self._states = (writes, None)
             return build(self)[0]
         if kept[1] is not None:
             return kept[1]
@@ -166,28 +160,8 @@ class SlottedPage:
         if not keep:
             return states
         frozen = tuple(states)
-        self._states = (writes, frozen, None)
+        self._states = (writes, frozen)
         return frozen
-
-    def checked(
-        self,
-        states: Sequence[Any],
-        token: Any,
-        check: Callable[[Sequence[Any], Any], Sequence[Any]],
-    ) -> Sequence[Any]:
-        """``check(states, token)``, kept as the verdict of the page's
-        kept tuple when ``states`` is that tuple, and answered from it
-        while its token is still ``token`` (compared with ``is``)."""
-        kept = self._states
-        if kept is None or kept[1] is not states:
-            return check(states, token)
-        verdict = kept[2]
-        if verdict is not None and verdict[0] is token:
-            return verdict[1]
-        result = check(states, token)
-        if self._states is kept:  # else a write or a drop came first
-            self._states = (kept[0], states, (token, result))
-        return result
 
     def update(self, slot: int, record: bytes) -> None:
         old = self.body(slot)
@@ -197,7 +171,7 @@ class SlottedPage:
             raise PageFullError("updated record does not fit")
         self._slots[slot] = bytes(record)
         self._body_bytes += len(record) - len(old)
-        self._wrote()
+        self.forget()
 
     def delete(self, slot: int) -> None:
         old = self.body(slot)
@@ -206,18 +180,14 @@ class SlottedPage:
         self._slots[slot] = None
         if self._body_bytes is not None:
             self._body_bytes -= len(old)
-        self._wrote()
-
-    def _wrote(self) -> None:
-        """After a slot change: drop the state list and move the stamp, so
-        a list a racing reader built from the old slots is never returned."""
-        self._states = None
-        self._writes += 1
+        self.forget()
 
     def forget(self) -> None:
-        """Drop the state list and its verdict: the buffer pool gave up
-        this page's frame."""
+        """Drop the state list and move the stamp, so a list a racing
+        reader built before now is never returned: after a slot change,
+        a schema change, or when the buffer pool gave up this frame."""
         self._states = None
+        self._writes += 1
 
     def records(self) -> Iterator[Tuple[int, bytes]]:
         """Yield (slot, body) for every live record."""

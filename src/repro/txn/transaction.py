@@ -3,11 +3,12 @@
 Conventional short transactions with ACID semantics (requirement 2 of the
 paper's minimum definition): strict two-phase locking via the lock
 manager, logical undo for rollback, WAL records for durability.  The
-database layer appends a ``(before, after)`` pair of stored images to
-the transaction's write log for every mutation; abort hands them
-newest-first to the manager's ``compensate`` hook, then both paths
-release all locks.  The log is plain values, so a finished transaction
-is freed by reference counting and never becomes cyclic garbage.
+database layer appends a ``(replaced, after)`` pair to the
+transaction's write log for every mutation — the record bytes the write
+replaced and the state it stored; abort hands them newest-first to the
+manager's ``compensate`` hook, then both paths release all locks.  The
+log is plain values, so a finished transaction is freed by reference
+counting and never becomes cyclic garbage.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ class Transaction:
         #: perf_counter twin below per the obs clock convention).
         self.started_at = time.time()  # lint: ignore[wall-clock-duration]
         self._started_clock = time.perf_counter()
-        #: The write log: one ``(before, after)`` pair per mutation, in
-        #: order (``Database._write``; ``None`` = "did not exist").
-        self.writes: List[Tuple[Optional[ObjectState], Optional[ObjectState]]] = []
+        #: The write log: one ``(replaced, after)`` pair per mutation, in
+        #: order — the record bytes replaced and the state stored
+        #: (``Database._write``; ``None`` = "did not exist").
+        self.writes: List[Tuple[Optional[bytes], Optional[ObjectState]]] = []
         #: Lock-escalation bookkeeping (maintained by the database):
         #: object-lock counts per class, and classes escalated to a
         #: class-level lock ("S" or "X").
@@ -144,9 +146,9 @@ class TransactionManager:
         self._m_active = self.metrics.gauge("txn.active")
         self._m_commits = self.metrics.counter("txn.commits")
         self._m_aborts = self.metrics.counter("txn.aborts")
-        #: ``compensate(txn, before, after)`` undoes one logged write on
+        #: ``compensate(txn, replaced, after)`` undoes one logged write on
         #: abort; the database sets it (its write path, pair swapped).
-        self.compensate: Callable[..., None] = lambda txn, before, after: None
+        self.compensate: Callable[..., None] = lambda txn, replaced, after: None
 
     # -- current-transaction tracking ---------------------------------------
 
@@ -240,8 +242,8 @@ class TransactionManager:
         # Compensate newest-first while still holding all locks.
         self._current.rolling_back = True
         try:
-            for before, after in reversed(txn.writes):
-                self.compensate(txn, before, after)
+            for replaced, after in reversed(txn.writes):
+                self.compensate(txn, replaced, after)
         finally:
             self._current.rolling_back = False
         self.wal.log_abort(txn.txn_id)

@@ -41,8 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
-from operator import is_not
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.obj import ObjectState
 from ..core.oid import OID
@@ -410,19 +409,18 @@ class SnapshotView:
     the database) and exposes exactly the hooks the physical operators
     need: :attr:`deref` for probe dereferencing, :meth:`path_memo` for
     one execution's path steps and :meth:`scan_pages` for extent scans,
-    all resolving visibility through the store.  ``load`` reads a raw
+    all resolving visibility through the store.  ``load`` reads a
     stored state (raising :class:`ObjectNotFoundError` for a missing
-    OID); ``scan_frames`` yields a class's pages as ``(frame, states)``
-    pairs (the storage manager's ``scan_frames``).  After resolution a
-    row whose keys differ from its class's ``declared`` attributes goes
-    through ``coerce`` — a before-image needs that as much as a stored
-    record.  A path memo watches ``storage.write_stamp`` and
-    ``schema.version``.  A page the snapshot reads as stored is checked
-    once per kept state tuple and attribute map: the frame keeps the
-    verdict (storage/page.py).  The view itself keeps nothing: the
-    storage manager's object buffer serves repeat reads.  ``ephemeral``
-    marks per-query snapshots the query path must close itself
-    (transaction-bound snapshots are closed when the transaction
+    OID) and ``scan_pages`` a class's pages of stored states (the
+    storage manager's); both come coerced to their class's current
+    definition.  A before-image a version chain serves instead was
+    coerced when it was written, so it goes through ``coerce``
+    (``coerce(class_name, state)``) again: a schema change may have
+    come since.  A path memo watches ``storage.write_stamp``, which
+    every write and every schema change moves.  The view itself keeps
+    nothing: the storage manager's object buffer serves repeat reads.
+    ``ephemeral`` marks per-query snapshots the query path must close
+    itself (transaction-bound snapshots are closed when the transaction
     finishes).
     """
 
@@ -431,21 +429,17 @@ class SnapshotView:
         store: VersionStore,
         snapshot: Snapshot,
         load: Callable[[OID], ObjectState],
-        scan_frames: Callable[[str], Iterator[Tuple[Any, Sequence[ObjectState]]]],
-        coerce: Callable[[ObjectState], ObjectState],
-        declared: Callable[[str], Mapping[str, Any]],
+        scan_pages: Callable[[str], Iterator[Sequence[ObjectState]]],
+        coerce: Callable[[str, ObjectState], ObjectState],
         storage: Any,
-        schema: Any,
         ephemeral: bool = False,
     ) -> None:
         self.store = store
         self.snapshot = snapshot
         self._load = load
-        self._scan_frames = scan_frames
+        self._scan_pages = scan_pages
         self._coerce = coerce
-        self._declared = declared
         self._storage = storage
-        self._schema = schema
         self.ephemeral = ephemeral
         #: An OID's state as the snapshot sees it, or None.
         self.deref: Deref = self._reader(False)[0]
@@ -459,40 +453,38 @@ class SnapshotView:
     def _reader(self, keep: bool) -> Tuple[Deref, Callable[[], None]]:
         """The view's dereference and the ``flush`` that counts its hits.
 
-        A read loads the stored state (None for a missing OID), resolves
-        it through the store and coerces it when its keys differ from its
-        class's declared attributes.  With ``keep`` it remembers each
+        A read loads the stored state (None for a missing OID) and
+        resolves it through the store; a before-image served instead of
+        the stored state is coerced.  With ``keep`` it remembers each
         result, None too, for up to :data:`PATH_MEMO_SIZE` objects; a hit
-        serves it unless ``storage.write_stamp`` or ``schema.version`` has
-        moved since, which drops everything kept.  Once it keeps
-        :data:`PATH_MEMO_PROBE` objects with no hit yet, it stops keeping
-        and only reads."""
+        serves it unless ``storage.write_stamp`` has moved since, which
+        drops everything kept.  Once it keeps :data:`PATH_MEMO_PROBE`
+        objects with no hit yet, it stops keeping and only reads."""
         load, resolve, snapshot = self._load, self.store.resolve, self.snapshot
-        declared, coerce = self._declared, self._coerce
-        storage, schema = self._storage, self._schema
+        coerce, storage = self._coerce, self._storage
         kept: Dict[int, Optional[ObjectState]] = {}
         get = kept.get
-        stamp, version = storage.write_stamp, schema.version
+        stamp = storage.write_stamp
         hits = 0
         keeping = keep
 
         def read(oid: OID) -> Optional[ObjectState]:
-            nonlocal stamp, version, hits, keeping
+            nonlocal stamp, hits, keeping
             if keeping:
                 state = get(oid.value, _UNKEPT)
                 if state is not _UNKEPT:
-                    if storage.write_stamp == stamp and schema.version == version:
+                    if storage.write_stamp == stamp:
                         hits += 1
                         return state
                     kept.clear()
-                    stamp, version = storage.write_stamp, schema.version
+                    stamp = storage.write_stamp
             try:
                 current: Optional[ObjectState] = load(oid)
             except ObjectNotFoundError:
                 current = None
             state = resolve(oid, snapshot, current)
-            if state is not None and state.values.keys() != declared(state.class_name).keys():
-                state = coerce(state)
+            if state is not current and state is not None:  # a before-image
+                state = coerce(state.class_name, state)
             if keeping and len(kept) < PATH_MEMO_SIZE:
                 kept[oid.value] = state
                 if not hits and len(kept) == PATH_MEMO_PROBE:
@@ -510,17 +502,17 @@ class SnapshotView:
     def scan_pages(self, class_name: str) -> Iterator[Sequence[ObjectState]]:
         """The class extent as the snapshot sees it, a storage page of
         visible states per sequence — shared and read-only, like the
-        states in it: the kept verdict of a page read as stored.
+        states in it: the storage page itself when it is read as stored.
 
         Each OID comes out once, wherever a write moves its record while
         the scan runs.  A record moved ahead of the scan shows up again
         on a page with a chain for it (the writer installs its entry
         before it touches storage), and is dropped there; one moved off
         the pages the scan reads, or deleted, comes back at the end."""
-        store, snapshot, check = self.store, self.snapshot, self._check
+        store, snapshot, coerce = self.store, self.snapshot, self._coerce
         scanned: List[Sequence[ObjectState]] = []
         seen: Optional[Set[OID]] = None  # built at the first page with a chain
-        for frame, page in self._scan_frames(class_name):
+        for page in self._scan_pages(class_name):
             if not page:
                 continue
             visible = store.resolve_page(snapshot, page)
@@ -529,9 +521,10 @@ class SnapshotView:
                     seen = {state.oid for states in scanned for state in states}
                 # A reclassed object shows up once, in its snapshot-time
                 # class: here only if that is this extent, else resurrected.
+                # A row that is not the page's own is a before-image.
                 visible = [
-                    state
-                    for state in visible
+                    state if state is row else coerce(class_name, state)
+                    for state, row in zip(visible, page)
                     if state is not None
                     and state.class_name == class_name
                     and state.oid not in seen
@@ -540,8 +533,7 @@ class SnapshotView:
                 scanned.append(page)
             else:
                 seen.update(state.oid for state in page)
-            # The frame keeps the check of a page read as stored.
-            yield frame.checked(visible, self._declared(class_name), check)
+            yield visible
         # Resurrection: objects of this class the snapshot sees that the
         # storage scan missed — another writer deleted or moved them, or
         # this transaction moved them onto a page grown since it began.
@@ -562,15 +554,6 @@ class SnapshotView:
                     resurrected.append(state)
         if resurrected:
             yield resurrected
-
-    def _check(
-        self, states: Sequence[ObjectState], declared: Mapping[str, Any]
-    ) -> Sequence[ObjectState]:
-        """``states`` with each row whose keys differ from ``declared``'s
-        coerced: ``states`` itself when every row's keys match."""
-        keys, coerce = declared.keys(), self._coerce
-        checked = [state if state.values.keys() == keys else coerce(state) for state in states]
-        return tuple(checked) if any(map(is_not, checked, states)) else states
 
     def scan(self, class_name: str) -> Iterator[ObjectState]:
         """:meth:`scan_pages`, a row at a time."""

@@ -150,7 +150,7 @@ def world_of(db):
     """Every object as current storage holds it, coerced and copied:
     the plain-Python world a query made now must see."""
     return {
-        state.oid: state.copy() for cls in CLASSES for state in db._scan_coerced(cls)
+        state.oid: state.copy() for cls in CLASSES for state in db.storage.scan_class(cls)
     }
 
 
@@ -569,7 +569,7 @@ def fig1_reference(db):
     """FIG1_QUERY over current storage, by hand."""
     hits = []
     for cls in db.schema.hierarchy_of("Vehicle"):
-        for state in db._scan_coerced(cls):
+        for state in db.storage.scan_class(cls):
             maker = state.values.get("manufacturer")
             if state.values["weight"] > 7500 and maker is not None:
                 if db.get_state(maker).values["location"] == "Detroit":
@@ -848,7 +848,7 @@ class TestTransactionViewParity:
                 assert engine(db, where) == expected(seen, where), where
                 part = rng.choice([oid for oid in parts if db.exists(oid) and oid not in theirs])
                 db.update(part, {"a": rng.choice(VALUES)})
-                seen[part] = db._coerce(db.storage.load(part)).copy()
+                seen[part] = db.storage.load(part).copy()
                 assert engine(db, where) == expected(seen, where), where
             finally:
                 txn.abort()

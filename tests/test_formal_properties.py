@@ -128,14 +128,14 @@ class TestSetOperationIdentities:
     def extents(self, pdb):
         heavy = list(
             algebra.select(
-                pdb._scan_coerced("Vehicle"),
+                pdb.storage.scan_class("Vehicle"),
                 parse_query("SELECT v FROM Vehicle v WHERE v.weight > 7500").where,
                 pdb._deref,
             )
         )
         red = list(
             algebra.select(
-                pdb._scan_coerced("Vehicle"),
+                pdb.storage.scan_class("Vehicle"),
                 parse_query("SELECT v FROM Vehicle v WHERE v.color = 'red'").where,
                 pdb._deref,
             )

@@ -139,19 +139,19 @@ def test_a_closed_database_holds_no_per_object_state(cyclic_garbage, tmp_path):
 
 @pytest.mark.parametrize("drop", ["drop_cache", "eviction"])
 def test_a_dropped_frame_keeps_no_state_tuple_or_verdict(drop):
-    """A page's kept state tuple and its verdict die with the frame, even
-    while someone still holds the dropped page (a reader mid-scan)."""
+    """A page's kept state tuple dies with the frame, even while someone
+    still holds the dropped page (a reader mid-scan)."""
     db = Database(page_size=512, buffer_capacity=8)
     for name in "TU":
         db.define_class(name, attributes=[AttributeDef("x", "Integer")])
     for x in range(30):
         db.new("T", {"x": x})
-    for _ in range(3):  # kept from the second scan, with a verdict from the third
+    for _ in range(3):  # kept from the second scan
         assert len(db.execute("SELECT t FROM T t").oids) == 30
     buffer = db.storage.buffer
     held = [buffer.get_page(page_id) for page_id in db.storage.heap_for("T").page_ids]
     kept = [page._states[1] for page in held]
-    assert len(held) > 1 and all(page._states[2] is not None for page in held)
+    assert len(held) > 1 and all(states is not None for states in kept)
     if drop == "drop_cache":
         db.storage.drop_cache()
     else:

@@ -189,20 +189,20 @@ def _move_after_first_page(db, monkeypatch):
     record ahead: a query's sort drains the scan before it returns a
     row, so the move cannot be made from between two rows.  Returns the
     moved OIDs."""
-    real, moved = db.storage.scan_frames, []
+    real, moved = db.storage.scan_pages, []
 
-    def scan_frames(class_name):
-        frames = real(class_name)
-        frame, states = next(frames)
-        yield frame, states
+    def scan_pages(class_name):
+        pages = real(class_name)
+        states = next(pages)
+        yield states
         if not moved:
             moved.append(states[0].oid)
             first_page = _page_of(db, states[0].oid)
             db.update(states[0].oid, {"pad": GROWN})
             _assert_moved(db, states[0].oid, first_page)
-        yield from frames
+        yield from pages
 
-    monkeypatch.setattr(db.storage, "scan_frames", scan_frames)
+    monkeypatch.setattr(db.storage, "scan_pages", scan_pages)
     return moved
 
 

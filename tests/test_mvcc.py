@@ -11,7 +11,6 @@ did not complete.
 
 import os
 import threading
-from collections.abc import KeysView, Mapping
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -275,11 +274,11 @@ class TestSnapshotReadRacingAbort:
         return db, obj, txn
 
     @staticmethod
-    def _view(db, load, scan_frames):
+    def _view(db, load, scan_pages):
         store = db.version_store
         return SnapshotView(
-            store, store.open_snapshot(None), load, scan_frames,
-            db._coerce, db.schema.attribute_map, db.storage, db.schema, ephemeral=True,
+            store, store.open_snapshot(None), load, scan_pages,
+            db.schema.coerce, db.storage, ephemeral=True,
         )
 
     @staticmethod
@@ -296,7 +295,7 @@ class TestSnapshotReadRacingAbort:
             txn.abort()
             return state
 
-        view = self._view(db, load, db.storage.scan_frames)
+        view = self._view(db, load, db.storage.scan_pages)
         assert view.deref(obj.oid).values["w"] == 1
         assert db.get_state(obj.oid).values["w"] == 1
         assert self._closed_and_reclaimed(db, view)
@@ -304,12 +303,12 @@ class TestSnapshotReadRacingAbort:
     def test_scan_resolves_after_the_abort(self):
         db, obj, txn = self._writer()
 
-        def scan_frames(class_name):
-            pages = list(db.storage.scan_frames(class_name))
+        def scan_pages(class_name):
+            pages = list(db.storage.scan_pages(class_name))
             txn.abort()
             yield from pages
 
-        view = self._view(db, db.storage.load, scan_frames)
+        view = self._view(db, db.storage.load, scan_pages)
         assert [(s.oid, s.values["w"]) for s in view.scan("T")] == [(obj.oid, 1)]
         assert self._closed_and_reclaimed(db, view)
 
@@ -319,43 +318,11 @@ class TestSnapshotReadRacingAbort:
         assert db.version_store.entry_count == 0
 
 
-class _CountedKeys(KeysView):
-    """A declared attribute map's keys that count the row key sets
-    compared with them (``dict_keys == other`` defers to ``other``)."""
-
-    def __init__(self, mapping, counter):
-        super().__init__(mapping)
-        self._counter = counter
-
-    def __eq__(self, other):
-        self._counter[0] += 1
-        return set(self) == set(other)
-
-    __hash__ = None
-
-
-class _CountedDeclared(Mapping):
-    def __init__(self, inner, counter):
-        self.inner = inner
-        self._counter = counter
-
-    def __getitem__(self, name):
-        return self.inner[name]
-
-    def __iter__(self):
-        return iter(self.inner)
-
-    def __len__(self):
-        return len(self.inner)
-
-    def keys(self):
-        return _CountedKeys(self.inner, self._counter)
-
-
 class TestPageVerdict:
-    """A kept page state tuple carries the snapshot view's verdict: its
-    rows checked against the class's declared attributes, under the
-    attribute map checked with (storage/page.py)."""
+    """A kept page state tuple holds states coerced when they were
+    decoded: a schema change drops it, a live version chain on its page
+    does not, and a page holding a long-object stub never keeps one
+    (storage/page.py)."""
 
     @staticmethod
     def _db(n=6):
@@ -373,19 +340,17 @@ class TestPageVerdict:
         )
 
     @staticmethod
-    def _frames(db, cls):
-        heap = db.storage.heap_for(cls)
-        return [db.storage.buffer.get_page(page_id) for page_id in heap.page_ids]
-
-    @staticmethod
-    def _verdicts(frames):
-        return [frame._states[2] for frame in frames if frame._states is not None]
+    def _decodes(db, scan):
+        """The records ``scan()`` decoded."""
+        before = db.metrics.value("storage.decodes")
+        scan()
+        return db.metrics.value("storage.decodes") - before
 
     def test_add_attribute_between_scans_of_a_kept_page_coerces(self):
         db, _oids = self._db()
-        for _ in range(3):  # kept from the second, checked from the third on
+        for _ in range(2):  # kept from the second scan on
             assert all(values == {"x": values["x"]} for _oid, values in self._rows(db, "T"))
-        assert all(v is not None for v in self._verdicts(self._frames(db, "T")))
+        assert self._decodes(db, lambda: self._rows(db, "T")) == 0
         SchemaEvolution(db).add_attribute("T", AttributeDef("y", "Integer", default=7))
         for _ in range(2):
             rows = self._rows(db, "T")
@@ -411,9 +376,9 @@ class TestPageVerdict:
         view = db._snapshot_view()  # opened before the move
         try:
             db.put_state(ObjectState(moved, "U", {"x": 100}))
-            for _ in range(3):  # U's page is kept again, with a live chain on it
+            for _ in range(2):  # U's page is kept again, with a live chain on it
                 assert (moved.value, {"x": 100}) in self._rows(db, "U")
-            assert self._verdicts(self._frames(db, "U")) == [None]
+            assert self._decodes(db, lambda: self._rows(db, "U")) == 0
             in_u = [state.oid for state in view.scan("U")]
             in_t = {state.oid: state.values for state in view.scan("T")}
         finally:
@@ -426,27 +391,24 @@ class TestPageVerdict:
         db.define_class("Doc", attributes=[AttributeDef("blob", "String")])
         db.new("Doc", {"blob": "x" * 2000})
         db.new("Doc", {"blob": "y"})
-        for _ in range(4):
+        for _ in range(3):
             rows = self._rows(db, "Doc")
             assert [len(values["blob"]) for _oid, values in rows] == [2000, 1]
-        (frame,) = self._frames(db, "Doc")
-        assert self._verdicts([frame]) == [None]
+        assert self._decodes(db, lambda: self._rows(db, "Doc")) == 2  # never kept
 
     def test_the_third_scan_of_an_unchanged_extent_compares_no_row_keys(self):
         db, _oids = self._db(n=40)
-        counter, wrapped = [0], {}
+        counter, real = [0], db.schema.coerce
 
-        def declared(class_name):
-            inner = db.schema.attribute_map(class_name)
-            counted = wrapped.get(class_name)
-            if counted is None or counted.inner is not inner:
-                counted = wrapped[class_name] = _CountedDeclared(inner, counter)
-            return counted
+        def coerce(class_name, state):
+            counter[0] += 1
+            return real(class_name, state)
 
+        db.storage.coerce = coerce  # a scan coerces only what it decodes
         store = db.version_store
         view = SnapshotView(
-            store, store.open_snapshot(None), db.storage.load, db.storage.scan_frames,
-            db._coerce, declared, db.storage, db.schema, ephemeral=True,
+            store, store.open_snapshot(None), db.storage.load, db.storage.scan_pages,
+            coerce, db.storage, ephemeral=True,
         )
         compared = []
         try:

@@ -228,7 +228,7 @@ class TestPlanner:
 
 class TestAlgebra:
     def test_set_ops_by_identity(self, pdb):
-        all_vehicles = list(pdb._scan_coerced("Vehicle"))
+        all_vehicles = list(pdb.storage.scan_class("Vehicle"))
         heavy = [s for s in all_vehicles if s.values["weight"] > 7500]
         red = [s for s in all_vehicles if s.values["color"] == "red"]
         union = algebra.union(heavy, red)
@@ -239,12 +239,12 @@ class TestAlgebra:
         assert {s.oid for s in inter} <= {s.oid for s in heavy}
 
     def test_project(self, pdb):
-        states = list(pdb._scan_coerced("Vehicle"))[:3]
+        states = list(pdb.storage.scan_class("Vehicle"))[:3]
         rows = list(algebra.project(states, [("weight",)], pdb._deref))
         assert [row["weight"] for row in rows] == [s.values["weight"] for s in states]
 
     def test_unnest(self, pdb):
-        states = list(pdb._scan_coerced("Vehicle"))[:5]
+        states = list(pdb.storage.scan_class("Vehicle"))[:5]
         makers = list(algebra.unnest(states, "manufacturer", pdb._deref))
         assert all(m.class_name.endswith("Company") or m.class_name == "Company" for m in makers)
 
@@ -253,7 +253,7 @@ class TestAlgebra:
         a = db.new("T", {"k": 2})
         b = db.new("T", {"k": None})
         c = db.new("T", {"k": 1})
-        states = list(db._scan_coerced("T"))
+        states = list(db.storage.scan_class("T"))
         ordered = algebra.order_by(states, ("k",), db._deref)
         assert [s.oid for s in ordered] == [c.oid, a.oid, b.oid]
         ordered_desc = algebra.order_by(states, ("k",), db._deref, descending=True)
