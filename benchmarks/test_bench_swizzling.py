@@ -5,9 +5,11 @@ is still an order of magnitude higher than what is necessary for these
 applications, running without an underlying database system, to access
 an object in virtual memory by a few memory lookups."
 
-Three access paths over the same hot set:
+Four access paths over the same hot set:
 
 * unswizzled — every dereference goes back through the database layer;
+* OID table  — a ``"none"`` workspace: every dereference is a lookup in
+  the workspace's resident table, never a pointer;
 * swizzled   — workspace with direct pointers after first touch;
 * raw        — plain Python dicts, no database at all (the ceiling).
 """
@@ -113,6 +115,12 @@ def test_policy_ablation_and_summary(chain_db):
         lambda: [traverse_swizzled(lazy, head) for _ in range(PASSES)]
     )
 
+    table = ObjectWorkspace(db, policy="none")
+    traverse_swizzled(table, head)  # fault everything in once
+    t_table_hot, total_table = timed(
+        lambda: [traverse_swizzled(table, head) for _ in range(PASSES)]
+    )
+
     eager = ObjectWorkspace(db, policy="eager")
     timed(lambda: eager.load(head))  # eager load pulls the chain closure
     t_eager_hot, _ = timed(
@@ -122,7 +130,7 @@ def test_policy_ablation_and_summary(chain_db):
     head_record = build_raw(db, head)
     t_raw, total_raw = timed(lambda: [traverse_raw(head_record) for _ in range(PASSES)])
 
-    assert total_u[0] == total_cold == total_hot[0] == total_raw[0] == expected
+    assert total_u[0] == total_cold == total_hot[0] == total_table[0] == total_raw[0] == expected
 
     per_pass = lambda t: round(t / PASSES * 1e6, 1)
     print_table(
@@ -132,13 +140,17 @@ def test_policy_ablation_and_summary(chain_db):
             ("database layer (unswizzled)", per_pass(t_unswizzled),
              round(t_unswizzled / t_raw, 1)),
             ("workspace lazy, cold (faulting)", round(t_cold * 1e6, 1), "-"),
+            ("workspace none (OID table), hot", per_pass(t_table_hot),
+             round(t_table_hot / t_raw, 1)),
             ("workspace lazy, hot (swizzled)", per_pass(t_hot), round(t_hot / t_raw, 1)),
             ("workspace eager, hot", per_pass(t_eager_hot), round(t_eager_hot / t_raw, 1)),
             ("raw Python objects", per_pass(t_raw), 1.0),
         ],
     )
-    # Shape assertions: swizzled beats unswizzled by a wide margin, and
+    # Shape assertions: swizzled beats unswizzled by a wide margin, a
+    # direct pointer beats a lookup in the workspace's OID table, and
     # raw in-memory access still beats the swizzled workspace (the
     # residual overhead the paper says CAx applications balk at).
     assert t_hot < t_unswizzled / 3
+    assert t_hot < t_table_hot
     assert t_raw < t_hot

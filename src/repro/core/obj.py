@@ -23,7 +23,10 @@ def copy_value(value: Any) -> Any:
     """A stored value with every list in it fresh (lists are the only
     mutable thing a stored value can hold)."""
     if isinstance(value, list):
-        return [copy_value(element) for element in value]
+        return [
+            copy_value(element) if isinstance(element, list) else element
+            for element in value
+        ]
     return value
 
 

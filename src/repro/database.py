@@ -595,7 +595,7 @@ class Database:
     def get_shared_state(self, oid: OID) -> ObjectState:
         """:meth:`get_state` without the copy: authorized, S-locked under
         the active txn, coerced — and shared and read-only.  The
-        workspace reads through this and copies while it swizzles; the
+        workspace reads through this and copies it once at admission; the
         server's ``get`` sends it as is."""
         class_name = self.storage.class_of(oid)
         self._check_authz("read", class_name, oid)

@@ -1,6 +1,6 @@
 """Memory-resident object management (pointer swizzling, object cache)."""
 
 from .cache import ObjectWorkspace, WorkspaceStats
-from .swizzle import Fault, MemoryObject
+from .swizzle import MemoryObject
 
-__all__ = ["ObjectWorkspace", "WorkspaceStats", "Fault", "MemoryObject"]
+__all__ = ["ObjectWorkspace", "WorkspaceStats", "MemoryObject"]

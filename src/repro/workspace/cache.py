@@ -7,25 +7,29 @@ objects once, swizzles their references, serves repeated traversals from
 memory, and writes dirty objects back through the database at flush so
 queries, indexing and recovery remain correct.
 
-Swizzling policies (the E5 ablation):
+Swizzling policies (the E5 ablation).  Admission copies the stored
+state once and leaves its OIDs as they are; a traversal resolves an OID
+through the workspace's OID table when it first follows it (swizzling
+on dereference; see :mod:`repro.workspace.swizzle`):
 
-* ``"lazy"``  — references become :class:`~repro.workspace.swizzle.Fault`
-  descriptors; the referenced object loads on first traversal (LOOM).
+* ``"lazy"``  — a followed OID faults its object in, and the slot then
+  holds the direct pointer (LOOM).
 * ``"eager"`` — loading an object immediately loads the objects it
-  references (one level; the closure materializes as a traversal runs).
-* ``"none"``  — references stay OIDs and every traversal goes back
-  through the database layer (the unswizzled baseline).
+  references (one level; the closure materializes as a traversal runs);
+  a followed slot holds the direct pointer, as under lazy.
+* ``"none"``  — slots keep their OIDs and every traversal goes through
+  the OID table (the unswizzled baseline).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 from ..core.obj import copy_value
 from ..core.oid import OID
 from ..errors import KimDBError
 from ..obs.metrics import Counter, MetricsRegistry
-from .swizzle import Fault, MemoryObject
+from .swizzle import MemoryObject
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..database import Database
@@ -78,7 +82,6 @@ class ObjectWorkspace:
         #: the E5 ablation compares several of them over one database, so
         #: their counts must not mix in the database-wide registry.
         self.metrics = MetricsRegistry()
-        self._m_loads = self.metrics.counter("workspace.loads")
         self._m_hits = self.metrics.counter("workspace.hits")
         self._m_faults = self.metrics.counter("workspace.faults")
         self._m_writebacks = self.metrics.counter("workspace.writebacks")
@@ -115,37 +118,21 @@ class ObjectWorkspace:
 
     def _admit(self, oid: OID) -> MemoryObject:
         """Fault ``oid`` in: read its shared stored state (authorized and
-        S-locked like ``get_state``) and copy it once, swizzling as it
-        goes — the memory object's dict and lists are its own."""
-        self._m_faults.inc()
+        S-locked like ``get_state``) and copy it once — the memory
+        object's dict and lists are its own; OIDs stay OIDs."""
         state = self.db.get_shared_state(oid)
-        self._m_loads.inc()
-        values: Dict[str, Any] = {}
-        memory_object = MemoryObject(state.oid, state.class_name, values, self)
-        # Resident before its values are built: a self-reference
-        # swizzles to the object itself.
+        self._m_faults.inc()
+        memory_object = MemoryObject(
+            state.oid,
+            state.class_name,
+            {
+                name: copy_value(value) if isinstance(value, list) else value
+                for name, value in state.values.items()
+            },
+            self,
+        )
         self._resident[oid] = memory_object
-        if self.policy == "none":
-            for name, value in state.values.items():
-                values[name] = copy_value(value)
-            return memory_object
-        pointer_for = self._pointer_for
-        for name, value in state.values.items():
-            if isinstance(value, OID):
-                value = pointer_for(value)
-            elif isinstance(value, list):
-                value = [
-                    pointer_for(element) if isinstance(element, OID) else copy_value(element)
-                    for element in value
-                ]
-            values[name] = value
         return memory_object
-
-    def _pointer_for(self, oid: OID):
-        resident = self._resident.get(oid)
-        if resident is not None:
-            return resident
-        return Fault(oid, self)
 
     # -- traversal helpers -----------------------------------------------------
 
@@ -195,8 +182,8 @@ class ObjectWorkspace:
             return 0
         with self.db._auto_txn():
             for memory_object in dirty:
-                self.db.update(memory_object.oid, memory_object.to_state_values())
-                memory_object.dirty = False
+                self.db.update(memory_object.oid, memory_object.changes())
+                memory_object.changed = None
                 self._m_writebacks.inc()
         return len(dirty)
 

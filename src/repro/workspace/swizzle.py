@@ -8,16 +8,20 @@ memory pointers that will point to some descriptors for the objects that
 the object references.  The referenced objects may later be fetched as
 necessary."
 
-A :class:`MemoryObject` is the in-memory form; its reference attributes
-hold either direct pointers to other resident memory objects or
-:class:`Fault` descriptors that load on first traversal.  After the first
-traversal the pointer is direct — subsequent accesses are "a few memory
-lookups" (the order-of-magnitude claim of Section 4.2, experiment E5).
+A :class:`MemoryObject` is the in-memory form.  Its reference slots hold
+the stored OIDs until a traversal follows one (swizzling on dereference,
+in Moss's terms): :meth:`MemoryObject.ref` and :meth:`MemoryObject.refs`
+resolve the OID through the workspace's OID table — a resident hit or
+one fault — and then install the direct pointer, so subsequent accesses
+are "a few memory lookups" (the order-of-magnitude claim of Section
+4.2, experiment E5).  Under the ``"none"`` policy they never install
+one: every traversal goes through the OID table.  A dangling reference
+keeps its OID.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
 
 from ..core.oid import OID
 from ..errors import ObjectNotFoundError
@@ -26,38 +30,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from .cache import ObjectWorkspace
 
 
-class Fault:
-    """A descriptor standing in for a not-yet-resident object."""
-
-    __slots__ = ("oid", "workspace")
-
-    def __init__(self, oid: OID, workspace: "ObjectWorkspace") -> None:
-        self.oid = oid
-        self.workspace = workspace
-
-    def resolve(self) -> "MemoryObject":
-        return self.workspace.load(self.oid)
-
-    def __repr__(self) -> str:
-        return "<Fault %r>" % (self.oid,)
-
-
-Pointer = Union["MemoryObject", Fault, OID]
-
-
 class MemoryObject:
     """The memory-resident form of one object.
 
-    Primitive attribute values are stored directly; reference attributes
-    are swizzled to pointers (:class:`MemoryObject` once resident,
-    :class:`Fault` before).  Mutations mark the object dirty; the
-    workspace writes dirty objects back through the database, so the full
-    database machinery (validation, indexes, WAL) still applies — the
-    paper's point that memory-resident management *extends* database
-    capabilities rather than bypassing them.
+    Primitive attribute values are stored directly; reference slots hold
+    an OID until first traversed and a direct pointer to the resident
+    :class:`MemoryObject` after.  :meth:`set` records the names it
+    changed; the workspace writes exactly those back through the
+    database, so the full database machinery (validation, indexes, WAL)
+    still applies — the paper's point that memory-resident management
+    *extends* database capabilities rather than bypassing them.
     """
 
-    __slots__ = ("oid", "class_name", "values", "dirty", "_workspace")
+    __slots__ = ("oid", "class_name", "values", "changed", "_workspace")
 
     def __init__(
         self,
@@ -69,8 +54,13 @@ class MemoryObject:
         self.oid = oid
         self.class_name = class_name
         self.values = values
-        self.dirty = False
+        #: Names :meth:`set` changed since the last flush (None: none).
+        self.changed: Optional[Set[str]] = None
         self._workspace = workspace
+
+    @property
+    def dirty(self) -> bool:
+        return bool(self.changed)
 
     # -- reads ---------------------------------------------------------------
 
@@ -84,16 +74,18 @@ class MemoryObject:
     def ref(self, name: str) -> Optional["MemoryObject"]:
         """Traverse one reference attribute, faulting if necessary.
 
-        After the fault, the slot holds a direct pointer, so the next
-        ``ref`` on the same slot is a plain attribute read.
+        After the first traversal the slot holds a direct pointer (not
+        under ``"none"``), so the next ``ref`` is a plain attribute read.
         """
         value = self.values.get(name)
         if type(value) is MemoryObject:  # hot path: already a pointer
             return value
-        resolved = self._resolve(value)
-        if resolved is not value and not isinstance(value, list):
-            self.values[name] = resolved  # install the direct pointer
-        return resolved if isinstance(resolved, MemoryObject) else None
+        if not isinstance(value, OID):
+            return None
+        target = self._follow(value)
+        if target is not None and self._workspace.policy != "none":
+            self.values[name] = target  # install the direct pointer
+        return target
 
     def refs(self, name: str) -> List["MemoryObject"]:
         """Traverse a set-valued reference attribute."""
@@ -105,70 +97,55 @@ class MemoryObject:
         for position, element in enumerate(value):
             if type(element) is MemoryObject:  # hot path
                 out.append(element)
-                continue
-            resolved = self._resolve(element)
-            if isinstance(resolved, MemoryObject):
-                value[position] = resolved
-                out.append(resolved)
+            elif isinstance(element, OID):
+                target = self._follow(element)
+                if target is not None:
+                    if self._workspace.policy != "none":
+                        value[position] = target
+                    out.append(target)
         return out
+
+    def _follow(self, oid: OID) -> Optional["MemoryObject"]:
+        try:
+            return self._workspace.load(oid)
+        except ObjectNotFoundError:
+            return None
 
     def _pending_refs(self) -> List[OID]:
-        """OIDs of referenced objects not yet resolved to pointers."""
+        """OIDs this object's slots still hold."""
         out: List[OID] = []
         for value in self.values.values():
-            if isinstance(value, (Fault, OID)):
-                out.append(value.oid if isinstance(value, Fault) else value)
+            if isinstance(value, OID):
+                out.append(value)
             elif isinstance(value, list):
-                for element in value:
-                    if isinstance(element, (Fault, OID)):
-                        out.append(
-                            element.oid if isinstance(element, Fault) else element
-                        )
+                out.extend(element for element in value if isinstance(element, OID))
         return out
-
-    def _resolve(self, value: Any) -> Any:
-        if isinstance(value, MemoryObject):
-            return value
-        if isinstance(value, Fault):
-            try:
-                return value.resolve()
-            except ObjectNotFoundError:
-                return None
-        if isinstance(value, OID):
-            try:
-                return self._workspace.load(value)
-            except ObjectNotFoundError:
-                return None
-        return value
 
     # -- writes ----------------------------------------------------------------
 
     def set(self, name: str, value: Any) -> None:
         """Local update; persisted at workspace flush."""
         self.values[name] = value
-        self.dirty = True
+        if self.changed is None:
+            self.changed = {name}
+        else:
+            self.changed.add(name)
 
-    # -- unswizzling ----------------------------------------------------------
-
-    def to_state_values(self) -> Dict[str, Any]:
-        """Convert back to storable values (pointers -> OIDs)."""
-        out: Dict[str, Any] = {}
-        for name, value in self.values.items():
-            out[name] = _unswizzle(value)
-        return out
+    def changes(self) -> Dict[str, Any]:
+        """The changed values, converted back to storable ones (pointers
+        -> OIDs)."""
+        return {name: _unswizzle(self.values.get(name)) for name in self.changed}
 
     def __repr__(self) -> str:
         return "<MemoryObject %s %r%s>" % (
             self.class_name,
             self.oid,
-            " dirty" if self.dirty else "",
+            " dirty" if self.changed else "",
         )
 
 
 def _unswizzle(value: Any) -> Any:
     if isinstance(value, MemoryObject):
-        return value.oid
-    if isinstance(value, Fault):
         return value.oid
     if isinstance(value, list):
         return [_unswizzle(element) for element in value]

@@ -774,8 +774,8 @@ class TestSharedStatesAreReadOnly:
         row["grid"].append("x")
         _assert_stored(db, oid)
 
-    # The workspace reads the shared stored state and copies it while
-    # swizzling; these pin that copy and the checks the read keeps.
+    # The workspace reads the shared stored state and copies it once at
+    # admission; these pin that copy and the checks the read keeps.
 
     @pytest.mark.parametrize("policy", ["lazy", "eager", "none"])
     def test_workspace_edits(self, policy):

@@ -6,7 +6,7 @@ from repro import AttributeDef, Database
 from repro.core.oid import OID
 from repro.errors import KimDBError
 from repro.workspace.cache import ObjectWorkspace
-from repro.workspace.swizzle import Fault, MemoryObject
+from repro.workspace.swizzle import MemoryObject
 
 
 @pytest.fixture
@@ -47,12 +47,16 @@ class TestLoadingAndPolicies:
         assert workspace.metrics.value("workspace.hits") == 1
         assert workspace.metrics.value("workspace.faults") == 1
 
-    def test_lazy_policy_installs_fault_descriptors(self, graph_db):
+    def test_lazy_keeps_the_stored_oid_until_traversed(self, graph_db):
         oids = make_chain(graph_db, 2)
         workspace = ObjectWorkspace(graph_db, policy="lazy")
         root = workspace.load(oids[0])
-        assert isinstance(root.values["next"], Fault)
+        assert root.values["next"] == oids[1]
+        assert isinstance(root.values["next"], OID)
         assert len(workspace) == 1  # referenced node not loaded yet
+        target = root.ref("next")
+        assert root.values["next"] is target
+        assert target.oid == oids[1]
 
     def test_eager_policy_loads_referenced(self, graph_db):
         oids = make_chain(graph_db, 3)
@@ -63,9 +67,19 @@ class TestLoadingAndPolicies:
 
     def test_none_policy_keeps_oids(self, graph_db):
         oids = make_chain(graph_db, 2)
+        hub = graph_db.new("Node", {"links": oids})
         workspace = ObjectWorkspace(graph_db, policy="none")
         root = workspace.load(oids[0])
         assert isinstance(root.values["next"], OID)
+        target = root.ref("next")  # never installs a pointer
+        assert target.oid == oids[1]
+        assert isinstance(root.values["next"], OID)
+        hits = workspace.stats.hits
+        assert root.ref("next") is target  # through the OID table
+        assert workspace.stats.hits == hits + 1
+        node = workspace.load(hub.oid)
+        assert [m.oid for m in node.refs("links")] == oids
+        assert all(isinstance(element, OID) for element in node.values["links"])
 
     def test_unknown_policy_rejected(self, graph_db):
         with pytest.raises(KimDBError):
@@ -120,6 +134,7 @@ class TestTraversal:
         workspace = ObjectWorkspace(graph_db)
         node = workspace.load(source.oid)
         assert node.ref("next") is None
+        assert node.values["next"] == target.oid  # the slot keeps its OID
 
 
 class TestWriteBack:
@@ -142,6 +157,35 @@ class TestWriteBack:
         root.set("next", workspace.load(other.oid))  # pointer-valued write
         workspace.flush()
         assert graph_db.get_state(oids[0]).values["next"] == other.oid
+
+    def test_flush_keeps_a_traversed_dangling_reference(self, graph_db):
+        target = graph_db.new("Node", {"label": "gone"})
+        source = graph_db.new("Node", {"label": "src", "next": target.oid})
+        graph_db.delete(target.oid)
+        workspace = ObjectWorkspace(graph_db)
+        node = workspace.load(source.oid)
+        assert node.ref("next") is None
+        node.set("label", "renamed")
+        workspace.flush()
+        stored = graph_db.get_state(source.oid).values
+        assert stored["label"] == "renamed"
+        assert stored["next"] == target.oid
+
+    def test_flush_writes_back_only_the_changed_names(self, graph_db):
+        target = graph_db.new("Node", {"label": "gone"})
+        kept = graph_db.new("Node", {"label": "kept"})
+        source = graph_db.new(
+            "Node", {"label": "src", "links": [kept.oid, target.oid]}
+        )
+        graph_db.delete(target.oid)
+        workspace = ObjectWorkspace(graph_db)
+        node = workspace.load(source.oid)
+        node.set("label", "renamed")  # the dangling links stay untouched
+        assert workspace.flush() == 1
+        stored = graph_db.get_state(source.oid).values
+        assert stored["label"] == "renamed"
+        assert stored["links"] == [kept.oid, target.oid]
+        assert not node.dirty
 
     def test_flush_empty_is_zero(self, graph_db):
         assert ObjectWorkspace(graph_db).flush() == 0
