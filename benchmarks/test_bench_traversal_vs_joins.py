@@ -63,6 +63,27 @@ def nested_loop_traverse(rel, root_part_id, depth):
     return visited
 
 
+def best_per_call(fn, *args, batches=5, min_batch_s=0.002):
+    """(best seconds per call, result) over ``batches`` batches of calls,
+    each long enough (>= ``min_batch_s``) for the clock to resolve it: a
+    depth-1 traversal takes microseconds, and one call timed alone can
+    read 0.  An untimed first batch sizes the batches."""
+    calls = 1
+    while timed(_repeat, fn, args, calls)[0] < min_batch_s:
+        calls *= 2
+    best, result = float("inf"), None
+    for _ in range(batches):
+        elapsed, result = timed(_repeat, fn, args, calls)
+        best = min(best, elapsed / calls)
+    return best, result
+
+
+def _repeat(fn, args, calls):
+    for _ in range(calls):
+        result = fn(*args)
+    return result
+
+
 def test_depth_sweep_summary(engines):
     from conftest import best_of
 
@@ -72,8 +93,8 @@ def test_depth_sweep_summary(engines):
     indexed_ratio = {}
     nested_ratio = {}
     for depth in (1, 2, 3, 4, 5, 6, 7):
-        t_nav, visited_nav = best_of(kim.traverse, 1, depth, workspace)
-        t_join, visited_join = best_of(rel.traverse, 1, depth)
+        t_nav, visited_nav = best_per_call(kim.traverse, 1, depth, workspace)
+        t_join, visited_join = best_per_call(rel.traverse, 1, depth)
         if depth <= 4:  # nested loops are prohibitive past shallow depths
             t_nested, visited_nested = best_of(
                 nested_loop_traverse, rel, 1, depth, repeats=1
@@ -89,8 +110,8 @@ def test_depth_sweep_summary(engines):
             (
                 depth,
                 visited_nav,
-                round(t_nav * 1e3, 2),
-                round(t_join * 1e3, 2),
+                round(t_nav * 1e3, 3),
+                round(t_join * 1e3, 3),
                 nested_text,
                 round(indexed_ratio[depth], 2),
             )

@@ -594,9 +594,9 @@ class Database:
 
     def get_shared_state(self, oid: OID) -> ObjectState:
         """:meth:`get_state` without the copy: authorized, S-locked under
-        the active txn, coerced — and shared and read-only.  The
-        workspace reads through this and copies it once at admission; the
-        server's ``get`` sends it as is."""
+        the active txn, coerced — and shared and read-only.  A
+        workspace's memory object shares it and copies it on first
+        write; the server's ``get`` sends it as is."""
         class_name = self.storage.class_of(oid)
         self._check_authz("read", class_name, oid)
         current = self.txns.current

@@ -7,25 +7,25 @@ objects once, swizzles their references, serves repeated traversals from
 memory, and writes dirty objects back through the database at flush so
 queries, indexing and recovery remain correct.
 
-Swizzling policies (the E5 ablation).  Admission copies the stored
-state once and leaves its OIDs as they are; a traversal resolves an OID
-through the workspace's OID table when it first follows it (swizzling
-on dereference; see :mod:`repro.workspace.swizzle`):
+Swizzling policies (the E5 ablation).  Admission shares the stored
+state, which is copied on first write, and its slots keep their OIDs; a
+traversal resolves an OID through the workspace's OID table when it
+first follows it (swizzling on dereference; see
+:mod:`repro.workspace.swizzle`):
 
-* ``"lazy"``  — a followed OID faults its object in, and the slot then
-  holds the direct pointer (LOOM).
+* ``"lazy"``  — a followed OID faults its object in, and the object's
+  pointer table then holds the direct pointer (LOOM).
 * ``"eager"`` — loading an object immediately loads the objects it
   references (one level; the closure materializes as a traversal runs);
-  a followed slot holds the direct pointer, as under lazy.
-* ``"none"``  — slots keep their OIDs and every traversal goes through
-  the OID table (the unswizzled baseline).
+  a followed reference gets a direct pointer, as under lazy.
+* ``"none"``  — no pointer is installed and every traversal goes
+  through the OID table (the unswizzled baseline).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
-from ..core.obj import copy_value
 from ..core.oid import OID
 from ..errors import KimDBError
 from ..obs.metrics import Counter, MetricsRegistry
@@ -118,19 +118,11 @@ class ObjectWorkspace:
 
     def _admit(self, oid: OID) -> MemoryObject:
         """Fault ``oid`` in: read its shared stored state (authorized and
-        S-locked like ``get_state``) and copy it once — the memory
-        object's dict and lists are its own; OIDs stay OIDs."""
+        S-locked like ``get_state``) and hand it to the memory object as
+        it is — it is copied on first write (see :class:`MemoryObject`)."""
         state = self.db.get_shared_state(oid)
         self._m_faults.inc()
-        memory_object = MemoryObject(
-            state.oid,
-            state.class_name,
-            {
-                name: copy_value(value) if isinstance(value, list) else value
-                for name, value in state.values.items()
-            },
-            self,
-        )
+        memory_object = MemoryObject(state.oid, state.class_name, state.values, self)
         self._resident[oid] = memory_object
         return memory_object
 

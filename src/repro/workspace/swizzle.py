@@ -8,21 +8,24 @@ memory pointers that will point to some descriptors for the objects that
 the object references.  The referenced objects may later be fetched as
 necessary."
 
-A :class:`MemoryObject` is the in-memory form.  Its reference slots hold
-the stored OIDs until a traversal follows one (swizzling on dereference,
-in Moss's terms): :meth:`MemoryObject.ref` and :meth:`MemoryObject.refs`
-resolve the OID through the workspace's OID table — a resident hit or
-one fault — and then install the direct pointer, so subsequent accesses
-are "a few memory lookups" (the order-of-magnitude claim of Section
-4.2, experiment E5).  Under the ``"none"`` policy they never install
-one: every traversal goes through the OID table.  A dangling reference
-keeps its OID.
+A :class:`MemoryObject` is the in-memory form.  It shares the object
+buffer's stored state until it is written (copied on first write), and
+its reference slots keep their OIDs.  A traversal follows an OID the
+first time (swizzling on dereference, in Moss's terms):
+:meth:`MemoryObject.ref` and :meth:`MemoryObject.refs` resolve it
+through the workspace's OID table — a resident hit or one fault — and
+then install the direct pointer in the object's pointer table, so
+subsequent accesses are "a few memory lookups" (the order-of-magnitude
+claim of Section 4.2, experiment E5).  Under the ``"none"`` policy they
+never install one: every traversal goes through the OID table.  A
+dangling reference keeps its OID.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
 
+from ..core.obj import copy_value
 from ..core.oid import OID
 from ..errors import ObjectNotFoundError
 
@@ -33,16 +36,21 @@ if TYPE_CHECKING:  # pragma: no cover
 class MemoryObject:
     """The memory-resident form of one object.
 
-    Primitive attribute values are stored directly; reference slots hold
-    an OID until first traversed and a direct pointer to the resident
-    :class:`MemoryObject` after.  :meth:`set` records the names it
-    changed; the workspace writes exactly those back through the
-    database, so the full database machinery (validation, indexes, WAL)
-    still applies — the paper's point that memory-resident management
-    *extends* database capabilities rather than bypassing them.
+    It shares the object buffer's read-only stored dict until a caller
+    could change it: the first :meth:`set`, read of :attr:`values`, or
+    ``[]``/:meth:`get` of a list value copies it, once.  A followed
+    reference keeps its OID there; its pointer lives in a table beside
+    it.  :meth:`set` records the names it changed; the workspace writes
+    exactly those back through the database, so the full database
+    machinery (validation, indexes, WAL) still applies — the paper's
+    point that memory-resident management *extends* database
+    capabilities rather than bypassing them.
     """
 
-    __slots__ = ("oid", "class_name", "values", "changed", "_workspace")
+    __slots__ = ("oid", "class_name", "changed", "_values", "_owned", "_pointers", "_workspace")
+
+    #: Not a sequence: ``in`` and ``list()`` would index 0, 1, ... forever.
+    __iter__ = None
 
     def __init__(
         self,
@@ -53,56 +61,81 @@ class MemoryObject:
     ) -> None:
         self.oid = oid
         self.class_name = class_name
-        self.values = values
         #: Names :meth:`set` changed since the last flush (None: none).
         self.changed: Optional[Set[str]] = None
+        self._values = values  # shared and read-only until _owned
+        self._owned = False
+        #: Followed references: name -> MemoryObject, or -> list of them.
+        self._pointers: Dict[str, Any] = {}
         self._workspace = workspace
 
     @property
     def dirty(self) -> bool:
         return bool(self.changed)
 
+    @property
+    def values(self) -> Dict[str, Any]:
+        """The object's own values (copied on first access); reference
+        slots hold OIDs unless :meth:`set` stored a memory object."""
+        if not self._owned:
+            self._values = {
+                name: copy_value(value) if isinstance(value, list) else value
+                for name, value in self._values.items()
+            }
+            self._owned = True
+        return self._values
+
     # -- reads ---------------------------------------------------------------
 
     def __getitem__(self, name: str) -> Any:
-        return self.values.get(name)
+        value = self._values.get(name)
+        if type(value) is list and not self._owned:
+            return self.values[name]
+        return value
 
     def get(self, name: str, default: Any = None) -> Any:
-        value = self.values.get(name)
+        value = self[name]
         return default if value is None else value
 
     def ref(self, name: str) -> Optional["MemoryObject"]:
         """Traverse one reference attribute, faulting if necessary.
 
-        After the first traversal the slot holds a direct pointer (not
-        under ``"none"``), so the next ``ref`` is a plain attribute read.
+        After the first traversal the pointer table holds the target
+        (not under ``"none"``), so the next ``ref`` is a dict lookup.
         """
-        value = self.values.get(name)
-        if type(value) is MemoryObject:  # hot path: already a pointer
+        target = self._pointers.get(name)
+        if type(target) is MemoryObject:  # hot path: already followed
+            return target
+        value = self._values.get(name)
+        if type(value) is MemoryObject:  # stored there by set()
             return value
         if not isinstance(value, OID):
             return None
         target = self._follow(value)
         if target is not None and self._workspace.policy != "none":
-            self.values[name] = target  # install the direct pointer
+            self._pointers[name] = target
         return target
 
     def refs(self, name: str) -> List["MemoryObject"]:
-        """Traverse a set-valued reference attribute."""
-        value = self.values.get(name)
+        """Traverse a set-valued reference attribute; the caller owns
+        the returned list."""
+        targets = self._pointers.get(name)
+        if type(targets) is list:  # hot path: already followed
+            return targets[:]
+        value = self._values.get(name)
         if not isinstance(value, list):
             single = self.ref(name)
             return [single] if single is not None else []
         out: List[MemoryObject] = []
-        for position, element in enumerate(value):
-            if type(element) is MemoryObject:  # hot path
+        for element in value:
+            if type(element) is MemoryObject:
                 out.append(element)
             elif isinstance(element, OID):
                 target = self._follow(element)
                 if target is not None:
-                    if self._workspace.policy != "none":
-                        value[position] = target
                     out.append(target)
+        if self._workspace.policy != "none":
+            self._pointers[name] = out[:]
         return out
 
     def _follow(self, oid: OID) -> Optional["MemoryObject"]:
@@ -112,9 +145,9 @@ class MemoryObject:
             return None
 
     def _pending_refs(self) -> List[OID]:
-        """OIDs this object's slots still hold."""
+        """OIDs this object's slots hold."""
         out: List[OID] = []
-        for value in self.values.values():
+        for value in self._values.values():
             if isinstance(value, OID):
                 out.append(value)
             elif isinstance(value, list):
@@ -126,6 +159,7 @@ class MemoryObject:
     def set(self, name: str, value: Any) -> None:
         """Local update; persisted at workspace flush."""
         self.values[name] = value
+        self._pointers.pop(name, None)
         if self.changed is None:
             self.changed = {name}
         else:
@@ -134,7 +168,7 @@ class MemoryObject:
     def changes(self) -> Dict[str, Any]:
         """The changed values, converted back to storable ones (pointers
         -> OIDs)."""
-        return {name: _unswizzle(self.values.get(name)) for name in self.changed}
+        return {name: _unswizzle(self._values.get(name)) for name in self.changed}
 
     def __repr__(self) -> str:
         return "<MemoryObject %s %r%s>" % (

@@ -774,8 +774,9 @@ class TestSharedStatesAreReadOnly:
         row["grid"].append("x")
         _assert_stored(db, oid)
 
-    # The workspace reads the shared stored state and copies it once at
-    # admission; these pin that copy and the checks the read keeps.
+    # A memory object shares the stored state and copies it on first
+    # write (a set, a read of its values, a list read through it); these
+    # pin that copy and the checks the read keeps.
 
     @pytest.mark.parametrize("policy", ["lazy", "eager", "none"])
     def test_workspace_edits(self, policy):

@@ -51,12 +51,12 @@ class TestLoadingAndPolicies:
         oids = make_chain(graph_db, 2)
         workspace = ObjectWorkspace(graph_db, policy="lazy")
         root = workspace.load(oids[0])
-        assert root.values["next"] == oids[1]
-        assert isinstance(root.values["next"], OID)
+        assert isinstance(root["next"], OID) and root["next"] == oids[1]
         assert len(workspace) == 1  # referenced node not loaded yet
         target = root.ref("next")
-        assert root.values["next"] is target
         assert target.oid == oids[1]
+        assert root["next"] == oids[1]  # the slot keeps its OID
+        assert root.values["next"] == oids[1]
 
     def test_eager_policy_loads_referenced(self, graph_db):
         oids = make_chain(graph_db, 3)
@@ -89,16 +89,94 @@ class TestLoadingAndPolicies:
 class TestTraversal:
     def test_ref_faults_then_pointers(self, graph_db):
         oids = make_chain(graph_db, 3)
-        workspace = ObjectWorkspace(graph_db, policy="lazy")
+        hub = graph_db.new("Node", {"links": oids})
+        for policy in ("lazy", "eager"):
+            workspace = ObjectWorkspace(graph_db, policy=policy)
+            root = workspace.load(oids[0])
+            middle = root.ref("next")
+            assert isinstance(middle, MemoryObject)
+            assert middle["label"] == "n1"
+            node = workspace.load(hub.oid)
+            linked = node.refs("links")
+            counts = workspace.stats.hits, workspace.stats.faults
+            # After the first traversal the pointer table answers: the
+            # same objects, through neither the OID table nor a fault.
+            assert root.ref("next") is middle
+            assert list(map(id, node.refs("links"))) == list(map(id, linked))
+            assert (workspace.stats.hits, workspace.stats.faults) == counts
+            assert root["next"] == oids[1]  # the slots keep their OIDs
+            assert node["links"] == oids
+
+    @pytest.mark.parametrize("policy", ["lazy", "eager", "none"])
+    def test_set_on_a_followed_reference_is_followed_next(self, graph_db, policy):
+        oids = make_chain(graph_db, 2)
+        other = graph_db.new("Node", {"label": "other"})
+        hub = graph_db.new("Node", {"links": oids})
+        workspace = ObjectWorkspace(graph_db, policy=policy)
         root = workspace.load(oids[0])
-        middle = root.ref("next")
-        assert isinstance(middle, MemoryObject)
-        assert middle["label"] == "n1"
-        # After the first traversal the slot holds a direct pointer.
-        assert root.values["next"] is middle
-        faults_before = workspace.metrics.value("workspace.faults")
-        assert root.ref("next") is middle
-        assert workspace.metrics.value("workspace.faults") == faults_before
+        assert root.ref("next").oid == oids[1]
+        root.set("next", other.oid)
+        assert root.ref("next").oid == other.oid
+        pointer = workspace.load(oids[1])
+        root.set("next", pointer)
+        assert root.ref("next") is pointer
+        root.set("next", None)
+        assert root.ref("next") is None
+        node = workspace.load(hub.oid)
+        assert [m.oid for m in node.refs("links")] == oids
+        node.set("links", [other.oid, pointer])
+        assert [m.oid for m in node.refs("links")] == [other.oid, oids[1]]
+
+    @pytest.mark.parametrize("policy", ["lazy", "eager", "none"])
+    def test_refs_returns_a_list_the_caller_owns(self, graph_db, policy):
+        targets = [graph_db.new("Node", {"label": "t%d" % i}) for i in range(3)]
+        hub = graph_db.new("Node", {"links": [t.oid for t in targets]})
+        workspace = ObjectWorkspace(graph_db, policy=policy)
+        node = workspace.load(hub.oid)
+        first = node.refs("links")
+        first.reverse()
+        first.append(node)
+        second = node.refs("links")
+        assert [m["label"] for m in second] == ["t0", "t1", "t2"]
+        second.clear()
+        assert [m["label"] for m in node.refs("links")] == ["t0", "t1", "t2"]
+
+    @pytest.mark.parametrize("policy", ["lazy", "eager", "none"])
+    def test_a_read_only_traversal_copies_no_object(self, graph_db, policy):
+        oids = make_chain(graph_db, 4)
+        hub = graph_db.new("Node", {"label": "hub", "next": oids[0], "links": oids})
+        shared = {}
+        get_shared_state = graph_db.get_shared_state
+
+        def recording(oid):
+            state = get_shared_state(oid)
+            shared[oid] = state.values
+            return state
+
+        graph_db.get_shared_state = recording
+        workspace = ObjectWorkspace(graph_db, policy=policy)
+        order = workspace.closure([hub.oid], ["next", "links"])
+        assert len(order) == 5
+        for memory_object in order:  # scalar reads copy nothing
+            assert memory_object["label"] == memory_object.get("label")
+        assert len(shared) == len(workspace) == 5
+        for memory_object in order:  # still the stored dicts themselves
+            assert memory_object._values is shared[memory_object.oid]
+        # A list read through the object copies it first.
+        tail = workspace.load(oids[-1])
+        tail["links"].append("local")
+        assert tail._values is not shared[tail.oid]
+        assert shared[tail.oid]["links"] == []
+
+    def test_a_memory_object_is_not_iterable(self, graph_db):
+        (oid,) = make_chain(graph_db, 1)
+        memory_object = ObjectWorkspace(graph_db).load(oid)
+        # Without __iter__ = None, both would index 0, 1, ... forever.
+        assert MemoryObject.__iter__ is None
+        with pytest.raises(TypeError):
+            "label" in memory_object
+        with pytest.raises(TypeError):
+            list(memory_object)
 
     def test_refs_multi(self, graph_db):
         targets = [graph_db.new("Node", {"label": "t%d" % i}) for i in range(3)]
