@@ -12,10 +12,15 @@ Four access paths over the same hot set:
   the workspace's resident table, never a pointer;
 * swizzled   — workspace with direct pointers after first touch;
 * raw        — plain Python dicts, no database at all (the ceiling).
+
+``BENCH_e5_swizzling.json`` carries each policy's ``workspace.hits`` and
+``workspace.faults`` for the cold pass and for the hot passes, which
+benchgate compares with the committed baseline: a policy that stopped
+installing pointers, or faulted an object twice, shows there.
 """
 
 import pytest
-from conftest import print_table, timed
+from conftest import emit_bench_artifact, print_table, timed
 
 from repro import AttributeDef, Database
 from repro.core.oid import OID
@@ -104,6 +109,14 @@ def test_raw_python_traversal(chain_db, benchmark):
 def test_policy_ablation_and_summary(chain_db):
     db, head = chain_db
     expected = CHAIN * (CHAIN - 1) // 2
+    counts = {}
+
+    def count(workspace, phase, since=(0, 0)):
+        """Record the workspace's hits and faults since ``since``."""
+        now = workspace.stats.hits, workspace.stats.faults
+        for name, value, base in zip(("hits", "faults"), now, since):
+            counts["workspace.%s.%s.%s" % (name, workspace.policy, phase)] = value - base
+        return now
 
     t_unswizzled, total_u = timed(
         lambda: [traverse_unswizzled(db, head) for _ in range(PASSES)]
@@ -111,21 +124,27 @@ def test_policy_ablation_and_summary(chain_db):
 
     lazy = ObjectWorkspace(db, policy="lazy")
     t_cold, total_cold = timed(lambda: traverse_swizzled(lazy, head))
+    cold = count(lazy, "cold")
     t_hot, total_hot = timed(
         lambda: [traverse_swizzled(lazy, head) for _ in range(PASSES)]
     )
+    count(lazy, "hot", cold)
 
     table = ObjectWorkspace(db, policy="none")
     traverse_swizzled(table, head)  # fault everything in once
+    cold = count(table, "cold")
     t_table_hot, total_table = timed(
         lambda: [traverse_swizzled(table, head) for _ in range(PASSES)]
     )
+    count(table, "hot", cold)
 
     eager = ObjectWorkspace(db, policy="eager")
     timed(lambda: eager.load(head))  # eager load pulls the chain closure
+    cold = count(eager, "cold")
     t_eager_hot, _ = timed(
         lambda: [traverse_swizzled(eager, head) for _ in range(PASSES)]
     )
+    count(eager, "hot", cold)
 
     head_record = build_raw(db, head)
     t_raw, total_raw = timed(lambda: [traverse_raw(head_record) for _ in range(PASSES)])
@@ -133,20 +152,43 @@ def test_policy_ablation_and_summary(chain_db):
     assert total_u[0] == total_cold == total_hot[0] == total_table[0] == total_raw[0] == expected
 
     per_pass = lambda t: round(t / PASSES * 1e6, 1)
+    rows = [
+        ("database layer (unswizzled)", per_pass(t_unswizzled),
+         round(t_unswizzled / t_raw, 1)),
+        ("workspace lazy, cold (faulting)", round(t_cold * 1e6, 1), "-"),
+        ("workspace none (OID table), hot", per_pass(t_table_hot),
+         round(t_table_hot / t_raw, 1)),
+        ("workspace lazy, hot (swizzled)", per_pass(t_hot), round(t_hot / t_raw, 1)),
+        ("workspace eager, hot", per_pass(t_eager_hot), round(t_eager_hot / t_raw, 1)),
+        ("raw Python objects", per_pass(t_raw), 1.0),
+    ]
     print_table(
         "E5: %d-node chain traversal (%d hot passes)" % (CHAIN, PASSES),
         ("access path", "us/pass", "vs raw"),
-        [
-            ("database layer (unswizzled)", per_pass(t_unswizzled),
-             round(t_unswizzled / t_raw, 1)),
-            ("workspace lazy, cold (faulting)", round(t_cold * 1e6, 1), "-"),
-            ("workspace none (OID table), hot", per_pass(t_table_hot),
-             round(t_table_hot / t_raw, 1)),
-            ("workspace lazy, hot (swizzled)", per_pass(t_hot), round(t_hot / t_raw, 1)),
-            ("workspace eager, hot", per_pass(t_eager_hot), round(t_eager_hot / t_raw, 1)),
-            ("raw Python objects", per_pass(t_raw), 1.0),
-        ],
+        rows,
     )
+    emit_bench_artifact(
+        "e5_swizzling",
+        {
+            "chain": CHAIN,
+            "passes": PASSES,
+            "series": [
+                {"access_path": path, "ms": us / 1e3, "vs_raw": ratio}
+                for path, us, ratio in rows
+            ],
+            "metrics": counts,
+        },
+    )
+    # Every policy faults each node once.  Afterwards lazy follows
+    # pointers (one OID-table hit per pass, for the head); eager's first
+    # pass finds every node resident and installs the pointers; none goes
+    # through the OID table for every node.
+    for policy in ("lazy", "eager", "none"):
+        assert counts["workspace.faults.%s.cold" % policy] == CHAIN
+        assert counts["workspace.faults.%s.hot" % policy] == 0
+    assert counts["workspace.hits.lazy.hot"] == PASSES
+    assert counts["workspace.hits.eager.hot"] == PASSES + CHAIN - 1
+    assert counts["workspace.hits.none.hot"] == CHAIN * PASSES
     # Shape assertions: swizzled beats unswizzled by a wide margin, a
     # direct pointer beats a lookup in the workspace's OID table, and
     # raw in-memory access still beats the swizzled workspace (the

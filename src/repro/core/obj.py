@@ -53,10 +53,10 @@ class ObjectState:
     def copy(self) -> "ObjectState":
         """A copy the caller owns: the values dict and every (nested)
         list are new; everything else a value can hold is immutable."""
-        values = {
-            key: (copy_value(val) if isinstance(val, list) else val)
-            for key, val in self.values.items()
-        }
+        values = self.values.copy()
+        for key, val in self.values.items():
+            if isinstance(val, list):
+                values[key] = copy_value(val)
         return ObjectState(self.oid, self.class_name, values)
 
     def references(self) -> Iterator[OID]:

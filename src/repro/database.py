@@ -597,8 +597,9 @@ class Database:
         the active txn, coerced — and shared and read-only.  A
         workspace's memory object shares it and copies it on first
         write; the server's ``get`` sends it as is."""
-        class_name = self.storage.class_of(oid)
-        self._check_authz("read", class_name, oid)
+        class_name = self.storage.directory.lookup(oid)[0]
+        if self.authz is not None or self.mac is not None:
+            self._check_authz("read", class_name, oid)
         current = self.txns.current
         if current is not None:
             self._lock(current, oid, class_name, write=False)

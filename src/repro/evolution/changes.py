@@ -334,7 +334,8 @@ class SchemaEvolution:
         checkpoint reopens with — and one more: the primitive resolves
         both images' classes in the catalog (coercion, index scopes,
         hooks) and no catalog state knows both names.  Unlogged, not
-        undoable, durable as a whole at the next checkpoint.
+        undoable, durable as a whole at the next checkpoint; an open
+        snapshot reads its before-images under the new name.
         """
         self.schema.get_class(old_name)
         self.schema._rename_class_entry(old_name, new_name)
@@ -344,6 +345,7 @@ class SchemaEvolution:
             migrated = ObjectState(state.oid, new_name, state.values)
             self.db.storage.overwrite(migrated)  # lint: ignore[single-write-path]
             count += 1
+        self.db.version_store.rename_class(old_name, new_name)
         for index in self.db.indexes.all_indexes():
             if index.target_class == old_name:
                 index.target_class = new_name

@@ -57,6 +57,7 @@ COST_PREFIXES = (
     "wal.group_commit.",
     "query.stats.",
     "analyze.",
+    "workspace.",
 )
 
 

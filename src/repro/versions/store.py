@@ -217,6 +217,19 @@ class VersionStore:
                     self._unlink_locked(entry)
             self._m_entries.set(self._entry_count)
 
+    def rename_class(self, old_name: str, new_name: str) -> None:
+        """File every entry under ``old_name`` under ``new_name`` (a class
+        rename): a before-image must name a class the schema still has."""
+        with self._store_mutex:
+            for chain in self._chains.values():
+                for entry in chain:
+                    if old_name in entry.classes:
+                        entry.classes.remove(old_name)
+                        entry.classes.add(new_name)
+                    before = entry.before
+                    if before is not None and before.class_name == old_name:
+                        entry.before = ObjectState(before.oid, new_name, before.values)
+
     # -- snapshot lifecycle --------------------------------------------------
 
     def open_snapshot(self, txn_id: Optional[int] = None) -> Snapshot:

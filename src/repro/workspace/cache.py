@@ -9,15 +9,16 @@ queries, indexing and recovery remain correct.
 
 Swizzling policies (the E5 ablation).  Admission shares the stored
 state, which is copied on first write, and its slots keep their OIDs; a
-traversal resolves an OID through the workspace's OID table when it
-first follows it (swizzling on dereference; see
-:mod:`repro.workspace.swizzle`):
+traversal resolves an OID through the workspace's OID table, keyed by
+the OID's value, when it first follows it (swizzling on dereference;
+see :mod:`repro.workspace.swizzle`):
 
 * ``"lazy"``  — a followed OID faults its object in, and the object's
-  pointer table then holds the direct pointer (LOOM).
-* ``"eager"`` — loading an object immediately loads the objects it
-  references (one level; the closure materializes as a traversal runs);
-  a followed reference gets a direct pointer, as under lazy.
+  pointer table, made at its first followed reference, then holds the
+  direct pointer (LOOM).
+* ``"eager"`` — loading an object immediately loads every object
+  reachable from it, breadth-first; a followed reference then gets a
+  direct pointer, as under lazy.
 * ``"none"``  — no pointer is installed and every traversal goes
   through the OID table (the unswizzled baseline).
 """
@@ -77,7 +78,9 @@ class ObjectWorkspace:
             )
         self.db = db
         self.policy = policy
-        self._resident: Dict[OID, MemoryObject] = {}
+        #: The OID table, keyed by ``oid.value``: an OID's class hint
+        #: never splits one object in two, and an int hashes in C.
+        self._resident: Dict[int, MemoryObject] = {}
         #: Private registry: workspaces are per-application caches, and
         #: the E5 ablation compares several of them over one database, so
         #: their counts must not mix in the database-wide registry.
@@ -91,7 +94,7 @@ class ObjectWorkspace:
     # -- loading ------------------------------------------------------------
 
     def __contains__(self, oid: OID) -> bool:
-        return oid in self._resident
+        return oid.value in self._resident
 
     def __len__(self) -> int:
         return len(self._resident)
@@ -103,16 +106,16 @@ class ObjectWorkspace:
         iteratively (breadth-first), so arbitrarily deep reference chains
         never hit the interpreter's recursion limit.
         """
-        resident = self._resident.get(oid)
+        resident = self._resident.get(oid.value)
         if resident is not None:
-            self._m_hits.inc()
+            self._m_hits.value += 1
             return resident
         memory_object = self._admit(oid)
         if self.policy == "eager":
-            queue = [memory_object]
+            queue, resident = [memory_object], self._resident
             while queue:
                 for referenced in queue.pop()._pending_refs():
-                    if referenced not in self._resident and self.db.exists(referenced):
+                    if referenced.value not in resident and self.db.exists(referenced):
                         queue.append(self._admit(referenced))
         return memory_object
 
@@ -121,9 +124,9 @@ class ObjectWorkspace:
         S-locked like ``get_state``) and hand it to the memory object as
         it is — it is copied on first write (see :class:`MemoryObject`)."""
         state = self.db.get_shared_state(oid)
-        self._m_faults.inc()
+        self._m_faults.value += 1
         memory_object = MemoryObject(state.oid, state.class_name, state.values, self)
-        self._resident[oid] = memory_object
+        self._resident[oid.value] = memory_object
         return memory_object
 
     # -- traversal helpers -----------------------------------------------------
@@ -181,12 +184,12 @@ class ObjectWorkspace:
 
     def evict(self, oid: OID) -> None:
         """Drop one object (must not be dirty)."""
-        memory_object = self._resident.get(oid)
+        memory_object = self._resident.get(oid.value)
         if memory_object is None:
             return
         if memory_object.dirty:
             raise KimDBError("cannot evict dirty object %r; flush first" % (oid,))
-        del self._resident[oid]
+        del self._resident[oid.value]
 
     def clear(self) -> None:
         """Drop everything (dirty objects lose their local edits)."""

@@ -14,11 +14,12 @@ its reference slots keep their OIDs.  A traversal follows an OID the
 first time (swizzling on dereference, in Moss's terms):
 :meth:`MemoryObject.ref` and :meth:`MemoryObject.refs` resolve it
 through the workspace's OID table — a resident hit or one fault — and
-then install the direct pointer in the object's pointer table, so
-subsequent accesses are "a few memory lookups" (the order-of-magnitude
-claim of Section 4.2, experiment E5).  Under the ``"none"`` policy they
-never install one: every traversal goes through the OID table.  A
-dangling reference keeps its OID.
+then install the direct pointer in the object's pointer table (made at
+its first followed reference), so subsequent accesses are "a few memory
+lookups" (the order-of-magnitude claim of Section 4.2, experiment E5).
+Under the ``"none"`` policy they never install one: every traversal goes
+through the OID table.  A dangling reference keeps its OID; a target
+the reader may not read raises ``AuthorizationError``, admitting nothing.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ class MemoryObject:
         self.changed: Optional[Set[str]] = None
         self._values = values  # shared and read-only until _owned
         self._owned = False
-        #: Followed references: name -> MemoryObject, or -> list of them.
-        self._pointers: Dict[str, Any] = {}
+        #: Followed references (name -> MemoryObject, or a list), made at the first.
+        self._pointers: Optional[Dict[str, Any]] = None
         self._workspace = workspace
 
     @property
@@ -103,46 +104,54 @@ class MemoryObject:
         After the first traversal the pointer table holds the target
         (not under ``"none"``), so the next ``ref`` is a dict lookup.
         """
-        target = self._pointers.get(name)
-        if type(target) is MemoryObject:  # hot path: already followed
-            return target
+        pointers = self._pointers
+        if pointers is not None:
+            target = pointers.get(name)
+            if type(target) is MemoryObject:  # hot path: already followed
+                return target
         value = self._values.get(name)
         if type(value) is MemoryObject:  # stored there by set()
             return value
         if not isinstance(value, OID):
             return None
-        target = self._follow(value)
-        if target is not None and self._workspace.policy != "none":
-            self._pointers[name] = target
+        workspace = self._workspace
+        try:
+            target = workspace.load(value)
+        except ObjectNotFoundError:  # dangling: the slot keeps its OID
+            return None
+        if workspace.policy != "none":
+            if pointers is None:
+                self._pointers = pointers = {}
+            pointers[name] = target
         return target
 
     def refs(self, name: str) -> List["MemoryObject"]:
         """Traverse a set-valued reference attribute; the caller owns
         the returned list."""
-        targets = self._pointers.get(name)
-        if type(targets) is list:  # hot path: already followed
-            return targets[:]
+        pointers = self._pointers
+        if pointers is not None:
+            targets = pointers.get(name)
+            if type(targets) is list:  # hot path: already followed
+                return targets[:]
         value = self._values.get(name)
         if not isinstance(value, list):
             single = self.ref(name)
             return [single] if single is not None else []
+        workspace = self._workspace
         out: List[MemoryObject] = []
         for element in value:
             if type(element) is MemoryObject:
                 out.append(element)
             elif isinstance(element, OID):
-                target = self._follow(element)
-                if target is not None:
-                    out.append(target)
-        if self._workspace.policy != "none":
-            self._pointers[name] = out[:]
+                try:
+                    out.append(workspace.load(element))
+                except ObjectNotFoundError:  # dangling: skipped
+                    pass
+        if workspace.policy != "none":
+            if pointers is None:
+                self._pointers = pointers = {}
+            pointers[name] = out[:]
         return out
-
-    def _follow(self, oid: OID) -> Optional["MemoryObject"]:
-        try:
-            return self._workspace.load(oid)
-        except ObjectNotFoundError:
-            return None
 
     def _pending_refs(self) -> List[OID]:
         """OIDs this object's slots hold."""
@@ -159,7 +168,8 @@ class MemoryObject:
     def set(self, name: str, value: Any) -> None:
         """Local update; persisted at workspace flush."""
         self.values[name] = value
-        self._pointers.pop(name, None)
+        if self._pointers is not None:
+            self._pointers.pop(name, None)
         if self.changed is None:
             self.changed = {name}
         else:

@@ -42,6 +42,16 @@ class TestCompare:
         assert findings[0].metric == "pager.reads"
         assert findings[0].delta_pct == 100.0
 
+    def test_workspace_counts_are_gated(self, tmp_path):
+        base = dict(BASE_METRICS, **{"workspace.hits.lazy.hot": 30})
+        fresh = dict(BASE_METRICS, **{"workspace.hits.lazy.hot": 12000})  # no pointers
+        _write_artifact(str(tmp_path / "base"), "e5", base)
+        _write_artifact(str(tmp_path / "fresh"), "e5", fresh)
+        findings = benchgate.compare_dirs(str(tmp_path / "base"), str(tmp_path / "fresh"))
+        assert [(f.kind, f.metric) for f in findings] == [
+            ("regression", "workspace.hits.lazy.hot")
+        ]
+
     def test_within_tolerance_passes(self, tmp_path):
         _write_artifact(str(tmp_path / "base"), "e1", BASE_METRICS)
         fresh = dict(BASE_METRICS, **{"pager.reads": 1200})  # +20% < 25%

@@ -13,11 +13,15 @@ write stamp a path memo watches and each resident page's write count.
 * **DDL mid-build.**  An ``add_attribute`` that lands while a page's
   state list is being built: the next scan shows the new default, and
   no tuple built under the old definition is kept.
+* **A snapshot across a class rename** reads the before-image of an
+  object written since it opened, under the new name.
 * **Seeded DDL mix.**  ``add_attribute``, ``drop_attribute`` and both
   renames between reads through every read source — snapshot deref,
   buffered load, kept page tuple, path memo, version-chain
   before-image, handle read and server ``get`` — and every row read has
-  exactly its class's declared keys at read time.
+  exactly its class's declared keys at read time.  One snapshot stays
+  open across the whole mix, class renames included, and its scans
+  return every object once.
 
 ``DDL_MIX_EXAMPLES`` sets how many seeds the mix runs (CI's weekly job
 runs 500).  A failure names its seed.
@@ -86,6 +90,23 @@ def test_renames_keep_every_value_of_buffered_and_kept_records():
     assert [db.class_of(oid) for oid in oids] == ["R"] * 12 + ["R", "Q", "R", "Q"]
     rows = {state.oid: state.values for state in db.execute("SELECT r FROM R r").states}
     assert rows == {oid: expected[oid] for oid in oids}
+
+
+def test_a_snapshot_reads_its_before_image_across_a_class_rename():
+    db = Database()
+    db.define_class("A", attributes=[AttributeDef("n", "Integer")])
+    oid = db.new("A", {"n": 1}).oid
+    view = db._snapshot_view()
+    try:
+        db.update(oid, {"n": 2})
+        SchemaEvolution(db).rename_class("A", "B")
+        state = view.deref(oid)
+        assert (state.class_name, state.values) == ("B", {"n": 1})
+        assert [(s.oid, s.values) for s in view.scan("B")] == [(oid, {"n": 1})]
+        assert list(view.scan("A")) == []
+    finally:
+        db._read_close(view)
+    assert (db.class_of(oid), db.get_state(oid).values) == ("B", {"n": 2})
 
 
 # -- a schema change while a page's state list is built ----------------------------
@@ -191,9 +212,13 @@ class _Mix:
                 if state is not None:
                     self.chain_reads += oid in changed
                     self.check(state, "version-chain before-image")
+            seen = []
             for cls in ("Part", self.sub):
                 for state in self.old_view.scan(cls):
                     self.check(state, "snapshot scan")
+                    seen.append(state.oid)
+            # Nothing is deleted: the old snapshot scans every object once.
+            assert sorted(seen) == sorted(oids), ("snapshot scan", seen)
             for oid in self.rng.sample(oids, 5):
                 handle = db.get(oid)
                 declared = db.schema.attribute_map(db.class_of(oid))
@@ -235,14 +260,11 @@ class _Mix:
             evolution.rename_attribute("Part", name, name + "r")
             self.dropped.add(name)
         else:
-            # Not snapshot-isolated: a class rename is run with no
-            # snapshot open over the old name.
-            self.memo_flush()
-            self.db._read_close(self.old_view)
+            # The open snapshot keeps reading across the rename: its
+            # before-images are filed under the new name.
             renamed = "Sub2" if self.sub == "Sub" else "Sub"
             evolution.rename_class(self.sub, renamed)
             self.sub = renamed
-            self._open_old_view()
 
 
 @pytest.mark.parametrize("seed", range(DDL_MIX_EXAMPLES))

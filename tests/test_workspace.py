@@ -3,8 +3,9 @@
 import pytest
 
 from repro import AttributeDef, Database
+from repro.authz import attach, attach_mandatory
 from repro.core.oid import OID
-from repro.errors import KimDBError
+from repro.errors import AuthorizationError, KimDBError
 from repro.workspace.cache import ObjectWorkspace
 from repro.workspace.swizzle import MemoryObject
 
@@ -213,6 +214,73 @@ class TestTraversal:
         node = workspace.load(source.oid)
         assert node.ref("next") is None
         assert node.values["next"] == target.oid  # the slot keeps its OID
+
+
+class TestOidTable:
+    """The OID table is keyed by the OID's value: a class hint is only
+    debug text, so an OID with another hint is the same object."""
+
+    @pytest.mark.parametrize("policy", ["lazy", "eager", "none"])
+    def test_another_hint_is_the_same_object(self, graph_db, policy):
+        oids = make_chain(graph_db, 2)
+        hub = graph_db.new(
+            "Node",
+            {"next": OID(oids[0].value, "Other"), "links": [OID(oids[1].value, "X")]},
+        )
+        workspace = ObjectWorkspace(graph_db, policy=policy)
+        root = workspace.load(oids[0])
+        assert workspace.load(OID(oids[0].value, "Other")) is root
+        assert OID(oids[0].value, "Other") in workspace
+        node = workspace.load(hub.oid)
+        assert node.ref("next") is root
+        assert node.refs("links") == [workspace.load(oids[1])]
+        assert root.ref("next") is workspace.load(OID(oids[1].value))
+        assert len(workspace) == 3
+        assert workspace.stats.faults == 3
+        workspace.evict(OID(oids[0].value, "Other"))
+        assert oids[0] not in workspace and len(workspace) == 2
+
+
+class TestFollowedReferencesStayAuthorized:
+    """A followed reference faults its target in through the same
+    authorized read as :meth:`ObjectWorkspace.load`: a denied target
+    raises, and only a missing object reads as a dangling reference."""
+
+    @pytest.fixture(params=["discretionary", "mandatory"])
+    def guarded(self, request, graph_db):
+        graph_db.define_class("Secret", superclasses=("Node",))
+        secret = graph_db.new("Secret", {"label": "s"}).oid
+        visible = graph_db.new("Node", {"label": "v"}).oid
+        source = graph_db.new(
+            "Node", {"label": "src", "next": secret, "links": [visible, secret]}
+        ).oid
+        if request.param == "discretionary":
+            manager = attach(graph_db)
+            manager.add_role("clerk")
+            manager.grant("clerk", "read", "Node", include_subclasses=False)
+        else:
+            manager = attach_mandatory(graph_db)
+            manager.classify_class("Secret", "secret")
+            manager.clear_subject("clerk", "confidential")
+        manager.set_subject("clerk")
+        return graph_db, source, secret
+
+    @pytest.mark.parametrize("policy", ["lazy", "eager", "none"])
+    def test_a_denied_target_raises_and_is_not_admitted(self, guarded, policy):
+        db, source, secret = guarded
+        workspace = ObjectWorkspace(db, policy=policy)
+        if policy == "eager":  # loading follows the stored references at once
+            with pytest.raises(AuthorizationError):
+                workspace.load(source)
+        node = workspace.load(source)
+        with pytest.raises(AuthorizationError):
+            node.ref("next")
+        with pytest.raises(AuthorizationError):
+            node.refs("links")
+        with pytest.raises(AuthorizationError):
+            workspace.closure([source], ["next", "links"])
+        assert secret not in workspace
+        assert node["next"] == secret  # the slot keeps its OID
 
 
 class TestWriteBack:

@@ -3,12 +3,14 @@
 Each example builds a seeded graph of ``Node`` objects with cycles,
 self-references, dangling single and set-valued references (their
 targets are deleted after the references are stored), duplicate OIDs in
-one list, ``None`` slots and nested lists that hold no OIDs.  Under each
-swizzling policy a depth-k closure walked through ``ref``/``refs`` (and
-through ``ObjectWorkspace.closure``) must reach the objects, in the same
+one list, references written with another class hint, ``None`` slots
+and nested lists that hold no OIDs.  Under each swizzling policy a
+depth-k closure walked through ``ref``/``refs`` (and through
+``ObjectWorkspace.closure``) must reach the objects, in the same
 order and with the same values, that the same walk over
 ``Database.get_state`` reaches — on the first pass, which faults, and on
-the second, which follows installed pointers or the OID table.  A lazy
+the second, which enters through an OID with another class hint and
+follows installed pointers or the OID table.  A lazy
 or unswizzled workspace faults each reached object exactly once; an
 eager one faults the whole reachable set.  Edits to the memory objects
 leave the object buffer's shared states as they were.
@@ -49,7 +51,9 @@ def _graph(seed):
     gone = [db.new("Node", {"label": "gone"}).oid for _ in range(rng.randint(1, 3))]
 
     def target():
-        return rng.choice(gone) if rng.random() < 0.2 else rng.choice(live)
+        oid = rng.choice(gone) if rng.random() < 0.2 else rng.choice(live)
+        # Another class hint names the same object (OIDs are their value).
+        return OID(oid.value, "Other") if rng.random() < 0.3 else oid
 
     for oid in live:
         values = {"next": None if rng.random() < 0.2 else target()}
@@ -126,9 +130,11 @@ def test_closure_matches_a_get_state_walk(policy, seed, depth):
     expected = _closure(root, depth, _stored_neighbours(db), lambda oid: oid)
     reachable = _closure(root, None, _stored_neighbours(db), lambda oid: oid)
     workspace = ObjectWorkspace(db, policy=policy)
-    for _ in range(2):  # faulting, then through pointers or the OID table
+    # Faulting, then through pointers or the OID table — reached through
+    # an OID with another class hint.
+    for entry in (root, OID(root.value, "Other")):
         reached = _closure(
-            workspace.load(root), depth, _memory_neighbours, lambda m: m.oid
+            workspace.load(entry), depth, _memory_neighbours, lambda m: m.oid
         )
         assert [m.oid for m in reached] == expected
         for memory_object in reached:
