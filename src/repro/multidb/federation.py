@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List,
 
 from ..errors import FederationError
 from ..query.ast import Expr, Query
-from ..query.compiler import compile_predicate
+from ..query.compiler import FilterShapes, compile_filter
 from ..query.operators import compile_plan
 from ..query.parser import parse_query
 from ..query.planner import Plan, SystemScan
@@ -163,26 +163,27 @@ class FederationKernel:
 
     The physical operators (:mod:`repro.query.operators`) are row-type
     agnostic; this kernel compiles their expressions over plain dicts —
-    the WHERE clause through the engine's one expression compiler
-    (:func:`~repro.query.compiler.compile_predicate`), every path over
-    the federation's row walker, which navigates cross-source references
-    via the catalog.  Ordering is a stable full sort — virtual classes
-    have no OID tiebreaker, so the top-K heap path (which reorders ties)
-    is deliberately not used.
+    the WHERE clause through the engine's one WHERE compiler
+    (:func:`~repro.query.compiler.compile_filter`, every leaf a call over
+    :meth:`path`, whose shapes ``shapes`` keeps), every path over the
+    federation's row walker, which navigates cross-source references via
+    the catalog.  Ordering is a stable full sort — virtual classes have
+    no OID tiebreaker, so the top-K heap path (which reorders ties) is
+    deliberately not used.
     """
 
-    __slots__ = ("federation", "class_name")
+    __slots__ = ("federation", "class_name", "shapes")
 
     #: Row dicts have no OID tiebreaker: an unordered query keeps scan
     #: order, and ``compile_plan`` must not insert an implicit sort.
     has_default_order = False
-    #: Federated rows have no behaviour: a method or ADT predicate
-    #: raises when a row reaches it.
-    send = adt_eval = None
+    #: Rows are dicts, not object states: no WHERE leaf inlines.
+    inlines = False
 
-    def __init__(self, federation: "Federation", class_name: str) -> None:
+    def __init__(self, federation: "Federation", class_name: str, shapes: FilterShapes) -> None:
         self.federation = federation
         self.class_name = class_name
+        self.shapes = shapes
 
     def row_class(self, row: Row) -> str:
         return self.class_name
@@ -191,18 +192,13 @@ class FederationKernel:
         walk, class_name = self.federation._path_values, self.class_name
         return lambda row: walk(class_name, row, steps)
 
-    def exists(
-        self, steps: Tuple[str, ...], test: Callable[[Any], bool]
-    ) -> Callable[[Row], bool]:
-        path = self.path(steps)
-        return lambda row: any(map(test, path(row)))
-
-    def predicate(self, expr: Expr) -> Callable[[Row], bool]:
-        return compile_predicate(expr, self, refuse=_refuse_behaviour)
+    def refuse(self, leaf: Expr) -> FederationError:
+        """Federated rows have no behaviour: a method or ADT leaf raises
+        this when a row reaches it."""
+        return FederationError("federated queries support comparisons and boolean operators only")
 
     def filter(self, expr: Expr) -> Callable[[List[Row]], List[Row]]:
-        test = self.predicate(expr)
-        return lambda rows: [row for row in rows if test(row)]
+        return compile_filter(expr, self, self.shapes)
 
     def sorter(
         self,
@@ -236,18 +232,14 @@ class FederationKernel:
         return project
 
 
-def _refuse_behaviour(expr: Expr) -> FederationError:
-    return FederationError(
-        "federated queries support comparisons and boolean operators only"
-    )
-
-
 class Federation:
     """The multidatabase: a registry of adapters + a federated executor."""
 
     def __init__(self) -> None:
         self._sources: Dict[str, Adapter] = {}
         self._classes: Dict[str, Tuple[str, VirtualClass]] = {}
+        #: The generated WHERE filters of :meth:`query`.
+        self.shapes = FilterShapes()
 
     def register(self, source_name: str, adapter: Adapter) -> None:
         if source_name in self._sources:
@@ -342,7 +334,7 @@ class Federation:
         target = query.target_class
         self._entry(target)  # unknown virtual class: FederationError
         plan = Plan(query, {target}, SystemScan(target), query.where, 0.0)
-        pipeline = compile_plan(plan, FederationKernel(self, target), self.scan)
+        pipeline = compile_plan(plan, FederationKernel(self, target, self.shapes), self.scan)
         pipeline.open()
         try:
             rows = [row for batch in pipeline.root.batches() for row in batch]

@@ -326,7 +326,7 @@ class SystemCatalog:
     # -- execution hookup --------------------------------------------------
 
     def kernel(self, view: str) -> FederationKernel:
-        return FederationKernel(self.federation, view)
+        return FederationKernel(self.federation, view, self.db.filter_shapes)
 
     def scan(self, view: str) -> Iterator[Row]:
         return self.federation.scan(view)

@@ -64,7 +64,8 @@ def evaluate_predicate(
     Method predicates need ``send``; ADT predicates need ``adt_eval`` —
     both raise if required but not provided.  This is the reference
     interpreter: the query pipeline runs the same semantics compiled
-    (:func:`~repro.query.compiler.compile_predicate`).
+    (:func:`~repro.query.compiler.compile_filter`, whose every leaf it
+    does not inline calls the same :func:`~repro.query.paths.compare`).
     """
     if isinstance(expr, Comparison):
         values = evaluate_path(state, expr.path.steps, deref)

@@ -1,111 +1,53 @@
-"""Expression compiler: query expressions -> per-row closures and
-generated batch filters.
+"""Expression compiler: query expressions -> per-row closures and one
+generated WHERE filter.
 
 The pipeline never walks an AST per row.  When a plan is compiled into
 operators (:func:`~repro.query.operators.compile_plan`), each expression
 it carries — the WHERE clause, the ORDER BY / top-K key, the GROUP BY
-key, the aggregate paths and the projections — is compiled once into a
-closure bound to that execution's kernel (its ``path_deref`` — the
-execution's path memo, for steps that dereference — ``send`` and
-``adt_eval``).  Closures bound to one execution cannot be shared, so
-binding happens per execution and nothing bound is cached with the plan.
+key, the aggregate paths and the projections — is compiled once against
+that execution's kernel (its ``path_deref`` — the execution's path
+memo, for steps that dereference — ``send`` and ``adt_eval``).  What is
+bound to one execution cannot be shared, so binding happens per
+execution and nothing bound is cached with the plan.
 
-The closures specialise by shape: a one-step path reads
+A path compiles to a closure: a one-step path reads
 ``values.get(attr)`` directly, a multi-step path walks its steps through
-``deref``, every comparison operator gets its own compare with the
-literal bound in, a LIKE pattern is translated once, and ``And`` / ``Or``
-/ ``Not`` short-circuit.  Semantics are exactly those of the reference
+``deref``.  The WHERE clause, over object states and row dicts alike,
+compiles to one generated comprehension per predicate *shape*
+(:func:`compile_filter`): ``And`` / ``Or`` / ``Not`` are inlined, and,
+for kernels whose rows are object states, a comparison of a one-step
+path, or of a two-step path through one reference, against an ``int`` /
+``float`` (ordered or ``=``) or a ``str`` (``=`` / ``contains``)
+inlines its common case — the value read has exactly the literal's
+kind.  Every other leaf, and every other value, goes to one call made
+on first use (:func:`compile_leaf`): the leaf over the kernel's path
+with the reference :func:`~repro.query.paths.compare`, or a method or
+ADT operator through ``send`` / ``adt_eval``.  A two-step path's second
+value goes to that compare alone (:func:`value_test`), so the reference
+is read once.  Semantics are exactly those of the reference
 interpreter, :func:`~repro.query.algebra.evaluate_predicate` over
 :func:`~repro.query.paths.evaluate_path`: existential comparisons over
 fan-out, ``_eq``'s bool / OID rules, None never ordered, a ``TypeError``
-is False.
-
-Over object states the WHERE clause runs as one generated comprehension
-per predicate *shape* (:func:`compile_filter`): ``And`` / ``Or`` /
-``Not`` are inlined, and a comparison of a one-step path, or of a
-two-step path through one reference, against an ``int`` / ``float``
-(ordered or ``=``) or a ``str`` (``=`` / ``contains``) inlines its
-common case — the value read has exactly the literal's kind — and hands
-every other value to the leaf's closure above (a two-step path's second
-value to the closure's compare alone, :func:`value_test`, so the
-reference is read once).  The source text depends
-on the shape alone: attribute names and literals are arguments of the
-generated factory, never text in it.  :class:`FilterShapes` keeps the
-factories, so a known shape pays only the binding.
+is False.  The source text depends on the shape alone: attribute names
+and literals are arguments of the generated factory, never text in it.
+:class:`FilterShapes` keeps the factories, so a known shape pays only
+the binding.
 """
 
 from __future__ import annotations
 
-import fnmatch
-import operator
-import re
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
 from ..core.obj import ObjectState, copy_value
 from ..core.oid import OID
-from ..errors import QueryError
 from .ast import AdtPredicate, And, Comparison, Expr, MethodCall, Not, Or
-from .paths import Deref, _eq, _like_translate
+from .paths import Deref, compare
 
 #: A compiled per-row test.
 Test = Callable[[Any], bool]
 #: A compiled path: every terminal value of the path from one row.
 PathReader = Callable[[Any], List[Any]]
-
-_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
-# -- comparisons ---------------------------------------------------------
-
-
-def compile_compare(op: str, literal: Any) -> Test:
-    """``compare(op, candidate, literal)`` with ``op`` and ``literal`` bound."""
-    if op in ("=", "contains"):
-        return _equals(literal)
-    if op == "!=":
-        equal = _equals(literal)
-        return lambda candidate: not equal(candidate)
-    if op == "in":
-        members = [_equals(item) for item in literal]
-        return lambda candidate: any(equal(candidate) for equal in members)
-    if op == "like":
-        return _like(literal)
-    ordering = _ORDERINGS.get(op)
-    if ordering is None:
-        raise QueryError("unknown comparison operator %r" % (op,))
-    if literal is None:
-        return lambda candidate: False
-
-    def ordered(candidate: Any) -> bool:
-        if candidate is None:
-            return False
-        try:
-            return ordering(candidate, literal)
-        except TypeError:
-            return False
-
-    return ordered
-
-
-def _equals(literal: Any) -> Test:
-    """``_eq(candidate, literal)`` specialised on the literal's type."""
-    if isinstance(literal, OID):
-        return lambda candidate: isinstance(candidate, OID) and candidate == literal
-    if isinstance(literal, bool):
-        # Only a bool equals a bool, and each bool is a singleton.
-        return partial(operator.is_, literal)
-    if isinstance(literal, str):
-        # No OID or bool ever equals a string.
-        return partial(operator.eq, literal)
-    return partial(_eq, literal=literal)
-
-
-def _like(pattern: Any) -> Test:
-    if not isinstance(pattern, str):
-        return lambda candidate: False
-    match = re.compile(fnmatch.translate(_like_translate(pattern))).match
-    return lambda candidate: isinstance(candidate, str) and match(candidate) is not None
 
 
 # -- paths over object states --------------------------------------------
@@ -144,22 +86,6 @@ def compile_path(steps: Sequence[str], deref: Deref) -> PathReader:
         return values
 
     return path
-
-
-def compile_exists(steps: Sequence[str], test: Test, deref: Deref) -> Test:
-    """Does ``test`` hold for some terminal value of the path?"""
-    if len(steps) == 1:
-        attr = steps[0]
-
-        def holds(state: ObjectState) -> bool:
-            value = state.values.get(attr)
-            if isinstance(value, list):
-                return any(map(test, value))
-            return test(value)
-
-        return holds
-    path = compile_path(steps, deref)
-    return lambda state: any(map(test, path(state)))
 
 
 def first_of_one(value: Any) -> Any:
@@ -210,77 +136,6 @@ def compile_projection(
     return project
 
 
-# -- predicates ----------------------------------------------------------
-
-
-def compile_predicate(
-    expr: Expr, kernel: Any, refuse: Optional[Callable[[Expr], Exception]] = None
-) -> Test:
-    """Compile a WHERE tree against ``kernel``.
-
-    The kernel supplies ``exists(steps, test)`` and ``path(steps)`` for
-    its row type, plus ``send`` / ``adt_eval`` (None when absent).  A
-    node the kernel cannot evaluate compiles to a test that raises when
-    a row reaches it — the moment the interpreter would have raised;
-    ``refuse(expr)`` makes that exception for kernels with no behaviour
-    at all (federated rows).
-    """
-    if isinstance(expr, Comparison):
-        return kernel.exists(expr.path.steps, compile_compare(expr.op, expr.const.value))
-    if isinstance(expr, (And, Or)):
-        parts = [compile_predicate(operand, kernel, refuse) for operand in expr.operands]
-        if isinstance(expr, And):
-            if len(parts) == 2:
-                left, right = parts
-                return lambda row: left(row) and right(row)
-            return lambda row: all(part(row) for part in parts)
-        if len(parts) == 2:
-            left, right = parts
-            return lambda row: left(row) or right(row)
-        return lambda row: any(part(row) for part in parts)
-    if isinstance(expr, Not):
-        inner = compile_predicate(expr.operand, kernel, refuse)
-        return lambda row: not inner(row)
-    if refuse is not None:
-        return _raising(lambda: refuse(expr))
-    if isinstance(expr, MethodCall):
-        return _compile_method(expr, kernel)
-    if isinstance(expr, AdtPredicate):
-        adt_eval = kernel.adt_eval
-        if adt_eval is None:
-            return _raising(lambda: ValueError("ADT predicates require an ADT evaluator"))
-        return lambda row: adt_eval(expr, row)
-    return _raising(lambda: ValueError("unknown expression node %r" % (expr,)))
-
-
-def _compile_method(expr: MethodCall, kernel: Any) -> Test:
-    send = kernel.send
-    if send is None:
-        return _raising(lambda: ValueError("method predicates require a message sender"))
-    test = compile_compare(expr.op, expr.const.value)
-    selector, args = expr.selector, expr.args
-    path = kernel.path(expr.path.steps) if expr.path is not None else None
-
-    def holds(state: ObjectState) -> bool:
-        if path is None:
-            receivers = [state.oid]
-        else:
-            receivers = [value for value in path(state) if isinstance(value, OID)]
-        for receiver in receivers:
-            if test(send(receiver, selector, *args)):
-                return True
-        return False
-
-    return holds
-
-
-def _raising(error: Callable[[], Exception]) -> Test:
-    def refused(row: Any) -> bool:
-        raise error()
-
-    return refused
-
-
 # -- generated batch filters ---------------------------------------------
 
 #: Generated filter factories one :class:`FilterShapes` keeps at most.
@@ -297,10 +152,55 @@ _CALL = ("call",)
 _NUMERIC_OPS = frozenset(("<", "<=", ">", ">=", "="))
 
 
+def compile_leaf(kernel: Any, leaf: Expr) -> Test:
+    """One WHERE leaf as a test of one row, for every leaf and value the
+    generated filter does not inline: a comparison over ``kernel.path``
+    with the reference :func:`~repro.query.paths.compare`, a method
+    through ``kernel.send``, an ADT operator through ``kernel.adt_eval``.
+    A leaf the kernel cannot evaluate compiles to a test that raises when
+    a row reaches it — the moment the interpreter would have raised;
+    ``kernel.refuse(leaf)`` makes that exception for kernels whose rows
+    have no behaviour at all (federated rows)."""
+    if isinstance(leaf, Comparison):
+        path = kernel.path(leaf.path.steps)
+        test = partial(compare, leaf.op, literal=leaf.const.value)
+        return lambda row: any(map(test, path(row)))
+    if kernel.refuse is not None:
+        return _raising(kernel.refuse, leaf)
+    if isinstance(leaf, MethodCall):
+        send = kernel.send
+        if send is None:
+            return _raising(ValueError, "method predicates require a message sender")
+        test = partial(compare, leaf.op, literal=leaf.const.value)
+        selector, args = leaf.selector, leaf.args
+        path = kernel.path(leaf.path.steps) if leaf.path is not None else None
+
+        def holds(row: Any) -> bool:
+            if path is None:
+                receivers = [row.oid]
+            else:
+                receivers = [value for value in path(row) if isinstance(value, OID)]
+            return any(test(send(receiver, selector, *args)) for receiver in receivers)
+
+        return holds
+    if isinstance(leaf, AdtPredicate):
+        if kernel.adt_eval is None:
+            return _raising(ValueError, "ADT predicates require an ADT evaluator")
+        return partial(kernel.adt_eval, leaf)
+    return _raising(ValueError, "unknown expression node %r" % (leaf,))
+
+
+def _raising(error: Callable[..., Exception], *args: Any) -> Test:
+    def refused(row: Any) -> bool:
+        raise error(*args)
+
+    return refused
+
+
 def value_test(leaf: Comparison) -> Test:
     """``leaf``'s comparison of one value a path's last step read: a
-    list's elements existentially, as the leaf's closure tests them."""
-    test = compile_compare(leaf.op, leaf.const.value)
+    list's elements existentially, as :func:`compile_leaf` tests them."""
+    test = partial(compare, leaf.op, literal=leaf.const.value)
     return lambda value: any(map(test, value)) if isinstance(value, list) else test(value)
 
 
@@ -348,13 +248,14 @@ class FilterShapes:
 
 
 def compile_filter(expr: Expr, kernel: Any, shapes: FilterShapes) -> BatchFilter:
-    """The WHERE clause as a batch function over object states: ``rows
-    -> [row for row in rows if <expr>]``, generated once per shape and
-    bound here to ``kernel`` — its ``path_deref`` if an inlined leaf
-    dereferences, and its ``predicate`` to compile a leaf's closure the
-    first time a row needs it."""
-    args: List[Any] = [kernel.deref, kernel.predicate]
-    factory = shapes.factory(filter_shape(expr, args))
+    """The WHERE clause as a batch function: ``rows -> [row for row in
+    rows if <expr>]``, generated once per shape and bound here to
+    ``kernel`` — its ``path_deref`` if an inlined leaf dereferences, and
+    :func:`compile_leaf` over it for every leaf the first time a row
+    needs its call.  A kernel whose ``inlines`` is False (row dicts)
+    inlines no leaf."""
+    args: List[Any] = [None, partial(compile_leaf, kernel)]
+    factory = shapes.factory(filter_shape(expr, args, kernel.inlines))
     if factory.dereferences:
         args[0] = kernel.path_deref
     return factory(*args)
@@ -367,22 +268,23 @@ def _dereferences(shape: tuple) -> bool:
     return len(shape) == 3 and shape[2] == 2
 
 
-def filter_shape(expr: Expr, args: List[Any]) -> tuple:
+def filter_shape(expr: Expr, args: List[Any], inline: bool = True) -> tuple:
     """``expr``'s shape; appends the generated factory's arguments to
     ``args``, leaf by leaf: the leaf itself, then, for an inlined
-    comparison, its path steps and its literal."""
+    comparison, its path steps and its literal.  With ``inline`` False
+    every leaf is a call."""
     kind = type(expr)
     if kind is Comparison:
         args.append(expr)
         op, steps, literal = expr.op, expr.path.steps, expr.const.value
         literal_type = type(literal)
+        if not inline or len(steps) > 2:
+            return _CALL
         if (literal_type is int or literal_type is float) and op in _NUMERIC_OPS:
             guard = "num"
         elif literal_type is str and (op == "=" or op == "contains"):
             guard = "str"
         else:
-            return _CALL
-        if len(steps) > 2:
             return _CALL
         args.extend(steps)
         args.append(literal)
@@ -390,10 +292,10 @@ def filter_shape(expr: Expr, args: List[Any]) -> tuple:
     if kind is And or kind is Or:
         return (
             "and" if kind is And else "or",
-            *[filter_shape(part, args) for part in expr.operands],
+            *[filter_shape(part, args, inline) for part in expr.operands],
         )
     if kind is Not:
-        return ("not", filter_shape(expr.operand, args))
+        return ("not", filter_shape(expr.operand, args, inline))
     args.append(expr)
     return _CALL
 
@@ -411,8 +313,8 @@ def filter_source(shape: tuple) -> str:
     it does not match.  A second value of another kind goes to ``G<i>``,
     the leaf's compare over one value (:func:`value_test`, through
     ``X``), so the reference is not read again; everything else calls
-    ``H<i>``, the leaf's closure, compiled by ``C`` (the kernel's
-    ``predicate``).  Both are made on first use.
+    ``H<i>``, the leaf's call, made by ``C`` (:func:`compile_leaf` over
+    the kernel).  Both are made on first use.
     """
     params = ["D", "C"]
     closures: List[str] = []

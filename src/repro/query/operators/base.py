@@ -44,15 +44,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from .. import algebra
 from ..ast import AdtPredicate, Expr, Query
-from ..compiler import (
-    BatchFilter,
-    FilterShapes,
-    compile_exists,
-    compile_filter,
-    compile_path,
-    compile_predicate,
-    compile_projection,
-)
+from ..compiler import BatchFilter, FilterShapes, compile_filter, compile_path, compile_projection
 from ..paths import Deref
 
 #: Rows asked for by a consumer without a quota of its own.
@@ -185,6 +177,10 @@ class ObjectKernel:
     #: (federation, system views) have no such tiebreaker and set False,
     #: which makes ``compile_plan`` skip the implicit ordering sort.
     has_default_order = True
+    #: The generated WHERE filter inlines common leaves over
+    #: ``state.values``; no leaf is refused outright.
+    inlines = True
+    refuse = None
 
     def __init__(
         self,
@@ -226,14 +222,6 @@ class ObjectKernel:
 
     def path(self, steps: Sequence[str]) -> Callable[[Any], List[Any]]:
         return compile_path(steps, self._deref_for(steps))
-
-    def exists(
-        self, steps: Sequence[str], test: Callable[[Any], bool]
-    ) -> Callable[[Any], bool]:
-        return compile_exists(steps, test, self._deref_for(steps))
-
-    def predicate(self, expr: Expr) -> Callable[[Any], bool]:
-        return compile_predicate(expr, self)
 
     def filter(self, expr: Expr) -> BatchFilter:
         return compile_filter(expr, self, self.shapes)

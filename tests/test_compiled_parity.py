@@ -1,17 +1,19 @@
 """The compiled, batch-at-a-time pipeline answers exactly what the
 reference interpreter does.
 
-``repro.query.compiler`` turns WHERE trees into closures and the
-operators move rows a page at a time; ``algebra.select`` over
+``repro.query.compiler`` turns each WHERE tree into one generated
+batch filter, for object states and row dicts alike, and the operators
+move rows a page at a time; ``algebra.select`` over
 ``evaluate_predicate`` / ``evaluate_path`` stays as the reference.
 Random WHERE trees — the ``random_predicates`` pool of
 ``test_formal_properties`` plus edge-value leaves (None, attributes
 missing from records stored before ``add_attribute``, list fan-out,
 ``True = 1`` against ``1``, OID equality, LIKE with ``% _ * ? [``,
-``IN``, dangling references) — are checked two ways:
+``IN``, dangling references) — are checked four ways:
 
-* **compiled vs. interpreted, row by row**, gate or no gate: the same
-  answer, or the same exception type, for every object;
+* **compiled vs. interpreted, row by row**, gate or no gate: the
+  filter run over a one-row batch gives the same answer, or raises the
+  same exception type, for every object;
 * **through the engine**: ``execute`` and ``select_iter`` return what
   ``algebra.select`` selects from a plain copy of the world the query
   should see — at rest, inside a transaction with its own uncommitted
@@ -20,7 +22,12 @@ missing from records stored before ``add_attribute``, list fan-out,
   the kept page state tuples' records read;
 * **through one transaction's view**: the same tree again and again
   inside one transaction, whose derefs the object buffer serves once
-  warm, across its own writes and another transaction's commit.
+  warm, across its own writes and another transaction's commit;
+* **over row dicts**: random trees through a federated virtual class
+  (``!=``, ``IN``, LIKE and a cross-source reference among them) and
+  through a Sys* view, over rows holding None, bools, ``1`` beside
+  ``1.0`` and missing attributes, keep what the interpreter keeps over
+  the same rows.
 
 The generated batch filter (one comprehension per WHERE shape) is held
 to the interpreter the same way, on the random trees and on leaves made
@@ -46,6 +53,7 @@ runs 500; tier-1 keeps a fixed-seed slice).
 import itertools
 import os
 import random
+from functools import partial
 
 import pytest
 
@@ -54,7 +62,11 @@ from repro.bench.schemas import FIG1_QUERY, build_vehicle_schema, populate_vehic
 from repro.core.obj import ObjectState
 from repro.core.oid import OID
 from repro.evolution import SchemaEvolution
+from repro.errors import FederationError
 from repro.index.btree import normalize_key
+from repro.multidb import Federation, ObjectAdapter
+from repro.multidb.federation import Adapter, FederationKernel, VirtualClass
+from repro.obs.sysviews import SYSTEM_VIEWS, SystemViewsAdapter
 from repro.query import algebra
 from repro.query.ast import And, Comparison, Const, Not, Or, Path, Query
 from repro.query.compiler import (
@@ -178,13 +190,15 @@ def random_leaf(rng, parts):
     return Comparison(op, Path(rng.choice(ANY_PATHS)), Const(literal))
 
 
-def random_where(rng, parts, depth=0):
+def random_where(rng, parts, depth=0, leaf=random_leaf):
     if depth < 3 and rng.random() < 0.4:
         kind = rng.choice((And, Or, Not))
         if kind is Not:
-            return Not(random_where(rng, parts, depth + 1))
-        return kind([random_where(rng, parts, depth + 1) for _ in range(rng.choice((2, 2, 3)))])
-    return random_leaf(rng, parts)
+            return Not(random_where(rng, parts, depth + 1, leaf))
+        return kind([
+            random_where(rng, parts, depth + 1, leaf) for _ in range(rng.choice((2, 2, 3)))
+        ])
+    return leaf(rng, parts)
 
 
 def outcome(test, state):
@@ -286,24 +300,20 @@ class TestCompiledPredicates:
         rng = random.Random(11)
         for _ in range(COMPILED_PARITY_EXAMPLES):
             where = random_where(rng, parts)
-            compiled = kernel.predicate(where)
+            compiled = kernel.filter(where)
             for state in world.values():
                 reference = outcome(
                     lambda s: algebra.evaluate_predicate(where, s, world.get), state
                 )
-                assert outcome(compiled, state) == reference, (where, state)
+                assert outcome(lambda s: compiled([s]), state) == reference, (where, state)
 
     def test_edges_by_hand(self, edge_db):
         db, parts = edge_db
         world = world_of(db)
         kernel = ObjectKernel(world.get, FilterShapes())
+        scope = [state for state in world.values() if state.class_name in SCOPE]
         for where in edge_cases(parts):
-            compiled = kernel.predicate(where)
-            hits = [
-                oid
-                for oid, state in world.items()
-                if state.class_name in SCOPE and compiled(state)
-            ]
+            hits = [state.oid for state in kernel.filter(where)(scope)]
             assert sorted(hits, key=lambda oid: oid.value) == expected(world, where), where
 
     def test_generated_filter_keeps_what_the_interpreter_keeps(self, edge_db):
@@ -331,6 +341,9 @@ class TestCompiledPredicates:
         assert len(db.execute("SELECT v FROM V v WHERE v.w > 4").oids) == 5
         assert len(db.execute("SELECT v FROM V v WHERE v.w > 7").oids) == 2
         assert len(db.filter_shapes) == 1
+        # A system view's WHERE is generated into the same cache.
+        assert db.execute("SELECT s FROM SysStat s WHERE s.kind = 'counter'").rows
+        assert len(db.filter_shapes) == 2
         db.close()
         assert len(db.filter_shapes) == 0
 
@@ -353,11 +366,109 @@ class TestCompiledPredicates:
     def test_method_and_adt_nodes_raise_only_when_a_row_reaches_them(self):
         from repro.query.ast import AdtPredicate, MethodCall
 
-        kernel = ObjectKernel(lambda oid: None, FilterShapes())
-        for node in (MethodCall(None, "area", []), AdtPredicate("overlaps", Path(("a",)), [1])):
-            compiled = kernel.predicate(node)
-            with pytest.raises(ValueError):
-                compiled(None)
+        kernels = [
+            (ObjectKernel(lambda oid: None, FilterShapes()), ValueError,
+             lambda a: ObjectState(OID(1), "R", {"a": a})),
+            # Federated rows have no behaviour at all.
+            (FederationKernel(Federation(), "R", FilterShapes()), FederationError,
+             lambda a: {"a": a}),
+        ]
+        for kernel, error, row in kernels:
+            for node in (MethodCall(None, "area", []), AdtPredicate("overlaps", Path(("a",)), [1])):
+                shielded = Or([Comparison("=", Path(("a",)), Const(1)), node])
+                assert kernel.filter(node)([]) == []
+                assert kernel.filter(shielded)([row(1)]) == [row(1)]
+                for where in (node, shielded):
+                    with pytest.raises(error):
+                        kernel.filter(where)([row(2)])
+
+
+#: What federated and system rows hold: None, bools beside ``1`` and
+#: ``1.0``, strings a LIKE pattern reads specially.  A row misses an
+#: attribute one time in five.
+ROW_VALUES = [None, True, False, 0, 1, 1.0, 2, 2.5, "", "1", "x", "a%b", "a_b", "[ab]"]
+#: Paths over the federated ``Row`` class; ``maker`` references the
+#: object source's ``Maker`` (``zz`` is no attribute of either).
+ROW_PATHS = [("a",), ("b",), ("zz",), ("maker",), ("maker", "a"), ("maker", "oid"), ("maker", "zz")]
+
+
+def row_leaf(paths, rng, pool):
+    """A comparison over one of ``paths`` against a literal from ``pool``."""
+    op = rng.choice(OPS)
+    if op == "in":
+        literal = [rng.choice(pool) for _ in range(rng.randrange(4))]
+    elif op == "like":
+        literal = rng.choice(PATTERNS)
+    else:
+        literal = rng.choice(pool)
+    return Comparison(op, Path(rng.choice(paths)), Const(literal))
+
+
+def random_row(rng, attributes, **fixed):
+    row = dict(fixed)
+    row.update((name, rng.choice(ROW_VALUES)) for name in attributes if rng.random() < 0.8)
+    return row
+
+
+class RowsAdapter(Adapter):
+    """Hand-made row dicts as the virtual class ``Row``, whose ``maker``
+    refers, across sources, to the ``Maker`` whose ``oid`` it holds."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def virtual_classes(self):
+        return [VirtualClass("Row", ["id", "a", "b", "maker"], {"maker": ("Maker", "oid")})]
+
+    def scan(self, class_name):
+        return iter(self.rows)
+
+
+class TestRowDictParity:
+    """The generated filter over row dicts — a federated virtual class
+    and a system view — keeps what the interpreter keeps over the same
+    rows."""
+
+    def test_a_federated_class_selects_what_the_interpreter_selects(self):
+        rng = random.Random(17)
+        odb = Database()
+        odb.define_class("Maker", attributes=[AttributeDef("a", "Any")])
+        makers = [odb.new("Maker", {"a": value}).oid for value in (1, 1.0, True, "x", None)]
+        rows = [
+            random_row(rng, ("a", "b"), id=i, **(
+                {"maker": rng.choice(makers + [None, NEVER])} if rng.random() < 0.8 else {}
+            ))
+            for i in range(60)
+        ]
+        federation = Federation()
+        federation.register("rows", RowsAdapter(rows))
+        federation.register("objects", ObjectAdapter(odb, ["Maker"]))
+        world = {row["oid"]: ObjectState(row["oid"], "Maker", row) for row in federation.scan("Maker")}
+        states = [ObjectState(OID(10**6 + row["id"]), "Row", row) for row in rows]
+        leaf = partial(row_leaf, ROW_PATHS)
+        for _ in range(COMPILED_PARITY_EXAMPLES):
+            where = random_where(rng, ROW_VALUES + makers + [NEVER], leaf=leaf)
+            reference = [state.values["id"] for state in algebra.select(states, where, world.get)]
+            got = [row["id"] for row in federation.query(Query("Row", "r", where=where))]
+            assert got == reference, where
+        # The standalone federation keeps its own shapes.
+        assert 0 < len(federation.shapes) <= COMPILED_PARITY_EXAMPLES
+        odb.close()
+
+    def test_a_system_view_selects_what_the_interpreter_selects(self, monkeypatch):
+        rng = random.Random(19)
+        name, *attributes = SYSTEM_VIEWS["SysStat"][0]
+        rows = [random_row(rng, attributes, **{name: "r%d" % i}) for i in range(60)]
+        monkeypatch.setattr(SystemViewsAdapter, "_rows_sysstat", lambda adapter: iter(rows))
+        states = [ObjectState(OID(i + 1), "SysStat", row) for i, row in enumerate(rows)]
+        leaf = partial(row_leaf, [(attribute,) for attribute in (name, *attributes)])
+        db = Database()
+        for _ in range(COMPILED_PARITY_EXAMPLES):
+            where = random_where(rng, ROW_VALUES + ["r3"], leaf=leaf)
+            reference = [state.values[name] for state in algebra.select(states, where, {}.get)]
+            got = [row[name] for row in db.execute(Query("SysStat", "s", where=where)).rows]
+            assert got == reference, where
+        db.close()
 
 
 #: Attribute names and string literals that would do harm as source text.
