@@ -159,20 +159,20 @@ class ObjectAdapter(Adapter):
 
 
 class FederationKernel:
-    """Row semantics for federated row dicts.
+    """Row semantics for federated row dicts, for one execution.
 
     The physical operators (:mod:`repro.query.operators`) are row-type
-    agnostic; this kernel compiles their expressions over plain dicts —
-    the WHERE clause through the engine's one WHERE compiler
-    (:func:`~repro.query.compiler.compile_filter`, every leaf a call over
-    :meth:`path`, whose shapes ``shapes`` keeps), every path over the
-    federation's row walker, which navigates cross-source references via
-    the catalog.  Ordering is a stable full sort — virtual classes have
-    no OID tiebreaker, so the top-K heap path (which reorders ties) is
-    deliberately not used.
+    agnostic; this kernel compiles their expressions over plain dicts
+    through the engine's own compilers, each over :meth:`path`: the
+    WHERE clause (:func:`~repro.query.compiler.compile_filter`, every
+    leaf a call, whose shapes ``shapes`` keeps), ORDER BY
+    (:func:`~repro.query.algebra.rank` over
+    :func:`~repro.query.algebra.order_key`, the engine's ranking; rows
+    have no OID tiebreaker, so ties keep scan order) and projections.
+    :meth:`path` navigates cross-source references via the catalog.
     """
 
-    __slots__ = ("federation", "class_name", "shapes")
+    __slots__ = ("federation", "class_name", "shapes", "_tables")
 
     #: Row dicts have no OID tiebreaker: an unordered query keeps scan
     #: order, and ``compile_plan`` must not insert an implicit sort.
@@ -184,13 +184,59 @@ class FederationKernel:
         self.federation = federation
         self.class_name = class_name
         self.shapes = shapes
+        #: ``(target class, key attribute) -> {key: row}``, built the
+        #: first time this execution follows a reference into the class.
+        self._tables: Dict[Tuple[str, str], Dict[Any, Row]] = {}
 
     def row_class(self, row: Row) -> str:
         return self.class_name
 
     def path(self, steps: Tuple[str, ...]) -> Callable[[Row], List[Any]]:
-        walk, class_name = self.federation._path_values, self.class_name
-        return lambda row: walk(class_name, row, steps)
+        """Every terminal value of ``steps`` from one row, read as
+        :func:`~repro.query.compiler.compile_path` reads an object state:
+        a list value fans out, each element a reference followed (a step
+        before the last) or a value of its own (the last step, where a
+        reference is its raw value).  A step that is no reference, or a
+        key no row of the target holds, reads nothing."""
+        *walk, last = steps
+        catalog, table = self.federation.virtual_class, self._table
+        class_name = self.class_name
+
+        def values(row: Row) -> List[Any]:
+            frontier = [(class_name, row)]
+            for step in walk:
+                following = []
+                for cls, current in frontier:
+                    target = catalog(cls).references.get(step)
+                    if target is None:
+                        continue
+                    value = current.get(step)
+                    for element in value if isinstance(value, list) else (value,):
+                        found = None if element is None else table(target).get(element)
+                        if found is not None:
+                            following.append((target[0], found))
+                frontier = following
+            out: List[Any] = []
+            for _cls, current in frontier:
+                value = current.get(last)
+                if isinstance(value, list):
+                    out.extend(value)
+                else:
+                    out.append(value)
+            return out
+
+        return values
+
+    def _table(self, target: Tuple[str, str]) -> Dict[Any, Row]:
+        """The target class's rows by key attribute, from one scan; on a
+        duplicate key the first row wins."""
+        table = self._tables.get(target)
+        if table is None:
+            target_class, key_attr = target
+            table = self._tables[target] = {}
+            for row in self.federation.scan(target_class):
+                table.setdefault(row.get(key_attr), row)
+        return table
 
     def refuse(self, leaf: Expr) -> FederationError:
         """Federated rows have no behaviour: a method or ADT leaf raises
@@ -200,36 +246,8 @@ class FederationKernel:
     def filter(self, expr: Expr) -> Callable[[List[Row]], List[Row]]:
         return compile_filter(expr, self, self.shapes)
 
-    def sorter(
-        self,
-        steps: Optional[Tuple[str, ...]],
-        descending: bool,
-        limit: Optional[int] = None,
-    ) -> Callable[[List[Row]], List[Row]]:
-        if steps is None:
-            raise FederationError("federated queries have no default row order")
-        path = self.path(steps)
-
-        def sort_key(row: Row):
-            values = path(row)
-            return (0, values[0]) if values and values[0] is not None else (1, 0)
-
-        return lambda rows: sorted(rows, key=sort_key, reverse=descending)
-
     def aggregator(self, query: Query) -> Callable[[List[Row]], List[Row]]:
         raise FederationError("federated queries do not support aggregates")
-
-    def projector(self, paths: Iterable[Tuple[str, ...]]) -> Callable[[Row], Row]:
-        columns = [(".".join(steps), self.path(steps)) for steps in paths]
-
-        def project(row: Row) -> Row:
-            out: Row = {}
-            for key, path in columns:
-                values = path(row)
-                out[key] = values[0] if len(values) == 1 else (values or None)
-            return out
-
-        return project
 
 
 class Federation:
@@ -284,37 +302,6 @@ class Federation:
         source, _virtual = self._entry(class_name)
         yield from self._sources[source].scan(class_name)
 
-    def _deref_row(self, class_name: str, attr: str, value: Any) -> Optional[Tuple[str, Row]]:
-        virtual = self.virtual_class(class_name)
-        target = virtual.references.get(attr)
-        if target is None or value is None:
-            return None
-        target_class, key_attr = target
-        for row in self.scan(target_class):
-            if row.get(key_attr) == value:
-                return target_class, row
-        return None
-
-    def _path_values(self, class_name: str, row: Row, steps: Tuple[str, ...]) -> List[Any]:
-        current: List[Tuple[str, Row]] = [(class_name, row)]
-        for position, step in enumerate(steps):
-            is_last = position == len(steps) - 1
-            next_rows: List[Tuple[str, Row]] = []
-            values: List[Any] = []
-            for cls, r in current:
-                value = r.get(step)
-                if is_last:
-                    # A terminal reference compares by its raw value.
-                    values.append(value)
-                    continue
-                resolved = self._deref_row(cls, step, value)
-                if resolved is not None:
-                    next_rows.append(resolved)
-            if is_last:
-                return values
-            current = next_rows
-        return []
-
     def query(self, text_or_query) -> List[Row]:
         """Run a federated OQL query; returns row dicts.
 
@@ -322,9 +309,9 @@ class Federation:
         (:func:`~repro.query.operators.compile_plan`) over a
         :class:`~repro.query.planner.SystemScan` of the virtual class —
         the leaf system views use — with :class:`FederationKernel` row
-        semantics: filter, (stable) sort, limit, projection; aggregates
-        are refused.  Hierarchy scope is meaningless across sources and
-        ignored.
+        semantics: filter, sort (ties in scan order), limit, projection;
+        aggregates are refused.  Hierarchy scope is meaningless across
+        sources and ignored.
         """
         query: Query = (
             parse_query(text_or_query)

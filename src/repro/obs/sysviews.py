@@ -222,11 +222,7 @@ class SystemViewsAdapter(Adapter):
             }
 
     def _rows_syssnapshot(self) -> Iterator[Row]:
-        store = getattr(self.db, "version_store", None)
-        if store is None:
-            return
-        for row in store.snapshot_rows():
-            yield row
+        return self.db.version_store.snapshot_rows()
 
     def _rows_syssession(self) -> Iterator[Row]:
         # ``db.sessions`` is the server's session registry (a public
@@ -248,10 +244,7 @@ class SystemViewsAdapter(Adapter):
             }
 
     def _rows_sysquerystat(self) -> Iterator[Row]:
-        stats = getattr(self.db, "query_stats", None)
-        if stats is None:
-            return iter(())
-        return iter(stats.rows())
+        return iter(self.db.query_stats.rows())
 
     def _rows_sysclassstat(self) -> Iterator[Row]:
         planner = self.db.planner
@@ -277,10 +270,7 @@ class SystemViewsAdapter(Adapter):
             }
 
     def _rows_sysplancache(self) -> Iterator[Row]:
-        cache = getattr(self.db, "plan_cache", None)
-        if cache is None:
-            return iter(())
-        return iter(cache.rows())
+        return iter(self.db.plan_cache.rows())
 
     def _rows_sysoperator(self) -> Iterator[Row]:
         for position, stats in enumerate(self.db.last_operator_stats or []):

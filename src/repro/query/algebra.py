@@ -11,8 +11,7 @@ projection along paths, set operations by object identity, and unnest.
 from __future__ import annotations
 
 import heapq
-from itertools import repeat, tee
-from operator import attrgetter, eq, itemgetter
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.obj import ObjectState
@@ -28,27 +27,19 @@ from .ast import (
     Not,
     Or,
 )
-from .compiler import compile_first, compile_path, compile_projection, first_of_one
+from .compiler import PathReader, compile_first, compile_path, compile_projection, first_of_one
 from .paths import Deref, compare, evaluate_path
 
 #: Sends a message to an object and returns the result (late binding);
 #: wired to ``Database.send`` by the executor.
 Sender = Callable[[OID, str], Any]
 
-#: ``normalize_key``'s stand-in for a missing value in an ORDER BY key.
-_MISSING = (0, False)
 #: ``normalize_key``'s rank of the value types ORDER BY and GROUP BY
 #: keys rank inline (``bool`` is not one: it ranks apart from numbers;
 #: nor is a NaN float, which ranks after them).
 _RANKS = {int: 2, float: 2, str: 4}
 #: Values that are their own GROUP BY key unchecked: never NaN.
 _OWN_KEYS = frozenset((int, str))
-#: The value kinds :func:`top_by_value` ranks as plain tuples, by the
-#: type of the first row's value: a batch of ints, of ints and floats
-#: led by a float, or of strs.
-_PLAIN = {int: frozenset((int,)), float: frozenset((int, float)), str: frozenset((str,))}
-_VALUES = attrgetter("values")
-_first_item = itemgetter(0)
 
 
 def evaluate_predicate(
@@ -127,7 +118,7 @@ def project(
     A path with a single terminal value is unwrapped; fan-out keeps the
     list.  Missing/broken paths yield None.
     """
-    return map(compile_projection(paths, deref), extent)
+    return map(compile_projection(paths, partial(compile_path, deref=deref)), extent)
 
 
 def union(left: Iterable[ObjectState], right: Iterable[ObjectState]) -> List[ObjectState]:
@@ -177,104 +168,70 @@ def unnest(
                     yield referenced
 
 
-def order_key(steps: Sequence[str], deref: Deref) -> Callable[[ObjectState], Tuple]:
-    """The ORDER BY key: the path's first terminal value, ranked.
+def order_key(
+    steps: Sequence[str], path: PathReader, descending: bool = False, states: bool = True
+) -> Callable[[Any], Tuple]:
+    """The ORDER BY key of a row: its path's first terminal value, ranked,
+    in one flat tuple.
 
-    Present values order by :func:`~repro.index.btree.normalize_key`;
-    objects with no value sort after them (a leading 1 — callers keep
-    them last in descending order too); ties break on OID so results
-    are deterministic.  A one-step path reads its attribute inline, and
-    an ``int`` / ``float`` / ``str`` value other than NaN is ranked there
-    too.
+    ``path`` is the kernel's compiled path.  A value keys as ``(0, rank,
+    value)``, :func:`~repro.index.btree.normalize_key`'s pair (so every
+    NaN is its one NaN object, and all NaNs tie); a missing value keys as
+    ``(1, 0, False)`` — ``(-1, 0, False)`` in descending order — so it
+    comes after every value in either direction.  An object state
+    (``states``) appends its OID value, so ties break on OID and results
+    are deterministic; a row dict has none, and the stable :func:`rank`
+    keeps its ties in scan order.  Over object states a one-step path
+    reads its attribute inline, and an ``int`` / ``float`` / ``str``
+    value other than NaN is ranked there too.
     """
-    if len(steps) == 1:
+    last = -1 if descending else 1
+
+    def ranked(value: Any, *oid: int) -> Tuple:
+        if value is None:
+            return (last, 0, False, *oid)
+        rank, value = normalize_key(value)
+        return (0, rank, value, *oid)
+
+    if states and len(steps) == 1:
         attr, rank_of = steps[0], _RANKS.get
 
         def key_of_one(state: ObjectState) -> Tuple:
             value = state.values.get(attr)
             rank = rank_of(type(value))
             if rank is not None and value == value:
-                return (0, (rank, value), state.oid.value)
-            return _ranked(first_of_one(value), state)
+                return (0, rank, value, state.oid.value)
+            return ranked(first_of_one(value), state.oid.value)
 
         return key_of_one
-    first = compile_first(steps, deref)
-    return lambda state: _ranked(first(state), state)
+
+    def key(row: Any) -> Tuple:
+        values = path(row)
+        value = values[0] if values else None
+        return ranked(value, row.oid.value) if states else ranked(value)
+
+    return key
 
 
-def _ranked(value: Any, state: ObjectState) -> Tuple:
-    if value is None:
-        return (1, _MISSING, state.oid.value)
-    return (0, normalize_key(value), state.oid.value)
-
-
-def sort_by_key(
-    extent: Iterable[ObjectState], key: Callable[[ObjectState], Tuple], descending: bool
-) -> List[ObjectState]:
-    """Order an extent by an :func:`order_key` key, computed once per row."""
-    keyed = [(key(state), state) for state in extent]
-    keyed.sort(key=_first_item, reverse=descending)
-    if descending:
-        # Keep missing values last even in descending order.
-        return [s for k, s in keyed if k[0] == 0] + [s for k, s in keyed if k[0] == 1]
-    return [state for _key, state in keyed]
-
-
-def top_by_key(
-    extent: Iterable[ObjectState],
-    key: Callable[[ObjectState], Tuple],
+def rank(
+    rows: List[Any],
+    key: Callable[[Any], Tuple],
     descending: bool,
-    k: int,
-) -> List[ObjectState]:
-    """The first ``k`` rows of :func:`sort_by_key`, via bounded heaps.
+    limit: Optional[int] = None,
+) -> List[Any]:
+    """ORDER BY: the first ``limit`` rows (every row without one) by an
+    :func:`order_key` ``key`` made for this direction, via a bounded heap.
 
-    O(n log k) time and O(k) extra ordering state instead of a full
-    sort; returns exactly ``sort_by_key(extent, key, descending)[:k]``.
-    The whole input is still consumed — real early termination needs an
-    ordered access path underneath a LIMIT instead.
+    O(n log k) time and O(k) extra ordering state; ``heapq.nsmallest`` /
+    ``nlargest`` return exactly ``sorted(...)[:k]``, stably, so a full
+    sort is ``limit = len(rows)``.  Rows with no value come last: object
+    states by descending OID in descending order (the order a reversed
+    full sort leaves them in), row dicts in scan order.  The whole input
+    is still consumed — real early termination needs an ordered access
+    path underneath a LIMIT instead.
     """
-    if k <= 0:
-        return []
-    if not descending:
-        return heapq.nsmallest(k, extent, key=key)
-    # Descending keeps missing-value rows last (by descending OID, the
-    # order a reversed full sort leaves them in).
-    present: List[Tuple[Tuple, ObjectState]] = []
-    missing: List[Tuple[Tuple, ObjectState]] = []
-    for state in extent:
-        entry = (key(state), state)
-        (present if entry[0][0] == 0 else missing).append(entry)
-    top = heapq.nlargest(k, present, key=_first_item)
-    if len(top) < k:
-        top.extend(heapq.nlargest(k - len(top), missing, key=_first_item))
-    return [state for _key, state in top]
-
-
-def top_by_value(
-    extent: List[ObjectState],
-    attr: str,
-    key: Callable[[ObjectState], Tuple],
-    descending: bool,
-    k: int,
-) -> List[ObjectState]:
-    """:func:`top_by_key` over the one-step path ``attr`` (``key`` its
-    :func:`order_key`).  When every value is of a kind the first row's
-    value picks in :data:`_PLAIN` and none is NaN, it ranks plain
-    ``(value, OID value, state)`` tuples — the order ``key`` gives, ties
-    on the OID.  Any other batch takes the keyed path, found by a
-    C-level scan that stops at the first value of another kind."""
-    if k <= 0 or not extent:
-        return []
-    kinds = _PLAIN.get(type(extent[0].values.get(attr)))
-    if kinds is None or not all(
-        map(kinds.__contains__, map(type, map(dict.get, map(_VALUES, extent), repeat(attr))))
-    ):
-        return top_by_key(extent, key, descending, k)
-    ranked = [(state.values.get(attr), state.oid.value, state) for state in extent]
-    if float in kinds and not all(map(eq, *tee(map(_first_item, ranked)))):
-        return top_by_key(extent, key, descending, k)  # a NaN: it equals nothing
-    top = heapq.nlargest(k, ranked) if descending else heapq.nsmallest(k, ranked)
-    return [state for _value, _oid, state in top]
+    top = heapq.nlargest if descending else heapq.nsmallest
+    return top(len(rows) if limit is None else limit, rows, key=key)
 
 
 def order_by(
@@ -288,7 +245,8 @@ def order_by(
     Objects with no value sort last (regardless of direction) and ties
     break on OID so results are deterministic.
     """
-    return sort_by_key(extent, order_key(steps, deref), descending)
+    key = order_key(steps, compile_path(steps, deref), descending)
+    return rank(list(extent), key, descending)
 
 
 def compile_aggregate(

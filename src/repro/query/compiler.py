@@ -111,27 +111,28 @@ def compile_first(steps: Sequence[str], deref: Deref) -> Callable[[ObjectState],
 
 
 def compile_projection(
-    paths: Sequence[Sequence[str]], deref: Deref
-) -> Callable[[ObjectState], Dict[str, Any]]:
+    paths: Sequence[Sequence[str]], path_of: Callable[[Sequence[str]], PathReader]
+) -> Callable[[Any], Dict[str, Any]]:
     """One projected row: {dotted path -> value, list on fan-out, None
-    when missing}.  Lists are fresh: a terminal list value belongs to a
+    when missing}, each path compiled by ``path_of`` (a kernel's
+    ``path``).  Lists are fresh: a terminal list value belongs to a
     shared, read-only stored state (DESIGN "Object buffer")."""
-    columns = [(".".join(steps), compile_path(steps, deref)) for steps in paths]
+    columns = [(".".join(steps), path_of(steps)) for steps in paths]
 
-    def project(state: ObjectState) -> Dict[str, Any]:
-        row: Dict[str, Any] = {}
+    def project(row: Any) -> Dict[str, Any]:
+        out: Dict[str, Any] = {}
         for key, path in columns:
             values = [
                 copy_value(value) if isinstance(value, list) else value
-                for value in path(state)
+                for value in path(row)
             ]
             if not values:
-                row[key] = None
+                out[key] = None
             elif len(values) == 1:
-                row[key] = values[0]
+                out[key] = values[0]
             else:
-                row[key] = values
-        return row
+                out[key] = values
+        return out
 
     return project
 

@@ -44,7 +44,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from .. import algebra
 from ..ast import AdtPredicate, Expr, Query
-from ..compiler import BatchFilter, FilterShapes, compile_filter, compile_path, compile_projection
+from ..compiler import BatchFilter, FilterShapes, compile_filter, compile_path
 from ..paths import Deref
 
 #: Rows asked for by a consumer without a quota of its own.
@@ -169,13 +169,16 @@ class ObjectKernel:
     first time a compiled path has a step to dereference; every such
     step reads through it (:attr:`path_deref`) and :meth:`finish` counts
     its hits.  ``deref`` alone turns an index probe's candidates, which
-    never repeat, into states.
+    never repeat, into states.  ``SortOp`` and ``ProjectOp`` compile
+    over :meth:`path`, as for every kernel; :meth:`default_order` is the
+    OID order of a SortOp with no ORDER BY path.
     """
 
     #: Object states have a deterministic fallback order (OID), so a
-    #: SortOp with ``steps=None`` is meaningful.  Row-dict kernels
-    #: (federation, system views) have no such tiebreaker and set False,
-    #: which makes ``compile_plan`` skip the implicit ordering sort.
+    #: SortOp with ``steps=None`` is meaningful, and the ORDER BY key
+    #: breaks ties on it.  Row-dict kernels (federation, system views)
+    #: have no such tiebreaker and set False, which makes
+    #: ``compile_plan`` skip the implicit ordering sort.
     has_default_order = True
     #: The generated WHERE filter inlines common leaves over
     #: ``state.values``; no leaf is refused outright.
@@ -226,34 +229,12 @@ class ObjectKernel:
     def filter(self, expr: Expr) -> BatchFilter:
         return compile_filter(expr, self, self.shapes)
 
-    def sorter(
-        self,
-        steps: Optional[Sequence[str]],
-        descending: bool,
-        limit: Optional[int] = None,
-    ) -> Callable[[List[Any]], List[Any]]:
-        """Order rows; ``steps`` None means the default OID order.
-
-        With a limit, the bounded-heap top-K fast path replaces the full
-        sort (same results, O(n log k)); over a one-step path it ranks
-        plain value tuples when it can (``algebra.top_by_value``).
-        """
-        if steps is None:
-            # Default order ignores ``descending`` — same as a plain
-            # SELECT, which always returns OID order.
-            if limit is not None:
-                return lambda rows: heapq.nsmallest(limit, rows, key=_oid_value)
-            return lambda rows: sorted(rows, key=_oid_value)
-        key = algebra.order_key(steps, self._deref_for(steps))
+    def default_order(self, limit: Optional[int] = None) -> Callable[[List[Any]], List[Any]]:
+        """A SortOp's order with no ORDER BY path: OID order, which
+        ignores ``descending`` — same as a plain SELECT."""
         if limit is not None:
-            if len(steps) == 1:
-                attr = steps[0]
-                return lambda rows: algebra.top_by_value(rows, attr, key, descending, limit)
-            return lambda rows: algebra.top_by_key(rows, key, descending, limit)
-        return lambda rows: algebra.sort_by_key(rows, key, descending)
-
-    def projector(self, paths: Sequence[Sequence[str]]) -> Callable[[Any], Dict[str, Any]]:
-        return compile_projection(paths, self._deref_for(*paths))
+            return lambda rows: heapq.nsmallest(limit, rows, key=_oid_value)
+        return lambda rows: sorted(rows, key=_oid_value)
 
     def aggregator(self, query: Query) -> Callable[[List[Any]], List[Dict[str, Any]]]:
         aggregates = query.aggregates or []

@@ -3,7 +3,7 @@
 Each consumes one child's batches.  ``FilterOp`` re-verifies the *full*
 predicate (index probes produce candidates, not answers), ``DerefOp``
 turns candidate OIDs into object states, ``SortOp`` is the pipeline
-breaker (with a top-K fast path when a LIMIT follows), and ``LimitOp``
+breaker (a bounded-heap top-K when a LIMIT follows), and ``LimitOp``
 implements early termination by asking for no more than its quota and
 closing its subtree as soon as the quota is reached.  Expressions are
 compiled by the kernel when an operator is built, once per execution.
@@ -11,9 +11,12 @@ compiled by the kernel when an operator is built, once per execution.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from .. import algebra
 from ..ast import Expr, Query
+from ..compiler import compile_projection
 from ..paths import Deref
 from .base import PhysicalOperator
 
@@ -115,10 +118,13 @@ class _Breaker(PhysicalOperator):
 
 
 class SortOp(_Breaker):
-    """Pipeline breaker: drain the child, order via the kernel, re-emit.
+    """Pipeline breaker: drain the child, order, re-emit.
 
-    When a LIMIT follows, the kernel may use a bounded-heap top-K
-    (O(n log k)) instead of a full sort — results are identical.
+    An ORDER BY path orders by :func:`~repro.query.algebra.rank` over
+    its :func:`~repro.query.algebra.order_key`, compiled over the
+    kernel's ``path``, for every kernel: a bounded-heap top-K
+    (O(n log k)) when a LIMIT follows, the full sort without one.  No
+    path means the kernel's default order.
     """
 
     name = "sort"
@@ -131,8 +137,13 @@ class SortOp(_Breaker):
         descending: bool = False,
         limit: Optional[int] = None,
     ) -> None:
-        steps = tuple(steps) if steps is not None else None
-        super().__init__(child, kernel.sorter(steps, descending, limit))
+        if steps is None:
+            compute = kernel.default_order(limit)
+        else:
+            steps = tuple(steps)
+            key = algebra.order_key(steps, kernel.path(steps), descending, kernel.has_default_order)
+            compute = partial(algebra.rank, key=key, descending=descending, limit=limit)
+        super().__init__(child, compute)
         self.steps = steps
         self.descending = descending
         self.limit = limit
@@ -181,7 +192,7 @@ class ProjectOp(PhysicalOperator):
     ) -> None:
         super().__init__(child)
         self.paths = [tuple(steps) for steps in paths]
-        self._project = kernel.projector(self.paths)
+        self._project = compile_projection(self.paths, kernel.path)
         self.detail = ", ".join(".".join(steps) for steps in self.paths)
 
     def _next_batch(self, n: int) -> List[Tuple[Any, Dict[str, Any]]]:

@@ -24,10 +24,10 @@ missing from records stored before ``add_attribute``, list fan-out,
   inside one transaction, whose derefs the object buffer serves once
   warm, across its own writes and another transaction's commit;
 * **over row dicts**: random trees through a federated virtual class
-  (``!=``, ``IN``, LIKE and a cross-source reference among them) and
-  through a Sys* view, over rows holding None, bools, ``1`` beside
-  ``1.0`` and missing attributes, keep what the interpreter keeps over
-  the same rows.
+  (``!=``, ``IN``, LIKE and a cross-source reference, single and
+  set-valued, among them) and through a Sys* view, over rows holding
+  None, bools, ``1`` beside ``1.0``, lists and missing attributes, keep
+  what the interpreter keeps over the same rows.
 
 The generated batch filter (one comprehension per WHERE shape) is held
 to the interpreter the same way, on the random trees and on leaves made
@@ -35,9 +35,11 @@ to take its inline cases; so is the generated source itself, which must
 not change when attribute names and string literals turn hostile.
 ORDER BY (both directions, with and without LIMIT) and GROUP BY keys
 are checked against a reference built from ``evaluate_path``,
-``normalize_key`` and the OID tiebreak; top-K's plain-tuple ranking
-against the full sort over NaN, bools, mixed ints and floats, strings,
-None and ties.
+``normalize_key`` and the OID tiebreak; ``algebra.rank``'s top-K
+against its full sort, and that against an independent ``sorted``, over
+NaN, bools, mixed ints and floats, strings, None and ties, for object
+states and row dicts; and ORDER BY through a federated class and a Sys*
+view against the engine's.
 
 Each execution's path memo (``SnapshotView.path_memo``) is held to the
 interpreter over references that repeat and dangle, and to the plain
@@ -72,6 +74,7 @@ from repro.query.ast import And, Comparison, Const, Not, Or, Path, Query
 from repro.query.compiler import (
     SHAPE_CACHE_SIZE,
     FilterShapes,
+    compile_path,
     filter_shape,
     filter_source,
 )
@@ -384,9 +387,11 @@ class TestCompiledPredicates:
 
 
 #: What federated and system rows hold: None, bools beside ``1`` and
-#: ``1.0``, strings a LIKE pattern reads specially.  A row misses an
-#: attribute one time in five.
+#: ``1.0``, strings a LIKE pattern reads specially, and (rows only, not
+#: literals) lists, which fan out.  A row misses an attribute one time
+#: in five.
 ROW_VALUES = [None, True, False, 0, 1, 1.0, 2, 2.5, "", "1", "x", "a%b", "a_b", "[ab]"]
+ROW_LISTS = [[], [1, "x"], [None, 2.5], [True]]
 #: Paths over the federated ``Row`` class; ``maker`` references the
 #: object source's ``Maker`` (``zz`` is no attribute of either).
 ROW_PATHS = [("a",), ("b",), ("zz",), ("maker",), ("maker", "a"), ("maker", "oid"), ("maker", "zz")]
@@ -406,7 +411,9 @@ def row_leaf(paths, rng, pool):
 
 def random_row(rng, attributes, **fixed):
     row = dict(fixed)
-    row.update((name, rng.choice(ROW_VALUES)) for name in attributes if rng.random() < 0.8)
+    row.update(
+        (name, rng.choice(ROW_VALUES + ROW_LISTS)) for name in attributes if rng.random() < 0.8
+    )
     return row
 
 
@@ -433,10 +440,15 @@ class TestRowDictParity:
         rng = random.Random(17)
         odb = Database()
         odb.define_class("Maker", attributes=[AttributeDef("a", "Any")])
-        makers = [odb.new("Maker", {"a": value}).oid for value in (1, 1.0, True, "x", None)]
+        makers = [
+            odb.new("Maker", {"a": value}).oid for value in (1, 1.0, True, "x", None, [2, "x"])
+        ]
+        # A ``maker`` is one reference, None, a dangling one, or a list
+        # of them (set-valued: each element is followed).
+        references = makers + [None, NEVER, makers[:2], [makers[3], NEVER, None], []]
         rows = [
             random_row(rng, ("a", "b"), id=i, **(
-                {"maker": rng.choice(makers + [None, NEVER])} if rng.random() < 0.8 else {}
+                {"maker": rng.choice(references)} if rng.random() < 0.8 else {}
             ))
             for i in range(60)
         ]
@@ -636,26 +648,59 @@ TOPK_POOLS = {
 }
 
 
-class TestTopK:
-    """Top-K over a one-step path ranks plain ``(value, OID value, state)``
-    tuples when every value is an int or a float other than NaN, or every
-    value is a str; any other batch takes the keyed path.  Both return exactly
-    the full sort's first k rows."""
+def sorted_reference(rows, first, oid, descending):
+    """The full ORDER BY by ``sorted``: present first values by
+    ``normalize_key`` (then ``oid``, if given), reversed for DESC; rows
+    with no value after them, by ``oid`` (descending for DESC) or in
+    scan order."""
+    present = [row for row in rows if first(row) is not None]
+    missing = [row for row in rows if first(row) is None]
+    tiebreak = oid or (lambda row: 0)
+    present = sorted(
+        present, key=lambda row: (normalize_key(first(row)), tiebreak(row)), reverse=descending
+    )
+    return present + sorted(missing, key=tiebreak, reverse=descending)
 
-    def test_top_by_value_is_the_full_sort_prefix(self):
+
+def first_x(row):
+    value = row.get("x")
+    if isinstance(value, list):
+        return value[0] if value else None
+    return value
+
+
+class TestTopK:
+    """ORDER BY is one function, ``algebra.rank``, over one flat key: its
+    bounded-heap top-K is exactly the full sort's first k rows, and its
+    full sort is an independent ``sorted`` by ``normalize_key`` with
+    missing values last — ties on the OID for object states, in scan
+    order for row dicts."""
+
+    def test_rank_is_the_full_sort_prefix(self):
         rng = random.Random(81)
-        key = algebra.order_key(("x",), None)
+        steps = ("x",)
+        path = compile_path(steps, None)
         for _ in range(COMPILED_PARITY_EXAMPLES):
             pool = TOPK_POOLS[rng.choice(sorted(TOPK_POOLS))]
             states = [
                 ObjectState(OID(serial), "T", {"x": rng.choice(pool)})
                 for serial in rng.sample(range(1, 500), rng.randrange(0, 60))
             ]
+            rows = [state.values for state in states]
             for descending in (False, True):
-                full = algebra.sort_by_key(states, key, descending)
+                state_key = algebra.order_key(steps, path, descending)
+                row_key = algebra.order_key(steps, lambda row: [first_x(row)], descending, False)
+                full = algebra.rank(states, state_key, descending)
+                want = sorted_reference(states, first_x, lambda state: state.oid.value, descending)
+                assert [s.oid for s in full] == [s.oid for s in want], pool
+                full_rows = algebra.rank(rows, row_key, descending)
+                want_rows = sorted_reference(rows, first_x, None, descending)
+                assert list(map(id, full_rows)) == list(map(id, want_rows)), pool
                 for k in (0, 1, 3, len(states), len(states) + 2):
-                    top = algebra.top_by_value(states, "x", key, descending, k)
+                    top = algebra.rank(states, state_key, descending, k)
                     assert [s.oid for s in top] == [s.oid for s in full[:k]], (pool, k)
+                    top_rows = algebra.rank(rows, row_key, descending, k)
+                    assert list(map(id, top_rows)) == list(map(id, full_rows[:k])), (pool, k)
 
     def test_order_by_limit_is_the_full_sort_prefix(self):
         rng = random.Random(83)
@@ -673,6 +718,67 @@ class TestTopK:
                 full = db.execute(base).oids
                 k = rng.randrange(1, len(full) + 2)
                 assert db.execute("%s LIMIT %d" % (base, k)).oids == full[:k], (base, k)
+        db.close()
+
+
+def ranked_values(values):
+    """What ORDER BY ranks each value by: ``normalize_key`` of its first
+    item.  ``1`` and ``1.0`` rank equal, and every NaN is one key."""
+    return [normalize_key(first_x({"x": value})) for value in values]
+
+
+class TestCrossKernelOrder:
+    """ORDER BY over federated rows and Sys* views ranks as the engine
+    does: through a federated ``ObjectAdapter`` class a random ``ORDER BY
+    [DESC] [LIMIT k]`` returns the engine's value sequence, and a Sys*
+    view's rows with a value come before its rows with None in both
+    directions.  Row dicts have no OID tiebreak, so a tie group may come
+    in another order: values are compared, not rows."""
+
+    def test_a_federated_class_orders_as_the_engine(self):
+        rng = random.Random(85)
+        db = Database()
+        db.define_class("T", attributes=[AttributeDef("x", "Any"), AttributeDef("pool", "Integer")])
+        pools = [pool for _name, pool in sorted(TOPK_POOLS.items())]
+        for number, pool in enumerate(pools):
+            for _ in range(12):
+                db.new("T", {"x": rng.choice(pool), "pool": number})
+        federation = Federation()
+        federation.register("objects", ObjectAdapter(db, ["T"]))
+        for _ in range(COMPILED_PARITY_EXAMPLES):
+            number = rng.randrange(len(pools))
+            direction = rng.choice(("", " DESC"))
+            limit = rng.choice(("", " LIMIT %d" % rng.randrange(1, 14)))
+            text = "SELECT t FROM T t WHERE t.pool = %d ORDER BY t.x%s%s" % (
+                number, direction, limit,
+            )
+            engine = [state.values.get("x") for state in db.execute(text).states]
+            federated = [row.get("x") for row in federation.query(text)]
+            assert ranked_values(federated) == ranked_values(engine), text
+        db.close()
+
+    def test_a_system_view_orders_missing_values_last(self, monkeypatch):
+        db = Database()
+        for _ in range(3):
+            db.select("SELECT s FROM SysStat s")
+        # Live metrics: some histogram has a mean, so it leads.
+        top = db.execute("SELECT s FROM SysStat s ORDER BY s.mean DESC LIMIT 3").rows
+        assert top[0]["mean"] is not None
+        rng = random.Random(87)
+        rows = []
+        monkeypatch.setattr(SystemViewsAdapter, "_rows_sysstat", lambda adapter: iter(rows))
+        for _ in range(COMPILED_PARITY_EXAMPLES):
+            pool = TOPK_POOLS[rng.choice(("nan", "none", "numbers"))] + [None]
+            rows[:] = [{"name": "r%d" % i, "mean": rng.choice(pool)} for i in range(20)]
+            k = rng.randrange(1, 24)
+            for direction in ("", " DESC"):
+                text = "SELECT s FROM SysStat s ORDER BY s.mean%s LIMIT %d" % (direction, k)
+                got = [row["mean"] for row in db.execute(text).rows]
+                ordered = sorted_reference(rows, lambda row: row["mean"], None, bool(direction))
+                want = [row["mean"] for row in ordered[:k]]
+                assert ranked_values(got) == ranked_values(want), text
+                present = sum(mean is not None for mean in got)
+                assert all(mean is None for mean in got[present:]), text
         db.close()
 
 

@@ -167,6 +167,71 @@ class TestFederation:
             federation.query(text)
 
 
+def assemblies(count):
+    """``count`` assemblies over three parts: one ``part``, a set-valued
+    ``parts`` and a set-valued ``tags`` each."""
+    db = Database()
+    db.define_class("Part", attributes=[AttributeDef("n", "Integer")])
+    db.define_class(
+        "Assembly",
+        attributes=[
+            AttributeDef("part", "Part"),
+            AttributeDef("parts", "Part", multi=True),
+            AttributeDef("tags", "String", multi=True),
+        ],
+    )
+    parts = [db.new("Part", {"n": n}).oid for n in (1, 2, 3)]
+    for i in range(count):
+        db.new(
+            "Assembly",
+            {"part": parts[i % 3], "parts": parts[i % 3:], "tags": ["a", "b"][i % 2:]},
+        )
+    return db
+
+
+class CountingAdapter(ObjectAdapter):
+    """An object adapter that counts its scans."""
+
+    scans = 0
+
+    def scan(self, class_name):
+        self.scans += 1
+        return super().scan(class_name)
+
+
+class TestFederatedPaths:
+    """Federated paths read as the engine's do: a list fans out, and each
+    element of a set-valued reference is followed."""
+
+    @pytest.mark.parametrize(
+        "where",
+        ["a.parts.n = 1", "a.parts.n = 3", "a.tags = 'a'", "a.tags = 'b'", "a.part.n = 2"],
+    )
+    def test_an_object_adapter_selects_what_the_engine_selects(self, where):
+        db = assemblies(6)
+        federation = Federation()
+        federation.register("objects", ObjectAdapter(db, ["Part", "Assembly"]))
+        text = "SELECT a FROM Assembly a WHERE %s" % where
+        want = db.execute(text).oids
+        assert want
+        assert [row["oid"] for row in federation.query(text)] == want
+        projected = "SELECT a.parts.n, a.tags FROM Assembly a WHERE %s" % where
+        assert federation.query(projected) == db.execute(projected).rows
+        db.close()
+
+    def test_each_followed_class_is_scanned_once_per_query(self):
+        db = assemblies(200)
+        adapter = CountingAdapter(db, ["Part", "Assembly"])
+        federation = Federation()
+        federation.register("objects", adapter)
+        rows = federation.query("SELECT a FROM Assembly a WHERE a.part.n = 1")
+        assert len(rows) == 67
+        assert adapter.scans == 2  # the assemblies, then the parts once
+        federation.query("SELECT a FROM Assembly a WHERE a.parts.n = 3")
+        assert adapter.scans == 4  # a new query scans anew
+        db.close()
+
+
 class TestObjectAdapterReadsThroughQueries:
     """The object adapter sees what an ``ONLY`` query shows the subject."""
 
