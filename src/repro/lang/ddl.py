@@ -19,48 +19,54 @@ kimdb DL provides all three over one interpreter:
 * **DCL** — ``BEGIN`` / ``COMMIT`` / ``ABORT``, ``CHECKPOINT``,
   ``GRANT`` / ``DENY`` (discretionary authorization).
 
-Statements are ``;``-separated; :meth:`Interpreter.run_script` executes
-a batch and returns the per-statement results.
+One front end with OQL: literals are read with OQL's own grammar, a
+``SELECT`` or a view's query is handed to OQL as a slice of the
+statement's source, and a ``WHERE`` tail runs as the OQL shorthand
+``Class where ...`` (bare paths, ``it.m()`` for a method call).  A
+statement is read in full before it acts.  Statements are
+``;``-separated; :meth:`Interpreter.run_script` executes a batch and
+returns the per-statement results.
 """
 
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional
 
 from ..core.attribute import AttributeDef
 from ..core.oid import OID
 from ..errors import QuerySyntaxError
 from ..evolution.changes import SchemaEvolution
+from ..query.parser import LITERALS, STRING, string_value
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..database import Database
 
+#: OQL's literals and strings, plus the DL's own ``@n`` OIDs, ``--``
+#: comments and ``;``.
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>--[^\n]*)
-  | (?P<float>-?\d+\.\d+)
+  | %s
   | (?P<oid>@\d+)
-  | (?P<int>-?\d+)
-  | (?P<string>'([^'\\]|\\.)*'|"([^"\\]|\\.)*")
+  | %s
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op><=|>=|!=|<>|<|>|\*)
   | (?P<punct>[(),.\[\]=;:])
-    """,
+    """
+    % (LITERALS, STRING),
     re.VERBOSE,
 )
 
+#: A string literal (kept) or a comment (blanked) in OQL text.
+_COMMENT_RE = re.compile(r"%s|--[^\n]*" % STRING)
 
-class _Token:
-    __slots__ = ("kind", "text")
 
-    def __init__(self, kind: str, text: str) -> None:
-        self.kind = kind
-        self.text = text
-
-    def __repr__(self) -> str:
-        return "%s(%r)" % (self.kind, self.text)
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    pos: int
 
 
 def _tokenize(text: str) -> List[_Token]:
@@ -74,9 +80,9 @@ def _tokenize(text: str) -> List[_Token]:
             )
         kind = match.lastgroup or ""
         if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, match.group()))
+            tokens.append(_Token(kind, match.group(), pos))
         pos = match.end()
-    tokens.append(_Token("eof", ""))
+    tokens.append(_Token("eof", "", pos))
     return tokens
 
 
@@ -105,7 +111,10 @@ class Interpreter:
     # -- public API ---------------------------------------------------------
 
     def execute(self, statement: str) -> StatementResult:
-        """Execute one statement and return its result."""
+        """Execute one statement and return its result.  Each handler
+        reads the whole statement before it acts, so a statement that
+        raises a syntax error has changed nothing."""
+        self._source = statement
         self._tokens = _tokenize(statement)
         self._index = 0
         head = self._peek()
@@ -121,9 +130,9 @@ class Interpreter:
             "delete": self._delete,
             "select": self._select,
             "begin": self._begin,
-            "commit": self._commit,
-            "abort": self._abort,
-            "rollback": self._abort,
+            "commit": self._end_txn,
+            "abort": self._end_txn,
+            "rollback": self._end_txn,
             "checkpoint": self._checkpoint,
             "grant": lambda: self._grant_or_deny(deny=False),
             "deny": lambda: self._grant_or_deny(deny=True),
@@ -132,37 +141,21 @@ class Interpreter:
         handler = dispatch.get(head.text.lower())
         if handler is None:
             raise QuerySyntaxError("unknown statement %r" % (head.text,))
-        result = handler()
-        self._expect_end()
-        return result
+        return handler()
 
     def run_script(self, script: str) -> List[StatementResult]:
-        """Execute a ``;``-separated batch (comments with ``--``)."""
-        results = []
-        for statement in self._split(script):
-            if statement.strip():
-                results.append(self.execute(statement))
-        return results
-
-    @staticmethod
-    def _split(script: str) -> List[str]:
-        """Split on ';' outside string literals."""
-        parts, current, quote = [], [], None
-        for char in script:
-            if quote:
-                current.append(char)
-                if char == quote:
-                    quote = None
-            elif char in "'\"":
-                quote = char
-                current.append(char)
-            elif char == ";":
-                parts.append("".join(current))
-                current = []
+        """Execute a ``;``-separated batch (comments with ``--``).  The
+        whole script is lexed first: a lex error anywhere runs nothing."""
+        results: List[StatementResult] = []
+        start, empty = 0, True
+        for token in _tokenize(script):
+            if token.kind == "eof" or token.text == ";":
+                if not empty:
+                    results.append(self.execute(script[start : token.pos]))
+                start, empty = token.pos + 1, True
             else:
-                current.append(char)
-        parts.append("".join(current))
-        return parts
+                empty = False
+        return results
 
     # -- token helpers ---------------------------------------------------------
 
@@ -207,11 +200,25 @@ class Interpreter:
             )
 
     def _expect_end(self) -> None:
+        """The statement ends here: called before it acts."""
         self._accept_punct(";")
         if self._peek().kind != "eof":
             raise QuerySyntaxError(
                 "unexpected trailing input at %r" % (self._peek().text,)
             )
+
+    def _oql_text(self) -> str:
+        """The rest of the statement, up to ``;``, as OQL: a slice of the
+        statement's own source (so OQL's carets point into it), with its
+        comments blanked."""
+        start = end = self._peek().pos
+        while self._peek().kind != "eof" and self._peek().text != ";":
+            token = self._advance()
+            end = token.pos + len(token.text)
+        return _COMMENT_RE.sub(
+            lambda m: m.group() if m.lastgroup else " " * len(m.group()),
+            self._source[start:end],
+        )
 
     def _literal(self) -> Any:
         token = self._peek()
@@ -226,7 +233,7 @@ class Interpreter:
             return OID(int(token.text[1:]))
         if token.kind == "string":
             self._advance()
-            return token.text[1:-1].replace("\\'", "'").replace('\\"', '"')
+            return string_value(token.text)
         if token.kind == "name" and token.text.lower() in ("true", "false", "null"):
             self._advance()
             return {"true": True, "false": False, "null": None}[token.text.lower()]
@@ -284,6 +291,7 @@ class Interpreter:
                     attributes.append(self._attribute_def())
                 self._expect_punct(")")
         abstract = self._accept_kw("abstract") is not None
+        self._expect_end()
         self.db.define_class(
             name, superclasses=supers, attributes=attributes, abstract=abstract
         )
@@ -301,6 +309,7 @@ class Interpreter:
             path.append(self._expect_name())
         self._expect_punct(")")
         scope = self._accept_kw("hierarchy", "class") or "hierarchy"
+        self._expect_end()
         if len(path) > 1:
             index = self.db.create_nested_index(class_name, path, explicit_name)
         elif scope == "class":
@@ -314,34 +323,10 @@ class Interpreter:
             raise QuerySyntaxError("views are not attached to this database")
         name = self._expect_name()
         self._expect_kw("as")
-        # Everything after AS is the view's OQL text.
-        rest = self._remaining_text()
-        view = self.db.views.define_view(name, rest)
+        text = self._oql_text()
+        self._expect_end()
+        view = self.db.views.define_view(name, text)
         return StatementResult("view-created", view.name, view)
-
-    def _remaining_text(self) -> str:
-        """Consume the rest of the statement as raw text (for OQL)."""
-        parts: List[str] = []
-        while self._peek().kind != "eof":
-            token = self._advance()
-            if token.kind == "punct" and token.text == ";":
-                break
-            parts.append(token.text)
-        return self._join_tokens(parts)
-
-    @staticmethod
-    def _join_tokens(parts: List[str]) -> str:
-        """Re-assemble token texts, keeping dotted paths glued together."""
-        out: List[str] = []
-        for text in parts:
-            if text == "." or (out and out[-1].endswith(".")):
-                if out:
-                    out[-1] += text
-                else:
-                    out.append(text)
-            else:
-                out.append(text)
-        return " ".join(out)
 
     def _alter(self) -> StatementResult:
         self._expect_kw("alter")
@@ -352,20 +337,24 @@ class Interpreter:
             what = self._accept_kw("attribute", "superclass")
             if what == "attribute":
                 attr = self._attribute_def()
+                self._expect_end()
                 self.evolution.add_attribute(class_name, attr)
                 return StatementResult("attribute-added", "%s.%s" % (class_name, attr.name))
             if what == "superclass":
                 superclass = self._expect_name()
+                self._expect_end()
                 self.evolution.add_superclass(class_name, superclass)
                 return StatementResult("superclass-added", superclass)
         elif action == "drop":
             what = self._accept_kw("attribute", "superclass")
             if what == "attribute":
                 attr_name = self._expect_name()
+                self._expect_end()
                 self.evolution.drop_attribute(class_name, attr_name)
                 return StatementResult("attribute-dropped", attr_name)
             if what == "superclass":
                 superclass = self._expect_name()
+                self._expect_end()
                 self.evolution.drop_superclass(class_name, superclass)
                 return StatementResult("superclass-dropped", superclass)
         elif action == "rename":
@@ -373,6 +362,7 @@ class Interpreter:
             old = self._expect_name()
             self._expect_kw("to")
             new = self._expect_name()
+            self._expect_end()
             count = self.evolution.rename_attribute(class_name, old, new)
             return StatementResult("attribute-renamed", "%s -> %s" % (old, new), count)
         raise QuerySyntaxError("ALTER CLASS expects ADD/DROP/RENAME")
@@ -386,16 +376,19 @@ class Interpreter:
             if self._accept_kw("migrate"):
                 self._expect_kw("to")
                 migrate_to = self._expect_name()
+            self._expect_end()
             count = self.evolution.drop_class(name, migrate_to)
             return StatementResult("class-dropped", name, count)
         if kind == "index":
             name = self._expect_name()
+            self._expect_end()
             self.db.indexes.drop_index(name)
             return StatementResult("index-dropped", name)
         if kind == "view":
             if self.db.views is None:
                 raise QuerySyntaxError("views are not attached to this database")
             name = self._expect_name()
+            self._expect_end()
             self.db.views.drop_view(name)
             return StatementResult("view-dropped", name)
         raise QuerySyntaxError("DROP expects CLASS, INDEX or VIEW")
@@ -406,6 +399,7 @@ class Interpreter:
         old = self._expect_name()
         self._expect_kw("to")
         new = self._expect_name()
+        self._expect_end()
         count = self.evolution.rename_class(old, new)
         return StatementResult("class-renamed", "%s -> %s" % (old, new), count)
 
@@ -428,104 +422,71 @@ class Interpreter:
         values: Dict[str, Any] = {}
         if self._accept_kw("set"):
             values = self._assignments()
+        self._expect_end()
         handle = self.db.new(class_name, values)
         return StatementResult("inserted", repr(handle.oid), handle)
 
-    def _where_tail(self, class_name: str, variable: str = "x") -> List[OID]:
-        """Parse an optional WHERE tail by delegating to the OQL engine."""
-        rest = self._remaining_text()
-        query = "SELECT %s FROM %s %s" % (variable, class_name, variable)
-        if rest:
-            query += " " + self._requalify(rest, variable)
-        return [h.oid for h in self.db.select(query)]
-
-    @staticmethod
-    def _requalify(where_text: str, variable: str) -> str:
-        """Prefix bare identifiers in a WHERE tail with the variable."""
-        keywords = {
-            "where", "and", "or", "not", "in", "like", "null", "true",
-            "false", "contains", "order", "by", "asc", "desc", "limit",
-        }
-        token_re = re.compile(r"'[^']*'|\"[^\"]*\"|[A-Za-z_][\w.]*|\S")
-        out, pos = [], 0
-        for match in token_re.finditer(where_text):
-            out.append(where_text[pos : match.start()])
-            token = match.group()
-            if (
-                (token[0].isalpha() or token[0] == "_")
-                and token.lower() not in keywords
-                and not token.startswith(variable + ".")
-            ):
-                out.append("%s.%s" % (variable, token))
-            else:
-                out.append(token)
-            pos = match.end()
-        out.append(where_text[pos:])
-        return "".join(out)
+    def _where_tail(self, class_name: str, act: Callable[[OID], Any]) -> int:
+        """Run ``act(oid)`` on each match of an optional WHERE tail, read
+        as the OQL shorthand ``Class where ...``, in one transaction (an
+        explicit BEGIN joins it): every match changes, or none does."""
+        query = class_name + " " + self._oql_text()
+        self._expect_end()
+        with self.db._auto_txn():
+            oids = self.db.execute(query).oids
+            for oid in oids:
+                act(oid)
+        return len(oids)
 
     def _update(self) -> StatementResult:
         self._expect_kw("update")
         class_name = self._expect_name()
         self._expect_kw("set")
         changes = self._assignments()
-        oids = self._where_tail(class_name)
-        for oid in oids:
-            self.db.update(oid, dict(changes))
-        return StatementResult("updated", "%d objects" % len(oids), len(oids))
+        count = self._where_tail(
+            class_name, lambda oid: self.db.update(oid, dict(changes))
+        )
+        return StatementResult("updated", "%d objects" % count, count)
 
     def _delete(self) -> StatementResult:
         self._expect_kw("delete")
         self._accept_kw("from")
-        class_name = self._expect_name()
-        oids = self._where_tail(class_name)
-        for oid in oids:
-            self.db.delete(oid)
-        return StatementResult("deleted", "%d objects" % len(oids), len(oids))
+        count = self._where_tail(self._expect_name(), self.db.delete)
+        return StatementResult("deleted", "%d objects" % count, count)
 
     def _select(self) -> StatementResult:
-        # The whole statement is OQL; re-assemble and delegate.
-        text = self._statement_text()
+        text = self._oql_text()
+        self._expect_end()
         result = self.db.execute(text)
-        self._index = len(self._tokens) - 1  # consume everything
         if result.rows is not None:
             return StatementResult("rows", "%d rows" % len(result.rows), result.rows)
         handles = [self.db.get(oid) for oid in result.oids]
         return StatementResult("objects", "%d objects" % len(handles), handles)
-
-    def _statement_text(self) -> str:
-        parts = []
-        for token in self._tokens[self._index : -1]:
-            if token.kind == "punct" and token.text == ";":
-                break
-            parts.append(token.text)
-        return self._join_tokens(parts)
 
     # -- DCL --------------------------------------------------------------------
 
     def _begin(self) -> StatementResult:
         self._expect_kw("begin")
         self._accept_kw("transaction")
+        self._expect_end()
         self._txn = self.db.transaction()
         return StatementResult("transaction-started", str(self._txn.txn_id))
 
-    def _commit(self) -> StatementResult:
-        self._expect_kw("commit")
+    def _end_txn(self) -> StatementResult:
+        word = self._accept_kw("commit", "abort", "rollback")
+        self._expect_end()
         if self._txn is None or not self._txn.is_active:
             raise QuerySyntaxError("no active transaction")
-        self._txn.commit()
+        if word == "commit":
+            self._txn.commit()
+        else:
+            self._txn.abort()
         self._txn = None
-        return StatementResult("committed")
-
-    def _abort(self) -> StatementResult:
-        self._accept_kw("abort", "rollback")
-        if self._txn is None or not self._txn.is_active:
-            raise QuerySyntaxError("no active transaction")
-        self._txn.abort()
-        self._txn = None
-        return StatementResult("aborted")
+        return StatementResult("committed" if word == "commit" else "aborted")
 
     def _checkpoint(self) -> StatementResult:
         self._expect_kw("checkpoint")
+        self._expect_end()
         self.db.checkpoint()
         return StatementResult("checkpointed")
 
@@ -540,6 +501,7 @@ class Interpreter:
             resource = "database"
         self._expect_kw("to")
         role = self._expect_name()
+        self._expect_end()
         if deny:
             self.db.authz.deny(role, action, resource)
             return StatementResult("denied", "%s on %s to %s" % (action, resource, role))
@@ -551,6 +513,7 @@ class Interpreter:
     def _describe(self) -> StatementResult:
         self._expect_kw("describe")
         name = self._expect_name()
+        self._expect_end()
         return StatementResult("description", name, describe_class(self.db, name))
 
 

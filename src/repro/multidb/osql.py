@@ -16,6 +16,7 @@ import re
 from typing import List, Optional, Tuple
 
 from ..errors import QuerySyntaxError
+from ..query.parser import tokenize
 
 _SQL_RE = re.compile(
     r"^\s*select\s+(?P<cols>.+?)\s+from\s+(?P<name>\w+)"
@@ -54,28 +55,16 @@ def _translate_columns(cols: str) -> Tuple[Optional[List[str]], str]:
 
 
 def _translate_where(where: str) -> str:
-    """Prefix bare column references with the OQL variable.
-
-    Handles identifiers and dotted paths; leaves string literals,
-    numbers, and keywords alone.
-    """
-    keywords = {
-        "and", "or", "not", "in", "like", "null", "true", "false",
-        "between", "is", "contains",
-    }
-    out: List[str] = []
-    pos = 0
-    token_re = re.compile(r"'[^']*'|\"[^\"]*\"|[A-Za-z_][\w.]*|\S")
-    for match in token_re.finditer(where):
-        out.append(where[pos : match.start()])
-        token = match.group()
-        if (
-            token[0].isalpha() or token[0] == "_"
-        ) and token.lower() not in keywords:
-            out.append("%s.%s" % (VARIABLE, token))
-        else:
-            out.append(token)
-        pos = match.end()
+    """Prefix each column reference with the OQL variable: on OQL's own
+    tokens, every name that starts a path and is not called (``f(`` is
+    an ADT predicate).  Literals and keywords are left as they are."""
+    tokens = tokenize(where)
+    out, pos = [], 0
+    for before, token, after in zip([None] + tokens, tokens, tokens[1:]):
+        starts_path = before is None or before.text != "."
+        if token.kind == "name" and starts_path and after.text != "(":
+            out.append(where[pos : token.pos] + VARIABLE + ".")
+            pos = token.pos
     out.append(where[pos:])
     return "".join(out)
 

@@ -46,13 +46,13 @@ from .ast import (
     Query,
 )
 
-#: The literal token patterns, shared by the tokenizer and the lifter
-#: (:func:`lift_literals`), so the two always agree on what a literal is.
-_LITERALS = r"""
+#: The literal token patterns, shared by the tokenizer, the lifter
+#: (:func:`lift_literals`) and the DL lexer, so all agree on a literal.
+LITERALS = r"""
     (?P<float>-?\d+\.\d+(?:[eE][+-]?\d+)?)
   | (?P<int>-?\d+)
 """
-_STRING = r"""(?P<string>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")"""
+STRING = r"""(?P<string>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")"""
 
 _TOKEN_RE = re.compile(
     r"""
@@ -63,7 +63,7 @@ _TOKEN_RE = re.compile(
   | (?P<op><=|>=|!=|<>|=|<|>)
   | (?P<punct>[(),.\[\]*])
     """
-    % (_LITERALS, _STRING),
+    % (LITERALS, STRING),
     re.VERBOSE,
 )
 
@@ -90,7 +90,7 @@ _KEYWORDS = {
 }
 
 
-def _string_value(text: str) -> str:
+def string_value(text: str) -> str:
     """The value of a string literal token (quotes stripped, unescaped)."""
     body = text[1:-1]
     return body.replace("\\'", "'").replace('\\"', '"').replace("\\\\", "\\")
@@ -112,7 +112,7 @@ def _lift_re() -> Pattern[str]:
           | %s
         )
         """
-        % (_LITERALS, _STRING),
+        % (LITERALS, STRING),
         re.VERBOSE,
     )
 
@@ -121,7 +121,7 @@ def _lift_re() -> Pattern[str]:
 _LIFTED = {
     "int": (int, "?int"),
     "float": (float, "?float"),
-    "string": (_string_value, "?str"),
+    "string": (string_value, "?str"),
 }
 
 
@@ -168,7 +168,7 @@ class _Token:
         return "%s(%r)" % (self.kind, self.text)
 
 
-def _tokenize(text: str) -> List[_Token]:
+def tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
     pos = 0
     while pos < len(text):
@@ -198,7 +198,7 @@ class _Parser:
 
     def __init__(self, text: str) -> None:
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = tokenize(text)
         self.index = 0
         self.variable: Optional[str] = None
         #: Shorthand mode: bare paths resolve against the implicit variable.
@@ -608,7 +608,7 @@ class _Parser:
             return float(token.text)
         if token.kind == "string":
             self._advance()
-            return _string_value(token.text)
+            return string_value(token.text)
         if token.kind == "kw" and token.text in ("true", "false", "null"):
             self._advance()
             return {"true": True, "false": False, "null": None}[token.text]

@@ -52,8 +52,8 @@ class NotificationManager:
     # -- delivery ---------------------------------------------------------------
 
     def _post_hook(self, kind: str, old, new) -> None:
-        if kind == "insert":
-            return
+        if kind == "insert" or self.db.txns.rolling_back:
+            return  # an abort's compensation is not a change
         state = new if kind == "update" else old
         self._flags.add(state.oid)
         self._deliver(kind, state.oid, state.class_name, None)

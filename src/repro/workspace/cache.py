@@ -192,7 +192,11 @@ class ObjectWorkspace:
         del self._resident[oid.value]
 
     def clear(self) -> None:
-        """Drop everything (dirty objects lose their local edits)."""
+        """Drop everything (dirty objects lose their local edits).  The
+        pointer tables go too, so the dropped objects are not cyclic
+        garbage: reference counting frees them."""
+        for memory_object in self._resident.values():
+            memory_object._pointers = None
         self._resident.clear()
 
     def __repr__(self) -> str:

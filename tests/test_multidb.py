@@ -296,6 +296,16 @@ class TestOsql:
         )
         assert "x.manufacturer.location" in translated.oql
 
+    def test_where_literals_and_adt_predicates_are_kept(self):
+        translated = translate_sql(
+            "SELECT * FROM Cell WHERE overlaps(shape, [0, 0, 4, 4]) "
+            "AND name = 'O\\'Brien' AND w > 1.5e3"
+        )
+        assert translated.oql == (
+            "SELECT x FROM Cell x WHERE overlaps(x.shape, [0, 0, 4, 4]) "
+            "AND x.name = 'O\\'Brien' AND x.w > 1.5e3"
+        )
+
     def test_bad_sql_rejected(self):
         with pytest.raises(QuerySyntaxError):
             translate_sql("DELETE FROM Vehicle")

@@ -424,7 +424,7 @@ class TestShapeKey:
         ],
     )
     def test_the_lifter_lifts_what_the_tokenizer_reads_as_literals(self, text):
-        tokens = parser._tokenize(text)
+        tokens = parser.tokenize(text)
         expected = [
             parser._LIFTED[token.kind][0](token.text)
             for before, token in zip(tokens, tokens[1:])

@@ -61,6 +61,34 @@ class TestDlFuzz:
         except KimDBError:
             pass  # any library error is acceptable; crashes are not
 
+    @given(
+        head=st.sampled_from(
+            [
+                "INSERT INTO F SET w = 1.5",
+                "UPDATE F SET w = 2",
+                "DELETE FROM F",
+                "CREATE CLASS G (x Integer)",
+                "CREATE INDEX ON F(w)",
+                "ALTER CLASS F ADD ATTRIBUTE z Integer",
+                "ALTER CLASS F RENAME ATTRIBUTE n TO m",
+                "DROP CLASS F",
+                "RENAME CLASS F TO H",
+                "SELECT f FROM F f",
+            ]
+        ),
+        tail=st.text(alphabet=query_alphabet, max_size=30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_failing_statement_changes_nothing(self, head, tail):
+        db = Database()
+        interpreter = Interpreter(db)
+        interpreter.run_script("CREATE CLASS F (w Float, n String); INSERT INTO F SET w = 1")
+        objects, version = len(db.storage.directory), db.schema.version
+        try:
+            interpreter.execute(head + " " + tail)
+        except KimDBError:
+            assert (len(db.storage.directory), db.schema.version) == (objects, version)
+
     def test_empty_script_is_noop(self):
         assert Interpreter(Database()).run_script("  ;;  ; ") == []
 

@@ -146,6 +146,15 @@ class TestChangeNotification:
         vdb.update(design.oid, {"rev": 1})
         assert events and events[0][0] == "update"
 
+    def test_an_aborted_update_notifies_once(self, vdb):
+        events = []
+        design = vdb.new("Design", {"name": "chip"})
+        vdb.notifications.subscribe(design.oid, lambda *a: events.append(a))
+        txn = vdb.transaction()
+        vdb.update(design.oid, {"rev": 1})
+        txn.abort()
+        assert [event[0] for event in events] == ["update"]
+
     def test_class_subscription_covers_subclasses(self, vdb):
         vdb.define_class("SubDesign", superclasses=("Design",))
         events = []

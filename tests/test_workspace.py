@@ -1,5 +1,7 @@
 """Memory-resident object management: swizzling, faulting, write-back."""
 
+import gc
+
 import pytest
 
 from repro import AttributeDef, Database
@@ -239,6 +241,28 @@ class TestOidTable:
         assert workspace.stats.faults == 3
         workspace.evict(OID(oids[0].value, "Other"))
         assert oids[0] not in workspace and len(workspace) == 2
+
+
+class TestClear:
+    def test_cleared_objects_are_freed_without_the_collector(self, graph_db):
+        a = graph_db.new("Node", {"label": "a"})
+        b = graph_db.new("Node", {"label": "b", "next": a.oid})
+        graph_db.update(a.oid, {"next": b.oid})
+
+        def alive():
+            return sum(1 for obj in gc.get_objects() if type(obj) is MemoryObject)
+
+        gc.collect()
+        before = alive()
+        gc.disable()
+        try:
+            workspace = ObjectWorkspace(graph_db)
+            assert len(workspace.closure([a.oid], ["next"])) == 2  # a 2-cycle of pointers
+            workspace.clear()
+            del workspace
+            assert alive() == before
+        finally:
+            gc.enable()
 
 
 class TestFollowedReferencesStayAuthorized:
