@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .analysis.diagnostics import DiagnosticReport
 from .analysis.plancache import PlanCache
@@ -50,12 +50,14 @@ from .txn.locks import (
     class_resource,
     object_resource,
 )
-from .txn.long_tx import PrivateWorkspace
 from .txn.recovery import checkpoint as _checkpoint
 from .txn.recovery import recover as _recover
 from .txn.transaction import Transaction, TransactionManager
 from .txn.wal import WriteAheadLog
 from .versions.store import SnapshotView, VersionStore
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .workspace.cache import ObjectWorkspace
 
 
 class QueryStream:
@@ -666,7 +668,7 @@ class Database:
         return ObjectHandle(self, oid)
 
     def put_state(self, state: ObjectState) -> None:
-        """Replace an object's full state (checkin, migration paths)."""
+        """Replace an object's full state (migration paths)."""
         self._check_authz("write", state.class_name, state.oid)
         self.schema.validate_state(state.class_name, state.values, self._deref_class)
         with self._auto_txn() as txn:
@@ -693,27 +695,28 @@ class Database:
     # ------------------------------------------------------------------
 
     def instances(self, class_name: str, hierarchy: bool = True) -> Iterator[ObjectHandle]:
-        """All instances, physically ordered per class.
+        """All instances, physically ordered per class (see :meth:`_scan`)."""
+        for state in self._scan(class_name, hierarchy):
+            yield ObjectHandle(self, state.oid)
 
-        Inside a transaction this is the same snapshot scan its queries
-        run, so every handle yielded is readable (:meth:`read_state`)
-        and the extent agrees with ``execute`` — lock-free, like them.
-        Either way each object comes out once, even when the caller's
-        own updates move its record ahead of the scan or reclass it.
-        """
-        classes = (
-            self.schema.hierarchy_of(class_name) if hierarchy else [class_name]
-        )
-        if self.txns.current is None:
-            scan = self.storage.scan_class
-        else:
-            scan = self._snapshot_view().scan
-        seen = set()
-        for cls in classes:
-            for state in scan(cls):
-                if state.oid not in seen:
-                    seen.add(state.oid)
-                    yield ObjectHandle(self, state.oid)
+    def _scan(self, class_name: str, hierarchy: bool = True) -> Iterator[ObjectState]:
+        """The extent's shared states, through the snapshot scan that
+        ``execute`` runs: a transaction's own view, or outside one an
+        ephemeral snapshot, closed when the generator ends or is closed.
+        Lock-free, and each object comes out once, even when the
+        caller's own updates move its record ahead of the scan or
+        reclass it."""
+        classes = self.schema.hierarchy_of(class_name) if hierarchy else [class_name]
+        view = self._snapshot_view()
+        try:
+            seen = set()
+            for cls in classes:
+                for state in view.scan(cls):
+                    if state.oid not in seen:
+                        seen.add(state.oid)
+                        yield state
+        finally:
+            self._read_close(view)
 
     def count(self, class_name: str, hierarchy: bool = True) -> int:
         classes = (
@@ -1185,9 +1188,12 @@ class Database:
         """Begin an explicit transaction (usable as a context manager)."""
         return self.txns.begin()
 
-    def workspace(self, name: str = "", pessimistic: bool = False) -> PrivateWorkspace:
-        """A private database for long-duration (checkout/checkin) work."""
-        return PrivateWorkspace(self, name=name, pessimistic=pessimistic)
+    def workspace(self, name: str = "", pessimistic: bool = False) -> "ObjectWorkspace":
+        """A private copy for long-duration (checkout/checkin) work."""
+        # Imported here: a program that opens no workspace loads none.
+        from .workspace.cache import ObjectWorkspace
+
+        return ObjectWorkspace(self, name=name, pessimistic=pessimistic)
 
     def __repr__(self) -> str:
         return "<Database %s: %d classes, %d objects>" % (

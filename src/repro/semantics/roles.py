@@ -112,7 +112,7 @@ class RoleManager:
     def role_of(self, player: OID, name: str) -> Optional[OID]:
         """The role object through which ``player`` plays ``name``."""
         role_class, _player_class = self._entry(name)
-        for state in self.db.storage.scan_class(role_class):
+        for state in self.db._scan(role_class, hierarchy=False):
             if state.values.get("player") == player:
                 return state.oid
         return None
@@ -145,7 +145,7 @@ class RoleManager:
         role_class, _player_class = self._entry(name)
         return sorted(
             state.values["player"]
-            for state in self.db.storage.scan_class(role_class)
+            for state in self.db._scan(role_class, hierarchy=False)
             if isinstance(state.values.get("player"), OID)
         )
 

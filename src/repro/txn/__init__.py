@@ -1,4 +1,4 @@
-"""Transactions: locking, WAL, recovery, long-duration workspaces."""
+"""Transactions: locking, WAL, recovery."""
 
 from .locks import (
     DATABASE,
@@ -11,7 +11,6 @@ from .locks import (
     compatible,
     object_resource,
 )
-from .long_tx import CheckinConflict, CheckinReport, PrivateWorkspace
 from .recovery import RecoveryReport, checkpoint, recover
 from .transaction import ACTIVE, ABORTED, COMMITTED, Transaction, TransactionManager
 from .wal import (
@@ -36,9 +35,6 @@ __all__ = [
     "class_resource",
     "compatible",
     "object_resource",
-    "CheckinConflict",
-    "CheckinReport",
-    "PrivateWorkspace",
     "RecoveryReport",
     "checkpoint",
     "recover",

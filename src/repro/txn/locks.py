@@ -265,28 +265,30 @@ class LockManager:
 
     # -- release ----------------------------------------------------------------
 
-    def transfer(self, from_owner: int, to_owner: int) -> int:
-        """Move all locks from one owner to another (checkin handover).
+    def transfer(
+        self, from_owner: int, to_owner: int, resources: Optional[Set[Resource]] = None
+    ) -> Set[Resource]:
+        """Move ``from_owner``'s locks (all, or those on ``resources``) to
+        ``to_owner``; returns the resources moved.
 
-        A persistent workspace lock becomes the checkin transaction's
-        lock so the write path does not conflict with the workspace's own
-        holdings.  If the receiving owner already holds a resource, the
-        stronger mode wins.  Returns the number of locks moved.
+        A workspace's persistent locks serve its write-back transaction
+        and come back to the workspace before that transaction ends.  If
+        the receiving owner already holds a resource, the stronger mode
+        wins.
         """
         with self._condition:
-            moved = 0
-            for resource in list(self._by_txn.get(from_owner, ())):
-                holders = self._held.get(resource, {})
-                mode = holders.pop(from_owner, None)
-                if mode is None:
-                    continue
+            owned = self._by_txn.get(from_owner, set())
+            moved = set(owned) if resources is None else owned & resources
+            for resource in moved:
+                holders = self._held[resource]
+                mode = holders.pop(from_owner)
                 current = holders.get(to_owner)
                 if current is None or _STRENGTH[mode] > _STRENGTH[current]:
                     holders[to_owner] = mode
                 self._by_txn.setdefault(to_owner, set()).add(resource)
-                moved += 1
-            self._by_txn.pop(from_owner, None)
-            self._waiting.pop(from_owner, None)
+            owned -= moved
+            if not owned:
+                self._by_txn.pop(from_owner, None)
             self._condition.notify_all()
             return moved
 

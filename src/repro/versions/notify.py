@@ -3,9 +3,11 @@
 Two delivery modes, both from the ORION design:
 
 * **message-based** — a callback fires immediately when a subscribed
-  object (or any instance of a subscribed class) changes;
+  object (or any instance of a subscribed class) changes: at the write,
+  not at commit, so a write that later aborts has been delivered;
 * **flag-based** — changes set a per-object flag; interested parties
-  poll with :meth:`NotificationManager.changed_since_checked`.
+  poll with :meth:`NotificationManager.changed_since_checked`.  An
+  abort takes back the flags its transaction set.
 
 Derivation events from the version manager are also routed here, so a
 designer can learn that a vehicle they reference has a newer version.
@@ -13,7 +15,7 @@ designer can learn that a vehicle they reference has a newer version.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..core.oid import OID
 
@@ -32,7 +34,9 @@ class NotificationManager:
         self.db = db
         self._object_subs: Dict[OID, List[Callback]] = {}
         self._class_subs: Dict[str, List[Callback]] = {}
-        self._flags: Set[OID] = set()
+        #: Flagged OID -> id of the transaction that set the flag (None
+        #: for a derivation), so an abort takes back only its own flags.
+        self._flags: Dict[OID, Optional[int]] = {}
         db.add_post_hook(self._post_hook)
 
     # -- subscription ---------------------------------------------------------
@@ -52,14 +56,24 @@ class NotificationManager:
     # -- delivery ---------------------------------------------------------------
 
     def _post_hook(self, kind: str, old, new) -> None:
-        if kind == "insert" or self.db.txns.rolling_back:
-            return  # an abort's compensation is not a change
+        txns = self.db.txns
+        if txns.rolling_back:
+            # An abort's compensation is not a change: it takes back a
+            # flag its transaction set.  Only that transaction can still
+            # be active while holding the object's X lock, so a flag
+            # from a committed change stays.
+            oid = (new or old).oid
+            if self._flags.get(oid) in txns.active_transactions():
+                del self._flags[oid]
+            return
+        if kind == "insert":
+            return
         state = new if kind == "update" else old
-        self._flags.add(state.oid)
+        self._flags.setdefault(state.oid, txns.current.txn_id)
         self._deliver(kind, state.oid, state.class_name, None)
 
     def emit_derivation(self, parent: OID, child: OID) -> None:
-        self._flags.add(parent)
+        self._flags.setdefault(parent, None)
         class_name = self.db.class_of(child)
         self._deliver("derive", parent, class_name, child)
 
@@ -86,7 +100,7 @@ class NotificationManager:
             return flagged
         flagged = sorted(oid for oid in oids if oid in self._flags)
         for oid in flagged:
-            self._flags.discard(oid)
+            del self._flags[oid]
         return flagged
 
 

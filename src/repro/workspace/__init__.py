@@ -1,6 +1,6 @@
-"""Memory-resident object management (pointer swizzling, object cache)."""
+"""Memory-resident object management and checkout/checkin: one private copy."""
 
-from .cache import ObjectWorkspace, WorkspaceStats
+from .cache import CheckinConflict, CheckinReport, ObjectWorkspace, WorkspaceStats
 from .swizzle import MemoryObject
 
-__all__ = ["ObjectWorkspace", "WorkspaceStats", "MemoryObject"]
+__all__ = ["CheckinConflict", "CheckinReport", "ObjectWorkspace", "WorkspaceStats", "MemoryObject"]

@@ -8,18 +8,14 @@ memory pointers that will point to some descriptors for the objects that
 the object references.  The referenced objects may later be fetched as
 necessary."
 
-A :class:`MemoryObject` is the in-memory form.  It shares the object
-buffer's stored state until it is written (copied on first write), and
-its reference slots keep their OIDs.  A traversal follows an OID the
-first time (swizzling on dereference, in Moss's terms):
-:meth:`MemoryObject.ref` and :meth:`MemoryObject.refs` resolve it
-through the workspace's OID table — a resident hit or one fault — and
-then install the direct pointer in the object's pointer table (made at
-its first followed reference), so subsequent accesses are "a few memory
-lookups" (the order-of-magnitude claim of Section 4.2, experiment E5).
-Under the ``"none"`` policy they never install one: every traversal goes
-through the OID table.  A dangling reference keeps its OID; a target
-the reader may not read raises ``AuthorizationError``, admitting nothing.
+A :class:`MemoryObject` is the in-memory form: its slots keep their
+OIDs, and :meth:`MemoryObject.ref`/:meth:`MemoryObject.refs` resolve
+one through the workspace's OID table the first time a traversal
+follows it (swizzling on dereference, in Moss's terms), then keep the
+direct pointer (not under ``"none"``), so later accesses are "a few
+memory lookups" (Section 4.2, experiment E5).  A dangling reference
+keeps its OID; a target the reader may not read raises
+``AuthorizationError``, admitting nothing.
 """
 
 from __future__ import annotations
@@ -39,33 +35,27 @@ class MemoryObject:
 
     It shares the object buffer's read-only stored dict until a caller
     could change it: the first :meth:`set`, read of :attr:`values`, or
-    ``[]``/:meth:`get` of a list value copies it, once.  A followed
-    reference keeps its OID there; its pointer lives in a table beside
-    it.  :meth:`set` records the names it changed; the workspace writes
-    exactly those back through the database, so the full database
-    machinery (validation, indexes, WAL) still applies — the paper's
-    point that memory-resident management *extends* database
-    capabilities rather than bypassing them.
+    ``[]``/:meth:`get` of a list value copies it, once, and the shared
+    dict stays as the :attr:`baseline`.  A followed reference keeps its
+    OID there; its pointer lives in a table beside it.  :meth:`set`
+    records the names it changed; the workspace writes exactly those
+    back through the database (validation, indexes, WAL still apply).
     """
 
-    __slots__ = ("oid", "class_name", "changed", "_values", "_owned", "_pointers", "_workspace")
+    __slots__ = ("oid", "class_name", "changed", "_values", "_baseline", "_pointers", "_workspace")
 
     #: Not a sequence: ``in`` and ``list()`` would index 0, 1, ... forever.
     __iter__ = None
 
     def __init__(
-        self,
-        oid: OID,
-        class_name: str,
-        values: Dict[str, Any],
-        workspace: "ObjectWorkspace",
+        self, oid: OID, class_name: str, values: Dict[str, Any], workspace: "ObjectWorkspace"
     ) -> None:
         self.oid = oid
         self.class_name = class_name
         #: Names :meth:`set` changed since the last flush (None: none).
         self.changed: Optional[Set[str]] = None
-        self._values = values  # shared and read-only until _owned
-        self._owned = False
+        self._values = values  # shared and read-only until copied
+        self._baseline: Optional[Dict[str, Any]] = None  # the shared dict, once copied
         #: Followed references (name -> MemoryObject, or a list), made at the first.
         self._pointers: Optional[Dict[str, Any]] = None
         self._workspace = workspace
@@ -78,19 +68,25 @@ class MemoryObject:
     def values(self) -> Dict[str, Any]:
         """The object's own values (copied on first access); reference
         slots hold OIDs unless :meth:`set` stored a memory object."""
-        if not self._owned:
+        if self._baseline is None:
+            self._baseline = self._values
             self._values = {
                 name: copy_value(value) if isinstance(value, list) else value
                 for name, value in self._values.items()
             }
-            self._owned = True
         return self._values
+
+    @property
+    def baseline(self) -> Dict[str, Any]:
+        """The stored dict this object was loaded from, or last wrote
+        back: its workspace's write-back compares the stored state with it."""
+        return self._values if self._baseline is None else self._baseline
 
     # -- reads ---------------------------------------------------------------
 
     def __getitem__(self, name: str) -> Any:
         value = self._values.get(name)
-        if type(value) is list and not self._owned:
+        if type(value) is list and self._baseline is None:
             return self.values[name]
         return value
 
@@ -178,7 +174,7 @@ class MemoryObject:
     def changes(self) -> Dict[str, Any]:
         """The changed values, converted back to storable ones (pointers
         -> OIDs)."""
-        return {name: _unswizzle(self._values.get(name)) for name in self.changed}
+        return {name: _unswizzle(self._values.get(name)) for name in self.changed or ()}
 
     def __repr__(self) -> str:
         return "<MemoryObject %s %r%s>" % (

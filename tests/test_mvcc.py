@@ -633,6 +633,29 @@ class TestHandleSnapshotReads:
         finally:
             db.close()
 
+    def test_instances_outside_a_transaction_scans_a_snapshot(self):
+        """Outside a transaction ``instances()`` reads an ephemeral
+        snapshot, as ``execute`` does: a detached transaction's
+        uncommitted insert is not yielded, and the snapshot closes when
+        the generator ends or is closed."""
+        db = _vehicle_db()
+        try:
+            txn = db.transaction()
+            db.new("Vehicle", {"weight": 9999})
+            db.txns.detach()
+            assert 9999 not in _weights(db)
+            assert 9999 not in [h.state().values["weight"] for h in db.instances("Vehicle")]
+            assert db.version_store.live_snapshots() == []
+            scan = db.instances("Vehicle")
+            next(scan)
+            assert len(db.version_store.live_snapshots()) == 1
+            scan.close()
+            assert db.version_store.live_snapshots() == []
+            db.txns.attach(txn)
+            txn.abort()
+        finally:
+            db.close()
+
     def test_get_state_still_reads_current_state(self):
         # The locking read path is unchanged: inside the same
         # transaction whose handle read sees the snapshot, get_state

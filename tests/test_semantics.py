@@ -95,6 +95,18 @@ class TestRoles:
         rdb.roles.add_role(poor.oid, "Employee", {"salary": 100})
         assert rdb.roles.query_role("Employee", "r.salary > 50000") == [rich.oid]
 
+    def test_another_transactions_uncommitted_role_is_not_played(self, rdb):
+        ann = rdb.new("Person", {"name": "ann"})
+        txn = rdb.transaction()
+        rdb.roles.add_role(ann.oid, "Employee", {"salary": 1})
+        rdb.txns.detach()
+        assert not rdb.roles.plays(ann.oid, "Employee")
+        assert rdb.roles.players("Employee") == []
+        rdb.txns.attach(txn)
+        assert rdb.roles.plays(ann.oid, "Employee")  # its own write
+        txn.abort()
+        assert not rdb.roles.plays(ann.oid, "Employee")
+
     def test_unknown_role_rejected(self, rdb):
         ann = rdb.new("Person", {"name": "ann"})
         with pytest.raises(SchemaError):

@@ -62,6 +62,25 @@ class TestOptimisticWorkspace:
         # Nothing written on conflict.
         assert ddb.get(design.oid)["revision"] == 9
 
+    def test_a_commit_inside_the_checkin_transaction_is_reported(self, ddb):
+        design = ddb.new("Design", {"name": "chip", "revision": 1})
+        workspace = ddb.workspace("alice")
+        workspace.checkout([design.oid])
+        workspace.update(design.oid, {"revision": 2})
+        begin = ddb.txns.begin
+
+        def begin_after_a_commit():
+            ddb.txns.begin = begin
+            ddb.update(design.oid, {"revision": 77})  # commits in its own txn
+            return begin()
+
+        ddb.txns.begin = begin_after_a_commit
+        report = workspace.checkin()
+        assert ddb.txns.begin == begin  # the hook ran
+        assert [c.oid for c in report.conflicts] == [design.oid]
+        assert report.conflicts[0].theirs.values["revision"] == 77
+        assert ddb.get(design.oid)["revision"] == 77
+
     def test_force_checkin_overwrites(self, ddb):
         design = ddb.new("Design", {"name": "chip", "revision": 1})
         workspace = ddb.workspace()
@@ -102,7 +121,7 @@ class TestOptimisticWorkspace:
         workspace.checkout([design.oid])
         workspace.release()
         with pytest.raises(TransactionError):
-            workspace.get(design.oid)
+            workspace.update(design.oid, {"revision": 1})
 
     def test_not_checked_out_rejected(self, ddb):
         design = ddb.new("Design", {"name": "chip"})

@@ -181,6 +181,35 @@ class TestChangeNotification:
         # Flags cleared after the check.
         assert vdb.notifications.changed_since_checked([design.oid]) == []
 
+    def test_an_aborted_write_leaves_no_flag(self, vdb):
+        design = vdb.new("Design", {"name": "chip"})
+        for write in (
+            lambda: vdb.update(design.oid, {"rev": 1}),
+            lambda: vdb.delete(design.oid),
+        ):
+            txn = vdb.transaction()
+            write()
+            assert vdb.notifications.is_flagged(design.oid)
+            txn.abort()
+            assert not vdb.notifications.is_flagged(design.oid)
+            assert vdb.notifications.changed_since_checked() == []
+
+    def test_an_aborted_write_keeps_a_committed_changes_flag(self, vdb):
+        design = vdb.new("Design", {"name": "chip"})
+        vdb.update(design.oid, {"rev": 1})  # committed: flagged
+        txn = vdb.transaction()
+        vdb.update(design.oid, {"rev": 2})
+        txn.abort()
+        assert vdb.notifications.changed_since_checked() == [design.oid]
+
+    def test_a_detached_abort_unflags_too(self, vdb):
+        design = vdb.new("Design", {"name": "chip"})
+        txn = vdb.transaction()
+        vdb.update(design.oid, {"rev": 1})
+        vdb.txns.detach()
+        txn.abort()
+        assert not vdb.notifications.is_flagged(design.oid)
+
     def test_delete_notifies(self, vdb):
         events = []
         design = vdb.new("Design", {"name": "chip"})

@@ -7,7 +7,7 @@ import pytest
 from repro import AttributeDef, Database
 from repro.authz import attach, attach_mandatory
 from repro.core.oid import OID
-from repro.errors import AuthorizationError, KimDBError
+from repro.errors import AuthorizationError, KimDBError, TransactionError
 from repro.workspace.cache import ObjectWorkspace
 from repro.workspace.swizzle import MemoryObject
 
@@ -356,6 +356,16 @@ class TestWriteBack:
         assert stored["label"] == "renamed"
         assert stored["links"] == [kept.oid, target.oid]
         assert not node.dirty
+
+    def test_a_commit_between_load_and_flush_is_reported(self, graph_db):
+        node = graph_db.new("Node", {"label": "x"})
+        workspace = ObjectWorkspace(graph_db)
+        workspace.load(node.oid).set("label", "mine")
+        graph_db.update(node.oid, {"label": "theirs"})  # committed since the load
+        with pytest.raises(TransactionError, match=repr(node.oid)):
+            workspace.flush()
+        assert graph_db.get_state(node.oid).values["label"] == "theirs"
+        assert workspace.load(node.oid).dirty  # kept for a retry
 
     def test_flush_empty_is_zero(self, graph_db):
         assert ObjectWorkspace(graph_db).flush() == 0
