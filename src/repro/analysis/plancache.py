@@ -23,7 +23,8 @@ binding's plan to another literal, so only an exact text's plan needs
 the per-text **extent scale** check: a per-class ``log2`` bucket of
 extent sizes, so a plan chosen when a class held 100 objects is dropped
 once the data has doubled and the scan-vs-probe tradeoff may have
-flipped.
+flipped.  A hit recomputes the buckets only when the directory's
+``scale_stamp``, moved by every such crossing, moved since the last check.
 
 Counters: ``query.plan_cache.hits`` counts executions served by a
 template or an exact text, ``misses`` every cold path that planned
@@ -63,18 +64,21 @@ class PlanCacheEntry:
 
 
 class CachedText:
-    """One exact query text's plan and the extent scale it was built under."""
+    """One exact query text's plan, the extent scale it was built under
+    and the directory's scale stamp when that scale was last checked."""
 
-    __slots__ = ("entry", "plan", "report", "classes", "extent_scale")
+    __slots__ = ("entry", "plan", "report", "classes", "extent_scale", "stamp")
 
     def __init__(
-        self, entry: PlanCacheEntry, plan: Any, report: Any, classes: List[str], scale: Any
+        self, entry: PlanCacheEntry, plan: Any, report: Any, classes: List[str],
+        scale: Any, stamp: int,
     ) -> None:
         self.entry = entry
         self.plan = plan
         self.report = report
         self.classes = classes
         self.extent_scale = scale
+        self.stamp = stamp
 
 
 class PlanCache:
@@ -83,20 +87,22 @@ class PlanCache:
     Thread-safe: the server plans queries from connection threads while
     ANALYZE may purge from another.  The internal mutex is leaf-level —
     no engine lock is ever acquired while holding it, which is why
-    ``epoch`` and ``extent_count`` (called under it) must be lock-free.
+    ``epoch`` and ``extents`` (used under it) must be lock-free.
+    ``extents`` is the object directory: ``count_of_class(name)`` and a
+    ``scale_stamp`` that moves whenever a count changes bit length.
     """
 
     def __init__(
         self,
         epoch: Callable[[], Tuple[int, int]],
-        extent_count: Any,
+        extents: Any,
         metrics: Any,
         capacity: int = DEFAULT_CAPACITY,
     ) -> None:
         self._epoch = epoch
         #: The epoch the current entries were planned in.
         self._token: Optional[Tuple[int, int]] = None
-        self._extent_count = extent_count
+        self._extents = extents
         self._plan_cache_mutex = threading.Lock()
         self._entries: "OrderedDict[Hashable, PlanCacheEntry]" = OrderedDict()
         self._texts: "OrderedDict[Hashable, CachedText]" = OrderedDict()
@@ -117,7 +123,8 @@ class PlanCache:
 
     def _scale_of(self, classes: List[str]) -> Any:
         """Extent sizes bucketed by bit length: invalidation on doubling."""
-        return tuple(int(self._extent_count(cls)).bit_length() for cls in classes)
+        count = self._extents.count_of_class
+        return tuple(count(cls).bit_length() for cls in classes)
 
     # -- lookup ------------------------------------------------------------
 
@@ -133,10 +140,13 @@ class PlanCache:
             text = self._texts.get(source)
             if text is None:
                 return None
-            if text.extent_scale != self._scale_of(text.classes):
-                self._forget(source)
-                self._m_invalidations.inc()
-                return None
+            stamp = self._extents.scale_stamp
+            if text.stamp != stamp:
+                if text.extent_scale != self._scale_of(text.classes):
+                    self._forget(source)
+                    self._m_invalidations.inc()
+                    return None
+                text.stamp = stamp
             self._texts.move_to_end(source)
             self._hit(text.entry)
             return text
@@ -194,8 +204,9 @@ class PlanCache:
     def _remember(self, entry: PlanCacheEntry, source: Hashable, plan: Any, report: Any) -> None:
         self._forget(source)
         classes = sorted(plan.scope)
+        stamp = self._extents.scale_stamp  # read first: a later move rechecks
         self._texts[source] = CachedText(
-            entry, plan, report, classes, self._scale_of(classes)
+            entry, plan, report, classes, self._scale_of(classes), stamp
         )
         entry.texts.add(source)
         while len(self._texts) > self.capacity:

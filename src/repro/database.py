@@ -252,9 +252,7 @@ class Database:
         #: text.  Like the shape statistics below, it purges itself when
         #: it finds the epoch moved (``_epoch``: schema evolution, index
         #: create/drop); extent-size doubling invalidates per text.
-        self.plan_cache = PlanCache(
-            self._epoch, self.storage.count_class, self.metrics
-        )
+        self.plan_cache = PlanCache(self._epoch, self.storage.directory, self.metrics)
         #: Per-query-shape statistics accumulator (SysQueryStat);
         #: recorded at executor close — stale fingerprints describe a
         #: dead world.
@@ -262,10 +260,10 @@ class Database:
         # Waits recorded on a request thread inherit its trace context,
         # so SysWaitEvent rows link back to the client's trace id.
         self.waits.current_trace = lambda: self.tracer.current_trace
-        #: Per-operator counters of the last *user* query (system-view
-        #: queries never overwrite it — observing must not perturb the
-        #: observed); served by the SysOperator view.
-        self.last_operator_stats: Optional[List[Dict[str, Any]]] = None
+        #: The finished pipeline of the last *user* query (system-view
+        #: queries never replace it — observing must not perturb the
+        #: observed); :attr:`last_operator_stats` reads it.
+        self._last_pipeline = None
         self._executor = Executor(
             self._deref, self.storage.scan_pages, self.send, self._adt_eval
         )
@@ -719,10 +717,21 @@ class Database:
             self._read_close(view)
 
     def count(self, class_name: str, hierarchy: bool = True) -> int:
-        classes = (
-            self.schema.hierarchy_of(class_name) if hierarchy else [class_name]
-        )
-        return sum(self.storage.count_class(cls) for cls in classes)
+        """How many objects :meth:`instances` yields.  The directory's
+        counts, read once the snapshot is open, are exact unless it reads
+        an object of these classes differently from storage (``changed``,
+        read after them: a writer files its chain first); then it scans."""
+        classes = self.schema.hierarchy_of(class_name) if hierarchy else [class_name]
+        view = self._snapshot_view()
+        try:
+            stored = sum(self.storage.count_class(cls) for cls in classes)
+            changed = self.version_store.changed(view.snapshot)
+        finally:
+            self._read_close(view)
+        scope = set(classes)
+        if all(scope.isdisjoint(filed) for filed in changed.values()):
+            return stored
+        return sum(1 for _ in self._scan(class_name, hierarchy))
 
     def check(self, query: Union[str, Query]) -> DiagnosticReport:
         """Semantic analysis only: type-check without planning or running.
@@ -1004,7 +1013,7 @@ class Database:
         """The one query tail, for drained results and closed streams.
 
         Bumps the ``query.*`` counters off the pipeline's live counters
-        and, for user queries, publishes the operator stats and folds
+        and, for user queries, keeps the pipeline for the operator stats and folds
         the execution into the shape accumulator — keyed on the rewrite's
         shape fingerprint, so every literal binding of a shape, and every
         spelling that normalizes alike, shares one SysQueryStat row.
@@ -1023,7 +1032,7 @@ class Database:
         plan = pipeline.plan
         if isinstance(plan.access, SystemScan):
             return
-        self.last_operator_stats = pipeline.operator_stats()
+        self._last_pipeline = pipeline
         rewrite = getattr(plan, "rewrite", None)
         if rewrite is None:
             return
@@ -1157,6 +1166,13 @@ class Database:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
+
+    @property
+    def last_operator_stats(self) -> Optional[List[Dict[str, Any]]]:
+        """Per-operator counters of the last user query, leaf first (the
+        SysOperator view), built from its finished pipeline when read."""
+        pipeline = self._last_pipeline
+        return pipeline.operator_stats() if pipeline is not None else None
 
     _UNSET = object()
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from collections import deque
 
@@ -150,6 +149,86 @@ class _TraceLocal(threading.local):
     trace: Optional[str] = None
 
 
+class _NullScope:
+    """A disabled span's or ``trace(None)``'s scope: enters to None."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, *exc_info: Any) -> None:
+        pass
+
+
+_NULL_SCOPE = _NullScope()
+
+
+class _TraceScope:
+    """``Tracer.trace``'s scope: sets the thread's trace id on entry and
+    puts the previous one back on exit, exception or not."""
+
+    __slots__ = ("_local", "_trace_id", "_previous")
+
+    def __init__(self, local: _TraceLocal, trace_id: str) -> None:
+        self._local = local
+        self._trace_id = trace_id
+
+    def __enter__(self) -> None:
+        self._previous = self._local.trace
+        self._local.trace = self._trace_id
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self._local.trace = self._previous
+
+
+class _SpanScope:
+    """``Tracer.span``'s scope: opens the span on entry, finishes it on
+    exit.  The scope keeps the tracer, the span does not: no cycle."""
+
+    __slots__ = ("_tracer", "_name", "_tags", "_span")
+
+    def __init__(self, tracer: "Tracer", name: str, tags: Dict[str, Any]) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._tags = tags
+
+    def __enter__(self) -> Span:
+        tracer = self._tracer
+        local = tracer._local
+        tags = self._tags
+        trace_id = local.trace
+        if trace_id is not None and "trace" not in tags:
+            tags["trace"] = trace_id
+        stack = local.stack
+        if stack is None:
+            stack = local.stack = []
+        span = Span(self._name, tags, tracer._clock(), len(stack))
+        if stack:
+            parent = stack[-1]
+            if len(parent.children) < Span.MAX_CHILDREN:
+                parent.children.append(span)
+            else:
+                parent.dropped_children += 1
+        stack.append(span)
+        self._span = span
+        return span
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        span = self._span
+        tracer = self._tracer
+        if exc_type is not None:
+            span.error = exc_type.__name__
+        span.elapsed = tracer._clock() - span.start
+        tracer._local.stack.pop()
+        tracer._buffer.append(span)
+        tracer._span_counter.inc()
+        threshold = tracer.slow_threshold
+        if threshold is not None and span.elapsed >= threshold:
+            tracer._slow.append(SlowOp(span.name, span.elapsed, threshold, span.tags))
+            tracer._slow_counter.inc()
+
+
 class Tracer:
     """Per-database tracer.
 
@@ -187,16 +266,9 @@ class Tracer:
 
     # -- recording -----------------------------------------------------------
 
-    def _stack(self) -> List[Span]:
-        stack = self._local.stack
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
     @property
     def current(self) -> Optional[Span]:
-        stack = self._stack()
+        stack = self._local.stack
         return stack[-1] if stack else None
 
     @property
@@ -204,8 +276,7 @@ class Tracer:
         """The trace id active on this thread, if any."""
         return self._local.trace
 
-    @contextmanager
-    def trace(self, trace_id: Optional[str]) -> Iterator[None]:
+    def trace(self, trace_id: Optional[str]) -> "_TraceScope | _NullScope":
         """Activate ``trace_id`` as this thread's trace context.
 
         Every span and note recorded inside the block carries a
@@ -215,53 +286,15 @@ class Tracer:
         can pass an optional id through unconditionally.
         """
         if trace_id is None:
-            yield
-            return
-        previous = self._local.trace
-        self._local.trace = trace_id
-        try:
-            yield
-        finally:
-            self._local.trace = previous
+            return _NULL_SCOPE
+        return _TraceScope(self._local, trace_id)
 
-    def _stamp_trace(self, tags: Dict[str, Any]) -> None:
-        trace_id = self._local.trace
-        if trace_id is not None and "trace" not in tags:
-            tags["trace"] = trace_id
-
-    @contextmanager
-    def span(self, name: str, **tags: Any) -> Iterator[Optional[Span]]:
+    def span(self, name: str, **tags: Any) -> "_SpanScope | _NullScope":
+        """Time the ``with`` block as a child of the thread's open span;
+        yields the :class:`Span`, or None while the tracer is disabled."""
         if not self.enabled:
-            yield None
-            return
-        self._stamp_trace(tags)
-        stack = self._stack()
-        parent = stack[-1] if stack else None
-        span = Span(name, tags, self._clock(), len(stack))
-        if parent is not None:
-            if len(parent.children) < Span.MAX_CHILDREN:
-                parent.children.append(span)
-            else:
-                parent.dropped_children += 1
-        stack.append(span)
-        try:
-            yield span
-        except BaseException as exc:
-            span.error = type(exc).__name__
-            raise
-        finally:
-            span.elapsed = self._clock() - span.start
-            stack.pop()
-            self._buffer.append(span)
-            self._span_counter.inc()
-            if (
-                self.slow_threshold is not None
-                and span.elapsed >= self.slow_threshold
-            ):
-                self._slow.append(
-                    SlowOp(span.name, span.elapsed, self.slow_threshold, span.tags)
-                )
-                self._slow_counter.inc()
+            return _NULL_SCOPE
+        return _SpanScope(self, name, tags)
 
     def note(self, name: str, **tags: Any) -> None:
         """Record a noteworthy non-timed event in the slow-op log.
@@ -273,7 +306,9 @@ class Tracer:
         """
         if not self.enabled:
             return
-        self._stamp_trace(tags)
+        trace_id = self._local.trace
+        if trace_id is not None and "trace" not in tags:
+            tags["trace"] = trace_id
         self._slow.append(SlowOp(name, 0.0, 0.0, tags))
         self._slow_counter.inc()
 

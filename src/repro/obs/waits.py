@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .metrics import MetricsRegistry
 
@@ -114,6 +113,32 @@ class _Captures(threading.local):
     on any other thread raises nothing)."""
 
     captures: Optional[List[Dict[str, float]]] = None
+
+
+class _CaptureScope:
+    """``WaitProfiler.capture``'s scope: a fresh bucket on the thread's
+    capture stack, taken off on exit by identity (not by an equal dict)."""
+
+    __slots__ = ("_local", "_bucket")
+
+    def __init__(self, local: _Captures) -> None:
+        self._local = local
+
+    def __enter__(self) -> Dict[str, float]:
+        captures = self._local.captures
+        if captures is None:
+            captures = self._local.captures = []
+        bucket: Dict[str, float] = {}
+        captures.append(bucket)
+        self._bucket = bucket
+        return bucket
+
+    def __exit__(self, *exc_info: Any) -> None:
+        captures = self._local.captures
+        for position in range(len(captures) - 1, -1, -1):
+            if captures[position] is self._bucket:
+                del captures[position]
+                return
 
 
 class WaitProfiler:
@@ -235,8 +260,7 @@ class WaitProfiler:
         counter.inc()
         histogram.observe(seconds)
 
-    @contextmanager
-    def capture(self) -> Iterator[Dict[str, float]]:
+    def capture(self) -> "_CaptureScope":
         """Collect this thread's waits into a ``kind -> seconds`` dict.
 
         The query-statistics layer wraps each query execution in a
@@ -246,16 +270,7 @@ class WaitProfiler:
         recorded *on the capturing thread* land in the dict, which is
         exactly the per-query attribution semantics we want.
         """
-        captures = self._local.captures
-        if captures is None:
-            captures = []
-            self._local.captures = captures
-        bucket: Dict[str, float] = {}
-        captures.append(bucket)
-        try:
-            yield bucket
-        finally:
-            captures.remove(bucket)
+        return _CaptureScope(self._local)
 
     # -- reading -------------------------------------------------------------
 

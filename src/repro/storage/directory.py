@@ -29,11 +29,14 @@ Entry = Tuple[str, int, int]
 
 
 class ObjectDirectory:
-    """OID value -> entry map with a per-class set of OID values."""
+    """OID value -> entry map with a per-class set of OID values.
+    ``scale_stamp`` moves whenever a class's count changes bit length
+    (the plan cache rechecks extent scales only then) and on clear."""
 
     def __init__(self) -> None:
         self._entries: Dict[int, Entry] = {}
         self._by_class: Dict[str, Set[int]] = {}
+        self.scale_stamp = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -48,7 +51,7 @@ class ObjectDirectory:
                 "directory already has an entry for %r" % (oid,)
             )
         self._entries[value] = (class_name, rid[0], rid[1])
-        self._by_class.setdefault(class_name, set()).add(value)
+        self._join(class_name, value)
 
     def lookup(self, oid: OID) -> Entry:
         entry = self._entries.get(oid.value)
@@ -65,16 +68,30 @@ class ObjectDirectory:
         value = oid.value
         old_class = self.lookup(oid)[0]
         if old_class != class_name:
-            self._by_class[old_class].discard(value)
-            self._by_class.setdefault(class_name, set()).add(value)
+            self._leave(old_class, value)
+            self._join(class_name, value)
         self._entries[value] = (class_name, rid[0], rid[1])
 
     def remove(self, oid: OID) -> Entry:
         entry = self._entries.pop(oid.value, None)
         if entry is None:
             raise ObjectNotFoundError("no object with OID %r" % (oid,))
-        self._by_class[entry[0]].discard(oid.value)
+        self._leave(entry[0], oid.value)
         return entry
+
+    def _join(self, class_name: str, value: int) -> None:
+        members = self._by_class.setdefault(class_name, set())
+        members.add(value)
+        count = len(members)
+        if not count & (count - 1):  # now a power of two: one bit longer
+            self.scale_stamp += 1
+
+    def _leave(self, class_name: str, value: int) -> None:
+        members = self._by_class[class_name]
+        members.discard(value)
+        count = len(members)
+        if not count & (count + 1):  # was a power of two: one bit shorter
+            self.scale_stamp += 1
 
     def oids_of_class(self, class_name: str) -> List[OID]:
         """OIDs of direct instances of ``class_name`` only, sorted."""
@@ -91,3 +108,4 @@ class ObjectDirectory:
     def clear(self) -> None:
         self._entries.clear()
         self._by_class.clear()
+        self.scale_stamp += 1

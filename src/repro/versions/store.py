@@ -353,6 +353,8 @@ class VersionStore:
             return self.gc_locked()
 
     def gc_locked(self) -> int:
+        if not self._chains:
+            return 0  # nothing to reclaim: skip the horizon and the walk
         horizon = min(
             (snap.ts for snap in self._snapshots.values()),
             default=self._last_commit_ts,

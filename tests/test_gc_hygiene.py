@@ -66,9 +66,11 @@ def test_finished_transactions_leave_no_cyclic_garbage(cyclic_garbage):
 def test_spans_the_ring_drops_leave_no_cyclic_garbage(cyclic_garbage):
     tracer = Tracer(capacity=8)
     for _ in range(3 * tracer.capacity):
-        with tracer.span("outer"):
+        with tracer.trace("t"), tracer.span("outer"):
             with tracer.span("inner"):
                 pass
+            with pytest.raises(ValueError), tracer.span("failing"):
+                raise ValueError("boom")
     assert len(tracer.spans()) == tracer.capacity
     assert _instances(cyclic_garbage(), Span) == []
 

@@ -656,6 +656,37 @@ class TestHandleSnapshotReads:
         finally:
             db.close()
 
+    def test_count_answers_from_the_callers_snapshot(self):
+        """``count()`` equals what ``instances()`` yields beside another
+        transaction's uncommitted inserts and delete, outside a
+        transaction and inside one (whose own insert it counts)."""
+        db = _vehicle_db()
+        try:
+            victim = db.select("Vehicle where weight = 1003")[0].oid
+            other = db.transaction()
+            db.new("Vehicle", {"weight": 9998})
+            db.new("Vehicle", {"weight": 9999})
+            db.delete(victim)
+            db.txns.detach()
+
+            def counted():
+                count = db.count("Vehicle")
+                assert count == len(list(db.instances("Vehicle")))
+                return count
+
+            assert counted() == 12
+            with db.transaction():
+                assert counted() == 12
+                db.new("Vehicle", {"weight": 7777})
+                assert counted() == 13
+            assert counted() == 13
+            db.txns.attach(other)
+            other.commit()
+            assert counted() == 14
+            assert db.version_store.live_snapshots() == []
+        finally:
+            db.close()
+
     def test_get_state_still_reads_current_state(self):
         # The locking read path is unchanged: inside the same
         # transaction whose handle read sees the snapshot, get_state

@@ -230,6 +230,35 @@ class TestTracer:
             assert span is None
         assert len(tracer) == 0
 
+    def test_scopes_are_slotted_objects(self):
+        tracer = Tracer()
+        for scope in (tracer.span("x"), tracer.trace("t-1"), tracer.trace(None)):
+            assert not hasattr(scope, "__dict__")
+            assert hasattr(scope, "__enter__") and hasattr(scope, "__exit__")
+
+    def test_trace_restores_the_previous_id_after_an_exception(self):
+        tracer = Tracer()
+        with tracer.trace("outer"):
+            with pytest.raises(KeyError):
+                with tracer.trace("inner"):
+                    with tracer.span("op") as span:
+                        raise KeyError("x")
+            assert tracer.current_trace == "outer"
+        assert tracer.current_trace is None
+        assert span.tags == {"trace": "inner"} and span.error == "KeyError"
+        assert tracer.current is None
+
+    def test_trace_none_is_a_no_op(self):
+        tracer = Tracer()
+        with tracer.trace("kept"):
+            with tracer.trace(None) as entered:
+                assert entered is None
+                assert tracer.current_trace == "kept"
+                with tracer.span("op") as span:
+                    pass
+            assert tracer.current_trace == "kept"
+        assert span.tags == {"trace": "kept"}
+
 
 def _vehicle_db():
     db = Database()

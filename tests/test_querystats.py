@@ -216,7 +216,10 @@ class TestEpochRuleUnderThreads:
         registry = MetricsRegistry()
         epoch = [0]
         cache = PlanCache(
-            self._yielding(epoch), lambda cls: 1, registry, capacity=10**6
+            self._yielding(epoch),
+            types.SimpleNamespace(count_of_class=lambda cls: 1, scale_stamp=0),
+            registry,
+            capacity=10**6,
         )
         plan = types.SimpleNamespace(scope=())
         added = self._race(
@@ -242,6 +245,29 @@ class TestWaitCapture:
                 profiler.record("Lock", 0.2)
         assert inner == {"Lock": 0.2}
         assert outer["Lock"] == pytest.approx(0.3)
+
+    def test_an_inner_capture_leaves_the_outer_one_open(self):
+        # Both buckets are empty (equal) when the inner one closes: it
+        # is taken off by identity, so the outer one keeps collecting.
+        profiler = WaitProfiler()
+        with profiler.capture() as outer:
+            with profiler.capture() as inner:
+                pass
+            profiler.record("Lock", 0.5)
+        assert outer == {"Lock": 0.5} and inner == {}
+
+    def test_capture_bucket_is_removed_after_an_exception(self):
+        profiler = WaitProfiler()
+        with profiler.capture() as outer:
+            with pytest.raises(RuntimeError):
+                with profiler.capture() as inner:
+                    profiler.record("Lock", 0.1)
+                    raise RuntimeError("boom")
+            profiler.record("Lock", 0.2)
+        profiler.record("Lock", 9.0)
+        assert inner == {"Lock": 0.1}
+        assert outer["Lock"] == pytest.approx(0.3)
+        assert profiler._local.captures == []
 
 
 # -- through the full query path ---------------------------------------------
