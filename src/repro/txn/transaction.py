@@ -8,7 +8,10 @@ transaction's write log for every mutation — the record bytes the write
 replaced and the state it stored; abort hands them newest-first to the
 manager's ``compensate`` hook, then both paths release all locks.  The
 log is plain values, so a finished transaction is freed by reference
-counting and never becomes cyclic garbage.
+counting and never becomes cyclic garbage.  BEGIN goes into the WAL
+just before a transaction's first write, and COMMIT or ABORT only after
+a BEGIN: a read-only transaction appends nothing and takes no
+group-commit turn.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ class Transaction:
         #: order — the record bytes replaced and the state stored
         #: (``Database._write``; ``None`` = "did not exist").
         self.writes: List[Tuple[Optional[bytes], Optional[ObjectState]]] = []
+        #: Whether BEGIN is in the log: it goes out just before the
+        #: transaction's first write (:meth:`TransactionManager.log_begin`),
+        #: so a transaction that writes nothing logs and syncs nothing.
+        self.logged = False
         #: Lock-escalation bookkeeping (maintained by the database):
         #: object-lock counts per class, and classes escalated to a
         #: class-level lock ("S" or "X").
@@ -180,8 +187,14 @@ class TransactionManager:
         self._active[txn_id] = txn
         self._m_active.set(len(self._active))
         self._current.txn = txn
-        self.wal.log_begin(txn_id)
         return txn
+
+    def log_begin(self, txn: Transaction) -> None:
+        """Log ``txn``'s BEGIN unless it is in the log already; the
+        database calls it before each write's storage change."""
+        if not txn.logged:
+            self.wal.log_begin(txn.txn_id)
+            txn.logged = True
 
     def attach(self, txn: Transaction) -> None:
         """Bind ``txn`` as the calling thread's current transaction.
@@ -227,7 +240,8 @@ class TransactionManager:
 
     def commit(self, txn: Transaction) -> None:
         txn._require_active()
-        self.wal.log_commit(txn.txn_id)
+        if txn.logged:
+            self.wal.log_commit(txn.txn_id)
         # Only after the commit record is durable does the write become
         # visible: stamping the version-store entries with the new
         # commit timestamp is what moves the snapshot horizon forward.
@@ -246,7 +260,8 @@ class TransactionManager:
                 self.compensate(txn, replaced, after)
         finally:
             self._current.rolling_back = False
-        self.wal.log_abort(txn.txn_id)
+        if txn.logged:
+            self.wal.log_abort(txn.txn_id)
         if self.version_store is not None:
             self.version_store.abort(txn.txn_id)
         txn.status = ABORTED

@@ -251,6 +251,17 @@ class TestSessionTransactions:
         assert err.value.code == "SESSION"
         client.rollback()
 
+    def test_a_read_only_session_transaction_logs_nothing(self, served):
+        db, server = served
+        with Client(*server.address) as c:
+            (oid,) = c.query("Vehicle where weight = 1003")
+            records = db.wal.record_count
+            c.begin()
+            c.query("Vehicle where color = 'red'")
+            c.get(oid)
+            c.commit()
+            assert db.wal.record_count == records
+
     def test_commit_without_begin_rejected(self, client):
         with pytest.raises(ServerError) as err:
             client.call("commit")

@@ -310,7 +310,8 @@ class TestDecodedStateMemo:
     """The object buffer, the storage manager's memo of decoded stored
     states by OID: up to its bound, an unwritten object decodes on its
     first two reads (the second admits it), then never, whether or not
-    its page stays in the pool."""
+    its page stays in the pool.  An update of an object read before
+    admits the state it stored, as a fresh decode returns it."""
 
     @staticmethod
     def _storage(n=40, **kwargs):
@@ -328,6 +329,12 @@ class TestDecodedStateMemo:
         """OIDs the object buffer holds a state for (markers live in
         ``_marked``, not here)."""
         return {OID(value) for value in storage._objects}
+
+    @staticmethod
+    def _fresh(storage, oid):
+        """A fresh decode of ``oid``'s current record (not counted)."""
+        class_name, page_id, slot = storage.directory.lookup(oid)
+        return decode_object(storage.heap_for(class_name).read((page_id, slot)))
 
     def _scan_decodes(self, storage):
         before = self._decodes(storage)
@@ -378,21 +385,32 @@ class TestDecodedStateMemo:
 
     @pytest.mark.parametrize("write", ["update", "grow", "reclass", "remove"])
     def test_a_write_drops_only_its_own_entry(self, write):
+        """A write pops its own entry and changes no other.  A remove
+        leaves it out; an update, relocating or reclassing, puts back
+        the state it stored: exactly what a fresh decode returns, with
+        the OID's hint and no list shared with the written state."""
         storage = self._storage(page_size=512)
         oids = [OID(i) for i in range(1, 41)]
         self._load_decodes(storage, oids * 2)
+        others = {value: state for value, state in storage._objects.items() if value != 2}
         if write == "remove":
             storage.remove(OID(2))
             with pytest.raises(ObjectNotFoundError):
                 storage.load(OID(2))
+            assert self._buffered(storage) == set(oids) - {OID(2)}
         else:
             values = {"x": 20, "tags": ["t" * (300 if write == "grow" else 1)]}
             state = ObjectState(OID(2), "B" if write == "reclass" else "A", values)
             entry = storage.directory.lookup(OID(2))
             storage.overwrite(state)
             assert (storage.directory.lookup(OID(2)) == entry) is (write == "update")
+            kept = storage._objects[2]
+            assert repr(kept) == repr(self._fresh(storage, OID(2)))
+            assert kept.values["tags"] is not values["tags"]
+            assert self._load_decodes(storage, [OID(2)]) == 0
             assert storage.load(OID(2)) == state
-        assert self._buffered(storage) == set(oids) - {OID(2)}
+            assert self._buffered(storage) == set(oids)
+        assert all(storage._objects[value] is state for value, state in others.items())
 
     def test_a_stale_entry_stored_after_an_update_is_never_returned(self, monkeypatch):
         """A reader decodes the old body; the writer changes the record
@@ -469,12 +487,18 @@ class TestDecodedStateMemo:
         assert [storage.metrics.value(name) for name in names] == before
 
     def test_a_write_after_its_frame_was_evicted_pops_its_state(self):
+        """The write pops the old state and admits the one it stored,
+        which then outlives the frame as a read's state does."""
         storage = self._storage(page_size=512, buffer_capacity=2)
         self._load_decodes(storage, [OID(1)] * 2)
         self._cycle_out(storage, OID(1))
-        assert OID(1).value in storage._objects
+        old = storage._objects[OID(1).value]
         storage.overwrite(ObjectState(OID(1), "A", {"x": -1, "tags": ["t"]}))
-        assert OID(1).value not in storage._objects
+        kept = storage._objects[OID(1).value]
+        assert kept is not old
+        assert repr(kept) == repr(self._fresh(storage, OID(1)))
+        self._cycle_out(storage, OID(1))
+        assert self._load_decodes(storage, [OID(1)]) == 0
         assert storage.load(OID(1)).values["x"] == -1
 
     def test_the_buffer_keeps_at_most_its_bound_oldest_out_first(self, monkeypatch):
