@@ -138,6 +138,13 @@ class LockManager:
         """Acquire (or upgrade to) ``mode`` on ``resource`` for ``txn_id``."""
         if mode not in _STRENGTH:
             raise TransactionError("unknown lock mode %r" % (mode,))
+        # Only the transaction's own thread adds or drops its entry, so
+        # a lock it already holds strongly enough needs no mutex.
+        holders = self._held.get(resource)
+        if holders is not None:
+            current = holders.get(txn_id)
+            if current is not None and mode in _COVERS[current]:
+                return
         if timeout is _DEFAULT_TIMEOUT:
             timeout = self.default_timeout
         with self._condition:

@@ -60,6 +60,32 @@ class TestAcquisition:
         locks.acquire(1, resource, S)  # no-op: X covers S
         assert locks.holds(1, resource, X)
 
+    def test_a_covered_request_takes_no_mutex(self):
+        """A lock the transaction already holds strongly enough is
+        answered from its own entry: the request returns while another
+        thread holds the manager's mutex, and an upgrade still waits."""
+        locks = LockManager()
+        resource = class_resource("Vehicle")
+        locks.acquire(1, resource, IX)
+        done = []
+
+        def request(mode):
+            locks.acquire(1, resource, mode, timeout=5)
+            done.append(mode)
+
+        with locks._mutex:
+            covered = threading.Thread(target=request, args=(IS,))
+            covered.start()
+            covered.join(5)
+            assert done == [IS]
+            upgrade = threading.Thread(target=request, args=(X,))
+            upgrade.start()
+            upgrade.join(0.2)
+            assert done == [IS]  # parked on the mutex
+        upgrade.join(5)
+        assert done == [IS, X] and locks.holds(1, resource, X)
+        assert locks.metrics.value("locks.upgrades") == 1
+
     def test_shared_holders(self):
         locks = LockManager()
         resource = class_resource("Vehicle")
